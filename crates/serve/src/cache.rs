@@ -1,8 +1,8 @@
-//! Single-flight, capacity-capped memoization.
+//! Single-flight, capacity-bounded memoization.
 //!
 //! [`SfCache`] keys expensive computations (screening a library,
-//! characterizing a statistical library, building a baseline timing graph)
-//! by content hash and guarantees three things:
+//! characterizing a statistical library, running a baseline) by content
+//! hash and guarantees three things:
 //!
 //! * **Single flight** — N concurrent requests for the same key run the
 //!   computation exactly once; the other N−1 block on the first and share
@@ -13,12 +13,13 @@
 //!   values persist. (Permanent outcomes — a strict-screening rejection —
 //!   are modeled as successful computations of a negative *value* by the
 //!   caller, see [`crate::registry::LibEntry`].)
-//! * **Bounded residency** — at [`SfCache::capacity`] distinct keys the
-//!   cache refuses new insertions ([`SfError::Full`]) instead of growing.
-//!   Callers fall back to uncached computation, so a hostile client
-//!   cycling through unique library texts can pin at most `capacity`
-//!   entries, not the whole heap. This is what makes the `Box::leak`-based
-//!   `&'static` values in [`crate::registry`] a *bounded* leak.
+//! * **Bounded residency** — at [`SfCache::capacity`] resident keys a new
+//!   key evicts the least-recently-used *ready* value, so a hostile client
+//!   cycling through unique library texts pins at most `capacity` values.
+//!   Pending slots are never evicted; when every slot is pending the new
+//!   key is admitted anyway and the overshoot, bounded by the computations
+//!   in flight, is trimmed as they finish. Values are owned (typically
+//!   `Arc`s), so an evicted value is freed once its last reader drops it.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -35,8 +36,8 @@ pub struct CacheStats {
     pub computes: AtomicU64,
     /// Computations that failed transiently (nothing cached).
     pub failures: AtomicU64,
-    /// Requests refused because the cache was at capacity.
-    pub full_rejections: AtomicU64,
+    /// Ready values dropped to stay within capacity.
+    pub evictions: AtomicU64,
 }
 
 impl CacheStats {
@@ -44,14 +45,14 @@ impl CacheStats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Current (hits, computes, failures, full_rejections).
+    /// Current (hits, computes, failures, evictions).
     #[must_use]
     pub fn snapshot(&self) -> (u64, u64, u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.computes.load(Ordering::Relaxed),
             self.failures.load(Ordering::Relaxed),
-            self.full_rejections.load(Ordering::Relaxed),
+            self.evictions.load(Ordering::Relaxed),
         )
     }
 }
@@ -73,16 +74,6 @@ impl<V> Outcome<V> {
             Outcome::Hit(v) | Outcome::Computed(v) => v,
         }
     }
-}
-
-/// Error from [`SfCache::get_or_compute`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SfError<E> {
-    /// The cache is at capacity and the key is absent; the caller should
-    /// compute without caching.
-    Full,
-    /// The computation itself failed (not cached).
-    Failed(E),
 }
 
 #[derive(Debug)]
@@ -116,19 +107,37 @@ impl<V> Slot<V> {
         drop(guard);
         self.ready.notify_all();
     }
+
+    fn is_ready(&self) -> bool {
+        matches!(*lock(&self.state), SlotState::Ready(_))
+    }
 }
 
 /// Locks a mutex, riding through poisoning: slot and map state transitions
 /// are self-consistent at every step (a panicking owner settles its slot
 /// via [`SettleGuard`]), so a poisoned lock's data is still valid.
+/// Lock order is map before slot; nothing takes the map holding a slot.
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[derive(Debug)]
+struct Entry<V> {
+    slot: Arc<Slot<V>>,
+    /// Map tick of the last insertion or hit; the smallest is evicted first.
+    used: u64,
+}
+
+#[derive(Debug)]
+struct Map<K, V> {
+    entries: HashMap<K, Entry<V>>,
+    tick: u64,
 }
 
 /// A single-flight memoization map. See the module docs.
 #[derive(Debug)]
 pub struct SfCache<K, V> {
-    map: Mutex<HashMap<K, Arc<Slot<V>>>>,
+    map: Mutex<Map<K, V>>,
     capacity: usize,
     /// Outcome counters.
     pub stats: CacheStats,
@@ -153,13 +162,14 @@ impl<K: Eq + Hash, V> Drop for SettleGuard<'_, K, V> {
     fn drop(&mut self) {
         if let Some(key) = self.key.take() {
             let mut map = lock(&self.cache.map);
-            // Only unlink our own slot: a retry may already have replaced
-            // the entry by the time a slow failure path gets here.
+            // Only unlink our own slot: pending slots are never evicted, but
+            // the check keeps a stale guard from removing a successor.
             if map
+                .entries
                 .get(&key)
-                .is_some_and(|current| Arc::ptr_eq(current, &self.slot))
+                .is_some_and(|current| Arc::ptr_eq(&current.slot, &self.slot))
             {
-                map.remove(&key);
+                map.entries.remove(&key);
             }
             drop(map);
             self.slot.settle(SlotState::Failed);
@@ -168,20 +178,23 @@ impl<K: Eq + Hash, V> Drop for SettleGuard<'_, K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> SfCache<K, V> {
-    /// An empty cache holding at most `capacity` distinct keys.
+    /// An empty cache keeping at most `capacity` resident values.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(Map {
+                entries: HashMap::new(),
+                tick: 0,
+            }),
             capacity,
             stats: CacheStats::default(),
         }
     }
 
-    /// Number of cached values right now.
+    /// Number of resident slots (ready or in flight) right now.
     #[must_use]
     pub fn len(&self) -> usize {
-        lock(&self.map).len()
+        lock(&self.map).entries.len()
     }
 
     /// Whether the cache is empty.
@@ -190,21 +203,44 @@ impl<K: Eq + Hash + Clone, V: Clone> SfCache<K, V> {
         self.len() == 0
     }
 
-    /// The capacity cap.
+    /// The residency bound.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Looks up `key` without computing.
+    /// Looks up `key` without computing or refreshing its recency.
     #[must_use]
     pub fn peek(&self, key: &K) -> Option<V> {
-        let slot = lock(&self.map).get(key).cloned()?;
+        let slot = lock(&self.map).entries.get(key)?.slot.clone();
         let state = lock(&slot.state);
         match &*state {
             SlotState::Ready(v) => Some(v.clone()),
             SlotState::Pending | SlotState::Failed => None,
         }
+    }
+
+    /// Unlinks least-recently-used ready slots until at most `limit` remain
+    /// (or only pending ones are left) and returns them, so the caller can
+    /// drop their values after releasing the map lock.
+    fn evict_down_to(&self, map: &mut Map<K, V>, limit: usize) -> Vec<Arc<Slot<V>>> {
+        let mut evicted = Vec::new();
+        while map.entries.len() > limit {
+            let Some(victim) = map
+                .entries
+                .iter()
+                .filter(|(_, e)| e.slot.is_ready())
+                .min_by_key(|(_, e)| e.used)
+                .map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            if let Some(entry) = map.entries.remove(&victim) {
+                evicted.push(entry.slot);
+                CacheStats::bump(&self.stats.evictions);
+            }
+        }
+        evicted
     }
 
     /// Returns the cached value for `key`, computing it with `compute` at
@@ -215,34 +251,39 @@ impl<K: Eq + Hash + Clone, V: Clone> SfCache<K, V> {
     ///
     /// # Errors
     ///
-    /// [`SfError::Full`] when the key is absent and the cache is at
-    /// capacity; [`SfError::Failed`] when `compute` fails (the failure is
-    /// not cached).
+    /// The error of `compute` when it fails (the failure is not cached).
     pub fn get_or_compute<E>(
         &self,
         key: &K,
         compute: impl Fn() -> Result<V, E>,
-    ) -> Result<Outcome<V>, SfError<E>> {
+    ) -> Result<Outcome<V>, E> {
         loop {
             enum Role<V> {
                 Owner(Arc<Slot<V>>),
                 Waiter(Arc<Slot<V>>),
             }
+            let mut evicted = Vec::new();
             let role = {
                 let mut map = lock(&self.map);
-                match map.get(key) {
-                    Some(slot) => Role::Waiter(slot.clone()),
-                    None if map.len() >= self.capacity => {
-                        CacheStats::bump(&self.stats.full_rejections);
-                        return Err(SfError::Full);
-                    }
-                    None => {
-                        let slot = Arc::new(Slot::new());
-                        map.insert(key.clone(), slot.clone());
-                        Role::Owner(slot)
-                    }
+                map.tick += 1;
+                let tick = map.tick;
+                if let Some(entry) = map.entries.get_mut(key) {
+                    entry.used = tick;
+                    Role::Waiter(entry.slot.clone())
+                } else {
+                    evicted = self.evict_down_to(&mut map, self.capacity.saturating_sub(1));
+                    let slot = Arc::new(Slot::new());
+                    map.entries.insert(
+                        key.clone(),
+                        Entry {
+                            slot: slot.clone(),
+                            used: tick,
+                        },
+                    );
+                    Role::Owner(slot)
                 }
             };
+            drop(evicted);
             match role {
                 Role::Owner(slot) => {
                     let mut guard = SettleGuard {
@@ -255,13 +296,20 @@ impl<K: Eq + Hash + Clone, V: Clone> SfCache<K, V> {
                             guard.disarm();
                             slot.settle(SlotState::Ready(value.clone()));
                             CacheStats::bump(&self.stats.computes);
+                            // Trim an overshoot admitted while every slot
+                            // was pending (with capacity 0, this value).
+                            let evicted = {
+                                let mut map = lock(&self.map);
+                                self.evict_down_to(&mut map, self.capacity)
+                            };
+                            drop(evicted);
                             return Ok(Outcome::Computed(value));
                         }
                         Err(e) => {
                             // Guard drop unlinks the slot and wakes waiters.
                             drop(guard);
                             CacheStats::bump(&self.stats.failures);
-                            return Err(SfError::Failed(e));
+                            return Err(e);
                         }
                     }
                 }
@@ -366,7 +414,7 @@ mod tests {
         // Exactly one caller saw the transient failure; the rest got 5.
         let failed = results
             .iter()
-            .filter(|r| matches!(r, Err(SfError::Failed("deadline"))))
+            .filter(|r| matches!(r, Err("deadline")))
             .count();
         assert_eq!(failed, 1);
         assert!(results
@@ -376,17 +424,97 @@ mod tests {
         assert_eq!(cache.peek(&3), Some(5), "retry cached the success");
     }
 
+    fn ok(v: u64) -> impl Fn() -> Result<u64, ()> {
+        move || Ok(v)
+    }
+
     #[test]
-    fn capacity_cap_refuses_new_keys() {
+    fn a_hit_refreshes_recency_so_the_least_recent_is_evicted() {
         let cache: SfCache<u64, u64> = SfCache::new(2);
-        let ok = |v: u64| move || -> Result<u64, ()> { Ok(v) };
         cache.get_or_compute(&1, ok(1)).unwrap();
         cache.get_or_compute(&2, ok(2)).unwrap();
-        assert_eq!(cache.get_or_compute(&3, ok(3)), Err(SfError::Full));
-        // Existing keys still serve.
+        // Key 1 is now more recent than key 2.
         assert_eq!(cache.get_or_compute(&1, ok(1)).unwrap(), Outcome::Hit(1));
-        let (_, _, _, full) = cache.stats.snapshot();
-        assert_eq!(full, 1);
+        assert_eq!(
+            cache.get_or_compute(&3, ok(3)).unwrap(),
+            Outcome::Computed(3)
+        );
+        assert_eq!(cache.peek(&1), Some(1));
+        assert_eq!(cache.peek(&2), None, "least recently used went first");
+        assert_eq!(cache.peek(&3), Some(3));
+        assert_eq!(cache.len(), 2);
+        // An evicted key recomputes.
+        assert_eq!(
+            cache.get_or_compute(&2, ok(2)).unwrap(),
+            Outcome::Computed(2)
+        );
+        assert_eq!(cache.peek(&1), None);
+    }
+
+    #[test]
+    fn a_pending_slot_is_never_evicted() {
+        let cache: Arc<SfCache<u64, u64>> = Arc::new(SfCache::new(1));
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let owner = {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                cache
+                    .get_or_compute(&1, || -> Result<u64, ()> {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        Ok(10)
+                    })
+                    .unwrap()
+            })
+        };
+        started_rx.recv().unwrap();
+        // At capacity with only a pending slot: the new key is admitted
+        // beside it instead of evicting it.
+        assert_eq!(
+            cache.get_or_compute(&2, ok(20)).unwrap(),
+            Outcome::Computed(20)
+        );
+        assert_eq!(cache.len(), 1, "the overshoot was trimmed on completion");
+        assert_eq!(cache.peek(&2), None, "the ready value gave way");
+        release_tx.send(()).unwrap();
+        assert_eq!(owner.join().unwrap(), Outcome::Computed(10));
+        assert_eq!(cache.peek(&1), Some(10), "the pending slot survived");
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn capacity_zero_keeps_nothing_after_the_flight() {
+        let cache: SfCache<u64, u64> = SfCache::new(0);
+        assert_eq!(
+            cache.get_or_compute(&1, ok(1)).unwrap(),
+            Outcome::Computed(1)
+        );
+        assert!(cache.is_empty());
+        assert_eq!(
+            cache.get_or_compute(&1, ok(1)).unwrap(),
+            Outcome::Computed(1)
+        );
+        assert!(cache.is_empty());
+        let (hits, computes, _, evictions) = cache.stats.snapshot();
+        assert_eq!((hits, computes, evictions), (0, 2, 2));
+    }
+
+    #[test]
+    fn evictions_count_exactly() {
+        let cache: SfCache<u64, u64> = SfCache::new(3);
+        for k in 0..10 {
+            cache.get_or_compute(&k, ok(k)).unwrap();
+        }
+        assert_eq!(cache.stats.snapshot().3, 7, "10 inserts into 3 slots");
+        // A hit evicts nothing.
+        cache.get_or_compute(&9, ok(9)).unwrap();
+        assert_eq!(cache.stats.snapshot().3, 7);
+        // A new key makes room before computing, even if it then fails.
+        assert!(cache.get_or_compute(&11, || Err(())).is_err());
+        let (hits, computes, failures, evictions) = cache.stats.snapshot();
+        assert_eq!((hits, computes, failures, evictions), (1, 10, 1, 8));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

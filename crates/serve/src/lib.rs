@@ -24,9 +24,10 @@
 //!   flow checkpoints and yields a `deadline` error.
 //! * **Cache** — content-hash-keyed single-flight caches ([`cache`],
 //!   [`registry`]) memoize screened libraries, prepared flows and baseline
-//!   timing graphs. Strict-screening failures are remembered as *negative*
-//!   entries, structurally separate from positive ones, so a quarantined
-//!   library can never poison the positive cache.
+//!   runs as owned `Arc`s, evicting the least recently used entry at each
+//!   layer's capacity. Strict-screening failures are remembered as
+//!   *negative* entries, structurally separate from positive ones, so a
+//!   quarantined library can never poison the positive cache.
 //!
 //! Responses are deterministic functions of (library content hash, seed,
 //! job parameters): they carry no timestamps, cache state or scheduling
@@ -45,7 +46,7 @@ pub mod protocol;
 pub mod registry;
 pub mod server;
 
-pub use cache::{CacheStats, Outcome, SfCache, SfError};
+pub use cache::{CacheStats, Outcome, SfCache};
 pub use client::{Client, RetryPolicy};
 pub use hash::fnv1a64;
 pub use protocol::{

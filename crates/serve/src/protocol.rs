@@ -18,6 +18,8 @@ use varitune_core::quarantine::Strictness;
 use varitune_core::TuningMethod;
 use varitune_trace::json::{self, Json};
 
+use crate::hash::fnv1a64;
+
 /// Hard ceiling on a frame's payload size. A length prefix above this is a
 /// protocol error (the connection is told so and closed), not an
 /// allocation: a hostile 4 GiB prefix costs the server nothing.
@@ -178,6 +180,9 @@ pub struct Request {
     pub id: String,
     /// Liberty text of the library to serve. Required for work kinds.
     pub library: String,
+    /// FNV-1a of `library`, computed once at decode: it keys every cache
+    /// layer and is echoed as `lib_hash`.
+    pub library_hash: u64,
     /// Master seed for characterization / search.
     pub seed: u64,
     /// Monte-Carlo libraries behind the statistical library.
@@ -252,6 +257,7 @@ impl Request {
         Ok(Self {
             kind,
             id,
+            library_hash: fnv1a64(library.as_bytes()),
             library,
             seed: num_field("seed").unwrap_or(7),
             mc_libraries: num_field("mc_libraries").unwrap_or(6).clamp(1, 1024) as usize,

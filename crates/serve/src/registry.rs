@@ -12,23 +12,18 @@
 //! 2. **Flows** — the prepared [`Flow`] (nominal + statistical library +
 //!    design) per (library, seed, MC count, threads). Characterization is
 //!    the expensive step; the `characterizations` counter increments only
-//!    when one *completes*, so its total equals the number of distinct
-//!    cached flows regardless of how many requests raced or how many
-//!    deadline-cancelled attempts aborted mid-way.
-//! 3. **Baselines** — the unconstrained synthesis run plus its
-//!    [`TimingGraph`] per (flow, clock period).
+//!    when one *completes*, so a library whose flow was evicted counts
+//!    again when it is recomputed, and deadline-cancelled attempts that
+//!    aborted mid-way never count.
+//! 3. **Baselines** — the unconstrained synthesis run and its worst slack
+//!    per (flow, clock period).
 //!
-//! # Why `Box::leak`
-//!
-//! [`TimingGraph`] borrows the [`Library`] it times against, so a cache
-//! entry holding both would be self-referential. Instead of `unsafe`
-//! pinning, each cached value is leaked to `&'static` — a deliberate,
-//! *bounded* leak: the capacity caps of the underlying [`SfCache`] layers
-//! refuse new keys once full ([`SfError::Full`]), at which point callers
-//! compute transient owned values instead (see `server::handle_job`), so
-//! leaked memory never exceeds `capacity × entry size`.
+//! Values are owned `Arc`s: each layer evicts its least-recently-used
+//! entry at capacity (see [`SfCache`]), and a job that still holds an
+//! evicted value keeps it alive until the job ends.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use varitune_core::quarantine::Strictness;
 use varitune_core::{Flow, FlowConfig, FlowError, FlowReport, FlowRun};
@@ -37,8 +32,7 @@ use varitune_liberty::Library;
 use varitune_netlist::McuConfig;
 use varitune_sta::{StaConfig, TimingGraph};
 
-use crate::cache::{SfCache, SfError};
-use crate::hash::fnv1a64;
+use crate::cache::SfCache;
 
 fn strictness_tag(s: Strictness) -> u8 {
     match s {
@@ -71,12 +65,21 @@ impl LibKey {
 /// Key of the flow layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey {
-    /// FNV-1a of the Liberty text.
-    pub text_hash: u64,
-    strictness: u8,
+    lib: LibKey,
     seed: u64,
     mc_libraries: usize,
     threads: usize,
+}
+
+impl FlowKey {
+    fn of(spec: FlowSpec) -> Self {
+        Self {
+            lib: LibKey::new(spec.text_hash, spec.strictness),
+            seed: spec.seed,
+            mc_libraries: spec.mc_libraries,
+            threads: spec.threads,
+        }
+    }
 }
 
 /// Key of the baseline layer: a flow plus the clock period in picoseconds.
@@ -86,35 +89,31 @@ pub struct BaselineKey {
     clock_period_ps: u64,
 }
 
-/// A cached screening outcome. `Clone` is two pointer copies.
-#[derive(Debug, Clone, Copy)]
+/// A cached screening outcome. `Clone` is a reference-count bump.
+#[derive(Debug, Clone)]
 pub enum LibEntry {
     /// The library passed screening (possibly with degradations under
     /// tolerant policies).
     Screened {
         /// The surviving cells.
-        lib: &'static Library,
+        lib: Arc<Library>,
         /// What screening did.
-        report: &'static FlowReport,
+        report: Arc<FlowReport>,
     },
     /// Screening refused the library — the negative cache. Requests for
     /// the same (text, strictness) are rejected from memory.
     Rejected {
         /// The screen's account of the first disqualifying problem.
-        reason: &'static str,
+        reason: Arc<str>,
     },
 }
 
-/// A baseline: the unconstrained run and a live timing graph over the
-/// flow's mean library. Cached as `&'static Baseline<'static>`; the
-/// over-capacity fallback builds a transient `Baseline<'l>` instead.
-pub struct Baseline<'l> {
+/// A baseline: the unconstrained run over the flow's mean library.
+pub struct Baseline {
     /// The synthesized-and-measured baseline.
     pub run: FlowRun,
-    /// Worst setup slack from the retained timing graph.
+    /// Worst setup slack of the baseline design.
     pub worst_slack: f64,
-    /// The levelized graph itself, for future incremental queries.
-    pub graph: TimingGraph<'l>,
 }
 
 /// Parameters every served flow shares (fixed per server instance);
@@ -135,17 +134,20 @@ pub struct Registry {
     /// Layer 1: screened libraries (positive and negative entries).
     pub libs: SfCache<LibKey, LibEntry>,
     /// Layer 2: prepared flows.
-    pub flows: SfCache<FlowKey, &'static Flow>,
-    /// Layer 3: baseline runs + timing graphs.
-    pub baselines: SfCache<BaselineKey, &'static Baseline<'static>>,
-    /// Completed Monte-Carlo characterizations. Equals the number of
-    /// distinct flows ever cached (single flight + count-on-success).
+    pub flows: SfCache<FlowKey, Arc<Flow>>,
+    /// Layer 3: baseline runs.
+    pub baselines: SfCache<BaselineKey, Arc<Baseline>>,
+    /// Completed Monte-Carlo characterizations: one per flow computed and
+    /// cached, including recomputes of evicted flows (single flight +
+    /// count-on-success).
     pub characterizations: AtomicU64,
 }
 
 /// Per-request knobs that key the flow layer.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowSpec {
+    /// FNV-1a of the Liberty text, computed once per request.
+    pub text_hash: u64,
     /// Ingestion policy.
     pub strictness: Strictness,
     /// Characterization master seed.
@@ -156,30 +158,9 @@ pub struct FlowSpec {
     pub threads: usize,
 }
 
-/// Failure from a registry lookup.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FetchError {
-    /// The relevant cache layer is full; the caller should compute a
-    /// transient, uncached value instead.
-    CacheFull,
-    /// The underlying flow computation failed (screening rejection comes
-    /// back as `FlowError::Rejected`, cancellation as
-    /// `FlowError::Cancelled`).
-    Flow(FlowError),
-}
-
-impl From<SfError<FlowError>> for FetchError {
-    fn from(e: SfError<FlowError>) -> Self {
-        match e {
-            SfError::Full => FetchError::CacheFull,
-            SfError::Failed(f) => FetchError::Flow(f),
-        }
-    }
-}
-
 impl Registry {
-    /// A registry serving flows shaped by `template`, with per-layer
-    /// capacity caps.
+    /// A registry serving flows shaped by `template`, keeping at most the
+    /// given number of entries resident per layer.
     #[must_use]
     pub fn new(
         template: FlowTemplate,
@@ -211,40 +192,33 @@ impl Registry {
         }
     }
 
-    /// Layer 1: the screened library for `text` under `strictness`.
-    /// Parses and screens on first sight; hits (positive *or* negative)
-    /// afterwards.
+    /// Layer 1: the screened library for `text` (hashing to
+    /// `spec.text_hash`) under `spec.strictness`. Parses and screens on
+    /// first sight; hits (positive *or* negative) afterwards.
     ///
     /// # Errors
     ///
-    /// [`FetchError::CacheFull`] at capacity (the caller screens without
-    /// caching).
-    pub fn screened(
-        &self,
-        text: &str,
-        strictness: Strictness,
-        threads: usize,
-    ) -> Result<LibEntry, FetchError> {
-        let key = LibKey {
-            text_hash: fnv1a64(text.as_bytes()),
-            strictness: strictness_tag(strictness),
-        };
+    /// None in practice: screening is pure and non-cancellable, and its
+    /// rejections are cached as [`LibEntry::Rejected`].
+    pub fn screened(&self, text: &str, spec: FlowSpec) -> Result<LibEntry, FlowError> {
+        let key = LibKey::new(spec.text_hash, spec.strictness);
         let outcome = self.libs.get_or_compute(&key, || {
-            Ok::<LibEntry, FlowError>(match screen_once(text, strictness, threads) {
-                Ok((lib, report)) => LibEntry::Screened {
-                    lib: Box::leak(Box::new(lib)),
-                    report: Box::leak(Box::new(report)),
-                },
-                Err(FlowError::Rejected { reason }) => LibEntry::Rejected {
-                    reason: Box::leak(reason.into_boxed_str()),
-                },
-                // Screening is pure and non-cancellable; other FlowError
-                // variants cannot come out of it. Propagate uncached if
-                // the invariant ever breaks.
-                Err(other) => return Err(other),
-            })
-        });
-        Ok(outcome?.into_value())
+            let (parsed, diagnostics) =
+                varitune_liberty::parse_library_recovering_threads(text, spec.threads);
+            match varitune_core::screen_library(&parsed, &diagnostics, spec.strictness) {
+                Ok((lib, report)) => Ok(LibEntry::Screened {
+                    lib: Arc::new(lib),
+                    report: Arc::new(report),
+                }),
+                Err(FlowError::Rejected { reason }) => Ok(LibEntry::Rejected {
+                    reason: reason.into(),
+                }),
+                // Other FlowError variants cannot come out of screening;
+                // propagate uncached if the invariant ever breaks.
+                Err(other) => Err(other),
+            }
+        })?;
+        Ok(outcome.into_value())
     }
 
     /// Layer 2: the prepared flow for `text` under `spec`. Characterizes
@@ -252,105 +226,68 @@ impl Registry {
     ///
     /// # Errors
     ///
-    /// [`FetchError::Flow`] with `FlowError::Rejected` when screening
-    /// refuses the library (served from the negative cache on repeats),
-    /// `FlowError::Cancelled` when the caller's deadline fires
-    /// mid-characterization (not cached — a later attempt recomputes), or
-    /// [`FetchError::CacheFull`].
-    pub fn flow(&self, text: &str, spec: FlowSpec) -> Result<&'static Flow, FetchError> {
-        let entry = self.screened(text, spec.strictness, spec.threads)?;
-        let (lib, report) = match entry {
+    /// `FlowError::Rejected` when screening refuses the library (served
+    /// from the negative cache on repeats), `FlowError::Cancelled` when the
+    /// caller's deadline fires mid-characterization (not cached — a later
+    /// attempt recomputes).
+    pub fn flow(&self, text: &str, spec: FlowSpec) -> Result<Arc<Flow>, FlowError> {
+        let (lib, report) = match self.screened(text, spec)? {
             LibEntry::Rejected { reason } => {
-                return Err(FetchError::Flow(FlowError::Rejected {
+                return Err(FlowError::Rejected {
                     reason: reason.to_string(),
-                }))
+                })
             }
             LibEntry::Screened { lib, report } => (lib, report),
         };
-        let key = FlowKey {
-            text_hash: fnv1a64(text.as_bytes()),
-            strictness: strictness_tag(spec.strictness),
-            seed: spec.seed,
-            mc_libraries: spec.mc_libraries,
-            threads: spec.threads,
-        };
-        let outcome = self.flows.get_or_compute(&key, || {
-            let flow = Flow::prepare_screened(self.flow_config(spec), lib.clone(), report.clone())?;
+        let outcome = self.flows.get_or_compute(&FlowKey::of(spec), || {
+            let flow = Flow::prepare_screened(
+                self.flow_config(spec),
+                Library::clone(&lib),
+                FlowReport::clone(&report),
+            )?;
             // Count only completed characterizations: a deadline-cancelled
             // attempt above returns before this line.
             self.characterizations.fetch_add(1, Ordering::Relaxed);
-            Ok::<&'static Flow, FlowError>(Box::leak(Box::new(flow)))
+            Ok::<_, FlowError>(Arc::new(flow))
         })?;
         Ok(outcome.into_value())
     }
 
-    /// Layer 3: the baseline run + timing graph for a cached flow at
-    /// `clock_period_ps`.
+    /// Layer 3: the baseline of `flow` — which [`Registry::flow`] returned
+    /// for the same `spec` — at `clock_period_ps`.
     ///
     /// # Errors
     ///
-    /// [`FetchError`] as for [`Registry::flow`], plus synthesis/timing
-    /// failures as `FetchError::Flow`.
+    /// Synthesis, timing and cancellation failures (not cached).
     pub fn baseline(
         &self,
-        text: &str,
+        flow: &Flow,
         spec: FlowSpec,
         clock_period_ps: u64,
-    ) -> Result<&'static Baseline<'static>, FetchError> {
-        let flow = self.flow(text, spec)?;
+    ) -> Result<Arc<Baseline>, FlowError> {
         let key = BaselineKey {
-            flow: FlowKey {
-                text_hash: fnv1a64(text.as_bytes()),
-                strictness: strictness_tag(spec.strictness),
-                seed: spec.seed,
-                mc_libraries: spec.mc_libraries,
-                threads: spec.threads,
-            },
+            flow: FlowKey::of(spec),
             clock_period_ps,
         };
         let outcome = self.baselines.get_or_compute(&key, || {
-            let baseline = compute_baseline(flow, clock_period_ps)?;
-            Ok::<&'static Baseline<'static>, FlowError>(Box::leak(Box::new(baseline)))
+            compute_baseline(flow, clock_period_ps).map(Arc::new)
         })?;
         Ok(outcome.into_value())
     }
 }
 
-/// Parses and screens once, outside any cache.
-///
-/// # Errors
-///
-/// `FlowError::Rejected` when the screen refuses the library.
-pub fn screen_once(
-    text: &str,
-    strictness: Strictness,
-    threads: usize,
-) -> Result<(Library, FlowReport), FlowError> {
-    let (parsed, diagnostics) = varitune_liberty::parse_library_recovering_threads(text, threads);
-    varitune_core::screen_library(&parsed, &diagnostics, strictness)
-}
-
-/// Builds a baseline (run + graph) for `flow` at `clock_period_ps`,
-/// outside any cache. Used both by the registry and by the over-capacity
-/// fallback path.
-///
-/// # Errors
-///
-/// Propagates [`FlowError`] from synthesis / timing / cancellation.
-pub fn compute_baseline(flow: &Flow, clock_period_ps: u64) -> Result<Baseline<'_>, FlowError> {
+/// Runs the baseline of `flow` at `clock_period_ps` and reads its worst
+/// slack off a timing graph that is dropped before returning.
+fn compute_baseline(flow: &Flow, clock_period_ps: u64) -> Result<Baseline, FlowError> {
     let period_ns = clock_period_ps as f64 / 1000.0;
     let synth_cfg = varitune_synth::SynthConfig::with_clock_period(period_ns);
     let run = flow.run_baseline(&synth_cfg)?;
     varitune_variation::cancel::check()?;
     let sta_cfg = StaConfig::with_clock_period(period_ns);
-    let graph = TimingGraph::new(run.synthesis.design.clone(), &flow.stat.mean, &sta_cfg)
-        .map_err(FlowError::Sta)?;
-    let worst_slack = graph.worst_slack();
-    Ok(Baseline {
-        run,
-        worst_slack,
-        graph,
-    })
+    let worst_slack = TimingGraph::new(run.synthesis.design.clone(), &flow.stat.mean, &sta_cfg)
+        .map_err(FlowError::Sta)?
+        .worst_slack();
+    Ok(Baseline { run, worst_slack })
 }
 
 #[cfg(test)]
@@ -368,8 +305,9 @@ mod tests {
         }
     }
 
-    fn spec() -> FlowSpec {
+    fn spec(text: &str) -> FlowSpec {
         FlowSpec {
+            text_hash: crate::hash::fnv1a64(text.as_bytes()),
             strictness: Strictness::Strict,
             seed: 7,
             mc_libraries: 3,
@@ -386,28 +324,29 @@ mod tests {
     fn flow_layer_characterizes_once_per_distinct_text() {
         let reg = Registry::new(test_template(), 8, 8, 8);
         let text = liberty_text();
-        let a = reg.flow(&text, spec()).unwrap();
-        let b = reg.flow(&text, spec()).unwrap();
-        assert!(std::ptr::eq(a, b), "same leaked flow");
+        let a = reg.flow(&text, spec(&text)).unwrap();
+        let b = reg.flow(&text, spec(&text)).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "same cached flow");
         assert_eq!(reg.characterizations.load(Ordering::Relaxed), 1);
         // A different seed is a different flow.
-        let mut other = spec();
+        let mut other = spec(&text);
         other.seed = 8;
         let c = reg.flow(&text, other).unwrap();
-        assert!(!std::ptr::eq(a, c));
+        assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(reg.characterizations.load(Ordering::Relaxed), 2);
     }
 
     #[test]
-    fn baseline_layer_reuses_graph_and_matches_direct_run() {
+    fn baseline_layer_reuses_its_entry_and_matches_direct_run() {
         let reg = Registry::new(test_template(), 8, 8, 8);
         let text = liberty_text();
-        let base = reg.baseline(&text, spec(), 8000).unwrap();
-        let again = reg.baseline(&text, spec(), 8000).unwrap();
-        assert!(std::ptr::eq(base, again));
+        let flow = reg.flow(&text, spec(&text)).unwrap();
+        let base = reg.baseline(&flow, spec(&text), 8000).unwrap();
+        let again = reg.baseline(&flow, spec(&text), 8000).unwrap();
+        assert!(Arc::ptr_eq(&base, &again));
         // Bit-identical to an uncached flow run.
-        let flow = Flow::prepare(reg.flow_config(spec())).unwrap();
-        let run = flow
+        let fresh = Flow::prepare(reg.flow_config(spec(&text))).unwrap();
+        let run = fresh
             .run_baseline(&varitune_synth::SynthConfig::with_clock_period(8.0))
             .unwrap();
         assert_eq!(base.run.sigma().to_bits(), run.sigma().to_bits());

@@ -34,14 +34,12 @@ use varitune_netlist::McuConfig;
 use varitune_trace::FlowTrace;
 use varitune_variation::{cancel, CancelToken};
 
-use crate::hash::{fnv1a64, hex64};
+use crate::hash::hex64;
 use crate::protocol::{
     error_response, ok_response, write_frame, Body, ErrorCode, FrameError, JobError, JobKind,
     Request,
 };
-use crate::registry::{
-    compute_baseline, screen_once, Baseline, FetchError, FlowSpec, FlowTemplate, Registry,
-};
+use crate::registry::{Baseline, FlowSpec, FlowTemplate, Registry};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -55,11 +53,14 @@ pub struct ServeConfig {
     /// Whether `poison` jobs (deliberate panics) are honored. Off by
     /// default; harnesses turn it on to exercise panic isolation.
     pub allow_poison: bool,
-    /// Library-cache capacity (screened + rejected entries).
+    /// Most resident library-cache entries (screened + rejected); the
+    /// least recently used is evicted beyond it.
     pub lib_capacity: usize,
-    /// Flow-cache capacity (each entry holds a characterized library).
+    /// Most resident flow-cache entries (each holds a characterized
+    /// library and its design).
     pub flow_capacity: usize,
-    /// Baseline-cache capacity (each entry holds a timing graph).
+    /// Most resident baseline-cache entries (each holds a synthesized
+    /// baseline run).
     pub baseline_capacity: usize,
     /// `retry_after_ms` sent with shed responses.
     pub retry_after_ms: u64,
@@ -468,10 +469,11 @@ fn serve_frame(payload: &str, writer: &mut impl Write, shared: &Arc<Shared>) -> 
         JobKind::Ping => ok_response(&request.id, Body::new().str("pong", "1").finish().as_str()),
         JobKind::Stats => {
             let s = shared.stats.snapshot();
-            let (lib_hits, lib_computes, _, _) = shared.registry.libs.stats.snapshot();
-            let (flow_hits, flow_computes, flow_failures, _) =
+            let (lib_hits, lib_computes, _, lib_evictions) = shared.registry.libs.stats.snapshot();
+            let (flow_hits, flow_computes, flow_failures, flow_evictions) =
                 shared.registry.flows.stats.snapshot();
-            let (base_hits, base_computes, _, _) = shared.registry.baselines.stats.snapshot();
+            let (base_hits, base_computes, _, base_evictions) =
+                shared.registry.baselines.stats.snapshot();
             let mut body = Body::new();
             body.num("connections", s.connections)
                 .num("frames", s.frames)
@@ -487,11 +489,14 @@ fn serve_frame(payload: &str, writer: &mut impl Write, shared: &Arc<Shared>) -> 
                 .num("drain_refused", s.drain_refused)
                 .num("lib_cache_hits", lib_hits)
                 .num("lib_cache_computes", lib_computes)
+                .num("lib_cache_evictions", lib_evictions)
                 .num("flow_cache_hits", flow_hits)
                 .num("flow_cache_computes", flow_computes)
                 .num("flow_cache_failures", flow_failures)
+                .num("flow_cache_evictions", flow_evictions)
                 .num("baseline_cache_hits", base_hits)
                 .num("baseline_cache_computes", base_computes)
+                .num("baseline_cache_evictions", base_evictions)
                 .num(
                     "characterizations",
                     shared.registry.characterizations.load(Ordering::Relaxed),
@@ -634,16 +639,19 @@ fn panic_message(payload: &dyn std::any::Any) -> String {
     }
 }
 
-fn flow_error(e: FlowError) -> JobError {
-    match e {
-        FlowError::Rejected { reason } => JobError::new(ErrorCode::Rejected, reason),
-        FlowError::Cancelled => JobError::new(ErrorCode::Cancelled, "cancelled at checkpoint"),
-        other => JobError::new(ErrorCode::Failed, other.to_string()),
+impl From<FlowError> for JobError {
+    fn from(e: FlowError) -> Self {
+        match e {
+            FlowError::Rejected { reason } => JobError::new(ErrorCode::Rejected, reason),
+            FlowError::Cancelled => JobError::new(ErrorCode::Cancelled, "cancelled at checkpoint"),
+            other => JobError::new(ErrorCode::Failed, other.to_string()),
+        }
     }
 }
 
 fn spec_of(request: &Request) -> FlowSpec {
     FlowSpec {
+        text_hash: request.library_hash,
         strictness: request.strictness,
         seed: request.seed,
         mc_libraries: request.mc_libraries,
@@ -652,8 +660,7 @@ fn spec_of(request: &Request) -> FlowSpec {
 }
 
 /// The work dispatcher. Returns the rendered ok-body or a structured
-/// error. Cache-full conditions fall back to transient, uncached
-/// computation so responses do not depend on cache residency.
+/// error.
 fn handle_job(request: &Request, shared: &Arc<Shared>) -> Result<String, JobError> {
     match request.kind {
         JobKind::Poison => {
@@ -678,197 +685,91 @@ fn handle_job(request: &Request, shared: &Arc<Shared>) -> Result<String, JobErro
     }
 }
 
-/// Fetches (or, at cache capacity, transiently computes) the baseline and
-/// renders `render(baseline)`.
-fn with_baseline(
+/// The request's (cached) flow, fetched once, and its (cached) baseline
+/// at the request's clock.
+fn flow_and_baseline(
     request: &Request,
-    shared: &Arc<Shared>,
-    render: impl FnOnce(&Flow, &Baseline<'_>) -> String,
-) -> Result<String, JobError> {
+    shared: &Shared,
+) -> Result<(Arc<Flow>, Arc<Baseline>), JobError> {
     let spec = spec_of(request);
-    match shared
+    let flow = shared.registry.flow(&request.library, spec)?;
+    let baseline = shared
         .registry
-        .baseline(&request.library, spec, request.clock_period_ps)
-    {
-        Ok(baseline) => {
-            let flow = shared
-                .registry
-                .flow(&request.library, spec)
-                .map_err(fetch_error)?;
-            Ok(render(flow, baseline))
-        }
-        Err(FetchError::CacheFull) => {
-            // Bounded-leak fallback: compute owned values (identical
-            // results — preparation and runs are deterministic), serve,
-            // drop. The graph borrows the local flow and drops first.
-            let flow = transient_flow(request, shared)?;
-            let baseline = compute_baseline(&flow, request.clock_period_ps).map_err(flow_error)?;
-            Ok(render(&flow, &baseline))
-        }
-        Err(FetchError::Flow(e)) => Err(flow_error(e)),
-    }
-}
-
-fn fetch_error(e: FetchError) -> JobError {
-    match e {
-        FetchError::CacheFull => JobError::new(
-            ErrorCode::Failed,
-            "cache layer full and fallback failed to engage",
-        ),
-        FetchError::Flow(f) => flow_error(f),
-    }
-}
-
-/// The uncached path used when a cache layer is at capacity: identical
-/// results (preparation and runs are deterministic), nothing retained.
-fn transient_flow(request: &Request, shared: &Arc<Shared>) -> Result<Flow, JobError> {
-    let spec = spec_of(request);
-    let (lib, report) =
-        screen_once(&request.library, spec.strictness, spec.threads).map_err(flow_error)?;
-    Flow::prepare_screened(shared.registry.flow_config(spec), lib, report).map_err(flow_error)
+        .baseline(&flow, spec, request.clock_period_ps)?;
+    Ok((flow, baseline))
 }
 
 /// `sta` job: baseline statistical timing of the (cached) flow.
 fn handle_sta(request: &Request, shared: &Arc<Shared>) -> Result<String, JobError> {
-    with_baseline(request, shared, |_flow, baseline| {
-        let mut body = Body::new();
-        body.str("kind", "sta")
-            .str("lib_hash", &hex64(fnv1a64(request.library.as_bytes())))
-            .num("clock_period_ps", request.clock_period_ps)
-            .float("worst_slack", baseline.worst_slack)
-            .float("mean", baseline.run.design.mean)
-            .float("sigma", baseline.run.sigma())
-            .float("area", baseline.run.area())
-            .num("path_count", baseline.run.paths.len() as u64)
-            .str(
-                "met_timing",
-                if baseline.run.synthesis.met_timing {
-                    "true"
-                } else {
-                    "false"
-                },
-            );
-        body.finish()
-    })
+    let (_, baseline) = flow_and_baseline(request, shared)?;
+    let mut body = Body::new();
+    body.str("kind", "sta")
+        .str("lib_hash", &hex64(request.library_hash))
+        .num("clock_period_ps", request.clock_period_ps)
+        .float("worst_slack", baseline.worst_slack)
+        .float("mean", baseline.run.design.mean)
+        .float("sigma", baseline.run.sigma())
+        .float("area", baseline.run.area())
+        .num("path_count", baseline.run.paths.len() as u64)
+        .str("met_timing", &baseline.run.synthesis.met_timing.to_string());
+    Ok(body.finish())
 }
 
 /// `ssta` job: statistical STA of the (cached) baseline — endpoint count,
 /// design mean/sigma, criticality normalization, yield at the requested
 /// clock, and the bit-exact report digest (identical for any `threads`).
 fn handle_ssta(request: &Request, shared: &Arc<Shared>) -> Result<String, JobError> {
-    let spec = spec_of(request);
-    let period_ns = request.clock_period_ns();
-    let render = |report: &varitune_sta::SstaReport| {
-        let mut body = Body::new();
-        body.str("kind", "ssta")
-            .str("lib_hash", &hex64(fnv1a64(request.library.as_bytes())))
-            .num("clock_period_ps", request.clock_period_ps)
-            .num("endpoints", report.endpoints.len() as u64)
-            .float("design_mean", report.design_mean())
-            .float("design_sigma", report.design_sigma())
-            .float("yield_at_clock", report.yield_at(period_ns))
-            .float("criticality_sum", report.criticality_sum())
-            .num("digest", report.digest());
-        body.finish()
-    };
-    let opts = varitune_sta::SstaOptions::default();
-    match shared
-        .registry
-        .baseline(&request.library, spec, request.clock_period_ps)
-    {
-        Ok(baseline) => {
-            let flow = shared
-                .registry
-                .flow(&request.library, spec)
-                .map_err(fetch_error)?;
-            let report = flow.ssta(&baseline.run, opts).map_err(flow_error)?;
-            Ok(render(&report))
-        }
-        Err(FetchError::CacheFull) => {
-            let flow = transient_flow(request, shared)?;
-            let baseline_run = flow
-                .run_baseline(&varitune_synth::SynthConfig::with_clock_period(period_ns))
-                .map_err(flow_error)?;
-            let report = flow.ssta(&baseline_run, opts).map_err(flow_error)?;
-            Ok(render(&report))
-        }
-        Err(FetchError::Flow(e)) => Err(flow_error(e)),
-    }
+    let (flow, baseline) = flow_and_baseline(request, shared)?;
+    let report = flow.ssta(&baseline.run, varitune_sta::SstaOptions::default())?;
+    let mut body = Body::new();
+    body.str("kind", "ssta")
+        .str("lib_hash", &hex64(request.library_hash))
+        .num("clock_period_ps", request.clock_period_ps)
+        .num("endpoints", report.endpoints.len() as u64)
+        .float("design_mean", report.design_mean())
+        .float("design_sigma", report.design_sigma())
+        .float("yield_at_clock", report.yield_at(request.clock_period_ns()))
+        .float("criticality_sum", report.criticality_sum())
+        .num("digest", report.digest());
+    Ok(body.finish())
 }
 
 /// `signoff` job: baseline run plus the ingestion/screening ledger.
 fn handle_signoff(request: &Request, shared: &Arc<Shared>) -> Result<String, JobError> {
-    with_baseline(request, shared, |flow, baseline| {
-        let mut body = Body::new();
-        body.str("kind", "signoff")
-            .str("lib_hash", &hex64(fnv1a64(request.library.as_bytes())))
-            .str("strictness", &flow.report.strictness.to_string())
-            .num("parsed_cells", flow.report.parsed_cells as u64)
-            .num("kept_cells", flow.report.kept_cells as u64)
-            .num("degradations", flow.report.degradations.len() as u64)
-            .float("worst_slack", baseline.worst_slack)
-            .float("mean", baseline.run.design.mean)
-            .float("sigma", baseline.run.sigma())
-            .num("path_count", baseline.run.paths.len() as u64)
-            .str(
-                "met_timing",
-                if baseline.run.synthesis.met_timing {
-                    "true"
-                } else {
-                    "false"
-                },
-            );
-        body.finish()
-    })
+    let (flow, baseline) = flow_and_baseline(request, shared)?;
+    let mut body = Body::new();
+    body.str("kind", "signoff")
+        .str("lib_hash", &hex64(request.library_hash))
+        .str("strictness", &flow.report.strictness.to_string())
+        .num("parsed_cells", flow.report.parsed_cells as u64)
+        .num("kept_cells", flow.report.kept_cells as u64)
+        .num("degradations", flow.report.degradations.len() as u64)
+        .float("worst_slack", baseline.worst_slack)
+        .float("mean", baseline.run.design.mean)
+        .float("sigma", baseline.run.sigma())
+        .num("path_count", baseline.run.paths.len() as u64)
+        .str("met_timing", &baseline.run.synthesis.met_timing.to_string());
+    Ok(body.finish())
 }
 
 /// `tune` job: paper-method tuning compared against the cached baseline.
 fn handle_tune(request: &Request, shared: &Arc<Shared>) -> Result<String, JobError> {
-    let spec = spec_of(request);
-    let period_ns = request.clock_period_ns();
-    let synth_cfg = varitune_synth::SynthConfig::with_clock_period(period_ns);
-    let params = tuning_params(request);
-    let render = |baseline_run: &varitune_core::FlowRun,
-                  tuned: &varitune_core::TunedLibrary,
-                  run: &varitune_core::FlowRun| {
-        let cmp = Comparison::between(baseline_run, run);
-        let mut body = Body::new();
-        body.str("kind", "tune")
-            .str("lib_hash", &hex64(fnv1a64(request.library.as_bytes())))
-            .str("method", &request.method.to_string())
-            .num("param_micro", request.param_micro)
-            .float("baseline_sigma", cmp.baseline_sigma)
-            .float("tuned_sigma", cmp.tuned_sigma)
-            .float("sigma_reduction_pct", cmp.sigma_reduction_pct())
-            .float("area_increase_pct", cmp.area_increase_pct())
-            .num("restricted_pins", tuned.restricted_pins as u64)
-            .num("unrestricted_pins", tuned.unrestricted_pins as u64);
-        body.finish()
-    };
-    match shared
-        .registry
-        .baseline(&request.library, spec, request.clock_period_ps)
-    {
-        Ok(baseline) => {
-            let flow = shared
-                .registry
-                .flow(&request.library, spec)
-                .map_err(fetch_error)?;
-            let (tuned, run) = flow
-                .run_tuned(request.method, params, &synth_cfg)
-                .map_err(flow_error)?;
-            Ok(render(&baseline.run, &tuned, &run))
-        }
-        Err(FetchError::CacheFull) => {
-            let flow = transient_flow(request, shared)?;
-            let baseline_run = flow.run_baseline(&synth_cfg).map_err(flow_error)?;
-            let (tuned, run) = flow
-                .run_tuned(request.method, params, &synth_cfg)
-                .map_err(flow_error)?;
-            Ok(render(&baseline_run, &tuned, &run))
-        }
-        Err(FetchError::Flow(e)) => Err(flow_error(e)),
-    }
+    let (flow, baseline) = flow_and_baseline(request, shared)?;
+    let synth_cfg = varitune_synth::SynthConfig::with_clock_period(request.clock_period_ns());
+    let (tuned, run) = flow.run_tuned(request.method, tuning_params(request), &synth_cfg)?;
+    let cmp = Comparison::between(&baseline.run, &run);
+    let mut body = Body::new();
+    body.str("kind", "tune")
+        .str("lib_hash", &hex64(request.library_hash))
+        .str("method", &request.method.to_string())
+        .num("param_micro", request.param_micro)
+        .float("baseline_sigma", cmp.baseline_sigma)
+        .float("tuned_sigma", cmp.tuned_sigma)
+        .float("sigma_reduction_pct", cmp.sigma_reduction_pct())
+        .float("area_increase_pct", cmp.area_increase_pct())
+        .num("restricted_pins", tuned.restricted_pins as u64)
+        .num("unrestricted_pins", tuned.unrestricted_pins as u64);
+    Ok(body.finish())
 }
 
 fn tuning_params(request: &Request) -> varitune_core::TuningParams {
@@ -886,44 +787,37 @@ fn tuning_params(request: &Request) -> varitune_core::TuningParams {
 
 /// `optimize` job: deterministic evolutionary Pareto search.
 fn handle_optimize(request: &Request, shared: &Arc<Shared>) -> Result<String, JobError> {
-    let spec = spec_of(request);
+    let flow = shared.registry.flow(&request.library, spec_of(request))?;
     let synth_cfg = varitune_synth::SynthConfig::with_clock_period(request.clock_period_ns());
-    let optimize = |flow: &Flow| -> Result<String, JobError> {
-        let optimizer = EvolutionaryOptimizer::new(EvolutionConfig {
-            seed: request.seed,
-            population: request.population,
-            generations: request.generations,
-            threads: request.threads,
-            seed_paper_methods: false,
-        });
-        let mut candidates = flow.optimize(&optimizer, &synth_cfg).map_err(flow_error)?;
-        // Deterministic front order: by (sigma bits, area bits).
-        candidates.sort_by_key(|c| (c.run.sigma().to_bits(), c.run.area().to_bits()));
-        let mut front = String::from("[");
-        for (i, c) in candidates.iter().enumerate() {
-            if i > 0 {
-                front.push(',');
-            }
-            let mut point = Body::new();
-            point
-                .float("sigma", c.run.sigma())
-                .float("area", c.run.area())
-                .num("restricted_pins", c.tuned.restricted_pins as u64);
-            front.push_str(&point.finish());
+    let optimizer = EvolutionaryOptimizer::new(EvolutionConfig {
+        seed: request.seed,
+        population: request.population,
+        generations: request.generations,
+        threads: request.threads,
+        seed_paper_methods: false,
+    });
+    let mut candidates = flow.optimize(&optimizer, &synth_cfg)?;
+    // Deterministic front order: by (sigma bits, area bits).
+    candidates.sort_by_key(|c| (c.run.sigma().to_bits(), c.run.area().to_bits()));
+    let mut front = String::from("[");
+    for (i, c) in candidates.iter().enumerate() {
+        if i > 0 {
+            front.push(',');
         }
-        front.push(']');
-        let mut body = Body::new();
-        body.str("kind", "optimize")
-            .str("lib_hash", &hex64(fnv1a64(request.library.as_bytes())))
-            .num("generations", request.generations as u64)
-            .num("population", request.population as u64)
-            .num("front_size", candidates.len() as u64)
-            .raw("front", &front);
-        Ok(body.finish())
-    };
-    match shared.registry.flow(&request.library, spec) {
-        Ok(flow) => optimize(flow),
-        Err(FetchError::CacheFull) => optimize(&transient_flow(request, shared)?),
-        Err(FetchError::Flow(e)) => Err(flow_error(e)),
+        let mut point = Body::new();
+        point
+            .float("sigma", c.run.sigma())
+            .float("area", c.run.area())
+            .num("restricted_pins", c.tuned.restricted_pins as u64);
+        front.push_str(&point.finish());
     }
+    front.push(']');
+    let mut body = Body::new();
+    body.str("kind", "optimize")
+        .str("lib_hash", &hex64(request.library_hash))
+        .num("generations", request.generations as u64)
+        .num("population", request.population as u64)
+        .num("front_size", candidates.len() as u64)
+        .raw("front", &front);
+    Ok(body.finish())
 }

@@ -354,6 +354,74 @@ fn responses_identical_across_worker_counts() {
 }
 
 #[test]
+fn eviction_at_capacity_one_answers_like_a_default_server() {
+    let base = liberty_text();
+    let libs: Vec<String> = (40..44).map(|i| variant(&base, i)).collect();
+    // One job kind per library, then the first library again (evicted on
+    // the capacity-1 server) through the flow-only optimize kind.
+    let jobs = [
+        request("sta", "e0", &libs[0], ",\"mc_libraries\":3"),
+        request("signoff", "e1", &libs[1], ",\"mc_libraries\":3"),
+        request(
+            "tune",
+            "e2",
+            &libs[2],
+            ",\"mc_libraries\":3,\"method\":\"sigma ceiling\",\"param_micro\":20000",
+        ),
+        request("ssta", "e3", &libs[3], ",\"mc_libraries\":3"),
+        request(
+            "optimize",
+            "e4",
+            &libs[0],
+            ",\"mc_libraries\":3,\"generations\":1,\"population\":2",
+        ),
+    ];
+    let run = |config: ServeConfig| {
+        let server = Server::start(config).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let responses: Vec<String> = jobs.iter().map(|j| client.call(j).unwrap()).collect();
+        let stats = client.call("{\"kind\":\"stats\",\"id\":\"s\"}").unwrap();
+        (server, responses, ok_body(&stats))
+    };
+    let (tiny, evicting, tiny_stats) = run(ServeConfig {
+        lib_capacity: 1,
+        flow_capacity: 1,
+        baseline_capacity: 1,
+        ..fast_config()
+    });
+    let (roomy, resident, roomy_stats) = run(fast_config());
+    for r in &resident {
+        ok_body(r);
+    }
+    assert_eq!(evicting, resident, "eviction never changes a response");
+    assert!(tiny.registry().flows.len() <= 1);
+    assert!(tiny.registry().libs.len() <= 1);
+    assert!(tiny.registry().baselines.len() <= 1);
+    let characterized = |s: &Server| s.registry().characterizations.load(Ordering::Relaxed);
+    assert_eq!(characterized(&roomy), 4, "one per distinct library");
+    assert_eq!(
+        characterized(&tiny),
+        5,
+        "the evicted library characterized again"
+    );
+    let num = |body: &Json, key: &str| body.get(key).and_then(Json::as_u64).unwrap();
+    // Five library and flow inserts into one slot each; four baselines
+    // (optimize needs none).
+    assert_eq!(num(&tiny_stats, "lib_cache_evictions"), 4);
+    assert_eq!(num(&tiny_stats, "flow_cache_evictions"), 4);
+    assert_eq!(num(&tiny_stats, "baseline_cache_evictions"), 3);
+    for key in [
+        "lib_cache_evictions",
+        "flow_cache_evictions",
+        "baseline_cache_evictions",
+    ] {
+        assert_eq!(num(&roomy_stats, key), 0, "{key}");
+    }
+    let _ = tiny.shutdown();
+    let _ = roomy.shutdown();
+}
+
+#[test]
 fn ping_and_stats_answer_inline() {
     let server = Server::start(fast_config()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
