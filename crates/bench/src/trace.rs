@@ -94,9 +94,9 @@ pub mod stages {
         "optimize.evaluate",
         "optimize.front",
     ];
-    /// `parse_harness` generates its libraries, benches classic vs
-    /// zero-copy ingestion, and differentially checks them over the
-    /// fault corpora.
+    /// `parse_harness` generates its libraries, benches zero-copy
+    /// ingestion, and checks thread identity over the fault corpora and
+    /// the clean giant (the `differential` span).
     pub const PARSE_HARNESS: &[&str] = &[
         "parse_harness.generate",
         "parse_harness.bench",

@@ -4,7 +4,7 @@
 //! decimal literals like `0.0213`; going through `str::parse::<f64>` for
 //! each one pays for the full general-purpose decimal-to-binary machinery
 //! (arbitrary precision fallback, special forms, locale-independent
-//! scanning). Almost every literal in a real `.lib` file fits the classic
+//! scanning). Almost every literal in a real `.lib` file fits the
 //! Clinger fast path: a mantissa below 2^53 and a decimal exponent within
 //! ±22 convert exactly with one integer-to-double conversion and one
 //! multiply or divide by a power of ten, both correctly rounded, so the

@@ -1,24 +1,26 @@
 //! Zero-copy tokenizer for Liberty text.
 //!
-//! The classic lexer ([`crate::lexer`]) walks `char`s, maintains line/column
-//! counters per character, and allocates a fresh `String` for every ident
-//! and string token — three costs that dominate ingestion of large `.lib`
-//! files. This lexer produces [`Token`]s whose payloads **borrow** the
-//! source (`&'a str`, or `Cow::Borrowed` for strings without escapes),
-//! tracks positions as plain byte offsets (converted to line/column by
+//! Liberty is a simple curly-brace format of *groups*
+//! (`name (args) { ... }`) and *attributes* (`name : value ;`). This lexer
+//! handles C-style block comments, `//` line comments, quoted strings and
+//! backslash line continuations, and recovers from lexical junk by
+//! recording a [`Problem`] and moving on.
+//!
+//! It produces [`Token`]s whose payloads **borrow** the source (`&'a str`,
+//! or `Cow::Borrowed` for strings without escapes), tracks positions as
+//! plain byte offsets (converted to line/column by
 //! [`crate::linemap::LineMap`] only when a diagnostic is actually shown),
 //! and scans bytes rather than chars — ASCII drives all Liberty structure,
 //! and UTF-8 continuation bytes can never alias an ASCII byte.
 //!
-//! Token-for-token and problem-for-problem it matches the classic lexer
-//! exactly (the differential suite in `varitune-bench` proves this over the
-//! fault-injection corpora); only the representation differs.
+//! Its token stream and problem list are pinned by the frozen reference
+//! fixture checked in `varitune-bench`'s reference suite.
 
 use std::borrow::Cow;
 
 use crate::fastfloat::parse_f64_compat;
 
-/// A lexical problem: byte offset + classic-lexer-identical message.
+/// A lexical problem: byte offset + message.
 pub type Problem = (usize, String);
 
 /// A borrowed token with its byte offset.
@@ -57,8 +59,7 @@ pub enum TokenKind<'a> {
 }
 
 impl TokenKind<'_> {
-    /// Short human-readable description; identical strings to
-    /// [`crate::lexer::TokenKind::describe`].
+    /// Short human-readable description used in error messages.
     pub fn describe(&self) -> String {
         match self {
             TokenKind::Ident(s) => format!("identifier `{s}`"),
@@ -159,8 +160,8 @@ impl<'a> Lexer<'a> {
                                 self.i += 1;
                             }
                         }
-                        // The classic lexer records this problem *after*
-                        // consuming the slash.
+                        // The problem is recorded *after* the slash, at
+                        // the byte that failed to start a comment.
                         _ => problems.push((base + self.i, "unexpected `/`".to_string())),
                     }
                 }
@@ -243,7 +244,7 @@ pub fn lex_recovering(src: &str) -> (Vec<Token<'_>>, Vec<Problem>) {
 
 /// Lexes the body of a string whose opening quote has been consumed.
 /// Borrows the contents when no escape appears; otherwise splices runs into
-/// an owned buffer exactly as the classic lexer pushes chars.
+/// an owned buffer, taking each escaped char literally.
 fn lex_string<'a>(
     src: &'a str,
     base: usize,

@@ -1,11 +1,13 @@
 //! Zero-copy, optionally parallel Liberty parsing pipeline.
 //!
-//! This is the fast twin of [`crate::parser`]'s recovering path. The
-//! classic pipeline is the *semantic reference*: this module must produce
-//! the **same [`Library`] and byte-for-byte identical diagnostics** for
-//! every input, at every thread count — a contract enforced by unit tests
-//! here and by the differential gate over the fault-injection corpora in
-//! `varitune-bench`. What changes is the machinery:
+//! The one parser behind every public entry point in [`crate::parser`]:
+//! a recovering parse that yields a [`Library`] plus span-carrying
+//! diagnostics, **identical at every thread count**. Its observable
+//! behaviour — library contents and rendered diagnostics — is pinned by a
+//! frozen reference fixture (`crates/bench/tests/fixtures/parse_reference.txt`,
+//! the outputs of the char-walking parser this pipeline replaced), checked
+//! by unit tests here and by the reference suite in `varitune-bench`. The
+//! machinery:
 //!
 //! * tokens borrow the source ([`crate::fastlex`]) and carry byte offsets;
 //!   line/column pairs are computed by a [`LineMap`] only when at least one
@@ -17,19 +19,18 @@
 //! * number runs go through the Clinger fast path
 //!   ([`crate::fastfloat::parse_f64_compat`]).
 //!
-//! Determinism: the classic parser emits diagnostics in three phases —
-//! every lexical problem in document order, then every parse diagnostic in
-//! document order, then lowering diagnostics in tree order. Chunks are
-//! reassembled in document order and cells in declaration order, so the
-//! parallel pipeline reproduces the exact same global sequence regardless
-//! of how chunks were scheduled; `run_trials` itself returns results in
-//! index order for any thread count.
+//! Determinism: diagnostics are emitted in three phases — every lexical
+//! problem in document order, then every parse diagnostic in document
+//! order, then lowering diagnostics in tree order. Chunks are reassembled
+//! in document order and cells in declaration order, so the parallel
+//! pipeline produces the exact same global sequence regardless of how
+//! chunks were scheduled; `run_trials` itself returns results in index
+//! order for any thread count.
 //!
 //! Files the scan deems ineligible (unbalanced braces, junk between
 //! members, unterminated strings/comments, ...) take the sequential path:
 //! the same borrowed-token parser over the whole file, with resync-based
-//! recovery mirroring [`crate::parser::RecoveringParser`] decision for
-//! decision.
+//! recovery making the same decisions a chunk would.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -51,11 +52,12 @@ use crate::model::{
 /// either way, so this is purely a scheduling knob.
 const PARALLEL_MIN_BYTES: usize = 64 * 1024;
 
-/// Sentinel offset for "no source span" (classic line/column `0:0`).
+/// Sentinel offset for "no source span" (line/column `0:0`); lowering
+/// errors carry it until they are reported at their group's keyword.
 const NO_SPAN: usize = usize::MAX;
 
-/// An error with a byte-offset span; the offset twin of
-/// [`crate::error::ParseLibertyError`].
+/// An error with a byte-offset span, resolved to line/column only when it
+/// is reported.
 struct PErr {
     offset: usize,
     message: String,
@@ -78,7 +80,7 @@ struct PDiag {
     message: String,
 }
 
-/// The offset twin of [`crate::parser::Value`].
+/// A scalar in an attribute or group argument, borrowing the source.
 #[derive(Debug, Clone, PartialEq)]
 enum FastValue<'a> {
     Ident(&'a str),
@@ -125,7 +127,8 @@ impl<'a> FastValues<'a> {
     }
 }
 
-/// The offset twin of [`crate::parser::Group`].
+/// A Liberty group, `name (args) { attributes and sub-groups }`, with the
+/// byte offset of its keyword.
 struct FastGroup<'a> {
     name: &'a str,
     args: Vec<FastValue<'a>>,
@@ -198,7 +201,7 @@ fn path_segment(name: &str, args: &[FastValue<'_>]) -> String {
 struct Seg<'a> {
     name: &'a str,
     /// First group argument, when the segment renders as `name(arg)`;
-    /// `None` for the root segment (classic renders the root bare).
+    /// `None` for the root segment, which renders bare.
     arg: Option<FastValue<'a>>,
 }
 
@@ -219,7 +222,7 @@ impl Seg<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Token-stream parser (offset twin of parser::Parser / RecoveringParser)
+// Token-stream parser with resync-based recovery
 // ---------------------------------------------------------------------------
 
 struct FastParser<'a> {
@@ -262,16 +265,15 @@ impl<'a> FastParser<'a> {
     fn error_here(&mut self, msg: impl Into<String>) -> PErr {
         match self.peek() {
             Some(t) => PErr::new(t.offset, msg),
-            // End of input: report at the last token seen, like the classic
-            // parser's `tokens.last()` fallback. Offset 0 converts to the
-            // classic 1:1 when there were no tokens at all.
+            // End of input: report at the last token seen. Offset 0
+            // converts to 1:1 when there were no tokens at all.
             None => PErr::new(self.last_offset.unwrap_or(0), msg),
         }
     }
 
-    /// Runs the lexer to end of input — collecting any remaining lexical
-    /// problems exactly as the classic whole-file pre-lex would have — and
-    /// returns every problem seen, in document order.
+    /// Runs the lexer to end of input — collecting any lexical problems
+    /// past the point where parsing stopped — and returns every problem
+    /// seen, in document order.
     fn drain_problems(&mut self) -> Vec<Problem> {
         while self.lx.next_token(&mut self.problems).is_some() {}
         std::mem::take(&mut self.problems)
@@ -360,7 +362,10 @@ impl<'a> Recovering<'a, '_> {
         });
     }
 
-    /// Offset twin of `RecoveringParser::resync`.
+    /// Skips tokens until a recovery point: just *before* a `}` that closes
+    /// the current body, just *after* a `;` at balanced depth, or end of
+    /// input. Brace depth is tracked so a malformed nested group is skipped
+    /// whole rather than spilling its members into the parent.
     fn resync(&mut self) {
         let mut depth = 0usize;
         while let Some(t) = self.p.peek() {
@@ -748,7 +753,8 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Lowering (offset twin of parser's lower_* family)
+// Lowering: generic groups -> typed model, dropping the bad unit
+// (template / cell / pin / arc) with a diagnostic
 // ---------------------------------------------------------------------------
 
 fn lower_err(msg: impl Into<String>) -> PErr {
@@ -1129,8 +1135,8 @@ fn lower_cell_recovering(g: &FastGroup<'_>, lib: &Library, diags: &mut Vec<PDiag
     Some(cell)
 }
 
-/// Offset twin of `parser::lower_library_recovering`, with per-cell
-/// lowering parallelized. Cells are independent given the resolved template
+/// Lowers the root group into a [`Library`], with per-cell lowering
+/// parallelized. Cells are independent given the resolved template
 /// table, and their diagnostics are reassembled in declaration order, so
 /// the output is identical at any thread count.
 fn lower_library_recovering(
@@ -1247,7 +1253,7 @@ pub(crate) fn parse_library_recovering_core(
         return (lib, Vec::new());
     }
     // At least one diagnostic: build the line map once and materialize all
-    // spans in the classic phase order (lex, parse, lower).
+    // spans in phase order (lex, parse, lower).
     let map = LineMap::new(input);
     let to_line_col = |offset: usize| -> (usize, usize) {
         if offset == NO_SPAN {
@@ -1278,35 +1284,80 @@ pub(crate) fn parse_library_recovering_core(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::parser::parse_library_recovering_classic;
 
-    /// The whole contract in one helper: identical library, identical
-    /// diagnostics (rendered to strings, so spans and severities count),
-    /// at several thread counts.
+    /// Frozen outputs of the char-walking parser this pipeline replaced;
+    /// the file's header describes the record format.
+    const REFERENCE: &str = include_str!("../../bench/tests/fixtures/parse_reference.txt");
+
+    /// 64-bit FNV-1a, the fixture's digest.
+    fn fnv(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Reverses the fixture's `\\`, `\n`, `\r` escapes.
+    fn unescape(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        let mut chars = s.chars();
+        while let Some(c) = chars.next() {
+            out.push(match c {
+                '\\' => match chars.next() {
+                    Some('n') => '\n',
+                    Some('r') => '\r',
+                    _ => '\\',
+                },
+                c => c,
+            });
+        }
+        out
+    }
+
+    /// The frozen library digest and rendered diagnostics for `input`,
+    /// found by the input's FNV-1a.
+    fn reference(input: &str) -> (u64, Vec<String>) {
+        let key = format!("input-fnv {:016x}", fnv(input));
+        let mut lines = REFERENCE.lines().skip_while(|l| *l != key);
+        assert!(lines.next().is_some(), "no reference record for {input:?}");
+        let mut library = None;
+        while let Some(line) = lines.next() {
+            if let Some(hex) = line.strip_prefix("library-fnv ") {
+                library = u64::from_str_radix(hex, 16).ok();
+            } else if let Some(n) = line.strip_prefix("diagnostics ") {
+                let n: usize = n.parse().unwrap();
+                let diags = lines.by_ref().take(n).map(unescape).collect();
+                return (library.unwrap(), diags);
+            }
+        }
+        panic!("truncated reference record for {input:?}");
+    }
+
+    /// The whole contract in one helper: the reference library digest and
+    /// identical rendered diagnostics (so spans and severities count), at
+    /// several thread counts.
     fn check(input: &str) {
-        let (want_lib, want_diags) = parse_library_recovering_classic(input);
-        let want: Vec<String> = want_diags.iter().map(ToString::to_string).collect();
+        let (want_lib, want_diags) = reference(input);
         for threads in [1, 2, 8] {
             let (lib, diags) = parse_library_recovering_core(input, threads);
             let got: Vec<String> = diags.iter().map(ToString::to_string).collect();
-            assert_eq!(got, want, "diagnostics diverge at threads={threads}");
+            assert_eq!(got, want_diags, "diagnostics diverge at threads={threads}");
             assert_eq!(
-                format!("{lib:?}"),
-                format!("{want_lib:?}"),
+                fnv(&format!("{lib:?}")),
+                want_lib,
                 "library diverges at threads={threads}"
             );
         }
     }
 
     #[test]
-    fn clean_library_matches_classic() {
+    fn clean_library_matches_reference() {
         check(
             "library (L) {\n  time_unit : \"1ns\";\n  lu_table_template (t) { index_1 (\"1, 2\"); index_2 (\"1, 2\"); }\n  cell (A_1) { area : 1.0; pin (X) { direction : input; capacitance : 0.002; } }\n  cell (B_1) { area : 2.0; }\n}\n",
         );
     }
 
     #[test]
-    fn damaged_inputs_match_classic() {
+    fn damaged_inputs_match_reference() {
         for text in [
             "",
             "@",
@@ -1343,8 +1394,8 @@ mod tests {
         // only the duplicate-cell diagnostic fires.
         assert_eq!(lower.len(), 1);
         assert_eq!(lib.cells.len(), 2);
-        let (want_lib, want_diags) = parse_library_recovering_classic(input);
-        assert_eq!(format!("{lib:?}"), format!("{want_lib:?}"));
+        let (want_lib, want_diags) = reference(input);
+        assert_eq!(fnv(&format!("{lib:?}")), want_lib);
         assert_eq!(want_diags.len(), 1);
     }
 }

@@ -11,16 +11,13 @@
 //!
 //! * [`Library`], [`Cell`], [`Pin`], [`TimingArc`], [`Lut`], [`LutTemplate`]
 //!   — the data model ([`model`]),
-//! * a tokenizer ([`lexer`]) and recursive-descent parser ([`parser`]),
-//!   with both a strict mode ([`parse_library`]) and a recovering mode
+//! * a parser ([`parser`]) with a strict mode ([`parse_library`]) that
+//!   fails on the first error and a recovering mode
 //!   ([`parse_library_recovering`]) that records span-carrying
-//!   [`Diagnostic`]s and keeps whatever survives; both route through a
-//!   zero-copy ingestion pipeline (borrowed-slice lexer [`fastlex`], lazy
-//!   line/column via [`linemap`], Clinger fast-path floats [`fastfloat`],
-//!   chunked parallel per-cell parsing) that reproduces the classic
-//!   parser's output byte-for-byte — the classic implementations remain
-//!   available as [`parse_library_classic`] /
-//!   [`parse_library_recovering_classic`] for comparison and benching,
+//!   [`Diagnostic`]s and keeps whatever survives; both run one zero-copy
+//!   pipeline (borrowed-slice lexer [`fastlex`], lazy line/column via
+//!   [`linemap`], Clinger fast-path floats [`fastfloat`], chunked parallel
+//!   per-cell parsing) whose output is identical at any thread count,
 //! * library lints producing per-cell [`CellHealth`] verdicts
 //!   ([`validate`]),
 //! * a writer that emits well-formed Liberty text ([`writer`]); it refuses
@@ -82,7 +79,6 @@ pub mod error;
 pub mod fastfloat;
 pub mod fastlex;
 pub mod ids;
-pub mod lexer;
 pub mod linemap;
 pub mod model;
 pub mod parser;
@@ -99,9 +95,6 @@ pub use model::{
     Cell, CellKind, InternalPower, Library, Lut, LutTemplate, Pin, PinDirection, TimingArc,
     TimingSense, TimingType,
 };
-pub use parser::{
-    parse_library, parse_library_classic, parse_library_recovering,
-    parse_library_recovering_classic, parse_library_recovering_threads,
-};
+pub use parser::{parse_library, parse_library_recovering, parse_library_recovering_threads};
 pub use validate::{validate_cell, validate_library, CellHealth, CellReport, LibraryHealth};
 pub use writer::write_library;

@@ -5,12 +5,11 @@
 //! pure overhead on the hot path, since positions are only ever *shown* when
 //! a diagnostic is emitted — and clean industrial libraries emit none. A
 //! [`LineMap`] is built once, only when at least one diagnostic exists, and
-//! converts offsets to the exact `(line, column)` pairs the classic
-//! character-walking lexer would have produced.
+//! converts offsets to 1-based `(line, column)` pairs.
 //!
-//! Columns count **characters** from the line start (1-based), matching
-//! [`crate::lexer`], which advances its column counter once per `char` —
-//! multi-byte UTF-8 sequences therefore occupy one column, not several.
+//! Columns count **characters** from the line start (1-based) — multi-byte
+//! UTF-8 sequences therefore occupy one column, not several — and only
+//! `\n` starts a new line.
 
 /// Byte-offset → `(line, column)` converter for one source text.
 pub struct LineMap<'a> {
@@ -35,8 +34,8 @@ impl<'a> LineMap<'a> {
     /// Converts a byte offset to a 1-based `(line, column)` pair.
     ///
     /// Offsets past the end of the text resolve to one past the final
-    /// character — the position the classic lexer reports for end-of-input
-    /// problems (unterminated strings and comments).
+    /// character — the position reported for end-of-input problems
+    /// (unterminated strings and comments).
     pub fn line_col(&self, offset: usize) -> (usize, usize) {
         let offset = offset.min(self.src.len());
         let line = match self.starts.binary_search(&offset) {
@@ -96,8 +95,8 @@ mod tests {
     fn crlf_line_endings() {
         let m = LineMap::new("ab\r\ncd");
         assert_eq!(m.line_col(4), (2, 1));
-        // The `\r` sits one past `b` on line 1, like the classic lexer's
-        // column counter which only resets on `\n`.
+        // The `\r` sits one past `b` on line 1: only `\n` resets the
+        // column.
         assert_eq!(m.line_col(2), (1, 3));
     }
 }

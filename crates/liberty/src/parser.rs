@@ -1,373 +1,37 @@
-//! Recursive-descent parser for Liberty text.
+//! Liberty text entry points.
 //!
-//! Parsing happens in two stages: tokens are first shaped into a generic
-//! group/attribute AST ([`Group`]), which is then lowered into the typed
-//! [`Library`] model. Unknown groups and attributes are carried through the
-//! AST stage and silently ignored by the lowering stage, which makes the
-//! parser robust against the many vendor-specific extensions found in real
-//! `.lib` files.
-
-use std::collections::HashSet;
+//! All three parse through the zero-copy recovering pipeline (`fastparse`):
+//! borrowed-slice tokens, resync-based recovery, per-cell lowering into
+//! the typed [`Library`] model, and diagnostics materialized with line,
+//! column and a context path only when at least one exists. Unknown groups
+//! and attributes are skipped, which keeps the parser robust against the
+//! many vendor-specific extensions found in real `.lib` files.
 
 use crate::diagnostic::Diagnostic;
 use crate::error::ParseLibertyError;
-use crate::lexer::{tokenize, tokenize_recovering, Token, TokenKind};
-use crate::model::{
-    Cell, InternalPower, Library, Lut, LutTemplate, Pin, PinDirection, TimingArc, TimingSense,
-    TimingType,
-};
+use crate::model::Library;
 
-/// A scalar value appearing in an attribute or group argument.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Bareword.
-    Ident(String),
-    /// Number.
-    Number(f64),
-    /// Quoted string.
-    Str(String),
-}
-
-impl Value {
-    /// The value as a string, regardless of original token kind.
-    pub fn as_text(&self) -> String {
-        match self {
-            Value::Ident(s) | Value::Str(s) => s.clone(),
-            Value::Number(n) => n.to_string(),
-        }
-    }
-
-    /// The value as a number, if it is one (or parses as one).
-    pub fn as_number(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            Value::Ident(s) | Value::Str(s) => s.trim().parse().ok(),
-        }
-    }
-}
-
-/// An attribute: `name : value ;` or complex `name (v1, v2, ...) ;`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Attribute {
-    /// Attribute name.
-    pub name: String,
-    /// One value for simple attributes, several for complex ones.
-    pub values: Vec<Value>,
-}
-
-/// A Liberty group: `name (args) { attributes and sub-groups }`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Group {
-    /// Group keyword (`library`, `cell`, `pin`, `timing`, ...).
-    pub name: String,
-    /// Parenthesized arguments (often a single name).
-    pub args: Vec<Value>,
-    /// Attributes in declaration order.
-    pub attributes: Vec<Attribute>,
-    /// Nested groups in declaration order.
-    pub groups: Vec<Group>,
-    /// 1-based source line of the group keyword (`0` for synthetic groups).
-    pub line: usize,
-    /// 1-based source column of the group keyword (`0` for synthetic groups).
-    pub column: usize,
-}
-
-impl Group {
-    /// First argument as text, if any (the conventional group "name").
-    pub fn arg_name(&self) -> Option<String> {
-        self.args.first().map(Value::as_text)
-    }
-
-    /// Finds the first attribute with the given name.
-    pub fn attr(&self, name: &str) -> Option<&Attribute> {
-        self.attributes.iter().find(|a| a.name == name)
-    }
-
-    /// Simple attribute value as text.
-    pub fn attr_text(&self, name: &str) -> Option<String> {
-        self.attr(name)
-            .and_then(|a| a.values.first())
-            .map(Value::as_text)
-    }
-
-    /// Simple attribute value as a number.
-    pub fn attr_number(&self, name: &str) -> Option<f64> {
-        self.attr(name)
-            .and_then(|a| a.values.first())
-            .and_then(Value::as_number)
-    }
-
-    /// Iterates over sub-groups with the given keyword.
-    pub fn groups_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Group> + 'a {
-        self.groups.iter().filter(move |g| g.name == name)
-    }
-}
-
-/// Parses Liberty text into the typed [`Library`] model.
+/// Parses Liberty text into the typed [`Library`] model, failing on the
+/// first error.
 ///
-/// Routed through the zero-copy pipeline (`fastparse`): a clean
-/// parse never allocates per-token strings or line/column bookkeeping. On
-/// any problem the classic parser re-runs to produce the exact historical
-/// error, so behaviour is byte-identical to [`parse_library_classic`].
+/// Runs the recovering parse once. Warnings (such as a redefined
+/// `lu_table_template`) do not fail a strict parse; the first
+/// error-severity diagnostic does, converted with
+/// [`Diagnostic::into_parse_error`] so the error keeps its source span and
+/// names the enclosing structure in its message.
 ///
 /// # Errors
 ///
 /// Returns [`ParseLibertyError`] on malformed syntax or on structural
-/// problems (e.g. a table referencing an undeclared template, or a `values`
-/// body whose shape does not match its axes).
+/// problems (e.g. a table referencing an undeclared template, a `values`
+/// body whose shape does not match its axes, or a duplicated cell).
 pub fn parse_library(input: &str) -> Result<Library, ParseLibertyError> {
     let (lib, diags) = crate::fastparse::parse_library_recovering_core(input, 0);
-    if diags.is_empty() {
-        Ok(lib)
-    } else {
-        // Something is wrong somewhere in the input. The recovering
-        // diagnostics do not always word problems the way the aborting
-        // parser does (and warnings may not abort it at all), so delegate
-        // to the classic strict parser for the authoritative verdict.
-        parse_library_classic(input)
+    match diags.into_iter().find(Diagnostic::is_error) {
+        None => Ok(lib),
+        Some(first) => Err(first.into_parse_error()),
     }
 }
-
-/// The classic (char-walking, allocating) strict parser. Kept as the
-/// semantic reference for the differential gate and the comparative bench;
-/// [`parse_library`] matches it byte-for-byte.
-///
-/// # Errors
-///
-/// Returns [`ParseLibertyError`] on malformed syntax or on structural
-/// problems, identically to [`parse_library`].
-pub fn parse_library_classic(input: &str) -> Result<Library, ParseLibertyError> {
-    let root = parse_root(input)?;
-    lower_library(&root)
-}
-
-/// Parses Liberty text into the generic AST without lowering.
-///
-/// # Errors
-///
-/// Returns [`ParseLibertyError`] on malformed syntax.
-pub fn parse_root(input: &str) -> Result<Group, ParseLibertyError> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let g = p.parse_group()?;
-    p.expect_eof()?;
-    Ok(g)
-}
-
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
-
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn error_here(&self, msg: impl Into<String>) -> ParseLibertyError {
-        match self.peek().or_else(|| self.tokens.last()) {
-            Some(t) => ParseLibertyError::new(t.line, t.column, msg),
-            None => ParseLibertyError::new(1, 1, msg),
-        }
-    }
-
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseLibertyError> {
-        match self.bump() {
-            Some(t) if &t.kind == kind => Ok(()),
-            Some(t) => Err(ParseLibertyError::new(
-                t.line,
-                t.column,
-                format!("expected {}, found {}", kind.describe(), t.kind.describe()),
-            )),
-            None => {
-                Err(self.error_here(format!("expected {}, found end of input", kind.describe())))
-            }
-        }
-    }
-
-    fn expect_eof(&mut self) -> Result<(), ParseLibertyError> {
-        match self.peek() {
-            None => Ok(()),
-            Some(t) => Err(ParseLibertyError::new(
-                t.line,
-                t.column,
-                format!("trailing {} after library body", t.kind.describe()),
-            )),
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, ParseLibertyError> {
-        match self.bump() {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                ..
-            }) => Ok(Value::Ident(s)),
-            Some(Token {
-                kind: TokenKind::Number(n),
-                ..
-            }) => Ok(Value::Number(n)),
-            Some(Token {
-                kind: TokenKind::Str(s),
-                ..
-            }) => Ok(Value::Str(s)),
-            Some(t) => Err(ParseLibertyError::new(
-                t.line,
-                t.column,
-                format!("expected a value, found {}", t.kind.describe()),
-            )),
-            None => Err(self.error_here("expected a value, found end of input")),
-        }
-    }
-
-    /// Parses `( v1, v2, ... )` (possibly empty).
-    fn parse_arg_list(&mut self) -> Result<Vec<Value>, ParseLibertyError> {
-        self.expect(&TokenKind::LParen)?;
-        let mut args = Vec::new();
-        if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::RParen)) {
-            self.bump();
-            return Ok(args);
-        }
-        loop {
-            args.push(self.parse_value()?);
-            match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::Comma) => {
-                    self.bump();
-                }
-                Some(TokenKind::RParen) => {
-                    self.bump();
-                    return Ok(args);
-                }
-                _ => return Err(self.error_here("expected `,` or `)` in argument list")),
-            }
-        }
-    }
-
-    /// Parses a group whose keyword token has not been consumed yet.
-    fn parse_group(&mut self) -> Result<Group, ParseLibertyError> {
-        let (name, line, column) = match self.bump() {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                line,
-                column,
-            }) => (s, line, column),
-            Some(t) => {
-                return Err(ParseLibertyError::new(
-                    t.line,
-                    t.column,
-                    format!("expected group keyword, found {}", t.kind.describe()),
-                ))
-            }
-            None => return Err(self.error_here("expected group keyword, found end of input")),
-        };
-        let args = self.parse_arg_list()?;
-        self.expect(&TokenKind::LBrace)?;
-        let mut group = Group {
-            name,
-            args,
-            attributes: Vec::new(),
-            groups: Vec::new(),
-            line,
-            column,
-        };
-        loop {
-            match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::RBrace) => {
-                    self.bump();
-                    return Ok(group);
-                }
-                Some(TokenKind::Ident(_)) => {
-                    self.parse_member(&mut group)?;
-                }
-                Some(_) => return Err(self.error_here("expected attribute, group or `}`")),
-                None => return Err(self.error_here("unterminated group body")),
-            }
-        }
-    }
-
-    /// Parses one member of a group body: either `name : value ;`,
-    /// `name (args) ;` (complex attribute) or `name (args) { ... }`
-    /// (sub-group).
-    fn parse_member(&mut self, parent: &mut Group) -> Result<(), ParseLibertyError> {
-        let (name, line, column) = match self.bump() {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                line,
-                column,
-            }) => (s, line, column),
-            _ => unreachable!("caller checked for an identifier"),
-        };
-        match self.peek().map(|t| &t.kind) {
-            Some(TokenKind::Colon) => {
-                self.bump();
-                let v = self.parse_value()?;
-                // A trailing semicolon is conventional but some writers omit
-                // it before `}`; accept both.
-                if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::Semicolon)) {
-                    self.bump();
-                }
-                parent.attributes.push(Attribute {
-                    name,
-                    values: vec![v],
-                });
-                Ok(())
-            }
-            Some(TokenKind::LParen) => {
-                let args = self.parse_arg_list()?;
-                match self.peek().map(|t| &t.kind) {
-                    Some(TokenKind::LBrace) => {
-                        self.bump();
-                        let mut group = Group {
-                            name,
-                            args,
-                            attributes: Vec::new(),
-                            groups: Vec::new(),
-                            line,
-                            column,
-                        };
-                        loop {
-                            match self.peek().map(|t| &t.kind) {
-                                Some(TokenKind::RBrace) => {
-                                    self.bump();
-                                    break;
-                                }
-                                Some(TokenKind::Ident(_)) => self.parse_member(&mut group)?,
-                                Some(_) => {
-                                    return Err(self.error_here("expected attribute, group or `}`"))
-                                }
-                                None => return Err(self.error_here("unterminated group body")),
-                            }
-                        }
-                        parent.groups.push(group);
-                        Ok(())
-                    }
-                    Some(TokenKind::Semicolon) => {
-                        self.bump();
-                        parent.attributes.push(Attribute { name, values: args });
-                        Ok(())
-                    }
-                    _ => {
-                        // Complex attribute without trailing semicolon.
-                        parent.attributes.push(Attribute { name, values: args });
-                        Ok(())
-                    }
-                }
-            }
-            _ => Err(self.error_here(format!("expected `:` or `(` after `{name}`"))),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recovering parse: diagnostics + resynchronization instead of aborting
-// ---------------------------------------------------------------------------
 
 /// Parses Liberty text, recovering from malformed regions instead of
 /// aborting on the first problem.
@@ -381,10 +45,8 @@ impl Parser {
 /// The returned [`Library`] holds everything that survived; the diagnostics
 /// account for everything that did not.
 ///
-/// Routed through the zero-copy pipeline (`fastparse`), which
-/// chunks large well-formed files and parses their members in parallel;
-/// output is byte-identical to [`parse_library_recovering_classic`] at any
-/// thread count.
+/// Large well-formed files are chunked and their members parsed in
+/// parallel; the output is identical at any thread count.
 pub fn parse_library_recovering(input: &str) -> (Library, Vec<Diagnostic>) {
     parse_library_recovering_threads(input, 0)
 }
@@ -400,755 +62,10 @@ pub fn parse_library_recovering_threads(input: &str, threads: usize) -> (Library
     (lib, diags)
 }
 
-/// The classic (char-walking, allocating) recovering parser. Kept as the
-/// semantic reference: the differential gate proves
-/// [`parse_library_recovering`] reproduces its library and diagnostics
-/// byte-for-byte over the fault-injection corpora.
-pub fn parse_library_recovering_classic(input: &str) -> (Library, Vec<Diagnostic>) {
-    let mut diags = Vec::new();
-    let (tokens, lex_problems) = tokenize_recovering(input);
-    for e in lex_problems {
-        diags.push(Diagnostic::error(e.line, e.column, "", e.message));
-    }
-    let root = {
-        let mut rp = RecoveringParser {
-            p: Parser { tokens, pos: 0 },
-            diags: &mut diags,
-            path: Vec::new(),
-        };
-        rp.parse_root()
-    };
-    let lib = lower_library_recovering(&root, &mut diags);
-    varitune_trace::add("liberty.recovering_parses", 1);
-    varitune_trace::add("liberty.cells_parsed", lib.cells.len() as u64);
-    varitune_trace::add("liberty.parse_diagnostics", diags.len() as u64);
-    (lib, diags)
-}
-
-/// `name(first_arg)` or bare `name` — one segment of a diagnostic context
-/// path.
-fn path_segment(name: &str, args: &[Value]) -> String {
-    match args.first().map(Value::as_text) {
-        Some(arg) if !arg.is_empty() => format!("{name}({arg})"),
-        _ => name.to_string(),
-    }
-}
-
-struct RecoveringParser<'d> {
-    p: Parser,
-    diags: &'d mut Vec<Diagnostic>,
-    /// Stack of context segments for the groups currently being parsed.
-    path: Vec<String>,
-}
-
-impl RecoveringParser<'_> {
-    fn context(&self) -> String {
-        self.path.join("/")
-    }
-
-    fn report(&mut self, e: ParseLibertyError) {
-        let context = self.context();
-        self.diags
-            .push(Diagnostic::error(e.line, e.column, context, e.message));
-    }
-
-    /// Skips tokens until a recovery point: just *before* a `}` that closes
-    /// the current body, just *after* a `;` at balanced depth, or end of
-    /// input. Brace depth is tracked so a malformed nested group is skipped
-    /// whole rather than spilling its members into the parent.
-    fn resync(&mut self) {
-        let mut depth = 0usize;
-        while let Some(t) = self.p.peek() {
-            match t.kind {
-                TokenKind::LBrace => {
-                    depth += 1;
-                    self.p.bump();
-                }
-                TokenKind::RBrace => {
-                    if depth == 0 {
-                        return;
-                    }
-                    depth -= 1;
-                    self.p.bump();
-                }
-                TokenKind::Semicolon => {
-                    self.p.bump();
-                    if depth == 0 {
-                        return;
-                    }
-                }
-                _ => {
-                    self.p.bump();
-                }
-            }
-        }
-    }
-
-    /// Skips forward to the next `{` (left unconsumed); refuses to cross a
-    /// `}` or `;`, which would eat the parent body. Returns whether a `{`
-    /// was found.
-    fn skip_to_lbrace(&mut self) -> bool {
-        while let Some(t) = self.p.peek() {
-            match t.kind {
-                TokenKind::LBrace => return true,
-                TokenKind::RBrace | TokenKind::Semicolon => return false,
-                _ => {
-                    self.p.bump();
-                }
-            }
-        }
-        false
-    }
-
-    fn parse_root(&mut self) -> Group {
-        // Skip leading junk so a stray token before `library` does not kill
-        // the whole parse; only the first offender is reported.
-        let mut reported = false;
-        while let Some(t) = self.p.peek() {
-            if matches!(t.kind, TokenKind::Ident(_)) {
-                break;
-            }
-            if !reported {
-                let e = ParseLibertyError::new(
-                    t.line,
-                    t.column,
-                    format!("expected group keyword, found {}", t.kind.describe()),
-                );
-                self.report(e);
-                reported = true;
-            }
-            self.p.bump();
-        }
-        let Some(root) = self.parse_group_recovering() else {
-            return Group {
-                name: String::new(),
-                args: Vec::new(),
-                attributes: Vec::new(),
-                groups: Vec::new(),
-                line: 0,
-                column: 0,
-            };
-        };
-        if let Some(t) = self.p.peek() {
-            let e = ParseLibertyError::new(
-                t.line,
-                t.column,
-                format!("trailing {} after library body", t.kind.describe()),
-            );
-            self.report(e);
-        }
-        root
-    }
-
-    /// Parses `name (args) { body }` with recovery. Returns `None` only when
-    /// the input is exhausted before a group keyword appears.
-    fn parse_group_recovering(&mut self) -> Option<Group> {
-        let (name, line, column) = match self.p.bump() {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                line,
-                column,
-            }) => (s, line, column),
-            Some(_) => unreachable!("caller skipped to an identifier"),
-            None => {
-                let e = self
-                    .p
-                    .error_here("expected group keyword, found end of input");
-                self.report(e);
-                return None;
-            }
-        };
-        let args = match self.p.peek().map(|t| &t.kind) {
-            Some(TokenKind::LParen) => match self.p.parse_arg_list() {
-                Ok(args) => args,
-                Err(e) => {
-                    self.report(e);
-                    self.skip_to_lbrace();
-                    Vec::new()
-                }
-            },
-            _ => {
-                let e = self.p.error_here(format!("expected `(` after `{name}`"));
-                self.report(e);
-                Vec::new()
-            }
-        };
-        let mut group = Group {
-            name,
-            args,
-            attributes: Vec::new(),
-            groups: Vec::new(),
-            line,
-            column,
-        };
-        // The issue-convention context path starts with a bare `library`
-        // segment; nested segments carry their argument name.
-        let segment = if self.path.is_empty() {
-            group.name.clone()
-        } else {
-            path_segment(&group.name, &group.args)
-        };
-        self.path.push(segment);
-        match self.p.peek().map(|t| &t.kind) {
-            Some(TokenKind::LBrace) => {
-                self.p.bump();
-                self.parse_body(&mut group);
-            }
-            _ => {
-                let e = self
-                    .p
-                    .error_here(format!("expected `{{` to open `{}` body", group.name));
-                self.report(e);
-                if self.skip_to_lbrace() {
-                    self.p.bump();
-                    self.parse_body(&mut group);
-                }
-            }
-        }
-        self.path.pop();
-        Some(group)
-    }
-
-    /// Parses a `{`-opened body, recovering from each malformed member.
-    fn parse_body(&mut self, group: &mut Group) {
-        loop {
-            match self.p.peek().map(|t| &t.kind) {
-                Some(TokenKind::RBrace) => {
-                    self.p.bump();
-                    return;
-                }
-                Some(TokenKind::Ident(_)) => {
-                    if let Err(e) = self.parse_member_recovering(group) {
-                        self.report(e);
-                        self.resync();
-                    }
-                }
-                Some(_) => {
-                    let e = self.p.error_here("expected attribute, group or `}`");
-                    self.report(e);
-                    self.resync();
-                }
-                None => {
-                    let e = self
-                        .p
-                        .error_here(format!("unterminated `{}` body (missing `}}`)", group.name));
-                    self.report(e);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Recovering twin of [`Parser::parse_member`]; errors are returned for
-    /// the caller to report and resynchronize from, while nested groups
-    /// recover internally.
-    fn parse_member_recovering(&mut self, parent: &mut Group) -> Result<(), ParseLibertyError> {
-        let (name, line, column) = match self.p.bump() {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                line,
-                column,
-            }) => (s, line, column),
-            _ => unreachable!("caller checked for an identifier"),
-        };
-        match self.p.peek().map(|t| &t.kind) {
-            Some(TokenKind::Colon) => {
-                self.p.bump();
-                let v = self.p.parse_value()?;
-                if matches!(self.p.peek().map(|t| &t.kind), Some(TokenKind::Semicolon)) {
-                    self.p.bump();
-                }
-                parent.attributes.push(Attribute {
-                    name,
-                    values: vec![v],
-                });
-                Ok(())
-            }
-            Some(TokenKind::LParen) => {
-                let args = self.p.parse_arg_list()?;
-                match self.p.peek().map(|t| &t.kind) {
-                    Some(TokenKind::LBrace) => {
-                        self.p.bump();
-                        let mut group = Group {
-                            name,
-                            args,
-                            attributes: Vec::new(),
-                            groups: Vec::new(),
-                            line,
-                            column,
-                        };
-                        self.path.push(path_segment(&group.name, &group.args));
-                        self.parse_body(&mut group);
-                        self.path.pop();
-                        parent.groups.push(group);
-                        Ok(())
-                    }
-                    Some(TokenKind::Semicolon) => {
-                        self.p.bump();
-                        parent.attributes.push(Attribute { name, values: args });
-                        Ok(())
-                    }
-                    _ => {
-                        parent.attributes.push(Attribute { name, values: args });
-                        Ok(())
-                    }
-                }
-            }
-            _ => Err(self
-                .p
-                .error_here(format!("expected `:` or `(` after `{name}`"))),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lowering: generic AST -> typed model
-// ---------------------------------------------------------------------------
-
-fn lower_err(msg: impl Into<String>) -> ParseLibertyError {
-    ParseLibertyError::new(0, 0, msg)
-}
-
-fn lower_library(root: &Group) -> Result<Library, ParseLibertyError> {
-    if root.name != "library" {
-        return Err(lower_err(format!(
-            "expected top-level `library` group, found `{}`",
-            root.name
-        )));
-    }
-    let mut lib = Library::new(root.arg_name().unwrap_or_default());
-    if let Some(t) = root.attr_text("time_unit") {
-        lib.time_unit = t;
-    }
-    if let Some(a) = root.attr("capacitive_load_unit") {
-        // capacitive_load_unit (1, pf);
-        let parts: Vec<String> = a.values.iter().map(Value::as_text).collect();
-        lib.cap_unit = parts.join("");
-    }
-    if let Some(v) = root.attr_number("nom_voltage") {
-        lib.voltage = v;
-    }
-    if let Some(t) = root.attr_number("nom_temperature") {
-        lib.temperature = t;
-    }
-    for g in root.groups_named("lu_table_template") {
-        let t = lower_template(g)?;
-        lib.templates.insert(t.name.clone(), t);
-    }
-    for g in root.groups_named("cell") {
-        lib.cells.push(lower_cell(g, &lib)?);
-    }
-    Ok(lib)
-}
-
-fn parse_float_list(values: &[Value]) -> Result<Vec<f64>, ParseLibertyError> {
-    // index_1 ("0.1, 0.2, 0.3")  or  index_1 (0.1, 0.2, 0.3)
-    //
-    // Barewords like `nan`, `inf` or `infinity` (and overflowing literals
-    // such as `1e999`) parse to non-finite f64s that only blow up much
-    // later, far from the source span; reject them here so strict and
-    // recovering modes agree on where the problem is.
-    let mut out = Vec::new();
-    for v in values {
-        match v {
-            Value::Number(n) => {
-                if !n.is_finite() {
-                    return Err(lower_err(format!("non-finite value `{n}` in number list")));
-                }
-                out.push(*n);
-            }
-            Value::Ident(s) | Value::Str(s) => {
-                for part in s.split(',') {
-                    let part = part.trim();
-                    if part.is_empty() {
-                        continue;
-                    }
-                    let x = part
-                        .parse::<f64>()
-                        .map_err(|_| lower_err(format!("cannot parse `{part}` as a number")))?;
-                    if !x.is_finite() {
-                        return Err(lower_err(format!(
-                            "non-finite value `{part}` in number list"
-                        )));
-                    }
-                    out.push(x);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn lower_template(g: &Group) -> Result<LutTemplate, ParseLibertyError> {
-    let name = g
-        .arg_name()
-        .ok_or_else(|| lower_err("lu_table_template without a name"))?;
-    let index_1 = g
-        .attr("index_1")
-        .map(|a| parse_float_list(&a.values))
-        .transpose()?
-        .unwrap_or_default();
-    let index_2 = g
-        .attr("index_2")
-        .map(|a| parse_float_list(&a.values))
-        .transpose()?
-        .unwrap_or_default();
-    Ok(LutTemplate::new(name, index_1, index_2))
-}
-
-fn lower_cell(g: &Group, lib: &Library) -> Result<Cell, ParseLibertyError> {
-    let name = g
-        .arg_name()
-        .ok_or_else(|| lower_err("cell without a name"))?;
-    let mut cell = Cell::new(name, g.attr_number("area").unwrap_or(0.0));
-    cell.leakage_power = g.attr_number("cell_leakage_power").unwrap_or(0.0);
-    for pg in g.groups_named("pin") {
-        cell.pins.push(lower_pin(pg, lib)?);
-    }
-    Ok(cell)
-}
-
-fn lower_pin(g: &Group, lib: &Library) -> Result<Pin, ParseLibertyError> {
-    let name = g
-        .arg_name()
-        .ok_or_else(|| lower_err("pin without a name"))?;
-    let direction = match g.attr_text("direction").as_deref() {
-        Some("input") => PinDirection::Input,
-        Some("output") => PinDirection::Output,
-        Some("inout") => PinDirection::Inout,
-        Some("internal") => PinDirection::Internal,
-        Some(other) => {
-            return Err(lower_err(format!(
-                "pin `{name}` has unknown direction `{other}`"
-            )))
-        }
-        None => PinDirection::Input,
-    };
-    let mut pin = Pin {
-        name,
-        direction,
-        capacitance: g.attr_number("capacitance").unwrap_or(0.0),
-        max_capacitance: g.attr_number("max_capacitance"),
-        max_transition: g.attr_number("max_transition"),
-        function: g.attr_text("function"),
-        is_clock: matches!(g.attr_text("clock").as_deref(), Some("true")),
-        timing: Vec::new(),
-        internal_power: Vec::new(),
-    };
-    for tg in g.groups_named("timing") {
-        pin.timing.push(lower_timing(tg, lib, &pin.name)?);
-    }
-    for pg in g.groups_named("internal_power") {
-        pin.internal_power
-            .push(lower_internal_power(pg, lib, &pin.name)?);
-    }
-    Ok(pin)
-}
-
-fn lower_internal_power(
-    g: &Group,
-    lib: &Library,
-    pin: &str,
-) -> Result<InternalPower, ParseLibertyError> {
-    let related = g
-        .attr_text("related_pin")
-        .ok_or_else(|| lower_err(format!("internal_power on pin `{pin}` missing related_pin")))?;
-    let mut power = InternalPower::new(related);
-    for (field, slot) in [
-        ("rise_power", &mut power.rise_power),
-        ("fall_power", &mut power.fall_power),
-    ] {
-        if let Some(tg) = g.groups_named(field).next() {
-            *slot = Some(lower_lut(tg, lib)?);
-        }
-    }
-    Ok(power)
-}
-
-fn lower_timing(g: &Group, lib: &Library, pin: &str) -> Result<TimingArc, ParseLibertyError> {
-    let related = g
-        .attr_text("related_pin")
-        .ok_or_else(|| lower_err(format!("timing arc on pin `{pin}` missing related_pin")))?;
-    let mut arc = TimingArc::new(related);
-    arc.timing_sense = match g.attr_text("timing_sense").as_deref() {
-        Some("positive_unate") | None => TimingSense::PositiveUnate,
-        Some("negative_unate") => TimingSense::NegativeUnate,
-        Some("non_unate") => TimingSense::NonUnate,
-        Some(other) => {
-            return Err(lower_err(format!("unknown timing_sense `{other}`")));
-        }
-    };
-    arc.timing_type = match g.attr_text("timing_type").as_deref() {
-        Some("combinational") | None => TimingType::Combinational,
-        Some("rising_edge") => TimingType::RisingEdge,
-        Some("falling_edge") => TimingType::FallingEdge,
-        Some("setup_rising") => TimingType::SetupRising,
-        Some("hold_rising") => TimingType::HoldRising,
-        Some(other) => {
-            return Err(lower_err(format!("unknown timing_type `{other}`")));
-        }
-    };
-    for (field, slot) in [
-        ("cell_rise", &mut arc.cell_rise),
-        ("cell_fall", &mut arc.cell_fall),
-        ("rise_transition", &mut arc.rise_transition),
-        ("fall_transition", &mut arc.fall_transition),
-    ] {
-        if let Some(tg) = g.groups_named(field).next() {
-            *slot = Some(lower_lut(tg, lib)?);
-        }
-    }
-    Ok(arc)
-}
-
-fn lower_lut(g: &Group, lib: &Library) -> Result<Lut, ParseLibertyError> {
-    // Axis resolution: inline index_1/index_2 override the referenced
-    // template, which is the Liberty rule.
-    let template = g
-        .arg_name()
-        .and_then(|name| lib.templates.get(&name).cloned());
-    let index_slew = match g.attr("index_1") {
-        Some(a) => parse_float_list(&a.values)?,
-        None => template
-            .as_ref()
-            .map(|t| t.index_1.clone())
-            .ok_or_else(|| lower_err("table has neither index_1 nor a known template"))?,
-    };
-    let index_load = match g.attr("index_2") {
-        Some(a) => parse_float_list(&a.values)?,
-        None => template
-            .as_ref()
-            .map(|t| t.index_2.clone())
-            .ok_or_else(|| lower_err("table has neither index_2 nor a known template"))?,
-    };
-    let values_attr = g
-        .attr("values")
-        .ok_or_else(|| lower_err("table without a values attribute"))?;
-    let mut rows = Vec::new();
-    for v in &values_attr.values {
-        rows.push(parse_float_list(std::slice::from_ref(v))?);
-    }
-    // A 1-D values list for a 2-D template: reshape row-major.
-    if rows.len() == 1
-        && index_slew.len() > 1
-        && rows[0].len() == index_slew.len() * index_load.len()
-    {
-        // Invariant: the enclosing `if` just checked `rows.len() == 1`.
-        #[allow(clippy::expect_used)]
-        let flat = rows.pop().expect("one row present");
-        rows = flat.chunks(index_load.len()).map(|c| c.to_vec()).collect();
-    }
-    if rows.len() != index_slew.len() || rows.iter().any(|r| r.len() != index_load.len()) {
-        return Err(lower_err(format!(
-            "values shape {}x{} does not match axes {}x{}",
-            rows.len(),
-            rows.first().map_or(0, Vec::len),
-            index_slew.len(),
-            index_load.len()
-        )));
-    }
-    // Axis monotonicity is checked once here so `Lut::interpolate` can skip
-    // it on every timing query; `Lut::new` would panic on the same input.
-    // NaN compares false both ways, so the finiteness test must come first
-    // or a NaN axis would sail through the monotonicity check below and
-    // reach the `Lut::new` assertion.
-    for (axis, name) in [(&index_slew, "index_1"), (&index_load, "index_2")] {
-        if axis.iter().any(|v| !v.is_finite()) {
-            return Err(lower_err(format!("{name} axis has a non-finite entry")));
-        }
-        if axis.windows(2).any(|w| w[1] <= w[0]) {
-            return Err(lower_err(format!(
-                "{name} axis must be strictly increasing"
-            )));
-        }
-    }
-    Ok(Lut::new(index_slew, index_load, rows))
-}
-
-// ---------------------------------------------------------------------------
-// Recovering lowering: drop the bad unit (template / cell / pin / arc),
-// keep everything else, account for every drop with a Diagnostic
-// ---------------------------------------------------------------------------
-
-/// Picks the error's own span when it has one, else the group keyword's.
-fn span_or(e: &ParseLibertyError, g: &Group) -> (usize, usize) {
-    if e.line == 0 {
-        (g.line, g.column)
-    } else {
-        (e.line, e.column)
-    }
-}
-
-fn report_lower(diags: &mut Vec<Diagnostic>, e: ParseLibertyError, g: &Group, context: &str) {
-    let (line, column) = span_or(&e, g);
-    diags.push(Diagnostic::error(line, column, context, e.message));
-}
-
-fn lower_library_recovering(root: &Group, diags: &mut Vec<Diagnostic>) -> Library {
-    if root.name != "library" {
-        diags.push(Diagnostic::error(
-            root.line,
-            root.column,
-            "",
-            format!("expected top-level `library` group, found `{}`", root.name),
-        ));
-        return Library::new(String::new());
-    }
-    let mut lib = Library::new(root.arg_name().unwrap_or_default());
-    if let Some(t) = root.attr_text("time_unit") {
-        lib.time_unit = t;
-    }
-    if let Some(a) = root.attr("capacitive_load_unit") {
-        let parts: Vec<String> = a.values.iter().map(Value::as_text).collect();
-        lib.cap_unit = parts.join("");
-    }
-    if let Some(v) = root.attr_number("nom_voltage") {
-        lib.voltage = v;
-    }
-    if let Some(t) = root.attr_number("nom_temperature") {
-        lib.temperature = t;
-    }
-    for g in root.groups_named("lu_table_template") {
-        let context = format!("library/{}", path_segment(&g.name, &g.args));
-        match lower_template(g) {
-            Ok(t) => {
-                if lib.templates.contains_key(&t.name) {
-                    diags.push(Diagnostic::warning(
-                        g.line,
-                        g.column,
-                        context,
-                        format!(
-                            "duplicate lu_table_template `{}` overrides earlier definition",
-                            t.name
-                        ),
-                    ));
-                }
-                lib.templates.insert(t.name.clone(), t);
-            }
-            Err(e) => report_lower(diags, e, g, &context),
-        }
-    }
-    let mut seen = HashSet::new();
-    for g in root.groups_named("cell") {
-        let context = format!("library/{}", path_segment(&g.name, &g.args));
-        if let Some(cell) = lower_cell_recovering(g, &lib, diags) {
-            if seen.contains(cell.name.as_str()) {
-                diags.push(Diagnostic::error(
-                    g.line,
-                    g.column,
-                    context,
-                    format!(
-                        "duplicate cell `{}` dropped (first definition kept)",
-                        cell.name
-                    ),
-                ));
-                continue;
-            }
-            seen.insert(cell.name.clone());
-            lib.cells.push(cell);
-        }
-    }
-    lib
-}
-
-fn lower_cell_recovering(g: &Group, lib: &Library, diags: &mut Vec<Diagnostic>) -> Option<Cell> {
-    let cell_ctx = format!("library/{}", path_segment(&g.name, &g.args));
-    let Some(name) = g.arg_name() else {
-        diags.push(Diagnostic::error(
-            g.line,
-            g.column,
-            cell_ctx,
-            "cell without a name; dropped",
-        ));
-        return None;
-    };
-    let mut cell = Cell::new(name, g.attr_number("area").unwrap_or(0.0));
-    cell.leakage_power = g.attr_number("cell_leakage_power").unwrap_or(0.0);
-    for pg in g.groups_named("pin") {
-        if let Some(pin) = lower_pin_recovering(pg, lib, &cell_ctx, diags) {
-            cell.pins.push(pin);
-        }
-    }
-    Some(cell)
-}
-
-fn lower_pin_recovering(
-    g: &Group,
-    lib: &Library,
-    cell_ctx: &str,
-    diags: &mut Vec<Diagnostic>,
-) -> Option<Pin> {
-    let pin_ctx = format!("{cell_ctx}/{}", path_segment(&g.name, &g.args));
-    let Some(name) = g.arg_name() else {
-        diags.push(Diagnostic::error(
-            g.line,
-            g.column,
-            pin_ctx,
-            "pin without a name; dropped",
-        ));
-        return None;
-    };
-    let direction = match g.attr_text("direction").as_deref() {
-        Some("input") => PinDirection::Input,
-        Some("output") => PinDirection::Output,
-        Some("inout") => PinDirection::Inout,
-        Some("internal") => PinDirection::Internal,
-        Some(other) => {
-            diags.push(Diagnostic::error(
-                g.line,
-                g.column,
-                pin_ctx,
-                format!("pin `{name}` has unknown direction `{other}`; pin dropped"),
-            ));
-            return None;
-        }
-        None => PinDirection::Input,
-    };
-    let mut pin = Pin {
-        name,
-        direction,
-        capacitance: g.attr_number("capacitance").unwrap_or(0.0),
-        max_capacitance: g.attr_number("max_capacitance"),
-        max_transition: g.attr_number("max_transition"),
-        function: g.attr_text("function"),
-        is_clock: matches!(g.attr_text("clock").as_deref(), Some("true")),
-        timing: Vec::new(),
-        internal_power: Vec::new(),
-    };
-    for tg in g.groups_named("timing") {
-        match lower_timing(tg, lib, &pin.name) {
-            Ok(arc) => pin.timing.push(arc),
-            Err(e) => {
-                let (line, column) = span_or(&e, tg);
-                diags.push(Diagnostic::error(
-                    line,
-                    column,
-                    format!("{pin_ctx}/timing"),
-                    format!("{}; arc dropped", e.message),
-                ));
-            }
-        }
-    }
-    for pg in g.groups_named("internal_power") {
-        match lower_internal_power(pg, lib, &pin.name) {
-            Ok(p) => pin.internal_power.push(p),
-            Err(e) => {
-                let (line, column) = span_or(&e, pg);
-                diags.push(Diagnostic::error(
-                    line,
-                    column,
-                    format!("{pin_ctx}/internal_power"),
-                    format!("{}; power table dropped", e.message),
-                ));
-            }
-        }
-    }
-    Some(pin)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{TimingSense, TimingType};
 
     const SMALL_LIB: &str = r#"
     library (TT1P1V25C) {
@@ -1309,6 +226,14 @@ mod tests {
         "#;
         let err = parse_library(text).unwrap_err();
         assert!(err.message.contains("shape"), "{err}");
+        // Lowering errors carry no span of their own; the strict error
+        // points at the enclosing `timing` keyword and names its path.
+        assert!(err.line > 0, "{err}");
+        assert_eq!((err.line, err.column), (6, 15), "{err}");
+        assert!(
+            err.message.contains("library/cell(C_1)/pin(Z)/timing"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1320,7 +245,28 @@ mod tests {
           }
         }
         "#;
-        assert!(parse_library(text).is_err());
+        let err = parse_library(text).unwrap_err();
+        assert!(err.message.contains("related_pin"), "{err}");
+        assert_eq!((err.line, err.column), (4, 43), "{err}");
+        assert!(
+            err.message.contains("library/cell(C_1)/pin(Z)/timing"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn duplicate_cell_is_a_strict_error() {
+        let text = "library (L) {\n  cell (X_1) { area : 1.0; }\n  cell (X_1) { area : 9.0; }\n}\n";
+        let err = parse_library(text).unwrap_err();
+        assert_eq!((err.line, err.column), (3, 3), "{err}");
+        assert!(err.message.contains("library/cell(X_1)"), "{err}");
+    }
+
+    #[test]
+    fn warnings_do_not_fail_a_strict_parse() {
+        let text = "library (L) {\n  lu_table_template (t) { index_1 (\"1, 2\"); }\n  lu_table_template (t) { index_1 (\"3, 4\"); }\n}\n";
+        let lib = parse_library(text).unwrap();
+        assert_eq!(lib.templates["t"].index_1, vec![3.0, 4.0]);
     }
 
     #[test]
@@ -1543,6 +489,12 @@ library (L) {
 "#;
         let err = parse_library(text).unwrap_err();
         assert!(err.message.contains("non-finite"), "{err}");
+        assert!(err.line > 0, "{err}");
+        assert_eq!((err.line, err.column), (8, 7), "{err}");
+        assert!(
+            err.message.contains("library/cell(C_1)/pin(Z)/timing"),
+            "{err}"
+        );
         let (lib, diags) = parse_library_recovering(text);
         assert_eq!(lib.cells.len(), 1);
         assert!(lib.cells[0].pin("Z").unwrap().timing.is_empty());
