@@ -34,11 +34,16 @@ const SEED: u64 = 7;
 /// Statistical library + timing graph over the small (test-scale) MCU —
 /// the same fixture recipe as `ssta_harness --smoke`.
 fn mcu_fixture() -> (StatLibrary, TimingGraph<'static>) {
+    mcu_fixture_at(&McuConfig::small_for_tests())
+}
+
+/// [`mcu_fixture`]'s recipe over an MCU of any size.
+fn mcu_fixture_at(mcu_cfg: &McuConfig) -> (StatLibrary, TimingGraph<'static>) {
     let gen_cfg = GenerateConfig::full();
     let nominal = generate_nominal(&gen_cfg);
     let mc = generate_mc_libraries(&nominal, &gen_cfg, 6, SEED);
     let stat = StatLibrary::from_libraries(&mc).expect("characterization");
-    let mcu = generate_mcu(&McuConfig::small_for_tests());
+    let mcu = generate_mcu(mcu_cfg);
     let constraints = LibraryConstraints::unconstrained();
     let target = TargetLibrary::new(&stat.mean, &constraints);
     let design = map_netlist(&mcu, &target, WireModel::default()).expect("mapping");
@@ -137,6 +142,45 @@ fn ssta_reports_bit_identical_across_threads_and_rerun() {
     let a = model.monte_carlo(200, SEED, 1).expect("mc");
     let b = model.monte_carlo(200, SEED, 8).expect("mc");
     assert_eq!(a, b);
+}
+
+/// The paper-scale MCU's widest stage (5,428 gates) clears the engine's
+/// sharding threshold, which the small MCU's (88 gates) does not, so this
+/// is the test that drives SSTA's sharded propagation. The digests are
+/// frozen for three truncation widths and must not depend on the thread
+/// count; the trace proves the 2-thread run really took the sharded path.
+#[test]
+fn ssta_sharded_propagation_digests_are_frozen() {
+    let (stat, mut graph) = mcu_fixture_at(&McuConfig::paper_scale());
+    let frozen: [(usize, u64); 3] = [
+        (4, 0x5aaa_5b1c_c165_9e61),
+        (32, 0xd7ef_14f1_9c32_00c0),
+        (128, 0x3c43_2c2d_9ca7_5925),
+    ];
+    for (max_local_terms, want) in frozen {
+        let opts = SstaOptions {
+            max_local_terms,
+            ..SstaOptions::default()
+        };
+        // Threads 1/2/8, then a rerun at 1.
+        for threads in [1usize, 2, 8, 1] {
+            graph.set_threads(threads);
+            let model = SstaModel::build(&graph, &stat, opts).expect("model");
+            let (report, trace) = varitune::trace::capture(|| model.analyze().expect("analyze"));
+            if threads == 2 {
+                assert!(
+                    trace.counter("variation.shard_calls") > 0,
+                    "M={max_local_terms}: the 2-thread analysis never sharded a stage"
+                );
+            }
+            assert_eq!(
+                report.digest(),
+                want,
+                "M={max_local_terms} at {threads} thread(s): digest {:#018x}",
+                report.digest()
+            );
+        }
+    }
 }
 
 /// On a pure chain there is exactly one path, so `sta::mc`'s path-level
