@@ -248,6 +248,10 @@ pub fn deadline_at_yield(paths: &[PathTiming], target: f64, tol: f64) -> Result<
         .max(tol);
     while hi - lo > tol {
         let mid = 0.5 * (lo + hi);
+        // `tol` below the float spacing: the bracket cannot shrink.
+        if mid == lo || mid == hi {
+            break;
+        }
         if timing_yield(paths, mid) >= target {
             hi = mid;
         } else {
@@ -491,6 +495,15 @@ mod tests {
             .map(|p| synthetic_path(p.mean, p.sigma * 0.5))
             .collect();
         assert!(deadline_at_yield(&calm, 0.99, 1e-5).unwrap() < d);
+    }
+
+    #[test]
+    fn deadline_at_yield_terminates_below_float_spacing() {
+        let paths = vec![synthetic_path(16.0, 0.5), synthetic_path(15.5, 0.3)];
+        for tol in [1e-300, f64::MIN_POSITIVE] {
+            let d = deadline_at_yield(&paths, 0.95, tol).unwrap();
+            assert!(timing_yield(&paths, d) >= 0.95, "tol {tol:e}: yield at {d}");
+        }
     }
 
     #[test]
