@@ -21,7 +21,14 @@
 //! The headline perf claim — SSTA beats Monte Carlo by ≥ 10× wall-clock at
 //! paper scale — is asserted in the full profile only (any host: the ratio
 //! pits one propagation against thousands, so it does not depend on core
-//! count). Results land in `BENCH_ssta.json`.
+//! count).
+//!
+//! Last, each scale runs four ECO rounds on its graph, as the `soc_eco`
+//! benchmark does: upsize the 32 most critical gates, `update`, and
+//! re-analyze with `analyze_ssta`, which re-propagates only the changed
+//! cone. Every round's report must be digest-identical to a full
+//! `SstaModel` analysis at every requested thread count. Results land in
+//! `BENCH_ssta.json`.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -30,7 +37,8 @@ use varitune_bench::trace::run_traced;
 use varitune_libchar::{generate_mc_libraries, generate_nominal, GenerateConfig, StatLibrary};
 use varitune_netlist::{generate_mcu, generate_soc, McuConfig, SocConfig};
 use varitune_sta::{
-    GraphMcResult, SstaModel, SstaOptions, SstaReport, StaConfig, TimingGraph, WireModel,
+    analyze_ssta, GraphMcResult, SstaModel, SstaOptions, SstaReport, StaConfig, TimingGraph,
+    WireModel,
 };
 use varitune_synth::{map_netlist, map_soa, LibraryConstraints, TargetLibrary};
 
@@ -45,6 +53,12 @@ const MC_LIBRARIES: usize = 25;
 
 /// Master seed for characterization and the MC oracle.
 const SEED: u64 = 7;
+
+/// ECO rounds of the re-analysis check.
+const ECO_ROUNDS: usize = 4;
+
+/// Gates upsized per ECO round (as in the `soc_eco` benchmark).
+const ECO_GATES: usize = 32;
 
 struct Tolerances {
     /// Relative endpoint/design mean tolerance.
@@ -69,6 +83,7 @@ struct Tolerances {
 struct ScaleRow {
     scale: String,
     gates: usize,
+    arcs: usize,
     endpoints: usize,
     trials: usize,
     ssta_ms: f64,
@@ -84,6 +99,15 @@ struct ScaleRow {
     median_sigma_err_rel: f64,
     max_sigma_err_rel: f64,
     criticality_sum: f64,
+    reanalysis: Reanalysis,
+}
+
+/// The ECO re-analysis rounds of one scale.
+struct Reanalysis {
+    /// Median wall-clock of one incremental `analyze_ssta`.
+    incremental_ms: f64,
+    /// Gates each round's forward pass evaluated.
+    gates_evaluated: Vec<u64>,
 }
 
 fn main() -> ExitCode {
@@ -497,6 +521,7 @@ fn run_scale(
     Ok(ScaleRow {
         scale: scale.to_string(),
         gates,
+        arcs: model.arc_model().0.len(),
         endpoints: report.endpoints.len(),
         trials,
         ssta_ms,
@@ -512,6 +537,86 @@ fn run_scale(
         median_sigma_err_rel: median_sigma_rel,
         max_sigma_err_rel: max_sigma_rel,
         criticality_sum: crit_sum,
+        reanalysis: reanalyze(&mut graph, stat, &target, opts, threads, &report, scale)?,
+    })
+}
+
+/// The ECO rounds: upsize the [`ECO_GATES`] most critical gates, `update`,
+/// re-analyze incrementally at the first thread count, and check the
+/// report against a full analysis at every thread count. `full` is the
+/// unedited graph's full report.
+fn reanalyze(
+    graph: &mut TimingGraph<'_>,
+    stat: &StatLibrary,
+    target: &TargetLibrary<'_>,
+    opts: SstaOptions,
+    threads: &[usize],
+    full: &SstaReport,
+    scale: &str,
+) -> Result<Reanalysis, ExitCode> {
+    let _span = varitune_trace::span!("ssta_harness.reanalyze");
+    let fail = |what: &str, e: &dyn std::fmt::Display| {
+        eprintln!("{scale}: {what} failed: {e}");
+        ExitCode::FAILURE
+    };
+    graph.set_threads(threads[0]);
+    // The first `analyze_ssta` is a full one; the rounds start from it.
+    let mut last = analyze_ssta(graph, stat, opts).map_err(|e| fail("SSTA", &e))?;
+    if last.digest() != full.digest() {
+        eprintln!("{scale}: analyze_ssta digest differs from SstaModel::analyze");
+        return Err(ExitCode::FAILURE);
+    }
+    let mut times = Vec::with_capacity(ECO_ROUNDS);
+    let mut gates_evaluated = Vec::with_capacity(ECO_ROUNDS);
+    for round in 0..ECO_ROUNDS {
+        for (gate, _) in last.top_gate_criticalities(ECO_GATES) {
+            if let Some(bigger) = target.upsize_id(graph.cell_id(gate)) {
+                graph
+                    .resize_gate_id(gate, bigger.id)
+                    .map_err(|e| fail("upsize", &e))?;
+            }
+        }
+        graph.update().map_err(|e| fail("update", &e))?;
+        // A private capture counts this call's evaluated gates; its
+        // counters then join the run's trace.
+        let ((report, ms), trace) = varitune_trace::capture_job(|| {
+            let t0 = Instant::now();
+            let r = analyze_ssta(graph, stat, opts);
+            (r, t0.elapsed().as_secs_f64() * 1e3)
+        });
+        varitune_trace::merge_metrics(&trace.metrics);
+        let report = report.map_err(|e| fail("incremental SSTA", &e))?;
+        for &t in threads {
+            graph.set_threads(t);
+            let want = SstaModel::build(graph, stat, opts)
+                .and_then(|m| m.analyze())
+                .map_err(|e| fail("full SSTA", &e))?;
+            if want.digest() != report.digest() {
+                eprintln!(
+                    "{scale}: round {round}: incremental digest {:#018x}, full at {t} threads \
+                     {:#018x}",
+                    report.digest(),
+                    want.digest()
+                );
+                return Err(ExitCode::FAILURE);
+            }
+        }
+        graph.set_threads(threads[0]);
+        let evaluated = trace.counter("sta.ssta.gates_evaluated");
+        println!(
+            "ECO round {round}: {evaluated} of {} gates evaluated, {ms:>8.3} ms \
+             (digest-identical to full at threads {threads:?})",
+            graph.gate_count()
+        );
+        times.push(ms);
+        gates_evaluated.push(evaluated);
+        last = report;
+    }
+    times.sort_by(f64::total_cmp);
+    let mid = times.len() / 2;
+    Ok(Reanalysis {
+        incremental_ms: (times[mid - 1] + times[mid]) / 2.0,
+        gates_evaluated,
     })
 }
 
@@ -521,7 +626,7 @@ fn render_json(hw: usize, profile: &str, rows: &[ScaleRow]) -> String {
         .map(|r| {
             format!(
                 "    {{\n      \"scale\": \"{}\",\n      \"gates\": {},\n      \
-                 \"endpoints\": {},\n      \"mc_trials\": {},\n      \
+                 \"arcs\": {},\n      \"endpoints\": {},\n      \"mc_trials\": {},\n      \
                  \"ssta_ms\": {:.3},\n      \"mc_ms\": {:.1},\n      \
                  \"ssta_speedup_over_mc\": {:.1},\n      \
                  \"report_digest\": \"{:#018x}\",\n      \
@@ -534,9 +639,13 @@ fn render_json(hw: usize, profile: &str, rows: &[ScaleRow]) -> String {
                  \"median_endpoint_sigma_err_pct\": {:.3},\n      \
                  \"worst_endpoint_sigma_err_pct\": {:.3},\n      \
                  \"criticality_sum\": {:.12},\n      \
-                 \"digest_identical_across_threads\": true\n    }}",
+                 \"digest_identical_across_threads\": true,\n      \
+                 \"incremental_ms\": {:.3},\n      \
+                 \"gates_evaluated\": [{}],\n      \
+                 \"incremental_digest_identical\": true\n    }}",
                 r.scale,
                 r.gates,
+                r.arcs,
                 r.endpoints,
                 r.trials,
                 r.ssta_ms,
@@ -553,6 +662,13 @@ fn render_json(hw: usize, profile: &str, rows: &[ScaleRow]) -> String {
                 r.median_sigma_err_rel * 100.0,
                 r.max_sigma_err_rel * 100.0,
                 r.criticality_sum,
+                r.reanalysis.incremental_ms,
+                r.reanalysis
+                    .gates_evaluated
+                    .iter()
+                    .map(u64::to_string)
+                    .collect::<Vec<_>>()
+                    .join(", "),
             )
         })
         .collect();

@@ -65,12 +65,14 @@ pub mod stages {
         "sta_harness.thread_scaling",
     ];
     /// `ssta_harness` characterizes + builds, runs the statistical
-    /// propagation sweep, and samples the Monte-Carlo oracle; the SSTA
-    /// engine's own spans (`sta.ssta.*`) ride along.
+    /// propagation sweep, samples the Monte-Carlo oracle, and runs the ECO
+    /// re-analysis rounds; the SSTA engine's own spans (`sta.ssta.*`) ride
+    /// along.
     pub const SSTA_HARNESS: &[&str] = &[
         "ssta_harness.build",
         "ssta_harness.analyze",
         "ssta_harness.mc",
+        "ssta_harness.reanalyze",
         "sta.ssta.build",
         "sta.ssta.analyze",
         "sta.ssta.mc",

@@ -134,13 +134,50 @@ fn ssta_harness_trace_matches_schema() {
             out.to_str().expect("utf-8 tmp path"),
         ],
     );
+    let row = std::fs::read_to_string(&out).expect("ssta_harness wrote its row");
     let _ = std::fs::remove_file(&out);
     assert_stages("ssta_harness", &trace, stages::SSTA_HARNESS);
-    // The statistical model covered every timing arc, the propagation ran
-    // once per thread count (plus the rerun), and the oracle sampled.
-    assert!(trace.counter("sta.ssta.arcs_modeled") > 0);
+    // The propagation ran once per thread count plus the rerun, the ECO
+    // rounds re-analyzed, and the oracle sampled.
     assert!(trace.counter("sta.ssta.analyses") >= 3);
     assert!(trace.counter("sta.ssta.mc_trials") >= 300);
+    // A full analysis evaluates every gate and models every arc (so does
+    // the oracle's model build); an ECO round's re-analysis evaluates only
+    // the cone its row records and re-models only the gates whose inputs
+    // changed.
+    let value = |name: &str| {
+        let at = row.find(&format!("\"{name}\": ")).expect(name) + name.len() + 4;
+        &row[at..]
+    };
+    let number = |name: &str| -> u64 {
+        let digits: String = value(name)
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect(name)
+    };
+    let (gates, arcs) = (number("gates"), number("arcs"));
+    let list = value("gates_evaluated");
+    let rounds: Vec<u64> = list[1..list.find(']').expect("a list")]
+        .split(", ")
+        .map(|n| n.parse().expect("a gate count"))
+        .collect();
+    let incremental = rounds.len() as u64;
+    assert!(incremental > 0);
+    assert!(
+        rounds.iter().all(|&n| n < gates),
+        "rounds {rounds:?} of {gates}"
+    );
+    let full = trace.counter("sta.ssta.analyses") - incremental;
+    assert_eq!(
+        trace.counter("sta.ssta.gates_evaluated"),
+        full * gates + rounds.iter().sum::<u64>()
+    );
+    let modeled = trace.counter("sta.ssta.arcs_modeled");
+    assert!(
+        modeled > (full + 1) * arcs && modeled < (full + 1 + incremental) * arcs,
+        "{modeled} arcs modelled; {full} full analyses of {arcs} arcs"
+    );
 }
 
 #[test]

@@ -58,8 +58,14 @@
 //! arena/SoA [`SoaDesign`] — both feed the same internal `Core` through
 //! [`varitune_netlist::NetlistView`], so the two forms of one design are
 //! bit-identical by construction.
+//!
+//! Every graph carries a `GraphId`: a build takes a fresh one and a
+//! structural edit renews it. It keys the statistical state
+//! [`crate::ssta::analyze_ssta`] retains between analyses of one graph, and
+//! building a graph, renewing an id or dropping a graph releases that state.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use varitune_liberty::{CellId, Library, TimingArc, TimingType};
 use varitune_netlist::{GateKind, NetId, NetlistEdit, NetlistView, ValidateNetlistError};
@@ -504,6 +510,11 @@ impl<'l> Core<'l> {
 
     pub(crate) fn gate_outputs(&self, gi: usize) -> &[u32] {
         &self.out_net[self.out_off[gi] as usize..self.out_off[gi + 1] as usize]
+    }
+
+    /// Gate sinks of net `ni` as `(gate, input position)`, ascending.
+    pub(crate) fn sinks(&self, ni: usize) -> &[(u32, u32)] {
+        self.sinks.row(ni)
     }
 
     fn gate_arcs(&self, gi: usize) -> &[&'l TimingArc] {
@@ -1171,6 +1182,34 @@ enum DesignStore {
     Soa(SoaDesign),
 }
 
+/// Source of [`GraphId`]s; never reused within a process.
+static NEXT_GRAPH_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Identity of one graph structure. Taking a fresh id releases the
+/// statistical state [`crate::ssta`] retains (whichever graph it belongs
+/// to); renewing or dropping an id releases the state kept for it.
+pub(crate) struct GraphId(u64);
+
+impl GraphId {
+    fn new() -> Self {
+        crate::ssta::release_retained(None);
+        GraphId(NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// A structural edit: the graph is no longer the one the state was
+    /// retained for.
+    fn renew(&mut self) {
+        crate::ssta::release_retained(Some(self.0));
+        self.0 = NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Drop for GraphId {
+    fn drop(&mut self) {
+        crate::ssta::release_retained(Some(self.0));
+    }
+}
+
 /// Build-once incremental timing engine over an owned design.
 ///
 /// Construct with [`TimingGraph::new`] (AoS [`MappedDesign`]) or
@@ -1182,6 +1221,7 @@ enum DesignStore {
 pub struct TimingGraph<'l> {
     store: DesignStore,
     core: Core<'l>,
+    id: GraphId,
 }
 
 impl<'l> TimingGraph<'l> {
@@ -1196,6 +1236,9 @@ impl<'l> TimingGraph<'l> {
         lib: &'l Library,
         config: &StaConfig,
     ) -> Result<Self, StaError> {
+        // First, so retained statistical state is freed before the build
+        // allocates.
+        let id = GraphId::new();
         design.netlist.validate()?;
         let mut core = Core::build(
             &design.netlist,
@@ -1208,6 +1251,7 @@ impl<'l> TimingGraph<'l> {
         Ok(Self {
             store: DesignStore::Mapped(design),
             core,
+            id,
         })
     }
 
@@ -1224,6 +1268,7 @@ impl<'l> TimingGraph<'l> {
         lib: &'l Library,
         config: &StaConfig,
     ) -> Result<Self, StaError> {
+        let id = GraphId::new();
         design.netlist.validate()?;
         let mut core = Core::build(
             &design.netlist,
@@ -1236,6 +1281,7 @@ impl<'l> TimingGraph<'l> {
         Ok(Self {
             store: DesignStore::Soa(design),
             core,
+            id,
         })
     }
 
@@ -1249,6 +1295,31 @@ impl<'l> TimingGraph<'l> {
     /// propagation reuses the identical structure and stage schedule.
     pub(crate) fn core(&self) -> &Core<'l> {
         &self.core
+    }
+
+    /// The graph's current [`GraphId`] number.
+    pub(crate) fn id(&self) -> u64 {
+        self.id.0
+    }
+
+    fn check_gate(&self, gi: usize) -> Result<(), StaError> {
+        let n = self.core.n_gates();
+        if gi < n {
+            return Ok(());
+        }
+        Err(StaError::InvalidParameter {
+            reason: format!("gate index {gi} out of range (graph has {n} gates)"),
+        })
+    }
+
+    fn check_net(&self, net: NetId) -> Result<(), StaError> {
+        let n = self.core.nets.len();
+        if (net.0 as usize) < n {
+            return Ok(());
+        }
+        Err(StaError::InvalidParameter {
+            reason: format!("net index {} out of range (graph has {n} nets)", net.0),
+        })
     }
 
     fn cells(&self) -> &[CellId] {
@@ -1401,9 +1472,11 @@ impl<'l> TimingGraph<'l> {
     ///
     /// # Errors
     ///
+    /// [`StaError::InvalidParameter`] if `gi` is out of range;
     /// [`StaError::UnknownCell`]/[`StaError::MissingArc`] if the cell does
-    /// not fit; the engine is unchanged on error.
+    /// not fit. The engine is unchanged on error.
     pub fn resize_gate(&mut self, gi: usize, cell_name: &str) -> Result<(), StaError> {
+        self.check_gate(gi)?;
         let id = self
             .core
             .lib
@@ -1424,6 +1497,7 @@ impl<'l> TimingGraph<'l> {
     /// As [`TimingGraph::resize_gate`]; an out-of-range id reports
     /// [`StaError::UnknownCell`] with a `cell#<id>` label.
     pub fn resize_gate_id(&mut self, gi: usize, cell: CellId) -> Result<(), StaError> {
+        self.check_gate(gi)?;
         if self.cells()[gi] == cell {
             return Ok(());
         }
@@ -1458,9 +1532,16 @@ impl<'l> TimingGraph<'l> {
     /// Overrides (or clears) the load seen on `net`, e.g. for boundary
     /// modeling in what-if analysis. Overridden nets ignore sink and wire
     /// capacitance until the override is cleared.
-    pub fn set_load(&mut self, net: NetId, load: Option<f64>) {
+    ///
+    /// # Errors
+    ///
+    /// [`StaError::InvalidParameter`] if `net` is out of range; the engine
+    /// is unchanged on error.
+    pub fn set_load(&mut self, net: NetId, load: Option<f64>) -> Result<(), StaError> {
+        self.check_net(net)?;
         self.core.load_override[net.0 as usize] = load;
         self.core.mark_load_dirty(net.0 as usize);
+        Ok(())
     }
 
     /// Splits the fanout of `net` behind an INV→INV pair mapped to
@@ -1470,9 +1551,11 @@ impl<'l> TimingGraph<'l> {
     ///
     /// # Errors
     ///
+    /// [`StaError::InvalidParameter`] if `net` is out of range;
     /// [`StaError::UnknownCell`]/[`StaError::MissingArc`] if `inv_cell`
-    /// cannot be interned; the engine is unchanged on error.
+    /// cannot be interned. The engine is unchanged on error.
     pub fn split_fanout(&mut self, net: NetId, inv_cell: &str) -> Result<(usize, usize), StaError> {
+        self.check_net(net)?;
         let gate = self.core.n_gates();
         let id = self
             .core
@@ -1496,7 +1579,9 @@ impl<'l> TimingGraph<'l> {
         net: NetId,
         inv_cell: CellId,
     ) -> Result<(usize, usize), StaError> {
-        let Self { store, core } = self;
+        self.check_net(net)?;
+        self.id.renew();
+        let Self { store, core, .. } = self;
         match store {
             DesignStore::Mapped(d) => {
                 split_fanout_impl(core, &mut d.netlist, &mut d.cells, net, inv_cell)
@@ -1737,12 +1822,12 @@ mod tests {
         let x = d.netlist.gates[1].outputs[0];
         let mut engine = TimingGraph::new(d, &lib, &cfg).unwrap();
         let before = engine.report();
-        engine.set_load(x, Some(0.05));
+        engine.set_load(x, Some(0.05)).unwrap();
         engine.update().unwrap();
         assert_eq!(engine.load(x).to_bits(), 0.05f64.to_bits());
         assert!(engine.worst_slack() < before.worst_slack());
         // Clearing the override restores the exact baseline state.
-        engine.set_load(x, None);
+        engine.set_load(x, None).unwrap();
         engine.update().unwrap();
         assert_reports_bit_identical(&engine.report(), &before);
     }
@@ -1774,6 +1859,56 @@ mod tests {
         ));
         engine.update().unwrap();
         assert_reports_bit_identical(&engine.report(), &before);
+    }
+
+    /// Runs `edit` with an out-of-range index on a 4-gate chain: it must
+    /// report `InvalidParameter` and leave the engine as it was.
+    fn assert_rejects_out_of_range(
+        edit: impl FnOnce(&mut TimingGraph<'_>) -> Result<(), StaError>,
+    ) {
+        let lib = lib();
+        let cfg = StaConfig::with_clock_period(2.0);
+        let mut engine = TimingGraph::new(chain(4, "INV_2", &lib), &lib, &cfg).unwrap();
+        let (before, gates) = (engine.report(), engine.gate_count());
+        assert!(matches!(
+            edit(&mut engine),
+            Err(StaError::InvalidParameter { .. })
+        ));
+        assert_eq!(engine.gate_count(), gates);
+        engine.update().unwrap();
+        assert_eq!(engine.gates_recomputed_in_last_update(), 0);
+        assert_reports_bit_identical(&engine.report(), &before);
+    }
+
+    #[test]
+    fn resize_gate_rejects_out_of_range_gate() {
+        assert_rejects_out_of_range(|g| g.resize_gate(4, "INV_8"));
+    }
+
+    #[test]
+    fn resize_gate_id_rejects_out_of_range_gate() {
+        assert_rejects_out_of_range(|g| {
+            let id = g.lib().cell_id("INV_8").unwrap();
+            g.resize_gate_id(usize::MAX, id)
+        });
+    }
+
+    #[test]
+    fn set_load_rejects_out_of_range_net() {
+        assert_rejects_out_of_range(|g| g.set_load(NetId(5), Some(0.01)));
+    }
+
+    #[test]
+    fn split_fanout_rejects_out_of_range_net() {
+        assert_rejects_out_of_range(|g| g.split_fanout(NetId(5), "INV_2").map(drop));
+    }
+
+    #[test]
+    fn split_fanout_id_rejects_out_of_range_net() {
+        assert_rejects_out_of_range(|g| {
+            let id = g.lib().cell_id("INV_2").unwrap();
+            g.split_fanout_id(NetId(u32::MAX), id).map(drop)
+        });
     }
 
     /// One wide level: enough independent inverters to cross
@@ -1826,7 +1961,7 @@ mod tests {
             engine.set_threads(threads);
             for gi in 0..engine.gate_count() {
                 let out = NetId(engine.design().netlist.gates[gi].outputs[0].0);
-                engine.set_load(out, Some(0.031));
+                engine.set_load(out, Some(0.031)).unwrap();
             }
             engine.update().unwrap();
             assert_eq!(engine.gates_recomputed_in_last_update(), 3000);

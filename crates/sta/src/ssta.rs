@@ -18,10 +18,18 @@
 //! schedule with statistical `add` along arcs and Clark's-approximation
 //! `max` at gate outputs. The same sharded, shard-order-merged schedule as
 //! the deterministic engine is reused, so results are bit-identical at any
-//! thread count. All arrival forms of one analysis live in one packed term
-//! arena and each gate folds its inputs in reused scratch buffers, so the
-//! propagation makes no heap allocation per gate; the report keeps each
-//! net's arrival mean and sigma.
+//! thread count. All arrival forms live in one packed term arena and each
+//! gate folds its inputs in reused scratch buffers, so the propagation
+//! makes no heap allocation per gate; the report keeps each net's arrival
+//! mean and sigma.
+//!
+//! [`analyze_ssta`] keeps the arc model and the arena of the graph it
+//! analyzed last. Analyzed again after edits, it re-models only the gates
+//! whose cell, input slew or output load changed bits and re-evaluates only
+//! the cone below them, stopping wherever a recomputed form is
+//! bit-identical — the deterministic engine's dirty-cone rule carried over
+//! to canonical forms. A first analysis runs the same propagation with
+//! every gate dirty.
 //!
 //! On top of the propagated forms the module computes per-endpoint
 //! mean/sigma, per-gate criticality (probability a gate lies on the
@@ -34,6 +42,7 @@
 //! the exact same arc model so the differential suite can compare moments.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use varitune_libchar::StatLibrary;
 use varitune_liberty::{InterpolateError, Library, TimingArc};
@@ -434,16 +443,22 @@ struct Slot {
     /// First term in [`FormArena::terms`].
     off: usize,
     /// Term count.
-    len: usize,
+    len: u32,
+    /// Terms reserved at `off`: a later form of up to this length is
+    /// written in place.
+    cap: u32,
 }
 
-/// Every arrival form of one analysis, packed: a [`Slot`] per net and all
-/// forms' `(key, sens)` terms back to back in one vector. Forms are
-/// appended stage by stage and never move, so a stage's gates read their
-/// inputs as borrowed views.
+/// Every arrival form of the graph, packed: a [`Slot`] per net and all
+/// forms' `(key, sens)` terms back to back in one vector. A stage's gates
+/// read their inputs as borrowed views; a stage only writes its own
+/// outputs. A changed form overwrites its slot when it fits the slot's
+/// capacity and moves to the tail otherwise.
 struct FormArena {
     slots: Vec<Slot>,
     terms: Vec<Term>,
+    /// Terms no slot owns any more (left behind by forms that moved).
+    dead: usize,
 }
 
 impl FormArena {
@@ -460,24 +475,97 @@ impl FormArena {
                 resid: 0.0,
                 off: 0,
                 len: 0,
+                cap: 0,
             })
             .collect();
         // Upper bound on the terms: a truncated gate output holds the
         // global term plus at most `max_local_terms` locals drawn from at
         // most `2 × arcs` distinct keys; a launch output holds two.
         // Reserving it up front keeps the vector from ever being copied by
-        // a doubling growth, and untouched pages are never resident. If the
-        // reservation is refused, the vector grows on demand instead.
+        // a doubling growth (`write` compacts instead), and untouched pages
+        // are never resident. If the reservation is refused, the vector
+        // grows on demand instead.
         let driven = core.driver.iter().filter(|&&d| d != NONE_U32).count();
         let per_form = max_local_terms.min(2 * core.arcs.len()).max(1) + 1;
         let mut terms = Vec::new();
         let _ = terms.try_reserve_exact(driven.saturating_mul(per_form));
-        FormArena { slots, terms }
+        FormArena {
+            slots,
+            terms,
+            dead: 0,
+        }
     }
 
     fn view(&self, net: usize) -> FormView<'_> {
         let s = self.slots[net];
-        FormView::new(s.mean, &self.terms[s.off..s.off + s.len], s.resid)
+        FormView::new(s.mean, &self.terms[s.off..s.off + s.len as usize], s.resid)
+    }
+
+    /// Store `net`'s new form unless it is bit-identical to the one held.
+    /// Returns whether it changed.
+    fn write(&mut self, net: usize, mean: f64, resid: f64, terms: &[Term]) -> bool {
+        let s = self.slots[net];
+        let same = s.mean.to_bits() == mean.to_bits()
+            && s.resid.to_bits() == resid.to_bits()
+            && s.len as usize == terms.len()
+            && self.terms[s.off..s.off + terms.len()]
+                .iter()
+                .zip(terms)
+                .all(|(a, b)| {
+                    let (ak, asens, bk, bsens) = (a.key, a.sens, b.key, b.sens);
+                    ak == bk && asens.to_bits() == bsens.to_bits()
+                });
+        if same {
+            return false;
+        }
+        // A form never holds more than `per_form` terms, so its length
+        // fits the `u32` of a slot.
+        let len = terms.len() as u32;
+        let off = if len <= s.cap {
+            self.terms[s.off..s.off + terms.len()].copy_from_slice(terms);
+            s.off
+        } else {
+            self.dead += s.cap as usize;
+            if self.dead > 0 && self.terms.len() + terms.len() > self.terms.capacity() {
+                // The old terms are dead: compaction must not keep them.
+                self.slots[net].cap = 0;
+                self.compact();
+            }
+            self.terms.extend_from_slice(terms);
+            self.terms.len() - terms.len()
+        };
+        self.slots[net] = Slot {
+            mean,
+            resid,
+            off,
+            len,
+            cap: s.cap.max(len),
+        };
+        true
+    }
+
+    /// Move every slot's terms down over the dead ones, in offset order,
+    /// within the vector's own allocation. Live terms never exceed the
+    /// reserved upper bound, so after this the tail has room again.
+    fn compact(&mut self) {
+        let mut order: Vec<u32> = (0..self.slots.len() as u32)
+            .filter(|&n| self.slots[n as usize].cap > 0)
+            .collect();
+        order.sort_unstable_by_key(|&n| self.slots[n as usize].off);
+        let mut at = 0usize;
+        for &n in &order {
+            let s = &mut self.slots[n as usize];
+            self.terms.copy_within(s.off..s.off + s.len as usize, at);
+            s.off = at;
+            at += s.cap as usize;
+        }
+        for s in &mut self.slots {
+            if s.cap == 0 {
+                s.off = 0;
+            }
+        }
+        self.terms.truncate(at);
+        self.dead = 0;
     }
 }
 
@@ -500,6 +588,80 @@ struct GateScratch {
     out_terms: Vec<Term>,
     /// Tightness weights: each gate's full arc row.
     out_w: Vec<f64>,
+}
+
+/// What the forward pass leaves behind and starts from: every net's
+/// arrival form, every arc's tightness weight, and the gates to evaluate
+/// whatever their inputs do. A first analysis starts from an empty arena
+/// with every gate dirty; a re-analysis starts from the last one's with
+/// only the gates whose arc model changed dirty.
+struct ForwardState {
+    arena: FormArena,
+    weights: Vec<f64>,
+    dirty: Vec<bool>,
+    /// Per net: its form changed bits during the current pass.
+    changed: Vec<bool>,
+}
+
+impl ForwardState {
+    fn new(core: &Core<'_>, max_local_terms: usize) -> Self {
+        ForwardState {
+            arena: FormArena::new(core, max_local_terms),
+            weights: vec![0.0; core.arcs.len()],
+            dirty: vec![true; core.n_gates()],
+            changed: vec![false; core.nets.len()],
+        }
+    }
+}
+
+/// What each gate's arcs were modelled at: the bits of every net's slew
+/// and load, and every gate's cell.
+struct ModelInputs {
+    slew: Vec<u64>,
+    load: Vec<u64>,
+    cell: Vec<u32>,
+}
+
+impl ModelInputs {
+    fn of(core: &Core<'_>) -> Self {
+        ModelInputs {
+            slew: core.nets.iter().map(|n| n.slew.to_bits()).collect(),
+            load: core.loads.iter().map(|l| l.to_bits()).collect(),
+            cell: core.cell_idx.clone(),
+        }
+    }
+
+    /// Catch up with `core`, returning, ascending, the gates whose model
+    /// inputs changed bits: the combinational sinks of a net whose slew
+    /// changed, the driver of a net whose load changed, and every gate
+    /// whose cell changed.
+    fn refresh(&mut self, core: &Core<'_>) -> Vec<u32> {
+        let mut stale = Vec::new();
+        for ni in 0..self.slew.len() {
+            let slew = core.nets[ni].slew.to_bits();
+            if slew != self.slew[ni] {
+                self.slew[ni] = slew;
+                let sinks = core.sinks(ni).iter().map(|&(g, _)| g);
+                stale.extend(sinks.filter(|&g| !core.is_seq[g as usize]));
+            }
+            let load = core.loads[ni].to_bits();
+            if load != self.load[ni] {
+                self.load[ni] = load;
+                if core.driver[ni] != NONE_U32 {
+                    stale.push(core.driver[ni]);
+                }
+            }
+        }
+        for (gi, cell) in self.cell.iter_mut().enumerate() {
+            if *cell != core.cell_idx[gi] {
+                *cell = core.cell_idx[gi];
+                stale.push(gi as u32);
+            }
+        }
+        stale.sort_unstable();
+        stale.dedup();
+        stale
+    }
 }
 
 /// Interpolate mean and sigma delay for one arc pair at a (slew, load)
@@ -596,6 +758,14 @@ pub struct SstaOptions {
     /// residual. Bounds memory and propagation cost to `O(arcs ×
     /// max_local_terms)` at a small, deterministic accuracy cost.
     pub max_local_terms: usize,
+}
+
+/// Relative sigma of the shared die-level source (0 in `LocalOnly`).
+fn global_rel(opts: SstaOptions) -> f64 {
+    match opts.mode {
+        VariationMode::GlobalAndLocal => opts.corner.global_rel_sigma() * opts.sigma_scale,
+        VariationMode::LocalOnly => 0.0,
+    }
 }
 
 impl Default for SstaOptions {
@@ -860,6 +1030,16 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         stat: &StatLibrary,
         opts: SstaOptions,
     ) -> Result<Self, StaError> {
+        let _span = varitune_trace::span!("sta.ssta.build");
+        Self::model_all(graph, stat, opts)
+    }
+
+    /// [`SstaModel::build`] without its span.
+    fn model_all(
+        graph: &'g TimingGraph<'l>,
+        stat: &StatLibrary,
+        opts: SstaOptions,
+    ) -> Result<Self, StaError> {
         if !opts.sigma_scale.is_finite() || opts.sigma_scale < 0.0 {
             return Err(StaError::InvalidParameter {
                 reason: format!(
@@ -868,90 +1048,120 @@ impl<'g, 'l> SstaModel<'g, 'l> {
                 ),
             });
         }
-        let _span = varitune_trace::span!("sta.ssta.build");
         let core = graph.core();
-        let f = opts.corner.delay_factor();
         let n_arcs = core.arcs.len();
-        let mut arc_mean = vec![0.0f64; n_arcs];
-        let mut arc_rel = vec![0.0f64; n_arcs];
-        // Sigma-arc resolution is per distinct (cell, shape); memoize it.
-        let mut resolved: HashMap<(u32, usize, usize, bool), Vec<&TimingArc>> = HashMap::new();
+        let (stage_off, schedule) = core.stage_schedule();
+        let mut model = SstaModel {
+            core,
+            opts,
+            arc_mean: vec![0.0; n_arcs],
+            arc_rel: vec![0.0; n_arcs],
+            global_rel: global_rel(opts),
+            stage_off,
+            schedule,
+        };
+        let mut resolved = HashMap::new();
         for gi in 0..core.n_gates() {
-            let inputs = core.gate_inputs(gi);
-            let n_in = inputs.len();
-            let n_out = core.gate_outputs(gi).len();
-            let seq = core.is_seq[gi];
-            let cell_idx = core.cell_idx[gi];
-            let key = (cell_idx, n_in, n_out, seq);
-            let sigma_arcs: &Vec<&TimingArc> = match resolved.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    let cell_name = &core.lib.cells[cell_idx as usize].name;
-                    v.insert(resolve_sigma_arcs(
-                        &stat.sigma,
-                        gi,
-                        cell_name,
-                        n_in,
-                        n_out,
-                        seq,
-                    )?)
-                }
-            };
-            let arc_base = core.arc_off[gi] as usize;
-            let mean_arcs = &core.arcs[arc_base..core.arc_off[gi + 1] as usize];
-            if mean_arcs.len() != sigma_arcs.len() {
-                return Err(StaError::MismatchedInput {
-                    reason: format!(
-                        "gate #{gi}: {} mean arcs vs {} sigma arcs",
-                        mean_arcs.len(),
-                        sigma_arcs.len()
-                    ),
-                });
+            model.model_gate(gi, stat, &mut resolved)?;
+        }
+        varitune_trace::add("sta.ssta.arcs_modeled", n_arcs as u64);
+        Ok(model)
+    }
+
+    /// Model gate `gi`'s arcs at the graph's current cell, slews and loads.
+    /// Returns whether any arc's mean or relative sigma changed bits.
+    /// `resolved` memoizes sigma-arc resolution per distinct (cell, shape).
+    fn model_gate<'s>(
+        &mut self,
+        gi: usize,
+        stat: &'s StatLibrary,
+        resolved: &mut HashMap<(u32, usize, usize, bool), Vec<&'s TimingArc>>,
+    ) -> Result<bool, StaError> {
+        let core = self.core;
+        let inputs = core.gate_inputs(gi);
+        let n_in = inputs.len();
+        let n_out = core.gate_outputs(gi).len();
+        let seq = core.is_seq[gi];
+        let cell_idx = core.cell_idx[gi];
+        let sigma_arcs: &Vec<&TimingArc> = match resolved.entry((cell_idx, n_in, n_out, seq)) {
+            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+            std::collections::hash_map::Entry::Vacant(v) => {
+                let cell_name = &core.lib.cells[cell_idx as usize].name;
+                v.insert(resolve_sigma_arcs(
+                    &stat.sigma,
+                    gi,
+                    cell_name,
+                    n_in,
+                    n_out,
+                    seq,
+                )?)
             }
-            for j in 0..n_out {
-                let out = core.gate_outputs(gi)[j] as usize;
-                let load = core.loads[out];
-                if seq {
-                    let (m, s) =
-                        stat_delay(mean_arcs[j], sigma_arcs[j], core.config.clock_slew, load)?;
-                    let ai = arc_base + j;
-                    arc_mean[ai] = m * f;
-                    arc_rel[ai] = if m > 0.0 {
-                        (s / m).max(0.0) * opts.sigma_scale
-                    } else {
-                        0.0
-                    };
-                } else {
-                    for (k, &inp) in inputs.iter().enumerate() {
-                        let slew = core.nets[inp as usize].slew;
-                        let row = j * n_in + k;
-                        let (m, s) = stat_delay(mean_arcs[row], sigma_arcs[row], slew, load)?;
-                        let ai = arc_base + row;
-                        arc_mean[ai] = m * f;
-                        arc_rel[ai] = if m > 0.0 {
-                            (s / m).max(0.0) * opts.sigma_scale
-                        } else {
-                            0.0
-                        };
-                    }
+        };
+        let arc_base = core.arc_off[gi] as usize;
+        let mean_arcs = &core.arcs[arc_base..core.arc_off[gi + 1] as usize];
+        if mean_arcs.len() != sigma_arcs.len() {
+            return Err(StaError::MismatchedInput {
+                reason: format!(
+                    "gate #{gi}: {} mean arcs vs {} sigma arcs",
+                    mean_arcs.len(),
+                    sigma_arcs.len()
+                ),
+            });
+        }
+        let f = self.opts.corner.delay_factor();
+        let mut changed = false;
+        let mut set = |row: usize, (m, s): (f64, f64)| {
+            let ai = arc_base + row;
+            let mean = m * f;
+            let rel = if m > 0.0 {
+                (s / m).max(0.0) * self.opts.sigma_scale
+            } else {
+                0.0
+            };
+            changed |= mean.to_bits() != self.arc_mean[ai].to_bits()
+                || rel.to_bits() != self.arc_rel[ai].to_bits();
+            self.arc_mean[ai] = mean;
+            self.arc_rel[ai] = rel;
+        };
+        for j in 0..n_out {
+            let load = core.loads[core.gate_outputs(gi)[j] as usize];
+            if seq {
+                let slew = core.config.clock_slew;
+                set(j, stat_delay(mean_arcs[j], sigma_arcs[j], slew, load)?);
+            } else {
+                for (k, &inp) in inputs.iter().enumerate() {
+                    let slew = core.nets[inp as usize].slew;
+                    let row = j * n_in + k;
+                    set(
+                        row,
+                        stat_delay(mean_arcs[row], sigma_arcs[row], slew, load)?,
+                    );
                 }
             }
         }
-        let global_rel = match opts.mode {
-            VariationMode::GlobalAndLocal => opts.corner.global_rel_sigma() * opts.sigma_scale,
-            VariationMode::LocalOnly => 0.0,
-        };
-        let (stage_off, schedule) = core.stage_schedule();
-        varitune_trace::add("sta.ssta.arcs_modeled", n_arcs as u64);
-        Ok(SstaModel {
-            core,
-            opts,
-            arc_mean,
-            arc_rel,
-            global_rel,
-            stage_off,
-            schedule,
-        })
+        Ok(changed)
+    }
+
+    /// Bring a retained model up to date with the graph: re-model only the
+    /// gates whose cell, input slew or output load changed bits since
+    /// `inputs` was taken, and mark dirty the ones whose arc model changed.
+    fn remodel(
+        &mut self,
+        stat: &StatLibrary,
+        inputs: &mut ModelInputs,
+        dirty: &mut [bool],
+    ) -> Result<(), StaError> {
+        let mut resolved = HashMap::new();
+        let mut arcs = 0usize;
+        for g in inputs.refresh(self.core) {
+            let gi = g as usize;
+            if self.model_gate(gi, stat, &mut resolved)? {
+                dirty[gi] = true;
+            }
+            arcs += self.gate_weight_len(gi);
+        }
+        varitune_trace::add("sta.ssta.arcs_modeled", arcs as u64);
+        Ok(())
     }
 
     /// Raw per-arc model ingredients `(arc_mean, arc_rel, global_rel)` in
@@ -1096,36 +1306,27 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         Ok(())
     }
 
-    /// Append the output forms `sc` holds for `list`'s gates to the arena,
-    /// write their tightness weights into `weights`, and empty `sc`'s
-    /// outputs for the next batch.
-    fn commit(
-        &self,
-        list: &[u32],
-        sc: &mut GateScratch,
-        arena: &mut FormArena,
-        weights: &mut [f64],
-    ) {
-        let mut off = arena.terms.len();
-        arena.terms.extend_from_slice(&sc.out_terms);
-        let outs = list
-            .iter()
-            .flat_map(|&g| self.core.gate_outputs(g as usize));
-        for (&out, &(mean, resid, len)) in outs.zip(&sc.out_forms) {
-            arena.slots[out as usize] = Slot {
-                mean,
-                resid,
-                off,
-                len,
-            };
-            off += len;
-        }
-        let mut wi = 0usize;
+    /// Store the output forms `sc` holds for `list`'s gates in the arena,
+    /// write their tightness weights, and empty `sc`'s outputs for the next
+    /// batch. Marks the nets whose form changed bits; a bit-identical form
+    /// leaves the cone below it clean.
+    fn commit(&self, list: &[u32], sc: &mut GateScratch, fwd: &mut ForwardState) {
+        let core = self.core;
+        let (mut fi, mut ti, mut wi) = (0usize, 0usize, 0usize);
         for &g in list {
             let gi = g as usize;
-            let arc_base = self.core.arc_off[gi] as usize;
+            for &out in core.gate_outputs(gi) {
+                let (mean, resid, len) = sc.out_forms[fi];
+                fi += 1;
+                let terms = &sc.out_terms[ti..ti + len];
+                ti += len;
+                if fwd.arena.write(out as usize, mean, resid, terms) {
+                    fwd.changed[out as usize] = true;
+                }
+            }
+            let arc_base = core.arc_off[gi] as usize;
             let n_w = self.gate_weight_len(gi);
-            weights[arc_base..arc_base + n_w].copy_from_slice(&sc.out_w[wi..wi + n_w]);
+            fwd.weights[arc_base..arc_base + n_w].copy_from_slice(&sc.out_w[wi..wi + n_w]);
             wi += n_w;
         }
         sc.out_forms.clear();
@@ -1133,15 +1334,15 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         sc.out_w.clear();
     }
 
-    /// Propagate one levelized stage, sharded exactly like the
-    /// deterministic engine (same shard size, same worker rule, shard-order
-    /// commit) so forms are bit-identical at any thread count. The serial
-    /// path walks the same shard ranges with the caller's scratch.
+    /// Propagate one levelized stage's dirty gates, sharded exactly like
+    /// the deterministic engine (same shard size, same worker rule,
+    /// shard-order commit) so forms are bit-identical at any thread count.
+    /// The serial path walks the same shard ranges with the caller's
+    /// scratch.
     fn propagate_stage(
         &self,
         list: &[u32],
-        arena: &mut FormArena,
-        weights: &mut [f64],
+        fwd: &mut ForwardState,
         sc: &mut GateScratch,
     ) -> Result<(), StaError> {
         let workers = if self.core.threads == 1 {
@@ -1151,12 +1352,12 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         };
         if workers <= 1 || list.len() < MIN_PARALLEL_WIDTH {
             for chunk in list.chunks(SHARD_GATES) {
-                self.eval_gates(chunk, arena, sc)?;
-                self.commit(chunk, sc, arena, weights);
+                self.eval_gates(chunk, &fwd.arena, sc)?;
+                self.commit(chunk, sc, fwd);
             }
             return Ok(());
         }
-        let read: &FormArena = arena;
+        let read = &fwd.arena;
         let shards: Vec<Result<GateScratch, StaError>> =
             run_shards(list.len(), SHARD_GATES, workers, |_, range| {
                 let mut shard = GateScratch::default();
@@ -1166,34 +1367,73 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         // Commit in shard order: the same order as the serial path. Shard
         // boundaries are a pure function of (len, SHARD_GATES).
         for (chunk, shard) in list.chunks(SHARD_GATES).zip(shards) {
-            self.commit(chunk, &mut shard?, arena, weights);
+            self.commit(chunk, &mut shard?, fwd);
         }
         Ok(())
     }
 
+    /// The forward pass, stage by stage in schedule order: evaluate each
+    /// gate that is dirty or, if combinational (a launch does not read its
+    /// data input), has an input whose form changed in this pass. A gate's
+    /// inputs come from earlier stages, so one ascending sweep converges.
+    fn propagate(&self, fwd: &mut ForwardState, sc: &mut GateScratch) -> Result<(), StaError> {
+        let core = self.core;
+        let mut list: Vec<u32> = Vec::new();
+        let mut evaluated = 0usize;
+        fwd.changed.fill(false);
+        for s in 0..self.stage_off.len() - 1 {
+            let stage = &self.schedule[self.stage_off[s] as usize..self.stage_off[s + 1] as usize];
+            list.clear();
+            for &g in stage {
+                let gi = g as usize;
+                if std::mem::take(&mut fwd.dirty[gi])
+                    || !core.is_seq[gi]
+                        && core
+                            .gate_inputs(gi)
+                            .iter()
+                            .any(|&n| fwd.changed[n as usize])
+                {
+                    list.push(g);
+                }
+            }
+            if list.is_empty() {
+                continue;
+            }
+            self.propagate_stage(&list, fwd, sc)?;
+            evaluated += list.len();
+        }
+        varitune_trace::add("sta.ssta.gates_evaluated", evaluated as u64);
+        Ok(())
+    }
+
     /// Run the full statistical analysis: forward propagation, endpoint
-    /// fold, and backward criticality.
+    /// fold, and backward criticality. Every gate is evaluated, from an
+    /// empty arena: the same propagation [`analyze_ssta`] runs on a first
+    /// analysis.
     ///
     /// # Errors
     ///
     /// Propagation errors ([`StaError::MalformedGate`],
     /// [`StaError::MissingArc`]) if the graph state is inconsistent.
     pub fn analyze(&self) -> Result<SstaReport, StaError> {
+        self.analyze_from(None).map(|(report, _)| report)
+    }
+
+    /// [`SstaModel::analyze`] from a retained forward state (a fresh one
+    /// when `None`): propagate its dirty gates, then fold every endpoint
+    /// and walk every gate back. Returns the forward state for reuse.
+    fn analyze_from(
+        &self,
+        fwd: Option<ForwardState>,
+    ) -> Result<(SstaReport, ForwardState), StaError> {
         let _span = varitune_trace::span!("sta.ssta.analyze");
         varitune_trace::add("sta.ssta.analyses", 1);
         let core = self.core;
         let n_nets = core.nets.len();
-        let mut arena = FormArena::new(core, self.opts.max_local_terms);
-        let mut weights = vec![0.0f64; core.arcs.len()];
+        let mut fwd = fwd.unwrap_or_else(|| ForwardState::new(core, self.opts.max_local_terms));
         let mut sc = GateScratch::default();
+        self.propagate(&mut fwd, &mut sc)?;
         let n_stages = self.stage_off.len() - 1;
-        for s in 0..n_stages {
-            let list = &self.schedule[self.stage_off[s] as usize..self.stage_off[s + 1] as usize];
-            if list.is_empty() {
-                continue;
-            }
-            self.propagate_stage(list, &mut arena, &mut weights, &mut sc)?;
-        }
 
         // Endpoint fold: W = max over endpoints of (arrival − required +
         // period), the minimum feasible clock period. The tightness
@@ -1211,7 +1451,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         let (mut d_mean, mut d_resid) = (f64::NEG_INFINITY, 0.0);
         sc.acc.clear();
         for (e, ep) in core.endpoints.iter().enumerate() {
-            let form = arena.view(ep.net.0 as usize);
+            let form = fwd.arena.view(ep.net.0 as usize);
             let shifted = FormView {
                 mean: form.mean + (t_clk - ep.required),
                 ..form
@@ -1259,11 +1499,10 @@ impl<'g, 'l> SstaModel<'g, 'l> {
 
         let (arrival_mean, arrival_sigma): (Vec<f64>, Vec<f64>) = (0..n_nets)
             .map(|ni| {
-                let form = arena.view(ni);
+                let form = fwd.arena.view(ni);
                 (form.mean, form.variance().sqrt())
             })
             .unzip();
-        drop(arena);
         let endpoints: Vec<SstaEndpoint> = core
             .endpoints
             .iter()
@@ -1309,7 +1548,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
                         continue;
                     }
                     for (k, &inp) in inputs.iter().enumerate() {
-                        let w = weights[arc_base + j * n_in + k];
+                        let w = fwd.weights[arc_base + j * n_in + k];
                         if w != 0.0 {
                             net_crit[inp as usize] += co * w;
                         }
@@ -1318,7 +1557,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             }
         }
 
-        Ok(SstaReport {
+        let report = SstaReport {
             corner: self.opts.corner,
             mode: self.opts.mode,
             sigma_scale: self.opts.sigma_scale,
@@ -1328,7 +1567,8 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             gate_criticality: gate_crit,
             arrival_mean,
             arrival_sigma,
-        })
+        };
+        Ok((report, fwd))
     }
 
     /// Graph-level Monte Carlo over the *same* arc model: each trial
@@ -1481,7 +1721,84 @@ impl<'g, 'l> SstaModel<'g, 'l> {
     }
 }
 
+/// What a retained state was analyzed for: the graph (its id), the
+/// statistical library (its address) and the bits of the options.
+#[derive(PartialEq)]
+struct RetainKey {
+    graph: u64,
+    stat: usize,
+    opts: (ProcessCorner, VariationMode, u64, usize),
+}
+
+impl RetainKey {
+    /// `None` unless the graph was built over `stat.mean` itself: then the
+    /// graph's borrow pins the library for as long as its id lives.
+    fn new(graph: &TimingGraph<'_>, stat: &StatLibrary, opts: SstaOptions) -> Option<Self> {
+        std::ptr::eq(graph.lib(), &stat.mean).then(|| RetainKey {
+            graph: graph.id(),
+            stat: std::ptr::from_ref(stat) as usize,
+            opts: (
+                opts.corner,
+                opts.mode,
+                opts.sigma_scale.to_bits(),
+                opts.max_local_terms,
+            ),
+        })
+    }
+}
+
+/// The state [`analyze_ssta`] keeps between analyses of one graph: the
+/// model's owned half, the forward state and what the model was built at.
+struct Retained {
+    key: RetainKey,
+    opts: SstaOptions,
+    arc_mean: Vec<f64>,
+    arc_rel: Vec<f64>,
+    stage_off: Vec<u32>,
+    schedule: Vec<u32>,
+    fwd: ForwardState,
+    inputs: ModelInputs,
+}
+
+/// At most one retained state per process: the one for the graph analyzed
+/// last.
+static RETAINED: Mutex<Option<Retained>> = Mutex::new(None);
+
+fn retained() -> MutexGuard<'static, Option<Retained>> {
+    // A panic while the lock is held cannot leave a half-written state:
+    // the lock only guards a take or a put.
+    RETAINED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Release the retained state: whichever graph it belongs to (`None`), or
+/// only if it belongs to graph `id`. The memory is freed outside the lock.
+pub(crate) fn release_retained(graph: Option<u64>) {
+    let held = {
+        let mut slot = retained();
+        match (graph, slot.as_ref()) {
+            (Some(id), Some(r)) if r.key.graph != id => None,
+            _ => slot.take(),
+        }
+    };
+    drop(held);
+}
+
 /// Build the model and run the analysis in one call.
+///
+/// Called again on the same graph with the same `stat` and `opts`, and no
+/// structural edit in between, the analysis is incremental: it re-models
+/// only the gates whose cell, input slew or output load changed bits,
+/// re-evaluates only the gates whose arc model or an input form changed,
+/// and stops wherever a recomputed form is bit-identical to the last one.
+/// The endpoint fold and the criticality back-pass stay full. The report
+/// is bit-identical to a fresh [`SstaModel::analyze`].
+///
+/// The state this needs is kept for one graph per process, and only when
+/// the graph was built over `&stat.mean` itself (see [`SstaModel::build`]);
+/// `stat` must then not change between the analyses it serves. Building
+/// any [`TimingGraph`], editing this one structurally, dropping it,
+/// analyzing another graph, and an analysis that returns an error each
+/// release the state, so the next analysis is a full one.
 ///
 /// # Errors
 ///
@@ -1491,7 +1808,58 @@ pub fn analyze_ssta(
     stat: &StatLibrary,
     opts: SstaOptions,
 ) -> Result<SstaReport, StaError> {
-    SstaModel::build(graph, stat, opts)?.analyze()
+    let key = RetainKey::new(graph, stat, opts);
+    // Take the state out, so an analysis that fails retains nothing and
+    // the lock is never held while one runs. A state kept for anything
+    // else is dropped here, before the model is built.
+    let held = retained().take().filter(|r| key.as_ref() == Some(&r.key));
+    let (model, fwd, inputs) = {
+        let _span = varitune_trace::span!("sta.ssta.build");
+        match held {
+            Some(r) => {
+                let mut model = SstaModel {
+                    core: graph.core(),
+                    opts: r.opts,
+                    arc_mean: r.arc_mean,
+                    arc_rel: r.arc_rel,
+                    global_rel: global_rel(r.opts),
+                    stage_off: r.stage_off,
+                    schedule: r.schedule,
+                };
+                let (mut fwd, mut inputs) = (r.fwd, r.inputs);
+                model.remodel(stat, &mut inputs, &mut fwd.dirty)?;
+                (model, Some(fwd), Some(inputs))
+            }
+            None => {
+                let model = SstaModel::model_all(graph, stat, opts)?;
+                let inputs = key.is_some().then(|| ModelInputs::of(model.core));
+                (model, None, inputs)
+            }
+        }
+    };
+    let (report, fwd) = model.analyze_from(fwd)?;
+    if let (Some(key), Some(inputs)) = (key, inputs) {
+        let SstaModel {
+            opts,
+            arc_mean,
+            arc_rel,
+            stage_off,
+            schedule,
+            ..
+        } = model;
+        let old = retained().replace(Retained {
+            key,
+            opts,
+            arc_mean,
+            arc_rel,
+            stage_off,
+            schedule,
+            fwd,
+            inputs,
+        });
+        drop(old);
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1699,6 +2067,56 @@ mod tests {
                     want.resid.to_bits(),
                     "M={max_local} on {f:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn arena_rewrites_in_place_and_compacts_without_reallocating() {
+        let stat = stat_fixture();
+        let graph = graph_fixture(&stat, 1);
+        let core = graph.core();
+        // M = 2: a form holds at most 3 terms, and the arena reserves 3
+        // per driven net.
+        let mut arena = FormArena::new(core, 2);
+        let driven: Vec<usize> = (0..core.nets.len())
+            .filter(|&n| core.driver[n] != NONE_U32)
+            .collect();
+        let (cap, base) = (arena.terms.capacity(), arena.terms.as_ptr());
+        let form = |net: usize, len: usize, round: u32| -> (f64, Vec<Term>) {
+            let terms = (0..len as u32)
+                .map(|i| Term {
+                    key: i,
+                    sens: f64::from(round) + net as f64 / 64.0,
+                })
+                .collect();
+            (f64::from(round), terms)
+        };
+        let mut want: Vec<Option<(f64, Vec<Term>)>> = vec![None; core.nets.len()];
+        let bits = |t: &[Term]| {
+            t.iter()
+                .map(|t| (t.key, t.sens.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        // Grow every form from 1 to 3 terms (each growth moves it to the
+        // tail), then shrink to 2 (in place), then regrow to 3 (in place).
+        // The moves alone append 6 terms per net against the 3 reserved,
+        // so a vector that neither grows nor moves has compacted.
+        for (round, len) in [1usize, 2, 3, 2, 3].into_iter().enumerate() {
+            for &net in &driven {
+                let (mean, terms) = form(net, len, round as u32);
+                assert!(arena.write(net, mean, 0.5, &terms));
+                // The identical form again is no change.
+                assert!(!arena.write(net, mean, 0.5, &terms));
+                want[net] = Some((mean, terms));
+                for (n, w) in want.iter().enumerate() {
+                    let Some((mean, terms)) = w else { continue };
+                    let v = arena.view(n);
+                    assert_eq!(v.mean.to_bits(), mean.to_bits(), "net {n}");
+                    assert_eq!(bits(v.terms), bits(terms), "net {n}");
+                }
+                assert_eq!(arena.terms.capacity(), cap, "the term vector grew");
+                assert_eq!(arena.terms.as_ptr(), base, "the term vector moved");
             }
         }
     }
