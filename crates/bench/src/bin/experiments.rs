@@ -1,82 +1,41 @@
 //! Experiment runner: regenerates every table and figure of the paper.
+//! Run with `--help` for the flags and ids.
 //!
-//! ```text
-//! experiments [--scale small|paper] [--threads N] [--trace PATH] [all | <id> ...]
-//! ```
-//!
-//! Ids: fig1..fig16, tab1..tab3. `all` (the default) runs everything in
-//! reporting order. `--scale paper` uses the 304-cell library, 50 MC
-//! libraries and the ~20 k-gate design; `--scale small` is a fast sanity
-//! run. `--threads N` sets the Monte-Carlo characterization worker count
-//! (`0` = all cores, the default); results are bit-identical for any N.
-//! `--trace PATH` writes a `varitune-trace` flow trace of the whole run.
+//! Ids: fig1..fig16, tab1..tab3 and the ablations; `all` (the default)
+//! runs everything in reporting order. `--scale paper` (the default) uses
+//! the 304-cell library, 50 MC libraries and the ~20 k-gate design;
+//! `--scale small` is a fast sanity run. `--threads N` sets the
+//! Monte-Carlo characterization worker count (`0` = all cores, the
+//! default); results are bit-identical for any N. `--trace PATH` writes a
+//! `varitune-trace` flow trace of the whole run.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use varitune_bench::experiments::{run_experiment, ALL_IDS};
-use varitune_bench::trace::run_traced;
+use varitune_bench::harness::{self, Args, Kind, Spec};
 use varitune_bench::{Ctx, Scale};
 
+const SPEC: Spec = Spec {
+    name: "experiments",
+    flags: &[
+        ("--scale", Kind::Choice(&["paper", "small"]), "sizes"),
+        ("--threads", Kind::Int(0), "MC workers, 0 = all cores"),
+    ],
+    out: None,
+    ids: Some(&ALL_IDS),
+};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::paper();
-    let mut threads: usize = 0;
-    let mut trace: Option<String> = None;
-    let mut ids: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => match it.next().as_deref() {
-                Some("paper") => scale = Scale::paper(),
-                Some("small") => scale = Scale::small(),
-                other => {
-                    eprintln!("--scale expects `small` or `paper`, got {other:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => threads = n,
-                None => {
-                    eprintln!("--threads expects a non-negative integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace" => match it.next() {
-                Some(p) => trace = Some(p),
-                None => {
-                    eprintln!("--trace expects a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [--scale small|paper] [--threads N] [--trace PATH] \
-                     [all | <id> ...]"
-                );
-                eprintln!("ids: {}", ALL_IDS.join(" "));
-                return ExitCode::SUCCESS;
-            }
-            "all" => ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
-            id => ids.push(id.to_string()),
-        }
-    }
-    if ids.is_empty() {
-        ids.extend(ALL_IDS.iter().map(|s| s.to_string()));
-    }
-    for id in &ids {
-        if !ALL_IDS.contains(&id.as_str()) {
-            eprintln!("unknown experiment `{id}`; known: {}", ALL_IDS.join(" "));
-            return ExitCode::FAILURE;
-        }
-    }
-
-    scale.flow.threads = threads;
-
-    run_traced(trace.as_deref(), || run(scale, &ids))
+    harness::main(&SPEC, std::env::args(), run)
 }
 
-fn run(scale: Scale, ids: &[String]) -> ExitCode {
+fn run(args: &Args) -> Result<(), String> {
+    let mut scale = match args.choice("--scale") {
+        "small" => Scale::small(),
+        _ => Scale::paper(),
+    };
+    scale.flow.threads = args.int("--threads") as usize;
     eprintln!(
         "[experiments] preparing context at scale `{}`...",
         scale.label
@@ -91,7 +50,7 @@ fn run(scale: Scale, ids: &[String]) -> ExitCode {
         ctx.flow.netlist.gates.len()
     );
 
-    for id in ids {
+    for id in args.ids() {
         let t = Instant::now();
         let out = run_experiment(&ctx, id);
         println!("==================== {id} ====================");
@@ -101,5 +60,5 @@ fn run(scale: Scale, ids: &[String]) -> ExitCode {
             t.elapsed().as_secs_f64()
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -14,18 +14,15 @@
 //!
 //! All randomness comes from `varitune_variation::rng` seed derivation —
 //! no wall clock, no OS entropy — so `BENCH_fault.json` is bit-identical
-//! across reruns and thread counts.
-//!
-//! ```text
-//! fault_harness [--ops N] [--seed S] [--threads T] [--out PATH] [--trace PATH]
-//! ```
+//! across reruns and `--threads` values (the flow's worker count, where
+//! `0` means all cores). Run with `--help` for the flags.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::process::ExitCode;
 
 use varitune_bench::corrupt::{corrupt_liberty, corrupt_netlist, LIBERTY_OPS, NETLIST_OPS};
-use varitune_bench::trace::run_traced;
+use varitune_bench::harness::{self, Args, Kind, Obj, Spec};
 use varitune_core::flow::{Flow, FlowConfig, FlowError};
 use varitune_core::{Degradation, Strictness};
 use varitune_libchar::{generate_nominal, GenerateConfig};
@@ -34,51 +31,25 @@ use varitune_netlist::{generate_mcu, McuConfig};
 use varitune_synth::{synthesize, LibraryConstraints, SynthConfig, SynthesisResult};
 use varitune_variation::rng::rng_from;
 
-fn main() -> ExitCode {
-    let mut ops = 64usize;
-    let mut seed = 7u64;
-    let mut threads = 0usize;
-    let mut out = "BENCH_fault.json".to_string();
-    let mut trace: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--ops" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => ops = n,
-                _ => return usage("--ops expects a positive integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => seed = s,
-                None => return usage("--seed expects a u64"),
-            },
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(t) => threads = t,
-                None => return usage("--threads expects an integer"),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = p,
-                None => return usage("--out expects a path"),
-            },
-            "--trace" => match it.next() {
-                Some(p) => trace = Some(p),
-                None => return usage("--trace expects a path"),
-            },
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: fault_harness [--ops N] [--seed S] [--threads T] [--out PATH] \
-                     [--trace PATH]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => return usage(&format!("unknown argument `{other}`")),
-        }
-    }
+const SPEC: Spec = Spec {
+    name: "fault_harness",
+    flags: &[
+        ("--ops", Kind::Count(64), "corruption scenarios"),
+        ("--seed", Kind::Int(7), "master seed"),
+        ("--threads", Kind::Int(0), "flow workers, 0 = all cores"),
+    ],
+    out: Some("BENCH_fault.json"),
+    ids: None,
+};
 
-    run_traced(trace.as_deref(), || run(ops, seed, threads, &out))
+fn main() -> ExitCode {
+    harness::main(&SPEC, std::env::args(), run)
 }
 
-fn run(ops: usize, seed: u64, threads: usize, out: &str) -> ExitCode {
+fn run(args: &Args) -> Result<(), String> {
+    let ops = args.count("--ops");
+    let seed = args.int("--seed");
+    let threads = args.int("--threads") as usize;
     println!(
         "fault harness: {ops} seeded scenario(s), seed {seed}, {} operator(s)",
         LIBERTY_OPS.len() + NETLIST_OPS.len()
@@ -92,13 +63,8 @@ fn run(ops: usize, seed: u64, threads: usize, out: &str) -> ExitCode {
     let generate = GenerateConfig::full();
     let mcu = McuConfig::small_for_tests();
     let pristine_lib = generate_nominal(&generate);
-    let pristine_text = match write_library(&pristine_lib) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fault_harness: generated library failed to serialize: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let pristine_text = write_library(&pristine_lib)
+        .map_err(|e| format!("generated library failed to serialize: {e}"))?;
     let pristine_mcu = generate_mcu(&mcu);
     let flow_config = |strictness: Strictness| FlowConfig {
         generate: generate.clone(),
@@ -227,35 +193,31 @@ fn run(ops: usize, seed: u64, threads: usize, out: &str) -> ExitCode {
     panic::set_hook(saved_hook);
     drop(scenario_span);
 
-    let json = render_json(
-        ops,
-        seed,
-        panics,
-        accounting_failures,
-        policy_violations,
-        &tally,
-    );
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("fault_harness: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    // No timings and no thread counts: the file must be bit-identical
+    // across reruns and `--threads` values.
+    let operators = tally
+        .iter()
+        .fold(Obj::new(), |obj, (op, t)| obj.with(*op, t.report()));
+    args.write_out(
+        &Obj::new()
+            .with("schema", "varitune-fault-harness/1")
+            .with("ops", ops)
+            .with("seed", seed)
+            .with("operators_exercised", tally.len())
+            .with("panics", panics)
+            .with("accounting_failures", accounting_failures)
+            .with("policy_violations", policy_violations)
+            .with("operators", operators),
+    )?;
     println!(
         "{ops} scenario(s): {panics} panic(s), {accounting_failures} accounting failure(s), \
-         {policy_violations} policy violation(s) -> {out}"
+         {policy_violations} policy violation(s) -> {}",
+        args.out()
     );
     if panics > 0 || accounting_failures > 0 || policy_violations > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        return Err("the ingestion contract does not hold".to_string());
     }
-}
-
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("fault_harness: {msg}");
-    eprintln!(
-        "usage: fault_harness [--ops N] [--seed S] [--threads T] [--out PATH] [--trace PATH]"
-    );
-    ExitCode::FAILURE
+    Ok(())
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -335,7 +297,7 @@ fn run_liberty_scenario(cfg: FlowConfig, text: &str, synth_cfg: &SynthConfig) ->
 }
 
 // ---------------------------------------------------------------------------
-// Tallying and JSON
+// Tallying and the report
 
 #[derive(Clone, Copy, PartialEq)]
 enum Outcome {
@@ -352,6 +314,17 @@ struct PolicyTally {
     succeeded: usize,
     panicked: usize,
     cells_dropped: usize,
+}
+
+impl PolicyTally {
+    fn report(&self) -> Obj {
+        Obj::new()
+            .with("rejected", self.rejected)
+            .with("failed_cleanly", self.failed_cleanly)
+            .with("succeeded", self.succeeded)
+            .with("panicked", self.panicked)
+            .with("cells_dropped", self.cells_dropped)
+    }
 }
 
 #[derive(Default)]
@@ -385,63 +358,17 @@ impl OpTally {
     fn is_netlist(&self) -> bool {
         self.typed_errors + self.clean_successes + self.netlist_panics > 0
     }
-}
 
-fn policy_json(t: &PolicyTally) -> String {
-    format!(
-        "{{\"rejected\": {}, \"failed_cleanly\": {}, \"succeeded\": {}, \
-         \"panicked\": {}, \"cells_dropped\": {}}}",
-        t.rejected, t.failed_cleanly, t.succeeded, t.panicked, t.cells_dropped
-    )
-}
-
-fn render_json(
-    ops: usize,
-    seed: u64,
-    panics: usize,
-    accounting_failures: usize,
-    policy_violations: usize,
-    tally: &BTreeMap<&str, OpTally>,
-) -> String {
-    // No timings and no thread counts: the file must be bit-identical
-    // across reruns and `--threads` values.
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"varitune-fault-harness/1\",\n");
-    s.push_str(&format!("  \"ops\": {ops},\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!(
-        "  \"operators_exercised\": {},\n  \"panics\": {panics},\n",
-        tally.len()
-    ));
-    s.push_str(&format!(
-        "  \"accounting_failures\": {accounting_failures},\n"
-    ));
-    s.push_str(&format!("  \"policy_violations\": {policy_violations},\n"));
-    s.push_str("  \"operators\": {\n");
-    let mut first = true;
-    for (op, t) in tally {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        if t.is_netlist() {
-            s.push_str(&format!(
-                "    \"{op}\": {{\"scenarios\": {}, \"typed_errors\": {}, \
-                 \"clean_successes\": {}, \"panics\": {}}}",
-                t.scenarios, t.typed_errors, t.clean_successes, t.netlist_panics
-            ));
+    fn report(&self) -> Obj {
+        let row = Obj::new().with("scenarios", self.scenarios);
+        if self.is_netlist() {
+            row.with("typed_errors", self.typed_errors)
+                .with("clean_successes", self.clean_successes)
+                .with("panics", self.netlist_panics)
         } else {
-            s.push_str(&format!(
-                "    \"{op}\": {{\"scenarios\": {}, \"strict\": {}, \
-                 \"quarantine\": {}, \"best_effort\": {}}}",
-                t.scenarios,
-                policy_json(&t.strict),
-                policy_json(&t.quarantine),
-                policy_json(&t.best_effort)
-            ));
+            row.with("strict", self.strict.report())
+                .with("quarantine", self.quarantine.report())
+                .with("best_effort", self.best_effort.report())
         }
     }
-    s.push_str("\n  }\n}\n");
-    s
 }

@@ -1,80 +1,44 @@
 //! Offline Monte-Carlo micro-harness: wall-clock timing with
-//! `std::time::Instant`, no Criterion, no registry dependencies.
-//!
-//! ```text
-//! mc_harness [--libraries N] [--samples N] [--threads N,N,...] [--repeat N]
-//!            [--trace PATH]
-//! ```
+//! `std::time::Instant`, no registry dependencies. Run with `--help` for
+//! the flags.
 //!
 //! Times the two parallel Monte-Carlo kernels — §IV library
 //! characterization ([`generate_mc_libraries_threaded`]) and Fig. 15/16
 //! path simulation ([`simulate_path_threaded`]) — at each requested thread
-//! count, verifies the results are **bit-identical** across all of them,
-//! and reports the speedup relative to the first listed count. Each row is
-//! the best of `--repeat` runs (default 3), which filters scheduler noise;
+//! count, fails unless every run is **bit-identical** to the first, and
+//! reports the speedup relative to the first listed count. Each row is the
+//! best of `--repeat` runs (default 3), which filters scheduler noise;
 //! speedup is only meaningful on a host with at least as many cores as the
 //! largest thread count.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use varitune_bench::trace::run_traced;
+use varitune_bench::harness::{self, best_of, Args, Kind, Spec};
 use varitune_libchar::{generate_mc_libraries_threaded, generate_nominal, GenerateConfig};
 use varitune_variation::mc::{simulate_path_threaded, PathCell, VariationMode};
 use varitune_variation::ProcessCorner;
 
-const DEFAULT_THREADS: [usize; 3] = [1, 2, 4];
+const SPEC: Spec = Spec {
+    name: "mc_harness",
+    flags: &[
+        ("--libraries", Kind::Count(24), "MC libraries"),
+        ("--samples", Kind::Count(200_000), "path MC samples"),
+        ("--threads", Kind::Threads(&[1, 2, 4]), "thread counts"),
+        ("--repeat", Kind::Count(3), "best-of-N runs per row"),
+    ],
+    out: None,
+    ids: None,
+};
 
 fn main() -> ExitCode {
-    let mut libraries = 24usize;
-    let mut samples = 200_000usize;
-    let mut repeat = 3usize;
-    let mut threads: Vec<usize> = DEFAULT_THREADS.to_vec();
-    let mut trace: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--libraries" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => libraries = n,
-                _ => return usage("--libraries expects a positive integer"),
-            },
-            "--samples" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => samples = n,
-                _ => return usage("--samples expects a positive integer"),
-            },
-            "--threads" => match it.next().map(parse_thread_list) {
-                Some(Some(list)) => threads = list,
-                _ => return usage("--threads expects a comma-separated list like 1,2,4"),
-            },
-            "--repeat" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => repeat = n,
-                _ => return usage("--repeat expects a positive integer"),
-            },
-            "--trace" => match it.next() {
-                Some(p) => trace = Some(p),
-                None => return usage("--trace expects a path"),
-            },
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: mc_harness [--libraries N] [--samples N] [--threads N,N,...] \
-                     [--repeat N] [--trace PATH]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => return usage(&format!("unknown argument `{other}`")),
-        }
-    }
-    if threads.is_empty() || threads.contains(&0) {
-        return usage("--threads entries must be explicit positive counts");
-    }
-
-    run_traced(trace.as_deref(), || {
-        run(libraries, samples, repeat, &threads)
-    })
+    harness::main(&SPEC, std::env::args(), run)
 }
 
-fn run(libraries: usize, samples: usize, repeat: usize, threads: &[usize]) -> ExitCode {
+fn run(args: &Args) -> Result<(), String> {
+    let libraries = args.count("--libraries");
+    let samples = args.count("--samples");
+    let threads = args.threads("--threads");
+    let repeat = args.count("--repeat");
     println!("Monte-Carlo micro-harness (std::time::Instant, offline)");
     println!(
         "characterization: {libraries} MC libraries; path MC: {samples} samples; \
@@ -89,21 +53,8 @@ fn run(libraries: usize, samples: usize, repeat: usize, threads: &[usize]) -> Ex
 
     println!("\n[characterization MC] {libraries} perturbed libraries");
     let char_span = varitune_trace::span!("mc_harness.characterization");
-    let mut char_base = None;
-    let mut reference = None;
-    for &t in threads {
-        let mut dt = f64::INFINITY;
-        for _ in 0..repeat {
-            let t0 = Instant::now();
-            let libs = generate_mc_libraries_threaded(&nominal, &cfg, libraries, 7, t);
-            dt = dt.min(t0.elapsed().as_secs_f64());
-            match &reference {
-                None => reference = Some(libs),
-                Some(r) => assert_eq!(r, &libs, "characterization MC must be bit-identical"),
-            }
-        }
-        report_row(t, dt, &mut char_base);
-    }
+    let characterize = |t| generate_mc_libraries_threaded(&nominal, &cfg, libraries, 7, t);
+    sweep("characterization MC", threads, repeat, characterize)?;
     drop(char_span);
 
     // A representative 12-cell path with mid-size relative sigmas.
@@ -120,59 +71,42 @@ fn run(libraries: usize, samples: usize, repeat: usize, threads: &[usize]) -> Ex
         cells.len()
     );
     let path_span = varitune_trace::span!("mc_harness.path_mc");
-    let mut path_base = None;
-    let mut path_ref = None;
-    for &t in threads {
-        let mut dt = f64::INFINITY;
-        for _ in 0..repeat {
-            let t0 = Instant::now();
-            let r = simulate_path_threaded(
-                &cells,
-                ProcessCorner::Slow,
-                VariationMode::GlobalAndLocal,
-                samples,
-                11,
-                t,
-            );
-            dt = dt.min(t0.elapsed().as_secs_f64());
-            match &path_ref {
-                None => path_ref = Some(r),
-                Some(reference) => assert_eq!(reference, &r, "path MC must be bit-identical"),
-            }
-        }
-        report_row(t, dt, &mut path_base);
-    }
+    let (corner, mode) = (ProcessCorner::Slow, VariationMode::GlobalAndLocal);
+    let simulate = |t| simulate_path_threaded(&cells, corner, mode, samples, 11, t);
+    sweep("path MC", threads, repeat, simulate)?;
     drop(path_span);
 
     println!("\nall thread counts produced bit-identical results");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn parse_thread_list(s: String) -> Option<Vec<usize>> {
-    s.split(',')
-        .map(|p| p.trim().parse::<usize>().ok())
-        .collect()
-}
-
-fn report_row(threads: usize, dt: f64, base: &mut Option<f64>) {
-    let speedup = match base {
-        None => {
-            *base = Some(dt);
-            1.0
+/// Times `kernel` at each thread count, best of `repeat`, printing the
+/// speedup over the first count; every run must equal the first.
+fn sweep<T: PartialEq>(
+    name: &str,
+    threads: &[usize],
+    repeat: usize,
+    kernel: impl Fn(usize) -> T,
+) -> Result<(), String> {
+    let (mut reference, mut base) = (None, None);
+    for &t in threads {
+        let mut identical = true;
+        let dt = best_of(
+            repeat,
+            || kernel(t),
+            |r| match &reference {
+                None => reference = Some(r),
+                Some(first) => identical &= *first == r,
+            },
+        );
+        if !identical {
+            return Err(format!("{name} at {t} thread(s) is not bit-identical"));
         }
-        Some(b) => *b / dt,
-    };
-    println!(
-        "  {threads:>2} thread(s): {:>8.3} s  speedup {speedup:>5.2}x",
-        dt
-    );
-}
-
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("{msg}");
-    eprintln!(
-        "usage: mc_harness [--libraries N] [--samples N] [--threads N,N,...] [--repeat N] \
-         [--trace PATH]"
-    );
-    ExitCode::FAILURE
+        let speedup = *base.get_or_insert(dt) / dt;
+        println!(
+            "  {t:>2} thread(s): {:>8.3} s  speedup {speedup:>5.2}x",
+            dt / 1e3
+        );
+    }
+    Ok(())
 }

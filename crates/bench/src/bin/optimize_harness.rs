@@ -1,11 +1,7 @@
 //! Offline optimizer-backend harness: runs the full Table-2 grid through
 //! the `Optimizer` trait, then the deterministic evolutionary Pareto
-//! search, and commits the front next to the paper points.
-//!
-//! ```text
-//! optimize_harness [--smoke] [--threads LIST] [--seed N] [--out PATH]
-//!                  [--trace PATH]
-//! ```
+//! search, and commits the front next to the paper points. Run with
+//! `--help` for the flags.
 //!
 //! Everything runs on the golden small-scale flow
 //! (`FlowConfig::small_for_tests()` at the golden suite's 6 ns clock), so
@@ -22,7 +18,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use varitune_bench::trace::run_traced;
+use varitune_bench::harness::{self, ms_since, Args, Kind, Obj, Spec, Value};
 use varitune_core::flow::{Flow, FlowConfig};
 use varitune_core::{
     EvolutionConfig, EvolutionaryOptimizer, PaperMethodOptimizer, TuningMethod, TuningParams,
@@ -32,45 +28,23 @@ use varitune_synth::SynthConfig;
 /// Clock period of the golden small-scale grid (`tests/golden_experiments.rs`).
 const PERIOD_NS: f64 = 6.0;
 
-fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut threads: Vec<usize> = vec![1, 2, 8];
-    let mut seed = EvolutionConfig::default().seed;
-    let mut out = "BENCH_optimize.json".to_string();
-    let mut trace: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--threads" => match it.next().map(|v| parse_threads(&v)) {
-                Some(Some(list)) => threads = list,
-                _ => return usage("--threads expects a comma-separated list of positive integers"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => seed = s,
-                None => return usage("--seed expects an integer"),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = p,
-                None => return usage("--out expects a path"),
-            },
-            "--trace" => match it.next() {
-                Some(p) => trace = Some(p),
-                None => return usage("--trace expects a path"),
-            },
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: optimize_harness [--smoke] [--threads LIST] [--seed N] [--out PATH] \
-                     [--trace PATH]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => return usage(&format!("unknown argument `{other}`")),
-        }
-    }
+/// Search seed of the committed `BENCH_optimize.json`, the same as
+/// `EvolutionConfig::default()`'s.
+const DEFAULT_SEED: u64 = 20_140_324;
 
-    run_traced(trace.as_deref(), || run(smoke, &threads, seed, &out))
+const SPEC: Spec = Spec {
+    name: "optimize_harness",
+    flags: &[
+        ("--smoke", Kind::Switch, "a search sized for CI"),
+        ("--threads", Kind::Threads(&[1, 2, 8]), "thread counts"),
+        ("--seed", Kind::Int(DEFAULT_SEED), "search seed"),
+    ],
+    out: Some("BENCH_optimize.json"),
+    ids: None,
+};
+
+fn main() -> ExitCode {
+    harness::main(&SPEC, std::env::args(), run)
 }
 
 struct Point {
@@ -80,7 +54,23 @@ struct Point {
     restricted_pins: usize,
 }
 
-fn run(smoke: bool, threads: &[usize], seed: u64, out: &str) -> ExitCode {
+/// The report rows of `points`. Floats print in shortest round-trip form,
+/// so equal text means equal bits.
+fn report(points: &[Point]) -> Vec<Obj> {
+    let row = |p: &Point| {
+        Obj::new()
+            .with("label", p.label.as_str())
+            .with("sigma_ns", Value::Float(p.sigma))
+            .with("area_um2", Value::Float(p.area))
+            .with("restricted_pins", p.restricted_pins)
+    };
+    points.iter().map(row).collect()
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    let smoke = args.switch("--smoke");
+    let threads = args.threads("--threads");
+    let seed = args.int("--seed");
     let scale = if smoke { "smoke" } else { "full" };
     println!("optimizer-backend harness (offline) — {scale} scale, golden small-scale grid");
 
@@ -89,13 +79,8 @@ fn run(smoke: bool, threads: &[usize], seed: u64, out: &str) -> ExitCode {
     let (population, generations) = if smoke { (6, 2) } else { (16, 8) };
 
     let prepare_span = varitune_trace::span!("optimize_harness.prepare");
-    let flow = match Flow::prepare(FlowConfig::small_for_tests()) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("flow preparation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let flow = Flow::prepare(FlowConfig::small_for_tests())
+        .map_err(|e| format!("flow preparation failed: {e}"))?;
     let synth = SynthConfig::with_clock_period(PERIOD_NS);
     drop(prepare_span);
 
@@ -110,14 +95,8 @@ fn run(smoke: bool, threads: &[usize], seed: u64, out: &str) -> ExitCode {
             let backend = PaperMethodOptimizer { method, params };
             let candidate = match flow.optimize(&backend, &synth) {
                 Ok(mut cands) if cands.len() == 1 => cands.remove(0),
-                Ok(_) => {
-                    eprintln!("paper backend returned an unexpected candidate count");
-                    return ExitCode::FAILURE;
-                }
-                Err(e) => {
-                    eprintln!("paper method {method} failed: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Ok(_) => return Err("paper backend returned an unexpected candidate count".into()),
+                Err(e) => return Err(format!("paper method {method} failed: {e}")),
             };
             paper.push(Point {
                 label: format!("{method} ({})", params.varied_value(method)),
@@ -127,7 +106,7 @@ fn run(smoke: bool, threads: &[usize], seed: u64, out: &str) -> ExitCode {
             });
         }
     }
-    let paper_grid_ms = ms(t0);
+    let paper_grid_ms = ms_since(t0);
     drop(grid_span);
     println!(
         "paper grid:   {} points through PaperMethodOptimizer in {paper_grid_ms:.1} ms",
@@ -150,8 +129,11 @@ fn run(smoke: bool, threads: &[usize], seed: u64, out: &str) -> ExitCode {
             threads: t,
             seed_paper_methods: true,
         };
-        let front = match flow.optimize(&EvolutionaryOptimizer::new(config), &synth) {
-            Ok(cands) => cands
+        let front = flow
+            .optimize(&EvolutionaryOptimizer::new(config), &synth)
+            .map_err(|e| format!("evolutionary search (threads = {t}) failed: {e}"))?;
+        fronts.push(
+            front
                 .iter()
                 .enumerate()
                 .map(|(i, c)| Point {
@@ -161,28 +143,20 @@ fn run(smoke: bool, threads: &[usize], seed: u64, out: &str) -> ExitCode {
                     restricted_pins: c.tuned.restricted_pins,
                 })
                 .collect::<Vec<_>>(),
-            Err(e) => {
-                eprintln!("evolutionary search (threads = {t}) failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        fronts.push(front);
+        );
     }
-    let search_ms = ms(t0);
+    let search_ms = ms_since(t0);
     drop(search_span);
 
+    // The last run is the rerun. Equal bits print equal text, so a
+    // bit-identical rerun is also byte-identical in the report.
     for (front, &t) in fronts.iter().zip(&runs).skip(1) {
         if !bit_identical(&fronts[0], front) {
-            eprintln!(
-                "determinism violation: front at threads = {t} differs from threads = {}",
-                runs[0]
-            );
-            return ExitCode::FAILURE;
+            let first = runs[0];
+            return Err(format!(
+                "determinism violation: front at threads = {t} differs from threads = {first}"
+            ));
         }
-    }
-    if render_points(&fronts[fronts.len() - 1]) != render_points(&fronts[0]) {
-        eprintln!("determinism violation: rerun did not reproduce the front byte-identically");
-        return ExitCode::FAILURE;
     }
     let front = &fronts[0];
     println!(
@@ -202,33 +176,40 @@ fn run(smoke: bool, threads: &[usize], seed: u64, out: &str) -> ExitCode {
     );
     if !smoke {
         if front.len() < 5 {
-            eprintln!("acceptance: front has {} points, need >= 5", front.len());
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "acceptance: front has {} points, need >= 5",
+                front.len()
+            ));
         }
         if matched < 1 {
-            eprintln!("acceptance: no front point matches-or-dominates a Table-2 point");
-            return ExitCode::FAILURE;
+            return Err("acceptance: no front point matches-or-dominates a Table-2 point".into());
         }
     }
 
-    let json = render_json(
-        scale,
-        seed,
-        population,
-        generations,
-        threads,
-        &paper,
-        front,
-        matched,
-        paper_grid_ms,
-        search_ms,
-    );
-    if let Err(e) = std::fs::write(out, json) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-    ExitCode::SUCCESS
+    args.write_out(
+        &Obj::new()
+            .with("scale", scale)
+            .with("clock_period_ns", Value::Float(PERIOD_NS))
+            .with("seed", seed)
+            .with("population", population)
+            .with("generations", generations)
+            .with("threads_checked", threads.to_vec())
+            .with("paper_methods", report(&paper))
+            .with("front", report(front))
+            .with("paper_points_matched_or_dominated", matched)
+            .with(
+                "determinism",
+                Obj::new()
+                    .with("bit_identical_across_threads", true)
+                    .with("rerun_byte_identical", true),
+            )
+            .with(
+                "timing",
+                Obj::new()
+                    .with("paper_grid_ms", Value::Fixed(paper_grid_ms, 1))
+                    .with("search_ms", Value::Fixed(search_ms, 1)),
+            ),
+    )
 }
 
 fn bit_identical(a: &[Point], b: &[Point]) -> bool {
@@ -238,70 +219,4 @@ fn bit_identical(a: &[Point], b: &[Point]) -> bool {
                 && x.area.to_bits() == y.area.to_bits()
                 && x.restricted_pins == y.restricted_pins
         })
-}
-
-/// Deterministic JSON fragment for a point list. `{}` on `f64` prints the
-/// shortest round-trip representation, so equal strings ⇔ equal bits.
-fn render_points(points: &[Point]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"label\": \"{}\", \"sigma_ns\": {}, \"area_um2\": {}, \
-                 \"restricted_pins\": {}}}",
-                p.label, p.sigma, p.area, p.restricted_pins
-            )
-        })
-        .collect();
-    rows.join(",\n")
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    scale: &str,
-    seed: u64,
-    population: usize,
-    generations: usize,
-    threads: &[usize],
-    paper: &[Point],
-    front: &[Point],
-    matched: usize,
-    paper_grid_ms: f64,
-    search_ms: f64,
-) -> String {
-    let threads: Vec<String> = threads.iter().map(ToString::to_string).collect();
-    format!(
-        "{{\n  \"scale\": \"{scale}\",\n  \"clock_period_ns\": {PERIOD_NS},\n  \
-         \"seed\": {seed},\n  \"population\": {population},\n  \
-         \"generations\": {generations},\n  \"threads_checked\": [{}],\n  \
-         \"paper_methods\": [\n{}\n  ],\n  \"front\": [\n{}\n  ],\n  \
-         \"paper_points_matched_or_dominated\": {matched},\n  \
-         \"determinism\": {{\"bit_identical_across_threads\": true, \
-         \"rerun_byte_identical\": true}},\n  \
-         \"timing\": {{\"paper_grid_ms\": {paper_grid_ms:.1}, \
-         \"search_ms\": {search_ms:.1}}}\n}}\n",
-        threads.join(", "),
-        render_points(paper),
-        render_points(front),
-    )
-}
-
-fn ms(t0: Instant) -> f64 {
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-fn parse_threads(s: &str) -> Option<Vec<usize>> {
-    let list: Option<Vec<usize>> = s
-        .split(',')
-        .map(|p| p.trim().parse().ok().filter(|&t: &usize| t > 0))
-        .collect();
-    list.filter(|l| !l.is_empty())
-}
-
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("{msg}");
-    eprintln!(
-        "usage: optimize_harness [--smoke] [--threads LIST] [--seed N] [--out PATH] [--trace PATH]"
-    );
-    ExitCode::FAILURE
 }

@@ -9,21 +9,16 @@
 //! diagnostics byte-for-byte, and the clean giant must parse and
 //! re-serialize identically at every thread count. (Agreement with the
 //! frozen reference outputs is checked by the `differential_parse` test
-//! suite.)
-//!
-//! ```text
-//! parse_harness [--smoke] [--seed S] [--out PATH] [--trace PATH]
-//! ```
+//! suite.) Run with `--help` for the flags.
 //!
 //! `--smoke` shrinks the giant and the corpus so the binary finishes
 //! quickly in CI; the full run is the one whose `BENCH_parse.json` is
 //! committed. Throughput is reported, not gated.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use varitune_bench::corrupt::liberty_corpus;
-use varitune_bench::trace::run_traced;
+use varitune_bench::harness::{self, best_of, Args, Kind, Obj, Spec, Value};
 use varitune_libchar::{generate_nominal, GenerateConfig};
 use varitune_liberty::{
     parse_library, parse_library_recovering_threads, write_library, Diagnostic, Library,
@@ -33,46 +28,23 @@ use varitune_liberty::{
 /// the baseline the others must reproduce.
 const THREADS: &[usize] = &[1, 2, 8];
 
+const SPEC: Spec = Spec {
+    name: "parse_harness",
+    flags: &[
+        ("--smoke", Kind::Switch, "1x giant, one iteration"),
+        ("--seed", Kind::Int(7), "seed of the fault corpora"),
+    ],
+    out: Some("BENCH_parse.json"),
+    ids: None,
+};
+
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut seed = 7u64;
-    let mut out = "BENCH_parse.json".to_string();
-    let mut trace: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => seed = s,
-                None => return usage("--seed expects a u64"),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = p,
-                None => return usage("--out expects a path"),
-            },
-            "--trace" => match it.next() {
-                Some(p) => trace = Some(p),
-                None => return usage("--trace expects a path"),
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: parse_harness [--smoke] [--seed S] [--out PATH] [--trace PATH]");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage(&format!("unknown argument `{other}`")),
-        }
-    }
-
-    run_traced(trace.as_deref(), || run(smoke, seed, &out))
+    harness::main(&SPEC, std::env::args(), run)
 }
 
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("parse_harness: {msg}");
-    eprintln!("usage: parse_harness [--smoke] [--seed S] [--out PATH] [--trace PATH]");
-    ExitCode::FAILURE
-}
-
-fn run(smoke: bool, seed: u64, out: &str) -> ExitCode {
+fn run(args: &Args) -> Result<(), String> {
+    let smoke = args.switch("--smoke");
+    let seed = args.int("--seed");
     // Smoke keeps the giant at 1× (the 304-cell text itself, ~6 MB) and
     // a single timing iteration; the full run replicates the library 4×
     // (~24 MB) and takes the best of five.
@@ -80,20 +52,10 @@ fn run(smoke: bool, seed: u64, out: &str) -> ExitCode {
 
     let generate_span = varitune_trace::span!("parse_harness.generate");
     let pristine_lib = generate_nominal(&GenerateConfig::full());
-    let pristine = match write_library(&pristine_lib) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("parse_harness: generated library failed to serialize: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let giant = match write_library(&replicate(&pristine_lib, giant_factor)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("parse_harness: synthetic giant failed to serialize: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let pristine = write_library(&pristine_lib)
+        .map_err(|e| format!("generated library failed to serialize: {e}"))?;
+    let giant = write_library(&replicate(&pristine_lib, giant_factor))
+        .map_err(|e| format!("synthetic giant failed to serialize: {e}"))?;
     drop(generate_span);
     println!(
         "parse harness: 304-cell library {:.1} MB, synthetic giant {:.1} MB ({}x), {} iteration(s)",
@@ -104,32 +66,24 @@ fn run(smoke: bool, seed: u64, out: &str) -> ExitCode {
     );
 
     let bench_span = varitune_trace::span!("parse_harness.bench");
-    let corpora = [("cells304", &pristine), ("giant", &giant)];
-    let mut results: Vec<CorpusResult> = Vec::new();
-    for (name, text) in corpora {
-        let mut fast = Vec::new();
+    let mut corpora = Obj::new();
+    for (name, text) in [("cells304", &pristine), ("giant", &giant)] {
+        let (mut fast, mut shown) = (Obj::new(), Vec::new());
         for &threads in THREADS {
-            fast.push((
-                threads,
-                bench_mbps(text, iters, |t| {
-                    parse_library_recovering_threads(t, threads)
-                }),
-            ));
+            let mbps = bench_mbps(text, iters, |t| {
+                parse_library_recovering_threads(t, threads)
+            });
+            fast = fast.with(threads.to_string(), Value::Fixed(mbps, 1));
+            shown.push(format!("{mbps:.1} (t={threads})"));
         }
         let strict = bench_mbps(text, iters, parse_library);
-        println!(
-            "  {name}: recovering {} MB/s, strict {strict:.1} MB/s",
-            fast.iter()
-                .map(|&(t, v)| format!("{v:.1} (t={t})"))
-                .collect::<Vec<_>>()
-                .join(" / "),
-        );
-        results.push(CorpusResult {
-            name,
-            bytes: text.len(),
-            fast_mbps: fast,
-            strict_mbps: strict,
-        });
+        let shown = shown.join(" / ");
+        println!("  {name}: recovering {shown} MB/s, strict {strict:.1} MB/s");
+        let row = Obj::new()
+            .with("bytes", text.len())
+            .with("zero_copy_mb_s", fast)
+            .with("strict_zero_copy_mb_s", Value::Fixed(strict, 1));
+        corpora = corpora.with(name, row);
     }
     drop(bench_span);
 
@@ -171,30 +125,29 @@ fn run(smoke: bool, seed: u64, out: &str) -> ExitCode {
     }
     drop(diff_span);
 
-    let json = render_json(
-        smoke,
-        seed,
-        giant_factor,
-        iters,
-        corpus.len(),
-        mismatches,
-        thread_divergences,
-        &results,
-    );
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("parse_harness: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    args.write_out(
+        &Obj::new()
+            .with("schema", "varitune-parse-harness/2")
+            .with("mode", if smoke { "smoke" } else { "full" })
+            .with("seed", seed)
+            .with("giant_factor", giant_factor)
+            .with("iterations", iters)
+            .with("corpus_scenarios", corpus.len())
+            .with("corpus_mismatches", mismatches)
+            .with("thread_divergences", thread_divergences)
+            .with("corpora", corpora),
+    )?;
     println!(
         "{} corpus scenario(s): {mismatches} mismatch(es), {thread_divergences} giant \
-         thread divergence(s) -> {out}",
-        corpus.len()
+         thread divergence(s) -> {}",
+        corpus.len(),
+        args.out()
     );
 
     if mismatches > 0 || thread_divergences > 0 {
-        return ExitCode::FAILURE;
+        return Err("a parse diverged across thread counts".to_string());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Replicates every cell of `lib` `factor`× under distinct names, so the
@@ -212,21 +165,11 @@ fn replicate(lib: &Library, factor: usize) -> Library {
     giant
 }
 
-/// Best-of-`iters` throughput of `f` over `text`, in MB/s.
-///
-/// The timed region covers parsing only: `f` returns its parse result
-/// and the drop happens after the clock stops (the same convention as
-/// criterion's `iter_with_large_drop`), so deallocating a multi-MB
-/// `Library` is not counted as parsing.
+/// Best-of-`iters` throughput of `f` over `text`, in MB/s. The timed
+/// region covers parsing only: the parsed `Library` is dropped after the
+/// clock stops, so deallocating it is not counted as parsing.
 fn bench_mbps<T>(text: &str, iters: usize, f: impl Fn(&str) -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let start = Instant::now();
-        let parsed = f(text);
-        best = best.min(start.elapsed().as_secs_f64());
-        drop(parsed);
-    }
-    mb(text.len()) / best
+    mb(text.len()) * 1e3 / best_of(iters, || f(text), drop)
 }
 
 fn mb(bytes: usize) -> f64 {
@@ -245,60 +188,4 @@ fn render_diags(diags: &[Diagnostic]) -> String {
         .map(|d| d.to_string())
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-struct CorpusResult {
-    name: &'static str,
-    bytes: usize,
-    fast_mbps: Vec<(usize, f64)>,
-    strict_mbps: f64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    smoke: bool,
-    seed: u64,
-    giant_factor: usize,
-    iters: usize,
-    scenarios: usize,
-    mismatches: usize,
-    thread_divergences: usize,
-    results: &[CorpusResult],
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"varitune-parse-harness/2\",\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"giant_factor\": {giant_factor},\n"));
-    s.push_str(&format!("  \"iterations\": {iters},\n"));
-    s.push_str(&format!("  \"corpus_scenarios\": {scenarios},\n"));
-    s.push_str(&format!("  \"corpus_mismatches\": {mismatches},\n"));
-    s.push_str(&format!(
-        "  \"thread_divergences\": {thread_divergences},\n"
-    ));
-    s.push_str("  \"corpora\": {\n");
-    let mut first = true;
-    for r in results {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        let fast = r
-            .fast_mbps
-            .iter()
-            .map(|&(t, v)| format!("\"{t}\": {v:.1}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        s.push_str(&format!(
-            "    \"{}\": {{\"bytes\": {}, \"zero_copy_mb_s\": {{{fast}}}, \
-             \"strict_zero_copy_mb_s\": {:.1}}}",
-            r.name, r.bytes, r.strict_mbps
-        ));
-    }
-    s.push_str("\n  }\n}\n");
-    s
 }

@@ -15,9 +15,7 @@
 //! * the concatenated per-job responses are byte-identical across a rerun
 //!   and across worker counts 1/2/8 (full mode).
 //!
-//! ```text
-//! serve_harness [--jobs N] [--seed S] [--smoke] [--out PATH] [--trace PATH]
-//! ```
+//! Run with `--help` for the flags.
 
 use std::panic;
 use std::process::ExitCode;
@@ -25,60 +23,25 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use varitune_bench::corrupt::{corrupt_frame, FRAME_OPS};
-use varitune_bench::trace::run_traced;
+use varitune_bench::harness::{self, Args, Kind, Obj, Spec, Value};
 use varitune_core::TuningMethod;
 use varitune_libchar::{generate_nominal, GenerateConfig};
 use varitune_serve::{fnv1a64, Client, RetryPolicy, ServeConfig, Server};
-use varitune_trace::json;
 use varitune_variation::rng::rng_from;
 
-fn main() -> ExitCode {
-    let mut jobs = 1000usize;
-    let mut seed = 7u64;
-    let mut smoke = false;
-    let mut out = "BENCH_serve.json".to_string();
-    let mut trace: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => jobs = n,
-                _ => return usage("--jobs expects a positive integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => seed = s,
-                None => return usage("--seed expects a u64"),
-            },
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out = p,
-                None => return usage("--out expects a path"),
-            },
-            "--trace" => match it.next() {
-                Some(p) => trace = Some(p),
-                None => return usage("--trace expects a path"),
-            },
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: serve_harness [--jobs N] [--seed S] [--smoke] [--out PATH] \
-                     [--trace PATH]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => return usage(&format!("unknown argument `{other}`")),
-        }
-    }
-    if smoke {
-        jobs = jobs.min(48);
-    }
-    run_traced(trace.as_deref(), || run(jobs, seed, smoke, &out))
-}
+const SPEC: Spec = Spec {
+    name: "serve_harness",
+    flags: &[
+        ("--jobs", Kind::Count(1000), "jobs in the mix"),
+        ("--seed", Kind::Int(7), "seed of the mix"),
+        ("--smoke", Kind::Switch, "<= 48 jobs, one run"),
+    ],
+    out: Some("BENCH_serve.json"),
+    ids: None,
+};
 
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("serve_harness: {msg}");
-    eprintln!("usage: serve_harness [--jobs N] [--seed S] [--smoke] [--out PATH] [--trace PATH]");
-    ExitCode::FAILURE
+fn main() -> ExitCode {
+    harness::main(&SPEC, std::env::args(), run)
 }
 
 /// Number of concurrent client connections driving the mix.
@@ -107,7 +70,8 @@ struct JobSpec {
     /// or `None` for poison jobs / the rejected library.
     variant: Option<usize>,
     sick: bool,
-    extra: String,
+    /// Request fields beyond kind, id and library.
+    extra: Obj,
     expect: Expect,
 }
 
@@ -124,7 +88,7 @@ fn job_spec(seed: u64, i: usize) -> JobSpec {
             kind: "sta",
             variant: Some(pick(&mut rng, WORK_VARIANTS)),
             sick: false,
-            extra: ",\"mc_libraries\":3".to_string(),
+            extra: work(),
             expect: Expect::Ok,
         }
     } else if roll < 60 {
@@ -132,7 +96,7 @@ fn job_spec(seed: u64, i: usize) -> JobSpec {
             kind: "signoff",
             variant: Some(pick(&mut rng, WORK_VARIANTS)),
             sick: false,
-            extra: ",\"mc_libraries\":3".to_string(),
+            extra: work(),
             expect: Expect::Ok,
         }
     } else if roll < 78 {
@@ -142,7 +106,9 @@ fn job_spec(seed: u64, i: usize) -> JobSpec {
             kind: "tune",
             variant: Some(pick(&mut rng, WORK_VARIANTS)),
             sick: false,
-            extra: format!(",\"mc_libraries\":3,\"method\":\"{method}\",\"param_micro\":{param}"),
+            extra: work()
+                .with("method", method.to_string())
+                .with("param_micro", param),
             expect: Expect::Ok,
         }
     } else if roll < 84 {
@@ -150,7 +116,7 @@ fn job_spec(seed: u64, i: usize) -> JobSpec {
             kind: "optimize",
             variant: Some(pick(&mut rng, WORK_VARIANTS)),
             sick: false,
-            extra: ",\"mc_libraries\":3,\"generations\":1,\"population\":2".to_string(),
+            extra: work().with("generations", 1u64).with("population", 2u64),
             expect: Expect::Ok,
         }
     } else if roll < 90 {
@@ -160,7 +126,7 @@ fn job_spec(seed: u64, i: usize) -> JobSpec {
             kind: "sta",
             variant: None,
             sick: true,
-            extra: ",\"mc_libraries\":3".to_string(),
+            extra: work(),
             expect: Expect::Rejected,
         }
     } else if roll < 95 {
@@ -170,7 +136,7 @@ fn job_spec(seed: u64, i: usize) -> JobSpec {
             kind: "sta",
             variant: Some(WORK_VARIANTS + pick(&mut rng, BAIT_VARIANTS)),
             sick: false,
-            extra: ",\"mc_libraries\":3,\"deadline_ms\":0".to_string(),
+            extra: work().with("deadline_ms", 0u64),
             expect: Expect::Deadline,
         }
     } else {
@@ -178,37 +144,35 @@ fn job_spec(seed: u64, i: usize) -> JobSpec {
             kind: "poison",
             variant: None,
             sick: false,
-            extra: String::new(),
+            extra: Obj::new(),
             expect: Expect::Panic,
         }
     }
 }
 
+/// The request fields every work job carries: a 3-library characterization.
+fn work() -> Obj {
+    Obj::new().with("mc_libraries", 3u64)
+}
+
 fn render_request(spec: &JobSpec, id: &str, texts: &[String], sick: &str) -> String {
-    if spec.kind == "poison" {
-        return format!("{{\"kind\":\"poison\",\"id\":\"{id}\"}}");
-    }
+    let request = spec.extra.clone().with("kind", spec.kind).with("id", id);
     let library = if spec.sick {
-        sick
+        Some(sick)
     } else {
-        &texts[spec.variant.unwrap_or(0)]
+        spec.variant.map(|v| texts[v].as_str())
     };
-    let mut payload = String::with_capacity(library.len() + 128);
-    payload.push_str(&format!(
-        "{{\"kind\":\"{}\",\"id\":\"{id}\",\"library\":",
-        spec.kind
-    ));
-    json::write_escaped(&mut payload, library);
-    payload.push_str(&spec.extra);
-    payload.push('}');
-    payload
+    match library {
+        Some(text) => request.with("library", text).render(),
+        None => request.render(),
+    }
 }
 
 /// Per-run results the report and the cross-run assertions consume.
 struct RunOutcome {
     workers: usize,
     digest: u64,
-    wall_ms: u128,
+    wall_ms: u64,
     latencies_us: Vec<u64>,
     retries_total: u64,
     mismatches: usize,
@@ -218,7 +182,14 @@ struct RunOutcome {
 }
 
 #[allow(clippy::too_many_lines)]
-fn run(jobs: usize, seed: u64, smoke: bool, out: &str) -> ExitCode {
+fn run(args: &Args) -> Result<(), String> {
+    let smoke = args.switch("--smoke");
+    let seed = args.int("--seed");
+    let jobs = if smoke {
+        args.count("--jobs").min(48)
+    } else {
+        args.count("--jobs")
+    };
     println!(
         "serve harness: {jobs} job(s), seed {seed}, {CLIENTS} client(s){}",
         if smoke { ", smoke" } else { "" }
@@ -227,29 +198,17 @@ fn run(jobs: usize, seed: u64, smoke: bool, out: &str) -> ExitCode {
     // Library corpus: renamed copies of one pristine full library (distinct
     // content hashes, identical timing), bait-only copies, and one
     // strict-rejected copy (non-finite pin capacitance).
-    let pristine = {
-        let lib = generate_nominal(&GenerateConfig::full());
-        match varitune_liberty::write_library(&lib) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("serve_harness: generated library failed to serialize: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
+    let pristine = varitune_liberty::write_library(&generate_nominal(&GenerateConfig::full()))
+        .map_err(|e| format!("generated library failed to serialize: {e}"))?;
     let texts: Vec<String> = (0..WORK_VARIANTS + BAIT_VARIANTS)
         .map(|v| pristine.replacen("library (", &format!("library (v{v}_"), 1))
         .collect();
     let sick = {
         let mut s = pristine.replacen("library (", "library (sick_", 1);
-        let Some(at) = s.find("capacitance : ").map(|p| p + "capacitance : ".len()) else {
-            eprintln!("serve_harness: pristine text has no capacitance attribute");
-            return ExitCode::FAILURE;
-        };
-        let Some(end) = s[at..].find(';').map(|p| p + at) else {
-            eprintln!("serve_harness: malformed capacitance attribute");
-            return ExitCode::FAILURE;
-        };
+        let at = s.find("capacitance : ").map(|p| p + "capacitance : ".len());
+        let at = at.ok_or("pristine text has no capacitance attribute")?;
+        let end = s[at..].find(';').map(|p| p + at);
+        let end = end.ok_or("malformed capacitance attribute")?;
         s.replace_range(at..end, "nan");
         s
     };
@@ -300,13 +259,9 @@ fn run(jobs: usize, seed: u64, smoke: bool, out: &str) -> ExitCode {
     for &workers in &worker_runs {
         let _span = varitune_trace::span!("serve_harness.run");
         println!("  run: {workers} worker(s), {} attack frame(s)", attacks);
-        match drive_run(workers, &specs, &texts, &sick, seed, attacks) {
-            Ok(o) => outcomes.push(o),
-            Err(e) => {
-                eprintln!("serve_harness: run with {workers} worker(s) failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let outcome = drive_run(workers, &specs, &texts, &sick, seed, attacks)
+            .map_err(|e| format!("run with {workers} worker(s) failed: {e}"))?;
+        outcomes.push(outcome);
     }
 
     // ---- Assertions --------------------------------------------------
@@ -383,66 +338,54 @@ fn run(jobs: usize, seed: u64, smoke: bool, out: &str) -> ExitCode {
         jobs as f64 * 1000.0 / measure.wall_ms as f64
     };
 
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"varitune-serve-harness/1\",\n");
-    s.push_str(&format!("  \"jobs\": {jobs},\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"clients\": {CLIENTS},\n"));
-    s.push_str(&format!("  \"attack_frames\": {attacks},\n"));
-    s.push_str(&format!("  \"poison_jobs\": {poison_jobs},\n"));
-    s.push_str(&format!("  \"deadline_jobs\": {bait_jobs},\n"));
-    s.push_str(&format!("  \"rejected_jobs\": {sick_jobs},\n"));
-    s.push_str(&format!(
-        "  \"distinct_work_hashes\": {expected_characterizations},\n"
-    ));
-    s.push_str(&format!("  \"p50_latency_us\": {},\n", pct(0.50)));
-    s.push_str(&format!("  \"p99_latency_us\": {},\n", pct(0.99)));
-    s.push_str(&format!("  \"jobs_per_sec\": {jobs_per_sec:.1},\n"));
-    s.push_str(&format!(
-        "  \"digests_identical_across_runs\": {digests_identical},\n"
-    ));
-    s.push_str(&format!("  \"zero_server_deaths\": {},\n", failures == 0));
-    s.push_str("  \"runs\": [\n");
-    for (k, o) in outcomes.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workers\": {}, \"digest\": \"{:016x}\", \"wall_ms\": {}, \
-             \"jobs_ok\": {}, \"jobs_shed\": {}, \"retries\": {}, \
-             \"panics_isolated\": {}, \"deadline_expired\": {}, \
-             \"jobs_rejected\": {}, \"protocol_errors\": {}, \
-             \"characterizations\": {}}}{}\n",
-            o.workers,
-            o.digest,
-            o.wall_ms,
-            o.stats.jobs_ok,
-            o.stats.jobs_shed,
-            o.retries_total,
-            o.stats.panics_isolated,
-            o.stats.deadline_expired,
-            o.stats.jobs_rejected,
-            o.stats.protocol_errors,
-            o.characterizations,
-            if k + 1 == outcomes.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(out, &s) {
-        eprintln!("serve_harness: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let runs: Vec<Obj> = outcomes
+        .iter()
+        .map(|o| {
+            Obj::new()
+                .with("workers", o.workers)
+                .with("digest", format!("{:016x}", o.digest))
+                .with("wall_ms", o.wall_ms)
+                .with("jobs_ok", o.stats.jobs_ok)
+                .with("jobs_shed", o.stats.jobs_shed)
+                .with("retries", o.retries_total)
+                .with("panics_isolated", o.stats.panics_isolated)
+                .with("deadline_expired", o.stats.deadline_expired)
+                .with("jobs_rejected", o.stats.jobs_rejected)
+                .with("protocol_errors", o.stats.protocol_errors)
+                .with("characterizations", o.characterizations)
+        })
+        .collect();
+    args.write_out(
+        &Obj::new()
+            .with("schema", "varitune-serve-harness/1")
+            .with("jobs", jobs)
+            .with("seed", seed)
+            .with("clients", CLIENTS)
+            .with("attack_frames", attacks)
+            .with("poison_jobs", poison_jobs)
+            .with("deadline_jobs", bait_jobs)
+            .with("rejected_jobs", sick_jobs)
+            .with("distinct_work_hashes", expected_characterizations)
+            .with("p50_latency_us", pct(0.50))
+            .with("p99_latency_us", pct(0.99))
+            .with("jobs_per_sec", Value::Fixed(jobs_per_sec, 1))
+            .with("digests_identical_across_runs", digests_identical)
+            .with("zero_server_deaths", failures == 0)
+            .with("runs", runs),
+    )?;
     println!(
         "{jobs} job(s) x {} run(s): p50 {}us p99 {}us, {jobs_per_sec:.1} jobs/s, \
-         {} failure(s) -> {out}",
+         {} failure(s) -> {}",
         outcomes.len(),
         pct(0.50),
         pct(0.99),
-        failures
+        failures,
+        args.out()
     );
     if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        return Err(format!("{failures} robustness failure(s)"));
     }
+    Ok(())
 }
 
 /// Drives the whole mix (plus the frame attacks) against one fresh server
@@ -529,7 +472,7 @@ fn drive_run(
             });
         }
     });
-    let wall_ms = started.elapsed().as_millis();
+    let wall_ms = started.elapsed().as_millis() as u64;
     for e in attack_errors
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -1,11 +1,7 @@
 //! Offline STA micro-harness: full analysis versus incremental dirty-cone
 //! re-timing, plus thread scaling of the sharded levelized propagation at
-//! paper, 10× and 40× (million-gate) scale.
-//!
-//! ```text
-//! sta_harness [--smoke] [--scale paper|x10|x40|all] [--edits N]
-//!             [--threads N,N,...] [--repeat N] [--out PATH] [--trace PATH]
-//! ```
+//! paper, 10× and 40× (million-gate) scale. Run with `--help` for the
+//! flags.
 //!
 //! `--scale paper` (the default) builds the paper-scale MCU through the
 //! AoS `MappedDesign` pipeline and times a full `analyze`, the one-time
@@ -30,14 +26,31 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use varitune_bench::trace::run_traced;
+use varitune_bench::harness::{
+    self, best_of, hardware_threads, ms_since, Args, Kind, Obj, Spec, Value,
+};
 use varitune_libchar::{generate_nominal, GenerateConfig};
 use varitune_liberty::Library;
 use varitune_netlist::{generate_mcu, generate_soc, McuConfig, SocConfig};
 use varitune_sta::{analyze, StaConfig, TimingGraph, TimingReport, WireModel};
 use varitune_synth::{map_netlist, map_soa, LibraryConstraints, TargetLibrary};
 
-const DEFAULT_THREADS: [usize; 3] = [1, 2, 8];
+const SPEC: Spec = Spec {
+    name: "sta_harness",
+    flags: &[
+        ("--smoke", Kind::Switch, "small templates at every scale"),
+        (
+            "--scale",
+            Kind::Choice(&["paper", "x10", "x40", "all"]),
+            "scales",
+        ),
+        ("--edits", Kind::Count(200), "resize re-times (SoC: <= 50)"),
+        ("--threads", Kind::Threads(&[1, 2, 8]), "thread counts"),
+        ("--repeat", Kind::Count(3), "best-of-N runs per timing"),
+    ],
+    out: Some("BENCH_sta.json"),
+    ids: None,
+};
 
 /// Tolerance for the smoke-profile "parallel is not slower" check: thread
 /// dispatch on a tiny design may cost a little, it must not cost much.
@@ -58,73 +71,45 @@ struct ScaleRow {
     avg_cone: f64,
 }
 
-fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut scale = "paper".to_string();
-    let mut edits = 200usize;
-    let mut repeat = 3usize;
-    let mut threads: Vec<usize> = DEFAULT_THREADS.to_vec();
-    let mut out = "BENCH_sta.json".to_string();
-    let mut trace: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--scale" => match it.next() {
-                Some(s) if ["paper", "x10", "x40", "all"].contains(&s.as_str()) => scale = s,
-                _ => return usage("--scale expects paper, x10, x40 or all"),
-            },
-            "--edits" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => edits = n,
-                _ => return usage("--edits expects a positive integer"),
-            },
-            "--repeat" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => repeat = n,
-                _ => return usage("--repeat expects a positive integer"),
-            },
-            "--threads" => match it.next().map(parse_thread_list) {
-                Some(Some(list)) if !list.is_empty() && !list.contains(&0) => threads = list,
-                _ => return usage("--threads expects a comma-separated list like 1,2,8"),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = p,
-                None => return usage("--out expects a path"),
-            },
-            "--trace" => match it.next() {
-                Some(p) => trace = Some(p),
-                None => return usage("--trace expects a path"),
-            },
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: sta_harness [--smoke] [--scale paper|x10|x40|all] [--edits N] \
-                     [--threads N,N,...] [--repeat N] [--out PATH] [--trace PATH]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => return usage(&format!("unknown argument `{other}`")),
-        }
+impl ScaleRow {
+    fn report(&self) -> Obj {
+        let thread_scaling: Vec<Obj> = self
+            .thread_rows
+            .iter()
+            .map(|&(t, ms)| {
+                Obj::new()
+                    .with("threads", t)
+                    .with("full_repropagation_ms", Value::Fixed(ms, 3))
+            })
+            .collect();
+        Obj::new()
+            .with("scale", self.scale.as_str())
+            .with("gates", self.gates)
+            .with("nets", self.nets)
+            .with("engine_build_ms", Value::Fixed(self.build_ms, 3))
+            .with("full_analyze_ms", Value::Fixed(self.full_analyze_ms, 3))
+            .with(
+                "incremental",
+                Obj::new()
+                    .with("edits", self.edits)
+                    .with("avg_retime_ms", Value::Fixed(self.avg_retime_ms, 4))
+                    .with("avg_gates_recomputed", Value::Fixed(self.avg_cone, 1)),
+            )
+            .with("thread_scaling", thread_scaling)
+            .with("bit_identical", true)
     }
-
-    run_traced(trace.as_deref(), || {
-        run(smoke, &scale, edits, repeat, &threads, &out)
-    })
 }
 
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+fn main() -> ExitCode {
+    harness::main(&SPEC, std::env::args(), run)
 }
 
-fn run(
-    smoke: bool,
-    scale: &str,
-    edits: usize,
-    repeat: usize,
-    threads: &[usize],
-    out: &str,
-) -> ExitCode {
+fn run(args: &Args) -> Result<(), String> {
+    let smoke = args.switch("--smoke");
+    let scale = args.choice("--scale");
+    let edits = args.count("--edits");
+    let threads = args.threads("--threads");
+    let repeat = args.count("--repeat");
     let hw = hardware_threads();
     let profile = if smoke { "smoke" } else { "full" };
     println!(
@@ -138,13 +123,9 @@ fn run(
     let mut paper_extra: Option<(f64, f64)> = None; // (full analyze ms, speedup)
 
     if scale == "paper" || scale == "all" {
-        match run_paper(&lib, &cfg, smoke, edits, repeat, threads) {
-            Ok((row, full_ms, speedup)) => {
-                paper_extra = Some((full_ms, speedup));
-                rows.push(row);
-            }
-            Err(code) => return code,
-        }
+        let (row, full_ms, speedup) = run_paper(&lib, &cfg, smoke, edits, repeat, threads)?;
+        paper_extra = Some((full_ms, speedup));
+        rows.push(row);
     }
     for soc_scale in ["x10", "x40"] {
         if scale != soc_scale && scale != "all" {
@@ -156,46 +137,34 @@ fn run(
             SocConfig::x40()
         };
         let soc_cfg = if smoke { soc_cfg.smoke() } else { soc_cfg };
-        match run_soc(&lib, &cfg, soc_scale, &soc_cfg, edits, repeat, threads) {
-            Ok(row) => rows.push(row),
-            Err(code) => return code,
-        }
+        rows.push(run_soc(
+            &lib, &cfg, soc_scale, &soc_cfg, edits, repeat, threads,
+        )?);
     }
 
     // Host-gated scaling assertions: bit-identity was already enforced
     // per scale; wall-clock speedup claims only arm on hardware that can
     // express them.
     for row in &rows {
-        let base = row
-            .thread_rows
-            .iter()
-            .find(|(t, _)| *t == 1)
-            .map(|&(_, ms)| ms);
-        let at8 = row
-            .thread_rows
-            .iter()
-            .find(|(t, _)| *t == 8)
-            .map(|&(_, ms)| ms);
-        if let (Some(base), Some(at8)) = (base, at8) {
+        let ms_at = |n| row.thread_rows.iter().find(|&&(t, _)| t == n).map(|r| r.1);
+        if let (Some(base), Some(at8)) = (ms_at(1), ms_at(8)) {
             if hw >= 8 && !smoke {
                 let speedup = base / at8;
                 if speedup < 3.0 {
-                    eprintln!(
+                    return Err(format!(
                         "FAIL: {} full propagation speedup at 8 threads is {speedup:.2}x \
                          (< 3x) on a {hw}-thread host",
                         row.scale
-                    );
-                    return ExitCode::FAILURE;
+                    ));
                 }
                 println!("{}: 8-thread speedup {speedup:.2}x (>= 3x)", row.scale);
             } else if hw >= 2 {
                 if at8 > base * SMOKE_PARALLEL_TOLERANCE {
-                    eprintln!(
+                    return Err(format!(
                         "FAIL: {} parallel propagation ({at8:.3} ms) is slower than \
                          serial ({base:.3} ms) beyond tolerance on a {hw}-thread host",
                         row.scale
-                    );
-                    return ExitCode::FAILURE;
+                    ));
                 }
                 println!("{}: parallel not slower than serial (ok)", row.scale);
             } else {
@@ -209,15 +178,13 @@ fn run(
     if !smoke {
         if let Some(x40) = rows.iter().find(|r| r.scale == "x40") {
             if x40.gates < 1_000_000 {
-                eprintln!("FAIL: x40 scale is {} gates (< 1M)", x40.gates);
-                return ExitCode::FAILURE;
+                return Err(format!("FAIL: x40 scale is {} gates (< 1M)", x40.gates));
             }
             if x40.full_analyze_ms > 5000.0 {
-                eprintln!(
+                return Err(format!(
                     "FAIL: x40 full STA {:.1} ms exceeds the 5 s budget",
                     x40.full_analyze_ms
-                );
-                return ExitCode::FAILURE;
+                ));
             }
             println!(
                 "x40: {} gates, full STA {:.1} ms (<= 5 s)",
@@ -226,20 +193,26 @@ fn run(
         }
     }
 
-    let json = render_json(hw, &rows, paper_extra);
-    if let Err(e) = std::fs::write(out, json) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+    let mut doc = Obj::new().with("host_hardware_threads", hw);
+    if let Some((full_ms, speedup)) = paper_extra {
+        doc = doc
+            .with("paper_full_analyze_ms", Value::Fixed(full_ms, 3))
+            .with("paper_incremental_speedup", Value::Fixed(speedup, 1));
     }
-    println!("wrote {out}");
+    let scale_rows: Vec<Obj> = rows.iter().map(ScaleRow::report).collect();
+    args.write_out(
+        &doc.with("scale_rows", scale_rows)
+            .with("bit_identical", true),
+    )?;
 
     if let Some((_, speedup)) = paper_extra {
         if !smoke && speedup < 5.0 {
-            eprintln!("FAIL: incremental speedup {speedup:.1}x is below the 5x floor");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "FAIL: incremental speedup {speedup:.1}x is below the 5x floor"
+            ));
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Paper-scale MCU through the AoS pipeline: full `analyze` vs engine
@@ -252,7 +225,7 @@ fn run_paper(
     edits: usize,
     repeat: usize,
     threads: &[usize],
-) -> Result<(ScaleRow, f64, f64), ExitCode> {
+) -> Result<(ScaleRow, f64, f64), String> {
     let build_span = varitune_trace::span!("sta_harness.build");
     let mcu = if smoke {
         McuConfig::small_for_tests()
@@ -261,13 +234,8 @@ fn run_paper(
     };
     let constraints = LibraryConstraints::unconstrained();
     let target = TargetLibrary::new(lib, &constraints);
-    let design = match map_netlist(&generate_mcu(&mcu), &target, WireModel::default()) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("mapping failed: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
+    let design = map_netlist(&generate_mcu(&mcu), &target, WireModel::default())
+        .map_err(|e| format!("mapping failed: {e}"))?;
     let gates = design.netlist.gates.len();
     let nets = design.netlist.nets.len();
     println!("paper: {gates} gates, {nets} nets; best of {repeat}");
@@ -277,24 +245,22 @@ fn run_paper(
 
     // Full analysis: validate + build + propagate, as every optimizer
     // iteration paid before the incremental engine existed.
-    let mut full_ms = f64::INFINITY;
-    for _ in 0..repeat {
-        let t0 = Instant::now();
-        let r = analyze(&design, lib, cfg).expect("full analyze");
-        full_ms = full_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        std::hint::black_box(r);
-    }
+    let full_ms = best_of(
+        repeat,
+        || analyze(&design, lib, cfg).expect("full analyze"),
+        |r| {
+            std::hint::black_box(r);
+        },
+    );
     println!("full analyze:          {full_ms:>9.3} ms");
 
     // One-time engine build (includes the initial full propagation).
-    let mut build_ms = f64::INFINITY;
     let mut engine = None;
-    for _ in 0..repeat {
-        let t0 = Instant::now();
-        let e = TimingGraph::new(design.clone(), lib, cfg).expect("engine builds");
-        build_ms = build_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        engine = Some(e);
-    }
+    let build_ms = best_of(
+        repeat,
+        || TimingGraph::new(design.clone(), lib, cfg).expect("engine builds"),
+        |e| engine = Some(e),
+    );
     let mut engine = engine.expect("repeat >= 1");
     println!("engine build:          {build_ms:>9.3} ms (once per design)");
     drop(build_span);
@@ -304,19 +270,10 @@ fn run_paper(
     // re-propagates only the dirty cone.
     let plan = resize_plan(lib, &engine, edits);
     if plan.is_empty() {
-        eprintln!("no resizable gates found");
-        return Err(ExitCode::FAILURE);
+        return Err("no resizable gates found".to_string());
     }
     let incr_span = varitune_trace::span!("sta_harness.incremental");
-    let t0 = Instant::now();
-    let mut recomputed = 0usize;
-    for (gi, cell) in &plan {
-        engine.resize_gate(*gi, cell).expect("same-family resize");
-        engine.update().expect("incremental update");
-        recomputed += engine.gates_recomputed_in_last_update();
-    }
-    let incr_ms = t0.elapsed().as_secs_f64() * 1e3 / plan.len() as f64;
-    let avg_cone = recomputed as f64 / plan.len() as f64;
+    let (incr_ms, avg_cone) = retime(&mut engine, &plan);
     let speedup = full_ms / incr_ms;
     println!(
         "incremental re-time:   {incr_ms:>9.3} ms/edit over {} edits \
@@ -328,8 +285,9 @@ fn run_paper(
     // analysis of the edited design to the last bit.
     let full_report = analyze(engine.design(), lib, cfg).expect("full analyze of edited");
     if let Err(msg) = reports_bit_identical(&engine.report(), &full_report) {
-        eprintln!("incremental result diverged from full analysis: {msg}");
-        return Err(ExitCode::FAILURE);
+        return Err(format!(
+            "incremental result diverged from full analysis: {msg}"
+        ));
     }
     println!("equivalence:           incremental == full analysis (bit-identical)");
     drop(incr_span);
@@ -367,36 +325,28 @@ fn run_soc(
     edits: usize,
     repeat: usize,
     threads: &[usize],
-) -> Result<ScaleRow, ExitCode> {
+) -> Result<ScaleRow, String> {
     let build_span = varitune_trace::span!("sta_harness.build");
     let t0 = Instant::now();
     let netlist = generate_soc(soc_cfg);
-    let gen_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let gen_ms = ms_since(t0);
     let gates = netlist.gate_count();
     let nets = netlist.net_count();
     println!("{scale}: {gates} gates, {nets} nets (generated in {gen_ms:.1} ms); best of {repeat}");
 
     let constraints = LibraryConstraints::unconstrained();
     let target = TargetLibrary::new(lib, &constraints);
-    let design = match map_soa(netlist, &target, WireModel::default()) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("mapping failed: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
+    let design = map_soa(netlist, &target, WireModel::default())
+        .map_err(|e| format!("mapping failed: {e}"))?;
 
     // Engine build over the SoA store (includes the initial sharded full
-    // propagation).
-    let mut build_ms = f64::INFINITY;
+    // propagation), from a fresh copy of the design as at paper scale.
     let mut engine = None;
-    for _ in 0..repeat {
-        let d = design.clone();
-        let t0 = Instant::now();
-        let e = TimingGraph::new_soa(d, lib, cfg).expect("engine builds");
-        build_ms = build_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        engine = Some(e);
-    }
+    let build_ms = best_of(
+        repeat,
+        || TimingGraph::new_soa(design.clone(), lib, cfg).expect("engine builds"),
+        |e| engine = Some(e),
+    );
     let mut engine = engine.expect("repeat >= 1");
     println!("engine build:          {build_ms:>9.3} ms (once per design)");
     drop(build_span);
@@ -406,18 +356,9 @@ fn run_soc(
     let incr_span = varitune_trace::span!("sta_harness.incremental");
     let plan = resize_plan(lib, &engine, edits.min(50));
     if plan.is_empty() {
-        eprintln!("no resizable gates found");
-        return Err(ExitCode::FAILURE);
+        return Err("no resizable gates found".to_string());
     }
-    let t0 = Instant::now();
-    let mut recomputed = 0usize;
-    for (gi, cell) in &plan {
-        engine.resize_gate(*gi, cell).expect("same-family resize");
-        engine.update().expect("incremental update");
-        recomputed += engine.gates_recomputed_in_last_update();
-    }
-    let incr_ms = t0.elapsed().as_secs_f64() * 1e3 / plan.len() as f64;
-    let avg_cone = recomputed as f64 / plan.len() as f64;
+    let (incr_ms, avg_cone) = retime(&mut engine, &plan);
     println!(
         "incremental re-time:   {incr_ms:>9.3} ms/edit over {} edits \
          (avg cone {avg_cone:.1} of {gates} gates)",
@@ -429,8 +370,9 @@ fn run_soc(
     let edited = engine.soa_design().expect("soa engine").clone();
     let fresh = TimingGraph::new_soa(edited, lib, cfg).expect("fresh engine over edited design");
     if let Err(msg) = reports_bit_identical(&engine.report(), &fresh.report()) {
-        eprintln!("incremental result diverged from fresh analysis: {msg}");
-        return Err(ExitCode::FAILURE);
+        return Err(format!(
+            "incremental result diverged from fresh analysis: {msg}"
+        ));
     }
     println!("equivalence:           incremental == fresh analysis (bit-identical)");
     drop(incr_span);
@@ -460,25 +402,25 @@ fn scaling_sweep(
     scale: &str,
     repeat: usize,
     threads: &[usize],
-) -> Result<Vec<(usize, f64)>, ExitCode> {
+) -> Result<Vec<(usize, f64)>, String> {
     let scaling_span = varitune_trace::span!("sta_harness.thread_scaling");
     let mut rows: Vec<(usize, f64)> = Vec::new();
     let mut reference: Option<TimingReport> = None;
     for &t in threads {
         engine.set_threads(t);
-        let mut dt = f64::INFINITY;
-        for _ in 0..repeat {
-            engine.invalidate_all();
-            let t0 = Instant::now();
-            engine.update().expect("full re-propagation");
-            dt = dt.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
+        let dt = best_of(
+            repeat,
+            || {
+                engine.invalidate_all();
+                engine.update().expect("full re-propagation");
+            },
+            drop,
+        );
         match &reference {
             None => reference = Some(engine.report()),
             Some(r) => {
                 if let Err(msg) = reports_bit_identical(&engine.report(), r) {
-                    eprintln!("{scale}: thread count {t} diverged: {msg}");
-                    return Err(ExitCode::FAILURE);
+                    return Err(format!("{scale}: thread count {t} diverged: {msg}"));
                 }
             }
         }
@@ -489,6 +431,20 @@ fn scaling_sweep(
     drop(scaling_span);
     engine.set_threads(1);
     Ok(rows)
+}
+
+/// Applies `plan` as single-gate resizes, each re-propagating only its
+/// dirty cone; returns the mean ms per edit and the mean gates recomputed.
+fn retime(engine: &mut TimingGraph<'_>, plan: &[(usize, String)]) -> (f64, f64) {
+    let t0 = Instant::now();
+    let mut recomputed = 0usize;
+    for (gi, cell) in plan {
+        engine.resize_gate(*gi, cell).expect("same-family resize");
+        engine.update().expect("incremental update");
+        recomputed += engine.gates_recomputed_in_last_update();
+    }
+    let edits = plan.len() as f64;
+    (ms_since(t0) / edits, recomputed as f64 / edits)
 }
 
 /// Deterministic resize schedule: gates spread across the design, each
@@ -552,61 +508,4 @@ fn reports_bit_identical(a: &TimingReport, b: &TimingReport) -> Result<(), Strin
         }
     }
     Ok(())
-}
-
-fn render_json(hw: usize, rows: &[ScaleRow], paper_extra: Option<(f64, f64)>) -> String {
-    let scale_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let threads: Vec<String> = r
-                .thread_rows
-                .iter()
-                .map(|(t, ms)| {
-                    format!("        {{\"threads\": {t}, \"full_repropagation_ms\": {ms:.3}}}")
-                })
-                .collect();
-            format!(
-                "    {{\n      \"scale\": \"{}\",\n      \"gates\": {},\n      \"nets\": {},\n      \
-                 \"engine_build_ms\": {:.3},\n      \"full_analyze_ms\": {:.3},\n      \
-                 \"incremental\": {{\"edits\": {}, \"avg_retime_ms\": {:.4}, \
-                 \"avg_gates_recomputed\": {:.1}}},\n      \
-                 \"thread_scaling\": [\n{}\n      ],\n      \"bit_identical\": true\n    }}",
-                r.scale,
-                r.gates,
-                r.nets,
-                r.build_ms,
-                r.full_analyze_ms,
-                r.edits,
-                r.avg_retime_ms,
-                r.avg_cone,
-                threads.join(",\n")
-            )
-        })
-        .collect();
-    let paper = paper_extra.map_or(String::new(), |(full_ms, speedup)| {
-        format!(
-            "  \"paper_full_analyze_ms\": {full_ms:.3},\n  \
-             \"paper_incremental_speedup\": {speedup:.1},\n"
-        )
-    });
-    format!(
-        "{{\n  \"host_hardware_threads\": {hw},\n{paper}  \"scale_rows\": [\n{}\n  ],\n  \
-         \"bit_identical\": true\n}}\n",
-        scale_rows.join(",\n")
-    )
-}
-
-fn parse_thread_list(s: String) -> Option<Vec<usize>> {
-    s.split(',')
-        .map(|p| p.trim().parse::<usize>().ok())
-        .collect()
-}
-
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("{msg}");
-    eprintln!(
-        "usage: sta_harness [--smoke] [--scale paper|x10|x40|all] [--edits N] \
-         [--threads N,N,...] [--repeat N] [--out PATH] [--trace PATH]"
-    );
-    ExitCode::FAILURE
 }

@@ -1,73 +1,41 @@
 //! Offline tuning micro-harness: wall time of the paper's §IV+§VI front end
 //! — `Flow::prepare` (nominal library, Monte-Carlo libraries, statistical
 //! merge, design) plus the full Table-2 `tune` sweep — with a component
-//! breakdown.
-//!
-//! ```text
-//! tune_harness [--smoke] [--repeat N] [--out PATH] [--before PREP_MS,TUNE_MS]
-//!              [--trace PATH]
-//! ```
+//! breakdown. Run with `--help` for the flags.
 //!
 //! The harness times the exact calls `Flow::prepare` makes (so the sum is
 //! the prepare cost) and then every `tune()` of the Table-2 parameter grid
-//! (5 methods × 4 parameter values). Tuning results are checked for
-//! determinism across repeats. `--before` embeds a previously recorded
-//! (prepare, tune) measurement so the emitted JSON carries the
-//! before/after comparison in one file (default `BENCH_tune.json`).
-//! `--trace` additionally writes a `varitune-trace` flow trace, which is
-//! byte-identical across reruns in default builds.
+//! (5 methods × 4 parameter values), each the best of `--repeat` runs.
+//! Tuning results are checked for determinism across repeats. The report
+//! goes to `--out` (default `BENCH_tune.json`); `--trace` additionally
+//! writes a `varitune-trace` flow trace, which is byte-identical across
+//! reruns in default builds.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use varitune_bench::trace::run_traced;
+use varitune_bench::harness::{self, best_of, Args, Kind, Obj, Spec, Value};
 use varitune_core::flow::FlowConfig;
 use varitune_core::{tune, TuningMethod, TuningParams};
 use varitune_libchar::{generate_nominal, StatLibrary};
 use varitune_netlist::generate_mcu;
 
-fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut repeat = 1usize;
-    let mut out = "BENCH_tune.json".to_string();
-    let mut before: Option<(f64, f64)> = None;
-    let mut trace: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--repeat" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => repeat = n,
-                _ => return usage("--repeat expects a positive integer"),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = p,
-                None => return usage("--out expects a path"),
-            },
-            "--before" => match it.next().map(|v| parse_pair(&v)) {
-                Some(Some(pair)) => before = Some(pair),
-                _ => return usage("--before expects PREPARE_MS,TUNE_MS"),
-            },
-            "--trace" => match it.next() {
-                Some(p) => trace = Some(p),
-                None => return usage("--trace expects a path"),
-            },
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: tune_harness [--smoke] [--repeat N] [--out PATH] \
-                     [--before PREP_MS,TUNE_MS] [--trace PATH]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => return usage(&format!("unknown argument `{other}`")),
-        }
-    }
+const SPEC: Spec = Spec {
+    name: "tune_harness",
+    flags: &[
+        ("--smoke", Kind::Switch, "the small test flow"),
+        ("--repeat", Kind::Count(1), "best-of-N runs per timing"),
+    ],
+    out: Some("BENCH_tune.json"),
+    ids: None,
+};
 
-    run_traced(trace.as_deref(), || run(smoke, repeat, &out, before))
+fn main() -> ExitCode {
+    harness::main(&SPEC, std::env::args(), run)
 }
 
-fn run(smoke: bool, repeat: usize, out: &str, before: Option<(f64, f64)>) -> ExitCode {
+fn run(args: &Args) -> Result<(), String> {
+    let smoke = args.switch("--smoke");
+    let repeat = args.count("--repeat");
     let scale = if smoke { "smoke" } else { "paper" };
     println!("tuning micro-harness (std::time::Instant, offline) — {scale} scale");
 
@@ -77,36 +45,25 @@ fn run(smoke: bool, repeat: usize, out: &str, before: Option<(f64, f64)>) -> Exi
         FlowConfig::paper_scale()
     };
 
-    // Component timings of what Flow::prepare runs, best of `repeat`.
+    // Component timings of what Flow::prepare runs, each the best of
+    // `repeat`: the nominal library, the streaming MC characterization +
+    // Welford merge in one fused pass, and the design.
     let prepare_span = varitune_trace::span!("tune_harness.prepare");
-    let mut nominal_ms = f64::INFINITY;
-    let mut char_ms = f64::INFINITY;
-    let mut mcu_ms = f64::INFINITY;
-    let mut stat = None;
-    for _ in 0..repeat {
-        let t0 = Instant::now();
-        let nominal = generate_nominal(&cfg.generate);
-        nominal_ms = nominal_ms.min(ms(t0));
-
-        // Streaming MC characterization + Welford merge in one fused pass,
-        // exactly what Flow::prepare calls.
-        let t0 = Instant::now();
-        let s = StatLibrary::from_monte_carlo(
-            &nominal,
-            &cfg.generate,
-            cfg.mc_libraries,
-            cfg.seed,
-            cfg.threads,
-        );
-        char_ms = char_ms.min(ms(t0));
-
-        let t0 = Instant::now();
-        let netlist = generate_mcu(&cfg.mcu);
-        mcu_ms = mcu_ms.min(ms(t0));
-        std::hint::black_box(&netlist);
-        stat = Some(s);
-    }
+    let (mut nominal, mut stat) = (None, None);
+    let gen = &cfg.generate;
+    let nominal_ms = best_of(repeat, || generate_nominal(gen), |n| nominal = Some(n));
+    let nominal = nominal.expect("repeat >= 1");
+    let char_ms = best_of(
+        repeat,
+        || StatLibrary::from_monte_carlo(&nominal, gen, cfg.mc_libraries, cfg.seed, cfg.threads),
+        |s| stat = Some(s),
+    );
     let stat = stat.expect("repeat >= 1");
+    let mcu_ms = best_of(
+        repeat,
+        || generate_mcu(&cfg.mcu),
+        |n| drop(std::hint::black_box(n)),
+    );
     drop(prepare_span);
     let prepare_ms = nominal_ms + char_ms + mcu_ms;
     println!("nominal library:       {nominal_ms:>9.1} ms");
@@ -128,106 +85,36 @@ fn run(smoke: bool, repeat: usize, out: &str, before: Option<(f64, f64)>) -> Exi
         })
         .collect();
     let sweep_span = varitune_trace::span!("tune_harness.tune_sweep");
-    let mut tune_ms = f64::INFINITY;
-    let mut reference: Option<Vec<usize>> = None;
-    for _ in 0..repeat {
-        let t0 = Instant::now();
-        let mut restricted: Vec<usize> = Vec::with_capacity(grid.len());
-        for &(m, p) in &grid {
-            let tuned = tune(&stat, m, p);
-            restricted.push(tuned.restricted_pins);
-            std::hint::black_box(&tuned);
-        }
-        tune_ms = tune_ms.min(ms(t0));
-        match &reference {
-            None => reference = Some(restricted),
-            Some(r) => {
-                if *r != restricted {
-                    eprintln!("tuning is not deterministic across repeats");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    let sweep = || -> Vec<usize> {
+        let tuned = grid.iter().map(|&(m, p)| tune(&stat, m, p));
+        tuned
+            .map(|t| std::hint::black_box(t).restricted_pins)
+            .collect()
+    };
+    let mut restricted = Vec::with_capacity(repeat);
+    let tune_ms = best_of(repeat, sweep, |pins| restricted.push(pins));
+    if restricted.iter().any(|pins| *pins != restricted[0]) {
+        return Err("tuning is not deterministic across repeats".to_string());
     }
     drop(sweep_span);
     let total_ms = prepare_ms + tune_ms;
     println!("tune x{} (Table 2):    {tune_ms:>9.1} ms", grid.len());
     println!("prepare + tune:        {total_ms:>9.1} ms");
 
-    let comparison = before.map(|(p, t)| {
-        let b = p + t;
-        let speedup = b / total_ms;
-        println!("before:                {b:>9.1} ms (prepare {p:.1} + tune {t:.1})");
-        println!("speedup:               {speedup:>9.2}x");
-        (p, t, speedup)
-    });
-
-    let json = render_json(
-        scale,
-        &cfg,
-        nominal_ms,
-        char_ms,
-        mcu_ms,
-        prepare_ms,
-        grid.len(),
-        tune_ms,
-        total_ms,
-        comparison,
-    );
-    if let Err(e) = std::fs::write(out, json) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-    ExitCode::SUCCESS
-}
-
-fn ms(t0: Instant) -> f64 {
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    scale: &str,
-    cfg: &FlowConfig,
-    nominal_ms: f64,
-    char_ms: f64,
-    mcu_ms: f64,
-    prepare_ms: f64,
-    tune_calls: usize,
-    tune_ms: f64,
-    total_ms: f64,
-    comparison: Option<(f64, f64, f64)>,
-) -> String {
-    let before = match comparison {
-        Some((p, t, speedup)) => format!(
-            ",\n  \"before\": {{\"prepare_ms\": {p:.1}, \"tune_ms\": {t:.1}, \
-             \"total_ms\": {:.1}}},\n  \"speedup_vs_before\": {speedup:.2}",
-            p + t
-        ),
-        None => String::new(),
-    };
-    format!(
-        "{{\n  \"scale\": \"{scale}\",\n  \"mc_libraries\": {},\n  \
-         \"prepare\": {{\n    \"nominal_ms\": {nominal_ms:.1},\n    \
-         \"mc_characterization_ms\": {char_ms:.1},\n    \
-         \"design_ms\": {mcu_ms:.1},\n    \"total_ms\": {prepare_ms:.1}\n  }},\n  \
-         \"tune\": {{\n    \"calls\": {tune_calls},\n    \"total_ms\": {tune_ms:.1}\n  }},\n  \
-         \"total_ms\": {total_ms:.1}{before}\n}}\n",
-        cfg.mc_libraries
+    let prepare = Obj::new()
+        .with("nominal_ms", Value::Fixed(nominal_ms, 1))
+        .with("mc_characterization_ms", Value::Fixed(char_ms, 1))
+        .with("design_ms", Value::Fixed(mcu_ms, 1))
+        .with("total_ms", Value::Fixed(prepare_ms, 1));
+    let tune_row = Obj::new()
+        .with("calls", grid.len())
+        .with("total_ms", Value::Fixed(tune_ms, 1));
+    args.write_out(
+        &Obj::new()
+            .with("scale", scale)
+            .with("mc_libraries", cfg.mc_libraries)
+            .with("prepare", prepare)
+            .with("tune", tune_row)
+            .with("total_ms", Value::Fixed(total_ms, 1)),
     )
-}
-
-fn parse_pair(s: &str) -> Option<(f64, f64)> {
-    let (a, b) = s.split_once(',')?;
-    Some((a.trim().parse().ok()?, b.trim().parse().ok()?))
-}
-
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("{msg}");
-    eprintln!(
-        "usage: tune_harness [--smoke] [--repeat N] [--out PATH] [--before PREP_MS,TUNE_MS] \
-         [--trace PATH]"
-    );
-    ExitCode::FAILURE
 }

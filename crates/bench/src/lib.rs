@@ -3,14 +3,15 @@
 //! The [`Ctx`] prepares the shared inputs (library, statistical library,
 //! design, the Table 1 clock periods) once; each `fig*`/`tab*` function in
 //! [`experiments`] reproduces one artefact and returns its report as text.
-//! The `experiments` binary drives them from the command line; the Criterion
-//! benches in `benches/` measure the underlying kernels.
+//! The `experiments` binary drives them from the command line; it and the
+//! harness binaries run on the shared core in [`harness`].
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod corrupt;
 pub mod experiments;
+pub mod harness;
 pub mod text;
 pub mod trace;
 

@@ -1,36 +1,8 @@
-//! Shared `--trace` plumbing for the bench binaries.
+//! The `--trace` schema contract of the bench binaries.
 //!
-//! Every binary accepts `--trace PATH`: the whole measurement body runs
-//! under [`varitune_trace::capture`] and the resulting [`FlowTrace`] is
-//! written to `PATH` as deterministic JSON. Without the `wall-clock`
-//! feature the file is byte-identical across reruns and thread counts,
-//! which CI exploits as a determinism gate.
-//!
-//! [`FlowTrace`]: varitune_trace::FlowTrace
-
-use std::process::ExitCode;
-
-/// Runs `f`, capturing a flow trace around it when `path` is given.
-///
-/// With `path = None` this is a plain call — tracing stays disabled and
-/// the binary behaves exactly as before the observability layer existed.
-/// With a path, the trace is serialized after `f` returns; an unwritable
-/// path turns a successful run into a failure, since the caller asked for
-/// an artefact that could not be produced.
-pub fn run_traced(path: Option<&str>, f: impl FnOnce() -> ExitCode) -> ExitCode {
-    match path {
-        None => f(),
-        Some(path) => {
-            let (code, trace) = varitune_trace::capture(f);
-            if let Err(e) = std::fs::write(path, trace.to_json()) {
-                eprintln!("cannot write trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote trace {path}");
-            code
-        }
-    }
-}
+//! Every binary accepts `--trace PATH` (see [`crate::harness`]) and writes
+//! the flow trace of its whole run there. [`stages`] names the spans each
+//! binary's trace must contain.
 
 /// Documented stage spans each binary's `--trace` output must contain.
 ///

@@ -6,7 +6,9 @@
 //! the matching constant fails here.
 //!
 //! Each binary runs as a subprocess (`CARGO_BIN_EXE_*`) at its smallest
-//! scale, so this suite stays offline and self-contained.
+//! scale, so this suite stays offline and self-contained. The suite also
+//! pins the command-line contract of the harness core: `--help` exits 0
+//! and names every documented flag, an unknown flag exits non-zero.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -279,4 +281,53 @@ fn experiments_trace_matches_schema() {
     assert_stages("experiments", &trace, stages::EXPERIMENTS);
     assert!(trace.counter("core.flows_prepared") > 0);
     assert!(trace.counter("synth.runs") > 0);
+}
+
+#[test]
+fn every_binary_documents_its_flags_and_rejects_unknown_ones() {
+    for (bin, flags) in [
+        (env!("CARGO_BIN_EXE_experiments"), "--scale --threads"),
+        (
+            env!("CARGO_BIN_EXE_fault_harness"),
+            "--ops --seed --threads --out",
+        ),
+        (
+            env!("CARGO_BIN_EXE_mc_harness"),
+            "--libraries --samples --threads --repeat",
+        ),
+        (
+            env!("CARGO_BIN_EXE_optimize_harness"),
+            "--smoke --threads --seed --out",
+        ),
+        (env!("CARGO_BIN_EXE_parse_harness"), "--smoke --seed --out"),
+        (
+            env!("CARGO_BIN_EXE_serve_harness"),
+            "--jobs --seed --smoke --out",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ssta_harness"),
+            "--smoke --scale --trials --threads --repeat --out",
+        ),
+        (
+            env!("CARGO_BIN_EXE_sta_harness"),
+            "--smoke --scale --edits --threads --repeat --out",
+        ),
+        (env!("CARGO_BIN_EXE_tune_harness"), "--smoke --repeat --out"),
+    ] {
+        let help = Command::new(bin).arg("--help").output().expect("spawn");
+        assert!(help.status.success(), "{bin} --help: {}", help.status);
+        let help = String::from_utf8_lossy(&help.stdout);
+        for flag in flags.split(' ').chain(["--trace", "--help"]) {
+            assert!(
+                help.contains(flag),
+                "{bin} --help does not name {flag}:\n{help}"
+            );
+        }
+        let bad = Command::new(bin)
+            .arg("--no-such-flag")
+            .output()
+            .expect("spawn");
+        assert!(!bad.status.success(), "{bin} accepted --no-such-flag");
+        assert!(String::from_utf8_lossy(&bad.stderr).contains("usage: "));
+    }
 }

@@ -528,6 +528,24 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_rho_is_a_typed_error() {
+        let mut flow = Flow::prepare(FlowConfig {
+            rho: 1.5,
+            ..FlowConfig::small_for_tests()
+        })
+        .unwrap();
+        let synth = SynthConfig::with_clock_period(8.0);
+        for rho in [1.5, f64::NAN] {
+            flow.config.rho = rho;
+            let err = flow.run_baseline(&synth).unwrap_err();
+            assert!(
+                matches!(err, FlowError::Sta(StaError::InvalidParameter { .. })),
+                "{rho}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn baseline_run_produces_paths_and_sigma() {
         let flow = flow_fixture();
         let run = flow

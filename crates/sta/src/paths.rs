@@ -92,12 +92,10 @@ impl DesignTiming {
 ///
 /// # Errors
 ///
-/// Returns [`StaError`] if a cell or pin cannot be resolved or a table
-/// cannot be evaluated.
-///
-/// # Panics
-///
-/// Panics if `rho` is outside `[-1, 1]`.
+/// [`StaError::InvalidParameter`] if `rho` is NaN or outside `[-1, 1]`;
+/// `rho` is caller-supplied configuration, so it must not reach
+/// [`convolve::path_sigma`]'s assert. Any other [`StaError`] if a cell or
+/// pin cannot be resolved or a table cannot be evaluated.
 pub fn extract_path(
     design: &MappedDesign,
     lib: &Library,
@@ -106,6 +104,11 @@ pub fn extract_path(
     endpoint: NetId,
     rho: f64,
 ) -> Result<PathTiming, StaError> {
+    if !(-1.0..=1.0).contains(&rho) {
+        return Err(StaError::InvalidParameter {
+            reason: format!("path correlation rho must be in [-1, 1], got {rho}"),
+        });
+    }
     let mut cells_rev: Vec<PathCellSample> = Vec::new();
     // Id-based query coordinates, parallel to `cells_rev`: the statistical
     // queries below run on (CellId, pin position) — the PathCellSample
@@ -359,6 +362,26 @@ mod tests {
         let p5 = extract_path(&d, &lib, &stat, &r, r.endpoints[0].net, 0.5).unwrap();
         assert!(p5.sigma > p0.sigma);
         assert_eq!(p5.mean, p0.mean);
+    }
+
+    #[test]
+    fn out_of_range_rho_is_an_error_not_a_panic() {
+        let (lib, stat) = fixtures();
+        let d = chain_design(4, "INV_2");
+        let r = analyze(&d, &lib, &StaConfig::with_clock_period(10.0)).unwrap();
+        for rho in [1.5, -1.01, f64::NAN] {
+            let err = extract_path(&d, &lib, &stat, &r, r.endpoints[0].net, rho).unwrap_err();
+            assert!(
+                matches!(err, StaError::InvalidParameter { .. }),
+                "{rho}: {err}"
+            );
+            let err = worst_paths(&d, &lib, &stat, &r, rho).unwrap_err();
+            assert!(
+                matches!(err, StaError::InvalidParameter { .. }),
+                "{rho}: {err}"
+            );
+        }
+        assert!(extract_path(&d, &lib, &stat, &r, r.endpoints[0].net, -1.0).is_ok());
     }
 
     #[test]
