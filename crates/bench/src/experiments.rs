@@ -1272,7 +1272,7 @@ fn extracted_paths(ctx: &Ctx) -> (Vec<String>, Vec<Vec<PathCell>>) {
             .iter()
             .map(|c| {
                 let (m, s) = stat
-                    .delay_stat(&c.cell, &c.out_pin, c.slew, c.load)
+                    .delay_stat_id(c.cell, c.out_pin, c.slew, c.load)
                     .expect("path cells resolve in the statistical library");
                 PathCell::new(m, if m > 0.0 { s / m } else { 0.0 })
             })

@@ -36,8 +36,10 @@
 //!   the directly affected nets and gates; [`TimingGraph::update`] then
 //!   recomputes dirty net loads, re-evaluates dirty gates level by level,
 //!   and follows a value change into a gate's fanout **only when the
-//!   driving net's arrival or slew actually changed bits**. The cost of an
-//!   edit is O(size of the changed cone), not O(netlist).
+//!   driving net's arrival or slew actually changed bits**. A split
+//!   re-levels only the moved sinks' forward cone (levels only rise, so a
+//!   worklist of raises reaches the exact longest-path levels). The cost
+//!   of an edit is O(size of the changed cone), not O(netlist).
 //! * **Deterministic parallelism** — the shard decomposition and the
 //!   decision to fan out depend only on the workload (stage width), never
 //!   on the thread count; a gate's result depends only on frozen
@@ -362,7 +364,7 @@ impl<'l> Core<'l> {
         // only, so a failing gate always interns fresh and the error
         // carries the first failing gate index.
         let mut cache: HashMap<(usize, usize, usize, bool), InternedCell<'l>> = HashMap::new();
-        assert_eq!(cells.len(), n_gates, "one cell id per gate required");
+        debug_assert_eq!(cells.len(), n_gates, "callers check the cell count");
         for (gi, &cell) in cells.iter().enumerate() {
             let seq = nl.gate_kind(gi).is_sequential();
             let g_in = nl.gate_inputs(gi);
@@ -494,7 +496,7 @@ impl<'l> Core<'l> {
             dirty_ep: vec![false; n_eps],
             last_recomputed: 0,
         };
-        core.compute_levels()?;
+        core.level = core.levelize()?;
         core.invalidate_all();
         varitune_trace::add("sta.graph_builds", 1);
         Ok(core)
@@ -521,10 +523,12 @@ impl<'l> Core<'l> {
         &self.arcs[self.arc_off[gi] as usize..self.arc_off[gi + 1] as usize]
     }
 
-    /// Longest-path levelization over the combinational subgraph. The
-    /// netlist was validated acyclic; an inconsistency is reported as a
-    /// netlist error like [`crate::graph::topo_order`] does.
-    fn compute_levels(&mut self) -> Result<(), StaError> {
+    /// Longest-path levelization over the combinational subgraph, from
+    /// scratch. The netlist was validated acyclic; an inconsistency is
+    /// reported as a netlist error like [`crate::graph::topo_order`] does.
+    /// Runs once per build: edits keep levels exact locally (see
+    /// [`Core::raise_levels`]).
+    fn levelize(&self) -> Result<Vec<u32>, StaError> {
         let n = self.n_gates();
         let mut level = vec![0u32; n];
         let mut indeg = vec![0u32; n];
@@ -569,8 +573,30 @@ impl<'l> Core<'l> {
                 },
             ));
         }
-        self.level = level;
-        Ok(())
+        Ok(level)
+    }
+
+    /// Raises levels along `gi`'s forward cone until every combinational
+    /// sink sits above each of its drivers again; a sink that is already
+    /// high enough ends the walk. Levels only rise here, which is exact
+    /// after a split: the one driver the moved sinks lose sits below `gi`,
+    /// so no level has to fall (see [`split_fanout_impl`]).
+    fn raise_levels(&mut self, gi: usize) {
+        let mut work = vec![gi as u32];
+        while let Some(g) = work.pop() {
+            let g = g as usize;
+            let next = self.level[g] + 1;
+            for oi in self.out_off[g] as usize..self.out_off[g + 1] as usize {
+                let out = self.out_net[oi] as usize;
+                for s in 0..self.sinks.n_sinks(out) {
+                    let sg = self.sinks.get(out, s).0 as usize;
+                    if !self.is_seq[sg] && self.level[sg] < next {
+                        self.level[sg] = next;
+                        work.push(sg as u32);
+                    }
+                }
+            }
+        }
     }
 
     fn mark_gate_dirty(&mut self, gi: usize) {
@@ -1061,11 +1087,13 @@ impl<'l> Core<'l> {
         Ok(())
     }
 
-    /// Appends the CSR row of a freshly added gate (levels are rebuilt by
-    /// the caller via [`Core::compute_levels`]).
-    fn push_gate_row(&mut self, ic: &InternedCell<'l>, seq: bool, ins: &[u32], outs: &[u32]) {
+    /// Appends the CSR row of a freshly added combinational gate at
+    /// `level`, which the caller computes exactly from the gate's drivers
+    /// (its sinks are re-levelled by [`Core::raise_levels`]).
+    fn push_gate_row(&mut self, ic: &InternedCell<'l>, level: u32, ins: &[u32], outs: &[u32]) {
         self.cell_idx.push(ic.ci);
-        self.is_seq.push(seq);
+        self.is_seq.push(false);
+        self.level.push(level);
         self.in_net.extend_from_slice(ins);
         self.in_cap.extend_from_slice(&ic.caps);
         self.in_off.push(self.in_net.len() as u32);
@@ -1077,6 +1105,17 @@ impl<'l> Core<'l> {
         self.seq_ep.push(NONE_U32);
         self.dirty_gate.push(false);
     }
+}
+
+/// One cell id per gate: a design whose public `cells` list drifted from
+/// its gate list is rejected before any work.
+fn check_cell_count(gates: usize, cells: usize) -> Result<(), StaError> {
+    if gates == cells {
+        return Ok(());
+    }
+    Err(StaError::InvalidParameter {
+        reason: format!("design binds {cells} cell ids to {gates} gates; one per gate required"),
+    })
 }
 
 /// Splits the fanout of `net` behind an INV→INV pair — the engine-side
@@ -1143,9 +1182,15 @@ fn split_fanout_impl<'l, V: NetlistEdit>(
         core.in_net[i0 + k as usize] = out.0;
     }
 
-    // Per-gate CSR rows for the two inverters.
-    core.push_gate_row(&ic1, false, &[net.0], &[mid.0]);
-    core.push_gate_row(&ic2, false, &[mid.0], &[out.0]);
+    // Per-gate CSR rows for the two inverters: `g1` one level above the
+    // split net's driver (a primary-input or sequential driver puts it at
+    // level 0), `g2` one above `g1`.
+    let l1 = match core.driver[ni] {
+        d if d == NONE_U32 || core.is_seq[d as usize] => 0,
+        d => core.level[d as usize] + 1,
+    };
+    core.push_gate_row(&ic1, l1, &[net.0], &[mid.0]);
+    core.push_gate_row(&ic2, l1 + 1, &[mid.0], &[out.0]);
 
     // Endpoints attached to moved flip-flop data inputs follow their net.
     for &(g, _) in &moved {
@@ -1159,8 +1204,10 @@ fn split_fanout_impl<'l, V: NetlistEdit>(
         }
     }
 
-    // Structure changed: re-level before marking dirt.
-    core.compute_levels()?;
+    // Structure changed: re-level before marking dirt. Only the moved
+    // sinks lost a driver (the split net's, which sits below `g2`) and
+    // gained one (`g2`), so raising `g2`'s forward cone is exact.
+    core.raise_levels(g2);
     core.mark_load_dirty(ni);
     core.mark_load_dirty(mi);
     core.mark_load_dirty(oi);
@@ -1230,14 +1277,17 @@ impl<'l> TimingGraph<'l> {
     /// # Errors
     ///
     /// Returns [`StaError`] under the same conditions as
-    /// [`crate::graph::analyze`].
+    /// [`crate::graph::analyze`]: among them
+    /// [`StaError::InvalidParameter`] when `design.cells` does not hold
+    /// exactly one cell id per gate.
     pub fn new(
         design: MappedDesign,
         lib: &'l Library,
         config: &StaConfig,
     ) -> Result<Self, StaError> {
-        // First, so retained statistical state is freed before the build
-        // allocates.
+        check_cell_count(design.netlist.gates.len(), design.cells.len())?;
+        // Before the build, so retained statistical state is freed before
+        // the build allocates.
         let id = GraphId::new();
         design.netlist.validate()?;
         let mut core = Core::build(
@@ -1268,6 +1318,7 @@ impl<'l> TimingGraph<'l> {
         lib: &'l Library,
         config: &StaConfig,
     ) -> Result<Self, StaError> {
+        check_cell_count(design.netlist.gate_count(), design.cells.len())?;
         let id = GraphId::new();
         design.netlist.validate()?;
         let mut core = Core::build(
@@ -1431,6 +1482,21 @@ impl<'l> TimingGraph<'l> {
         (d != NONE_U32).then_some(d as usize)
     }
 
+    /// Input nets of gate `gi` in pin order; reflects edits immediately.
+    pub fn gate_inputs(&self, gi: usize) -> impl ExactSizeIterator<Item = NetId> + '_ {
+        self.core.gate_inputs(gi).iter().map(|&n| NetId(n))
+    }
+
+    /// Output nets of gate `gi` in pin order; reflects edits immediately.
+    pub fn gate_outputs(&self, gi: usize) -> impl ExactSizeIterator<Item = NetId> + '_ {
+        self.core.gate_outputs(gi).iter().map(|&n| NetId(n))
+    }
+
+    /// Whether gate `gi` is sequential (a flip-flop).
+    pub fn is_sequential(&self, gi: usize) -> bool {
+        self.core.is_seq[gi]
+    }
+
     /// Gates re-evaluated by the last [`TimingGraph::update`] — the dirty
     /// cone size, exposed for tests and the bench harness.
     pub fn gates_recomputed_in_last_update(&self) -> usize {
@@ -1592,6 +1658,15 @@ impl<'l> TimingGraph<'l> {
         }
     }
 
+    /// Test hook: whether the incrementally maintained levels equal a
+    /// from-scratch levelization of the current structure.
+    #[cfg(test)]
+    fn levels_match_full_levelization(&self) -> bool {
+        self.core
+            .levelize()
+            .is_ok_and(|full| full == self.core.level)
+    }
+
     /// Backward required-time propagation over the interned graph,
     /// bit-identical to [`crate::graph::required_times`] on the current
     /// state.
@@ -1607,12 +1682,11 @@ impl<'l> TimingGraph<'l> {
             *r = r.min(ep.required);
         }
         // Any reverse topological order gives bit-identical results (the
-        // per-net fold is a min); descending level is one.
-        let mut order: Vec<u32> = (0..core.n_gates() as u32)
-            .filter(|&g| !core.is_seq[g as usize])
-            .collect();
-        order.sort_unstable_by_key(|&g| (core.level[g as usize], g));
-        for &g in order.iter().rev() {
+        // per-net fold is a min); the combinational stages of the
+        // counting-sort schedule, backwards, are one (descending level,
+        // descending gate within a level).
+        let (stage_off, schedule) = core.stage_schedule();
+        for &g in schedule[stage_off[1] as usize..].iter().rev() {
             let gi = g as usize;
             let ins = core.gate_inputs(gi);
             let n_in = ins.len();
@@ -1642,6 +1716,7 @@ pub(crate) fn analyze_via_engine(
     lib: &Library,
     config: &StaConfig,
 ) -> Result<TimingReport, StaError> {
+    check_cell_count(design.netlist.gates.len(), design.cells.len())?;
     design.netlist.validate()?;
     let mut core = Core::build(
         &design.netlist,
@@ -1970,6 +2045,126 @@ mod tests {
         let one = run(1);
         assert_reports_bit_identical(&one, &run(2));
         assert_reports_bit_identical(&one, &run(8));
+    }
+
+    /// The small MCU on the full library, every gate bound to the drive-1
+    /// cell of its function (synthesis's initial mapping, restated here
+    /// because this crate sits below the mapper).
+    fn small_mcu(lib: &Library) -> MappedDesign {
+        let nl = varitune_netlist::generate_mcu(&varitune_netlist::McuConfig::small_for_tests());
+        let names: Vec<String> = nl
+            .gates
+            .iter()
+            .map(|g| {
+                let n = g.inputs.len();
+                let family = match g.kind {
+                    GateKind::Inv | GateKind::Buf => "INV".to_string(),
+                    GateKind::And => format!("AN{n}"),
+                    GateKind::Or => format!("OR{n}"),
+                    GateKind::Nand => format!("ND{n}"),
+                    GateKind::Nor => format!("NR{n}"),
+                    GateKind::Xor => "EO2".to_string(),
+                    GateKind::Xnor => "XN2".to_string(),
+                    GateKind::Mux2 => "MU2".to_string(),
+                    GateKind::Mux4 => "MU4".to_string(),
+                    GateKind::HalfAdder => "AD1".to_string(),
+                    GateKind::FullAdder => "AD2".to_string(),
+                    GateKind::Dff => "DF".to_string(),
+                };
+                format!("{family}_1")
+            })
+            .collect();
+        MappedDesign::from_names(nl, &names, lib, WireModel::default()).unwrap()
+    }
+
+    #[test]
+    fn split_levels_match_full_levelization_through_random_edits() {
+        let lib = generate_nominal(&GenerateConfig::full());
+        let cfg = StaConfig::with_clock_period(6.0);
+        let mut engine = TimingGraph::new(small_mcu(&lib), &lib, &cfg).unwrap();
+        assert!(engine.levels_match_full_levelization());
+        let inv = lib.cell_id("INV_2").unwrap();
+        let mut rng = varitune_variation::Xoshiro256PlusPlus::seed_from_u64(0x5EED_1E7E);
+        let mut splits = 0usize;
+        let mut resizes = 0usize;
+        let mut step = 0usize;
+        while splits < 240 {
+            step += 1;
+            let pick = rng.next_u64() as usize;
+            if rng.next_f64() < 0.3 {
+                // Resize to another drive of the same function.
+                let gi = pick % engine.gate_count();
+                let name = engine.cell_name(gi);
+                let family = &name[..name.rfind('_').unwrap()];
+                let variants: Vec<CellId> = (0..lib.cells.len())
+                    .filter(|&i| {
+                        let other = &lib.cells[i].name;
+                        other.rfind('_').is_some_and(|at| &other[..at] == family)
+                    })
+                    .map(|i| CellId(i as u32))
+                    .collect();
+                let to = variants[(rng.next_u64() as usize) % variants.len()];
+                engine.resize_gate_id(gi, to).unwrap();
+                resizes += 1;
+            } else {
+                // Split a random multi-sink net, driven or not: primary
+                // inputs, flip-flop outputs and deep combinational nets
+                // all take the same path.
+                let nets = engine.core().nets.len();
+                let Some(net) = (0..nets)
+                    .map(|i| NetId(((pick + i) % nets) as u32))
+                    .find(|&n| engine.core().sinks(n.0 as usize).len() >= 2)
+                else {
+                    continue;
+                };
+                engine.split_fanout_id(net, inv).unwrap();
+                splits += 1;
+                assert!(
+                    engine.levels_match_full_levelization(),
+                    "levels drifted after split {splits} (net {})",
+                    net.0
+                );
+            }
+            if step.is_multiple_of(3) {
+                engine.update().unwrap();
+                let full = analyze(engine.design(), &lib, &cfg).unwrap();
+                assert_reports_bit_identical(&engine.report(), &full);
+            }
+        }
+        engine.update().unwrap();
+        let full = analyze(engine.design(), &lib, &cfg).unwrap();
+        assert_reports_bit_identical(&engine.report(), &full);
+        assert!(resizes > 50, "exercised {resizes} resizes");
+    }
+
+    #[test]
+    fn a_cell_count_that_does_not_match_the_gates_is_an_error_not_a_panic() {
+        let lib = lib();
+        let cfg = StaConfig::with_clock_period(2.0);
+        let d = chain(4, "INV_2", &lib);
+        let mut short = d.clone();
+        short.cells.pop();
+        let mut long = d.clone();
+        long.cells.push(long.cells[0]);
+        for bad in [short, long] {
+            // The fields are public, so the count can drift past the
+            // constructors' asserts.
+            let soa = SoaDesign {
+                netlist: SoaNetlist::from_netlist(&bad.netlist),
+                cells: bad.cells.clone(),
+                wire_model: bad.wire_model,
+            };
+            for err in [
+                analyze(&bad, &lib, &cfg).err(),
+                TimingGraph::new(bad.clone(), &lib, &cfg).err(),
+                TimingGraph::new_soa(soa, &lib, &cfg).err(),
+            ] {
+                assert!(
+                    matches!(err, Some(StaError::InvalidParameter { .. })),
+                    "{err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -265,7 +265,8 @@ impl TimingReport {
 ///
 /// Returns [`StaError`] if the netlist is structurally invalid, a gate maps
 /// to an unknown cell, a required timing arc is missing, or LUT evaluation
-/// fails.
+/// fails; [`StaError::InvalidParameter`] if `design.cells` does not hold
+/// exactly one cell id per gate.
 pub fn analyze(
     design: &MappedDesign,
     lib: &Library,

@@ -33,10 +33,7 @@ pub fn mc_cells(path: &PathTiming, stat: &StatLibrary) -> Result<Vec<PathCell>, 
     path.cells
         .iter()
         .map(|c| {
-            let (m, s) = match &c.related_pin {
-                Some(rel) => stat.delay_stat_arc(&c.cell, &c.out_pin, rel, c.slew, c.load)?,
-                None => stat.delay_stat(&c.cell, &c.out_pin, c.slew, c.load)?,
-            };
+            let (m, s) = c.delay_stat(stat)?;
             Ok(PathCell::new(m, if m > 0.0 { s / m } else { 0.0 }))
         })
         .collect()
@@ -226,7 +223,7 @@ mod tests {
     #[test]
     fn unknown_cell_is_an_error_not_a_panic() {
         let (stat, mut paths) = fixture_paths();
-        paths[0].cells[0].cell = "NOT_A_CELL".to_string();
+        paths[0].cells[0].cell = varitune_liberty::CellId(u32::MAX);
         let err = simulate_worst_paths(
             &paths,
             &stat,

@@ -6,32 +6,77 @@
 //! and convolving those into path and design distributions (eqs. 5–11).
 
 use varitune_libchar::StatLibrary;
-use varitune_liberty::Library;
+use varitune_liberty::{CellId, Library};
 use varitune_netlist::NetId;
 use varitune_variation::convolve;
 
-use crate::graph::{StaError, TimingReport};
+use crate::graph::{NetTiming, StaError, TimingReport};
 use crate::mapped::MappedDesign;
 
 /// One cell on an extracted path, with the operating point it was timed at.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The cell and its pins are ids into the library the path was extracted
+/// against; [`PathCellSample::cell_name`] and friends render names for
+/// reports.
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PathCellSample {
     /// Gate index in the netlist.
     pub gate: usize,
-    /// Library cell name.
-    pub cell: String,
-    /// Output pin name the path leaves through.
-    pub out_pin: String,
-    /// Input pin the critical arc comes from (`None` for a launching
-    /// flip-flop, which times from its clock).
-    pub related_pin: Option<String>,
+    /// Library cell of the gate.
+    pub cell: CellId,
+    /// Position of the output pin the path leaves through among the
+    /// cell's output pins.
+    pub out_pin: usize,
+    /// Position of the input pin the critical arc comes from, as in
+    /// [`NetTiming::crit_input`] (`None` for a launching flip-flop, which
+    /// times from its clock).
+    pub crit_input: Option<usize>,
     /// Input slew at the critical arc (ns).
     pub slew: f64,
     /// Output load (pF).
     pub load: f64,
     /// Propagated (deterministic) cell delay (ns).
     pub delay: f64,
+}
+
+impl PathCellSample {
+    /// Library cell name (`None` when the id does not resolve in `lib`).
+    pub fn cell_name<'l>(&self, lib: &'l Library) -> Option<&'l str> {
+        lib.cells.get(self.cell.index()).map(|c| c.name.as_str())
+    }
+
+    /// Name of the output pin the path leaves through.
+    pub fn out_pin_name<'l>(&self, lib: &'l Library) -> Option<&'l str> {
+        let cell = lib.cells.get(self.cell.index())?;
+        cell.output_pins()
+            .nth(self.out_pin)
+            .map(|p| p.name.as_str())
+    }
+
+    /// Name of the input pin the critical arc comes from (`None` for a
+    /// launching flip-flop, or when the position does not resolve).
+    pub fn related_pin_name<'l>(&self, lib: &'l Library) -> Option<&'l str> {
+        let cell = lib.cells.get(self.cell.index())?;
+        cell.input_pins()
+            .nth(self.crit_input?)
+            .map(|p| p.name.as_str())
+    }
+
+    /// Statistical `(mean, sigma)` delay of this cell at its operating
+    /// point: the precise critical arc when known, the pin-level worst for
+    /// a launching flip-flop (its only arc is clk->q).
+    ///
+    /// # Errors
+    ///
+    /// [`StaError::Interpolate`] if the id or a pin position does not
+    /// resolve in `stat` or a table cannot be evaluated.
+    pub fn delay_stat(&self, stat: &StatLibrary) -> Result<(f64, f64), StaError> {
+        Ok(match self.crit_input {
+            Some(k) => stat.delay_stat_arc_id(self.cell, self.out_pin, k, self.slew, self.load)?,
+            None => stat.delay_stat_id(self.cell, self.out_pin, self.slew, self.load)?,
+        })
+    }
 }
 
 /// A worst path to one endpoint with its statistical parameters.
@@ -86,16 +131,122 @@ impl DesignTiming {
     }
 }
 
+fn invalid(reason: String) -> StaError {
+    StaError::InvalidParameter { reason }
+}
+
+/// The checks both extractors run before any work: `rho` is in `[-1, 1]`
+/// (it must not reach [`convolve::path_sigma`]'s assert), and the report's
+/// nets, drivers and critical inputs all fit the design, so the walks
+/// below index nothing out of range.
+fn check_inputs(design: &MappedDesign, report: &TimingReport, rho: f64) -> Result<(), StaError> {
+    if !(-1.0..=1.0).contains(&rho) {
+        return Err(invalid(format!(
+            "path correlation rho must be in [-1, 1], got {rho}"
+        )));
+    }
+    let nl = &design.netlist;
+    if design.cells.len() != nl.gates.len() {
+        return Err(invalid(format!(
+            "design binds {} cell ids to {} gates; one per gate required",
+            design.cells.len(),
+            nl.gates.len()
+        )));
+    }
+    if report.nets.len() != nl.nets.len() {
+        return Err(invalid(format!(
+            "timing report has {} nets, the design {}",
+            report.nets.len(),
+            nl.nets.len()
+        )));
+    }
+    for (ni, t) in report.nets.iter().enumerate() {
+        let Some(gi) = t.driver else { continue };
+        let Some(g) = nl.gates.get(gi) else {
+            return Err(invalid(format!(
+                "timing report drives net {ni} from gate {gi}; the design has {} gates",
+                nl.gates.len()
+            )));
+        };
+        if let Some(k) = t.crit_input.filter(|&k| k >= g.inputs.len()) {
+            return Err(invalid(format!(
+                "timing report enters net {ni} through input {k} of gate {gi}, which has {}",
+                g.inputs.len()
+            )));
+        }
+    }
+    Ok(())
+}
+
+fn check_endpoint(report: &TimingReport, endpoint: NetId) -> Result<(), StaError> {
+    if (endpoint.0 as usize) < report.nets.len() {
+        return Ok(());
+    }
+    Err(invalid(format!(
+        "endpoint net {} out of range (the report has {} nets)",
+        endpoint.0,
+        report.nets.len()
+    )))
+}
+
+fn cycle_at(net: usize) -> StaError {
+    invalid(format!(
+        "critical-input pointers of the timing report form a cycle through net {net}"
+    ))
+}
+
+/// The cell driving a net on its worst path, and the net the path
+/// continues from (`None` at a launching flip-flop); `Ok(None)` at a
+/// primary input. Checks structure only (`UnknownCell`, `MissingArc`):
+/// the statistics are queried afterwards, launch side first.
+fn path_cell(
+    design: &MappedDesign,
+    lib: &Library,
+    t: &NetTiming,
+) -> Result<Option<(PathCellSample, Option<NetId>)>, StaError> {
+    let Some(gi) = t.driver else {
+        return Ok(None);
+    };
+    let cell = design
+        .cell_of(gi, lib)
+        .ok_or_else(|| StaError::UnknownCell {
+            gate: gi,
+            name: design.cell_label(gi, lib),
+        })?;
+    if cell.output_pins().nth(t.out_pin).is_none() {
+        return Err(StaError::MissingArc {
+            gate: gi,
+            cell: cell.name.clone(),
+        });
+    }
+    let sample = PathCellSample {
+        gate: gi,
+        cell: design.cells[gi],
+        out_pin: t.out_pin,
+        crit_input: t.crit_input,
+        slew: t.crit_input_slew,
+        load: t.load,
+        delay: t.cell_delay,
+    };
+    let pred = t.crit_input.map(|k| design.netlist.gates[gi].inputs[k]);
+    Ok(Some((sample, pred)))
+}
+
 /// Extracts the worst path to `endpoint` by walking critical-input pointers
 /// back to a launch point, then attaches statistical parameters from `stat`
 /// with inter-cell correlation `rho` (the paper argues ρ = 0).
 ///
+/// This is the single-endpoint form and the oracle for [`worst_paths`],
+/// which shares every path prefix between endpoints.
+///
 /// # Errors
 ///
-/// [`StaError::InvalidParameter`] if `rho` is NaN or outside `[-1, 1]`;
-/// `rho` is caller-supplied configuration, so it must not reach
-/// [`convolve::path_sigma`]'s assert. Any other [`StaError`] if a cell or
-/// pin cannot be resolved or a table cannot be evaluated.
+/// [`StaError::InvalidParameter`] if `rho` is NaN or outside `[-1, 1]`,
+/// `endpoint` is not a net of `report`, or `report` does not fit `design`
+/// (net count, driver gates, critical inputs); `rho` is caller-supplied
+/// configuration, so it must not reach [`convolve::path_sigma`]'s assert.
+/// Any other [`StaError`] if a cell or pin cannot be resolved or a table
+/// cannot be evaluated.
 pub fn extract_path(
     design: &MappedDesign,
     lib: &Library,
@@ -104,87 +255,100 @@ pub fn extract_path(
     endpoint: NetId,
     rho: f64,
 ) -> Result<PathTiming, StaError> {
-    if !(-1.0..=1.0).contains(&rho) {
-        return Err(StaError::InvalidParameter {
-            reason: format!("path correlation rho must be in [-1, 1], got {rho}"),
-        });
-    }
-    let mut cells_rev: Vec<PathCellSample> = Vec::new();
-    // Id-based query coordinates, parallel to `cells_rev`: the statistical
-    // queries below run on (CellId, pin position) — the PathCellSample
-    // strings are materialized only for the report.
-    let mut arcs_rev: Vec<(varitune_liberty::CellId, usize, Option<usize>)> = Vec::new();
+    check_inputs(design, report, rho)?;
+    check_endpoint(report, endpoint)?;
+    let mut cells: Vec<PathCellSample> = Vec::new();
     let mut net = endpoint;
-    loop {
-        let t = report.nets[net.0 as usize];
-        let Some(gi) = t.driver else {
-            break; // reached a primary input
-        };
-        let cell = design
-            .cell_of(gi, lib)
-            .ok_or_else(|| StaError::UnknownCell {
-                gate: gi,
-                name: design.cell_label(gi, lib),
-            })?;
-        let out_pin = cell
-            .output_pins()
-            .nth(t.out_pin)
-            .ok_or(StaError::MissingArc {
-                gate: gi,
-                cell: cell.name.clone(),
-            })?;
-        let related_pin = t
-            .crit_input
-            .and_then(|k| cell.input_pins().nth(k))
-            .map(|p| p.name.clone());
-        cells_rev.push(PathCellSample {
-            gate: gi,
-            cell: cell.name.clone(),
-            out_pin: out_pin.name.clone(),
-            related_pin,
-            slew: t.crit_input_slew,
-            load: t.load,
-            delay: t.cell_delay,
-        });
-        arcs_rev.push((design.cells[gi], t.out_pin, t.crit_input));
-        match t.crit_input {
-            Some(k) => net = design.netlist.gates[gi].inputs[k],
+    while let Some((sample, pred)) = path_cell(design, lib, &report.nets[net.0 as usize])? {
+        cells.push(sample);
+        // A path visits each net at most once.
+        if cells.len() > report.nets.len() {
+            return Err(cycle_at(net.0 as usize));
+        }
+        match pred {
+            Some(p) => net = p,
             None => break, // launching flip-flop
         }
     }
-    cells_rev.reverse();
-    arcs_rev.reverse();
+    cells.reverse();
 
-    let mut means = Vec::with_capacity(cells_rev.len());
-    let mut sigmas = Vec::with_capacity(cells_rev.len());
-    for (c, &(id, out_pin, crit_input)) in cells_rev.iter().zip(&arcs_rev) {
-        // Query the precise critical arc when known; launching flip-flops
-        // fall back to the pin-level worst (their only arc is clk->q).
-        let (m, s) = match crit_input {
-            Some(k) => stat.delay_stat_arc_id(id, out_pin, k, c.slew, c.load)?,
-            None => stat.delay_stat_id(id, out_pin, c.slew, c.load)?,
-        };
+    let mut means = Vec::with_capacity(cells.len());
+    let mut sigmas = Vec::with_capacity(cells.len());
+    for c in &cells {
+        let (m, s) = c.delay_stat(stat)?;
         means.push(m);
         sigmas.push(s);
     }
-    let mean = convolve::path_mean(means.into_iter());
-    let sigma = convolve::path_sigma(&sigmas, rho);
-
     Ok(PathTiming {
         endpoint,
-        cells: cells_rev,
+        cells,
         arrival: report.nets[endpoint.0 as usize].arrival,
-        mean,
-        sigma,
+        mean: convolve::path_mean(means.into_iter()),
+        sigma: convolve::path_sigma(&sigmas, rho),
     })
+}
+
+/// A path prefix, launch to one net: the net's path cell, the net the
+/// prefix continues from, and the running sums in launch-to-net order.
+#[derive(Clone, Copy)]
+struct Prefix {
+    /// The cell driving the net (`None` for the empty prefix).
+    cell: Option<PathCellSample>,
+    /// The net whose prefix this one extends ([`NO_NET`] when that prefix
+    /// is empty).
+    pred: u32,
+    depth: usize,
+    /// Σμ, Σσ and Σσ², each summed in path order from `Iterator::sum`'s
+    /// identity (−0.0), so a prefix holds the exact bits
+    /// [`convolve::path_mean`] and [`convolve::path_sigma`] compute over
+    /// the same cells.
+    mean: f64,
+    sigma: f64,
+    sigma_sq: f64,
+}
+
+const NO_NET: u32 = u32::MAX;
+
+impl Prefix {
+    fn empty() -> Self {
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        Self {
+            cell: None,
+            pred: NO_NET,
+            depth: 0,
+            mean: zero,
+            sigma: zero,
+            sigma_sq: zero,
+        }
+    }
+
+    /// This prefix (ending at `net`) extended by one cell.
+    fn then(&self, net: u32, cell: PathCellSample, (m, s): (f64, f64)) -> Self {
+        Self {
+            cell: Some(cell),
+            pred: if self.depth == 0 { NO_NET } else { net },
+            depth: self.depth + 1,
+            mean: self.mean + m,
+            sigma: self.sigma + s,
+            sigma_sq: self.sigma_sq + s * s,
+        }
+    }
 }
 
 /// Extracts the worst path to **every unique endpoint** of `report` and
 /// returns them together with the design-level aggregate.
 ///
+/// One pass over the critical-predecessor tree: each net's prefix sums
+/// (Σμ, Σσ, Σσ²) are computed once and shared by every path through it,
+/// so each gate's statistics are queried once, not once per path. Every
+/// path equals [`extract_path`]'s to the bit, and so does the first error:
+/// the walk back from an endpoint checks structure up to the first shared
+/// prefix before it queries any statistics on the new part, which is the
+/// order [`extract_path`] meets them in.
+///
 /// # Errors
 ///
-/// Propagates the first [`StaError`] from [`extract_path`].
+/// As [`extract_path`]; the input checks run once, up front.
 pub fn worst_paths(
     design: &MappedDesign,
     lib: &Library,
@@ -192,13 +356,69 @@ pub fn worst_paths(
     report: &TimingReport,
     rho: f64,
 ) -> Result<(Vec<PathTiming>, DesignTiming), StaError> {
-    let mut seen = std::collections::BTreeSet::new();
+    check_inputs(design, report, rho)?;
+    for ep in &report.endpoints {
+        check_endpoint(report, ep.net)?;
+    }
+    let n_nets = report.nets.len();
+    let mut prefix: Vec<Option<Prefix>> = vec![None; n_nets];
+    let mut walking = vec![false; n_nets];
+    let mut seen = vec![false; n_nets];
+    let mut stack: Vec<(u32, PathCellSample)> = Vec::new();
     let mut paths = Vec::new();
     for ep in &report.endpoints {
-        if !seen.insert(ep.net) {
+        let ep_net = ep.net.0 as usize;
+        if std::mem::replace(&mut seen[ep_net], true) {
             continue; // one worst path per unique endpoint
         }
-        paths.push(extract_path(design, lib, stat, report, ep.net, rho)?);
+        // Back from the endpoint to the first known prefix, a primary
+        // input or a launching flip-flop: structure checks only.
+        let mut net = ep_net;
+        let (mut top, mut top_net) = (Prefix::empty(), NO_NET);
+        loop {
+            if let Some(p) = prefix[net] {
+                (top, top_net) = (p, net as u32);
+                break;
+            }
+            if walking[net] {
+                return Err(cycle_at(net));
+            }
+            let Some((sample, pred)) = path_cell(design, lib, &report.nets[net])? else {
+                prefix[net] = Some(Prefix::empty()); // primary input
+                break;
+            };
+            walking[net] = true;
+            stack.push((net as u32, sample));
+            match pred {
+                Some(p) => net = p.0 as usize,
+                None => break, // launching flip-flop
+            }
+        }
+        // Forward over the new part: one statistics query per cell.
+        while let Some((n, sample)) = stack.pop() {
+            walking[n as usize] = false;
+            top = top.then(top_net, sample, sample.delay_stat(stat)?);
+            top_net = n;
+            prefix[n as usize] = Some(top);
+        }
+
+        let mut cells = Vec::with_capacity(top.depth);
+        let mut at = top;
+        while let Some(cell) = at.cell {
+            cells.push(cell);
+            match prefix.get(at.pred as usize).copied().flatten() {
+                Some(p) => at = p,
+                None => break,
+            }
+        }
+        cells.reverse();
+        paths.push(PathTiming {
+            endpoint: ep.net,
+            cells,
+            arrival: report.nets[ep_net].arrival,
+            mean: top.mean,
+            sigma: convolve::path_sigma_from_sums(top.sigma, top.sigma_sq, rho),
+        });
     }
     let design_timing = DesignTiming::from_paths(&paths);
     Ok((paths, design_timing))
@@ -312,7 +532,9 @@ mod tests {
         let ep = r.endpoints[0].net;
         let p = extract_path(&d, &lib, &stat, &r, ep, 0.0).unwrap();
         assert_eq!(p.depth(), 6);
-        assert_eq!(p.cells[0].cell, "INV_2");
+        assert_eq!(p.cells[0].cell_name(&lib), Some("INV_2"));
+        assert_eq!(p.cells[0].out_pin_name(&lib), Some("Z"));
+        assert_eq!(p.cells[0].related_pin_name(&lib), Some("A"));
     }
 
     #[test]
@@ -455,9 +677,9 @@ mod tests {
             cells: (0..n)
                 .map(|g| PathCellSample {
                     gate: g,
-                    cell: "INV_1".into(),
-                    out_pin: "Z".into(),
-                    related_pin: Some("A".into()),
+                    cell: CellId(0),
+                    out_pin: 0,
+                    crit_input: Some(0),
                     slew: 0.0,
                     load: 0.0,
                     delay: 0.0,
@@ -561,7 +783,60 @@ mod tests {
         let p = extract_path(&d, &lib, &stat, &r, ep.net, 0.0).unwrap();
         // Launching DF_1 + INV_2 = depth 2.
         assert_eq!(p.depth(), 2);
-        assert_eq!(p.cells[0].cell, "DF_1");
-        assert_eq!(p.cells[1].cell, "INV_2");
+        assert_eq!(p.cells[0].cell_name(&lib), Some("DF_1"));
+        assert_eq!(p.cells[0].crit_input, None);
+        assert_eq!(p.cells[0].related_pin_name(&lib), None);
+        assert_eq!(p.cells[1].cell_name(&lib), Some("INV_2"));
+    }
+
+    #[test]
+    fn out_of_range_endpoint_is_an_error_not_a_panic() {
+        let (lib, stat) = fixtures();
+        let d = chain_design(1, "INV_2");
+        let r = analyze(&d, &lib, &StaConfig::with_clock_period(5.0)).unwrap();
+        assert_eq!(r.nets.len(), 2);
+        let err = extract_path(&d, &lib, &stat, &r, NetId(999), 0.0).unwrap_err();
+        assert!(matches!(err, StaError::InvalidParameter { .. }), "{err}");
+        let mut bad = r.clone();
+        bad.endpoints[0].net = NetId(999);
+        let err = worst_paths(&d, &lib, &stat, &bad, 0.0).unwrap_err();
+        assert!(matches!(err, StaError::InvalidParameter { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_report_that_does_not_fit_the_design_is_an_error_not_a_panic() {
+        let (lib, stat) = fixtures();
+        let d = chain_design(3, "INV_2");
+        let r = analyze(&d, &lib, &StaConfig::with_clock_period(5.0)).unwrap();
+        let ep = r.endpoints[0].net;
+        let mut short = r.clone();
+        short.nets.truncate(2);
+        let mut far_driver = r.clone();
+        far_driver.nets[ep.0 as usize].driver = Some(99);
+        let mut far_input = r.clone();
+        far_input.nets[ep.0 as usize].crit_input = Some(5);
+        let mut cells = d.clone();
+        cells.cells.pop();
+        let mut cycle = r.clone();
+        let first = d.netlist.gates[0].inputs[0];
+        cycle.nets[first.0 as usize] = cycle.nets[1];
+        for (what, d, r) in [
+            ("short report", &d, &short),
+            ("driver out of range", &d, &far_driver),
+            ("critical input out of range", &d, &far_input),
+            ("cell list short of the gates", &cells, &r),
+            ("critical pointers in a cycle", &d, &cycle),
+        ] {
+            let err = extract_path(d, &lib, &stat, r, ep, 0.0).unwrap_err();
+            assert!(
+                matches!(err, StaError::InvalidParameter { .. }),
+                "{what}: {err}"
+            );
+            let err = worst_paths(d, &lib, &stat, r, 0.0).unwrap_err();
+            assert!(
+                matches!(err, StaError::InvalidParameter { .. }),
+                "{what}: {err}"
+            );
+        }
     }
 }

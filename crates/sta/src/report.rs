@@ -78,11 +78,17 @@ pub fn report_timing(
         let mut cum = 0.0;
         for c in &path.cells {
             cum += c.delay;
+            // The path was just extracted against `lib`, so the cell and
+            // its output pin resolve; "CK" marks a launching flip-flop.
             let _ = writeln!(
                 out,
                 "  {:<12} {:>4} {:>9.4} {:>9.4} {:>9.4} {:>9.4}",
-                c.cell,
-                format!("{}>{}", c.related_pin.as_deref().unwrap_or("CK"), c.out_pin),
+                c.cell_name(lib).unwrap_or("?"),
+                format!(
+                    "{}>{}",
+                    c.related_pin_name(lib).unwrap_or("CK"),
+                    c.out_pin_name(lib).unwrap_or("?")
+                ),
                 c.slew,
                 c.load,
                 c.delay,

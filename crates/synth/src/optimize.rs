@@ -203,33 +203,26 @@ fn legalize_loads(
     buffers_inserted: &mut usize,
 ) -> Result<bool, SynthError> {
     let mut changed = false;
-    // Iterate to a fixpoint: buffering changes loads upstream. Loads and
-    // fanouts are snapshot at the start of each round — edits within a
-    // round work against that snapshot, and the follow-up `update` (an
-    // O(dirty cone) re-propagation) refreshes them for the next round.
+    let mut outs: Vec<NetId> = Vec::new();
+    // Iterate to a fixpoint: buffering changes loads upstream. Each round
+    // judges every net by its load and fanout as of the round's start, and
+    // the follow-up `update` (an O(dirty cone) re-propagation) refreshes
+    // them for the next round. The live engine reads below are exactly
+    // that snapshot: loads change only at `update`; a split changes only
+    // the fanout of the net it splits, which the round visits once,
+    // through its driver, before splitting it; and the nets a split adds
+    // are driven by gates at or past `gate_count`, which this round never
+    // visits.
     for _ in 0..4 {
         engine.update()?;
-        let loads = engine.loads().to_vec();
-        let fanouts = {
-            let nl = &engine.design().netlist;
-            let mut fanouts = vec![0usize; nl.nets.len()];
-            for g in &nl.gates {
-                for &i in &g.inputs {
-                    fanouts[i.0 as usize] += 1;
-                }
-            }
-            for &po in &nl.primary_outputs {
-                fanouts[po.0 as usize] += 1;
-            }
-            fanouts
-        };
         let mut round_changed = false;
         let gate_count = engine.gate_count();
         for gi in 0..gate_count {
-            let outs: Vec<NetId> = engine.design().netlist.gates[gi].outputs.clone();
+            outs.clear();
+            outs.extend(engine.gate_outputs(gi));
             for &out in &outs {
-                let load = loads[out.0 as usize];
-                let fanout = fanouts[out.0 as usize];
+                let load = engine.load(out);
+                let fanout = engine.fanout(out);
                 let id = engine.cell_id(gi);
                 let eff = target.effective_max_load_id(id);
                 if load <= eff && fanout <= cfg.max_fanout {
@@ -295,14 +288,16 @@ fn legalize_slews(
     floors: &mut [f64],
 ) -> Result<bool, SynthError> {
     let mut changed = false;
+    let mut inputs: Vec<NetId> = Vec::new();
     let gate_count = engine.gate_count();
     for gi in 0..gate_count {
         let max_slew = target.effective_max_slew_id(engine.cell_id(gi));
         if !max_slew.is_finite() {
             continue;
         }
-        let inputs: Vec<NetId> = engine.design().netlist.gates[gi].inputs.clone();
-        for inp in inputs {
+        inputs.clear();
+        inputs.extend(engine.gate_inputs(gi));
+        for &inp in &inputs {
             if engine.net_timing(inp).slew <= max_slew {
                 continue;
             }
@@ -354,8 +349,8 @@ fn size_critical_paths(
                     }
                 }
             }
-            match t.crit_input {
-                Some(k) => net = engine.design().netlist.gates[gi].inputs[k],
+            match t.crit_input.and_then(|k| engine.gate_inputs(gi).nth(k)) {
+                Some(inp) => net = inp,
                 None => break,
             }
         }
@@ -375,11 +370,10 @@ fn recover_area(
     let mut changed = false;
     let gate_count = engine.gate_count();
     for (gi, &floor) in floors.iter().enumerate().take(gate_count) {
-        let g = &engine.design().netlist.gates[gi];
-        if g.kind.is_sequential() {
+        if engine.is_sequential(gi) {
             continue; // keep registers stable
         }
-        let Some(&out) = g.outputs.first() else {
+        let Some(out) = engine.gate_outputs(gi).next() else {
             continue; // outputless gate: nothing to downsize against
         };
         let t = *engine.net_timing(out);

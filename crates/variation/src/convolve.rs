@@ -36,12 +36,24 @@ pub fn path_mean(cell_means: impl Iterator<Item = f64>) -> f64 {
 ///
 /// Panics if `rho` is outside `[-1, 1]`.
 pub fn path_sigma(cell_sigmas: &[f64], rho: f64) -> f64 {
+    let sum_sq: f64 = cell_sigmas.iter().map(|s| s * s).sum();
+    let sum: f64 = cell_sigmas.iter().sum();
+    path_sigma_from_sums(sum, sum_sq, rho)
+}
+
+/// [`path_sigma`] from the path's running sums `Σσ` and `Σσ²`: the same
+/// arithmetic, so sums accumulated in path order give the same bits.
+/// Lets a caller that shares path prefixes keep three numbers per prefix
+/// instead of the sigma list.
+///
+/// # Panics
+///
+/// Panics if `rho` is outside `[-1, 1]`.
+pub fn path_sigma_from_sums(sum: f64, sum_sq: f64, rho: f64) -> f64 {
     assert!(
         (-1.0..=1.0).contains(&rho),
         "correlation must be in [-1, 1]"
     );
-    let sum_sq: f64 = cell_sigmas.iter().map(|s| s * s).sum();
-    let sum: f64 = cell_sigmas.iter().sum();
     // ΣΣ_{i≠j} σᵢσⱼ = (Σσ)² − Σσ².
     let cross = sum * sum - sum_sq;
     let var = sum_sq + rho * cross;

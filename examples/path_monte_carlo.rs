@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .cells
             .iter()
             .map(|c| {
-                let (m, s) = flow.stat.delay_stat(&c.cell, &c.out_pin, c.slew, c.load)?;
+                let (m, s) = flow.stat.delay_stat_id(c.cell, c.out_pin, c.slew, c.load)?;
                 Ok::<_, varitune::liberty::InterpolateError>(PathCell::new(m, s / m))
             })
             .collect::<Result<_, _>>()?;
