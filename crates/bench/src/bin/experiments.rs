@@ -47,7 +47,7 @@ fn run(args: &Args) -> Result<(), String> {
         t0.elapsed().as_secs_f64(),
         ctx.periods.high,
         ctx.flow.netlist.name,
-        ctx.flow.netlist.gates.len()
+        ctx.flow.netlist.gate_count()
     );
 
     for id in args.ids() {

@@ -38,7 +38,7 @@ use varitune_sta::{
     analyze_ssta, GraphMcResult, SstaModel, SstaOptions, SstaReport, StaConfig, TimingGraph,
     WireModel,
 };
-use varitune_synth::{map_netlist, map_soa, LibraryConstraints, TargetLibrary};
+use varitune_synth::{map_netlist, LibraryConstraints, TargetLibrary};
 
 const SPEC: Spec = Spec {
     name: "ssta_harness",
@@ -182,7 +182,7 @@ fn run_scale(
             } else {
                 McuConfig::paper_scale()
             };
-            let design = map_netlist(&generate_mcu(&mcu), &target, WireModel::default())
+            let design = map_netlist(generate_mcu(&mcu), &target, WireModel::default())
                 .map_err(|e| format!("{scale}: mapping failed: {e}"))?;
             TimingGraph::new(design, &stat.mean, &cfg)
                 .map_err(|e| format!("{scale}: engine build failed: {e}"))?
@@ -193,9 +193,9 @@ fn run_scale(
             } else {
                 SocConfig::x10()
             };
-            let design = map_soa(generate_soc(&soc), &target, WireModel::default())
+            let design = map_netlist(generate_soc(&soc), &target, WireModel::default())
                 .map_err(|e| format!("{scale}: mapping failed: {e}"))?;
-            TimingGraph::new_soa(design, &stat.mean, &cfg)
+            TimingGraph::new(design, &stat.mean, &cfg)
                 .map_err(|e| format!("{scale}: engine build failed: {e}"))?
         }
     };

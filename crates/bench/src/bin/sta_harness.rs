@@ -3,15 +3,14 @@
 //! paper, 10× and 40× (million-gate) scale. Run with `--help` for the
 //! flags.
 //!
-//! `--scale paper` (the default) builds the paper-scale MCU through the
-//! AoS `MappedDesign` pipeline and times a full `analyze`, the one-time
-//! `TimingGraph` build, and a long sequence of single-gate resize re-times
-//! through the incremental engine, then a full re-propagation at each
-//! requested thread count. `--scale x10`/`x40` stamp the tiled SoC
-//! (~260 k / >1 M gates) through the arena/SoA pipeline and time engine
-//! build, sharded full propagation per thread count, and an incremental
-//! edit sequence; `--scale all` runs everything. `--smoke` swaps in the
-//! small test templates at every scale.
+//! `--scale paper` (the default) maps the paper-scale MCU and times a
+//! full `analyze`, the one-time `TimingGraph` build, and a long sequence
+//! of single-gate resize re-times through the incremental engine, then a
+//! full re-propagation at each requested thread count. `--scale x10`/`x40`
+//! stamp the tiled SoC (~260 k / >1 M gates) and time engine build,
+//! sharded full propagation per thread count, and an incremental edit
+//! sequence; `--scale all` runs everything. `--smoke` swaps in the small
+//! test templates at every scale.
 //!
 //! Every incremental result is verified **bit-identical** against a fresh
 //! full analysis, and all thread counts must agree bit-for-bit — these
@@ -33,7 +32,7 @@ use varitune_libchar::{generate_nominal, GenerateConfig};
 use varitune_liberty::Library;
 use varitune_netlist::{generate_mcu, generate_soc, McuConfig, SocConfig};
 use varitune_sta::{analyze, StaConfig, TimingGraph, TimingReport, WireModel};
-use varitune_synth::{map_netlist, map_soa, LibraryConstraints, TargetLibrary};
+use varitune_synth::{map_netlist, LibraryConstraints, TargetLibrary};
 
 const SPEC: Spec = Spec {
     name: "sta_harness",
@@ -215,9 +214,9 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Paper-scale MCU through the AoS pipeline: full `analyze` vs engine
-/// build vs incremental re-times, then the thread-scaling sweep. Returns
-/// the scale row plus `(full analyze ms, incremental speedup)`.
+/// Paper-scale MCU: full `analyze` vs engine build vs incremental
+/// re-times, then the thread-scaling sweep. Returns the scale row plus
+/// `(full analyze ms, incremental speedup)`.
 fn run_paper(
     lib: &Library,
     cfg: &StaConfig,
@@ -234,10 +233,10 @@ fn run_paper(
     };
     let constraints = LibraryConstraints::unconstrained();
     let target = TargetLibrary::new(lib, &constraints);
-    let design = map_netlist(&generate_mcu(&mcu), &target, WireModel::default())
+    let design = map_netlist(generate_mcu(&mcu), &target, WireModel::default())
         .map_err(|e| format!("mapping failed: {e}"))?;
-    let gates = design.netlist.gates.len();
-    let nets = design.netlist.nets.len();
+    let gates = design.netlist.gate_count();
+    let nets = design.netlist.net_count();
     println!("paper: {gates} gates, {nets} nets; best of {repeat}");
 
     // Warm-up.
@@ -314,9 +313,9 @@ fn run_paper(
     ))
 }
 
-/// Tiled-SoC scale through the arena/SoA pipeline: generator → `map_soa`
-/// → `TimingGraph::new_soa`, then the sharded full-propagation sweep and
-/// an incremental edit sequence, each verified bit-identical.
+/// Tiled-SoC scale: generator → `map_netlist` → `TimingGraph::new`, then
+/// the sharded full-propagation sweep and an incremental edit sequence,
+/// each verified bit-identical.
 fn run_soc(
     lib: &Library,
     cfg: &StaConfig,
@@ -336,15 +335,15 @@ fn run_soc(
 
     let constraints = LibraryConstraints::unconstrained();
     let target = TargetLibrary::new(lib, &constraints);
-    let design = map_soa(netlist, &target, WireModel::default())
+    let design = map_netlist(netlist, &target, WireModel::default())
         .map_err(|e| format!("mapping failed: {e}"))?;
 
-    // Engine build over the SoA store (includes the initial sharded full
-    // propagation), from a fresh copy of the design as at paper scale.
+    // Engine build (includes the initial sharded full propagation), from a
+    // fresh copy of the design as at paper scale.
     let mut engine = None;
     let build_ms = best_of(
         repeat,
-        || TimingGraph::new_soa(design.clone(), lib, cfg).expect("engine builds"),
+        || TimingGraph::new(design.clone(), lib, cfg).expect("engine builds"),
         |e| engine = Some(e),
     );
     let mut engine = engine.expect("repeat >= 1");
@@ -365,10 +364,10 @@ fn run_soc(
         plan.len()
     );
 
-    // Equivalence proof without materializing an AoS copy: a fresh engine
-    // over the edited SoA design replays the full propagation.
-    let edited = engine.soa_design().expect("soa engine").clone();
-    let fresh = TimingGraph::new_soa(edited, lib, cfg).expect("fresh engine over edited design");
+    // Equivalence proof: a fresh engine over the edited design replays the
+    // full propagation.
+    let edited = engine.design().clone();
+    let fresh = TimingGraph::new(edited, lib, cfg).expect("fresh engine over edited design");
     if let Err(msg) = reports_bit_identical(&engine.report(), &fresh.report()) {
         return Err(format!(
             "incremental result diverged from fresh analysis: {msg}"

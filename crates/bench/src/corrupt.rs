@@ -224,7 +224,7 @@ pub fn corrupt_frame(op: &str, payload: &str, rng: &mut Xoshiro256PlusPlus) -> V
 pub fn corrupt_netlist(op: &str, nl: &mut Netlist, rng: &mut Xoshiro256PlusPlus) {
     match op {
         "dangling-port" => {
-            let bogus = NetId(nl.nets.len() as u32 + 1 + pick(rng, 1000) as u32);
+            let bogus = NetId(nl.net_count() as u32 + 1 + pick(rng, 1000) as u32);
             if nl.primary_outputs.is_empty() {
                 nl.primary_outputs.push(bogus);
             } else {
@@ -234,22 +234,25 @@ pub fn corrupt_netlist(op: &str, nl: &mut Netlist, rng: &mut Xoshiro256PlusPlus)
         }
         "comb-cycle" => {
             // Feed some combinational gate its own output.
-            let comb: Vec<usize> = (0..nl.gates.len())
+            let comb: Vec<usize> = (0..nl.gate_count())
                 .filter(|&gi| {
-                    let g = &nl.gates[gi];
-                    !g.kind.is_sequential() && !g.inputs.is_empty() && !g.outputs.is_empty()
+                    !nl.gate_kind(gi).is_sequential()
+                        && !nl.gate_inputs(gi).is_empty()
+                        && !nl.gate_outputs(gi).is_empty()
                 })
                 .collect();
             if !comb.is_empty() {
                 let gi = comb[pick(rng, comb.len())];
-                let out = nl.gates[gi].outputs[0];
-                nl.gates[gi].inputs[0] = out;
+                let out = nl.gate_outputs(gi)[0];
+                nl.set_gate_input(gi, 0, out);
             }
         }
         "arity-break" => {
-            if !nl.gates.is_empty() {
-                let gi = pick(rng, nl.gates.len());
-                nl.gates[gi].inputs.clear();
+            // A zero-input gate of a drawn gate's kind, driving a fresh net.
+            if nl.gate_count() > 0 {
+                let kind = nl.gate_kind(pick(rng, nl.gate_count()));
+                let z = nl.add_net("arity_break");
+                nl.add_gate(kind, &[], &[z]);
             }
         }
         other => unreachable!("unknown netlist operator {other}"),

@@ -1156,7 +1156,7 @@ pub fn abl_fir(ctx: &Ctx) -> String {
     let (base_synth, base_t) = run_with(&LibraryConstraints::unconstrained());
     let mut s = format!(
         "Ablation G — generality on a FIR filter ({} gates) @ {period:.2} ns\n",
-        fir.gates.len()
+        fir.gate_count()
     );
     let mut rows = vec![vec![
         "baseline".to_string(),

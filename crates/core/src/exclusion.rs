@@ -217,8 +217,8 @@ mod tests {
         let b = nl.add_input("b");
         let x = nl.add_net("x");
         let y = nl.add_net("y");
-        nl.add_gate(varitune_netlist::GateKind::Nand, vec![a, b], vec![x]);
-        nl.add_gate(varitune_netlist::GateKind::Inv, vec![x], vec![y]);
+        nl.add_gate(varitune_netlist::GateKind::Nand, &[a, b], &[x]);
+        nl.add_gate(varitune_netlist::GateKind::Inv, &[x], &[y]);
         nl.mark_output(y);
         let r = varitune_synth::synthesize(
             &nl,

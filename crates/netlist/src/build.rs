@@ -25,7 +25,7 @@ pub fn register_word(nl: &mut Netlist, prefix: &str, d: &[NetId]) -> Vec<NetId> 
         .enumerate()
         .map(|(i, &bit)| {
             let q = nl.add_net(format!("{prefix}_q[{i}]"));
-            nl.add_gate(GateKind::Dff, vec![bit], vec![q]);
+            nl.add_gate(GateKind::Dff, &[bit], &[q]);
             q
         })
         .collect()
@@ -37,7 +37,7 @@ pub fn map_word(nl: &mut Netlist, kind: GateKind, prefix: &str, a: &[NetId]) -> 
         .enumerate()
         .map(|(i, &bit)| {
             let z = nl.add_net(format!("{prefix}[{i}]"));
-            nl.add_gate(kind, vec![bit], vec![z]);
+            nl.add_gate(kind, &[bit], &[z]);
             z
         })
         .collect()
@@ -61,7 +61,7 @@ pub fn zip_word(
         .enumerate()
         .map(|(i, (&x, &y))| {
             let z = nl.add_net(format!("{prefix}[{i}]"));
-            nl.add_gate(kind, vec![x, y], vec![z]);
+            nl.add_gate(kind, &[x, y], &[z]);
             z
         })
         .collect()
@@ -86,7 +86,7 @@ pub fn ripple_adder(
     for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
         let s = nl.add_net(format!("{prefix}_s[{i}]"));
         let c = nl.add_net(format!("{prefix}_c[{i}]"));
-        nl.add_gate(GateKind::FullAdder, vec![x, y, carry], vec![s, c]);
+        nl.add_gate(GateKind::FullAdder, &[x, y, carry], &[s, c]);
         sum.push(s);
         carry = c;
     }
@@ -100,7 +100,7 @@ pub fn incrementer(nl: &mut Netlist, prefix: &str, a: &[NetId], one: NetId) -> V
     for (i, &x) in a.iter().enumerate() {
         let s = nl.add_net(format!("{prefix}_s[{i}]"));
         let c = nl.add_net(format!("{prefix}_c[{i}]"));
-        nl.add_gate(GateKind::HalfAdder, vec![x, carry], vec![s, c]);
+        nl.add_gate(GateKind::HalfAdder, &[x, carry], &[s, c]);
         out.push(s);
         carry = c;
     }
@@ -121,7 +121,7 @@ pub fn mux2_word(
         .enumerate()
         .map(|(i, (&x, &y))| {
             let z = nl.add_net(format!("{prefix}[{i}]"));
-            nl.add_gate(GateKind::Mux2, vec![x, y, sel], vec![z]);
+            nl.add_gate(GateKind::Mux2, &[x, y, sel], &[z]);
             z
         })
         .collect()
@@ -142,8 +142,8 @@ pub fn mux4_word(
             let z = nl.add_net(format!("{prefix}[{i}]"));
             nl.add_gate(
                 GateKind::Mux4,
-                vec![words[0][i], words[1][i], words[2][i], words[3][i], s0, s1],
-                vec![z],
+                &[words[0][i], words[1][i], words[2][i], words[3][i], s0, s1],
+                &[z],
             );
             z
         })
@@ -237,7 +237,7 @@ pub fn xor_reduce(nl: &mut Netlist, prefix: &str, bits: &[NetId]) -> NetId {
         for (k, pair) in level.chunks(2).enumerate() {
             if pair.len() == 2 {
                 let z = nl.add_net(format!("{prefix}_x{stage}_{k}"));
-                nl.add_gate(GateKind::Xor, vec![pair[0], pair[1]], vec![z]);
+                nl.add_gate(GateKind::Xor, &[pair[0], pair[1]], &[z]);
                 next.push(z);
             } else {
                 next.push(pair[0]);
@@ -260,7 +260,7 @@ fn reduce(nl: &mut Netlist, kind: GateKind, prefix: &str, bits: &[NetId]) -> Net
                 next.push(chunk[0]);
             } else {
                 let z = nl.add_net(format!("{prefix}_r{stage}_{k}"));
-                nl.add_gate(kind, chunk.to_vec(), vec![z]);
+                nl.add_gate(kind, chunk, &[z]);
                 next.push(z);
             }
         }
@@ -277,7 +277,7 @@ pub fn decoder(nl: &mut Netlist, prefix: &str, sel: &[NetId]) -> Vec<NetId> {
         .enumerate()
         .map(|(i, &s)| {
             let z = nl.add_net(format!("{prefix}_n[{i}]"));
-            nl.add_gate(GateKind::Inv, vec![s], vec![z]);
+            nl.add_gate(GateKind::Inv, &[s], &[z]);
             z
         })
         .collect();
@@ -341,7 +341,7 @@ pub fn register_file(
     let mut qwords = Vec::with_capacity(regs);
     for (r, &hot) in onehot.iter().enumerate() {
         let en = nl.add_net(format!("{prefix}_we[{r}]"));
-        nl.add_gate(GateKind::And, vec![hot, wen], vec![en]);
+        nl.add_gate(GateKind::And, &[hot, wen], &[en]);
         // Write-enable mux feeding each bit's flip-flop. The q net must
         // exist before the mux that reads it (feedback through the DFF).
         let q: Vec<NetId> = (0..wdata.len())
@@ -354,14 +354,14 @@ pub fn register_file(
                 .enumerate()
                 .map(|(i, (&qb, &wb))| {
                     let z = nl.add_net(format!("{prefix}_r{r}_d[{i}]"));
-                    nl.add_gate(GateKind::Mux2, vec![qb, wb, en], vec![z]);
+                    nl.add_gate(GateKind::Mux2, &[qb, wb, en], &[z]);
                     z
                 })
                 .collect();
             muxed
         };
         for (&db, &qb) in d.iter().zip(&q) {
-            nl.add_gate(GateKind::Dff, vec![db], vec![qb]);
+            nl.add_gate(GateKind::Dff, &[db], &[qb]);
         }
         qwords.push(q);
     }
@@ -424,11 +424,11 @@ pub fn logic_cloud(
             in_depth = in_depth.max(depth[idx]);
         }
         let z = nl.add_net(format!("{prefix}_g{g}"));
-        nl.add_gate(kind, ins, vec![z]);
+        nl.add_gate(kind, &ins, &[z]);
         if in_depth + 1 >= max_depth {
             // Register before the bound is crossed.
             let q = nl.add_net(format!("{prefix}_q{g}"));
-            nl.add_gate(GateKind::Dff, vec![z], vec![q]);
+            nl.add_gate(GateKind::Dff, &[z], &[q]);
             pool.push(q);
             depth.push(0);
         } else {
@@ -478,13 +478,7 @@ mod tests {
         let cin = nl.add_input("cin");
         let (sum, _cout) = ripple_adder(&mut nl, "add", &a, &b, cin);
         assert_eq!(sum.len(), 8);
-        assert_eq!(
-            nl.gates
-                .iter()
-                .filter(|g| g.kind == GateKind::FullAdder)
-                .count(),
-            8
-        );
+        assert_eq!(nl.stats().by_kind[&GateKind::FullAdder], 8);
         nl.validate().unwrap();
     }
 
@@ -494,10 +488,7 @@ mod tests {
         let d = input_word(&mut nl, "d", 4);
         let q = register_word(&mut nl, "r", &d);
         assert_eq!(q.len(), 4);
-        assert_eq!(
-            nl.gates.iter().filter(|g| g.kind == GateKind::Dff).count(),
-            4
-        );
+        assert_eq!(nl.stats().by_kind[&GateKind::Dff], 4);
         nl.validate().unwrap();
     }
 
@@ -532,10 +523,7 @@ mod tests {
         let zero = nl.add_input("zero");
         let z = barrel_shifter(&mut nl, "bs", &a, &sh, zero);
         assert_eq!(z.len(), 16);
-        assert_eq!(
-            nl.gates.iter().filter(|g| g.kind == GateKind::Mux2).count(),
-            4 * 16
-        );
+        assert_eq!(nl.stats().by_kind[&GateKind::Mux2], 4 * 16);
         nl.validate().unwrap();
     }
 
@@ -550,10 +538,7 @@ mod tests {
         let (r1, r2) = register_file(&mut nl, "rf", 4, &wdata, &waddr, wen, &ra1, &ra2);
         assert_eq!(r1.len(), 8);
         assert_eq!(r2.len(), 8);
-        assert_eq!(
-            nl.gates.iter().filter(|g| g.kind == GateKind::Dff).count(),
-            4 * 8
-        );
+        assert_eq!(nl.stats().by_kind[&GateKind::Dff], 4 * 8);
         nl.validate().unwrap();
     }
 
@@ -592,22 +577,22 @@ mod tests {
         let mut nl = fresh();
         let ins = input_word(&mut nl, "i", 4);
         logic_cloud(&mut nl, "c", &ins, 600, max_depth, 1);
-        let dffs = nl.gates.iter().filter(|g| g.kind == GateKind::Dff).count();
+        let dffs = nl.stats().by_kind[&GateKind::Dff];
         assert!(dffs > 0, "a deep cloud must register something");
 
         // Longest combinational chain (in gates) must respect the bound.
         let driver = nl.driver_map();
-        let mut depth = vec![0usize; nl.gates.len()];
+        let mut depth = vec![0usize; nl.gate_count()];
         // Gates were appended in topological order by the builder.
-        for gi in 0..nl.gates.len() {
-            if nl.gates[gi].kind.is_sequential() {
+        for gi in 0..nl.gate_count() {
+            if nl.gate_kind(gi).is_sequential() {
                 continue;
             }
-            let d = nl.gates[gi]
-                .inputs
+            let d = nl
+                .gate_inputs(gi)
                 .iter()
                 .filter_map(|i| driver.get(i))
-                .filter(|&&src| !nl.gates[src].kind.is_sequential())
+                .filter(|&&src| !nl.gate_kind(src).is_sequential())
                 .map(|&src| depth[src])
                 .max()
                 .unwrap_or(0);
@@ -627,13 +612,7 @@ mod tests {
         let one = nl.add_input("one");
         let z = incrementer(&mut nl, "inc", &a, one);
         assert_eq!(z.len(), 8);
-        assert_eq!(
-            nl.gates
-                .iter()
-                .filter(|g| g.kind == GateKind::HalfAdder)
-                .count(),
-            8
-        );
+        assert_eq!(nl.stats().by_kind[&GateKind::HalfAdder], 8);
         nl.validate().unwrap();
     }
 }

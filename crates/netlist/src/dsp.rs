@@ -114,7 +114,7 @@ pub fn generate_fir(cfg: &FirConfig) -> Netlist {
     // Registered output.
     let y = word(&mut nl, "y_d", w);
     for (d, src) in y.iter().zip(&acc) {
-        nl.add_gate(GateKind::Buf, vec![*src], vec![*d]);
+        nl.add_gate(GateKind::Buf, &[*src], &[*d]);
     }
     let y_q = register_word(&mut nl, "y", &y);
     for &q in &y_q {
@@ -150,7 +150,7 @@ mod tests {
     fn paper_scale_lands_near_20k_gates() {
         let nl = generate_fir(&FirConfig::paper_scale());
         nl.validate().unwrap();
-        let n = nl.gates.len();
+        let n = nl.gate_count();
         assert!((10_000..=30_000).contains(&n), "gate count {n}");
     }
 

@@ -1,14 +1,28 @@
 //! Technology-independent gate-level IR.
 //!
-//! A [`Netlist`] is a bag of single-driver [`Net`]s connected by [`Gate`]s.
-//! Gates are *generic* logic functions ([`GateKind`]); the synthesis crate
-//! maps them onto concrete library cells and picks drive strengths. Flip-
-//! flops are gates like any other; the clock network is implicit (clock-tree
+//! A [`Netlist`] is a bag of single-driver nets connected by gates. Gates
+//! are *generic* logic functions ([`GateKind`]); the synthesis crate maps
+//! them onto concrete library cells and picks drive strengths. Flip-flops
+//! are gates like any other; the clock network is implicit (clock-tree
 //! synthesis is out of scope, as it is in the paper).
+//!
+//! The storage is a handful of flat arrays, so a million-gate design is a
+//! dozen allocations rather than millions:
+//!
+//! * connectivity in CSR form — `in_off[g]..in_off[g+1]` indexes the
+//!   shared `in_net` array (likewise `out_off`/`out_net`), so a gate's
+//!   pins are a slice;
+//! * net names in one string arena (`names` + `name_off`), appended via
+//!   [`fmt::Display`] so generators can stream `format_args!` names
+//!   without materializing a `String` per net;
+//! * gate names are not stored: gate `i` is named `g{i}_{kind}`
+//!   ([`Netlist::gate_name`]).
+//!
+//! Validation and the combinational order are index-based linear passes.
 
 use std::collections::BTreeMap;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Identifier of a net within its netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -19,14 +33,6 @@ impl fmt::Display for NetId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
     }
-}
-
-/// A named net.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Net {
-    /// Human-readable name (unique within the netlist by construction).
-    pub name: String,
 }
 
 /// Generic logic functions the design generator emits.
@@ -109,20 +115,6 @@ impl fmt::Display for GateKind {
     }
 }
 
-/// A gate instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Gate {
-    /// Instance name (unique within the netlist by construction).
-    pub name: String,
-    /// Logic function.
-    pub kind: GateKind,
-    /// Input nets in positional order (see [`GateKind`] docs).
-    pub inputs: Vec<NetId>,
-    /// Output nets in positional order.
-    pub outputs: Vec<NetId>,
-}
-
 /// Error returned by [`Netlist::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValidateNetlistError {
@@ -191,20 +183,33 @@ impl fmt::Display for ValidateNetlistError {
 
 impl Error for ValidateNetlistError {}
 
-/// A gate-level design.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// A gate-level design; see the module docs for the layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Netlist {
     /// Design name.
     pub name: String,
-    /// Nets, indexed by [`NetId`].
-    pub nets: Vec<Net>,
-    /// Gate instances.
-    pub gates: Vec<Gate>,
     /// Primary input nets (driven from outside).
     pub primary_inputs: Vec<NetId>,
     /// Primary output nets (observed outside).
     pub primary_outputs: Vec<NetId>,
+    /// Net-name arena: net `i`'s name is `names[name_off[i]..name_off[i+1]]`.
+    names: String,
+    name_off: Vec<u32>,
+    /// Gate kinds, indexed by gate.
+    kinds: Vec<GateKind>,
+    /// CSR input pins: gate `g` reads `in_net[in_off[g]..in_off[g+1]]`.
+    in_off: Vec<u32>,
+    in_net: Vec<NetId>,
+    /// CSR output pins: gate `g` drives `out_net[out_off[g]..out_off[g+1]]`.
+    out_off: Vec<u32>,
+    out_net: Vec<NetId>,
+}
+
+impl Default for Netlist {
+    fn default() -> Self {
+        Self::new("")
+    }
 }
 
 impl Netlist {
@@ -212,22 +217,67 @@ impl Netlist {
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            ..Self::default()
+            primary_inputs: Vec::new(),
+            primary_outputs: Vec::new(),
+            names: String::new(),
+            name_off: vec![0],
+            kinds: Vec::new(),
+            in_off: vec![0],
+            in_net: Vec::new(),
+            out_off: vec![0],
+            out_net: Vec::new(),
         }
     }
 
-    /// Adds a net and returns its id.
-    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
-        let id = NetId(self.nets.len() as u32);
-        self.nets.push(Net { name: name.into() });
+    /// Creates an empty netlist with storage reserved for roughly the
+    /// given shape (counts may be exceeded; this only avoids regrowth).
+    pub fn with_capacity(name: impl Into<String>, gates: usize, nets: usize) -> Self {
+        let mut s = Self::new(name);
+        s.names.reserve(nets * 12);
+        s.name_off.reserve(nets);
+        s.kinds.reserve(gates);
+        s.in_off.reserve(gates);
+        // ~2.2 inputs per gate across the generators.
+        s.in_net.reserve(gates * 2 + gates / 4);
+        s.out_off.reserve(gates);
+        s.out_net.reserve(gates + gates / 8);
+        s
+    }
+
+    /// Number of nets.
+    pub fn net_count(&self) -> usize {
+        self.name_off.len() - 1
+    }
+
+    /// Number of gates.
+    pub fn gate_count(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// Adds a net, streaming its name into the arena ([`format_args!`]
+    /// values print straight into the shared buffer), and returns its id.
+    pub fn add_net(&mut self, name: impl fmt::Display) -> NetId {
+        let id = NetId(self.net_count() as u32);
+        #[allow(clippy::expect_used)] // fmt::Write into a String is infallible
+        write!(self.names, "{name}").expect("writing to String cannot fail");
+        assert!(
+            self.names.len() <= u32::MAX as usize,
+            "net-name arena exceeds u32 offsets"
+        );
+        self.name_off.push(self.names.len() as u32);
         id
     }
 
     /// Adds a primary input net.
-    pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
+    pub fn add_input(&mut self, name: impl fmt::Display) -> NetId {
         let id = self.add_net(name);
         self.primary_inputs.push(id);
         id
+    }
+
+    /// Marks an existing net as a primary input.
+    pub fn mark_input(&mut self, net: NetId) {
+        self.primary_inputs.push(net);
     }
 
     /// Marks an existing net as a primary output.
@@ -235,45 +285,57 @@ impl Netlist {
         self.primary_outputs.push(net);
     }
 
-    /// Adds a gate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the connection counts violate the kind's arity — the
-    /// builders are trusted code, so this is a bug, not an input error.
-    pub fn add_gate(&mut self, kind: GateKind, inputs: Vec<NetId>, outputs: Vec<NetId>) -> &Gate {
-        assert!(
-            kind.input_arity().contains(&inputs.len()),
-            "{kind}: bad input count {}",
-            inputs.len()
-        );
-        assert_eq!(
-            outputs.len(),
-            kind.output_count(),
-            "{kind}: bad output count"
-        );
-        let name = format!("g{}_{kind}", self.gates.len());
-        self.gates.push(Gate {
-            name,
-            kind,
-            inputs,
-            outputs,
-        });
-        #[allow(clippy::expect_used)] // pushed on the line above
-        self.gates.last().expect("just pushed")
+    /// Appends a gate and returns its index. Pin counts are not checked
+    /// here: [`Netlist::validate`] reports a gate outside its kind's arity
+    /// as [`ValidateNetlistError::BadArity`].
+    pub fn add_gate(&mut self, kind: GateKind, inputs: &[NetId], outputs: &[NetId]) -> usize {
+        let gi = self.kinds.len();
+        self.kinds.push(kind);
+        self.in_net.extend_from_slice(inputs);
+        self.in_off.push(self.in_net.len() as u32);
+        self.out_net.extend_from_slice(outputs);
+        self.out_off.push(self.out_net.len() as u32);
+        gi
+    }
+
+    /// Rewires input pin `k` of gate `gi` to `net`.
+    pub fn set_gate_input(&mut self, gi: usize, k: usize, net: NetId) {
+        let (lo, hi) = (self.in_off[gi] as usize, self.in_off[gi + 1] as usize);
+        self.in_net[lo..hi][k] = net;
+    }
+
+    /// Kind of gate `gi`.
+    pub fn gate_kind(&self, gi: usize) -> GateKind {
+        self.kinds[gi]
+    }
+
+    /// Input nets of gate `gi`, in pin order.
+    pub fn gate_inputs(&self, gi: usize) -> &[NetId] {
+        &self.in_net[self.in_off[gi] as usize..self.in_off[gi + 1] as usize]
+    }
+
+    /// Output nets of gate `gi`, in pin order.
+    pub fn gate_outputs(&self, gi: usize) -> &[NetId] {
+        &self.out_net[self.out_off[gi] as usize..self.out_off[gi + 1] as usize]
+    }
+
+    /// Instance name of gate `gi`: `g{gi}_{kind}`.
+    pub fn gate_name(&self, gi: usize) -> String {
+        format!("g{gi}_{}", self.kinds[gi])
     }
 
     /// Name of a net.
     pub fn net_name(&self, id: NetId) -> &str {
-        &self.nets[id.0 as usize].name
+        let i = id.0 as usize;
+        &self.names[self.name_off[i] as usize..self.name_off[i + 1] as usize]
     }
 
     /// Maps each net to the gate index driving it (primary inputs map to
     /// `None` and do not appear).
     pub fn driver_map(&self) -> BTreeMap<NetId, usize> {
         let mut m = BTreeMap::new();
-        for (gi, g) in self.gates.iter().enumerate() {
-            for &o in &g.outputs {
+        for gi in 0..self.gate_count() {
+            for &o in self.gate_outputs(gi) {
                 m.insert(o, gi);
             }
         }
@@ -283,8 +345,8 @@ impl Netlist {
     /// Maps each net to the gate indices reading it.
     pub fn fanout_map(&self) -> BTreeMap<NetId, Vec<usize>> {
         let mut m: BTreeMap<NetId, Vec<usize>> = BTreeMap::new();
-        for (gi, g) in self.gates.iter().enumerate() {
-            for &i in &g.inputs {
+        for gi in 0..self.gate_count() {
+            for &i in self.gate_inputs(gi) {
                 m.entry(i).or_default().push(gi);
             }
         }
@@ -294,12 +356,7 @@ impl Netlist {
     /// Number of fanout sinks of a net (gate inputs plus primary-output
     /// taps).
     pub fn fanout_count(&self, net: NetId) -> usize {
-        let gates = self
-            .gates
-            .iter()
-            .flat_map(|g| &g.inputs)
-            .filter(|&&i| i == net)
-            .count();
+        let gates = self.in_net.iter().filter(|&&i| i == net).count();
         let pos = self.primary_outputs.iter().filter(|&&o| o == net).count();
         gates + pos
     }
@@ -308,12 +365,28 @@ impl Netlist {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ValidateNetlistError`] found: arity and dangling
-    /// checks per gate, single-driver and no-undriven checks per net, and a
-    /// topological-sort check that the combinational subgraph is acyclic
-    /// (paths may only close through flip-flops).
+    /// Returns the first [`ValidateNetlistError`] found; see
+    /// [`Netlist::comb_order`].
     pub fn validate(&self) -> Result<(), ValidateNetlistError> {
-        let n = self.nets.len() as u32;
+        self.comb_order().map(drop)
+    }
+
+    /// Validates the netlist and returns a topological order of its
+    /// combinational gates; flip-flop outputs act as sources and flip-flop
+    /// inputs as sinks, so paths may only close through flip-flops.
+    ///
+    /// The order is Kahn's: the zero-in-degree gates are seeded in
+    /// ascending order, successors are recorded in gate and pin order, and
+    /// the work list pops last-in first-out.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ValidateNetlistError`] found: port ids first,
+    /// then arity and dangling checks per gate, the single-driver check per
+    /// output pin, the no-undriven check per input pin, and finally a
+    /// combinational cycle.
+    pub fn comb_order(&self) -> Result<Vec<usize>, ValidateNetlistError> {
+        let n = self.net_count() as u32;
         // Port ids come first: everything below indexes per-net tables with
         // them, so an out-of-range id must become a typed error, not a
         // panic.
@@ -325,24 +398,24 @@ impl Netlist {
                 return Err(ValidateNetlistError::DanglingPort { port, net: id });
             }
         }
-        let mut drivers: Vec<u8> = vec![0; self.nets.len()];
+        let mut drivers: Vec<u8> = vec![0; n as usize];
         for &pi in &self.primary_inputs {
             drivers[pi.0 as usize] += 1;
         }
-        for g in &self.gates {
-            if !g.kind.input_arity().contains(&g.inputs.len())
-                || g.outputs.len() != g.kind.output_count()
-            {
+        for gi in 0..self.gate_count() {
+            let (inputs, outputs) = (self.gate_inputs(gi), self.gate_outputs(gi));
+            let kind = self.kinds[gi];
+            if !kind.input_arity().contains(&inputs.len()) || outputs.len() != kind.output_count() {
                 return Err(ValidateNetlistError::BadArity {
-                    gate: g.name.clone(),
+                    gate: self.gate_name(gi),
                 });
             }
-            if g.inputs.iter().chain(&g.outputs).any(|id| id.0 >= n) {
+            if inputs.iter().chain(outputs).any(|id| id.0 >= n) {
                 return Err(ValidateNetlistError::DanglingNet {
-                    gate: g.name.clone(),
+                    gate: self.gate_name(gi),
                 });
             }
-            for &o in &g.outputs {
+            for &o in outputs {
                 drivers[o.0 as usize] += 1;
                 if drivers[o.0 as usize] > 1 {
                     return Err(ValidateNetlistError::MultipleDrivers {
@@ -352,101 +425,107 @@ impl Netlist {
                 }
             }
         }
-        for g in &self.gates {
-            for &i in &g.inputs {
-                if drivers[i.0 as usize] == 0 {
-                    return Err(ValidateNetlistError::Undriven {
-                        net: i,
-                        name: self.net_name(i).to_string(),
-                    });
-                }
-            }
-        }
-        self.check_acyclic()
-    }
-
-    /// Kahn topological sort over the combinational subgraph; flip-flop
-    /// outputs act as sources and flip-flop inputs as sinks.
-    fn check_acyclic(&self) -> Result<(), ValidateNetlistError> {
-        // in-degree per *combinational* gate = number of its inputs driven
-        // by other combinational gates.
-        let driver = self.driver_map();
-        let comb: Vec<usize> = (0..self.gates.len())
-            .filter(|&gi| !self.gates[gi].kind.is_sequential())
-            .collect();
-        let mut indeg: BTreeMap<usize, usize> = comb.iter().map(|&gi| (gi, 0)).collect();
-        let mut succs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &gi in &comb {
-            for &inp in &self.gates[gi].inputs {
-                if let Some(&src) = driver.get(&inp) {
-                    if !self.gates[src].kind.is_sequential() {
-                        // `indeg` was seeded from `comb`, which `gi` iterates.
-                        #[allow(clippy::expect_used)]
-                        let d = indeg.get_mut(&gi).expect("comb gate");
-                        *d += 1;
-                        succs.entry(src).or_default().push(gi);
-                    }
-                }
-            }
-        }
-        let mut queue: Vec<usize> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&gi, _)| gi)
-            .collect();
-        let mut seen = 0usize;
-        while let Some(gi) = queue.pop() {
-            seen += 1;
-            if let Some(next) = succs.get(&gi) {
-                for &s in next {
-                    // Successors were only ever recorded for `indeg` keys.
-                    #[allow(clippy::expect_used)]
-                    let d = indeg.get_mut(&s).expect("comb gate");
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(s);
-                    }
-                }
-            }
-        }
-        if seen != comb.len() {
-            // `seen != comb.len()` means Kahn's algorithm stalled, which
-            // requires at least one gate with positive in-degree.
-            #[allow(clippy::expect_used)]
-            let stuck = indeg
-                .iter()
-                .find(|(_, &d)| d > 0)
-                .map(|(&gi, _)| gi)
-                .expect("cycle exists");
-            return Err(ValidateNetlistError::CombinationalCycle {
-                net: self.net_name(self.gates[stuck].outputs[0]).to_string(),
+        if let Some(&i) = self.in_net.iter().find(|i| drivers[i.0 as usize] == 0) {
+            return Err(ValidateNetlistError::Undriven {
+                net: i,
+                name: self.net_name(i).to_string(),
             });
         }
-        Ok(())
+        self.kahn()
+    }
+
+    /// Kahn's algorithm over the combinational subgraph, with a CSR
+    /// successor table. Runs on a structurally valid netlist.
+    fn kahn(&self) -> Result<Vec<usize>, ValidateNetlistError> {
+        let n_gates = self.gate_count();
+        const NO_DRIVER: u32 = u32::MAX;
+        let mut driver = vec![NO_DRIVER; self.net_count()];
+        for gi in 0..n_gates {
+            for &o in self.gate_outputs(gi) {
+                driver[o.0 as usize] = gi as u32;
+            }
+        }
+        let comb = |gi: usize| !self.kinds[gi].is_sequential();
+        // Comb→comb edge counts per source gate, then a CSR fill.
+        let mut succ_off = vec![0u32; n_gates + 1];
+        let mut indeg = vec![0u32; n_gates];
+        for (gi, deg) in indeg.iter_mut().enumerate() {
+            if !comb(gi) {
+                continue;
+            }
+            for &inp in self.gate_inputs(gi) {
+                let src = driver[inp.0 as usize];
+                if src != NO_DRIVER && comb(src as usize) {
+                    succ_off[src as usize + 1] += 1;
+                    *deg += 1;
+                }
+            }
+        }
+        for i in 0..n_gates {
+            succ_off[i + 1] += succ_off[i];
+        }
+        let mut succ = vec![0u32; succ_off[n_gates] as usize];
+        let mut cursor: Vec<u32> = succ_off[..n_gates].to_vec();
+        for gi in 0..n_gates {
+            if !comb(gi) {
+                continue;
+            }
+            for &inp in self.gate_inputs(gi) {
+                let src = driver[inp.0 as usize];
+                if src != NO_DRIVER && comb(src as usize) {
+                    let c = &mut cursor[src as usize];
+                    succ[*c as usize] = gi as u32;
+                    *c += 1;
+                }
+            }
+        }
+        let mut queue: Vec<u32> = (0..n_gates)
+            .filter(|&gi| comb(gi) && indeg[gi] == 0)
+            .map(|gi| gi as u32)
+            .collect();
+        let mut order = Vec::with_capacity(n_gates);
+        while let Some(gi) = queue.pop() {
+            order.push(gi as usize);
+            let (lo, hi) = (succ_off[gi as usize], succ_off[gi as usize + 1]);
+            for &s in &succ[lo as usize..hi as usize] {
+                indeg[s as usize] -= 1;
+                if indeg[s as usize] == 0 {
+                    queue.push(s);
+                }
+            }
+        }
+        // Kahn's algorithm stalls only on a cycle, which leaves at least
+        // one combinational gate with positive in-degree.
+        if let Some(stuck) = (0..n_gates).find(|&gi| comb(gi) && indeg[gi] > 0) {
+            return Err(ValidateNetlistError::CombinationalCycle {
+                net: self.net_name(self.gate_outputs(stuck)[0]).to_string(),
+            });
+        }
+        Ok(order)
     }
 
     /// Renders the netlist as Graphviz DOT (for small debugging dumps).
     pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
         let mut s = String::from("digraph netlist {\n  rankdir=LR;\n");
-        for g in &self.gates {
-            let _ = writeln!(s, "  \"{}\" [label=\"{}\\n{}\"];", g.name, g.name, g.kind);
+        for gi in 0..self.gate_count() {
+            let name = self.gate_name(gi);
+            let _ = writeln!(s, "  \"{name}\" [label=\"{name}\\n{}\"];", self.kinds[gi]);
         }
         let driver = self.driver_map();
-        for g in &self.gates {
-            for &i in &g.inputs {
+        for gi in 0..self.gate_count() {
+            let name = self.gate_name(gi);
+            for &i in self.gate_inputs(gi) {
                 match driver.get(&i) {
                     Some(&src) => {
                         let _ = writeln!(
                             s,
-                            "  \"{}\" -> \"{}\" [label=\"{}\"];",
-                            self.gates[src].name,
-                            g.name,
+                            "  \"{}\" -> \"{name}\" [label=\"{}\"];",
+                            self.gate_name(src),
                             self.net_name(i)
                         );
                     }
                     None => {
-                        let _ = writeln!(s, "  \"{}\" -> \"{}\";", self.net_name(i), g.name);
+                        let _ = writeln!(s, "  \"{}\" -> \"{name}\";", self.net_name(i));
                     }
                 }
             }
@@ -466,8 +545,8 @@ mod tests {
         let b = n.add_input("b");
         let x = n.add_net("x");
         let y = n.add_net("y");
-        n.add_gate(GateKind::Nand, vec![a, b], vec![x]);
-        n.add_gate(GateKind::Inv, vec![x], vec![y]);
+        n.add_gate(GateKind::Nand, &[a, b], &[x]);
+        n.add_gate(GateKind::Inv, &[x], &[y]);
         n.mark_output(y);
         n
     }
@@ -478,40 +557,169 @@ mod tests {
     }
 
     #[test]
-    fn multiple_drivers_detected() {
+    fn default_is_an_empty_netlist() {
+        let mut n = Netlist::default();
+        assert_eq!(n, Netlist::new(""));
+        let a = n.add_input("a");
+        let z = n.add_net("z");
+        let g = n.add_gate(GateKind::Inv, &[a], &[z]);
+        assert_eq!((a, z, g), (NetId(0), NetId(1), 0));
+        assert_eq!((n.net_name(a), n.net_name(z)), ("a", "z"));
+        n.validate().unwrap();
+    }
+
+    #[test]
+    fn rows_and_derived_names_read_back() {
         let mut n = tiny();
-        let x = NetId(2);
-        let a = NetId(0);
-        n.add_gate(GateKind::Inv, vec![a], vec![x]);
-        assert!(matches!(
-            n.validate(),
-            Err(ValidateNetlistError::MultipleDrivers { .. })
-        ));
+        assert_eq!(n.gate_name(0), "g0_nand");
+        assert_eq!(n.gate_name(1), "g1_inv");
+        assert_eq!(n.gate_inputs(0), &[NetId(0), NetId(1)]);
+        assert_eq!(n.gate_outputs(1), &[NetId(3)]);
+        // Rewiring one pin leaves every other row as it was.
+        n.set_gate_input(0, 1, NetId(0));
+        assert_eq!(n.gate_inputs(0), &[NetId(0), NetId(0)]);
+        assert_eq!(n.gate_inputs(1), &[NetId(2)]);
     }
 
     #[test]
-    fn undriven_net_detected() {
+    fn bad_arity_names_the_gate() {
+        let mut n = Netlist::new("bad");
+        let a = n.add_input("a");
+        let z = n.add_net("z");
+        n.add_gate(GateKind::Mux2, &[a], &[z]);
+        assert_eq!(
+            n.validate(),
+            Err(ValidateNetlistError::BadArity {
+                gate: "g0_mux2".into()
+            })
+        );
+        // A wrong output count is the same error.
+        let mut n = tiny();
+        let s = n.add_net("s");
+        n.add_gate(GateKind::HalfAdder, &[NetId(0), NetId(1)], &[s]);
+        assert_eq!(
+            n.validate(),
+            Err(ValidateNetlistError::BadArity {
+                gate: "g2_half-adder".into()
+            })
+        );
+    }
+
+    #[test]
+    fn dangling_net_names_the_gate() {
+        let mut n = Netlist::new("dangle");
+        let a = n.add_input("a");
+        let z = n.add_net("z");
+        n.add_gate(GateKind::Inv, &[a], &[z]);
+        n.add_gate(GateKind::Inv, &[z], &[NetId(2)]);
+        assert_eq!(
+            n.validate(),
+            Err(ValidateNetlistError::DanglingNet {
+                gate: "g1_inv".into()
+            })
+        );
+        let mut n = tiny();
+        n.set_gate_input(1, 0, NetId(99));
+        assert_eq!(
+            n.validate(),
+            Err(ValidateNetlistError::DanglingNet {
+                gate: "g1_inv".into()
+            })
+        );
+    }
+
+    #[test]
+    fn multiple_drivers_name_the_net() {
+        let mut n = tiny();
+        n.add_gate(GateKind::Inv, &[NetId(0)], &[NetId(2)]);
+        assert_eq!(
+            n.validate(),
+            Err(ValidateNetlistError::MultipleDrivers {
+                net: NetId(2),
+                name: "x".into()
+            })
+        );
+        // A gate driving a primary input is a second driver too.
+        let mut n = tiny();
+        n.add_gate(GateKind::Inv, &[NetId(2)], &[NetId(1)]);
+        assert_eq!(
+            n.validate(),
+            Err(ValidateNetlistError::MultipleDrivers {
+                net: NetId(1),
+                name: "b".into()
+            })
+        );
+    }
+
+    #[test]
+    fn undriven_names_the_first_read_net() {
         let mut n = Netlist::new("u");
+        let a = n.add_input("a");
         let ghost = n.add_net("ghost");
-        let out = n.add_net("out");
-        n.add_gate(GateKind::Inv, vec![ghost], vec![out]);
-        assert!(matches!(
+        let late = n.add_net("late");
+        let (x, y) = (n.add_net("x"), n.add_net("y"));
+        n.add_gate(GateKind::Nand, &[a, ghost], &[x]);
+        n.add_gate(GateKind::Inv, &[late], &[y]);
+        assert_eq!(
             n.validate(),
-            Err(ValidateNetlistError::Undriven { .. })
-        ));
+            Err(ValidateNetlistError::Undriven {
+                net: ghost,
+                name: "ghost".into()
+            })
+        );
     }
 
     #[test]
-    fn combinational_cycle_detected() {
+    fn combinational_cycle_names_the_first_stuck_gate_output() {
         let mut n = Netlist::new("cyc");
         let a = n.add_input("a");
         let x = n.add_net("x");
         let y = n.add_net("y");
-        n.add_gate(GateKind::Nand, vec![a, y], vec![x]);
-        n.add_gate(GateKind::Inv, vec![x], vec![y]);
+        n.add_gate(GateKind::Nand, &[a, y], &[x]);
+        n.add_gate(GateKind::Inv, &[x], &[y]);
+        assert_eq!(
+            n.validate(),
+            Err(ValidateNetlistError::CombinationalCycle { net: "x".into() })
+        );
+        // A self-loop built by rewiring one pin.
+        let mut n = tiny();
+        n.set_gate_input(1, 0, NetId(3));
+        assert_eq!(
+            n.comb_order(),
+            Err(ValidateNetlistError::CombinationalCycle { net: "y".into() })
+        );
+    }
+
+    #[test]
+    fn dangling_port_is_reported_without_panicking() {
+        let mut n = tiny();
+        n.primary_outputs[0] = NetId(99);
+        assert_eq!(
+            n.validate(),
+            Err(ValidateNetlistError::DanglingPort {
+                port: "output",
+                net: NetId(99)
+            })
+        );
+        let mut n = tiny();
+        n.primary_inputs.push(NetId(1_000_000));
+        assert_eq!(
+            n.validate(),
+            Err(ValidateNetlistError::DanglingPort {
+                port: "input",
+                net: NetId(1_000_000)
+            })
+        );
+    }
+
+    #[test]
+    fn ports_are_checked_before_gates() {
+        let mut n = tiny();
+        n.add_gate(GateKind::Mux2, &[], &[]);
+        n.mark_output(NetId(7));
         assert!(matches!(
             n.validate(),
-            Err(ValidateNetlistError::CombinationalCycle { .. })
+            Err(ValidateNetlistError::DanglingPort { port: "output", .. })
         ));
     }
 
@@ -520,47 +728,30 @@ mod tests {
         let mut n = Netlist::new("counter-bit");
         let q = n.add_net("q");
         let d = n.add_net("d");
-        n.add_gate(GateKind::Inv, vec![q], vec![d]);
-        n.add_gate(GateKind::Dff, vec![d], vec![q]);
+        n.add_gate(GateKind::Inv, &[q], &[d]);
+        n.add_gate(GateKind::Dff, &[d], &[q]);
         n.validate().unwrap();
+        assert_eq!(n.comb_order().unwrap(), vec![0]);
     }
 
     #[test]
-    #[should_panic(expected = "bad input count")]
-    fn arity_panics_in_builder() {
-        let mut n = Netlist::new("bad");
+    fn comb_order_is_kahn_with_a_lifo_work_list() {
+        // g0 and g1 both start at in-degree 0; the work list pops g1
+        // first, and g2 becomes ready only after both.
+        let mut n = Netlist::new("order");
         let a = n.add_input("a");
-        let z = n.add_net("z");
-        n.add_gate(GateKind::Mux2, vec![a], vec![z]);
-    }
-
-    #[test]
-    fn dangling_net_detected() {
-        let mut n = Netlist::new("dangle");
-        let a = n.add_input("a");
-        let z = n.add_net("z");
-        n.add_gate(GateKind::Inv, vec![a], vec![z]);
-        n.gates[0].inputs[0] = NetId(99);
-        assert!(matches!(
-            n.validate(),
-            Err(ValidateNetlistError::DanglingNet { .. })
-        ));
-    }
-
-    #[test]
-    fn dangling_port_detected_without_panicking() {
-        let mut n = tiny();
-        n.primary_outputs[0] = NetId(99);
-        assert!(matches!(
-            n.validate(),
-            Err(ValidateNetlistError::DanglingPort { port: "output", .. })
-        ));
-        let mut n = tiny();
-        n.primary_inputs.push(NetId(1_000_000));
-        assert!(matches!(
-            n.validate(),
-            Err(ValidateNetlistError::DanglingPort { port: "input", .. })
-        ));
+        let (x, y, z, q) = (
+            n.add_net("x"),
+            n.add_net("y"),
+            n.add_net("z"),
+            n.add_net("q"),
+        );
+        n.add_gate(GateKind::Inv, &[a], &[x]);
+        n.add_gate(GateKind::Inv, &[a], &[y]);
+        n.add_gate(GateKind::Nand, &[x, y], &[z]);
+        n.add_gate(GateKind::Dff, &[z], &[q]);
+        n.mark_output(q);
+        assert_eq!(n.comb_order().unwrap(), vec![1, 0, 2]);
     }
 
     #[test]
@@ -569,8 +760,8 @@ mod tests {
         let a = n.add_input("a");
         let x = n.add_net("x");
         let y = n.add_net("y");
-        n.add_gate(GateKind::Inv, vec![a], vec![x]);
-        n.add_gate(GateKind::Inv, vec![a], vec![y]);
+        n.add_gate(GateKind::Inv, &[a], &[x]);
+        n.add_gate(GateKind::Inv, &[a], &[y]);
         n.mark_output(a);
         assert_eq!(n.fanout_count(a), 3);
         assert_eq!(n.fanout_count(x), 0);
@@ -590,8 +781,8 @@ mod tests {
     fn dot_export_mentions_every_gate() {
         let n = tiny();
         let dot = n.to_dot();
-        for g in &n.gates {
-            assert!(dot.contains(&g.name));
+        for gi in 0..n.gate_count() {
+            assert!(dot.contains(&n.gate_name(gi)));
         }
         assert!(dot.starts_with("digraph"));
     }
@@ -604,7 +795,7 @@ mod tests {
         let c = n.add_input("c");
         let s = n.add_net("s");
         let co = n.add_net("co");
-        n.add_gate(GateKind::FullAdder, vec![a, b, c], vec![s, co]);
+        n.add_gate(GateKind::FullAdder, &[a, b, c], &[s, co]);
         n.validate().unwrap();
         assert_eq!(GateKind::FullAdder.output_count(), 2);
     }

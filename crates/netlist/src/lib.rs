@@ -4,7 +4,8 @@
 //! SRAM interface). We do not have that RTL, so this crate provides:
 //!
 //! * [`ir`] — a small technology-independent gate-level IR ([`Netlist`],
-//!   [`Gate`], [`GateKind`]) with validation,
+//!   [`GateKind`]) in flat CSR storage, with validation and the
+//!   combinational order ([`Netlist::comb_order`]),
 //! * [`build`] — structural builders for the classic datapath blocks
 //!   (ripple/carry adders, mux trees, decoders, barrel shifters, register
 //!   files, counters, LFSR-seeded logic clouds),
@@ -35,16 +36,12 @@ pub mod dsp;
 pub mod ir;
 pub mod mcu;
 pub mod sim;
-pub mod soa;
 pub mod soc;
 pub mod stats;
-pub mod view;
 
 pub use dsp::{generate_fir, FirConfig};
-pub use ir::{Gate, GateKind, Net, NetId, Netlist, ValidateNetlistError};
+pub use ir::{GateKind, NetId, Netlist, ValidateNetlistError};
 pub use mcu::{generate_mcu, McuConfig};
 pub use sim::{random_activity, ActivityReport, Simulator};
-pub use soa::SoaNetlist;
 pub use soc::{generate_soc, SocConfig};
 pub use stats::NetlistStats;
-pub use view::{NetlistEdit, NetlistView};

@@ -190,13 +190,13 @@ pub fn generate_mcu(cfg: &McuConfig) -> Netlist {
         &[wb_sel0, wb_sel1],
     );
     for (d, src) in wb_data.iter().zip(&wb_pick) {
-        nl.add_gate(GateKind::Buf, vec![*src], vec![*d]);
+        nl.add_gate(GateKind::Buf, &[*src], &[*d]);
     }
 
     // Branch target mux feeding the PC.
     let pc_next = mux2_word(&mut nl, "pc_sel", &pc_inc, &alu_out, branch);
     for (d, src) in pc_d.iter().zip(&pc_next) {
-        nl.add_gate(GateKind::Buf, vec![*src], vec![*d]);
+        nl.add_gate(GateKind::Buf, &[*src], &[*d]);
     }
 
     // ------------------------------------------------------------------
@@ -213,7 +213,7 @@ pub fn generate_mcu(cfg: &McuConfig) -> Netlist {
         let cnt_q = register_word(&mut nl, &format!("tim{t}"), &cnt_d);
         let cnt_inc = incrementer(&mut nl, &format!("tim{t}_inc"), &cnt_q, one);
         for (d, src) in cnt_d.iter().zip(&cnt_inc) {
-            nl.add_gate(GateKind::Buf, vec![*src], vec![*d]);
+            nl.add_gate(GateKind::Buf, &[*src], &[*d]);
         }
         let cmp = zip_word(
             &mut nl,
@@ -233,7 +233,7 @@ pub fn generate_mcu(cfg: &McuConfig) -> Netlist {
         let mut shift = Vec::with_capacity(w);
         for i in 0..w {
             let q = nl.add_net(format!("uart_q[{i}]"));
-            nl.add_gate(GateKind::Dff, vec![bit], vec![q]);
+            nl.add_gate(GateKind::Dff, &[bit], &[q]);
             shift.push(q);
             bit = q;
         }
@@ -252,7 +252,7 @@ pub fn generate_mcu(cfg: &McuConfig) -> Netlist {
     let ext_sel = decode_bits[6 % decode_bits.len()];
     let bus_final = mux2_word(&mut nl, "bus_fin", &bus_pick, &bus_rdata_ext, ext_sel);
     for (d, src) in bus_rdata.iter().zip(&bus_final) {
-        nl.add_gate(GateKind::Buf, vec![*src], vec![*d]);
+        nl.add_gate(GateKind::Buf, &[*src], &[*d]);
     }
 
     // ------------------------------------------------------------------
@@ -282,7 +282,7 @@ pub fn generate_mcu(cfg: &McuConfig) -> Netlist {
     }
 
     varitune_trace::add("netlist.mcu_generated", 1);
-    varitune_trace::add("netlist.gates_generated", nl.gates.len() as u64);
+    varitune_trace::add("netlist.gates_generated", nl.gate_count() as u64);
     nl
 }
 
@@ -317,7 +317,7 @@ mod tests {
     fn paper_scale_hits_20k_gates() {
         let nl = generate_mcu(&McuConfig::paper_scale());
         nl.validate().unwrap();
-        let n = nl.gates.len();
+        let n = nl.gate_count();
         assert!(
             (15_000..=26_000).contains(&n),
             "gate count {n} should be near the paper's 20 k"
@@ -327,8 +327,8 @@ mod tests {
     #[test]
     fn paper_scale_has_realistic_sequential_fraction() {
         let nl = generate_mcu(&McuConfig::paper_scale());
-        let dffs = nl.gates.iter().filter(|g| g.kind.is_sequential()).count();
-        let frac = dffs as f64 / nl.gates.len() as f64;
+        let dffs = nl.stats().flip_flops;
+        let frac = dffs as f64 / nl.gate_count() as f64;
         assert!(
             (0.03..0.35).contains(&frac),
             "sequential fraction {frac} out of range ({dffs} DFFs)"
@@ -341,11 +341,7 @@ mod tests {
         // long; checked structurally by counting FullAdder gates.
         let cfg = McuConfig::small_for_tests();
         let nl = generate_mcu(&cfg);
-        let fas = nl
-            .gates
-            .iter()
-            .filter(|g| g.kind == GateKind::FullAdder)
-            .count();
+        let fas = nl.stats().by_kind[&GateKind::FullAdder];
         assert!(fas >= 2 * cfg.width, "{fas}");
     }
 

@@ -23,7 +23,7 @@ use crate::ir::{GateKind, NetId, Netlist, ValidateNetlistError};
 /// let a = nl.add_input("a");
 /// let b = nl.add_input("b");
 /// let z = nl.add_net("z");
-/// nl.add_gate(GateKind::Nand, vec![a, b], vec![z]);
+/// nl.add_gate(GateKind::Nand, &[a, b], &[z]);
 /// let mut sim = Simulator::new(&nl)?;
 /// sim.step(&[true, true]);
 /// assert!(!sim.value(z));
@@ -48,51 +48,21 @@ pub struct Simulator<'a> {
 }
 
 impl<'a> Simulator<'a> {
-    /// Prepares a simulator (validates the netlist and levelizes it).
+    /// Prepares a simulator (validates the netlist and orders its
+    /// combinational gates in one pass, [`Netlist::comb_order`]).
     ///
     /// # Errors
     ///
     /// Returns [`ValidateNetlistError`] if the netlist is structurally
     /// invalid.
     pub fn new(netlist: &'a Netlist) -> Result<Self, ValidateNetlistError> {
-        netlist.validate()?;
-        // Kahn order over combinational gates (flip-flop outputs are
-        // sources).
-        let driver = netlist.driver_map();
-        let mut indeg = vec![0usize; netlist.gates.len()];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); netlist.gates.len()];
-        for (gi, g) in netlist.gates.iter().enumerate() {
-            if g.kind.is_sequential() {
-                continue;
-            }
-            for &inp in &g.inputs {
-                if let Some(&src) = driver.get(&inp) {
-                    if !netlist.gates[src].kind.is_sequential() {
-                        indeg[gi] += 1;
-                        succs[src].push(gi);
-                    }
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..netlist.gates.len())
-            .filter(|&gi| !netlist.gates[gi].kind.is_sequential() && indeg[gi] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(queue.len());
-        while let Some(gi) = queue.pop() {
-            order.push(gi);
-            for &s in &succs[gi] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    queue.push(s);
-                }
-            }
-        }
+        let order = netlist.comb_order()?;
         Ok(Self {
             netlist,
-            values: vec![false; netlist.nets.len()],
-            ff_state: vec![false; netlist.gates.len()],
+            values: vec![false; netlist.net_count()],
+            ff_state: vec![false; netlist.gate_count()],
             order,
-            toggles: vec![0; netlist.nets.len()],
+            toggles: vec![0; netlist.net_count()],
             cycles: 0,
         })
     }
@@ -126,9 +96,10 @@ impl<'a> Simulator<'a> {
             self.values[pi.0 as usize] = v;
         }
         // Flip-flop outputs present last cycle's captured state.
-        for (gi, g) in self.netlist.gates.iter().enumerate() {
-            if g.kind.is_sequential() {
-                self.values[g.outputs[0].0 as usize] = self.ff_state[gi];
+        let nl = self.netlist;
+        for gi in 0..nl.gate_count() {
+            if nl.gate_kind(gi).is_sequential() {
+                self.values[nl.gate_outputs(gi)[0].0 as usize] = self.ff_state[gi];
             }
         }
         // Settle combinational logic.
@@ -137,9 +108,9 @@ impl<'a> Simulator<'a> {
             self.eval_gate(gi);
         }
         // Capture D for the next cycle.
-        for (gi, g) in self.netlist.gates.iter().enumerate() {
-            if g.kind.is_sequential() {
-                self.ff_state[gi] = self.values[g.inputs[0].0 as usize];
+        for gi in 0..nl.gate_count() {
+            if nl.gate_kind(gi).is_sequential() {
+                self.ff_state[gi] = self.values[nl.gate_inputs(gi)[0].0 as usize];
             }
         }
         // Account toggles.
@@ -152,34 +123,34 @@ impl<'a> Simulator<'a> {
     }
 
     fn eval_gate(&mut self, gi: usize) {
-        // Reborrow through the 'a reference so `g` does not pin `self`.
+        // Reborrow through the 'a reference so `outputs` does not pin `self`.
         let netlist: &'a Netlist = self.netlist;
-        let g = &netlist.gates[gi];
+        let outputs = netlist.gate_outputs(gi);
         let v = |id: NetId| self.values[id.0 as usize];
-        let ins: Vec<bool> = g.inputs.iter().map(|&i| v(i)).collect();
-        match g.kind {
-            GateKind::Inv => self.set(g.outputs[0], !ins[0]),
-            GateKind::Buf => self.set(g.outputs[0], ins[0]),
-            GateKind::And => self.set(g.outputs[0], ins.iter().all(|&b| b)),
-            GateKind::Or => self.set(g.outputs[0], ins.iter().any(|&b| b)),
-            GateKind::Nand => self.set(g.outputs[0], !ins.iter().all(|&b| b)),
-            GateKind::Nor => self.set(g.outputs[0], !ins.iter().any(|&b| b)),
-            GateKind::Xor => self.set(g.outputs[0], ins[0] ^ ins[1]),
-            GateKind::Xnor => self.set(g.outputs[0], !(ins[0] ^ ins[1])),
-            GateKind::Mux2 => self.set(g.outputs[0], if ins[2] { ins[1] } else { ins[0] }),
+        let ins: Vec<bool> = netlist.gate_inputs(gi).iter().map(|&i| v(i)).collect();
+        match netlist.gate_kind(gi) {
+            GateKind::Inv => self.set(outputs[0], !ins[0]),
+            GateKind::Buf => self.set(outputs[0], ins[0]),
+            GateKind::And => self.set(outputs[0], ins.iter().all(|&b| b)),
+            GateKind::Or => self.set(outputs[0], ins.iter().any(|&b| b)),
+            GateKind::Nand => self.set(outputs[0], !ins.iter().all(|&b| b)),
+            GateKind::Nor => self.set(outputs[0], !ins.iter().any(|&b| b)),
+            GateKind::Xor => self.set(outputs[0], ins[0] ^ ins[1]),
+            GateKind::Xnor => self.set(outputs[0], !(ins[0] ^ ins[1])),
+            GateKind::Mux2 => self.set(outputs[0], if ins[2] { ins[1] } else { ins[0] }),
             GateKind::Mux4 => {
                 let sel = (ins[4] as usize) | ((ins[5] as usize) << 1);
-                self.set(g.outputs[0], ins[sel]);
+                self.set(outputs[0], ins[sel]);
             }
             GateKind::HalfAdder => {
-                self.set(g.outputs[0], ins[0] ^ ins[1]);
-                self.set(g.outputs[1], ins[0] & ins[1]);
+                self.set(outputs[0], ins[0] ^ ins[1]);
+                self.set(outputs[1], ins[0] & ins[1]);
             }
             GateKind::FullAdder => {
                 let s = ins[0] ^ ins[1] ^ ins[2];
                 let c = (ins[0] & ins[1]) | (ins[2] & (ins[0] ^ ins[1]));
-                self.set(g.outputs[0], s);
-                self.set(g.outputs[1], c);
+                self.set(outputs[0], s);
+                self.set(outputs[1], c);
             }
             GateKind::Dff => { /* clocked in step() */ }
         }
@@ -303,7 +274,7 @@ mod tests {
         let mut nl = Netlist::new("ff");
         let d = nl.add_input("d");
         let q = nl.add_net("q");
-        nl.add_gate(GateKind::Dff, vec![d], vec![q]);
+        nl.add_gate(GateKind::Dff, &[d], &[q]);
         let mut sim = Simulator::new(&nl).unwrap();
         sim.step(&[true]);
         assert!(!sim.value(q), "q still shows reset state");
@@ -324,10 +295,10 @@ mod tests {
         let c0 = nl.add_net("c0");
         let s1 = nl.add_net("s1");
         let c1 = nl.add_net("c1");
-        nl.add_gate(GateKind::HalfAdder, vec![q0, one], vec![s0, c0]);
-        nl.add_gate(GateKind::HalfAdder, vec![q1, c0], vec![s1, c1]);
-        nl.add_gate(GateKind::Dff, vec![s0], vec![q0]);
-        nl.add_gate(GateKind::Dff, vec![s1], vec![q1]);
+        nl.add_gate(GateKind::HalfAdder, &[q0, one], &[s0, c0]);
+        nl.add_gate(GateKind::HalfAdder, &[q1, c0], &[s1, c1]);
+        nl.add_gate(GateKind::Dff, &[s0], &[q0]);
+        nl.add_gate(GateKind::Dff, &[s1], &[q1]);
         let mut sim = Simulator::new(&nl).unwrap();
         let mut seen = Vec::new();
         for _ in 0..5 {
@@ -346,8 +317,8 @@ mod tests {
         let z = nl.add_net("z");
         nl.add_gate(
             GateKind::Mux4,
-            vec![ins[0], ins[1], ins[2], ins[3], s0, s1],
-            vec![z],
+            &[ins[0], ins[1], ins[2], ins[3], s0, s1],
+            &[z],
         );
         let mut sim = Simulator::new(&nl).unwrap();
         for sel in 0..4usize {
@@ -390,8 +361,8 @@ mod tests {
         let a = nl.add_input("a");
         let x = nl.add_net("x");
         let y = nl.add_net("y");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
-        nl.add_gate(GateKind::Inv, vec![x], vec![y]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
+        nl.add_gate(GateKind::Inv, &[x], &[y]);
         let mut sim = Simulator::new(&nl).unwrap();
         for _ in 0..10 {
             sim.step(&[true]);
@@ -417,7 +388,7 @@ mod tests {
         let mut nl = Netlist::new("w");
         let a = nl.add_input("a");
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
         let mut sim = Simulator::new(&nl).unwrap();
         sim.step(&[]);
     }

@@ -28,19 +28,17 @@ impl Netlist {
     /// Computes the census.
     pub fn stats(&self) -> NetlistStats {
         let mut by_kind: BTreeMap<GateKind, usize> = BTreeMap::new();
-        for g in &self.gates {
-            *by_kind.entry(g.kind).or_default() += 1;
-        }
         let mut fanout: BTreeMap<crate::ir::NetId, usize> = BTreeMap::new();
-        for g in &self.gates {
-            for &i in &g.inputs {
+        for gi in 0..self.gate_count() {
+            *by_kind.entry(self.gate_kind(gi)).or_default() += 1;
+            for &i in self.gate_inputs(gi) {
                 *fanout.entry(i).or_default() += 1;
             }
         }
         NetlistStats {
-            total_gates: self.gates.len(),
+            total_gates: self.gate_count(),
             flip_flops: by_kind.get(&GateKind::Dff).copied().unwrap_or(0),
-            nets: self.nets.len(),
+            nets: self.net_count(),
             primary_inputs: self.primary_inputs.len(),
             primary_outputs: self.primary_outputs.len(),
             by_kind,
@@ -77,7 +75,7 @@ mod tests {
     fn stats_count_kinds() {
         let nl = generate_mcu(&McuConfig::small_for_tests());
         let s = nl.stats();
-        assert_eq!(s.total_gates, nl.gates.len());
+        assert_eq!(s.total_gates, nl.gate_count());
         assert_eq!(s.by_kind.values().sum::<usize>(), s.total_gates);
         assert!(s.flip_flops > 0);
         assert!(s.max_fanout > 1);

@@ -55,11 +55,9 @@
 //! floating-point operations in the same order). The `tests/` tree and
 //! the `sta_harness` bench binary both assert this.
 //!
-//! The engine is storage-agnostic: [`TimingGraph::new`] builds over the
-//! pointer-rich [`MappedDesign`], [`TimingGraph::new_soa`] over the
-//! arena/SoA [`SoaDesign`] — both feed the same internal `Core` through
-//! [`varitune_netlist::NetlistView`], so the two forms of one design are
-//! bit-identical by construction.
+//! The engine owns the [`MappedDesign`] it times and keeps its netlist in
+//! step with every structural edit; the `Core` copies the netlist's CSR
+//! rows at build time.
 //!
 //! Every graph carries a `GraphId`: a build takes a fresh one and a
 //! structural edit renews it. It keys the statistical state
@@ -70,11 +68,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use varitune_liberty::{CellId, Library, TimingArc, TimingType};
-use varitune_netlist::{GateKind, NetId, NetlistEdit, NetlistView, ValidateNetlistError};
+use varitune_netlist::{GateKind, NetId, ValidateNetlistError};
 use varitune_variation::parallel::{resolve_threads, run_shards, run_trials};
 
 use crate::graph::{Endpoint, EndpointKind, NetTiming, StaConfig, StaError, TimingReport};
-use crate::mapped::{MappedDesign, SoaDesign, WireModel};
+use crate::mapped::{MappedDesign, WireModel};
 
 /// Sentinel for "no entry" in the `u32`-typed graph indices (`driver`,
 /// `seq_ep`, `ep_gate`).
@@ -336,13 +334,35 @@ pub(crate) struct Core<'l> {
 }
 
 impl<'l> Core<'l> {
-    fn build<V: NetlistView>(
-        nl: &V,
-        cells: &[CellId],
-        wire_model: WireModel,
+    /// Checks `design` and builds its core with the initial full
+    /// propagation. One cell id per gate comes first: a design whose
+    /// public `cells` list drifted from its gate list is rejected before
+    /// any work; then the netlist must validate.
+    fn build_checked(
+        design: &MappedDesign,
         lib: &'l Library,
         config: &StaConfig,
     ) -> Result<Self, StaError> {
+        let (gates, cells) = (design.netlist.gate_count(), design.cells.len());
+        if gates != cells {
+            return Err(StaError::InvalidParameter {
+                reason: format!(
+                    "design binds {cells} cell ids to {gates} gates; one per gate required"
+                ),
+            });
+        }
+        design.netlist.validate()?;
+        let mut core = Self::build(design, lib, config)?;
+        core.update()?;
+        Ok(core)
+    }
+
+    fn build(
+        design: &MappedDesign,
+        lib: &'l Library,
+        config: &StaConfig,
+    ) -> Result<Self, StaError> {
+        let (nl, cells) = (&design.netlist, &design.cells);
         let n_gates = nl.gate_count();
         let n_nets = nl.net_count();
 
@@ -408,7 +428,7 @@ impl<'l> Core<'l> {
             }
         }
         let mut po_taps = vec![0u32; n_nets];
-        for &po in nl.primary_outputs() {
+        for &po in &nl.primary_outputs {
             po_taps[po.0 as usize] += 1;
         }
 
@@ -440,7 +460,7 @@ impl<'l> Core<'l> {
                 required: 0.0,
             });
         }
-        for &po in nl.primary_outputs() {
+        for &po in &nl.primary_outputs {
             let e = endpoints.len() as u32;
             ep_of_net[po.0 as usize].push(e);
             ep_gate.push(NONE_U32);
@@ -454,7 +474,7 @@ impl<'l> Core<'l> {
 
         let mut nets = vec![NetTiming::unpropagated(); n_nets];
         // Launch points: primary inputs have fixed boundary timing.
-        for &pi in nl.primary_inputs() {
+        for &pi in &nl.primary_inputs {
             let t = &mut nets[pi.0 as usize];
             t.arrival = 0.0;
             t.slew = config.input_slew;
@@ -465,7 +485,7 @@ impl<'l> Core<'l> {
             lib,
             config: *config,
             threads: 1,
-            wire_model,
+            wire_model: design.wire_model,
             cell_idx,
             is_seq,
             level: Vec::new(),
@@ -525,7 +545,7 @@ impl<'l> Core<'l> {
 
     /// Longest-path levelization over the combinational subgraph, from
     /// scratch. The netlist was validated acyclic; an inconsistency is
-    /// reported as a netlist error like [`crate::graph::topo_order`] does.
+    /// reported as a netlist error.
     /// Runs once per build: edits keep levels exact locally (see
     /// [`Core::raise_levels`]).
     fn levelize(&self) -> Result<Vec<u32>, StaError> {
@@ -1107,58 +1127,34 @@ impl<'l> Core<'l> {
     }
 }
 
-/// One cell id per gate: a design whose public `cells` list drifted from
-/// its gate list is rejected before any work.
-fn check_cell_count(gates: usize, cells: usize) -> Result<(), StaError> {
-    if gates == cells {
-        return Ok(());
-    }
-    Err(StaError::InvalidParameter {
-        reason: format!("design binds {cells} cell ids to {gates} gates; one per gate required"),
-    })
-}
-
 /// Splits the fanout of `net` behind an INV→INV pair — the engine-side
-/// half of [`TimingGraph::split_fanout_id`], generic over the netlist
-/// storage so the AoS and SoA forms take the identical code path.
-fn split_fanout_impl<'l, V: NetlistEdit>(
-    core: &mut Core<'l>,
-    nl: &mut V,
-    cells: &mut Vec<CellId>,
+/// half of [`TimingGraph::split_fanout_id`].
+fn split_fanout_impl(
+    core: &mut Core<'_>,
+    design: &mut MappedDesign,
     net: NetId,
     inv_cell: CellId,
 ) -> Result<(usize, usize), StaError> {
+    // Intern before touching anything, so a cell that does not fit leaves
+    // the engine unchanged. Both inverters share the cell and the shape.
+    let g1 = design.netlist.gate_count();
+    let ic = intern_cell(core.lib, g1, inv_cell, 1, 1, false)?;
+
     let ni = net.0 as usize;
     let all: Vec<(u32, u32)> = core.sinks.row(ni).to_vec();
     let moved: Vec<(u32, u32)> = all[all.len() / 2..].to_vec();
 
-    let n_nets0 = nl.net_count();
+    let nl = &mut design.netlist;
     let base = nl.net_name(net).to_string();
-    let mid = nl.add_net_named(format!("{base}_bufm"));
-    let out = nl.add_net_named(format!("{base}_bufo"));
+    let mid = nl.add_net(format_args!("{base}_bufm"));
+    let out = nl.add_net(format_args!("{base}_bufo"));
     for &(g, k) in &moved {
         nl.set_gate_input(g as usize, k as usize, out);
     }
-    let g1 = nl.add_gate_at_end(GateKind::Inv, &[net], &[mid]);
-    let g2 = nl.add_gate_at_end(GateKind::Inv, &[mid], &[out]);
-    cells.push(inv_cell);
-    cells.push(inv_cell);
-
-    // Intern the new inverters (validates `inv_cell`; on failure the
-    // netlist edit must be undone to keep the engine consistent).
-    let interned = intern_cell(core.lib, g1, inv_cell, 1, 1, false)
-        .and_then(|a| intern_cell(core.lib, g2, inv_cell, 1, 1, false).map(|b| (a, b)));
-    let (ic1, ic2) = match interned {
-        Ok(v) => v,
-        Err(e) => {
-            nl.truncate_to(g1, n_nets0);
-            cells.truncate(g1);
-            for &(g, k) in &moved {
-                nl.set_gate_input(g as usize, k as usize, net);
-            }
-            return Err(e);
-        }
-    };
+    nl.add_gate(GateKind::Inv, &[net], &[mid]);
+    let g2 = nl.add_gate(GateKind::Inv, &[mid], &[out]);
+    design.cells.push(inv_cell);
+    design.cells.push(inv_cell);
 
     let (mi, oi) = (mid.0 as usize, out.0 as usize);
     // Per-net rows for `mid` and `out` (in id order).
@@ -1189,8 +1185,8 @@ fn split_fanout_impl<'l, V: NetlistEdit>(
         d if d == NONE_U32 || core.is_seq[d as usize] => 0,
         d => core.level[d as usize] + 1,
     };
-    core.push_gate_row(&ic1, l1, &[net.0], &[mid.0]);
-    core.push_gate_row(&ic2, l1 + 1, &[mid.0], &[out.0]);
+    core.push_gate_row(&ic, l1, &[net.0], &[mid.0]);
+    core.push_gate_row(&ic, l1 + 1, &[mid.0], &[out.0]);
 
     // Endpoints attached to moved flip-flop data inputs follow their net.
     for &(g, _) in &moved {
@@ -1219,14 +1215,6 @@ fn split_fanout_impl<'l, V: NetlistEdit>(
         }
     }
     Ok((g1, g2))
-}
-
-/// The design a [`TimingGraph`] owns: either the pointer-rich AoS form or
-/// the arena/SoA form. Both expose the same cell binding; the engine core
-/// never looks inside after build.
-enum DesignStore {
-    Mapped(MappedDesign),
-    Soa(SoaDesign),
 }
 
 /// Source of [`GraphId`]s; never reused within a process.
@@ -1259,14 +1247,13 @@ impl Drop for GraphId {
 
 /// Build-once incremental timing engine over an owned design.
 ///
-/// Construct with [`TimingGraph::new`] (AoS [`MappedDesign`]) or
-/// [`TimingGraph::new_soa`] (arena/SoA [`SoaDesign`]) — both run a full
-/// propagation — then apply local edits and call [`TimingGraph::update`];
+/// Construct with [`TimingGraph::new`] — it runs a full propagation — then
+/// apply local edits and call [`TimingGraph::update`];
 /// queries like [`TimingGraph::report`], [`TimingGraph::load`] and
 /// [`TimingGraph::net_timing`] return the state **as of the last
 /// `update`** — edits are not visible in timing values until then.
 pub struct TimingGraph<'l> {
-    store: DesignStore,
+    design: MappedDesign,
     core: Core<'l>,
     id: GraphId,
 }
@@ -1285,55 +1272,21 @@ impl<'l> TimingGraph<'l> {
         lib: &'l Library,
         config: &StaConfig,
     ) -> Result<Self, StaError> {
-        check_cell_count(design.netlist.gates.len(), design.cells.len())?;
         // Before the build, so retained statistical state is freed before
         // the build allocates.
         let id = GraphId::new();
-        design.netlist.validate()?;
-        let mut core = Core::build(
-            &design.netlist,
-            &design.cells,
-            design.wire_model,
-            lib,
-            config,
-        )?;
-        core.update()?;
-        Ok(Self {
-            store: DesignStore::Mapped(design),
-            core,
-            id,
-        })
+        let core = Core::build_checked(&design, lib, config)?;
+        Ok(Self { design, core, id })
     }
 
-    /// Builds the engine over an arena/SoA design and runs the initial
-    /// full propagation. The result is bit-identical to
-    /// [`TimingGraph::new`] on the AoS form of the same design.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaError`] under the same conditions as
-    /// [`TimingGraph::new`].
+    /// [`TimingGraph::new`] under its former name; kept only for
+    /// `benchmark/`.
     pub fn new_soa(
-        design: SoaDesign,
+        design: MappedDesign,
         lib: &'l Library,
         config: &StaConfig,
     ) -> Result<Self, StaError> {
-        check_cell_count(design.netlist.gate_count(), design.cells.len())?;
-        let id = GraphId::new();
-        design.netlist.validate()?;
-        let mut core = Core::build(
-            &design.netlist,
-            &design.cells,
-            design.wire_model,
-            lib,
-            config,
-        )?;
-        core.update()?;
-        Ok(Self {
-            store: DesignStore::Soa(design),
-            core,
-            id,
-        })
+        Self::new(design, lib, config)
     }
 
     /// Worker threads for within-level propagation (`0` = all available
@@ -1373,45 +1326,20 @@ impl<'l> TimingGraph<'l> {
         })
     }
 
-    fn cells(&self) -> &[CellId] {
-        match &self.store {
-            DesignStore::Mapped(d) => &d.cells,
-            DesignStore::Soa(d) => &d.cells,
-        }
-    }
-
     /// The design in its current (edited) state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the engine was built with [`TimingGraph::new_soa`];
-    /// use [`TimingGraph::soa_design`] there.
     pub fn design(&self) -> &MappedDesign {
-        match &self.store {
-            DesignStore::Mapped(d) => d,
-            DesignStore::Soa(_) => panic!("engine owns a SoaDesign; use soa_design()"),
-        }
+        &self.design
     }
 
-    /// The arena/SoA design in its current (edited) state, when the
-    /// engine was built with [`TimingGraph::new_soa`].
-    pub fn soa_design(&self) -> Option<&SoaDesign> {
-        match &self.store {
-            DesignStore::Soa(d) => Some(d),
-            DesignStore::Mapped(_) => None,
-        }
+    /// [`TimingGraph::design`] under its former name; kept only for
+    /// `benchmark/`.
+    pub fn soa_design(&self) -> Option<&MappedDesign> {
+        Some(self.design())
     }
 
     /// Consumes the engine, returning the edited design.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the engine was built with [`TimingGraph::new_soa`].
     pub fn into_design(self) -> MappedDesign {
-        match self.store {
-            DesignStore::Mapped(d) => d,
-            DesignStore::Soa(_) => panic!("engine owns a SoaDesign; use soa_design()"),
-        }
+        self.design
     }
 
     /// The library the engine was built against.
@@ -1437,7 +1365,7 @@ impl<'l> TimingGraph<'l> {
 
     /// Cell id of gate `gi`.
     pub fn cell_id(&self, gi: usize) -> CellId {
-        self.cells()[gi]
+        self.design.cells[gi]
     }
 
     /// Load on `net` as of the last [`TimingGraph::update`].
@@ -1564,17 +1492,14 @@ impl<'l> TimingGraph<'l> {
     /// [`StaError::UnknownCell`] with a `cell#<id>` label.
     pub fn resize_gate_id(&mut self, gi: usize, cell: CellId) -> Result<(), StaError> {
         self.check_gate(gi)?;
-        if self.cells()[gi] == cell {
+        if self.design.cells[gi] == cell {
             return Ok(());
         }
         let n_in = self.core.gate_inputs(gi).len();
         let n_out = self.core.gate_outputs(gi).len();
         let seq = self.core.is_seq[gi];
         let ic = intern_cell(self.core.lib, gi, cell, n_in, n_out, seq)?;
-        match &mut self.store {
-            DesignStore::Mapped(d) => d.cells[gi] = cell,
-            DesignStore::Soa(d) => d.cells[gi] = cell,
-        }
+        self.design.cells[gi] = cell;
         let core = &mut self.core;
         core.cell_idx[gi] = ic.ci;
         let a0 = core.arc_off[gi] as usize;
@@ -1647,15 +1572,7 @@ impl<'l> TimingGraph<'l> {
     ) -> Result<(usize, usize), StaError> {
         self.check_net(net)?;
         self.id.renew();
-        let Self { store, core, .. } = self;
-        match store {
-            DesignStore::Mapped(d) => {
-                split_fanout_impl(core, &mut d.netlist, &mut d.cells, net, inv_cell)
-            }
-            DesignStore::Soa(d) => {
-                split_fanout_impl(core, &mut d.netlist, &mut d.cells, net, inv_cell)
-            }
-        }
+        split_fanout_impl(&mut self.core, &mut self.design, net, inv_cell)
     }
 
     /// Test hook: whether the incrementally maintained levels equal a
@@ -1716,16 +1633,7 @@ pub(crate) fn analyze_via_engine(
     lib: &Library,
     config: &StaConfig,
 ) -> Result<TimingReport, StaError> {
-    check_cell_count(design.netlist.gates.len(), design.cells.len())?;
-    design.netlist.validate()?;
-    let mut core = Core::build(
-        &design.netlist,
-        &design.cells,
-        design.wire_model,
-        lib,
-        config,
-    )?;
-    core.update()?;
+    let core = Core::build_checked(design, lib, config)?;
     Ok(TimingReport {
         config: core.config,
         nets: core.nets,
@@ -1739,7 +1647,7 @@ mod tests {
     use crate::graph::analyze;
     use crate::mapped::WireModel;
     use varitune_libchar::{generate_nominal, GenerateConfig};
-    use varitune_netlist::{GateKind, Netlist, SoaNetlist};
+    use varitune_netlist::{GateKind, Netlist};
 
     fn lib() -> Library {
         generate_nominal(&GenerateConfig::small_for_tests())
@@ -1751,7 +1659,7 @@ mod tests {
         let mut prev = nl.add_input("a");
         for i in 0..n {
             let z = nl.add_net(format!("n{i}"));
-            nl.add_gate(GateKind::Inv, vec![prev], vec![z]);
+            nl.add_gate(GateKind::Inv, &[prev], &[z]);
             prev = z;
         }
         nl.mark_output(prev);
@@ -1845,11 +1753,11 @@ mod tests {
         let mut nl = Netlist::new("fan");
         let a = nl.add_input("a");
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
         let mut names = vec!["INV_1".to_string()];
         for i in 0..8 {
             let z = nl.add_net(format!("z{i}"));
-            nl.add_gate(GateKind::Inv, vec![x], vec![z]);
+            nl.add_gate(GateKind::Inv, &[x], &[z]);
             nl.mark_output(z);
             names.push("INV_2".into());
         }
@@ -1872,11 +1780,11 @@ mod tests {
         let mut nl = Netlist::new("fffan");
         let a = nl.add_input("a");
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
         let mut names = vec!["INV_1".to_string()];
         for i in 0..4 {
             let q = nl.add_net(format!("q{i}"));
-            nl.add_gate(GateKind::Dff, vec![x], vec![q]);
+            nl.add_gate(GateKind::Dff, &[x], &[q]);
             nl.mark_output(q);
             names.push("DF_1".into());
         }
@@ -1894,7 +1802,7 @@ mod tests {
         let lib = lib();
         let cfg = StaConfig::with_clock_period(5.0);
         let d = chain(5, "INV_2", &lib);
-        let x = d.netlist.gates[1].outputs[0];
+        let x = d.netlist.gate_outputs(1)[0];
         let mut engine = TimingGraph::new(d, &lib, &cfg).unwrap();
         let before = engine.report();
         engine.set_load(x, Some(0.05)).unwrap();
@@ -1994,7 +1902,7 @@ mod tests {
         let mut names = Vec::new();
         for i in 0..n {
             let z = nl.add_net(format!("z{i}"));
-            nl.add_gate(GateKind::Inv, vec![a], vec![z]);
+            nl.add_gate(GateKind::Inv, &[a], &[z]);
             nl.mark_output(z);
             names.push(if i % 3 == 0 {
                 "INV_1".to_string()
@@ -2035,7 +1943,7 @@ mod tests {
             let mut engine = TimingGraph::new(d.clone(), &lib, &cfg).unwrap();
             engine.set_threads(threads);
             for gi in 0..engine.gate_count() {
-                let out = NetId(engine.design().netlist.gates[gi].outputs[0].0);
+                let out = engine.design().netlist.gate_outputs(gi)[0];
                 engine.set_load(out, Some(0.031)).unwrap();
             }
             engine.update().unwrap();
@@ -2052,12 +1960,10 @@ mod tests {
     /// because this crate sits below the mapper).
     fn small_mcu(lib: &Library) -> MappedDesign {
         let nl = varitune_netlist::generate_mcu(&varitune_netlist::McuConfig::small_for_tests());
-        let names: Vec<String> = nl
-            .gates
-            .iter()
-            .map(|g| {
-                let n = g.inputs.len();
-                let family = match g.kind {
+        let names: Vec<String> = (0..nl.gate_count())
+            .map(|gi| {
+                let n = nl.gate_inputs(gi).len();
+                let family = match nl.gate_kind(gi) {
                     GateKind::Inv | GateKind::Buf => "INV".to_string(),
                     GateKind::And => format!("AN{n}"),
                     GateKind::Or => format!("OR{n}"),
@@ -2149,15 +2055,9 @@ mod tests {
         for bad in [short, long] {
             // The fields are public, so the count can drift past the
             // constructors' asserts.
-            let soa = SoaDesign {
-                netlist: SoaNetlist::from_netlist(&bad.netlist),
-                cells: bad.cells.clone(),
-                wire_model: bad.wire_model,
-            };
             for err in [
                 analyze(&bad, &lib, &cfg).err(),
                 TimingGraph::new(bad.clone(), &lib, &cfg).err(),
-                TimingGraph::new_soa(soa, &lib, &cfg).err(),
             ] {
                 assert!(
                     matches!(err, Some(StaError::InvalidParameter { .. })),
@@ -2168,43 +2068,28 @@ mod tests {
     }
 
     #[test]
-    fn soa_engine_matches_mapped_engine_through_edits() {
+    fn split_with_an_unknown_cell_changes_nothing() {
         let lib = lib();
-        let cfg = StaConfig::with_clock_period(5.0);
-        // Mixed fanout + flip-flops, analyzed through both storage forms.
-        let mut nl = Netlist::new("soa_eq");
-        let a = nl.add_input("a");
-        let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
-        let mut names = vec!["INV_1".to_string()];
-        for i in 0..6 {
-            let z = nl.add_net(format!("z{i}"));
-            nl.add_gate(GateKind::Inv, vec![x], vec![z]);
-            names.push("INV_2".into());
-            let q = nl.add_net(format!("q{i}"));
-            nl.add_gate(GateKind::Dff, vec![z], vec![q]);
-            nl.mark_output(q);
-            names.push("DF_1".into());
-        }
-        let d = MappedDesign::from_names(nl, &names, &lib, WireModel::default()).unwrap();
-        let soa = SoaDesign::new(
-            SoaNetlist::from_netlist(&d.netlist),
-            d.cells.clone(),
-            d.wire_model,
+        let cfg = StaConfig::with_clock_period(2.0);
+        let d = wide(6, &lib);
+        let a = NetId(0);
+        let mut engine = TimingGraph::new(d, &lib, &cfg).unwrap();
+        let (gates, fanout) = (engine.gate_count(), engine.fanout(a));
+        let (design, report) = (engine.design().clone(), engine.report());
+        let err = engine.split_fanout_id(a, CellId(u32::MAX)).unwrap_err();
+        assert!(
+            matches!(&err, StaError::UnknownCell { gate, .. } if *gate == gates),
+            "{err:?}"
         );
-        let mut aos_engine = TimingGraph::new(d, &lib, &cfg).unwrap();
-        let mut soa_engine = TimingGraph::new_soa(soa, &lib, &cfg).unwrap();
-        assert!(soa_engine.soa_design().is_some());
-        assert_reports_bit_identical(&aos_engine.report(), &soa_engine.report());
-        // The same edit sequence through both forms stays bit-identical:
-        // resize, buffer the fanout net, update.
-        for engine in [&mut aos_engine, &mut soa_engine] {
-            engine.resize_gate(3, "INV_8").unwrap();
-            engine.split_fanout(x, "INV_2").unwrap();
-            engine.update().unwrap();
-        }
-        assert_reports_bit_identical(&aos_engine.report(), &soa_engine.report());
-        // The SoA netlist stayed structurally valid through the edits.
-        soa_engine.soa_design().unwrap().netlist.validate().unwrap();
+        assert_eq!(engine.gate_count(), gates);
+        assert_eq!(engine.fanout(a), fanout);
+        assert_eq!(engine.design(), &design);
+        assert_eq!(engine.report(), report);
+        // The engine is still consistent: a good split goes through.
+        let inv = lib.cell_id("INV_2").unwrap();
+        engine.split_fanout_id(a, inv).unwrap();
+        engine.update().unwrap();
+        let full = analyze(engine.design(), &lib, &cfg).unwrap();
+        assert_reports_bit_identical(&engine.report(), &full);
     }
 }

@@ -307,16 +307,13 @@ pub fn required_times(
     report: &TimingReport,
 ) -> Result<Vec<f64>, StaError> {
     let nl = &design.netlist;
-    let mut req = vec![f64::INFINITY; nl.nets.len()];
+    let mut req = vec![f64::INFINITY; nl.net_count()];
     for ep in &report.endpoints {
         let r = &mut req[ep.net.0 as usize];
         *r = r.min(ep.required);
     }
     // Reverse topological order over combinational gates.
-    let mut order = topo_order(nl)?;
-    order.reverse();
-    for gi in order {
-        let g = &nl.gates[gi];
+    for &gi in nl.comb_order()?.iter().rev() {
         let cell = design
             .cell_of(gi, lib)
             .ok_or_else(|| StaError::UnknownCell {
@@ -324,7 +321,7 @@ pub fn required_times(
                 name: design.cell_label(gi, lib),
             })?;
         let input_pin_names: Vec<&str> = cell.input_pins().map(|p| p.name.as_str()).collect();
-        for (j, &out) in g.outputs.iter().enumerate() {
+        for (j, &out) in nl.gate_outputs(gi).iter().enumerate() {
             let out_req = req[out.0 as usize];
             if !out_req.is_finite() {
                 continue;
@@ -334,7 +331,7 @@ pub fn required_times(
                 cell: cell.name.clone(),
             })?;
             let load = report.nets[out.0 as usize].load;
-            for (k, &inp) in g.inputs.iter().enumerate() {
+            for (k, &inp) in nl.gate_inputs(gi).iter().enumerate() {
                 let arc = pin
                     .timing
                     .iter()
@@ -350,51 +347,6 @@ pub fn required_times(
         }
     }
     Ok(req)
-}
-
-/// Kahn topological sort of the combinational gates. The netlist was already
-/// validated acyclic, so this cannot fail in practice; an inconsistency is
-/// reported as a netlist error.
-pub(crate) fn topo_order(nl: &varitune_netlist::Netlist) -> Result<Vec<usize>, StaError> {
-    let driver = nl.driver_map();
-    let is_comb = |gi: usize| !nl.gates[gi].kind.is_sequential();
-    let mut indeg = vec![0usize; nl.gates.len()];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nl.gates.len()];
-    for (gi, g) in nl.gates.iter().enumerate() {
-        if !is_comb(gi) {
-            continue;
-        }
-        for &inp in &g.inputs {
-            if let Some(&src) = driver.get(&inp) {
-                if is_comb(src) {
-                    indeg[gi] += 1;
-                    succs[src].push(gi);
-                }
-            }
-        }
-    }
-    let mut queue: Vec<usize> = (0..nl.gates.len())
-        .filter(|&gi| is_comb(gi) && indeg[gi] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(queue.len());
-    while let Some(gi) = queue.pop() {
-        order.push(gi);
-        for &s in &succs[gi] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    let comb_count = (0..nl.gates.len()).filter(|&gi| is_comb(gi)).count();
-    if order.len() != comb_count {
-        return Err(StaError::Netlist(
-            ValidateNetlistError::CombinationalCycle {
-                net: "unknown".to_string(),
-            },
-        ));
-    }
-    Ok(order)
 }
 
 #[cfg(test)]
@@ -414,7 +366,7 @@ mod tests {
         let mut prev = nl.add_input("a");
         for i in 0..n {
             let z = nl.add_net(format!("n{i}"));
-            nl.add_gate(GateKind::Inv, vec![prev], vec![z]);
+            nl.add_gate(GateKind::Inv, &[prev], &[z]);
             prev = z;
         }
         nl.mark_output(prev);
@@ -461,11 +413,11 @@ mod tests {
         let mut nl = Netlist::new("ff2ff");
         let d0 = nl.add_input("d0");
         let q0 = nl.add_net("q0");
-        nl.add_gate(GateKind::Dff, vec![d0], vec![q0]);
+        nl.add_gate(GateKind::Dff, &[d0], &[q0]);
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![q0], vec![x]);
+        nl.add_gate(GateKind::Inv, &[q0], &[x]);
         let q1 = nl.add_net("q1");
-        nl.add_gate(GateKind::Dff, vec![x], vec![q1]);
+        nl.add_gate(GateKind::Dff, &[x], &[q1]);
         nl.mark_output(q1);
         let d =
             MappedDesign::from_names(nl, &["DF_1", "INV_2", "DF_1"], &lib, WireModel::default())
@@ -501,8 +453,8 @@ mod tests {
         let a = nl.add_input("a");
         let x = nl.add_net("x");
         let y = nl.add_net("y");
-        nl.add_gate(GateKind::Nand, vec![a, y], vec![x]);
-        nl.add_gate(GateKind::Inv, vec![x], vec![y]);
+        nl.add_gate(GateKind::Nand, &[a, y], &[x]);
+        nl.add_gate(GateKind::Inv, &[x], &[y]);
         let d =
             MappedDesign::from_names(nl, &["ND2_1", "INV_1"], &lib, WireModel::default()).unwrap();
         assert!(matches!(
@@ -519,11 +471,11 @@ mod tests {
             let mut nl = Netlist::new("fan");
             let a = nl.add_input("a");
             let x = nl.add_net("x");
-            nl.add_gate(GateKind::Inv, vec![a], vec![x]);
+            nl.add_gate(GateKind::Inv, &[a], &[x]);
             let mut names = vec![drive.to_string()];
             for i in 0..8 {
                 let z = nl.add_net(format!("z{i}"));
-                nl.add_gate(GateKind::Inv, vec![x], vec![z]);
+                nl.add_gate(GateKind::Inv, &[x], &[z]);
                 nl.mark_output(z);
                 names.push("INV_2".into());
             }
@@ -572,7 +524,7 @@ mod tests {
         let mut nl = Netlist::new("dangle");
         let a = nl.add_input("a");
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
         let d = MappedDesign::from_names(nl, &["INV_1"], &lib, WireModel::default()).unwrap();
         let r = analyze(&d, &lib, &StaConfig::with_clock_period(1.0)).unwrap();
         let req = required_times(&d, &lib, &r).unwrap();
@@ -588,7 +540,7 @@ mod tests {
         let c = nl.add_input("c");
         let s = nl.add_net("s");
         let co = nl.add_net("co");
-        nl.add_gate(GateKind::FullAdder, vec![a, b, c], vec![s, co]);
+        nl.add_gate(GateKind::FullAdder, &[a, b, c], &[s, co]);
         nl.mark_output(s);
         nl.mark_output(co);
         let d = MappedDesign::from_names(nl, &["AD2_2"], &lib, WireModel::default()).unwrap();

@@ -13,11 +13,11 @@
 //! fastest (minimum) arc delays, and the *steepest* slew (which produces
 //! the smallest delays, making the check conservative).
 
-use varitune_liberty::{Cell, CellId, Library};
-use varitune_netlist::{NetId, NetlistView, ValidateNetlistError};
+use varitune_liberty::{Cell, Library};
+use varitune_netlist::NetId;
 
 use crate::graph::{StaConfig, StaError};
-use crate::mapped::{net_loads_view, MappedDesign, SoaDesign, WireModel};
+use crate::mapped::MappedDesign;
 
 /// Hold-check configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,97 +108,9 @@ pub fn analyze_hold(
     lib: &Library,
     config: &HoldConfig,
 ) -> Result<HoldReport, StaError> {
-    design.netlist.validate()?;
-    analyze_hold_view(
-        &design.netlist,
-        &design.cells,
-        design.wire_model,
-        lib,
-        config,
-    )
-}
-
-/// [`analyze_hold`] over the arena/SoA design form — same propagation
-/// through the same view-generic core, so the two forms of one design
-/// report bit-identical hold slacks.
-///
-/// # Errors
-///
-/// Returns [`StaError`] under the same conditions as [`analyze_hold`].
-pub fn analyze_hold_soa(
-    design: &SoaDesign,
-    lib: &Library,
-    config: &HoldConfig,
-) -> Result<HoldReport, StaError> {
-    design.netlist.validate()?;
-    analyze_hold_view(
-        &design.netlist,
-        &design.cells,
-        design.wire_model,
-        lib,
-        config,
-    )
-}
-
-/// Topological order of the combinational gates over any netlist view —
-/// the view-generic sibling of `graph::topo_order`. Any topological order
-/// gives bit-identical hold results (each gate reads only finalized
-/// inputs and folds them in input order), but this mirrors the original's
-/// Kahn traversal anyway.
-fn topo_order_view<V: NetlistView>(nl: &V) -> Result<Vec<usize>, StaError> {
-    let n = nl.gate_count();
-    let mut driver = vec![usize::MAX; nl.net_count()];
-    for gi in 0..n {
-        for &out in nl.gate_outputs(gi) {
-            driver[out.0 as usize] = gi;
-        }
-    }
-    let is_comb = |gi: usize| !nl.gate_kind(gi).is_sequential();
-    let mut indeg = vec![0usize; n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (gi, deg) in indeg.iter_mut().enumerate() {
-        if !is_comb(gi) {
-            continue;
-        }
-        for &inp in nl.gate_inputs(gi) {
-            let src = driver[inp.0 as usize];
-            if src != usize::MAX && is_comb(src) {
-                *deg += 1;
-                succs[src].push(gi);
-            }
-        }
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&gi| is_comb(gi) && indeg[gi] == 0).collect();
-    let mut order = Vec::with_capacity(queue.len());
-    while let Some(gi) = queue.pop() {
-        order.push(gi);
-        for &s in &succs[gi] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    let comb_count = (0..n).filter(|&gi| is_comb(gi)).count();
-    if order.len() != comb_count {
-        return Err(StaError::Netlist(
-            ValidateNetlistError::CombinationalCycle {
-                net: "unknown".to_string(),
-            },
-        ));
-    }
-    Ok(order)
-}
-
-/// The hold propagation itself, generic over netlist storage.
-fn analyze_hold_view<V: NetlistView>(
-    nl: &V,
-    cells: &[CellId],
-    wire_model: WireModel,
-    lib: &Library,
-    config: &HoldConfig,
-) -> Result<HoldReport, StaError> {
-    let loads = net_loads_view(nl, cells, wire_model, lib);
+    let order = design.netlist.comb_order()?;
+    let (nl, cells) = (&design.netlist, &design.cells);
+    let loads = design.net_loads(lib);
     let cell_of = |gi: usize| -> Option<&Cell> { lib.cells.get(cells[gi].index()) };
     let unknown = |gi: usize| StaError::UnknownCell {
         gate: gi,
@@ -207,7 +119,7 @@ fn analyze_hold_view<V: NetlistView>(
 
     let mut arrival = vec![f64::INFINITY; nl.net_count()];
     let mut slew = vec![0.0f64; nl.net_count()];
-    for &pi in nl.primary_inputs() {
+    for &pi in &nl.primary_inputs {
         arrival[pi.0 as usize] = 0.0;
         slew[pi.0 as usize] = config.input_slew;
     }
@@ -231,7 +143,7 @@ fn analyze_hold_view<V: NetlistView>(
         }
     }
 
-    for gi in topo_order_view(nl)? {
+    for gi in order {
         let cell = cell_of(gi).ok_or_else(|| unknown(gi))?;
         let input_pin_names: Vec<&str> = cell.input_pins().map(|p| p.name.as_str()).collect();
         for (j, &out) in nl.gate_outputs(gi).iter().enumerate() {
@@ -315,17 +227,17 @@ mod tests {
         let mut nl = Netlist::new("regchain");
         let d0 = nl.add_input("d0");
         let q0 = nl.add_net("q0");
-        nl.add_gate(GateKind::Dff, vec![d0], vec![q0]);
+        nl.add_gate(GateKind::Dff, &[d0], &[q0]);
         let mut prev = q0;
         let mut names = vec!["DF_1".to_string()];
         for i in 0..n {
             let z = nl.add_net(format!("n{i}"));
-            nl.add_gate(GateKind::Inv, vec![prev], vec![z]);
+            nl.add_gate(GateKind::Inv, &[prev], &[z]);
             names.push("INV_2".to_string());
             prev = z;
         }
         let q1 = nl.add_net("q1");
-        nl.add_gate(GateKind::Dff, vec![prev], vec![q1]);
+        nl.add_gate(GateKind::Dff, &[prev], &[q1]);
         names.push("DF_1".to_string());
         nl.mark_output(q1);
         MappedDesign::from_names(nl, &names, &lib(), WireModel::default()).unwrap()
@@ -406,24 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn soa_hold_matches_mapped_hold_bit_for_bit() {
-        let lib = lib();
-        let d = reg_chain(5);
-        let soa = SoaDesign::new(
-            varitune_netlist::SoaNetlist::from_netlist(&d.netlist),
-            d.cells.clone(),
-            d.wire_model,
-        );
-        let a = analyze_hold(&d, &lib, &HoldConfig::default()).unwrap();
-        let b = analyze_hold_soa(&soa, &lib, &HoldConfig::default()).unwrap();
-        assert_eq!(a.min_arrivals.len(), b.min_arrivals.len());
-        for (i, (x, y)) in a.min_arrivals.iter().zip(&b.min_arrivals).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "net {i}");
-        }
-        assert_eq!(a.endpoints, b.endpoints);
-    }
-
-    #[test]
     fn hold_endpoints_cover_every_ff() {
         let lib = lib();
         let d = reg_chain(3);
@@ -450,21 +344,21 @@ mod tests {
         let mut nl = Netlist::new("reconv");
         let d0 = nl.add_input("d0");
         let q0 = nl.add_net("q0");
-        nl.add_gate(GateKind::Dff, vec![d0], vec![q0]);
+        nl.add_gate(GateKind::Dff, &[d0], &[q0]);
         let mut names = vec!["DF_1".to_string()];
         // Long branch: 4 inverters.
         let mut prev = q0;
         for i in 0..4 {
             let z = nl.add_net(format!("l{i}"));
-            nl.add_gate(GateKind::Inv, vec![prev], vec![z]);
+            nl.add_gate(GateKind::Inv, &[prev], &[z]);
             names.push("INV_2".into());
             prev = z;
         }
         let merge = nl.add_net("merge");
-        nl.add_gate(GateKind::Nand, vec![prev, q0], vec![merge]);
+        nl.add_gate(GateKind::Nand, &[prev, q0], &[merge]);
         names.push("ND2_2".into());
         let q1 = nl.add_net("q1");
-        nl.add_gate(GateKind::Dff, vec![merge], vec![q1]);
+        nl.add_gate(GateKind::Dff, &[merge], &[q1]);
         names.push("DF_1".into());
         let d = MappedDesign::from_names(nl, &names, &lib, WireModel::default()).unwrap();
         let hold = analyze_hold(&d, &lib, &HoldConfig::default()).unwrap();

@@ -33,8 +33,8 @@
 //! let b = nl.add_input("b");
 //! let x = nl.add_net("x");
 //! let y = nl.add_net("y");
-//! nl.add_gate(GateKind::Nand, vec![a, b], vec![x]);
-//! nl.add_gate(GateKind::Inv, vec![x], vec![y]);
+//! nl.add_gate(GateKind::Nand, &[a, b], &[x]);
+//! nl.add_gate(GateKind::Inv, &[x], &[y]);
 //! nl.mark_output(y);
 //! let design =
 //!     MappedDesign::from_names(nl, &["ND2_2", "INV_1"], &lib, WireModel::default())?;
@@ -62,8 +62,8 @@ pub mod ssta;
 
 pub use engine::TimingGraph;
 pub use graph::{analyze, required_times, StaConfig, StaError, TimingReport};
-pub use hold::{analyze_hold, analyze_hold_soa, HoldConfig, HoldReport};
-pub use mapped::{MappedDesign, SoaDesign, WireModel};
+pub use hold::{analyze_hold, HoldConfig, HoldReport};
+pub use mapped::{MappedDesign, WireModel};
 pub use mc::{mc_cells, simulate_worst_paths, PathMcResult};
 pub use paths::{deadline_at_yield, timing_yield, DesignTiming, PathTiming};
 pub use power::{estimate_power, estimate_power_with_activity, PowerConfig, PowerReport};

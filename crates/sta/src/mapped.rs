@@ -3,7 +3,7 @@
 use std::fmt;
 
 use varitune_liberty::{Cell, CellId, Library};
-use varitune_netlist::{NetId, Netlist, NetlistView, SoaNetlist};
+use varitune_netlist::{NetId, Netlist};
 
 /// Lumped wire-load model: every net contributes a base capacitance plus a
 /// per-fanout increment (pF). This stands in for the pre-layout wire-load
@@ -89,7 +89,7 @@ impl MappedDesign {
     /// Panics if `cells` does not have one entry per gate.
     pub fn new(netlist: Netlist, cells: Vec<CellId>, wire_model: WireModel) -> Self {
         assert_eq!(
-            netlist.gates.len(),
+            netlist.gate_count(),
             cells.len(),
             "one cell id per gate required"
         );
@@ -158,7 +158,27 @@ impl MappedDesign {
     /// Unknown cell names contribute no pin capacitance (the analysis layer
     /// reports them as errors before loads matter).
     pub fn net_loads(&self, lib: &Library) -> Vec<f64> {
-        net_loads_view(&self.netlist, &self.cells, self.wire_model, lib)
+        let nl = &self.netlist;
+        let mut loads = vec![0.0f64; nl.net_count()];
+        let mut fanouts = vec![0usize; nl.net_count()];
+        for (gi, cell_id) in self.cells.iter().enumerate() {
+            let cell = lib.cells.get(cell_id.index());
+            for (k, &inp) in nl.gate_inputs(gi).iter().enumerate() {
+                fanouts[inp.0 as usize] += 1;
+                if let Some(c) = cell {
+                    if let Some(pin) = c.input_pins().nth(k) {
+                        loads[inp.0 as usize] += pin.capacitance;
+                    }
+                }
+            }
+        }
+        for &po in &nl.primary_outputs {
+            fanouts[po.0 as usize] += 1;
+        }
+        for (i, l) in loads.iter_mut().enumerate() {
+            *l += self.wire_model.wire_cap(fanouts[i]);
+        }
+        loads
     }
 
     /// Load on one net (recomputes all loads; use [`MappedDesign::net_loads`]
@@ -189,86 +209,6 @@ impl MappedDesign {
     }
 }
 
-/// [`MappedDesign::net_loads`] over any [`NetlistView`]: the exact same
-/// accumulation order (per-gate pin caps in gate order, then wire caps in
-/// ascending net order), so loads are bit-identical across the AoS and
-/// SoA representations of one design.
-pub(crate) fn net_loads_view<V: NetlistView>(
-    nl: &V,
-    cells: &[CellId],
-    wire_model: WireModel,
-    lib: &Library,
-) -> Vec<f64> {
-    debug_assert_eq!(cells.len(), nl.gate_count(), "one cell id per gate");
-    let mut loads = vec![0.0f64; nl.net_count()];
-    let mut fanouts = vec![0usize; nl.net_count()];
-    for (gi, cell_id) in cells.iter().enumerate() {
-        let cell = lib.cells.get(cell_id.index());
-        for (k, &inp) in nl.gate_inputs(gi).iter().enumerate() {
-            fanouts[inp.0 as usize] += 1;
-            if let Some(c) = cell {
-                if let Some(pin) = c.input_pins().nth(k) {
-                    loads[inp.0 as usize] += pin.capacitance;
-                }
-            }
-        }
-    }
-    for &po in nl.primary_outputs() {
-        fanouts[po.0 as usize] += 1;
-    }
-    for (i, l) in loads.iter_mut().enumerate() {
-        *l += wire_model.wire_cap(fanouts[i]);
-    }
-    loads
-}
-
-/// A SoA netlist bound to concrete library cells — the million-gate
-/// counterpart of [`MappedDesign`] (same positional pin-binding
-/// contract), consumed by [`crate::engine::TimingGraph::new_soa`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoaDesign {
-    /// The underlying arena/SoA netlist.
-    pub netlist: SoaNetlist,
-    /// Library cell id per gate index.
-    pub cells: Vec<CellId>,
-    /// Wire-load model used for net capacitances.
-    pub wire_model: WireModel,
-}
-
-impl SoaDesign {
-    /// Creates a mapped SoA design.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` does not have one entry per gate.
-    pub fn new(netlist: SoaNetlist, cells: Vec<CellId>, wire_model: WireModel) -> Self {
-        assert_eq!(
-            netlist.gate_count(),
-            cells.len(),
-            "one cell id per gate required"
-        );
-        Self {
-            netlist,
-            cells,
-            wire_model,
-        }
-    }
-
-    /// Total cell area of the design under `lib`.
-    pub fn total_area(&self, lib: &Library) -> f64 {
-        self.cells
-            .iter()
-            .map(|id| lib.cells.get(id.index()).map_or(0.0, |c| c.area))
-            .sum()
-    }
-
-    /// Capacitive load on every net — bit-identical to
-    /// [`MappedDesign::net_loads`] on the AoS form of the same design.
-    pub fn net_loads(&self, lib: &Library) -> Vec<f64> {
-        net_loads_view(&self.netlist, &self.cells, self.wire_model, lib)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,8 +221,8 @@ mod tests {
         let a = nl.add_input("a");
         let x = nl.add_net("x");
         let y = nl.add_net("y");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
-        nl.add_gate(GateKind::Inv, vec![x], vec![y]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
+        nl.add_gate(GateKind::Inv, &[x], &[y]);
         nl.mark_output(y);
         let d =
             MappedDesign::from_names(nl, &["INV_1", "INV_4"], &lib, WireModel::default()).unwrap();
@@ -320,7 +260,7 @@ mod tests {
         let mut nl = Netlist::new("z");
         let a = nl.add_input("a");
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
         let d = MappedDesign::from_names(nl, &["INV_1"], &lib, WireModel::default()).unwrap();
         assert_eq!(d.net_loads(&lib)[1], 0.0);
     }
@@ -333,7 +273,7 @@ mod tests {
         let mut prev = a;
         for i in 0..5 {
             let n = nl.add_net(format!("n{i}"));
-            nl.add_gate(GateKind::Inv, vec![prev], vec![n]);
+            nl.add_gate(GateKind::Inv, &[prev], &[n]);
             prev = n;
         }
         let names = ["INV_1", "INV_1", "INV_1", "INV_2", "INV_2"];
@@ -349,7 +289,7 @@ mod tests {
         let mut nl = Netlist::new("bad");
         let a = nl.add_input("a");
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
         let _ = MappedDesign::new(nl, vec![], WireModel::default());
     }
 
@@ -359,7 +299,7 @@ mod tests {
         let mut nl = Netlist::new("bad");
         let a = nl.add_input("a");
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
         let err =
             MappedDesign::from_names(nl, &["NOPE_9"], &lib, WireModel::default()).unwrap_err();
         assert_eq!(

@@ -134,7 +134,7 @@ mod tests {
         let mut prev = a;
         for i in 0..3 {
             let z = nl.add_net(format!("s{i}"));
-            nl.add_gate(GateKind::Inv, vec![prev], vec![z]);
+            nl.add_gate(GateKind::Inv, &[prev], &[z]);
             prev = z;
         }
         nl.mark_output(prev);
@@ -142,7 +142,7 @@ mod tests {
         let mut prev = b;
         for i in 0..9 {
             let z = nl.add_net(format!("l{i}"));
-            nl.add_gate(GateKind::Inv, vec![prev], vec![z]);
+            nl.add_gate(GateKind::Inv, &[prev], &[z]);
             prev = z;
         }
         nl.mark_output(prev);

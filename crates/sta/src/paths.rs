@@ -146,32 +146,32 @@ fn check_inputs(design: &MappedDesign, report: &TimingReport, rho: f64) -> Resul
         )));
     }
     let nl = &design.netlist;
-    if design.cells.len() != nl.gates.len() {
+    if design.cells.len() != nl.gate_count() {
         return Err(invalid(format!(
             "design binds {} cell ids to {} gates; one per gate required",
             design.cells.len(),
-            nl.gates.len()
+            nl.gate_count()
         )));
     }
-    if report.nets.len() != nl.nets.len() {
+    if report.nets.len() != nl.net_count() {
         return Err(invalid(format!(
             "timing report has {} nets, the design {}",
             report.nets.len(),
-            nl.nets.len()
+            nl.net_count()
         )));
     }
     for (ni, t) in report.nets.iter().enumerate() {
         let Some(gi) = t.driver else { continue };
-        let Some(g) = nl.gates.get(gi) else {
+        if gi >= nl.gate_count() {
             return Err(invalid(format!(
                 "timing report drives net {ni} from gate {gi}; the design has {} gates",
-                nl.gates.len()
+                nl.gate_count()
             )));
-        };
-        if let Some(k) = t.crit_input.filter(|&k| k >= g.inputs.len()) {
+        }
+        let n_in = nl.gate_inputs(gi).len();
+        if let Some(k) = t.crit_input.filter(|&k| k >= n_in) {
             return Err(invalid(format!(
-                "timing report enters net {ni} through input {k} of gate {gi}, which has {}",
-                g.inputs.len()
+                "timing report enters net {ni} through input {k} of gate {gi}, which has {n_in}"
             )));
         }
     }
@@ -228,7 +228,7 @@ fn path_cell(
         load: t.load,
         delay: t.cell_delay,
     };
-    let pred = t.crit_input.map(|k| design.netlist.gates[gi].inputs[k]);
+    let pred = t.crit_input.map(|k| design.netlist.gate_inputs(gi)[k]);
     Ok(Some((sample, pred)))
 }
 
@@ -516,7 +516,7 @@ mod tests {
         let mut prev = nl.add_input("a");
         for i in 0..n {
             let z = nl.add_net(format!("n{i}"));
-            nl.add_gate(GateKind::Inv, vec![prev], vec![z]);
+            nl.add_gate(GateKind::Inv, &[prev], &[z]);
             prev = z;
         }
         nl.mark_output(prev);
@@ -635,7 +635,7 @@ mod tests {
         let mut nl = Netlist::new("two-ep");
         let a = nl.add_input("a");
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
         // The same net is marked PO twice — still one unique endpoint.
         nl.mark_output(x);
         nl.mark_output(x);
@@ -770,11 +770,11 @@ mod tests {
         let mut nl = Netlist::new("ffpath");
         let d0 = nl.add_input("d0");
         let q0 = nl.add_net("q0");
-        nl.add_gate(GateKind::Dff, vec![d0], vec![q0]);
+        nl.add_gate(GateKind::Dff, &[d0], &[q0]);
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![q0], vec![x]);
+        nl.add_gate(GateKind::Inv, &[q0], &[x]);
         let q1 = nl.add_net("q1");
-        nl.add_gate(GateKind::Dff, vec![x], vec![q1]);
+        nl.add_gate(GateKind::Dff, &[x], &[q1]);
         let d =
             MappedDesign::from_names(nl, &["DF_1", "INV_2", "DF_1"], &lib, WireModel::default())
                 .unwrap();
@@ -818,7 +818,7 @@ mod tests {
         let mut cells = d.clone();
         cells.cells.pop();
         let mut cycle = r.clone();
-        let first = d.netlist.gates[0].inputs[0];
+        let first = d.netlist.gate_inputs(0)[0];
         cycle.nets[first.0 as usize] = cycle.nets[1];
         for (what, d, r) in [
             ("short report", &d, &short),

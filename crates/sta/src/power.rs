@@ -92,12 +92,12 @@ pub fn estimate_power_with_activity(
     config: &PowerConfig,
     activity: &[f64],
 ) -> Result<PowerReport, StaError> {
-    if activity.len() < design.netlist.nets.len() {
+    if activity.len() < design.netlist.net_count() {
         return Err(StaError::MismatchedInput {
             reason: format!(
                 "activity vector covers {} nets but the design has {}",
                 activity.len(),
-                design.netlist.nets.len()
+                design.netlist.net_count()
             ),
         });
     }
@@ -111,12 +111,12 @@ fn estimate(
     config: &PowerConfig,
     activity: Option<&[f64]>,
 ) -> Result<PowerReport, StaError> {
-    if report.nets.len() < design.netlist.nets.len() {
+    if report.nets.len() < design.netlist.net_count() {
         return Err(StaError::MismatchedInput {
             reason: format!(
                 "timing report covers {} nets but the design has {}",
                 report.nets.len(),
-                design.netlist.nets.len()
+                design.netlist.net_count()
             ),
         });
     }
@@ -126,7 +126,7 @@ fn estimate(
     let mut internal = 0.0;
     let mut switching = 0.0;
     let mut leakage = 0.0;
-    for (gi, g) in design.netlist.gates.iter().enumerate() {
+    for gi in 0..design.netlist.gate_count() {
         let cell = design
             .cell_of(gi, lib)
             .ok_or_else(|| StaError::UnknownCell {
@@ -135,7 +135,7 @@ fn estimate(
             })?;
         // nW -> mW.
         leakage += cell.leakage_power * 1e-6;
-        for (j, &out) in g.outputs.iter().enumerate() {
+        for (j, &out) in design.netlist.gate_outputs(gi).iter().enumerate() {
             let t = report.nets[out.0 as usize];
             let net_activity = activity.map_or(config.activity, |a| a[out.0 as usize]);
             let events_per_ns = net_activity * freq_ghz;
@@ -174,7 +174,7 @@ mod tests {
         let mut prev = nl.add_input("a");
         for i in 0..n {
             let z = nl.add_net(format!("n{i}"));
-            nl.add_gate(GateKind::Inv, vec![prev], vec![z]);
+            nl.add_gate(GateKind::Inv, &[prev], &[z]);
             prev = z;
         }
         nl.mark_output(prev);
@@ -235,13 +235,13 @@ mod tests {
         let report = analyze(&d, &lib, &StaConfig::with_clock_period(5.0)).unwrap();
         let cfg = PowerConfig::with_clock_period(5.0);
         // An idle design (all nets quiet) burns only leakage.
-        let quiet = vec![0.0; d.netlist.nets.len()];
+        let quiet = vec![0.0; d.netlist.net_count()];
         let p = estimate_power_with_activity(&d, &lib, &report, &cfg, &quiet).unwrap();
         assert_eq!(p.internal, 0.0);
         assert_eq!(p.switching, 0.0);
         assert!(p.leakage > 0.0);
         // Full toggling beats the 0.1 blanket constant.
-        let busy = vec![1.0; d.netlist.nets.len()];
+        let busy = vec![1.0; d.netlist.net_count()];
         let pb = estimate_power_with_activity(&d, &lib, &report, &cfg, &busy).unwrap();
         let blanket = estimate_power(&d, &lib, &report, &cfg).unwrap();
         assert!(pb.total() > blanket.total());

@@ -116,9 +116,9 @@ mod tests {
         let x = nl.add_net("x");
         let y = nl.add_net("y");
         let q = nl.add_net("q");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
-        nl.add_gate(GateKind::Inv, vec![x], vec![y]);
-        nl.add_gate(GateKind::Dff, vec![y], vec![q]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
+        nl.add_gate(GateKind::Inv, &[x], &[y]);
+        nl.add_gate(GateKind::Dff, &[y], &[q]);
         nl.mark_output(q);
         let d =
             MappedDesign::from_names(nl, &["INV_1", "INV_2", "DF_1"], &lib, WireModel::default())

@@ -31,12 +31,12 @@ pub fn write_sdf(
     report: &TimingReport,
 ) -> Result<String, StaError> {
     let nl = &design.netlist;
-    if report.nets.len() < nl.nets.len() {
+    if report.nets.len() < nl.net_count() {
         return Err(StaError::MismatchedInput {
             reason: format!(
                 "timing report covers {} nets but the design has {}",
                 report.nets.len(),
-                nl.nets.len()
+                nl.net_count()
             ),
         });
     }
@@ -46,7 +46,7 @@ pub fn write_sdf(
     let _ = writeln!(out, "  (DESIGN \"{}\")", sanitize(&nl.name));
     let _ = writeln!(out, "  (TIMESCALE 1ns)");
 
-    for (gi, g) in nl.gates.iter().enumerate() {
+    for gi in 0..nl.gate_count() {
         let cell = design
             .cell_of(gi, lib)
             .ok_or_else(|| StaError::UnknownCell {
@@ -55,13 +55,13 @@ pub fn write_sdf(
             })?;
         let input_pin_names: Vec<&str> = cell.input_pins().map(|p| p.name.as_str()).collect();
         let mut iopaths = Vec::new();
-        for (j, &outnet) in g.outputs.iter().enumerate() {
+        for (j, &outnet) in nl.gate_outputs(gi).iter().enumerate() {
             let pin = cell.output_pins().nth(j).ok_or(StaError::MissingArc {
                 gate: gi,
                 cell: cell.name.clone(),
             })?;
             let load = report.nets[outnet.0 as usize].load;
-            if g.kind.is_sequential() {
+            if nl.gate_kind(gi).is_sequential() {
                 // Clock-to-output arc; SDF conventionally names the edge.
                 let arc = pin.timing.first().ok_or(StaError::MissingArc {
                     gate: gi,
@@ -79,7 +79,7 @@ pub fn write_sdf(
                 ));
                 continue;
             }
-            for (k, &inp) in g.inputs.iter().enumerate() {
+            for (k, &inp) in nl.gate_inputs(gi).iter().enumerate() {
                 let arc = pin
                     .timing
                     .iter()
@@ -102,7 +102,7 @@ pub fn write_sdf(
         }
         let _ = writeln!(out, "  (CELL");
         let _ = writeln!(out, "    (CELLTYPE \"{}\")", cell.name);
-        let _ = writeln!(out, "    (INSTANCE {})", sanitize(&g.name));
+        let _ = writeln!(out, "    (INSTANCE {})", sanitize(&nl.gate_name(gi)));
         let _ = writeln!(out, "    (DELAY (ABSOLUTE");
         for p in iopaths {
             let _ = writeln!(out, "{p}");
@@ -163,8 +163,8 @@ mod tests {
         let b = nl.add_input("b");
         let x = nl.add_net("x");
         let q = nl.add_net("q");
-        nl.add_gate(GateKind::Nand, vec![a, b], vec![x]);
-        nl.add_gate(GateKind::Dff, vec![x], vec![q]);
+        nl.add_gate(GateKind::Nand, &[a, b], &[x]);
+        nl.add_gate(GateKind::Dff, &[x], &[q]);
         nl.mark_output(q);
         let d =
             MappedDesign::from_names(nl, &["ND2_2", "DF_1"], &lib, WireModel::default()).unwrap();
@@ -220,6 +220,6 @@ mod tests {
     fn every_gate_appears_once() {
         let (d, lib, r) = demo();
         let sdf = write_sdf(&d, &lib, &r).unwrap();
-        assert_eq!(sdf.matches("(INSTANCE ").count(), d.netlist.gates.len());
+        assert_eq!(sdf.matches("(INSTANCE ").count(), d.netlist.gate_count());
     }
 }

@@ -48,7 +48,7 @@ pub mod report;
 pub mod verilog;
 
 pub use constraint::{LibraryConstraints, OperatingWindow};
-pub use map::{choose_cells, map_netlist, map_soa, MapError, TargetLibrary};
+pub use map::{map_netlist, map_soa, MapError, TargetLibrary};
 pub use optimize::{synthesize, SynthConfig, SynthError, SynthesisResult};
 pub use report::{find_min_period, period_area_sweep, usage_comparison, SweepPoint, UsageRow};
 pub use verilog::write_verilog;

@@ -13,8 +13,8 @@ use std::error::Error;
 use std::fmt;
 
 use varitune_liberty::{CellId, FamilyId, Library};
-use varitune_netlist::{GateKind, Netlist, NetlistView, SoaNetlist};
-use varitune_sta::{MappedDesign, SoaDesign, WireModel};
+use varitune_netlist::{GateKind, Netlist};
+use varitune_sta::{MappedDesign, WireModel};
 
 use crate::constraint::LibraryConstraints;
 
@@ -279,53 +279,18 @@ impl<'a> TargetLibrary<'a> {
 /// has `GCKB`).
 ///
 /// Family names are formatted and resolved once per distinct
-/// `(kind, input count)` pair; the per-gate loop works in ids.
+/// `(kind, input count)` pair; the per-gate loop works in ids. The netlist
+/// is taken by value and becomes the design's.
 ///
 /// # Errors
 ///
 /// Returns [`MapError::MissingFamily`] when the library lacks a family for
 /// a gate function present in the netlist.
 pub fn map_netlist(
-    netlist: &Netlist,
+    netlist: Netlist,
     target: &TargetLibrary<'_>,
     wire_model: WireModel,
 ) -> Result<MappedDesign, MapError> {
-    let cells = choose_cells(netlist, target)?;
-    Ok(MappedDesign::new(netlist.clone(), cells, wire_model))
-}
-
-/// [`map_netlist`] for the arena/SoA netlist form — takes the netlist by
-/// value (the million-gate SoC generator hands its output straight here;
-/// cloning flat arrays just to wrap them would double peak memory).
-///
-/// The cell choice goes through the same view-generic [`choose_cells`],
-/// so the SoA and AoS forms of one netlist always map identically.
-///
-/// # Errors
-///
-/// Returns [`MapError::MissingFamily`] under the same conditions as
-/// [`map_netlist`].
-pub fn map_soa(
-    netlist: SoaNetlist,
-    target: &TargetLibrary<'_>,
-    wire_model: WireModel,
-) -> Result<SoaDesign, MapError> {
-    let cells = choose_cells(&netlist, target)?;
-    Ok(SoaDesign::new(netlist, cells, wire_model))
-}
-
-/// The mapping decision itself, generic over netlist storage: every gate
-/// gets the smallest variant of its family with drive ≥ 1, resolved once
-/// per distinct `(kind, input count)` shape.
-///
-/// # Errors
-///
-/// Returns [`MapError::MissingFamily`] when the library lacks a family for
-/// a gate function present in the netlist.
-pub fn choose_cells<V: NetlistView>(
-    netlist: &V,
-    target: &TargetLibrary<'_>,
-) -> Result<Vec<CellId>, MapError> {
     let mut by_shape: BTreeMap<(GateKind, usize), CellId> = BTreeMap::new();
     let mut cells = Vec::with_capacity(netlist.gate_count());
     for gi in 0..netlist.gate_count() {
@@ -352,7 +317,16 @@ pub fn choose_cells<V: NetlistView>(
         };
         cells.push(id);
     }
-    Ok(cells)
+    Ok(MappedDesign::new(netlist, cells, wire_model))
+}
+
+/// [`map_netlist`] under its former name; kept only for `benchmark/`.
+pub fn map_soa(
+    netlist: Netlist,
+    target: &TargetLibrary<'_>,
+    wire_model: WireModel,
+) -> Result<MappedDesign, MapError> {
+    map_netlist(netlist, target, wire_model)
 }
 
 #[cfg(test)]
@@ -460,32 +434,11 @@ mod tests {
         let b = nl.add_input("b");
         let x = nl.add_net("x");
         let y = nl.add_net("y");
-        nl.add_gate(GateKind::Nand, vec![a, b], vec![x]);
-        nl.add_gate(GateKind::Dff, vec![x], vec![y]);
-        let d = map_netlist(&nl, &t, WireModel::default()).unwrap();
+        nl.add_gate(GateKind::Nand, &[a, b], &[x]);
+        nl.add_gate(GateKind::Dff, &[x], &[y]);
+        let d = map_netlist(nl, &t, WireModel::default()).unwrap();
         assert_eq!(d.cell_label(0, &lib), "ND2_1");
         assert_eq!(d.cell_label(1, &lib), "DF_1");
-    }
-
-    #[test]
-    fn soa_mapping_matches_aos_mapping() {
-        let lib = full_lib();
-        let c = LibraryConstraints::unconstrained();
-        let t = TargetLibrary::new(&lib, &c);
-        let mut nl = Netlist::new("m");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let x = nl.add_net("x");
-        let y = nl.add_net("y");
-        let q = nl.add_net("q");
-        nl.add_gate(GateKind::Nand, vec![a, b], vec![x]);
-        nl.add_gate(GateKind::Inv, vec![x], vec![y]);
-        nl.add_gate(GateKind::Dff, vec![y], vec![q]);
-        nl.mark_output(q);
-        let aos = map_netlist(&nl, &t, WireModel::default()).unwrap();
-        let soa = map_soa(SoaNetlist::from_netlist(&nl), &t, WireModel::default()).unwrap();
-        assert_eq!(aos.cells, soa.cells);
-        assert_eq!(soa.netlist.to_netlist(), nl);
     }
 
     #[test]
@@ -499,9 +452,9 @@ mod tests {
         let a = nl.add_input("a");
         let b = nl.add_input("b");
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Nand, vec![a, b], vec![x]);
+        nl.add_gate(GateKind::Nand, &[a, b], &[x]);
         assert!(matches!(
-            map_netlist(&nl, &t, WireModel::default()),
+            map_netlist(nl, &t, WireModel::default()),
             Err(MapError::MissingFamily { .. })
         ));
     }
@@ -515,8 +468,8 @@ mod tests {
         let mut nl = Netlist::new("m");
         let a = nl.add_input("a");
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Buf, vec![a], vec![x]);
-        let d = map_netlist(&nl, &t, WireModel::default()).unwrap();
+        nl.add_gate(GateKind::Buf, &[a], &[x]);
+        let d = map_netlist(nl, &t, WireModel::default()).unwrap();
         assert!(d.cell_label(0, &lib).starts_with("INV"));
     }
 }

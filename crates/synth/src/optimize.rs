@@ -130,8 +130,8 @@ pub fn synthesize(
 ) -> Result<SynthesisResult, SynthError> {
     let _span = varitune_trace::span!("synth.optimize");
     let target = TargetLibrary::new(lib, constraints);
-    let design = map_netlist(netlist, &target, WireModel::default())?;
-    let mut floors: Vec<f64> = vec![0.0; design.netlist.gates.len()];
+    let design = map_netlist(netlist.clone(), &target, WireModel::default())?;
+    let mut floors: Vec<f64> = vec![0.0; design.netlist.gate_count()];
     let mut buffers_inserted = 0usize;
 
     // One engine for the whole optimization: every sizing/buffering move
@@ -503,8 +503,8 @@ mod tests {
         let loads = r.design.net_loads(&lib);
         let c = LibraryConstraints::unconstrained();
         let target = TargetLibrary::new(&lib, &c);
-        for (gi, g) in r.design.netlist.gates.iter().enumerate() {
-            for &out in &g.outputs {
+        for gi in 0..r.design.netlist.gate_count() {
+            for &out in r.design.netlist.gate_outputs(gi) {
                 let eff = target.effective_max_load_id(r.design.cells[gi]);
                 assert!(
                     loads[out.0 as usize] <= eff * 1.0001,
@@ -575,10 +575,10 @@ mod tests {
         let mut nl = Netlist::new("slewcase");
         let a = nl.add_input("a");
         let x = nl.add_net("x");
-        nl.add_gate(varitune_netlist::GateKind::Inv, vec![a], vec![x]);
+        nl.add_gate(varitune_netlist::GateKind::Inv, &[a], &[x]);
         for i in 0..10 {
             let z = nl.add_net(format!("z{i}"));
-            nl.add_gate(varitune_netlist::GateKind::Inv, vec![x], vec![z]);
+            nl.add_gate(varitune_netlist::GateKind::Inv, &[x], &[z]);
             nl.mark_output(z);
         }
         let baseline = synthesize(

@@ -31,7 +31,7 @@ use varitune_sta::MappedDesign;
 pub fn write_verilog(design: &MappedDesign, lib: &Library) -> Result<String, MapError> {
     let nl = &design.netlist;
     let mut out = String::new();
-    let has_seq = nl.gates.iter().any(|g| g.kind.is_sequential());
+    let has_seq = (0..nl.gate_count()).any(|gi| nl.gate_kind(gi).is_sequential());
 
     let net_name = |id: NetId| sanitize(nl.net_name(id));
 
@@ -61,7 +61,7 @@ pub fn write_verilog(design: &MappedDesign, lib: &Library) -> Result<String, Map
 
     // Wires: every net that is not a primary input.
     let pi: std::collections::BTreeSet<NetId> = nl.primary_inputs.iter().copied().collect();
-    for (idx, _) in nl.nets.iter().enumerate() {
+    for idx in 0..nl.net_count() {
         let id = NetId(idx as u32);
         if !pi.contains(&id) {
             let _ = writeln!(out, "  wire {};", net_name(id));
@@ -72,23 +72,23 @@ pub fn write_verilog(design: &MappedDesign, lib: &Library) -> Result<String, Map
     }
 
     // Instances.
-    for (gi, g) in nl.gates.iter().enumerate() {
+    for gi in 0..nl.gate_count() {
         let cell = design
             .cell_of(gi, lib)
             .ok_or_else(|| MapError::MissingFamily {
                 family: design.cell_label(gi, lib),
-                kind: g.kind.to_string(),
+                kind: nl.gate_kind(gi).to_string(),
             })?;
         let mut conns: BTreeMap<String, String> = BTreeMap::new();
         for (k, pin) in cell.input_pins().enumerate() {
             if pin.is_clock {
                 conns.insert(pin.name.clone(), "clk".to_string());
-            } else if let Some(&net) = g.inputs.get(k) {
+            } else if let Some(&net) = nl.gate_inputs(gi).get(k) {
                 conns.insert(pin.name.clone(), net_name(net));
             }
         }
         for (j, pin) in cell.output_pins().enumerate() {
-            if let Some(&net) = g.outputs.get(j) {
+            if let Some(&net) = nl.gate_outputs(gi).get(j) {
                 conns.insert(pin.name.clone(), net_name(net));
             }
         }
@@ -97,7 +97,7 @@ pub fn write_verilog(design: &MappedDesign, lib: &Library) -> Result<String, Map
             out,
             "  {} {} ({});",
             cell.name,
-            sanitize(&g.name),
+            sanitize(&nl.gate_name(gi)),
             conn_str.join(", ")
         );
     }
@@ -147,8 +147,8 @@ mod tests {
         let b = nl.add_input("b");
         let x = nl.add_net("x");
         let q = nl.add_net("q");
-        nl.add_gate(GateKind::Nand, vec![a, b], vec![x]);
-        nl.add_gate(GateKind::Dff, vec![x], vec![q]);
+        nl.add_gate(GateKind::Nand, &[a, b], &[x]);
+        nl.add_gate(GateKind::Dff, &[x], &[q]);
         nl.mark_output(q);
         let d =
             MappedDesign::from_names(nl, &["ND2_1", "DF_1"], &lib, WireModel::default()).unwrap();
@@ -183,7 +183,7 @@ mod tests {
             .lines()
             .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_uppercase()))
             .count();
-        assert_eq!(instances, r.design.netlist.gates.len());
+        assert_eq!(instances, r.design.netlist.gate_count());
         assert!(v.ends_with("endmodule\n"));
     }
 
@@ -193,7 +193,7 @@ mod tests {
         let mut nl = Netlist::new("bad");
         let a = nl.add_input("a");
         let x = nl.add_net("x");
-        nl.add_gate(GateKind::Inv, vec![a], vec![x]);
+        nl.add_gate(GateKind::Inv, &[a], &[x]);
         let d = MappedDesign::new(
             nl,
             vec![varitune_liberty::CellId(u32::MAX)],

@@ -25,7 +25,7 @@ fn accumulator(width: usize) -> Netlist {
     let (sum, carry) = ripple_adder(&mut nl, "add", &acc_q, &data, zero);
     let next = mux2_word(&mut nl, "hold", &acc_q, &sum, enable);
     for (&d, &n) in acc_d.iter().zip(&next) {
-        nl.add_gate(varitune::netlist::GateKind::Buf, vec![n], vec![d]);
+        nl.add_gate(varitune::netlist::GateKind::Buf, &[n], &[d]);
     }
     nl.mark_output(carry);
     for &q in &acc_q {

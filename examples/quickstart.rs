@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         flow.nominal.name,
         flow.nominal.cells.len(),
         flow.netlist.name,
-        flow.netlist.gates.len()
+        flow.netlist.gate_count()
     );
 
     let cfg = SynthConfig::with_clock_period(6.0);

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = &run.synthesis.design;
     println!(
         "  {} cells, area {:.0} um^2, setup slack {:.3} ns",
-        design.netlist.gates.len(),
+        design.netlist.gate_count(),
         run.area(),
         run.synthesis.report.worst_slack()
     );

@@ -202,7 +202,7 @@ fn synth_cmd(opts: &BTreeMap<String, String>) -> Result<(), CliError> {
     println!(
         "design {}: {} gates mapped, area {:.0} um^2, worst slack {:.3} ns, timing {}",
         design.name,
-        result.design.netlist.gates.len(),
+        result.design.netlist.gate_count(),
         result.area,
         result.report.worst_slack(),
         if result.met_timing { "met" } else { "VIOLATED" }

@@ -101,9 +101,9 @@ fn tuned_windows_are_respected_by_the_synthesized_design() {
     let design = &run.synthesis.design;
     let report = &run.synthesis.report;
     let mut checked = 0;
-    for (gi, g) in design.netlist.gates.iter().enumerate() {
+    for gi in 0..design.netlist.gate_count() {
         let cell = design.cell_of(gi, &flow.stat.mean).expect("mapped cell");
-        for (j, &out) in g.outputs.iter().enumerate() {
+        for (j, &out) in design.netlist.gate_outputs(gi).iter().enumerate() {
             let pin = cell.output_pins().nth(j).expect("output pin");
             let w = tuned.constraints.window(&cell.name, &pin.name);
             let load = report.nets[out.0 as usize].load;

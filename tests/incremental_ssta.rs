@@ -44,7 +44,7 @@ fn stat() -> &'static StatLibrary {
 fn graph_over<'l>(stat: &'l StatLibrary, mcu: &McuConfig) -> TimingGraph<'l> {
     let constraints = LibraryConstraints::unconstrained();
     let target = TargetLibrary::new(&stat.mean, &constraints);
-    let design = map_netlist(&generate_mcu(mcu), &target, WireModel::default()).expect("mapping");
+    let design = map_netlist(generate_mcu(mcu), &target, WireModel::default()).expect("mapping");
     let cfg = StaConfig::with_clock_period(PERIOD_NS);
     TimingGraph::new(design, &stat.mean, &cfg).expect("engine build")
 }

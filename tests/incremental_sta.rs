@@ -44,7 +44,7 @@ fn mapped_mcu(lib: &varitune_liberty::Library) -> MappedDesign {
     let constraints = LibraryConstraints::unconstrained();
     let target = TargetLibrary::new(lib, &constraints);
     map_netlist(
-        &generate_mcu(&McuConfig::small_for_tests()),
+        generate_mcu(&McuConfig::small_for_tests()),
         &target,
         WireModel::default(),
     )
@@ -96,7 +96,7 @@ fn randomized_edit_sequence_is_bit_identical_to_full_analyze() {
             resizes += 1;
         } else {
             // Split the fanout of a random multi-sink net.
-            let nets = engine.design().netlist.nets.len();
+            let nets = engine.design().netlist.net_count();
             let candidate = (0..nets)
                 .map(|i| NetId(((i + step * 131) % nets) as u32))
                 .find(|&n| engine.fanout(n) >= 2 && engine.driver(n).is_some());

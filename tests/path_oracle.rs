@@ -85,7 +85,7 @@ fn memoized_worst_paths_match_per_endpoint_extraction_bit_for_bit() {
         assert_eq!(empty.mean.to_bits(), (-0.0f64).to_bits());
         // Some path launches from a flip-flop, which times from its clock.
         assert!(paths.iter().any(|p| p.cells.first().is_some_and(|c| {
-            c.crit_input.is_none() && design.netlist.gates[c.gate].kind.is_sequential()
+            c.crit_input.is_none() && design.netlist.gate_kind(c.gate).is_sequential()
         })));
         // Paths share prefixes: some gate sits on more than one path.
         let mut on_paths = BTreeSet::new();

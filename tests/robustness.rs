@@ -127,15 +127,16 @@ fn malformed_netlists_produce_typed_synthesis_errors() {
 
     // Combinational self-loop.
     let mut nl = pristine.clone();
-    let gi = (0..nl.gates.len())
-        .find(|&i| !nl.gates[i].kind.is_sequential() && !nl.gates[i].inputs.is_empty())
+    let gi = (0..nl.gate_count())
+        .find(|&i| !nl.gate_kind(i).is_sequential() && !nl.gate_inputs(i).is_empty())
         .expect("mcu has combinational gates");
-    nl.gates[gi].inputs[0] = nl.gates[gi].outputs[0];
+    nl.set_gate_input(gi, 0, nl.gate_outputs(gi)[0]);
     assert!(synthesize(&nl, &lib, &LibraryConstraints::unconstrained(), &cfg).is_err());
 
-    // Arity break.
+    // Arity break: a zero-input gate of the first gate's kind.
     let mut nl = pristine;
-    nl.gates[0].inputs.clear();
+    let z = nl.add_net("arity_break");
+    nl.add_gate(nl.gate_kind(0), &[], &[z]);
     assert!(synthesize(&nl, &lib, &LibraryConstraints::unconstrained(), &cfg).is_err());
 }
 
@@ -144,7 +145,7 @@ fn empty_netlist_ports_are_bounds_checked() {
     let mut nl = Netlist::new("t");
     let a = nl.add_input("a");
     let z = nl.add_net("z");
-    nl.add_gate(GateKind::Inv, vec![a], vec![z]);
+    nl.add_gate(GateKind::Inv, &[a], &[z]);
     nl.mark_output(z);
     nl.primary_inputs.push(varitune::netlist::NetId(1_000_000));
     let err = nl.validate().expect_err("out-of-range input net");

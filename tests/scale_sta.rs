@@ -2,13 +2,12 @@
 //! bench design, here on the small test templates so the debug-profile
 //! suite stays fast) must analyze **bit-identically** at 1, 2 and 8
 //! threads, through full sharded propagation and through incremental edit
-//! sequences — and the arena/SoA construction path must be bit-identical
-//! to the legacy AoS path on the paper-topology MCU.
+//! sequences.
 
 use varitune_libchar::{generate_nominal, GenerateConfig};
-use varitune_netlist::{generate_mcu, generate_soc, McuConfig, NetId, SoaNetlist, SocConfig};
-use varitune_sta::{analyze, SoaDesign, StaConfig, TimingGraph, TimingReport, WireModel};
-use varitune_synth::{map_netlist, map_soa, LibraryConstraints, TargetLibrary};
+use varitune_netlist::{generate_soc, NetId, SocConfig};
+use varitune_sta::{MappedDesign, StaConfig, TimingGraph, TimingReport, WireModel};
+use varitune_synth::{map_netlist, LibraryConstraints, TargetLibrary};
 
 fn assert_bit_identical(a: &TimingReport, b: &TimingReport, ctx: &str) {
     assert_eq!(a.nets.len(), b.nets.len(), "{ctx}: net count");
@@ -36,12 +35,11 @@ fn assert_bit_identical(a: &TimingReport, b: &TimingReport, ctx: &str) {
     }
 }
 
-/// The x10 SoC topology on the small test templates, mapped through the
-/// arena/SoA pipeline.
-fn x10_smoke_design(lib: &varitune_liberty::Library) -> SoaDesign {
+/// The x10 SoC topology on the small test templates, mapped.
+fn x10_smoke_design(lib: &varitune_liberty::Library) -> MappedDesign {
     let constraints = LibraryConstraints::unconstrained();
     let target = TargetLibrary::new(lib, &constraints);
-    map_soa(
+    map_netlist(
         generate_soc(&SocConfig::x10().smoke()),
         &target,
         WireModel::default(),
@@ -49,7 +47,7 @@ fn x10_smoke_design(lib: &varitune_liberty::Library) -> SoaDesign {
     .expect("SoC maps")
 }
 
-/// Deterministic edit schedule against a SoA engine: resizes spread over
+/// Deterministic edit schedule against an engine: resizes spread over
 /// the whole design plus a handful of fanout splits.
 fn apply_edit_sequence(engine: &mut TimingGraph<'_>, lib: &varitune_liberty::Library) {
     let gates = engine.gate_count();
@@ -72,7 +70,7 @@ fn apply_edit_sequence(engine: &mut TimingGraph<'_>, lib: &varitune_liberty::Lib
         }
         if step % 8 == 0 {
             // Split a multi-sink net scanned from a moving offset.
-            let nets = engine.soa_design().expect("soa store").netlist.net_count();
+            let nets = engine.design().netlist.net_count();
             let candidate = (0..nets)
                 .map(|i| NetId(((i + step * 977) % nets) as u32))
                 .find(|&n| engine.fanout(n) >= 2 && engine.driver(n).is_some());
@@ -91,7 +89,7 @@ fn x10_soc_full_sta_is_bit_identical_across_thread_counts() {
     let design = x10_smoke_design(&lib);
 
     let run = |threads: usize| {
-        let mut engine = TimingGraph::new_soa(design.clone(), &lib, &cfg).expect("engine builds");
+        let mut engine = TimingGraph::new(design.clone(), &lib, &cfg).expect("engine builds");
         engine.set_threads(threads);
         engine.invalidate_all();
         engine.update().expect("sharded full propagation");
@@ -109,7 +107,7 @@ fn x10_soc_incremental_edits_are_bit_identical_across_thread_counts() {
     let design = x10_smoke_design(&lib);
 
     let run = |threads: usize| {
-        let mut engine = TimingGraph::new_soa(design.clone(), &lib, &cfg).expect("engine builds");
+        let mut engine = TimingGraph::new(design.clone(), &lib, &cfg).expect("engine builds");
         engine.set_threads(threads);
         apply_edit_sequence(&mut engine, &lib);
         engine
@@ -124,49 +122,8 @@ fn x10_soc_incremental_edits_are_bit_identical_across_thread_counts() {
         );
     }
     // Equivalence against a fresh full propagation of the edited design.
-    let edited = one.soa_design().expect("soa store").clone();
+    let edited = one.design().clone();
     edited.netlist.validate().expect("edited netlist valid");
-    let fresh = TimingGraph::new_soa(edited, &lib, &cfg).expect("fresh engine");
+    let fresh = TimingGraph::new(edited, &lib, &cfg).expect("fresh engine");
     assert_bit_identical(&one.report(), &fresh.report(), "incremental vs fresh");
-}
-
-#[test]
-fn arena_and_legacy_construction_are_equivalent_at_paper_scale() {
-    let lib = generate_nominal(&GenerateConfig::full());
-    let cfg = StaConfig::with_clock_period(6.0);
-    let constraints = LibraryConstraints::unconstrained();
-    let target = TargetLibrary::new(&lib, &constraints);
-    // Paper MCU topology (small test parameters keep the debug suite fast).
-    let mcu = generate_mcu(&McuConfig::small_for_tests());
-
-    let aos = map_netlist(&mcu, &target, WireModel::default()).expect("AoS maps");
-    let soa = map_soa(
-        SoaNetlist::from_netlist(&mcu),
-        &target,
-        WireModel::default(),
-    )
-    .expect("SoA maps");
-    assert_eq!(aos.cells, soa.cells, "mapping must not depend on storage");
-
-    // Fresh analysis through both construction paths is bit-identical,
-    // and both agree with the free-function analyze.
-    let aos_engine = TimingGraph::new(aos.clone(), &lib, &cfg).expect("AoS engine");
-    let soa_engine = TimingGraph::new_soa(soa, &lib, &cfg).expect("SoA engine");
-    assert_bit_identical(
-        &aos_engine.report(),
-        &soa_engine.report(),
-        "arena vs legacy construction",
-    );
-    let free = analyze(&aos, &lib, &cfg).expect("free analyze");
-    assert_bit_identical(&aos_engine.report(), &free, "engine vs analyze");
-
-    // The SoA netlist round-trips to the exact AoS netlist it came from.
-    assert_eq!(
-        soa_engine
-            .soa_design()
-            .expect("soa store")
-            .netlist
-            .to_netlist(),
-        mcu
-    );
 }

@@ -109,7 +109,7 @@ fn verilog_and_sdf_agree_on_instances() {
         &run.synthesis.report,
     )
     .expect("sdf");
-    let gates = run.synthesis.design.netlist.gates.len();
+    let gates = run.synthesis.design.netlist.gate_count();
     assert_eq!(sdf.matches("(INSTANCE ").count(), gates);
     // Every SDF instance name appears in the Verilog netlist.
     for line in sdf
@@ -182,7 +182,7 @@ fn mismatched_signoff_inputs_yield_typed_errors_not_panics() {
 
     // Activity vector shorter than the net list: a typed mismatch, not an
     // index panic.
-    let short_activity = vec![0.1; run.synthesis.design.netlist.nets.len() / 2];
+    let short_activity = vec![0.1; run.synthesis.design.netlist.net_count() / 2];
     let err = estimate_power_with_activity(
         &run.synthesis.design,
         &flow.stat.mean,

@@ -46,7 +46,7 @@ fn mcu_fixture_at(mcu_cfg: &McuConfig) -> (StatLibrary, TimingGraph<'static>) {
     let mcu = generate_mcu(mcu_cfg);
     let constraints = LibraryConstraints::unconstrained();
     let target = TargetLibrary::new(&stat.mean, &constraints);
-    let design = map_netlist(&mcu, &target, WireModel::default()).expect("mapping");
+    let design = map_netlist(mcu, &target, WireModel::default()).expect("mapping");
     // The graph borrows the mean library; leak it so the fixture can be
     // returned (test-only, bounded to one allocation per call).
     let stat_ref: &'static StatLibrary = Box::leak(Box::new(stat));
@@ -201,7 +201,7 @@ fn ssta_matches_path_mc_on_single_path_chain() {
     let mut prev = nl.add_input("a");
     for i in 0..12 {
         let n = nl.add_net(format!("n{i}"));
-        nl.add_gate(GateKind::Inv, vec![prev], vec![n]);
+        nl.add_gate(GateKind::Inv, &[prev], &[n]);
         prev = n;
     }
     nl.mark_output(prev);
