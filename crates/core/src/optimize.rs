@@ -29,7 +29,7 @@
 //!   streams (`rng_from(seed, label, index)`), never from a shared
 //!   sequential RNG;
 //! * fitness is a pure function of the genome — population evaluation
-//!   fans out over [`varitune_variation::parallel::map_items`], which
+//!   fans out over [`varitune_variation::parallel::run_trials`], which
 //!   reassembles results in index order, so the schedule cannot leak into
 //!   the result;
 //! * span recording is paused around the parallel evaluations
@@ -43,9 +43,8 @@ use std::collections::BTreeMap;
 
 use varitune_libchar::{StatLibrary, TableKind};
 use varitune_liberty::Lut;
-use varitune_sta::SstaOptions;
 use varitune_synth::{LibraryConstraints, OperatingWindow, SynthConfig};
-use varitune_variation::parallel::map_items;
+use varitune_variation::parallel::run_trials;
 use varitune_variation::rng::rng_from;
 use varitune_variation::Xoshiro256PlusPlus;
 
@@ -213,70 +212,6 @@ impl Optimizer for PaperMethodOptimizer {
         varitune_trace::add("core.restricted_pins", tuned.restricted_pins as u64);
         let run = objective.evaluate(&tuned.constraints)?;
         Ok(vec![Candidate { tuned, run }])
-    }
-}
-
-/// Statistical-yield backend: sweeps one Table-2 method's parameter
-/// candidates and keeps the tuning with the **highest SSTA timing yield at
-/// a target clock period**, the paper's sigma-ceiling objective restated
-/// in sign-off terms ("which window set most probably meets the clock?").
-///
-/// Each candidate is tuned and synthesized exactly like
-/// [`PaperMethodOptimizer`] (same spans, same counters), then scored with
-/// [`Flow::ssta`] instead of the deterministic design sigma. Ties in
-/// yield — common once candidates saturate at 1.0 — break toward the
-/// earlier sweep entry, so the selection is deterministic and independent
-/// of thread count (the SSTA report itself is bit-identical at any
-/// `threads`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct YieldTargetOptimizer {
-    /// Which Table-2 method to sweep.
-    pub method: TuningMethod,
-    /// Parameter candidates, tried in order.
-    pub sweep: Vec<TuningParams>,
-    /// Clock period (ns) the yield is evaluated at.
-    pub target_period: f64,
-    /// Corner / variation-mode / sigma-scale the SSTA runs under.
-    pub opts: SstaOptions,
-}
-
-impl YieldTargetOptimizer {
-    /// A backend sweeping `method`'s full Table-2 grid under default SSTA
-    /// options.
-    pub fn table2(method: TuningMethod, target_period: f64) -> Self {
-        Self {
-            method,
-            sweep: TuningParams::table2_sweep(method),
-            target_period,
-            opts: SstaOptions::default(),
-        }
-    }
-}
-
-impl Optimizer for YieldTargetOptimizer {
-    fn name(&self) -> String {
-        format!("yield@{}:{}", self.target_period, self.method)
-    }
-
-    fn optimize(&self, objective: &Objective<'_>) -> Result<Vec<Candidate>, FlowError> {
-        let mut best: Option<(f64, Candidate)> = None;
-        for &params in &self.sweep {
-            let tuned = {
-                let _stage = varitune_trace::span!("flow.tune");
-                tune(objective.stat(), self.method, params)
-            };
-            varitune_trace::add("core.tunes", 1);
-            varitune_trace::add("core.restricted_pins", tuned.restricted_pins as u64);
-            let run = objective.evaluate(&tuned.constraints)?;
-            let y = objective
-                .flow()
-                .ssta(&run, self.opts)?
-                .yield_at(self.target_period);
-            if best.as_ref().is_none_or(|(b, _)| y > *b) {
-                best = Some((y, Candidate { tuned, run }));
-            }
-        }
-        Ok(best.into_iter().map(|(_, c)| c).collect())
     }
 }
 
@@ -591,7 +526,7 @@ fn archive_front(mut entries: Vec<(Genome, (f64, f64))>) -> Vec<(Genome, (f64, f
 
 impl EvolutionaryOptimizer {
     /// Evaluates `genomes` against `objective`, filling `cache`. Fresh
-    /// genomes fan out over [`map_items`] with span recording paused;
+    /// genomes fan out over [`run_trials`] with span recording paused;
     /// everything recorded is workload-derived, so traces and results are
     /// bit-identical at any thread count.
     ///
@@ -618,8 +553,8 @@ impl EvolutionaryOptimizer {
         let eval_span = varitune_trace::span!("optimize.evaluate");
         let results: Vec<Result<Fitness, FlowError>> = {
             let _pause = varitune_trace::pause_spans();
-            map_items(&fresh, self.config.threads, |genome| {
-                match objective.evaluate(&space.decode(genome)) {
+            run_trials(fresh.len(), self.config.threads, |k| {
+                match objective.evaluate(&space.decode(&fresh[k])) {
                     Ok(run) => Ok(Some((run.sigma(), run.area()))),
                     Err(FlowError::Synth(_)) => Ok(None),
                     Err(e) => Err(e),

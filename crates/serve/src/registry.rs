@@ -30,7 +30,6 @@ use varitune_core::{Flow, FlowConfig, FlowError, FlowReport, FlowRun};
 use varitune_libchar::GenerateConfig;
 use varitune_liberty::Library;
 use varitune_netlist::McuConfig;
-use varitune_sta::{StaConfig, TimingGraph};
 
 use crate::cache::SfCache;
 
@@ -276,17 +275,15 @@ impl Registry {
     }
 }
 
-/// Runs the baseline of `flow` at `clock_period_ps` and reads its worst
-/// slack off a timing graph that is dropped before returning.
+/// Runs the baseline of `flow` at `clock_period_ps`. Its worst slack is
+/// read off synthesis's final timing report, which times the design at
+/// the same clock period.
 fn compute_baseline(flow: &Flow, clock_period_ps: u64) -> Result<Baseline, FlowError> {
     let period_ns = clock_period_ps as f64 / 1000.0;
     let synth_cfg = varitune_synth::SynthConfig::with_clock_period(period_ns);
     let run = flow.run_baseline(&synth_cfg)?;
     varitune_variation::cancel::check()?;
-    let sta_cfg = StaConfig::with_clock_period(period_ns);
-    let worst_slack = TimingGraph::new(run.synthesis.design.clone(), &flow.stat.mean, &sta_cfg)
-        .map_err(FlowError::Sta)?
-        .worst_slack();
+    let worst_slack = run.synthesis.report.worst_slack();
     Ok(Baseline { run, worst_slack })
 }
 
@@ -351,5 +348,14 @@ mod tests {
             .unwrap();
         assert_eq!(base.run.sigma().to_bits(), run.sigma().to_bits());
         assert_eq!(base.run.paths, run.paths);
+        // The worst slack is synthesis's own: a fresh graph over the
+        // baseline design at the same period reads the same bits.
+        let graph = varitune_sta::TimingGraph::new(
+            base.run.synthesis.design.clone(),
+            &flow.stat.mean,
+            &varitune_sta::StaConfig::with_clock_period(8.0),
+        )
+        .unwrap();
+        assert_eq!(base.worst_slack.to_bits(), graph.worst_slack().to_bits());
     }
 }

@@ -18,28 +18,28 @@
 //!   gates allocates a dozen arrays, not millions of boxes, and the
 //!   propagation loop walks contiguous memory.
 //! * **Levelization** — combinational gates are assigned longest-path
-//!   levels (`level = 1 + max(level of combinational drivers)`). Gates
-//!   within one level are independent, which gives both a cached
-//!   evaluation order and a safe unit of parallelism.
-//! * **Sharded full propagation** — [`TimingGraph::invalidate_all`] arms a
-//!   dedicated full-sweep path: a counting-sort stage schedule (launch
-//!   stage, then one stage per combinational level) evaluated stage by
-//!   stage. Wide stages are split into fixed `SHARD_GATES`-gate
-//!   structural shards dispatched through
-//!   [`varitune_variation::parallel::run_shards`]; each shard evaluates
-//!   against the frozen lower-stage state into a private buffer, and the
-//!   orchestrator then merges shard results into the global net state in
-//!   shard order (the boundary-arrival exchange). Stages narrower than
-//!   `MIN_PARALLEL_WIDTH` run inline — fan-out overhead would dominate.
-//! * **Dirty-cone re-propagation** — [`TimingGraph::resize_gate`],
+//!   levels (`level = 1 + max(level of combinational drivers)`) in one
+//!   pass over the topological order that
+//!   [`varitune_netlist::Netlist::comb_order`] returns while validating
+//!   the design. Gates within one level are independent, which gives both
+//!   an evaluation order and a safe unit of parallelism.
+//! * **One dirty-stage sweep** — [`TimingGraph::resize_gate`],
 //!   [`TimingGraph::split_fanout`] and [`TimingGraph::set_load`] mark only
-//!   the directly affected nets and gates; [`TimingGraph::update`] then
-//!   recomputes dirty net loads, re-evaluates dirty gates level by level,
-//!   and follows a value change into a gate's fanout **only when the
-//!   driving net's arrival or slew actually changed bits**. A split
-//!   re-levels only the moved sinks' forward cone (levels only rise, so a
-//!   worklist of raises reaches the exact longest-path levels). The cost
-//!   of an edit is O(size of the changed cone), not O(netlist).
+//!   the directly affected nets and gates, and
+//!   [`TimingGraph::invalidate_all`] (run by every build) marks all of
+//!   them. [`TimingGraph::update`] then recomputes dirty net loads,
+//!   re-evaluates dirty gates stage by stage (stage 0 the flip-flops'
+//!   launch, stage `v + 1` combinational level `v`) and refreshes dirty
+//!   endpoints, following a value change into a gate's fanout **only when
+//!   the driving net's arrival or slew actually changed bits**. A stage
+//!   under `MIN_PARALLEL_WIDTH` gates runs inline; a wider one is cut into
+//!   fixed `SHARD_GATES`-gate structural shards, which more than one
+//!   worker evaluates through [`varitune_variation::parallel::run_shards`]
+//!   against the frozen lower-stage state and the sweep then commits in
+//!   shard order. A split re-levels only the moved sinks' forward cone
+//!   (levels only rise, so a worklist of raises reaches the exact
+//!   longest-path levels). The cost of an edit is O(size of the changed
+//!   cone), not O(netlist).
 //! * **Deterministic parallelism** — the shard decomposition and the
 //!   decision to fan out depend only on the workload (stage width), never
 //!   on the thread count; a gate's result depends only on frozen
@@ -68,8 +68,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use varitune_liberty::{CellId, Library, TimingArc, TimingType};
-use varitune_netlist::{GateKind, NetId, ValidateNetlistError};
-use varitune_variation::parallel::{resolve_threads, run_shards, run_trials};
+use varitune_netlist::{GateKind, NetId};
+use varitune_variation::parallel::{resolve_threads, run_shards};
 
 use crate::graph::{Endpoint, EndpointKind, NetTiming, StaConfig, StaError, TimingReport};
 use crate::mapped::{MappedDesign, WireModel};
@@ -83,13 +83,13 @@ pub(crate) const NONE_U32: u32 = u32::MAX;
 /// metric recorded about them — are identical for all thread counts.
 /// 256 gates is ~100 µs of evaluation: large enough to amortize dispatch,
 /// small enough to load-balance a level across 8+ workers.
-pub(crate) const SHARD_GATES: usize = 256;
+const SHARD_GATES: usize = 256;
 
 /// Minimum stage/level width before the engine fans out (or, equivalently,
 /// routes through the deterministic dispatch primitives at all). Narrow
 /// levels — the overwhelming majority at paper scale — run inline: worker
 /// spawn costs more than the saved evaluation below this width.
-pub(crate) const MIN_PARALLEL_WIDTH: usize = 2048;
+const MIN_PARALLEL_WIDTH: usize = 2048;
 
 /// Per-net sink lists `(gate, input position)` in one flat arena.
 ///
@@ -321,8 +321,8 @@ pub(crate) struct Core<'l> {
     pub(crate) endpoints: Vec<Endpoint>,
 
     // ---- dirty tracking ----
-    /// Armed by [`Core::invalidate_all`]: the next update takes the
-    /// sharded full-sweep path instead of draining dirty lists.
+    /// Set by [`Core::invalidate_all`]: the next update counts as a full
+    /// propagation in the trace.
     all_dirty: bool,
     dirty_gates: Vec<u32>,
     dirty_gate: Vec<bool>,
@@ -337,7 +337,8 @@ impl<'l> Core<'l> {
     /// Checks `design` and builds its core with the initial full
     /// propagation. One cell id per gate comes first: a design whose
     /// public `cells` list drifted from its gate list is rejected before
-    /// any work; then the netlist must validate.
+    /// any work; then the netlist must validate, and the topological
+    /// order its validation returns levels the gates.
     fn build_checked(
         design: &MappedDesign,
         lib: &'l Library,
@@ -351,8 +352,8 @@ impl<'l> Core<'l> {
                 ),
             });
         }
-        design.netlist.validate()?;
-        let mut core = Self::build(design, lib, config)?;
+        let order = design.netlist.comb_order()?;
+        let mut core = Self::build(design, lib, config, &order)?;
         core.update()?;
         Ok(core)
     }
@@ -361,6 +362,7 @@ impl<'l> Core<'l> {
         design: &MappedDesign,
         lib: &'l Library,
         config: &StaConfig,
+        comb_order: &[usize],
     ) -> Result<Self, StaError> {
         let (nl, cells) = (&design.netlist, &design.cells);
         let n_gates = nl.gate_count();
@@ -516,7 +518,7 @@ impl<'l> Core<'l> {
             dirty_ep: vec![false; n_eps],
             last_recomputed: 0,
         };
-        core.level = core.levelize()?;
+        core.level = core.levels(comb_order);
         core.invalidate_all();
         varitune_trace::add("sta.graph_builds", 1);
         Ok(core)
@@ -543,57 +545,25 @@ impl<'l> Core<'l> {
         &self.arcs[self.arc_off[gi] as usize..self.arc_off[gi + 1] as usize]
     }
 
-    /// Longest-path levelization over the combinational subgraph, from
-    /// scratch. The netlist was validated acyclic; an inconsistency is
-    /// reported as a netlist error.
+    /// Longest-path levels in one pass over `comb_order`, a topological
+    /// order of the combinational gates: a gate sits one above its
+    /// highest combinational driver, at 0 without one; sequential gates
+    /// stay at 0. Longest paths do not depend on which order is walked.
     /// Runs once per build: edits keep levels exact locally (see
     /// [`Core::raise_levels`]).
-    fn levelize(&self) -> Result<Vec<u32>, StaError> {
-        let n = self.n_gates();
-        let mut level = vec![0u32; n];
-        let mut indeg = vec![0u32; n];
-        for (gi, deg) in indeg.iter_mut().enumerate() {
-            if self.is_seq[gi] {
-                continue;
-            }
-            for &inp in self.gate_inputs(gi) {
-                let d = self.driver[inp as usize];
-                if d != NONE_U32 && !self.is_seq[d as usize] {
-                    *deg += 1;
-                }
-            }
+    fn levels(&self, comb_order: &[usize]) -> Vec<u32> {
+        let mut level = vec![0u32; self.n_gates()];
+        for &gi in comb_order {
+            level[gi] = self
+                .gate_inputs(gi)
+                .iter()
+                .map(|&inp| self.driver[inp as usize])
+                .filter(|&d| d != NONE_U32 && !self.is_seq[d as usize])
+                .map(|d| level[d as usize] + 1)
+                .max()
+                .unwrap_or(0);
         }
-        let mut queue: Vec<usize> = (0..n)
-            .filter(|&gi| !self.is_seq[gi] && indeg[gi] == 0)
-            .collect();
-        let mut processed = 0usize;
-        while let Some(gi) = queue.pop() {
-            processed += 1;
-            for oi in self.out_off[gi] as usize..self.out_off[gi + 1] as usize {
-                let out = self.out_net[oi] as usize;
-                for s in 0..self.sinks.n_sinks(out) {
-                    let (sg, _) = self.sinks.get(out, s);
-                    let sg = sg as usize;
-                    if self.is_seq[sg] {
-                        continue;
-                    }
-                    level[sg] = level[sg].max(level[gi] + 1);
-                    indeg[sg] -= 1;
-                    if indeg[sg] == 0 {
-                        queue.push(sg);
-                    }
-                }
-            }
-        }
-        let comb_count = (0..n).filter(|&gi| !self.is_seq[gi]).count();
-        if processed != comb_count {
-            return Err(StaError::Netlist(
-                ValidateNetlistError::CombinationalCycle {
-                    net: "unknown".to_string(),
-                },
-            ));
-        }
-        Ok(level)
+        level
     }
 
     /// Raises levels along `gi`'s forward cone until every combinational
@@ -640,11 +610,19 @@ impl<'l> Core<'l> {
         }
     }
 
-    /// Arms the full-sweep path: the next [`Core::update`] re-propagates
-    /// the whole graph through the sharded schedule instead of draining
-    /// per-item dirty lists (orders of magnitude cheaper at scale).
+    /// Marks every load, gate and endpoint dirty, in ascending order, so
+    /// the next [`Core::update`] re-propagates the whole graph: the same
+    /// sweep as after an edit, with nothing left clean.
     fn invalidate_all(&mut self) {
         self.all_dirty = true;
+        let all = |list: &mut Vec<u32>, flags: &mut Vec<bool>| {
+            list.clear();
+            list.extend(0..flags.len() as u32);
+            flags.fill(true);
+        };
+        all(&mut self.dirty_loads, &mut self.dirty_load);
+        all(&mut self.dirty_gates, &mut self.dirty_gate);
+        all(&mut self.dirty_eps, &mut self.dirty_ep);
     }
 
     /// Load of one net in the exact summation order of
@@ -741,65 +719,49 @@ impl<'l> Core<'l> {
         }
     }
 
-    fn eval_seq(&self, gi: usize) -> Result<Vec<NetTiming>, StaError> {
-        let mut outs = Vec::with_capacity(self.gate_outputs(gi).len());
-        self.eval_seq_into(gi, &mut outs)?;
-        Ok(outs)
+    /// Evaluates `list`'s gates, appending their outputs to `outs` in
+    /// gate and pin order.
+    fn eval_gates(&self, list: &[u32], outs: &mut Vec<NetTiming>) -> Result<(), StaError> {
+        list.iter()
+            .try_for_each(|&g| self.eval_gate_into(g as usize, outs))
     }
 
-    fn eval_comb(&self, gi: usize) -> Result<Vec<NetTiming>, StaError> {
-        let mut outs = Vec::with_capacity(self.gate_outputs(gi).len());
-        self.eval_comb_into(gi, &mut outs)?;
-        Ok(outs)
-    }
-
-    /// Evaluates one level's dirty gates. Wide levels route through
-    /// [`run_trials`] — unconditionally on width, never on the thread
-    /// knob, so recorded trace metrics are thread-count-invariant; with
-    /// `threads == 1` the dispatch degenerates to the serial loop.
-    /// Results are in `list` order either way, so the outcome (including
-    /// the first error) is schedule-independent.
-    fn eval_comb_batch(&self, list: &[u32]) -> Vec<Result<Vec<NetTiming>, StaError>> {
-        if list.len() >= MIN_PARALLEL_WIDTH {
-            let workers = if self.threads == 1 {
-                1
-            } else {
-                resolve_threads(self.threads)
-            };
-            run_trials(list.len(), workers, |i| self.eval_comb(list[i] as usize))
-        } else {
-            list.iter().map(|&g| self.eval_comb(g as usize)).collect()
-        }
-    }
-
-    /// Writes a gate's freshly evaluated outputs and propagates dirtiness
-    /// into the fanout of any output whose arrival or slew changed bits.
-    fn apply_outputs(&mut self, gi: usize, outs: Vec<NetTiming>, buckets: &mut [Vec<u32>]) {
-        let (o_lo, o_hi) = (self.out_off[gi] as usize, self.out_off[gi + 1] as usize);
-        for (idx, nt) in (o_lo..o_hi).zip(outs) {
-            let ni = self.out_net[idx] as usize;
-            let old = self.nets[ni];
-            self.nets[ni] = nt;
-            if old.arrival.to_bits() == nt.arrival.to_bits()
-                && old.slew.to_bits() == nt.slew.to_bits()
-            {
-                continue; // converged: the cone below is clean
-            }
-            for s in 0..self.sinks.n_sinks(ni) {
-                let (sg, _) = self.sinks.get(ni, s);
-                let sg = sg as usize;
-                // Sequential sinks capture (endpoint below); their launch
-                // does not depend on the data input.
-                if !self.is_seq[sg] && !self.dirty_gate[sg] {
-                    self.dirty_gate[sg] = true;
-                    buckets[self.level[sg] as usize].push(sg as u32);
+    /// Writes the outputs [`Core::eval_gates`] left in `outs` for `list`
+    /// and empties `outs`. An output whose arrival or slew changed bits
+    /// dirties its combinational sinks, each into its stage's list, and
+    /// its endpoints; an unchanged one leaves the cone below it clean.
+    fn commit(&mut self, list: &[u32], outs: &mut Vec<NetTiming>, stages: &mut [Vec<u32>]) {
+        let mut vi = 0usize;
+        for &g in list {
+            let gi = g as usize;
+            for idx in self.out_off[gi] as usize..self.out_off[gi + 1] as usize {
+                let ni = self.out_net[idx] as usize;
+                let nt = outs[vi];
+                vi += 1;
+                let old = std::mem::replace(&mut self.nets[ni], nt);
+                if old.arrival.to_bits() == nt.arrival.to_bits()
+                    && old.slew.to_bits() == nt.slew.to_bits()
+                {
+                    continue;
+                }
+                for s in 0..self.sinks.n_sinks(ni) {
+                    let sg = self.sinks.get(ni, s).0 as usize;
+                    // Sequential sinks capture (endpoint below); their
+                    // launch does not depend on the data input.
+                    if !self.is_seq[sg] && !self.dirty_gate[sg] {
+                        self.dirty_gate[sg] = true;
+                        stages[self.stage_of(sg)].push(sg as u32);
+                    }
+                }
+                for e in 0..self.ep_of_net[ni].len() {
+                    let e = self.ep_of_net[ni][e] as usize;
+                    self.mark_ep_dirty(e);
                 }
             }
-            for e in 0..self.ep_of_net[ni].len() {
-                let e = self.ep_of_net[ni][e] as usize;
-                self.mark_ep_dirty(e);
-            }
+            self.dirty_gate[gi] = false;
+            self.last_recomputed += 1;
         }
+        outs.clear();
     }
 
     fn recompute_endpoint(&mut self, e: usize) {
@@ -819,25 +781,28 @@ impl<'l> Core<'l> {
         self.endpoints[e].required = required;
     }
 
-    /// Counting-sort stage schedule used by the full sweep (and by the
-    /// statistical propagation in [`crate::ssta`]): stage 0 holds the
-    /// sequential (launch) gates, stage `v + 1` combinational level `v`,
-    /// gates ascending within each stage. Returns `(stage_off, schedule)`
-    /// with stage `s` occupying `schedule[stage_off[s]..stage_off[s + 1]]`.
+    /// Propagation stage of gate `gi`: 0 for a sequential (launch) gate,
+    /// `v + 1` for a combinational gate at level `v`.
+    fn stage_of(&self, gi: usize) -> usize {
+        if self.is_seq[gi] {
+            0
+        } else {
+            self.level[gi] as usize + 1
+        }
+    }
+
+    /// Counting-sort stage schedule (used by the statistical propagation
+    /// in [`crate::ssta`] and by [`TimingGraph::required_times`]): every
+    /// gate in its [`Core::stage_of`] stage, ascending within each stage.
+    /// Returns `(stage_off, schedule)` with stage `s` occupying
+    /// `schedule[stage_off[s]..stage_off[s + 1]]`.
     pub(crate) fn stage_schedule(&self) -> (Vec<u32>, Vec<u32>) {
         let n = self.n_gates();
         let max_level = self.level.iter().copied().max().unwrap_or(0) as usize;
         let n_stages = max_level + 2;
-        let stage_of = |gi: usize| {
-            if self.is_seq[gi] {
-                0
-            } else {
-                self.level[gi] as usize + 1
-            }
-        };
         let mut stage_off = vec![0u32; n_stages + 1];
         for gi in 0..n {
-            stage_off[stage_of(gi) + 1] += 1;
+            stage_off[self.stage_of(gi) + 1] += 1;
         }
         for s in 0..n_stages {
             stage_off[s + 1] += stage_off[s];
@@ -845,266 +810,131 @@ impl<'l> Core<'l> {
         let mut schedule = vec![0u32; n];
         let mut cursor: Vec<u32> = stage_off[..n_stages].to_vec();
         for gi in 0..n {
-            let s = stage_of(gi);
+            let s = self.stage_of(gi);
             schedule[cursor[s] as usize] = gi as u32;
             cursor[s] += 1;
         }
         (stage_off, schedule)
     }
 
-    /// Re-propagates pending changes: the sharded full sweep when
-    /// [`Core::invalidate_all`] armed it, the dirty-cone path otherwise.
+    /// Re-propagates everything marked dirty — the engine's one
+    /// propagation, for a build's first pass, after
+    /// [`Core::invalidate_all`] and after every edit; a no-op when clean.
+    ///
+    /// Dirty loads are recomputed ascending, and a load that changed bits
+    /// dirties its driver. Dirty gates then go stage by stage in
+    /// ascending order within a stage, through [`run_stage`]; a gate's
+    /// inputs come from earlier stages, and a change dirties only sinks in
+    /// later stages, so one ascending sweep converges. Dirty endpoints
+    /// refresh last, ascending. Commits, the first error and endpoints go
+    /// in the same order at every thread count.
     fn update(&mut self) -> Result<(), StaError> {
-        if self.all_dirty {
-            self.update_full()
-        } else {
-            self.update_incremental()
-        }
-    }
-
-    /// Full propagation through the counting-sort stage schedule, sharded
-    /// across workers on wide stages. Bit-identical to draining an
-    /// everything-dirty incremental update: loads are recomputed in
-    /// ascending net order, gates evaluate against frozen lower-stage
-    /// state in ascending order within each stage, and endpoints refresh
-    /// ascending.
-    fn update_full(&mut self) -> Result<(), StaError> {
         let tracing = varitune_trace::enabled();
+        let full = std::mem::take(&mut self.all_dirty);
         self.last_recomputed = 0;
-        // The full sweep subsumes incremental dirt accumulated before the
-        // invalidation; drop it so stale flags cannot leak into the next
-        // incremental update.
-        self.dirty_gates.clear();
-        self.dirty_gate.fill(false);
-        self.dirty_loads.clear();
-        self.dirty_load.fill(false);
-        self.dirty_eps.clear();
-        self.dirty_ep.fill(false);
 
-        // 1. Every net load, ascending (summation order per net is fixed
-        //    by `compute_load`).
-        for ni in 0..self.loads.len() {
-            let load = self.compute_load(ni);
-            self.loads[ni] = load;
-            self.nets[ni].load = load;
-        }
-
-        // 2. Counting-sort stage schedule: stage 0 launches the
-        //    sequential gates, stage `v + 1` is combinational level `v`.
-        //    Gates are ascending within each stage.
-        let (stage_off, schedule) = self.stage_schedule();
-        let n_stages = stage_off.len() - 1;
-
-        // 3. Propagate stage by stage; a stage only reads finalized
-        //    lower-stage state, so each is an independent parallel unit.
-        for s in 0..n_stages {
-            let list = &schedule[stage_off[s] as usize..stage_off[s + 1] as usize];
-            if list.is_empty() {
-                continue;
-            }
-            if tracing && s > 0 {
-                varitune_trace::observe("sta.level_width", list.len() as u64);
-            }
-            self.propagate_stage(list, tracing)?;
-        }
-
-        // 4. Every endpoint, ascending.
-        for e in 0..self.endpoints.len() {
-            self.recompute_endpoint(e);
-        }
-
-        if tracing {
-            varitune_trace::add("sta.updates", 1);
-            varitune_trace::add("sta.full_propagations", 1);
-            varitune_trace::add("sta.gates_recomputed", self.last_recomputed as u64);
-            varitune_trace::observe("sta.dirty_cone", self.last_recomputed as u64);
-        }
-        self.all_dirty = false;
-        Ok(())
-    }
-
-    /// Evaluates one stage of the full sweep. Narrow stages run inline
-    /// with a reusable scratch buffer; wide stages are cut into
-    /// [`SHARD_GATES`]-gate structural shards dispatched via
-    /// [`run_shards`], whose per-shard results the orchestrator merges
-    /// into the global net state in shard order (the boundary-arrival
-    /// exchange). Gates within a stage never read each other's outputs,
-    /// so both paths produce identical bits; after an error the net state
-    /// is unspecified (the caller discards the engine).
-    fn propagate_stage(&mut self, list: &[u32], tracing: bool) -> Result<(), StaError> {
-        if list.len() < MIN_PARALLEL_WIDTH {
-            let mut scratch: Vec<NetTiming> = Vec::with_capacity(4);
-            for &g in list {
-                let gi = g as usize;
-                scratch.clear();
-                self.eval_gate_into(gi, &mut scratch)?;
-                let (o_lo, o_hi) = (self.out_off[gi] as usize, self.out_off[gi + 1] as usize);
-                for (idx, nt) in (o_lo..o_hi).zip(&scratch) {
-                    self.nets[self.out_net[idx] as usize] = *nt;
-                }
-                self.last_recomputed += 1;
-            }
-            return Ok(());
-        }
-
-        let n_shards = list.len().div_ceil(SHARD_GATES);
-        if tracing {
-            // Shard metrics are structural — functions of the schedule
-            // and the graph, never of the worker count.
-            for s in 0..n_shards {
-                let lo = s * SHARD_GATES;
-                let hi = (lo + SHARD_GATES).min(list.len());
-                varitune_trace::observe("sta.shard_occupancy", (hi - lo) as u64);
-                let boundary: usize = list[lo..hi]
-                    .iter()
-                    .map(|&g| {
-                        self.gate_outputs(g as usize)
-                            .iter()
-                            .filter(|&&ni| {
-                                let ni = ni as usize;
-                                self.sinks.n_sinks(ni) > 0
-                                    || self.po_taps[ni] > 0
-                                    || !self.ep_of_net[ni].is_empty()
-                            })
-                            .count()
-                    })
-                    .sum();
-                varitune_trace::observe("sta.boundary_exchange", boundary as u64);
-            }
-        }
-
-        // `threads == 1` stays serial without consulting the machine; the
-        // dispatch itself still runs so traces cannot depend on the knob.
-        let workers = if self.threads == 1 {
-            1
-        } else {
-            resolve_threads(self.threads)
-        };
-        let results = {
-            let this = &*self;
-            run_shards(list.len(), SHARD_GATES, workers, |_, range| {
-                let mut out: Vec<NetTiming> = Vec::with_capacity(range.len() + range.len() / 4);
-                for &g in &list[range] {
-                    this.eval_gate_into(g as usize, &mut out)?;
-                }
-                Ok::<_, StaError>(out)
-            })
-        };
-        // Boundary-arrival exchange: merge each shard's private results
-        // into the global net state, in shard order, so writes — and the
-        // first error — match the serial sweep exactly.
-        for (s, r) in results.into_iter().enumerate() {
-            let vals = r?;
-            let lo = s * SHARD_GATES;
-            let hi = (lo + SHARD_GATES).min(list.len());
-            let mut vi = 0usize;
-            for &g in &list[lo..hi] {
-                let gi = g as usize;
-                for idx in self.out_off[gi] as usize..self.out_off[gi + 1] as usize {
-                    self.nets[self.out_net[idx] as usize] = vals[vi];
-                    vi += 1;
-                }
-                self.last_recomputed += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-propagates everything marked dirty; no-op when clean.
-    fn update_incremental(&mut self) -> Result<(), StaError> {
-        self.last_recomputed = 0;
-        let tracing = varitune_trace::enabled();
-
-        // 1. Net loads, in ascending net order (summation order is fixed
-        //    per net by `compute_load`; processing order only decides
-        //    which drivers get marked first).
-        if !self.dirty_loads.is_empty() {
-            let mut list = std::mem::take(&mut self.dirty_loads);
-            list.sort_unstable();
-            for &ni in &list {
-                let ni = ni as usize;
-                self.dirty_load[ni] = false;
-                let new = self.compute_load(ni);
-                if new.to_bits() != self.loads[ni].to_bits() {
-                    self.loads[ni] = new;
-                    self.nets[ni].load = new;
-                    let d = self.driver[ni];
-                    if d != NONE_U32 {
-                        self.mark_gate_dirty(d as usize);
-                    }
+        // 1. Net loads (summation order is fixed per net by
+        //    `compute_load`; processing order only decides which drivers
+        //    get marked first).
+        let mut nets = std::mem::take(&mut self.dirty_loads);
+        nets.sort_unstable();
+        for &ni in &nets {
+            let ni = ni as usize;
+            self.dirty_load[ni] = false;
+            let new = self.compute_load(ni);
+            if new.to_bits() != self.loads[ni].to_bits() {
+                self.loads[ni] = new;
+                self.nets[ni].load = new;
+                let d = self.driver[ni];
+                if d != NONE_U32 {
+                    self.mark_gate_dirty(d as usize);
                 }
             }
         }
 
-        // 2. Bucket dirty gates by level (levels are frozen during an
+        // 2. Dirty gates, stage by stage (levels are frozen during an
         //    update: structural edits re-level before marking).
-        let gate_list = std::mem::take(&mut self.dirty_gates);
-        if !gate_list.is_empty() {
+        let gates = std::mem::take(&mut self.dirty_gates);
+        if !gates.is_empty() {
             let max_level = self.level.iter().copied().max().unwrap_or(0) as usize;
-            let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_level + 1];
-            let mut seq_list: Vec<u32> = Vec::new();
-            for &g in &gate_list {
-                if self.is_seq[g as usize] {
-                    seq_list.push(g);
-                } else {
-                    buckets[self.level[g as usize] as usize].push(g);
-                }
+            let mut stages: Vec<Vec<u32>> = vec![Vec::new(); max_level + 2];
+            for &g in &gates {
+                stages[self.stage_of(g as usize)].push(g);
             }
-
-            // 3. Launch points.
-            seq_list.sort_unstable();
-            for &g in &seq_list {
-                let gi = g as usize;
-                let outs = self.eval_seq(gi)?;
-                self.apply_outputs(gi, outs, &mut buckets);
-                self.dirty_gate[gi] = false;
-                self.last_recomputed += 1;
-            }
-
-            // 4. Combinational cone, level by level. Dirtiness can only
-            //    propagate to strictly higher levels, so a single
-            //    ascending sweep converges.
-            for lvl in 0..buckets.len() {
-                let mut list = std::mem::take(&mut buckets[lvl]);
+            let threads = self.threads;
+            let mut scratch: Vec<NetTiming> = Vec::new();
+            for s in 0..stages.len() {
+                let mut list = std::mem::take(&mut stages[s]);
                 if list.is_empty() {
                     continue;
                 }
                 list.sort_unstable();
                 if tracing {
                     // Level-parallelism occupancy: how many dirty gates
-                    // each ascending sweep offers `eval_comb_batch` at
-                    // once. A function of the graph and the edit sequence
-                    // only, never of the thread count.
-                    varitune_trace::observe("sta.level_width", list.len() as u64);
+                    // each combinational stage offers at once. A function
+                    // of the graph and the edit sequence only, never of
+                    // the thread count.
+                    if s > 0 {
+                        varitune_trace::observe("sta.level_width", list.len() as u64);
+                    }
+                    if list.len() >= MIN_PARALLEL_WIDTH {
+                        self.observe_shards(&list);
+                    }
                 }
-                let results = self.eval_comb_batch(&list);
-                for (i, r) in results.into_iter().enumerate() {
-                    let gi = list[i] as usize;
-                    let outs = r?;
-                    self.apply_outputs(gi, outs, &mut buckets);
-                    self.dirty_gate[gi] = false;
-                    self.last_recomputed += 1;
-                }
+                run_stage(
+                    self,
+                    &list,
+                    threads,
+                    &mut scratch,
+                    Core::eval_gates,
+                    |core, shard, outs| core.commit(shard, outs, &mut stages),
+                )?;
             }
         }
 
-        // 5. Endpoints.
-        if !self.dirty_eps.is_empty() {
-            let mut eps = std::mem::take(&mut self.dirty_eps);
-            eps.sort_unstable();
-            for &e in &eps {
-                self.dirty_ep[e as usize] = false;
-                self.recompute_endpoint(e as usize);
-            }
+        // 3. Endpoints.
+        let mut eps = std::mem::take(&mut self.dirty_eps);
+        eps.sort_unstable();
+        for &e in &eps {
+            self.dirty_ep[e as usize] = false;
+            self.recompute_endpoint(e as usize);
         }
+
         if tracing {
             varitune_trace::add("sta.updates", 1);
+            if full {
+                varitune_trace::add("sta.full_propagations", 1);
+            }
             varitune_trace::add("sta.gates_recomputed", self.last_recomputed as u64);
-            // Dirty-cone size distribution: how local each incremental
-            // edit really was.
+            // Dirty-cone size distribution: how local each edit really was.
             varitune_trace::observe("sta.dirty_cone", self.last_recomputed as u64);
         }
         Ok(())
+    }
+
+    /// Records the structure of a sharded stage: each shard's gate count
+    /// and how many of its output nets other stages read (the
+    /// boundary-arrival exchange). Functions of the schedule and the
+    /// graph, never of the worker count.
+    fn observe_shards(&self, list: &[u32]) {
+        for shard in list.chunks(SHARD_GATES) {
+            varitune_trace::observe("sta.shard_occupancy", shard.len() as u64);
+            let boundary: usize = shard
+                .iter()
+                .map(|&g| {
+                    self.gate_outputs(g as usize)
+                        .iter()
+                        .filter(|&&ni| {
+                            let ni = ni as usize;
+                            self.sinks.n_sinks(ni) > 0
+                                || self.po_taps[ni] > 0
+                                || !self.ep_of_net[ni].is_empty()
+                        })
+                        .count()
+                })
+                .sum();
+            varitune_trace::observe("sta.boundary_exchange", boundary as u64);
+        }
     }
 
     /// Appends the CSR row of a freshly added combinational gate at
@@ -1125,6 +955,59 @@ impl<'l> Core<'l> {
         self.seq_ep.push(NONE_U32);
         self.dirty_gate.push(false);
     }
+}
+
+/// Evaluates one propagation stage and commits it — the stage evaluator
+/// of both the deterministic sweep ([`Core::update`]) and the statistical
+/// one ([`crate::ssta`]).
+///
+/// `eval` evaluates a run of `list`'s gates against the frozen `state`
+/// into a scratch buffer; `commit` writes that buffer back into `state`,
+/// in list order, and empties it. Gates of one stage never read each
+/// other's outputs, so evaluating a whole run before committing it gives
+/// the same bits as gate-by-gate.
+///
+/// What runs depends on the stage's width alone. Under
+/// [`MIN_PARALLEL_WIDTH`] gates the stage evaluates inline into `scratch`.
+/// A wider stage is cut into [`SHARD_GATES`]-gate shards by
+/// [`run_shards`], whose counters are therefore recorded at every thread
+/// count: one worker evaluates and commits shard after shard in
+/// `scratch`, more workers evaluate each shard into its own buffer and
+/// the shards are then committed in shard order. The first error, in
+/// list order, is returned; `state` is unspecified after one.
+pub(crate) fn run_stage<S, B>(
+    state: &mut S,
+    list: &[u32],
+    threads: usize,
+    scratch: &mut B,
+    eval: impl Fn(&S, &[u32], &mut B) -> Result<(), StaError> + Sync,
+    mut commit: impl FnMut(&mut S, &[u32], &mut B),
+) -> Result<(), StaError>
+where
+    S: Sync,
+    B: Default + Send,
+{
+    if list.len() < MIN_PARALLEL_WIDTH {
+        eval(state, list, scratch)?;
+        commit(state, list, scratch);
+        return Ok(());
+    }
+    if resolve_threads(threads) == 1 {
+        for range in run_shards(list.len(), SHARD_GATES, 1, |_, range| range) {
+            eval(state, &list[range.clone()], scratch)?;
+            commit(state, &list[range], scratch);
+        }
+        return Ok(());
+    }
+    let frozen = &*state;
+    let shards = run_shards(list.len(), SHARD_GATES, threads, |_, range| {
+        let mut out = B::default();
+        eval(frozen, &list[range], &mut out).map(|()| out)
+    });
+    for (shard, out) in list.chunks(SHARD_GATES).zip(shards) {
+        commit(state, shard, &mut out?);
+    }
+    Ok(())
 }
 
 /// Splits the fanout of `net` behind an INV→INV pair — the engine-side
@@ -1443,8 +1326,10 @@ impl<'l> TimingGraph<'l> {
         }
     }
 
-    /// Re-propagates the dirty cone (or runs the sharded full sweep after
-    /// [`TimingGraph::invalidate_all`]); cheap no-op when nothing changed.
+    /// Re-propagates what the edits since the last update (or
+    /// [`TimingGraph::invalidate_all`]) marked dirty, stage by stage,
+    /// following a change only where a net's arrival or slew changed bits;
+    /// cheap no-op when nothing changed.
     ///
     /// # Errors
     ///
@@ -1454,8 +1339,8 @@ impl<'l> TimingGraph<'l> {
         self.core.update()
     }
 
-    /// Marks the whole graph dirty so the next [`TimingGraph::update`] is
-    /// a full propagation through the sharded stage schedule — used by
+    /// Marks every load, gate and endpoint dirty, so the next
+    /// [`TimingGraph::update`] re-propagates the whole graph — used by
     /// benches to time full re-analysis.
     pub fn invalidate_all(&mut self) {
         self.core.invalidate_all();
@@ -1575,13 +1460,15 @@ impl<'l> TimingGraph<'l> {
         split_fanout_impl(&mut self.core, &mut self.design, net, inv_cell)
     }
 
-    /// Test hook: whether the incrementally maintained levels equal a
-    /// from-scratch levelization of the current structure.
+    /// Test hook: whether the incrementally maintained levels equal the
+    /// levels computed from scratch over the edited design's
+    /// [`varitune_netlist::Netlist::comb_order`].
     #[cfg(test)]
     fn levels_match_full_levelization(&self) -> bool {
-        self.core
-            .levelize()
-            .is_ok_and(|full| full == self.core.level)
+        self.design
+            .netlist
+            .comb_order()
+            .is_ok_and(|order| self.core.levels(&order) == self.core.level)
     }
 
     /// Backward required-time propagation over the interned graph,
@@ -1935,9 +1822,9 @@ mod tests {
     fn wide_incremental_updates_are_bit_identical() {
         let lib = lib();
         let cfg = StaConfig::with_clock_period(5.0);
-        // Dirty every gate of the wide level through load overrides so the
-        // *incremental* path (eval_comb_batch -> run_trials) crosses
-        // MIN_PARALLEL_WIDTH; results must agree across thread counts.
+        // Dirty every gate of the wide level through load overrides so an
+        // edit's update shards a stage past MIN_PARALLEL_WIDTH; results and
+        // the update's trace must agree across thread counts.
         let d = wide(3000, &lib);
         let run = |threads: usize| {
             let mut engine = TimingGraph::new(d.clone(), &lib, &cfg).unwrap();
@@ -1946,13 +1833,20 @@ mod tests {
                 let out = engine.design().netlist.gate_outputs(gi)[0];
                 engine.set_load(out, Some(0.031)).unwrap();
             }
-            engine.update().unwrap();
+            let ((), trace) = varitune_trace::capture_job(|| engine.update().unwrap());
             assert_eq!(engine.gates_recomputed_in_last_update(), 3000);
-            engine.report()
+            (engine.report(), trace)
         };
-        let one = run(1);
-        assert_reports_bit_identical(&one, &run(2));
-        assert_reports_bit_identical(&one, &run(8));
+        let (one, trace) = run(1);
+        assert!(
+            trace.counter("variation.shard_calls") > 0,
+            "the wide edit never sharded its stage"
+        );
+        for threads in [2, 8] {
+            let (report, other) = run(threads);
+            assert_reports_bit_identical(&one, &report);
+            assert_eq!(trace, other, "trace at {threads} threads");
+        }
     }
 
     /// The small MCU on the full library, every gate bound to the drive-1

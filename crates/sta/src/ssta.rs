@@ -48,13 +48,13 @@ use varitune_libchar::StatLibrary;
 use varitune_liberty::{InterpolateError, Library, TimingArc};
 use varitune_netlist::NetId;
 use varitune_variation::mc::VariationMode;
-use varitune_variation::parallel::{resolve_threads, run_shards, run_trials};
+use varitune_variation::parallel::run_trials;
 use varitune_variation::rng::{derive_seed, rng_from};
 use varitune_variation::sampler::Normal;
 use varitune_variation::stats::normal_cdf;
 use varitune_variation::ProcessCorner;
 
-use crate::engine::{Core, TimingGraph, MIN_PARALLEL_WIDTH, NONE_U32, SHARD_GATES};
+use crate::engine::{run_stage, Core, TimingGraph, NONE_U32};
 use crate::graph::StaError;
 
 /// Standard normal density.
@@ -570,8 +570,9 @@ impl FormArena {
 }
 
 /// One propagation worker's reusable buffers, plus the outputs of the
-/// gates it evaluated since the last commit, in gate order. The serial
-/// path keeps one for a whole analysis; each shard has its own.
+/// gates it evaluated since the last commit, in gate order. An analysis
+/// keeps one for its inline stages and its one-worker shards; with more
+/// workers each shard of a wide stage has its own.
 #[derive(Default)]
 struct GateScratch {
     /// Fold accumulator terms (the design form in the endpoint fold).
@@ -1334,44 +1335,6 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         sc.out_w.clear();
     }
 
-    /// Propagate one levelized stage's dirty gates, sharded exactly like
-    /// the deterministic engine (same shard size, same worker rule,
-    /// shard-order commit) so forms are bit-identical at any thread count.
-    /// The serial path walks the same shard ranges with the caller's
-    /// scratch.
-    fn propagate_stage(
-        &self,
-        list: &[u32],
-        fwd: &mut ForwardState,
-        sc: &mut GateScratch,
-    ) -> Result<(), StaError> {
-        let workers = if self.core.threads == 1 {
-            1
-        } else {
-            resolve_threads(self.core.threads)
-        };
-        if workers <= 1 || list.len() < MIN_PARALLEL_WIDTH {
-            for chunk in list.chunks(SHARD_GATES) {
-                self.eval_gates(chunk, &fwd.arena, sc)?;
-                self.commit(chunk, sc, fwd);
-            }
-            return Ok(());
-        }
-        let read = &fwd.arena;
-        let shards: Vec<Result<GateScratch, StaError>> =
-            run_shards(list.len(), SHARD_GATES, workers, |_, range| {
-                let mut shard = GateScratch::default();
-                self.eval_gates(&list[range], read, &mut shard)
-                    .map(|()| shard)
-            });
-        // Commit in shard order: the same order as the serial path. Shard
-        // boundaries are a pure function of (len, SHARD_GATES).
-        for (chunk, shard) in list.chunks(SHARD_GATES).zip(shards) {
-            self.commit(chunk, &mut shard?, fwd);
-        }
-        Ok(())
-    }
-
     /// The forward pass, stage by stage in schedule order: evaluate each
     /// gate that is dirty or, if combinational (a launch does not read its
     /// data input), has an input whose form changed in this pass. A gate's
@@ -1399,7 +1362,14 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             if list.is_empty() {
                 continue;
             }
-            self.propagate_stage(&list, fwd, sc)?;
+            run_stage(
+                fwd,
+                &list,
+                core.threads,
+                sc,
+                |fwd, gates, sc| self.eval_gates(gates, &fwd.arena, sc),
+                |fwd, gates, sc| self.commit(gates, sc, fwd),
+            )?;
             evaluated += list.len();
         }
         varitune_trace::add("sta.ssta.gates_evaluated", evaluated as u64);
@@ -1635,14 +1605,9 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             "ssta-graph-mc",
             (self.opts.corner as u64) ^ ((self.opts.mode as u64) << 8),
         );
-        let workers = if threads == 1 {
-            1
-        } else {
-            resolve_threads(threads)
-        };
         let n_chunks = trials.div_ceil(MC_CHUNK);
         let n_stages = self.stage_off.len() - 1;
-        let chunk_stats: Vec<(Vec<Welford>, Welford)> = run_trials(n_chunks, workers, |chunk| {
+        let chunk_stats: Vec<(Vec<Welford>, Welford)> = run_trials(n_chunks, threads, |chunk| {
             let lo = chunk * MC_CHUNK;
             let hi = ((chunk + 1) * MC_CHUNK).min(trials);
             let mut ep_acc = vec![Welford::default(); n_ep];

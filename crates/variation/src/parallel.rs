@@ -61,6 +61,39 @@ impl Inherited {
     }
 }
 
+/// The one fan-out core: splits `0..n` into `threads` contiguous ranges
+/// whose sizes differ by at most one (the remainder goes to the first
+/// ranges), runs `work` on each range on its own scoped worker under the
+/// spawner's [`Inherited`] scopes, and returns the results in range order.
+fn fan_out<R, W>(n: usize, threads: usize, work: W) -> Vec<R>
+where
+    R: Send,
+    W: Fn(std::ops::Range<usize>) -> R + Sync,
+{
+    let (base, rem) = (n / threads, n % threads);
+    let work = &work;
+    let inherited = Inherited::capture();
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(threads);
+        let mut start = 0;
+        for w in 0..threads {
+            let range = start..start + base + usize::from(w < rem);
+            start = range.end;
+            let inherited = inherited.clone();
+            handles.push(scope.spawn(move || inherited.run(|| work(range))));
+        }
+        let mut out = Vec::with_capacity(threads);
+        for h in handles {
+            // Invariant: re-raising a worker panic on the join is the
+            // contract — closures own their error handling, so a panic
+            // here is a caller bug that must stay observable.
+            #[allow(clippy::expect_used)]
+            out.push(h.join().expect("parallel worker panicked"));
+        }
+        out
+    })
+}
+
 /// Resolves a thread-count knob: `0` means "use the machine", anything else
 /// is taken literally.
 pub fn resolve_threads(threads: usize) -> usize {
@@ -93,33 +126,11 @@ where
     if threads <= 1 {
         return (0..n).map(trial).collect();
     }
-    // Contiguous chunks; the remainder goes to the first `rem` workers so
-    // chunk sizes differ by at most one.
-    let base = n / threads;
-    let rem = n % threads;
-    let trial = &trial;
-    let inherited = Inherited::capture();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        let mut start = 0;
-        for w in 0..threads {
-            let len = base + usize::from(w < rem);
-            let range = start..start + len;
-            start += len;
-            let inherited = inherited.clone();
-            handles
-                .push(scope.spawn(move || inherited.run(|| range.map(trial).collect::<Vec<T>>())));
-        }
-        let mut out = Vec::with_capacity(n);
-        for h in handles {
-            // Invariant: re-raising a worker panic on the join is the
-            // contract — trial closures own their error handling, so a
-            // panic here is a caller bug that must stay observable.
-            #[allow(clippy::expect_used)]
-            out.extend(h.join().expect("Monte-Carlo worker panicked"));
-        }
-        out
-    })
+    let mut out = Vec::with_capacity(n);
+    for chunk in fan_out(n, threads, |range| range.map(&trial).collect::<Vec<T>>()) {
+        out.extend(chunk);
+    }
+    out
 }
 
 /// Fallible [`run_trials`]: every trial may bail (typically with
@@ -150,102 +161,13 @@ where
     if threads <= 1 {
         return (0..n).map(trial).collect();
     }
-    let base = n / threads;
-    let rem = n % threads;
-    let trial = &trial;
-    let inherited = Inherited::capture();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        let mut start = 0;
-        for w in 0..threads {
-            let len = base + usize::from(w < rem);
-            let range = start..start + len;
-            start += len;
-            let inherited = inherited.clone();
-            handles.push(
-                scope.spawn(move || {
-                    inherited.run(|| range.map(trial).collect::<Result<Vec<T>, E>>())
-                }),
-            );
-        }
-        let mut out = Vec::with_capacity(n);
-        for h in handles {
-            // Invariant: fallible trials report errors through `Result`;
-            // an actual panic is a caller bug re-raised on the join.
-            #[allow(clippy::expect_used)]
-            out.extend(h.join().expect("Monte-Carlo worker panicked")?);
-        }
-        Ok(out)
-    })
-}
-
-/// Maps `f` over a slice of items in parallel and returns the results in
-/// item order — [`run_trials`] for workloads whose "trials" are existing
-/// values rather than indices. This is the population-evaluation primitive
-/// of the evolutionary optimizer: each item is one genome, `f` is the
-/// (pure) fitness function, and because `f` sees only the item — never the
-/// schedule — the result vector is bit-identical for every thread count.
-///
-/// # Panics
-///
-/// Propagates a panic from any evaluation.
-pub fn map_items<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    run_trials(items.len(), threads, |k| f(&items[k]))
-}
-
-/// Runs trials like [`run_trials`] and folds each worker's chunk before the
-/// main thread combines them in chunk order — for trials whose per-result
-/// materialization would dominate (e.g. accumulating summary statistics
-/// over millions of samples without a `Vec<f64>`).
-///
-/// `fold` combines a chunk accumulator with one trial result;
-/// `accumulators` start from `init()` per worker and are merged left to
-/// right with `merge`, in index order, so the reduction is deterministic
-/// whenever `merge`/`fold` are (floating-point evaluation order is fixed by
-/// the chunking, which depends only on `n` and `threads`).
-pub fn fold_trials<T, A, F, I, M>(n: usize, threads: usize, trial: F, init: I, fold: M) -> Vec<A>
-where
-    T: Send,
-    A: Send,
-    F: Fn(usize) -> T + Sync,
-    I: Fn() -> A + Sync,
-    M: Fn(A, T) -> A + Sync,
-{
-    record_trial_batch(n);
-    let threads = resolve_threads(threads).min(n.max(1));
-    let trial = &trial;
-    let init = &init;
-    let fold = &fold;
-    if threads <= 1 {
-        return vec![(0..n).map(trial).fold(init(), fold)];
+    let mut out = Vec::with_capacity(n);
+    for chunk in fan_out(n, threads, |range| {
+        range.map(&trial).collect::<Result<Vec<T>, E>>()
+    }) {
+        out.extend(chunk?);
     }
-    let base = n / threads;
-    let rem = n % threads;
-    let inherited = Inherited::capture();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        let mut start = 0;
-        for w in 0..threads {
-            let len = base + usize::from(w < rem);
-            let range = start..start + len;
-            start += len;
-            let inherited = inherited.clone();
-            handles
-                .push(scope.spawn(move || inherited.run(|| range.map(trial).fold(init(), fold))));
-        }
-        // Invariant: fold workers only run caller code; a panic there is
-        // a caller bug re-raised on the join.
-        #[allow(clippy::expect_used)]
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("Monte-Carlo worker panicked"))
-            .collect()
-    })
+    Ok(out)
 }
 
 /// Runs `f(shard_index, item_range)` over `0..n_items` split into
@@ -280,31 +202,13 @@ where
     if threads <= 1 {
         return (0..n_shards).map(|s| f(s, range_of(s))).collect();
     }
-    let base = n_shards / threads;
-    let rem = n_shards % threads;
-    let f = &f;
-    let inherited = Inherited::capture();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        let mut start = 0;
-        for w in 0..threads {
-            let len = base + usize::from(w < rem);
-            let shards = start..start + len;
-            start += len;
-            let inherited = inherited.clone();
-            handles.push(scope.spawn(move || {
-                inherited.run(|| shards.map(|s| f(s, range_of(s))).collect::<Vec<T>>())
-            }));
-        }
-        let mut out = Vec::with_capacity(n_shards);
-        for h in handles {
-            // Invariant: shard closures own their error handling; a panic
-            // is a caller bug re-raised on the join.
-            #[allow(clippy::expect_used)]
-            out.extend(h.join().expect("shard worker panicked"));
-        }
-        out
-    })
+    let mut out = Vec::with_capacity(n_shards);
+    for part in fan_out(n_shards, threads, |shards| {
+        shards.map(|s| f(s, range_of(s))).collect::<Vec<T>>()
+    }) {
+        out.extend(part);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -348,28 +252,6 @@ mod tests {
         let r = run_trials(100, 0, |k| k + 1);
         assert_eq!(r.len(), 100);
         assert_eq!(r[99], 100);
-    }
-
-    #[test]
-    fn map_items_preserves_order_and_bits() {
-        let items: Vec<u64> = (0..257).collect();
-        let eval = |&k: &u64| rng_from(3, "map-test", k).standard_normal();
-        let one = map_items(&items, 1, eval);
-        let eight = map_items(&items, 8, eval);
-        assert_eq!(one.len(), items.len());
-        assert!(one
-            .iter()
-            .zip(&eight)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn fold_trials_partials_recombine_deterministically() {
-        let sum = |chunks: Vec<u64>| chunks.into_iter().sum::<u64>();
-        let a = sum(fold_trials(500, 1, |k| k as u64, || 0u64, |a, t| a + t));
-        let b = sum(fold_trials(500, 4, |k| k as u64, || 0u64, |a, t| a + t));
-        assert_eq!(a, 499 * 500 / 2);
-        assert_eq!(a, b);
     }
 
     #[test]

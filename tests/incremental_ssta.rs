@@ -237,7 +237,7 @@ fn random_edit_sequences_match_full_analysis_on_the_small_mcu() {
 }
 
 /// The paper-scale MCU's widest stage clears the sharding threshold, so
-/// at 2 and 8 threads the first analysis and the bulk load step shard.
+/// at every thread count the first analysis and the bulk load step shard.
 #[test]
 fn paper_scale_sequence_matches_full_analysis_at_1_2_8_threads() {
     let _serial = serial();
@@ -268,12 +268,10 @@ fn paper_scale_sequence_matches_full_analysis_at_1_2_8_threads() {
             modeled > 0 && modeled < all_arcs,
             "{ctx}: bulk step re-modelled {modeled} of {all_arcs} arcs"
         );
-        if threads > 1 {
-            assert!(
-                trace.counter("variation.shard_calls") > 0,
-                "{ctx}: the bulk re-analysis never sharded a stage"
-            );
-        }
+        assert!(
+            trace.counter("variation.shard_calls") > 0,
+            "{ctx}: the bulk re-analysis never sharded a stage"
+        );
         assert_matches_full(&report, &graph, stat, opts, &format!("{ctx}: bulk load"));
         for &net in driven.iter().step_by(2) {
             graph.set_load(net, None).unwrap();

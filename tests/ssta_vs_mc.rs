@@ -148,7 +148,9 @@ fn ssta_reports_bit_identical_across_threads_and_rerun() {
 /// sharding threshold, which the small MCU's (88 gates) does not, so this
 /// is the test that drives SSTA's sharded propagation. The digests are
 /// frozen for three truncation widths and must not depend on the thread
-/// count; the trace proves the 2-thread run really took the sharded path.
+/// count. Neither may the trace: every run shards a stage, and the four
+/// runs' traces render the same JSON. Each trace is a job capture, so
+/// tests running beside this one cannot add to it.
 #[test]
 fn ssta_sharded_propagation_digests_are_frozen() {
     let (stat, mut graph) = mcu_fixture_at(&McuConfig::paper_scale());
@@ -163,21 +165,28 @@ fn ssta_sharded_propagation_digests_are_frozen() {
             ..SstaOptions::default()
         };
         // Threads 1/2/8, then a rerun at 1.
+        let mut traces = Vec::new();
         for threads in [1usize, 2, 8, 1] {
             graph.set_threads(threads);
             let model = SstaModel::build(&graph, &stat, opts).expect("model");
-            let (report, trace) = varitune::trace::capture(|| model.analyze().expect("analyze"));
-            if threads == 2 {
-                assert!(
-                    trace.counter("variation.shard_calls") > 0,
-                    "M={max_local_terms}: the 2-thread analysis never sharded a stage"
-                );
-            }
+            let (report, trace) =
+                varitune::trace::capture_job(|| model.analyze().expect("analyze"));
+            assert!(
+                trace.counter("variation.shard_calls") > 0,
+                "M={max_local_terms} at {threads} thread(s): the analysis never sharded a stage"
+            );
+            traces.push(trace.to_json());
             assert_eq!(
                 report.digest(),
                 want,
                 "M={max_local_terms} at {threads} thread(s): digest {:#018x}",
                 report.digest()
+            );
+        }
+        for (threads, trace) in [2, 8, 1].into_iter().zip(&traces[1..]) {
+            assert_eq!(
+                trace, &traces[0],
+                "M={max_local_terms}: the trace at {threads} thread(s) differs from 1 thread's"
             );
         }
     }
