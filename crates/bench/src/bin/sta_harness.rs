@@ -52,7 +52,9 @@ const SPEC: Spec = Spec {
 };
 
 /// Tolerance for the smoke-profile "parallel is not slower" check: thread
-/// dispatch on a tiny design may cost a little, it must not cost much.
+/// dispatch on a tiny design may cost a little, it must not cost much. The
+/// check arms only when the 8-thread run sharded a stage; otherwise both
+/// runs time the same inline code and only noise could fail it.
 const SMOKE_PARALLEL_TOLERANCE: f64 = 1.35;
 
 /// One completed scale measurement, rendered into `scale_rows`.
@@ -63,8 +65,9 @@ struct ScaleRow {
     build_ms: f64,
     /// Best full propagation over all measured thread counts.
     full_analyze_ms: f64,
-    /// `(threads, best full re-propagation ms)` per requested count.
-    thread_rows: Vec<(usize, f64)>,
+    /// `(threads, best full re-propagation ms, whether it sharded a
+    /// stage)` per requested count.
+    thread_rows: Vec<(usize, f64, bool)>,
     edits: usize,
     avg_retime_ms: f64,
     avg_cone: f64,
@@ -75,7 +78,7 @@ impl ScaleRow {
         let thread_scaling: Vec<Obj> = self
             .thread_rows
             .iter()
-            .map(|&(t, ms)| {
+            .map(|&(t, ms, _)| {
                 Obj::new()
                     .with("threads", t)
                     .with("full_repropagation_ms", Value::Fixed(ms, 3))
@@ -145,8 +148,8 @@ fn run(args: &Args) -> Result<(), String> {
     // per scale; wall-clock speedup claims only arm on hardware that can
     // express them.
     for row in &rows {
-        let ms_at = |n| row.thread_rows.iter().find(|&&(t, _)| t == n).map(|r| r.1);
-        if let (Some(base), Some(at8)) = (ms_at(1), ms_at(8)) {
+        let at = |n| row.thread_rows.iter().find(|r| r.0 == n);
+        if let (Some(&(_, base, _)), Some(&(_, at8, sharded))) = (at(1), at(8)) {
             if hw >= 8 && !smoke {
                 let speedup = base / at8;
                 if speedup < 3.0 {
@@ -157,6 +160,12 @@ fn run(args: &Args) -> Result<(), String> {
                     ));
                 }
                 println!("{}: 8-thread speedup {speedup:.2}x (>= 3x)", row.scale);
+            } else if hw >= 2 && !sharded {
+                println!(
+                    "{}: parallel-vs-serial check skipped: no stage was wide enough to \
+                     shard, so both runs timed the same inline code",
+                    row.scale
+                );
             } else if hw >= 2 {
                 if at8 > base * SMOKE_PARALLEL_TOLERANCE {
                     return Err(format!(
@@ -294,7 +303,7 @@ fn run_paper(
     let thread_rows = scaling_sweep(&mut engine, "paper", repeat, threads)?;
     let best_full = thread_rows
         .iter()
-        .map(|&(_, ms)| ms)
+        .map(|&(_, ms, _)| ms)
         .fold(full_ms, f64::min);
     Ok((
         ScaleRow {
@@ -379,7 +388,7 @@ fn run_soc(
     let thread_rows = scaling_sweep(&mut engine, scale, repeat, threads)?;
     let full_analyze_ms = thread_rows
         .iter()
-        .map(|&(_, ms)| ms)
+        .map(|&(_, ms, _)| ms)
         .fold(f64::INFINITY, f64::min);
     Ok(ScaleRow {
         scale: scale.into(),
@@ -394,16 +403,19 @@ fn run_soc(
     })
 }
 
-/// Times a full sharded re-propagation at each requested thread count and
-/// enforces bit-identity across all of them.
+/// Times a full sharded re-propagation at each requested thread count,
+/// enforces bit-identity across all of them, and records whether each
+/// count's re-propagation sharded a stage: `variation.shard_calls` from
+/// one more re-propagation in a private capture, kept out of the run's
+/// trace.
 fn scaling_sweep(
     engine: &mut TimingGraph<'_>,
     scale: &str,
     repeat: usize,
     threads: &[usize],
-) -> Result<Vec<(usize, f64)>, String> {
+) -> Result<Vec<(usize, f64, bool)>, String> {
     let scaling_span = varitune_trace::span!("sta_harness.thread_scaling");
-    let mut rows: Vec<(usize, f64)> = Vec::new();
+    let mut rows: Vec<(usize, f64, bool)> = Vec::new();
     let mut reference: Option<TimingReport> = None;
     for &t in threads {
         engine.set_threads(t);
@@ -423,8 +435,13 @@ fn scaling_sweep(
                 }
             }
         }
-        println!("full re-prop @ {t:>2} thr: {dt:>9.3} ms");
-        rows.push((t, dt));
+        let ((), trace) = varitune_trace::capture_job(|| {
+            engine.invalidate_all();
+            engine.update().expect("full re-propagation");
+        });
+        let sharded = trace.counter("variation.shard_calls") > 0;
+        println!("full re-prop @ {t:>2} thr: {dt:>9.3} ms (sharded: {sharded})");
+        rows.push((t, dt, sharded));
     }
     println!("all thread counts produced bit-identical results");
     drop(scaling_span);

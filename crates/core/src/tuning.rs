@@ -174,7 +174,7 @@ pub fn tune(stat: &StatLibrary, method: TuningMethod, params: TuningParams) -> T
         }
     }
 
-    if varitune_trace::enabled() {
+    if varitune_trace::is_recording() {
         varitune_trace::add("core.tune_calls", 1);
         varitune_trace::add("core.clusters_built", clusters.len() as u64);
         varitune_trace::observe("core.restricted_pins_per_tune", restricted as u64);
@@ -318,6 +318,28 @@ mod tests {
         let rel1 = w1.max_load / lib_max_1;
         let rel8 = w8.max_load.min(lib_max_8) / lib_max_8;
         assert!(rel8 > rel1, "INV_8 rel window {rel8} vs INV_1 {rel1}");
+    }
+
+    #[test]
+    fn a_job_capture_records_the_tuning_counters() {
+        let stat = stat_fixture();
+        let (tuned, job) = varitune_trace::capture_job(|| {
+            tune(
+                &stat,
+                TuningMethod::SigmaCeiling,
+                TuningParams::with_sigma_ceiling(0.02),
+            )
+        });
+        assert_eq!(job.counter("core.tune_calls"), 1);
+        assert_eq!(
+            job.counter("core.clusters_built"),
+            tuned.cluster_thresholds.len() as u64
+        );
+        let per_tune = job.metrics.histograms.get("core.restricted_pins_per_tune");
+        assert_eq!(
+            per_tune.map(|h| (h.count, h.sum)),
+            Some((1, tuned.restricted_pins as u64))
+        );
     }
 
     #[test]

@@ -710,34 +710,8 @@ impl StatLibrary {
     }
 
     /// Worst-case (max over arcs and rise/fall) delay `(mean, sigma)` of
-    /// `cell`'s output pin `pin` at an operating point — the quantity the
-    /// statistical STA attaches to a mapped instance.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`InterpolateError`]; returns `EmptyTable` if the pin has
-    /// no delay tables.
-    pub fn delay_stat(
-        &self,
-        cell: &str,
-        pin: &str,
-        slew: f64,
-        load: f64,
-    ) -> Result<(f64, f64), InterpolateError> {
-        let mc = self
-            .mean
-            .cell(cell)
-            .and_then(|c| c.pin(pin))
-            .ok_or(InterpolateError::EmptyTable)?;
-        let sc = self
-            .sigma
-            .cell(cell)
-            .and_then(|c| c.pin(pin))
-            .ok_or(InterpolateError::EmptyTable)?;
-        worst_delay_over(&mc.timing, &sc.timing, slew, load)
-    }
-
-    /// Id-based form of [`StatLibrary::delay_stat`]: `cell` indexes the
+    /// output pin `out_pin` of `cell` at an operating point — the quantity
+    /// the statistical STA attaches to a mapped instance. `cell` indexes the
     /// structurally shared cell list and `out_pin` is the position among the
     /// cell's output pins — no name resolution on the query path.
     ///
@@ -767,49 +741,11 @@ impl StatLibrary {
         worst_delay_over(&mc.timing, &sc.timing, slew, load)
     }
 
-    /// Like [`StatLibrary::delay_stat`], but restricted to the arc from one
-    /// `related_pin` — the precise query used when the critical input of a
-    /// path cell is known (worst over rise/fall only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`InterpolateError`]; returns `EmptyTable` when the cell,
-    /// pin or arc cannot be found.
-    pub fn delay_stat_arc(
-        &self,
-        cell: &str,
-        pin: &str,
-        related_pin: &str,
-        slew: f64,
-        load: f64,
-    ) -> Result<(f64, f64), InterpolateError> {
-        let mc = self
-            .mean
-            .cell(cell)
-            .and_then(|c| c.pin(pin))
-            .ok_or(InterpolateError::EmptyTable)?;
-        let sc = self
-            .sigma
-            .cell(cell)
-            .and_then(|c| c.pin(pin))
-            .ok_or(InterpolateError::EmptyTable)?;
-        let (Some(ma), Some(sa)) = (
-            mc.timing.iter().find(|a| a.related_pin == related_pin),
-            sc.timing.iter().find(|a| a.related_pin == related_pin),
-        ) else {
-            return Err(InterpolateError::EmptyTable);
-        };
-        worst_delay_over(
-            std::slice::from_ref(ma),
-            std::slice::from_ref(sa),
-            slew,
-            load,
-        )
-    }
-
-    /// Id-based form of [`StatLibrary::delay_stat_arc`]: the arc is selected
-    /// by the *input pin position* whose transition launches it, matching
-    /// the critical-input index recorded by the timing engine.
+    /// Like [`StatLibrary::delay_stat_id`], but restricted to one arc (worst
+    /// over rise/fall only) — the precise query used when the critical
+    /// input of a path cell is known. The arc is selected by the *input pin
+    /// position* whose transition launches it, matching the critical-input
+    /// index recorded by the timing engine.
     ///
     /// # Errors
     ///
@@ -1138,36 +1074,62 @@ mod tests {
     }
 
     #[test]
-    fn delay_stat_interpolates_and_takes_worst_arc() {
+    fn delay_stat_id_interpolates_and_takes_worst_arc() {
         let stat = stat_fixture(20);
-        let (m, s) = stat.delay_stat("ND2_2", "Z", 0.05, 0.01).unwrap();
+        let id = stat.mean.cell_id("ND2_2").unwrap();
+        let (slew, load) = (0.05, 0.01);
+        let (m, s) = stat.delay_stat_id(id, 0, slew, load).unwrap();
         assert!(m > 0.0 && s > 0.0);
-        // Querying a missing pin is an error, not a panic.
-        assert!(stat.delay_stat("ND2_2", "NOPE", 0.05, 0.01).is_err());
+        // Each input's arc, worst over rise/fall, straight from its tables;
+        // the pin's worst is the largest mean among them.
+        let z = stat.mean.cells[id.index()].output_pins().next().unwrap();
+        let inputs: Vec<&str> = stat.mean.cells[id.index()]
+            .input_pins()
+            .map(|p| p.name.as_str())
+            .collect();
+        assert_eq!(inputs.len(), 2);
+        let mut worst: Option<(f64, f64)> = None;
+        for (k, name) in inputs.iter().enumerate() {
+            let arc = z
+                .timing
+                .iter()
+                .position(|a| a.related_pin == *name)
+                .unwrap();
+            let mut want: Option<(f64, f64)> = None;
+            for kind in TableKind::DELAYS {
+                let t = stat.stat_table("ND2_2", "Z", arc, kind).unwrap();
+                let (tm, ts) = t.interpolate(slew, load).unwrap();
+                if want.is_none_or(|(bm, _)| tm > bm) {
+                    want = Some((tm, ts));
+                }
+            }
+            let got = stat.delay_stat_arc_id(id, 0, k, slew, load).unwrap();
+            assert_eq!(Some(got), want, "input {name}");
+            if worst.is_none_or(|(bm, _)| got.0 > bm) {
+                worst = Some(got);
+            }
+        }
+        assert_eq!(Some((m, s)), worst);
     }
 
     #[test]
-    fn id_queries_match_name_queries() {
+    fn id_queries_reject_out_of_range_ids() {
         let stat = stat_fixture(20);
         let id = stat.mean.cell_id("ND2_2").unwrap();
-        assert_eq!(
-            stat.delay_stat_id(id, 0, 0.05, 0.01).unwrap(),
-            stat.delay_stat("ND2_2", "Z", 0.05, 0.01).unwrap()
-        );
-        let input = stat.mean.cells[id.index()]
-            .input_pins()
-            .position(|p| p.name == "A")
-            .unwrap();
-        assert_eq!(
-            stat.delay_stat_arc_id(id, 0, input, 0.05, 0.01).unwrap(),
-            stat.delay_stat_arc("ND2_2", "Z", "A", 0.05, 0.01).unwrap()
-        );
         assert_eq!(
             stat.worst_delay_sigma_id(id),
             stat.worst_delay_sigma("ND2_2")
         );
-        // Out-of-range ids are errors/None, not panics.
-        assert!(stat.delay_stat_id(CellId(u32::MAX), 0, 0.05, 0.01).is_err());
+        // Out-of-range ids and pin positions are errors/None, not panics.
+        let err = Err(InterpolateError::EmptyTable);
+        assert_eq!(stat.delay_stat_id(CellId(u32::MAX), 0, 0.05, 0.01), err);
+        assert_eq!(stat.delay_stat_id(id, 1, 0.05, 0.01), err);
+        assert_eq!(
+            stat.delay_stat_arc_id(CellId(u32::MAX), 0, 0, 0.05, 0.01),
+            err
+        );
+        assert_eq!(stat.delay_stat_arc_id(id, 1, 0, 0.05, 0.01), err);
+        assert_eq!(stat.delay_stat_arc_id(id, 0, 2, 0.05, 0.01), err);
         assert_eq!(stat.worst_delay_sigma_id(CellId(u32::MAX)), None);
     }
 

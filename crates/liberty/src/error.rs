@@ -81,6 +81,14 @@ pub enum InterpolateError {
         /// The offending coordinate value.
         value: f64,
     },
+    /// The table body is not `rows` rows of `cols` entries, as its axes
+    /// require.
+    ShapeMismatch {
+        /// Length of the slew axis.
+        rows: usize,
+        /// Length of the load axis.
+        cols: usize,
+    },
 }
 
 impl fmt::Display for InterpolateError {
@@ -92,6 +100,9 @@ impl fmt::Display for InterpolateError {
             }
             InterpolateError::NonFiniteQuery { value } => {
                 write!(f, "query coordinate {value} is not finite")
+            }
+            InterpolateError::ShapeMismatch { rows, cols } => {
+                write!(f, "table body does not fit its {rows}x{cols} axes")
             }
         }
     }
@@ -117,6 +128,7 @@ mod tests {
             InterpolateError::EmptyTable,
             InterpolateError::NonMonotonicAxis { axis: "slew" },
             InterpolateError::NonFiniteQuery { value: f64::NAN },
+            InterpolateError::ShapeMismatch { rows: 7, cols: 7 },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -23,7 +23,9 @@
 //! * a writer that emits well-formed Liberty text ([`writer`]); it refuses
 //!   non-finite values with a typed [`WriteLibertyError`] so anything
 //!   written is guaranteed to re-parse,
-//! * bilinear LUT interpolation ([`Lut::interpolate`]).
+//! * bilinear LUT interpolation ([`Lut::interpolate`]) on one shared
+//!   primitive ([`Bracket`]) that code keeping tables in its own layout
+//!   evaluates with too.
 //!
 //! # Example
 //!
@@ -92,8 +94,8 @@ pub use diagnostic::{Diagnostic, Severity};
 pub use error::{InterpolateError, ParseLibertyError, WriteLibertyError};
 pub use ids::{CellId, Family, FamilyId, Interner, PinId};
 pub use model::{
-    Cell, CellKind, InternalPower, Library, Lut, LutTemplate, Pin, PinDirection, TimingArc,
-    TimingSense, TimingType,
+    Bracket, Cell, CellKind, InternalPower, Library, Lut, LutTemplate, Pin, PinDirection,
+    TimingArc, TimingSense, TimingType,
 };
 pub use parser::{parse_library, parse_library_recovering, parse_library_recovering_threads};
 pub use validate::{validate_cell, validate_library, CellHealth, CellReport, LibraryHealth};

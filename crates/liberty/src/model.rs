@@ -278,9 +278,21 @@ impl Lut {
             .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.min(v))))
     }
 
+    /// Whether the table body is [`Lut::rows`] rows of [`Lut::cols`]
+    /// entries, as its axes require. [`Lut::new`] and the Liberty
+    /// validator enforce this; a table built through the public fields may
+    /// break it.
+    pub fn fits_axes(&self) -> bool {
+        let cols = self.cols();
+        self.values.len() == self.rows() && self.values.iter().all(|r| r.len() == cols)
+    }
+
     /// Bilinear interpolation at `(slew, load)` following eqs. (2)–(4) of the
     /// paper, clamping queries outside the table to the edge of the table
-    /// (the standard STA convention for mild extrapolation).
+    /// (the standard STA convention for mild extrapolation): the query
+    /// checks, one [`Bracket::on`] per axis, then [`Bracket::bilinear`] —
+    /// the primitive the timing engine evaluates its packed tables with, so
+    /// both give the same bits.
     ///
     /// Axis monotonicity is a construction invariant ([`Lut::new`] and the
     /// Liberty parser both enforce it), so the hot path does not re-check
@@ -289,11 +301,18 @@ impl Lut {
     ///
     /// # Errors
     ///
-    /// Returns an error if the table is empty or a query coordinate is not
-    /// finite.
+    /// In this order: [`InterpolateError::EmptyTable`] if the table has no
+    /// rows or no columns, [`InterpolateError::ShapeMismatch`] if its body
+    /// does not fit its axes (see [`Lut::fits_axes`]), and
+    /// [`InterpolateError::NonFiniteQuery`] if the slew, then the load, is
+    /// not finite.
     pub fn interpolate(&self, slew: f64, load: f64) -> Result<f64, InterpolateError> {
-        if self.rows() == 0 || self.cols() == 0 {
+        let (rows, cols) = (self.rows(), self.cols());
+        if rows == 0 || cols == 0 {
             return Err(InterpolateError::EmptyTable);
+        }
+        if !self.fits_axes() {
+            return Err(InterpolateError::ShapeMismatch { rows, cols });
         }
         if !slew.is_finite() {
             return Err(InterpolateError::NonFiniteQuery { value: slew });
@@ -301,15 +320,11 @@ impl Lut {
         if !load.is_finite() {
             return Err(InterpolateError::NonFiniteQuery { value: load });
         }
-
-        let (i0, i1, ts) = bracket(&self.index_slew, slew);
-        let (j0, j1, tl) = bracket(&self.index_load, load);
-
-        // Interpolate along the load axis first (eqs. 2–3), then along the
-        // slew axis (eq. 4).
-        let p1 = lerp(self.values[i0][j0], self.values[i0][j1], tl);
-        let p2 = lerp(self.values[i1][j0], self.values[i1][j1], tl);
-        Ok(lerp(p1, p2, ts))
+        let (s, l) = (
+            Bracket::on(&self.index_slew, slew),
+            Bracket::on(&self.index_load, load),
+        );
+        Ok(Bracket::bilinear(s, l, |i, j| self.values[i][j]))
     }
 }
 
@@ -317,28 +332,72 @@ fn axis_is_strictly_increasing(axis: &[f64]) -> bool {
     axis.windows(2).all(|w| w[1] > w[0])
 }
 
-/// Finds bracketing indices `(lo, hi)` and the interpolation fraction for
-/// `x` on `axis`, clamping outside the range. A single-point axis yields
-/// `(0, 0, 0.0)`.
-fn bracket(axis: &[f64], x: f64) -> (usize, usize, f64) {
-    if axis.len() == 1 {
-        return (0, 0, 0.0);
+/// Where a query coordinate falls on one LUT axis: the bracketing indices
+/// `lo` and `hi` and the fraction `t` of the way from `axis[lo]` to
+/// `axis[hi]`.
+///
+/// With [`Bracket::bilinear`] this is the whole of
+/// [`Lut::interpolate`]'s arithmetic, exposed so that code keeping tables
+/// in its own layout can bracket a coordinate once, reuse the bracket for
+/// every table on the same axis, and still get [`Lut::interpolate`]'s bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bracket {
+    /// Index of the axis point the fraction starts from.
+    pub lo: usize,
+    /// Index of the axis point the fraction runs to: `lo + 1` inside the
+    /// axis, `lo` when the query clamps.
+    pub hi: usize,
+    /// Interpolation fraction; 0 when the query clamps.
+    pub t: f64,
+}
+
+impl Bracket {
+    /// Brackets `x` on `axis`, clamping outside the range: a query at or
+    /// below the first point gives `(0, 0, 0.0)`, one at or above the last
+    /// point `(last, last, 0.0)`, and a one-point (or empty) axis always
+    /// `(0, 0, 0.0)`.
+    ///
+    /// `axis` should be strictly increasing and `x` finite, as
+    /// [`Lut::interpolate`] guarantees; otherwise the bracket is
+    /// meaningless but its indices stay within `axis`.
+    #[inline]
+    pub fn on(axis: &[f64], x: f64) -> Self {
+        let clamped = |i| Bracket {
+            lo: i,
+            hi: i,
+            t: 0.0,
+        };
+        let [first, .., last] = axis else {
+            return clamped(0);
+        };
+        if x <= *first {
+            return clamped(0);
+        }
+        if x >= *last {
+            return clamped(axis.len() - 1);
+        }
+        // Strictly inside the range: on a strictly increasing axis the
+        // number of points below `x` is its partition point, and counting
+        // them takes no data-dependent branch.
+        let hi = axis.iter().filter(|&&a| a < x).count().max(1);
+        let lo = hi - 1;
+        Bracket {
+            lo,
+            hi,
+            t: (x - axis[lo]) / (axis[hi] - axis[lo]),
+        }
     }
-    if x <= axis[0] {
-        return (0, 0, 0.0);
+
+    /// Eqs. (2)–(4) of the paper at a bracketed `(slew, load)` point:
+    /// interpolate along the load axis in slew rows `slew.lo` and
+    /// `slew.hi` (eqs. 2–3), then along the slew axis (eq. 4). `at(i, j)`
+    /// reads the table entry at slew row `i` and load column `j`.
+    #[inline]
+    pub fn bilinear(slew: Bracket, load: Bracket, at: impl Fn(usize, usize) -> f64) -> f64 {
+        let p1 = lerp(at(slew.lo, load.lo), at(slew.lo, load.hi), load.t);
+        let p2 = lerp(at(slew.hi, load.lo), at(slew.hi, load.hi), load.t);
+        lerp(p1, p2, slew.t)
     }
-    // Invariant: callers check for an empty table before bracketing, and the
-    // len == 1 case returned above, so the axis has at least one element.
-    #[allow(clippy::expect_used)]
-    if x >= *axis.last().expect("non-empty axis") {
-        let last = axis.len() - 1;
-        return (last, last, 0.0);
-    }
-    // axis is strictly increasing and x is strictly inside the range.
-    let hi = axis.partition_point(|&a| a < x).max(1);
-    let lo = hi - 1;
-    let t = (x - axis[lo]) / (axis[hi] - axis[lo]);
-    (lo, hi, t)
 }
 
 fn lerp(a: f64, b: f64, t: f64) -> f64 {
@@ -958,6 +1017,53 @@ mod tests {
         let l = Lut::new(vec![0.5], vec![0.2], vec![vec![42.0]]);
         assert_eq!(l.interpolate(0.0, 0.0).unwrap(), 42.0);
         assert_eq!(l.interpolate(100.0, 100.0).unwrap(), 42.0);
+    }
+
+    #[test]
+    fn a_body_that_does_not_fit_its_axes_is_an_error_not_a_panic() {
+        let mut short_rows = Lut::filled(vec![0.0, 1.0, 2.0], vec![0.0, 1.0], 1.0);
+        short_rows.values = vec![vec![0.1]];
+        let mut short_row = lut2x2();
+        short_row.values[1].pop();
+        let mut long_row = lut2x2();
+        long_row.values[0].push(5.0);
+        for (lut, rows, cols) in [(short_rows, 3, 2), (short_row, 2, 2), (long_row, 2, 2)] {
+            assert!(!lut.fits_axes());
+            assert_eq!(
+                lut.interpolate(1.5, 0.5),
+                Err(InterpolateError::ShapeMismatch { rows, cols })
+            );
+        }
+        assert!(lut2x2().fits_axes());
+    }
+
+    #[test]
+    fn bracket_clamps_and_finds_the_enclosing_interval() {
+        let axis = [0.5, 1.0, 2.0, 4.0];
+        let b = |x| {
+            let b = Bracket::on(&axis, x);
+            (b.lo, b.hi, b.t)
+        };
+        assert_eq!(b(0.1), (0, 0, 0.0));
+        assert_eq!(b(0.5), (0, 0, 0.0));
+        assert_eq!(b(0.75), (0, 1, 0.5));
+        assert_eq!(b(1.0), (0, 1, 1.0));
+        assert_eq!(b(3.0), (2, 3, 0.5));
+        assert_eq!(b(4.0), (3, 3, 0.0));
+        assert_eq!(b(9.0), (3, 3, 0.0));
+        assert_eq!(
+            Bracket::on(&[0.2], 7.0),
+            Bracket {
+                lo: 0,
+                hi: 0,
+                t: 0.0
+            }
+        );
+        // Out-of-contract inputs stay inside the axis instead of panicking.
+        for axis in [&[][..], &[1.0, 0.5, 0.7][..]] {
+            let b = Bracket::on(axis, f64::NAN);
+            assert!(b.hi < axis.len().max(1) && b.lo <= b.hi, "{b:?}");
+        }
     }
 
     #[test]

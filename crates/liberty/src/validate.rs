@@ -279,9 +279,7 @@ fn validate_lut(issues: &mut Vec<Diagnostic>, ctx: &str, slot: &str, lut: &Lut) 
             ));
         }
     }
-    if lut.values.len() != lut.index_slew.len()
-        || lut.values.iter().any(|r| r.len() != lut.index_load.len())
-    {
+    if !lut.fits_axes() {
         issues.push(Diagnostic::error(
             0,
             0,

@@ -3,14 +3,20 @@
 //! [`TimingGraph`] is built once per (design, library) pair and then kept
 //! consistent across local edits instead of re-analyzing the whole netlist:
 //!
-//! * **Interning** — every cell, pin-capacitance and timing-arc reference
-//!   is resolved to a dense index or `&TimingArc` at build time, so the
-//!   propagation hot loop never compares strings or scans `Vec`s. LUT axes
-//!   are validated once at library construction (see
-//!   [`varitune_liberty::Lut::new`]), so interpolation is pure arithmetic.
-//!   Interning is memoized on (cell, pin shape): a million-gate sea holds
-//!   only a few hundred distinct combinations, so arc resolution costs
-//!   O(distinct cells), not O(gates).
+//! * **Interning** — every cell, pin capacitance and timing arc is
+//!   resolved to a dense index at build time, so the propagation hot loop
+//!   never compares strings or scans `Vec`s. Each distinct timing arc is
+//!   packed once into the graph's `ArcArena`: its tables' values in one
+//!   row-major block, its axes pooled by value. The CSR arc rows hold
+//!   `u32` arena ids. A gate evaluation brackets each output load once per
+//!   output and each input slew once per arc, and reads every table on an
+//!   already-bracketed axis through that bracket: the bits and errors of
+//!   interpolating the library's tables one by one (see
+//!   [`varitune_liberty::Bracket`]).
+//!   Interning is memoized on (cell, pin shape) for the graph's lifetime:
+//!   a million-gate sea holds only a few hundred distinct combinations, so
+//!   arc resolution costs O(distinct cells), not O(gates), and a resize or
+//!   split to a combination seen before is a lookup.
 //! * **Flat CSR structure** — connectivity, pin capacitances and arcs
 //!   live in shared offset/payload arrays (`in_off`/`in_net`/`in_cap`,
 //!   `out_off`/`out_net`, `arc_off`/`arcs`) instead of per-gate `Vec`s,
@@ -64,6 +70,7 @@
 //! [`crate::ssta::analyze_ssta`] retains between analyses of one graph, and
 //! building a graph, renewing an id or dropping a graph releases that state.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -71,6 +78,7 @@ use varitune_liberty::{CellId, Library, TimingArc, TimingType};
 use varitune_netlist::{GateKind, NetId};
 use varitune_variation::parallel::{resolve_threads, run_shards};
 
+use crate::arcs::{ArcArena, Probe};
 use crate::graph::{Endpoint, EndpointKind, NetTiming, StaConfig, StaError, TimingReport};
 use crate::mapped::{MappedDesign, WireModel};
 
@@ -177,28 +185,45 @@ impl SinkArena {
     }
 }
 
-/// One cell resolved against a concrete gate shape: dense cell index,
-/// positional input-pin capacitances, flattened timing arcs
-/// (combinational: output-major `n_out × n_in`; sequential: one launch arc
-/// per output), and the setup constraint arc when characterized.
-struct InternedCell<'l> {
-    ci: u32,
-    caps: Vec<f64>,
-    arcs: Vec<&'l TimingArc>,
-    setup: Option<&'l TimingArc>,
-}
-
-/// Resolves a cell id against a gate shape — a bounds check plus direct
-/// indexing, no name lookup — surfacing the same errors (with the same
-/// gate index) the full analysis would.
-fn intern_cell<'l>(
-    lib: &'l Library,
-    gi: usize,
+/// A cell bound to a gate shape: the key interning is memoized on.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Shape {
     cell: CellId,
     n_in: usize,
     n_out: usize,
     seq: bool,
-) -> Result<InternedCell<'l>, StaError> {
+}
+
+/// One cell resolved against a concrete gate shape: dense cell index,
+/// positional input-pin capacitances, the arena ids of its timing arcs
+/// (combinational: output-major `n_out × n_in`; sequential: one launch arc
+/// per output), and of the setup constraint arc when characterized
+/// ([`NONE_U32`] otherwise).
+struct InternedCell {
+    ci: u32,
+    caps: Vec<f64>,
+    arcs: Vec<u32>,
+    setup: u32,
+}
+
+/// Resolves a cell id against a gate shape — a bounds check plus direct
+/// indexing, no name lookup — surfacing the same errors (with the same
+/// gate index) the full analysis would, then packs its arcs into `arena`.
+/// A table whose body does not fit its axes is
+/// [`varitune_liberty::InterpolateError::ShapeMismatch`], raised only
+/// once every arc has resolved.
+fn intern_cell<'l>(
+    lib: &'l Library,
+    arena: &mut ArcArena<'l>,
+    gi: usize,
+    shape: Shape,
+) -> Result<InternedCell, StaError> {
+    let Shape {
+        cell,
+        n_in,
+        n_out,
+        seq,
+    } = shape;
     let ci = cell.index();
     if ci >= lib.cells.len() {
         return Err(StaError::UnknownCell {
@@ -257,8 +282,27 @@ fn intern_cell<'l>(
     Ok(InternedCell {
         ci: ci as u32,
         caps,
-        arcs,
-        setup,
+        arcs: arcs
+            .into_iter()
+            .map(|a| arena.intern(a))
+            .collect::<Result<_, _>>()?,
+        setup: setup.map_or(Ok(NONE_U32), |a| arena.intern(a))?,
+    })
+}
+
+/// [`intern_cell`] through the graph's memo: a shape interned before is a
+/// lookup. Failures are not memoized, so an error always names the gate
+/// `gi` that hit it.
+fn intern<'m, 'l>(
+    memo: &'m mut HashMap<Shape, InternedCell>,
+    arena: &mut ArcArena<'l>,
+    lib: &'l Library,
+    gi: usize,
+    shape: Shape,
+) -> Result<&'m InternedCell, StaError> {
+    Ok(match memo.entry(shape) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => e.insert(intern_cell(lib, arena, gi, shape)?),
     })
 }
 
@@ -288,16 +332,22 @@ pub(crate) struct Core<'l> {
     /// Output row of gate `g`: `out_net[out_off[g]..out_off[g+1]]`.
     pub(crate) out_off: Vec<u32>,
     pub(crate) out_net: Vec<u32>,
-    /// Arc row of gate `g`: combinational rows hold `n_out × n_in` arcs
-    /// output-major; sequential rows hold one launch arc per output.
+    /// Arc row of gate `g`, as [`ArcArena`] ids: combinational rows hold
+    /// `n_out × n_in` arcs output-major; sequential rows hold one launch
+    /// arc per output.
     pub(crate) arc_off: Vec<u32>,
-    pub(crate) arcs: Vec<&'l TimingArc>,
-    /// Setup constraint arc of a sequential gate's data pin (`None` for
-    /// combinational gates or uncharacterized libraries).
-    setup_arc: Vec<Option<&'l TimingArc>>,
+    pub(crate) arcs: Vec<u32>,
+    /// Setup constraint arc of a sequential gate's data pin ([`NONE_U32`]
+    /// for combinational gates or uncharacterized libraries).
+    setup_arc: Vec<u32>,
     /// Endpoint index of a sequential gate's data input ([`NONE_U32`] for
     /// combinational gates).
     seq_ep: Vec<u32>,
+
+    /// Every arc the graph evaluates, packed once.
+    pub(crate) arena: ArcArena<'l>,
+    /// Interned cells by shape, kept for the graph's lifetime.
+    memo: HashMap<Shape, InternedCell>,
 
     // ---- interned structure (per net) ----
     /// Gate sinks per net as `(gate, input position)`, ascending — the
@@ -379,24 +429,25 @@ impl<'l> Core<'l> {
         let mut out_net: Vec<u32> = Vec::new();
         let mut arc_off: Vec<u32> = Vec::with_capacity(n_gates + 1);
         arc_off.push(0);
-        let mut arcs: Vec<&'l TimingArc> = Vec::new();
-        let mut setup_arc: Vec<Option<&'l TimingArc>> = Vec::with_capacity(n_gates);
+        let mut arcs: Vec<u32> = Vec::new();
+        let mut setup_arc: Vec<u32> = Vec::with_capacity(n_gates);
 
-        // Interning memoized on (cell, shape). The cache holds successes
-        // only, so a failing gate always interns fresh and the error
+        // Interning memoized on (cell, shape); a failing gate's error
         // carries the first failing gate index.
-        let mut cache: HashMap<(usize, usize, usize, bool), InternedCell<'l>> = HashMap::new();
+        let mut arena = ArcArena::default();
+        let mut memo = HashMap::new();
         debug_assert_eq!(cells.len(), n_gates, "callers check the cell count");
         for (gi, &cell) in cells.iter().enumerate() {
             let seq = nl.gate_kind(gi).is_sequential();
             let g_in = nl.gate_inputs(gi);
             let g_out = nl.gate_outputs(gi);
-            let key = (cell.index(), g_in.len(), g_out.len(), seq);
-            if let std::collections::hash_map::Entry::Vacant(e) = cache.entry(key) {
-                let ic = intern_cell(lib, gi, cell, g_in.len(), g_out.len(), seq)?;
-                e.insert(ic);
-            }
-            let ic = &cache[&key];
+            let shape = Shape {
+                cell,
+                n_in: g_in.len(),
+                n_out: g_out.len(),
+                seq,
+            };
+            let ic = intern(&mut memo, &mut arena, lib, gi, shape)?;
             cell_idx.push(ic.ci);
             is_seq.push(seq);
             in_net.extend(g_in.iter().map(|n| n.0));
@@ -500,6 +551,8 @@ impl<'l> Core<'l> {
             arcs,
             setup_arc,
             seq_ep,
+            arena,
+            memo,
             sinks,
             po_taps,
             driver,
@@ -541,7 +594,8 @@ impl<'l> Core<'l> {
         self.sinks.row(ni)
     }
 
-    fn gate_arcs(&self, gi: usize) -> &[&'l TimingArc] {
+    /// Arena ids of gate `gi`'s arc row.
+    pub(crate) fn gate_arcs(&self, gi: usize) -> &[u32] {
         &self.arcs[self.arc_off[gi] as usize..self.arc_off[gi + 1] as usize]
     }
 
@@ -646,10 +700,12 @@ impl<'l> Core<'l> {
     /// block of the full analysis.
     fn eval_seq_into(&self, gi: usize, outs: &mut Vec<NetTiming>) -> Result<(), StaError> {
         let launch = self.gate_arcs(gi);
-        for (j, (&out, arc)) in self.gate_outputs(gi).iter().zip(launch).enumerate() {
+        let mut clock = Probe::new(self.config.clock_slew);
+        for (j, (&out, &arc)) in self.gate_outputs(gi).iter().zip(launch).enumerate() {
             let load = self.loads[out as usize];
-            let delay = arc.worst_delay(self.config.clock_slew, load)?;
-            let slew = arc.worst_transition(self.config.clock_slew, load)?;
+            let mut at_load = Probe::new(load);
+            let delay = self.arena.delay(arc, &mut clock, &mut at_load)?;
+            let slew = self.arena.transition(arc, &mut clock, &mut at_load)?;
             outs.push(NetTiming {
                 arrival: delay,
                 slew,
@@ -674,6 +730,7 @@ impl<'l> Core<'l> {
         for (j, &out) in self.gate_outputs(gi).iter().enumerate() {
             let row = &arcs[j * n_in..(j + 1) * n_in];
             let load = self.loads[out as usize];
+            let mut at_load = Probe::new(load);
             let mut best: Option<NetTiming> = None;
             for (k, &inp) in ins.iter().enumerate() {
                 let in_t = self.nets[inp as usize];
@@ -687,10 +744,11 @@ impl<'l> Core<'l> {
                     });
                 }
                 let arc = row[k];
-                let delay = arc.worst_delay(in_t.slew, load)?;
+                let mut at_slew = Probe::new(in_t.slew);
+                let delay = self.arena.delay(arc, &mut at_slew, &mut at_load)?;
                 let arrival = in_t.arrival + delay;
                 if best.is_none_or(|b| arrival > b.arrival) {
-                    let slew = arc.worst_transition(in_t.slew, load)?;
+                    let slew = self.arena.transition(arc, &mut at_slew, &mut at_load)?;
                     best = Some(NetTiming {
                         arrival,
                         slew,
@@ -769,10 +827,15 @@ impl<'l> Core<'l> {
         let arrival = self.nets[net].arrival;
         let required = if self.ep_gate[e] != NONE_U32 {
             let gi = self.ep_gate[e] as usize;
-            let data_slew = self.nets[net].slew;
-            let setup = self.setup_arc[gi]
-                .and_then(|a| a.worst_delay(data_slew, self.config.clock_slew).ok())
-                .unwrap_or(self.config.setup_time);
+            let (data, clock) = (self.nets[net].slew, self.config.clock_slew);
+            let setup = match self.setup_arc[gi] {
+                NONE_U32 => None,
+                arc => self
+                    .arena
+                    .delay(arc, &mut Probe::new(data), &mut Probe::new(clock))
+                    .ok(),
+            };
+            let setup = setup.unwrap_or(self.config.setup_time);
             self.config.effective_period() - setup
         } else {
             self.config.effective_period()
@@ -829,7 +892,7 @@ impl<'l> Core<'l> {
     /// refresh last, ascending. Commits, the first error and endpoints go
     /// in the same order at every thread count.
     fn update(&mut self) -> Result<(), StaError> {
-        let tracing = varitune_trace::enabled();
+        let tracing = varitune_trace::is_recording();
         let full = std::mem::take(&mut self.all_dirty);
         self.last_recomputed = 0;
 
@@ -937,10 +1000,12 @@ impl<'l> Core<'l> {
         }
     }
 
-    /// Appends the CSR row of a freshly added combinational gate at
-    /// `level`, which the caller computes exactly from the gate's drivers
-    /// (its sinks are re-levelled by [`Core::raise_levels`]).
-    fn push_gate_row(&mut self, ic: &InternedCell<'l>, level: u32, ins: &[u32], outs: &[u32]) {
+    /// Appends the CSR row of a freshly added combinational gate of the
+    /// interned `shape` at `level`, which the caller computes exactly from
+    /// the gate's drivers (its sinks are re-levelled by
+    /// [`Core::raise_levels`]).
+    fn push_gate_row(&mut self, shape: Shape, level: u32, ins: &[u32], outs: &[u32]) {
+        let ic = &self.memo[&shape];
         self.cell_idx.push(ic.ci);
         self.is_seq.push(false);
         self.level.push(level);
@@ -1021,7 +1086,13 @@ fn split_fanout_impl(
     // Intern before touching anything, so a cell that does not fit leaves
     // the engine unchanged. Both inverters share the cell and the shape.
     let g1 = design.netlist.gate_count();
-    let ic = intern_cell(core.lib, g1, inv_cell, 1, 1, false)?;
+    let shape = Shape {
+        cell: inv_cell,
+        n_in: 1,
+        n_out: 1,
+        seq: false,
+    };
+    intern(&mut core.memo, &mut core.arena, core.lib, g1, shape)?;
 
     let ni = net.0 as usize;
     let all: Vec<(u32, u32)> = core.sinks.row(ni).to_vec();
@@ -1068,8 +1139,8 @@ fn split_fanout_impl(
         d if d == NONE_U32 || core.is_seq[d as usize] => 0,
         d => core.level[d as usize] + 1,
     };
-    core.push_gate_row(&ic, l1, &[net.0], &[mid.0]);
-    core.push_gate_row(&ic, l1 + 1, &[mid.0], &[out.0]);
+    core.push_gate_row(shape, l1, &[net.0], &[mid.0]);
+    core.push_gate_row(shape, l1 + 1, &[mid.0], &[out.0]);
 
     // Endpoints attached to moved flip-flop data inputs follow their net.
     for &(g, _) in &moved {
@@ -1369,7 +1440,8 @@ impl<'l> TimingGraph<'l> {
 
     /// Id-based [`TimingGraph::resize_gate`] — the sizing-loop entry
     /// point: no name lookup, no string compare, and (because gate shape
-    /// lives in the CSR) no netlist access at all.
+    /// lives in the CSR) no netlist access at all. A cell the graph has
+    /// already interned at this gate's shape is a memo lookup.
     ///
     /// # Errors
     ///
@@ -1380,12 +1452,16 @@ impl<'l> TimingGraph<'l> {
         if self.design.cells[gi] == cell {
             return Ok(());
         }
-        let n_in = self.core.gate_inputs(gi).len();
-        let n_out = self.core.gate_outputs(gi).len();
-        let seq = self.core.is_seq[gi];
-        let ic = intern_cell(self.core.lib, gi, cell, n_in, n_out, seq)?;
-        self.design.cells[gi] = cell;
         let core = &mut self.core;
+        let n_in = core.gate_inputs(gi).len();
+        let shape = Shape {
+            cell,
+            n_in,
+            n_out: core.gate_outputs(gi).len(),
+            seq: core.is_seq[gi],
+        };
+        let ic = intern(&mut core.memo, &mut core.arena, core.lib, gi, shape)?;
+        self.design.cells[gi] = cell;
         core.cell_idx[gi] = ic.ci;
         let a0 = core.arc_off[gi] as usize;
         core.arcs[a0..a0 + ic.arcs.len()].copy_from_slice(&ic.arcs);
@@ -1500,10 +1576,11 @@ impl<'l> TimingGraph<'l> {
                 if !out_req.is_finite() {
                     continue;
                 }
-                let load = core.nets[out as usize].load;
+                let mut at_load = Probe::new(core.nets[out as usize].load);
                 for (k, &arc) in arcs[j * n_in..(j + 1) * n_in].iter().enumerate() {
                     let inp = ins[k] as usize;
-                    let delay = arc.worst_delay(core.nets[inp].slew, load)?;
+                    let mut at_slew = Probe::new(core.nets[inp].slew);
+                    let delay = core.arena.delay(arc, &mut at_slew, &mut at_load)?;
                     let r = &mut req[inp];
                     *r = r.min(out_req - delay);
                 }
@@ -1534,6 +1611,7 @@ mod tests {
     use crate::graph::analyze;
     use crate::mapped::WireModel;
     use varitune_libchar::{generate_nominal, GenerateConfig};
+    use varitune_liberty::InterpolateError;
     use varitune_netlist::{GateKind, Netlist};
 
     fn lib() -> Library {
@@ -1959,6 +2037,169 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The small library with `edit` applied to every timing arc of
+    /// `cell`'s output pins.
+    fn lib_with(cell: &str, edit: impl Fn(&mut TimingArc)) -> Library {
+        let mut lib = lib();
+        let c = lib.cells.iter_mut().find(|c| c.name == cell).unwrap();
+        for pin in &mut c.pins {
+            if pin.direction == varitune_liberty::PinDirection::Output {
+                pin.timing.iter_mut().for_each(&edit);
+            }
+        }
+        lib
+    }
+
+    #[test]
+    fn a_non_finite_load_fails_the_update_with_a_typed_error() {
+        let lib = lib();
+        let cfg = StaConfig::with_clock_period(2.0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let d = chain(4, "INV_2", &lib);
+            let x = d.netlist.gate_outputs(1)[0];
+            let mut engine = TimingGraph::new(d, &lib, &cfg).unwrap();
+            engine.set_load(x, Some(bad)).unwrap();
+            let err = engine.update().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StaError::Interpolate(InterpolateError::NonFiniteQuery { value })
+                        if value.to_bits() == bad.to_bits()
+                ),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cells_without_delay_or_transition_tables_fail_the_build() {
+        let cfg = StaConfig::with_clock_period(2.0);
+        let no_delay = lib_with("INV_2", |a| {
+            a.cell_rise = None;
+            a.cell_fall = None;
+        });
+        let no_transition = lib_with("INV_2", |a| {
+            a.rise_transition = None;
+            a.fall_transition = None;
+        });
+        for lib in [&no_delay, &no_transition] {
+            let d = chain(3, "INV_2", lib);
+            for err in [
+                analyze(&d, lib, &cfg).err(),
+                TimingGraph::new(d.clone(), lib, &cfg).err(),
+            ] {
+                assert_eq!(
+                    err,
+                    Some(StaError::Interpolate(InterpolateError::EmptyTable))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_setup_arc_falls_back_to_the_configured_setup_time() {
+        // a -> DF_1 -> q: the flip-flop's data endpoint takes its setup
+        // from the library arc, or from the config when that arc fails.
+        let design = |lib: &Library| {
+            let mut nl = Netlist::new("ff");
+            let a = nl.add_input("a");
+            let q = nl.add_net("q");
+            nl.add_gate(GateKind::Dff, &[a], &[q]);
+            nl.mark_output(q);
+            MappedDesign::from_names(nl, &["DF_1"], lib, WireModel::default()).unwrap()
+        };
+        let mut cfg = StaConfig::with_clock_period(2.0);
+        cfg.setup_time = 0.123;
+        let required = |lib: &Library| {
+            let engine = TimingGraph::new(design(lib), lib, &cfg).unwrap();
+            let ep = engine.endpoints()[0];
+            assert!(matches!(ep.kind, EndpointKind::FlipFlopData { gate: 0 }));
+            ep.required
+        };
+        let good = lib();
+        let mut broken = good.clone();
+        let setup = broken
+            .cells
+            .iter_mut()
+            .find(|c| c.name == "DF_1")
+            .unwrap()
+            .pins
+            .iter_mut()
+            .flat_map(|p| &mut p.timing)
+            .find(|a| a.timing_type == TimingType::SetupRising)
+            .expect("DF_1 carries a setup arc");
+        setup.cell_rise = None;
+        setup.cell_fall = None;
+        let fallback = cfg.effective_period() - cfg.setup_time;
+        assert_ne!(required(&good).to_bits(), fallback.to_bits());
+        assert_eq!(required(&broken).to_bits(), fallback.to_bits());
+    }
+
+    #[test]
+    fn a_table_that_does_not_fit_its_axes_is_an_error_not_a_panic() {
+        let cfg = StaConfig::with_clock_period(2.0);
+        let bad = lib_with("INV_1", |a| {
+            if let Some(t) = &mut a.cell_rise {
+                t.values = vec![vec![0.1]];
+            }
+        });
+        let axes = &bad.cell("INV_1").unwrap().pin("Z").unwrap().timing[0];
+        let lut = axes.cell_rise.as_ref().unwrap();
+        let (rows, cols) = (lut.rows(), lut.cols());
+        assert!(rows > 1 && cols > 1);
+        let want = StaError::Interpolate(InterpolateError::ShapeMismatch { rows, cols });
+        let d = chain(3, "INV_1", &bad);
+        assert_eq!(analyze(&d, &bad, &cfg).err(), Some(want.clone()));
+        assert_eq!(TimingGraph::new(d, &bad, &cfg).err(), Some(want.clone()));
+        // An edit onto the cell fails the same way and changes nothing.
+        let mut engine = TimingGraph::new(chain(3, "INV_2", &bad), &bad, &cfg).unwrap();
+        let (design, report) = (engine.design().clone(), engine.report());
+        assert_eq!(engine.resize_gate(1, "INV_1"), Err(want.clone()));
+        assert_eq!(engine.split_fanout(NetId(0), "INV_1").err(), Some(want));
+        engine.update().unwrap();
+        assert_eq!(engine.design(), &design);
+        assert_eq!(engine.report(), report);
+    }
+
+    #[test]
+    fn a_resize_to_an_interned_shape_is_a_lookup() {
+        let lib = lib();
+        let cfg = StaConfig::with_clock_period(2.0);
+        let mut engine = TimingGraph::new(chain(6, "INV_2", &lib), &lib, &cfg).unwrap();
+        let sizes = |e: &TimingGraph<'_>| (e.core.memo.len(), e.core.arena.len());
+        let built = sizes(&engine);
+        engine.resize_gate(1, "INV_8").unwrap();
+        let grown = sizes(&engine);
+        assert_eq!(grown, (built.0 + 1, built.1 + 1));
+        engine.resize_gate(3, "INV_8").unwrap();
+        engine.resize_gate(1, "INV_2").unwrap();
+        assert_eq!(sizes(&engine), grown);
+        engine.update().unwrap();
+        let full = analyze(engine.design(), &lib, &cfg).unwrap();
+        assert_reports_bit_identical(&engine.report(), &full);
+    }
+
+    #[test]
+    fn a_job_capture_records_the_engine_counters() {
+        // Served jobs trace under `capture_job`; the engine's counters must
+        // land there as they do under the global `capture`.
+        let lib = generate_nominal(&GenerateConfig::full());
+        let cfg = StaConfig::with_clock_period(6.0);
+        let d = small_mcu(&lib);
+        let gates = d.netlist.gate_count() as u64;
+        let (_, job) = varitune_trace::capture_job(|| TimingGraph::new(d, &lib, &cfg).unwrap());
+        for (name, want) in [
+            ("sta.graph_builds", 1),
+            ("sta.updates", 1),
+            ("sta.full_propagations", 1),
+            ("sta.gates_recomputed", gates),
+        ] {
+            assert_eq!(job.counter(name), want, "{name}");
+        }
+        let cone = job.metrics.histograms.get("sta.dirty_cone");
+        assert_eq!(cone.map(|h| (h.count, h.sum)), Some((1, gates)));
     }
 
     #[test]

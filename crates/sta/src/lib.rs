@@ -49,6 +49,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+mod arcs;
 pub mod engine;
 pub mod graph;
 pub mod hold;

@@ -1099,7 +1099,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             }
         };
         let arc_base = core.arc_off[gi] as usize;
-        let mean_arcs = &core.arcs[arc_base..core.arc_off[gi + 1] as usize];
+        let mean_arcs = core.gate_arcs(gi);
         if mean_arcs.len() != sigma_arcs.len() {
             return Err(StaError::MismatchedInput {
                 reason: format!(
@@ -1128,15 +1128,14 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             let load = core.loads[core.gate_outputs(gi)[j] as usize];
             if seq {
                 let slew = core.config.clock_slew;
-                set(j, stat_delay(mean_arcs[j], sigma_arcs[j], slew, load)?);
+                let mean_arc = core.arena.source(mean_arcs[j]);
+                set(j, stat_delay(mean_arc, sigma_arcs[j], slew, load)?);
             } else {
                 for (k, &inp) in inputs.iter().enumerate() {
                     let slew = core.nets[inp as usize].slew;
                     let row = j * n_in + k;
-                    set(
-                        row,
-                        stat_delay(mean_arcs[row], sigma_arcs[row], slew, load)?,
-                    );
+                    let mean_arc = core.arena.source(mean_arcs[row]);
+                    set(row, stat_delay(mean_arc, sigma_arcs[row], slew, load)?);
                 }
             }
         }
