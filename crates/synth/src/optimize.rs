@@ -135,7 +135,12 @@ pub fn synthesize(
     let mut buffers_inserted = 0usize;
 
     // One engine for the whole optimization: every sizing/buffering move
-    // below re-times only its dirty cone instead of the full netlist.
+    // below re-times only its dirty cone instead of the full netlist. It
+    // re-times only right before timing is read: the edits of one
+    // iteration's sizing or area recovery and of the next iteration's
+    // load legalization propagate together in the update that follows
+    // load legalization. Batching edits moves no bit (the engine's
+    // equivalence contract).
     let mut engine = TimingGraph::new(design, lib, &cfg.sta)?;
     engine.set_threads(cfg.threads);
     let mut iterations = 0;
@@ -158,23 +163,16 @@ pub fn synthesize(
         }
 
         if engine.worst_slack() < 0.0 {
-            let sized = size_critical_paths(&mut engine, &target, &mut floors, cfg)?;
-            changed |= sized;
-            if sized {
-                engine.update()?;
-            }
+            changed |= size_critical_paths(&mut engine, &target, &mut floors, cfg)?;
         } else if cfg.area_recovery {
-            let recovered = recover_area(&mut engine, &target, &floors, cfg)?;
-            changed |= recovered;
-            if recovered {
-                engine.update()?;
-            }
+            changed |= recover_area(&mut engine, &target, &floors, cfg)?;
         }
 
         if !changed {
             break;
         }
     }
+    engine.update()?;
 
     varitune_trace::add("synth.runs", 1);
     varitune_trace::add("synth.iterations", iterations as u64);
@@ -205,16 +203,17 @@ fn legalize_loads(
     let mut changed = false;
     let mut outs: Vec<NetId> = Vec::new();
     // Iterate to a fixpoint: buffering changes loads upstream. Each round
-    // judges every net by its load and fanout as of the round's start, and
-    // the follow-up `update` (an O(dirty cone) re-propagation) refreshes
-    // them for the next round. The live engine reads below are exactly
-    // that snapshot: loads change only at `update`; a split changes only
-    // the fanout of the net it splits, which the round visits once,
-    // through its driver, before splitting it; and the nets a split adds
-    // are driven by gates at or past `gate_count`, which this round never
-    // visits.
+    // judges every net by its load and fanout as of the round's start;
+    // `update_loads` refreshes the loads for the next round without
+    // re-timing, since nothing here reads timing (the caller's `update`
+    // re-times every round's edits at once). The live engine reads below
+    // are exactly that snapshot: loads change only at `update_loads` (or
+    // `update`); a split changes only the fanout of the net it splits,
+    // which the round visits once, through its driver, before splitting
+    // it; and the nets a split adds are driven by gates at or past
+    // `gate_count`, which this round never visits.
     for _ in 0..4 {
-        engine.update()?;
+        engine.update_loads();
         let mut round_changed = false;
         let gate_count = engine.gate_count();
         for gi in 0..gate_count {
@@ -316,6 +315,10 @@ fn legalize_slews(
 }
 
 /// Upsize every cell on the worst violating paths one step.
+///
+/// Walks the engine's timing as of its last `update`: resizes made here
+/// do not move arrivals, loads or critical inputs until the caller
+/// re-propagates, so every path is judged against the same snapshot.
 fn size_critical_paths(
     engine: &mut TimingGraph<'_>,
     target: &TargetLibrary<'_>,
@@ -324,8 +327,10 @@ fn size_critical_paths(
 ) -> Result<bool, SynthError> {
     let mut changed = false;
     let mut seen_gates = std::collections::BTreeSet::new();
-    let report = engine.report();
-    let endpoints = report.critical_endpoints();
+    // Worst slack first, ties by endpoint index: the stable sort of
+    // `TimingReport::critical_endpoints`.
+    let mut endpoints = engine.endpoints().to_vec();
+    endpoints.sort_by(|a, b| a.slack().total_cmp(&b.slack()));
     for ep in endpoints
         .iter()
         .take(cfg.paths_per_iteration)
@@ -334,7 +339,7 @@ fn size_critical_paths(
         // Walk the critical path via the recorded critical-input pointers.
         let mut net = ep.net;
         loop {
-            let t = report.nets[net.0 as usize];
+            let t = *engine.net_timing(net);
             let Some(gi) = t.driver else { break };
             if seen_gates.insert(gi) {
                 let load = t.load;
@@ -365,7 +370,7 @@ fn recover_area(
     floors: &[f64],
     cfg: &SynthConfig,
 ) -> Result<bool, SynthError> {
-    let req = engine.required_times()?;
+    let req = engine.required_times();
     let margin = 0.18 * cfg.sta.effective_period();
     let mut changed = false;
     let gate_count = engine.gate_count();
@@ -630,6 +635,27 @@ mod tests {
         let a = synthesize(&nl, &lib, &LibraryConstraints::unconstrained(), &cfg).unwrap();
         let b = synthesize(&nl, &lib, &LibraryConstraints::unconstrained(), &cfg).unwrap();
         assert_eq!(a.design, b.design);
+    }
+
+    #[test]
+    fn synthesis_propagates_at_most_twice_per_iteration() {
+        // Timing is read only after load and after slew legalization, so
+        // an iteration re-times at most twice; the build and the final
+        // report add one propagation each.
+        let lib = full_lib();
+        let nl = small_mcu();
+        for period in [10.0, 1.2] {
+            let cfg = SynthConfig::with_clock_period(period);
+            let (r, trace) = varitune_trace::capture_job(|| {
+                synthesize(&nl, &lib, &LibraryConstraints::unconstrained(), &cfg).unwrap()
+            });
+            let updates = trace.counter("sta.updates");
+            assert!(
+                updates <= 2 * r.iterations as u64 + 2,
+                "{updates} updates in {} iterations at {period} ns",
+                r.iterations
+            );
+        }
     }
 
     #[test]

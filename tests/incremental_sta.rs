@@ -5,7 +5,9 @@
 
 use varitune_libchar::{generate_nominal, GenerateConfig};
 use varitune_netlist::{generate_mcu, McuConfig, NetId};
-use varitune_sta::{analyze, MappedDesign, StaConfig, TimingGraph, TimingReport, WireModel};
+use varitune_sta::{
+    analyze, required_times, MappedDesign, StaConfig, TimingGraph, TimingReport, WireModel,
+};
 use varitune_synth::{map_netlist, LibraryConstraints, TargetLibrary};
 use varitune_variation::Xoshiro256PlusPlus;
 
@@ -39,6 +41,24 @@ fn assert_bit_identical(eng: &TimingReport, full: &TimingReport, ctx: &str) {
     }
 }
 
+/// Arrival and slew bits of every net: the timing `update_loads` must not
+/// move. Nets that splits added since are appended.
+fn timing_bits(engine: &TimingGraph<'_>) -> Vec<(u64, u64)> {
+    engine
+        .report()
+        .nets
+        .iter()
+        .map(|t| (t.arrival.to_bits(), t.slew.to_bits()))
+        .collect()
+}
+
+fn assert_same_bits(a: &[f64], b: &[f64], ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: length");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: net {i}: {x} vs {y}");
+    }
+}
+
 /// A mapped small-MCU design to edit against.
 fn mapped_mcu(lib: &varitune_liberty::Library) -> MappedDesign {
     let constraints = LibraryConstraints::unconstrained();
@@ -64,8 +84,11 @@ fn family_variants<'l>(lib: &'l varitune_liberty::Library, cell_name: &str) -> V
         .collect()
 }
 
-/// Applies `n_edits` random resize/split-fanout edits, asserting after every
-/// `update` that the incremental report matches a fresh full analysis of the
+/// Applies 40 random resize/split-fanout edits, refreshing loads with
+/// `update_loads` and re-timing with `update` at seeded random points in
+/// between. After every `update_loads` the loads must match a fresh load
+/// computation while no arrival or slew moves; after every `update` the
+/// report and the required times must match a fresh full analysis of the
 /// edited design to the last bit.
 #[test]
 fn randomized_edit_sequence_is_bit_identical_to_full_analyze() {
@@ -81,8 +104,12 @@ fn randomized_edit_sequence_is_bit_identical_to_full_analyze() {
     );
 
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xC0FFEE);
-    let mut resizes = 0usize;
-    let mut splits = 0usize;
+    // The refresh points draw from their own stream, so the edits are the
+    // same whichever points are drawn.
+    let mut points = Xoshiro256PlusPlus::seed_from_u64(0x10AD);
+    let mut timed = timing_bits(&engine);
+    let (mut resizes, mut splits) = (0usize, 0usize);
+    let (mut load_refreshes, mut updates) = (0usize, 0usize);
     for step in 0..40 {
         if rng.next_f64() < 0.8 {
             // Resize a random gate to a random same-family drive.
@@ -105,21 +132,47 @@ fn randomized_edit_sequence_is_bit_identical_to_full_analyze() {
                 splits += 1;
             }
         }
+        if points.next_f64() < 0.5 {
+            engine.update_loads();
+            load_refreshes += 1;
+            let ctx = format!("loads refreshed after edit {step}");
+            assert_same_bits(engine.loads(), &engine.design().net_loads(&lib), &ctx);
+            let now = timing_bits(&engine);
+            assert!(now[..timed.len()] == timed[..], "{ctx}: timing moved");
+        }
+        if step < 39 && points.next_f64() < 0.4 {
+            continue;
+        }
         engine.update().expect("incremental update");
+        updates += 1;
+        timed = timing_bits(&engine);
         engine
             .design()
             .netlist
             .validate()
             .expect("edited netlist valid");
         let full = analyze(engine.design(), &lib, &cfg).expect("full analyze");
-        assert_bit_identical(&engine.report(), &full, &format!("after edit {step}"));
+        let ctx = format!("after edit {step}");
+        assert_bit_identical(&engine.report(), &full, &ctx);
+        let free = required_times(engine.design(), &lib, &full).expect("required times");
+        assert_same_bits(&engine.required_times(), &free, &format!("{ctx}: required"));
     }
     assert!(resizes > 10, "exercised {resizes} resizes");
     assert!(splits > 0, "exercised {splits} fanout splits");
+    assert!(
+        load_refreshes > 5,
+        "exercised {load_refreshes} load refreshes"
+    );
+    assert!(
+        (5..40).contains(&updates),
+        "batched the edits into {updates} updates"
+    );
 }
 
-/// Batched edits (several edits, one `update`) must converge to the same
-/// state as edit-by-edit re-propagation.
+/// Batched edits (resizes and fanout splits, loads refreshed with
+/// `update_loads` between them, one `update`) must converge to the same
+/// state as edit-by-edit re-propagation — the pattern synthesis's load
+/// legalization follows.
 #[test]
 fn batched_edits_match_stepwise_edits() {
     let lib = generate_nominal(&GenerateConfig::full());
@@ -128,28 +181,55 @@ fn batched_edits_match_stepwise_edits() {
 
     let mut batched = TimingGraph::new(design.clone(), &lib, &cfg).unwrap();
     let mut stepwise = TimingGraph::new(design, &lib, &cfg).unwrap();
+    let inv = lib.cell_id("INV_2").unwrap();
 
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(42);
-    let edits: Vec<(usize, String)> = (0..25)
-        .filter_map(|_| {
-            let gi = (rng.next_u64() as usize) % batched.gate_count();
+    let (mut resizes, mut splits) = (0usize, 0usize);
+    for _ in 0..30 {
+        // Both engines hold the same structure, so an edit picked on one
+        // applies to the other.
+        let pick = rng.next_u64() as usize;
+        if rng.next_f64() < 0.7 {
+            let gi = pick % batched.gate_count();
             let variants = family_variants(&lib, batched.cell_name(gi));
             if variants.is_empty() {
-                return None;
+                continue;
             }
-            let pick = variants[(rng.next_u64() as usize) % variants.len()].to_string();
-            Some((gi, pick))
-        })
-        .collect();
-    assert!(edits.len() > 10);
-
-    for (gi, cell) in &edits {
-        batched.resize_gate(*gi, cell).unwrap();
-        stepwise.resize_gate(*gi, cell).unwrap();
+            let cell = lib
+                .cell_id(variants[(rng.next_u64() as usize) % variants.len()])
+                .unwrap();
+            batched.resize_gate_id(gi, cell).unwrap();
+            stepwise.resize_gate_id(gi, cell).unwrap();
+            resizes += 1;
+        } else {
+            let nets = batched.design().netlist.net_count();
+            let Some(net) = (0..nets)
+                .map(|i| NetId(((pick + i) % nets) as u32))
+                .find(|&n| batched.fanout(n) >= 2)
+            else {
+                continue;
+            };
+            assert_eq!(
+                batched.split_fanout_id(net, inv).unwrap(),
+                stepwise.split_fanout_id(net, inv).unwrap()
+            );
+            splits += 1;
+        }
         stepwise.update().unwrap();
+        batched.update_loads();
+        assert_same_bits(batched.loads(), stepwise.loads(), "refreshed loads");
     }
+    assert!(resizes > 10, "exercised {resizes} resizes");
+    assert!(splits > 3, "exercised {splits} fanout splits");
     batched.update().unwrap();
     assert_bit_identical(&batched.report(), &stepwise.report(), "batched vs stepwise");
+    assert_same_bits(
+        &batched.required_times(),
+        &stepwise.required_times(),
+        "batched vs stepwise required times",
+    );
+    let full = analyze(batched.design(), &lib, &cfg).unwrap();
+    assert_bit_identical(&batched.report(), &full, "batched vs full");
 }
 
 /// Full propagation and post-edit re-propagation must be bit-identical at
