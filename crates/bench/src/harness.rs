@@ -129,6 +129,7 @@ impl Spec {
             trace: None,
             ids: Vec::new(),
         };
+        let mut out = None;
         let mut argv = argv.into_iter();
         while let Some(arg) = argv.next() {
             let name = arg.as_str();
@@ -136,7 +137,7 @@ impl Spec {
                 "--help" | "-h" => return Ok(None),
                 "--trace" => args.trace = Some(argv.next().ok_or("--trace expects a path")?),
                 "--out" if self.out.is_some() => {
-                    args.out = argv.next().ok_or("--out expects a path")?;
+                    out = Some(argv.next().ok_or("--out expects a path")?);
                 }
                 _ => {
                     if let Some(i) = self.flags.iter().position(|f| f.0 == name) {
@@ -164,7 +165,21 @@ impl Spec {
             let all = self.ids.unwrap_or_default();
             args.ids = all.iter().map(ToString::to_string).collect();
         }
+        let smoke = self.smoke_out().filter(|_| args.switch("--smoke"));
+        if let Some(path) = out.or(smoke) {
+            args.out = path;
+        }
         Ok(Some(args))
+    }
+
+    /// The default report of a `--smoke` run, for a spec with a report and
+    /// a `--smoke` switch: `BENCH_ssta.json` becomes
+    /// `BENCH_ssta_smoke.json`, so a smoke run never overwrites the
+    /// committed full-profile report.
+    fn smoke_out(&self) -> Option<String> {
+        let out = self.out?;
+        let smoke = (self.flags.iter()).any(|f| f.0 == "--smoke" && f.1 == Kind::Switch);
+        smoke.then(|| format!("{}_smoke.json", out.trim_end_matches(".json")))
     }
 
     /// The one-line synopsis.
@@ -192,7 +207,13 @@ impl Spec {
             })
             .collect();
         if let Some(out) = self.out {
-            rows.push(("--out PATH".into(), format!("BENCH report (default {out})")));
+            let smoke = (self.smoke_out())
+                .map(|smoke| format!(", {smoke} with --smoke"))
+                .unwrap_or_default();
+            rows.push((
+                "--out PATH".into(),
+                format!("BENCH report (default {out}{smoke})"),
+            ));
         }
         rows.push(("--trace PATH".into(), "write the run's flow trace".into()));
         rows.push(("--help, -h".into(), "print this help".into()));
@@ -555,12 +576,32 @@ mod tests {
              \x20 --seed N               master seed (default 7)\n\
              \x20 --threads N,N,...      thread counts (default 1,2,8)\n\
              \x20 --scale paper|x10|all  scales (default paper)\n\
-             \x20 --out PATH             BENCH report (default BENCH_demo.json)\n\
+             \x20 --out PATH             BENCH report (default BENCH_demo.json, \
+             BENCH_demo_smoke.json with --smoke)\n\
              \x20 --trace PATH           write the run's flow trace\n\
              \x20 --help, -h             print this help\n\
              \nids (default all): tab1 fig1 fig2\n"
         );
         assert_eq!(SPEC.help(), help);
+    }
+
+    #[test]
+    fn a_smoke_run_defaults_to_its_own_report() {
+        let out = |argv: &str| {
+            let argv: Vec<&str> = argv.split_whitespace().collect();
+            parse(&argv).unwrap().unwrap().out().to_string()
+        };
+        assert_eq!(out(""), "BENCH_demo.json");
+        assert_eq!(out("--smoke"), "BENCH_demo_smoke.json");
+        assert_eq!(out("--out o.json --smoke"), "o.json");
+        assert_eq!(out("--smoke --out o.json"), "o.json");
+        // A spec without a `--smoke` switch keeps its one default.
+        let plain = Spec {
+            flags: &[("--repeat", Kind::Count(3), "best-of-N runs")],
+            ..SPEC
+        };
+        let args = plain.parse(std::iter::empty()).unwrap().unwrap();
+        assert_eq!(args.out(), "BENCH_demo.json");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! against the baseline — the sigma-reduction / area-increase numbers of
 //! Figs. 10–11.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -18,7 +19,9 @@ use varitune_sta::paths::worst_paths;
 use varitune_sta::{
     analyze_ssta, DesignTiming, PathTiming, SstaOptions, SstaReport, StaError, TimingGraph,
 };
-use varitune_synth::{synthesize, LibraryConstraints, SynthConfig, SynthError, SynthesisResult};
+use varitune_synth::{
+    synthesize, LibraryConstraints, SynthConfig, SynthError, SynthKey, SynthesisResult,
+};
 
 use crate::methods::{TuningMethod, TuningParams};
 use crate::optimize::{Candidate, Objective, Optimizer, PaperMethodOptimizer};
@@ -285,8 +288,7 @@ impl Flow {
         constraints: &LibraryConstraints,
         synth_cfg: &SynthConfig,
     ) -> Result<FlowRun, FlowError> {
-        let mut synth_cfg = *synth_cfg;
-        synth_cfg.threads = self.config.threads;
+        let synth_cfg = self.synth_config(synth_cfg);
         let _span = varitune_trace::span!("flow.run");
         varitune_variation::cancel::check()?;
         let synthesis = {
@@ -309,6 +311,15 @@ impl Flow {
             paths,
             design,
         })
+    }
+
+    /// `synth_cfg` as [`Flow::run`] hands it to synthesis: timing
+    /// re-propagation uses the flow's worker count.
+    fn synth_config(&self, synth_cfg: &SynthConfig) -> SynthConfig {
+        SynthConfig {
+            threads: self.config.threads,
+            ..*synth_cfg
+        }
     }
 
     /// Baseline run: no constraints.
@@ -445,10 +456,20 @@ impl Comparison {
 
 /// Sweeps `candidates` for `method` and returns the outcome with the
 /// highest sigma reduction whose area increase stays under
-/// `area_cap_pct` — the selection rule behind Fig. 10 / Table 3.
+/// `area_cap_pct` — the selection rule behind Fig. 10 / Table 3. Ties keep
+/// the earlier candidate.
 ///
 /// Returns `None` when no candidate stays under the cap (Fig. 10 then shows
 /// the method as absent).
+///
+/// Every candidate is tuned, but only a [`SynthKey`] this call has not met
+/// is synthesized and signed off (see [`best_tuning_by_yield`]).
+/// `baseline` must be this flow's `run_baseline(synth_cfg)`: a candidate
+/// whose key equals the baseline's recorded key (one that tunes to no
+/// effective restriction) reuses it instead of synthesizing it again, and
+/// the baseline is cloned only when such a candidate is the pick. A
+/// baseline synthesized under another configuration has another key and
+/// is never reused.
 ///
 /// # Errors
 ///
@@ -462,21 +483,15 @@ pub fn best_tuning_under_area_cap(
     synth_cfg: &SynthConfig,
     area_cap_pct: f64,
 ) -> Result<Option<(TuningParams, FlowRun, Comparison)>, FlowError> {
-    let mut best: Option<(TuningParams, FlowRun, Comparison)> = None;
-    for &params in candidates {
-        let (_tuned, run) = flow.run_tuned(method, params, synth_cfg)?;
+    let best = sweep(flow, Some(baseline), method, candidates, synth_cfg, |run| {
+        let cmp = Comparison::between(baseline, run);
+        let over_cap = cmp.area_increase_pct() > area_cap_pct;
+        Ok((!over_cap).then(|| cmp.sigma_reduction_pct()))
+    })?;
+    Ok(best.map(|(params, run, _)| {
         let cmp = Comparison::between(baseline, &run);
-        if cmp.area_increase_pct() > area_cap_pct {
-            continue;
-        }
-        let better = best
-            .as_ref()
-            .is_none_or(|(_, _, b)| cmp.sigma_reduction_pct() > b.sigma_reduction_pct());
-        if better {
-            best = Some((params, run, cmp));
-        }
-    }
-    Ok(best)
+        (params, run, cmp)
+    }))
 }
 
 /// Sweeps `candidates` for `method` and returns the outcome with the best
@@ -486,6 +501,14 @@ pub fn best_tuning_under_area_cap(
 ///
 /// Ties (bit-equal yields, common once every candidate saturates at 1)
 /// break toward the earlier candidate, so the sweep is deterministic.
+///
+/// Every candidate is tuned, but synthesis, sign-off and SSTA run once
+/// per [`SynthKey`] (the per-cell effective limits plus the synthesis
+/// configuration) within this call: a later candidate with a key already
+/// met would rebuild a bit-identical run, tie the earlier one and lose the
+/// tie, so it is skipped and counted in `core.runs_reused`. The pick, its
+/// run and its yield equal those of a loop over [`Flow::run_tuned`]
+/// bit for bit. Nothing is kept across calls.
 ///
 /// # Errors
 ///
@@ -499,15 +522,51 @@ pub fn best_tuning_by_yield(
     target_period: f64,
     opts: SstaOptions,
 ) -> Result<Option<(TuningParams, FlowRun, f64)>, FlowError> {
-    let mut best: Option<(TuningParams, FlowRun, f64)> = None;
+    sweep(flow, None, method, candidates, synth_cfg, |run| {
+        Ok(Some(flow.ssta(run, opts)?.yield_at(target_period)))
+    })
+}
+
+/// The selection loop of both entry points: the candidate with the highest
+/// `score` wins, a later one only on a strict `>`, and `None` scores drop
+/// out. A candidate whose [`SynthKey`] this call already met is skipped:
+/// its run and score would equal the earlier candidate's, and a tie never
+/// replaces the incumbent. A candidate with `seed`'s key is scored on
+/// `seed` itself.
+fn sweep(
+    flow: &Flow,
+    seed: Option<&FlowRun>,
+    method: TuningMethod,
+    candidates: &[TuningParams],
+    synth_cfg: &SynthConfig,
+    mut score: impl FnMut(&FlowRun) -> Result<Option<f64>, FlowError>,
+) -> Result<Option<(TuningParams, FlowRun, f64)>, FlowError> {
+    let synth_cfg = flow.synth_config(synth_cfg);
+    let mut met: Vec<SynthKey> = Vec::new();
+    let mut best: Option<(TuningParams, Cow<'_, FlowRun>, f64)> = None;
     for &params in candidates {
-        let (_tuned, run) = flow.run_tuned(method, params, synth_cfg)?;
-        let y = flow.ssta(&run, opts)?.yield_at(target_period);
-        if best.as_ref().is_none_or(|(_, _, b)| y > *b) {
-            best = Some((params, run, y));
+        let tuned = PaperMethodOptimizer { method, params }.tune(&flow.stat);
+        let key = SynthKey::new(&flow.stat.mean, &tuned.constraints, &synth_cfg);
+        if met.contains(&key) {
+            varitune_trace::add("core.runs_reused", 1);
+            continue;
+        }
+        let run = match seed {
+            Some(seed) if seed.synthesis.key == key => {
+                varitune_trace::add("core.runs_reused", 1);
+                Cow::Borrowed(seed)
+            }
+            _ => Cow::Owned(flow.run(&tuned.constraints, &synth_cfg)?),
+        };
+        met.push(key);
+        let Some(s) = score(&run)? else {
+            continue;
+        };
+        if best.as_ref().is_none_or(|(_, _, b)| s > *b) {
+            best = Some((params, run, s));
         }
     }
-    Ok(best)
+    Ok(best.map(|(params, run, s)| (params, run.into_owned(), s)))
 }
 
 #[cfg(test)]

@@ -95,7 +95,9 @@ impl<'a> Objective<'a> {
     /// Synthesizes the design under `constraints` and measures it — the
     /// fitness function every backend shares. Pure: the result depends
     /// only on the prepared flow, the synthesis configuration and the
-    /// constraints.
+    /// constraints' effective per-cell limits, so two constraint sets with
+    /// equal [`SynthKey`](varitune_synth::SynthKey)s evaluate to
+    /// bit-identical runs.
     ///
     /// # Errors
     ///
@@ -204,14 +206,24 @@ impl Optimizer for PaperMethodOptimizer {
     }
 
     fn optimize(&self, objective: &Objective<'_>) -> Result<Vec<Candidate>, FlowError> {
+        let tuned = self.tune(objective.stat());
+        let run = objective.evaluate(&tuned.constraints)?;
+        Ok(vec![Candidate { tuned, run }])
+    }
+}
+
+impl PaperMethodOptimizer {
+    /// Runs [`tune`] on `stat` under the `flow.tune` span and counts it
+    /// (`core.tunes`, `core.restricted_pins`): the tuning half of
+    /// [`Optimizer::optimize`], shared with the flow's Table 2 sweeps.
+    pub(crate) fn tune(&self, stat: &StatLibrary) -> TunedLibrary {
         let tuned = {
             let _stage = varitune_trace::span!("flow.tune");
-            tune(objective.stat(), self.method, self.params)
+            tune(stat, self.method, self.params)
         };
         varitune_trace::add("core.tunes", 1);
         varitune_trace::add("core.restricted_pins", tuned.restricted_pins as u64);
-        let run = objective.evaluate(&tuned.constraints)?;
-        Ok(vec![Candidate { tuned, run }])
+        tuned
     }
 }
 

@@ -199,7 +199,11 @@ impl LibraryConstraints {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseConstraintsError`] naming the first malformed line.
+    /// Returns [`ParseConstraintsError`] naming the first malformed line:
+    /// one without six fields, with a bound that is not a number or is NaN
+    /// (synthesis would read a NaN bound as no bound while
+    /// [`OperatingWindow::contains`] rejects every point), or with an empty
+    /// window.
     pub fn from_text(text: &str) -> Result<Self, ParseConstraintsError> {
         let mut out = Self::unconstrained();
         for (lineno, line) in text.lines().enumerate() {
@@ -214,15 +218,17 @@ impl LibraryConstraints {
                     message: format!("expected 6 fields, found {}", fields.len()),
                 });
             }
+            // `inf` parses as infinity; every spelling of NaN parses too.
             let parse = |s: &str| -> Result<f64, ParseConstraintsError> {
-                if s == "inf" {
-                    Ok(f64::INFINITY)
-                } else {
-                    s.parse().map_err(|_| ParseConstraintsError {
-                        line: lineno + 1,
-                        message: format!("cannot parse `{s}` as a number"),
-                    })
-                }
+                let message = match s.parse::<f64>() {
+                    Ok(v) if !v.is_nan() => return Ok(v),
+                    Ok(_) => format!("bound `{s}` is NaN"),
+                    Err(_) => format!("cannot parse `{s}` as a number"),
+                };
+                Err(ParseConstraintsError {
+                    line: lineno + 1,
+                    message,
+                })
             };
             let window = OperatingWindow {
                 min_slew: parse(fields[2])?,
@@ -403,6 +409,21 @@ mod tests {
         assert!(err.message.contains("cannot parse"));
         let err = LibraryConstraints::from_text("INV_1 Z 5 0.1 0 1\n").unwrap_err();
         assert!(err.message.contains("empty"));
+    }
+
+    #[test]
+    fn from_text_rejects_nan_bounds() {
+        // `f64::from_str` accepts every spelling of NaN; a NaN bound would
+        // restrict nothing in synthesis yet reject every operating point.
+        for text in [
+            "INV_1 Z 0 NaN 0 NaN\n",
+            "# header\nINV_1 Z 0 0.1 0 0.01\nINV_2 Z nan 0.1 0 0.01\n",
+            "INV_1 Z 0 0.1 -NaN 0.01\n",
+        ] {
+            let err = LibraryConstraints::from_text(text).unwrap_err();
+            assert_eq!(err.line, text.lines().count(), "{text:?}");
+            assert!(err.message.contains("NaN"), "{}", err.message);
+        }
     }
 
     #[test]

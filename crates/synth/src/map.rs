@@ -60,13 +60,11 @@ impl Error for MapError {}
 
 /// The mapper's view of a library: drive-variant families resolved to
 /// [`FamilyId`]s, with the tuning constraints folded into dense per-cell
-/// limits at construction time.
+/// limits at construction time (the windows themselves are not kept).
 #[derive(Debug, Clone)]
 pub struct TargetLibrary<'a> {
     /// The underlying Liberty library.
     pub lib: &'a Library,
-    /// Operating-window constraints from tuning (empty for baseline runs).
-    pub constraints: &'a LibraryConstraints,
     /// Sizable variants per family, smallest drive first (indexed by
     /// `FamilyId`; empty for families whose members carry no numeric drive
     /// suffix).
@@ -76,33 +74,49 @@ pub struct TargetLibrary<'a> {
     /// Per cell: drive strength (1.0 when the name has no numeric suffix).
     drive: Vec<f64>,
     /// Per cell: `min(library max_capacitance, window max_load)` over
-    /// output pins — the windows are consulted once, here.
-    eff_max_load: Vec<f64>,
+    /// output pins — the windows are consulted once, in
+    /// [`effective_limits`].
+    pub(crate) eff_max_load: Vec<f64>,
     /// Per cell: min over output pins of the window `max_slew`.
-    eff_max_slew: Vec<f64>,
+    pub(crate) eff_max_slew: Vec<f64>,
+}
+
+/// Folds the tuning windows into per-cell effective limits, indexed by
+/// [`CellId`]: `min(library max_capacitance, window max_load)` and the
+/// window `max_slew`, each the minimum over the cell's output pins. This
+/// is all synthesis reads of `constraints` (a [`TargetLibrary`] keeps only
+/// these limits), so two constraint sets with bit-equal limits synthesize
+/// bit-identical designs.
+pub(crate) fn effective_limits(
+    lib: &Library,
+    constraints: &LibraryConstraints,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut max_load = Vec::with_capacity(lib.cells.len());
+    let mut max_slew = Vec::with_capacity(lib.cells.len());
+    for cell in &lib.cells {
+        let mut load = f64::INFINITY;
+        let mut slew = f64::INFINITY;
+        for p in cell.output_pins() {
+            let win = constraints.window(&cell.name, &p.name);
+            load = load.min(p.max_capacitance.unwrap_or(f64::INFINITY).min(win.max_load));
+            slew = slew.min(win.max_slew);
+        }
+        max_load.push(load);
+        max_slew.push(slew);
+    }
+    (max_load, max_slew)
 }
 
 impl<'a> TargetLibrary<'a> {
     /// Indexes `lib` by cell family via the library interner and folds the
     /// tuning windows into per-cell effective limits.
-    pub fn new(lib: &'a Library, constraints: &'a LibraryConstraints) -> Self {
+    pub fn new(lib: &'a Library, constraints: &LibraryConstraints) -> Self {
         let interner = lib.interner();
         let n = lib.cells.len();
-        let mut drive = vec![1.0f64; n];
-        let mut eff_max_load = vec![0.0f64; n];
-        let mut eff_max_slew = vec![0.0f64; n];
-        for (ci, cell) in lib.cells.iter().enumerate() {
-            drive[ci] = cell.drive_strength().unwrap_or(1.0);
-            let mut load = f64::INFINITY;
-            let mut slew = f64::INFINITY;
-            for p in cell.output_pins() {
-                let win = constraints.window(&cell.name, &p.name);
-                load = load.min(p.max_capacitance.unwrap_or(f64::INFINITY).min(win.max_load));
-                slew = slew.min(win.max_slew);
-            }
-            eff_max_load[ci] = load;
-            eff_max_slew[ci] = slew;
-        }
+        let drive: Vec<f64> = (lib.cells.iter())
+            .map(|cell| cell.drive_strength().unwrap_or(1.0))
+            .collect();
+        let (eff_max_load, eff_max_slew) = effective_limits(lib, constraints);
 
         let mut variants: Vec<Vec<Variant>> = vec![Vec::new(); interner.families().len()];
         let mut ladder_pos: Vec<Option<(FamilyId, u32)>> = vec![None; n];
@@ -130,7 +144,6 @@ impl<'a> TargetLibrary<'a> {
         }
         Self {
             lib,
-            constraints,
             variants,
             ladder_pos,
             drive,

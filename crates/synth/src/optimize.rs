@@ -25,7 +25,7 @@ use varitune_netlist::{NetId, Netlist};
 use varitune_sta::{MappedDesign, StaConfig, StaError, TimingGraph, TimingReport, WireModel};
 
 use crate::constraint::LibraryConstraints;
-use crate::map::{map_netlist, MapError, TargetLibrary};
+use crate::map::{effective_limits, map_netlist, MapError, TargetLibrary};
 
 /// Synthesis configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,6 +99,78 @@ impl From<StaError> for SynthError {
     }
 }
 
+/// What a [`synthesize`] run was computed from besides the netlist and the
+/// library's tables: each cell's effective load and slew limits (all that
+/// synthesis reads of the [`LibraryConstraints`]) and the configuration.
+///
+/// Equality is bit for bit over every limit and configuration field, so
+/// two runs of one netlist and library with equal keys are bit-identical,
+/// whatever windows produced the limits. `threads` counts as given: a
+/// caller comparing keys normalizes it the way it synthesizes.
+#[derive(Debug, Clone)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct SynthKey {
+    max_load: Vec<f64>,
+    max_slew: Vec<f64>,
+    config: SynthConfig,
+}
+
+impl SynthKey {
+    /// The key [`synthesize`] records for `lib`, `constraints` and `cfg`,
+    /// computed without synthesizing.
+    pub fn new(lib: &Library, constraints: &LibraryConstraints, cfg: &SynthConfig) -> Self {
+        let (max_load, max_slew) = effective_limits(lib, constraints);
+        Self {
+            max_load,
+            max_slew,
+            config: *cfg,
+        }
+    }
+}
+
+impl PartialEq for SynthKey {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        same(&self.max_load, &other.max_load)
+            && same(&self.max_slew, &other.max_slew)
+            && config_bits(&self.config) == config_bits(&other.config)
+    }
+}
+
+/// Every field of a configuration as bits. The destructuring is exhaustive,
+/// so a new field fails to compile here until the key covers it.
+fn config_bits(cfg: &SynthConfig) -> [u64; 10] {
+    let SynthConfig {
+        sta,
+        max_iterations,
+        area_recovery,
+        max_fanout,
+        paths_per_iteration,
+        threads,
+    } = *cfg;
+    let StaConfig {
+        clock_period,
+        clock_uncertainty,
+        input_slew,
+        clock_slew,
+        setup_time,
+    } = sta;
+    [
+        clock_period.to_bits(),
+        clock_uncertainty.to_bits(),
+        input_slew.to_bits(),
+        clock_slew.to_bits(),
+        setup_time.to_bits(),
+        max_iterations as u64,
+        u64::from(area_recovery),
+        max_fanout as u64,
+        paths_per_iteration as u64,
+        threads as u64,
+    ]
+}
+
 /// Result of [`synthesize`].
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -115,6 +187,8 @@ pub struct SynthesisResult {
     pub iterations: usize,
     /// Buffer (inverter-pair) gates inserted during legalization.
     pub buffers_inserted: usize,
+    /// What the run was computed from.
+    pub key: SynthKey,
 }
 
 /// Maps and optimizes `netlist` against `lib` under `constraints`.
@@ -182,6 +256,11 @@ pub fn synthesize(
     let design = engine.into_design();
     let area = design.total_area(lib);
     let met_timing = report.meets_timing();
+    let key = SynthKey {
+        max_load: target.eff_max_load,
+        max_slew: target.eff_max_slew,
+        config: *cfg,
+    };
     Ok(SynthesisResult {
         design,
         report,
@@ -189,6 +268,7 @@ pub fn synthesize(
         met_timing,
         iterations,
         buffers_inserted,
+        key,
     })
 }
 
@@ -655,6 +735,48 @@ mod tests {
                 "{updates} updates in {} iterations at {period} ns",
                 r.iterations
             );
+        }
+    }
+
+    #[test]
+    fn a_run_records_its_key_and_equal_keys_synthesize_equal_designs() {
+        let lib = full_lib();
+        let nl = small_mcu();
+        let cfg = SynthConfig::with_clock_period(10.0);
+        let none = LibraryConstraints::unconstrained();
+        let run = synthesize(&nl, &lib, &none, &cfg).unwrap();
+        assert_eq!(run.key, SynthKey::new(&lib, &none, &cfg));
+        // Synthesis reads no window minimum, so bounding only minima keeps
+        // the key, and the run, bit for bit.
+        let mut minima = LibraryConstraints::unconstrained();
+        let window = OperatingWindow {
+            min_slew: 0.01,
+            min_load: 0.001,
+            ..OperatingWindow::unbounded()
+        };
+        minima.set("INV_1", "Z", window);
+        assert_eq!(SynthKey::new(&lib, &minima, &cfg), run.key);
+        assert_eq!(synthesize(&nl, &lib, &minima, &cfg).unwrap(), run);
+        // A maximum, or any configuration field, changes it, down to the
+        // sign of a zero.
+        let mut maxima = LibraryConstraints::unconstrained();
+        let window = OperatingWindow {
+            max_load: 0.001,
+            ..OperatingWindow::unbounded()
+        };
+        maxima.set("INV_1", "Z", window);
+        assert_ne!(SynthKey::new(&lib, &maxima, &cfg), run.key);
+        let mut signed = cfg;
+        signed.sta.clock_uncertainty = -0.0;
+        for other in [
+            signed,
+            SynthConfig { threads: 2, ..cfg },
+            SynthConfig {
+                area_recovery: false,
+                ..cfg
+            },
+        ] {
+            assert_ne!(SynthKey::new(&lib, &none, &other), run.key, "{other:?}");
         }
     }
 
