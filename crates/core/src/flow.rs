@@ -50,7 +50,7 @@ pub struct FlowConfig {
     /// Design generation parameters.
     pub mcu: McuConfig,
     /// Number of Monte-Carlo libraries behind the statistical library (the
-    /// paper combines 50).
+    /// paper combines 50); at least 1.
     pub mc_libraries: usize,
     /// Master seed.
     pub seed: u64,
@@ -173,9 +173,7 @@ impl Flow {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::Stat`] if statistical-library construction
-    /// fails (it cannot for generator-produced inputs, but the error is
-    /// propagated rather than unwrapped).
+    /// Returns [`FlowError::Stat`] when `config.mc_libraries` is 0.
     pub fn prepare(config: FlowConfig) -> Result<Self, FlowError> {
         let nominal = generate_nominal(&config.generate);
         let report = FlowReport::pristine(config.strictness, nominal.cells.len());
@@ -224,6 +222,7 @@ impl Flow {
     ///
     /// # Errors
     ///
+    /// [`FlowError::Stat`] when `config.mc_libraries` is 0;
     /// [`FlowError::Cancelled`] if the current scope's cancel token fires
     /// during characterization.
     pub fn prepare_screened(
@@ -239,6 +238,12 @@ impl Flow {
         nominal: Library,
         mut report: FlowReport,
     ) -> Result<Self, FlowError> {
+        if config.mc_libraries == 0 {
+            return Err(FlowError::Stat(
+                "mc_libraries is 0; the statistical library needs at least one MC library"
+                    .to_string(),
+            ));
+        }
         let span = varitune_trace::span!("flow.prepare");
         varitune_variation::cancel::check()?;
         // Streaming characterization: perturbed values flow column-wise
@@ -357,9 +362,9 @@ impl Flow {
     }
 
     /// Tunes the library with `method`/`params` and runs synthesis under
-    /// the resulting windows. Routed through [`PaperMethodOptimizer`] so
-    /// every tuning strategy goes through the one [`Optimizer`] entry
-    /// point; the output is byte-identical to the pre-trait path.
+    /// the resulting windows: the tuning of [`PaperMethodOptimizer`] (its
+    /// `flow.tune` span and counters) and then [`Flow::run`], the same calls
+    /// in the same order as optimizing with that backend.
     ///
     /// # Errors
     ///
@@ -370,13 +375,9 @@ impl Flow {
         params: TuningParams,
         synth_cfg: &SynthConfig,
     ) -> Result<(TunedLibrary, FlowRun), FlowError> {
-        let mut candidates = self.optimize(&PaperMethodOptimizer { method, params }, synth_cfg)?;
-        match candidates.pop() {
-            Some(c) if candidates.is_empty() => Ok((c.tuned, c.run)),
-            _ => Err(FlowError::Stat(
-                "paper-method optimizer must yield exactly one candidate".to_string(),
-            )),
-        }
+        let tuned = PaperMethodOptimizer { method, params }.tune(&self.stat);
+        let run = self.run(&tuned.constraints, synth_cfg)?;
+        Ok((tuned, run))
     }
 
     /// Runs any [`Optimizer`] backend against this flow under `synth_cfg`.
@@ -730,6 +731,27 @@ mod tests {
         .unwrap();
         assert_eq!(params, again.0);
         assert_eq!(y.to_bits(), again.2.to_bits());
+    }
+
+    #[test]
+    fn zero_mc_libraries_is_a_typed_error_before_characterization() {
+        let cfg = FlowConfig {
+            mc_libraries: 0,
+            ..FlowConfig::small_for_tests()
+        };
+        let nominal = generate_nominal(&cfg.generate);
+        let report = FlowReport::pristine(cfg.strictness, nominal.cells.len());
+        let (results, trace) = varitune_trace::capture_job(|| {
+            [
+                Flow::prepare(cfg.clone()).err(),
+                Flow::prepare_from_library(cfg.clone(), &nominal).err(),
+                Flow::prepare_screened(cfg.clone(), nominal.clone(), report).err(),
+            ]
+        });
+        for err in results {
+            assert!(matches!(err, Some(FlowError::Stat(_))), "{err:?}");
+        }
+        assert_eq!(trace.counter("libchar.mc_trials"), 0);
     }
 
     #[test]

@@ -243,11 +243,9 @@ fn fill_lut(slew_axis: &[f64], load_axis: &[f64], f: &dyn Fn(f64, f64) -> f64) -
 /// because library `k` draws only from its own derived stream
 /// (`derive_seed(seed, "mc-lib", k)`) — **bit-identical for any thread
 /// count**. This entry point uses every available core; see
-/// [`generate_mc_libraries_threaded`] for an explicit knob.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
+/// [`generate_mc_libraries_threaded`] for an explicit knob. `n == 0`
+/// yields no library, which [`crate::StatLibrary::from_libraries`] reports
+/// as [`crate::BuildStatError::Empty`].
 pub fn generate_mc_libraries(
     nominal: &Library,
     cfg: &GenerateConfig,
@@ -261,10 +259,6 @@ pub fn generate_mc_libraries(
 /// (`0` = all available cores, `1` = fully sequential). Characterization MC
 /// is the slowest stage of the flow; it parallelizes embarrassingly because
 /// each perturbed library is one independent trial.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
 pub fn generate_mc_libraries_threaded(
     nominal: &Library,
     cfg: &GenerateConfig,
@@ -272,7 +266,6 @@ pub fn generate_mc_libraries_threaded(
     seed: u64,
     threads: usize,
 ) -> Vec<Library> {
-    assert!(n > 0, "need at least one MC library");
     run_trials(n, threads, |k| {
         perturb_library(nominal, cfg, rng_from(seed, "mc-lib", k as u64))
     })
@@ -614,6 +607,20 @@ mod tests {
         let eight = generate_mc_libraries_threaded(&nominal, &cfg, 6, 13, 8);
         assert_eq!(one, two);
         assert_eq!(one, eight);
+    }
+
+    #[test]
+    fn zero_mc_libraries_are_an_empty_list_not_a_panic() {
+        let cfg = GenerateConfig::small_for_tests();
+        let nominal = generate_nominal(&cfg);
+        for threads in [1, 2] {
+            let mc = generate_mc_libraries_threaded(&nominal, &cfg, 0, 7, threads);
+            assert!(mc.is_empty());
+            assert_eq!(
+                crate::StatLibrary::from_libraries(&mc),
+                Err(crate::BuildStatError::Empty)
+            );
+        }
     }
 
     #[test]

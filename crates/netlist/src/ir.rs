@@ -314,6 +314,14 @@ impl Netlist {
         &self.in_net[self.in_off[gi] as usize..self.in_off[gi + 1] as usize]
     }
 
+    /// Netlist-wide index of gate `gi`'s first input pin. Input pins are
+    /// numbered in gate order, then pin order, so gate `gi`'s pin `k` is
+    /// pin `first_input_pin(gi) + k`; [`Netlist::add_gate`] numbers a new
+    /// gate's pins after every existing one, and no edit renumbers a pin.
+    pub fn first_input_pin(&self, gi: usize) -> usize {
+        self.in_off[gi] as usize
+    }
+
     /// Output nets of gate `gi`, in pin order.
     pub fn gate_outputs(&self, gi: usize) -> &[NetId] {
         &self.out_net[self.out_off[gi] as usize..self.out_off[gi + 1] as usize]
@@ -575,6 +583,7 @@ mod tests {
         assert_eq!(n.gate_name(1), "g1_inv");
         assert_eq!(n.gate_inputs(0), &[NetId(0), NetId(1)]);
         assert_eq!(n.gate_outputs(1), &[NetId(3)]);
+        assert_eq!((n.first_input_pin(0), n.first_input_pin(1)), (0, 2));
         // Rewiring one pin leaves every other row as it was.
         n.set_gate_input(0, 1, NetId(0));
         assert_eq!(n.gate_inputs(0), &[NetId(0), NetId(0)]);

@@ -17,10 +17,14 @@
 //!   a million-gate sea holds only a few hundred distinct combinations, so
 //!   arc resolution costs O(distinct cells), not O(gates), and a resize or
 //!   split to a combination seen before is a lookup.
-//! * **Flat CSR structure** — connectivity, pin capacitances and arcs
-//!   live in shared offset/payload arrays (`in_off`/`in_net`/`in_cap`,
-//!   `out_off`/`out_net`, `arc_off`/`arcs`) instead of per-gate `Vec`s,
-//!   and net sinks live in a `SinkArena`. Construction at a million
+//! * **One copy of the design** — gate pins, kinds, cells and the wire
+//!   model are read from the owned [`MappedDesign`], whose netlist is
+//!   already flat CSR. The graph stores only what it derives: pin
+//!   capacitances (`in_cap`, by the netlist's own pin numbering, see
+//!   [`varitune_netlist::Netlist::first_input_pin`]) and arc rows
+//!   (`arc_off`/`arcs`) in shared offset/payload arrays instead of
+//!   per-gate `Vec`s, net sinks in a `SinkArena`, drivers, primary-output
+//!   taps, levels, setup arcs and endpoints. Construction at a million
 //!   gates allocates a dozen arrays, not millions of boxes, and the
 //!   propagation loop walks contiguous memory.
 //! * **Levelization** — combinational gates are assigned longest-path
@@ -72,12 +76,14 @@
 //! batched and wherever [`TimingGraph::update_loads`] ran between them.
 //! The `tests/` tree and the `sta_harness` bench binary both assert this.
 //!
-//! The engine owns the [`MappedDesign`] it times and keeps its netlist in
-//! step with every structural edit; the `Core` copies the netlist's CSR
-//! rows at build time.
+//! A resize rewrites the design's cell entry and a split edits its
+//! netlist (through [`varitune_netlist::Netlist::set_gate_input`] and
+//! [`varitune_netlist::Netlist::add_gate`]); each then updates the derived
+//! indexes, so no edit writes two copies of one fact.
 //!
-//! Every graph carries a `GraphId`: a build takes a fresh one and a
-//! structural edit renews it. It keys the statistical state
+//! Every graph carries a `GraphId`: a build (including the one behind
+//! [`crate::graph::analyze`]) takes a fresh one and a structural edit
+//! renews it. It keys the statistical state
 //! [`crate::ssta::analyze_ssta`] retains between analyses of one graph, and
 //! building a graph, renewing an id or dropping a graph releases that state.
 
@@ -91,7 +97,7 @@ use varitune_variation::parallel::{resolve_threads, run_shards};
 
 use crate::arcs::{ArcArena, Probe};
 use crate::graph::{Endpoint, EndpointKind, NetTiming, StaConfig, StaError, TimingReport};
-use crate::mapped::{MappedDesign, WireModel};
+use crate::mapped::MappedDesign;
 
 /// Sentinel for "no entry" in the `u32`-typed graph indices (`driver`,
 /// `seq_ep`, `ep_gate`).
@@ -157,12 +163,6 @@ impl SinkArena {
         &self.flat[off..off + self.len[ni] as usize]
     }
 
-    /// One sink without borrowing the arena beyond the call (lets callers
-    /// interleave reads with mutation of sibling state).
-    fn get(&self, ni: usize, s: usize) -> (u32, u32) {
-        self.flat[self.off[ni] as usize + s]
-    }
-
     fn push(&mut self, ni: usize, v: (u32, u32)) {
         if self.len[ni] == self.cap[ni] {
             let new_cap = (self.cap[ni] * 2).max(4);
@@ -205,13 +205,12 @@ struct Shape {
     seq: bool,
 }
 
-/// One cell resolved against a concrete gate shape: dense cell index,
-/// positional input-pin capacitances, the arena ids of its timing arcs
-/// (combinational: output-major `n_out × n_in`; sequential: one launch arc
-/// per output), and of the setup constraint arc when characterized
-/// ([`NONE_U32`] otherwise).
+/// One cell resolved against a concrete gate shape: positional input-pin
+/// capacitances, the arena ids of its timing arcs (combinational:
+/// output-major `n_out × n_in`; sequential: one launch arc per output),
+/// and of the setup constraint arc when characterized ([`NONE_U32`]
+/// otherwise).
 struct InternedCell {
-    ci: u32,
     caps: Vec<f64>,
     arcs: Vec<u32>,
     setup: u32,
@@ -291,7 +290,6 @@ fn intern_cell<'l>(
         }
     }
     Ok(InternedCell {
-        ci: ci as u32,
         caps,
         arcs: arcs
             .into_iter()
@@ -317,90 +315,8 @@ fn intern<'m, 'l>(
     })
 }
 
-/// Everything the propagation needs, with the netlist structure copied
-/// into dense CSR form. Split from [`TimingGraph`] so `analyze` can run a
-/// full propagation against a borrowed design without cloning it, and
-/// exposed `pub(crate)` so [`crate::ssta`] can propagate canonical forms
-/// over the identical structure and schedule.
-pub(crate) struct Core<'l> {
-    pub(crate) lib: &'l Library,
-    pub(crate) config: StaConfig,
-    pub(crate) threads: usize,
-    wire_model: WireModel,
-
-    // ---- interned structure (per gate, CSR) ----
-    pub(crate) cell_idx: Vec<u32>,
-    pub(crate) is_seq: Vec<bool>,
-    /// Longest-path level per gate; 0 for sequential gates.
-    pub(crate) level: Vec<u32>,
-    /// Input row of gate `g`: `in_net[in_off[g]..in_off[g+1]]`; `in_cap`
-    /// shares the offsets (capacitance of the cell pin behind each input,
-    /// 0 when the cell declares fewer pins, matching
-    /// [`MappedDesign::net_loads`]).
-    pub(crate) in_off: Vec<u32>,
-    pub(crate) in_net: Vec<u32>,
-    in_cap: Vec<f64>,
-    /// Output row of gate `g`: `out_net[out_off[g]..out_off[g+1]]`.
-    pub(crate) out_off: Vec<u32>,
-    pub(crate) out_net: Vec<u32>,
-    /// Arc row of gate `g`, as [`ArcArena`] ids: combinational rows hold
-    /// `n_out × n_in` arcs output-major; sequential rows hold one launch
-    /// arc per output.
-    pub(crate) arc_off: Vec<u32>,
-    pub(crate) arcs: Vec<u32>,
-    /// Setup constraint arc of a sequential gate's data pin ([`NONE_U32`]
-    /// for combinational gates or uncharacterized libraries).
-    setup_arc: Vec<u32>,
-    /// Endpoint index of a sequential gate's data input ([`NONE_U32`] for
-    /// combinational gates).
-    seq_ep: Vec<u32>,
-
-    /// Every arc the graph evaluates, packed once.
-    pub(crate) arena: ArcArena<'l>,
-    /// Interned cells by shape, kept for the graph's lifetime.
-    memo: HashMap<Shape, InternedCell>,
-
-    // ---- interned structure (per net) ----
-    /// Gate sinks per net as `(gate, input position)`, ascending — the
-    /// exact accumulation order of [`MappedDesign::net_loads`].
-    sinks: SinkArena,
-    /// Primary-output taps per net (fanout contribution without pin cap).
-    po_taps: Vec<u32>,
-    /// Driving gate per net ([`NONE_U32`] for primary inputs).
-    pub(crate) driver: Vec<u32>,
-    /// Endpoint indices attached to each net (sparse: almost all nets have
-    /// none, so per-net `Vec`s beat an arena here).
-    ep_of_net: Vec<Vec<u32>>,
-    /// Capturing flip-flop gate per endpoint ([`NONE_U32`] for primary
-    /// outputs).
-    ep_gate: Vec<u32>,
-
-    // ---- timing state (valid as of the last `update`) ----
-    pub(crate) loads: Vec<f64>,
-    load_override: Vec<Option<f64>>,
-    pub(crate) nets: Vec<NetTiming>,
-    pub(crate) endpoints: Vec<Endpoint>,
-    /// Delay of each arc slot (parallel to `arcs`) as its gate's last
-    /// evaluation computed it: clock-to-Q for a launch arc, the delay at
-    /// the input's slew and the output's load for a combinational one.
-    /// NaN until the gate is first evaluated.
-    delays: Vec<f64>,
-
-    // ---- dirty tracking ----
-    /// Set by [`Core::invalidate_all`]: the next update counts as a full
-    /// propagation in the trace.
-    all_dirty: bool,
-    dirty_gates: Vec<u32>,
-    dirty_gate: Vec<bool>,
-    dirty_loads: Vec<u32>,
-    dirty_load: Vec<bool>,
-    dirty_eps: Vec<u32>,
-    dirty_ep: Vec<bool>,
-    last_recomputed: usize,
-}
-
-/// A stage's evaluation, before [`Core::commit`] writes it: the gates'
-/// output timings in gate and pin order, and beside them their arc
+/// A stage's evaluation, before [`TimingGraph::commit`] writes it: the
+/// gates' output timings in gate and pin order, and beside them their arc
 /// delays in gate and arc-row order.
 #[derive(Default)]
 struct StageOut {
@@ -408,670 +324,17 @@ struct StageOut {
     delays: Vec<f64>,
 }
 
-impl<'l> Core<'l> {
-    /// Checks `design` and builds its core with the initial full
-    /// propagation. One cell id per gate comes first: a design whose
-    /// public `cells` list drifted from its gate list is rejected before
-    /// any work; then the netlist must validate, and the topological
-    /// order its validation returns levels the gates.
-    fn build_checked(
-        design: &MappedDesign,
-        lib: &'l Library,
-        config: &StaConfig,
-    ) -> Result<Self, StaError> {
-        let (gates, cells) = (design.netlist.gate_count(), design.cells.len());
-        if gates != cells {
-            return Err(StaError::InvalidParameter {
-                reason: format!(
-                    "design binds {cells} cell ids to {gates} gates; one per gate required"
-                ),
-            });
-        }
-        let order = design.netlist.comb_order()?;
-        let mut core = Self::build(design, lib, config, &order)?;
-        core.update()?;
-        Ok(core)
-    }
-
-    fn build(
-        design: &MappedDesign,
-        lib: &'l Library,
-        config: &StaConfig,
-        comb_order: &[usize],
-    ) -> Result<Self, StaError> {
-        let (nl, cells) = (&design.netlist, &design.cells);
-        let n_gates = nl.gate_count();
-        let n_nets = nl.net_count();
-
-        let mut cell_idx: Vec<u32> = Vec::with_capacity(n_gates);
-        let mut is_seq: Vec<bool> = Vec::with_capacity(n_gates);
-        let mut in_off: Vec<u32> = Vec::with_capacity(n_gates + 1);
-        in_off.push(0);
-        let mut in_net: Vec<u32> = Vec::new();
-        let mut in_cap: Vec<f64> = Vec::new();
-        let mut out_off: Vec<u32> = Vec::with_capacity(n_gates + 1);
-        out_off.push(0);
-        let mut out_net: Vec<u32> = Vec::new();
-        let mut arc_off: Vec<u32> = Vec::with_capacity(n_gates + 1);
-        arc_off.push(0);
-        let mut arcs: Vec<u32> = Vec::new();
-        let mut setup_arc: Vec<u32> = Vec::with_capacity(n_gates);
-
-        // Interning memoized on (cell, shape); a failing gate's error
-        // carries the first failing gate index.
-        let mut arena = ArcArena::default();
-        let mut memo = HashMap::new();
-        debug_assert_eq!(cells.len(), n_gates, "callers check the cell count");
-        for (gi, &cell) in cells.iter().enumerate() {
-            let seq = nl.gate_kind(gi).is_sequential();
-            let g_in = nl.gate_inputs(gi);
-            let g_out = nl.gate_outputs(gi);
-            let shape = Shape {
-                cell,
-                n_in: g_in.len(),
-                n_out: g_out.len(),
-                seq,
-            };
-            let ic = intern(&mut memo, &mut arena, lib, gi, shape)?;
-            cell_idx.push(ic.ci);
-            is_seq.push(seq);
-            in_net.extend(g_in.iter().map(|n| n.0));
-            in_cap.extend_from_slice(&ic.caps);
-            in_off.push(in_net.len() as u32);
-            out_net.extend(g_out.iter().map(|n| n.0));
-            out_off.push(out_net.len() as u32);
-            arcs.extend_from_slice(&ic.arcs);
-            arc_off.push(arcs.len() as u32);
-            setup_arc.push(ic.setup);
-        }
-        assert!(
-            in_net.len() <= u32::MAX as usize && arcs.len() <= u32::MAX as usize,
-            "netlist exceeds u32 CSR offsets"
-        );
-
-        // Sinks: exact-capacity arena from a counting pass; filling in
-        // gate order leaves every row ascending by (gate, position).
-        let mut counts = vec![0u32; n_nets];
-        for &inp in &in_net {
-            counts[inp as usize] += 1;
-        }
-        let mut sinks = SinkArena::from_counts(&counts);
-        let mut driver = vec![NONE_U32; n_nets];
-        for gi in 0..n_gates {
-            for (k, idx) in (in_off[gi] as usize..in_off[gi + 1] as usize).enumerate() {
-                sinks.push(in_net[idx] as usize, (gi as u32, k as u32));
-            }
-            for idx in out_off[gi] as usize..out_off[gi + 1] as usize {
-                driver[out_net[idx] as usize] = gi as u32;
-            }
-        }
-        let mut po_taps = vec![0u32; n_nets];
-        for &po in &nl.primary_outputs {
-            po_taps[po.0 as usize] += 1;
-        }
-
-        // Endpoints in `analyze` order: flip-flop data inputs by gate
-        // index, then primary outputs.
-        let mut endpoints = Vec::new();
-        let mut ep_of_net: Vec<Vec<u32>> = vec![Vec::new(); n_nets];
-        let mut ep_gate: Vec<u32> = Vec::new();
-        let mut seq_ep: Vec<u32> = vec![NONE_U32; n_gates];
-        for gi in 0..n_gates {
-            if !is_seq[gi] {
-                continue;
-            }
-            let row = &in_net[in_off[gi] as usize..in_off[gi + 1] as usize];
-            let Some(&d) = row.first() else {
-                return Err(StaError::MalformedGate {
-                    gate: gi,
-                    reason: "sequential gate has no data input".into(),
-                });
-            };
-            let e = endpoints.len() as u32;
-            ep_of_net[d as usize].push(e);
-            ep_gate.push(gi as u32);
-            seq_ep[gi] = e;
-            endpoints.push(Endpoint {
-                net: NetId(d),
-                kind: EndpointKind::FlipFlopData { gate: gi },
-                arrival: f64::NEG_INFINITY,
-                required: 0.0,
-            });
-        }
-        for &po in &nl.primary_outputs {
-            let e = endpoints.len() as u32;
-            ep_of_net[po.0 as usize].push(e);
-            ep_gate.push(NONE_U32);
-            endpoints.push(Endpoint {
-                net: po,
-                kind: EndpointKind::PrimaryOutput,
-                arrival: f64::NEG_INFINITY,
-                required: 0.0,
-            });
-        }
-
-        let mut nets = vec![NetTiming::unpropagated(); n_nets];
-        // Launch points: primary inputs have fixed boundary timing.
-        for &pi in &nl.primary_inputs {
-            let t = &mut nets[pi.0 as usize];
-            t.arrival = 0.0;
-            t.slew = config.input_slew;
-        }
-
-        let (n_eps, n_arcs) = (endpoints.len(), arcs.len());
-        let mut core = Self {
-            lib,
-            config: *config,
-            threads: 1,
-            wire_model: design.wire_model,
-            cell_idx,
-            is_seq,
-            level: Vec::new(),
-            in_off,
-            in_net,
-            in_cap,
-            out_off,
-            out_net,
-            arc_off,
-            arcs,
-            setup_arc,
-            seq_ep,
-            arena,
-            memo,
-            sinks,
-            po_taps,
-            driver,
-            ep_of_net,
-            ep_gate,
-            loads: vec![0.0; n_nets],
-            load_override: vec![None; n_nets],
-            nets,
-            endpoints,
-            delays: vec![f64::NAN; n_arcs],
-            all_dirty: false,
-            dirty_gates: Vec::new(),
-            dirty_gate: vec![false; n_gates],
-            dirty_loads: Vec::new(),
-            dirty_load: vec![false; n_nets],
-            dirty_eps: Vec::new(),
-            dirty_ep: vec![false; n_eps],
-            last_recomputed: 0,
-        };
-        core.level = core.levels(comb_order);
-        core.invalidate_all();
-        varitune_trace::add("sta.graph_builds", 1);
-        Ok(core)
-    }
-
-    pub(crate) fn n_gates(&self) -> usize {
-        self.cell_idx.len()
-    }
-
-    pub(crate) fn gate_inputs(&self, gi: usize) -> &[u32] {
-        &self.in_net[self.in_off[gi] as usize..self.in_off[gi + 1] as usize]
-    }
-
-    pub(crate) fn gate_outputs(&self, gi: usize) -> &[u32] {
-        &self.out_net[self.out_off[gi] as usize..self.out_off[gi + 1] as usize]
-    }
-
-    /// Gate sinks of net `ni` as `(gate, input position)`, ascending.
-    pub(crate) fn sinks(&self, ni: usize) -> &[(u32, u32)] {
-        self.sinks.row(ni)
-    }
-
-    /// Arena ids of gate `gi`'s arc row.
-    pub(crate) fn gate_arcs(&self, gi: usize) -> &[u32] {
-        &self.arcs[self.arc_row(gi)]
-    }
-
-    /// Slots of gate `gi`'s arc row in `arcs` and `delays`.
-    fn arc_row(&self, gi: usize) -> std::ops::Range<usize> {
-        self.arc_off[gi] as usize..self.arc_off[gi + 1] as usize
-    }
-
-    /// Longest-path levels in one pass over `comb_order`, a topological
-    /// order of the combinational gates: a gate sits one above its
-    /// highest combinational driver, at 0 without one; sequential gates
-    /// stay at 0. Longest paths do not depend on which order is walked.
-    /// Runs once per build: edits keep levels exact locally (see
-    /// [`Core::raise_levels`]).
-    fn levels(&self, comb_order: &[usize]) -> Vec<u32> {
-        let mut level = vec![0u32; self.n_gates()];
-        for &gi in comb_order {
-            level[gi] = self
-                .gate_inputs(gi)
-                .iter()
-                .map(|&inp| self.driver[inp as usize])
-                .filter(|&d| d != NONE_U32 && !self.is_seq[d as usize])
-                .map(|d| level[d as usize] + 1)
-                .max()
-                .unwrap_or(0);
-        }
-        level
-    }
-
-    /// Raises levels along `gi`'s forward cone until every combinational
-    /// sink sits above each of its drivers again; a sink that is already
-    /// high enough ends the walk. Levels only rise here, which is exact
-    /// after a split: the one driver the moved sinks lose sits below `gi`,
-    /// so no level has to fall (see [`split_fanout_impl`]).
-    fn raise_levels(&mut self, gi: usize) {
-        let mut work = vec![gi as u32];
-        while let Some(g) = work.pop() {
-            let g = g as usize;
-            let next = self.level[g] + 1;
-            for oi in self.out_off[g] as usize..self.out_off[g + 1] as usize {
-                let out = self.out_net[oi] as usize;
-                for s in 0..self.sinks.n_sinks(out) {
-                    let sg = self.sinks.get(out, s).0 as usize;
-                    if !self.is_seq[sg] && self.level[sg] < next {
-                        self.level[sg] = next;
-                        work.push(sg as u32);
-                    }
-                }
-            }
-        }
-    }
-
-    fn mark_gate_dirty(&mut self, gi: usize) {
-        if !self.dirty_gate[gi] {
-            self.dirty_gate[gi] = true;
-            self.dirty_gates.push(gi as u32);
-        }
-    }
-
-    fn mark_load_dirty(&mut self, ni: usize) {
-        if !self.dirty_load[ni] {
-            self.dirty_load[ni] = true;
-            self.dirty_loads.push(ni as u32);
-        }
-    }
-
-    fn mark_ep_dirty(&mut self, e: usize) {
-        if !self.dirty_ep[e] {
-            self.dirty_ep[e] = true;
-            self.dirty_eps.push(e as u32);
-        }
-    }
-
-    /// Marks every load, gate and endpoint dirty, in ascending order, so
-    /// the next [`Core::update`] re-propagates the whole graph: the same
-    /// sweep as after an edit, with nothing left clean.
-    fn invalidate_all(&mut self) {
-        self.all_dirty = true;
-        let all = |list: &mut Vec<u32>, flags: &mut Vec<bool>| {
-            list.clear();
-            list.extend(0..flags.len() as u32);
-            flags.fill(true);
-        };
-        all(&mut self.dirty_loads, &mut self.dirty_load);
-        all(&mut self.dirty_gates, &mut self.dirty_gate);
-        all(&mut self.dirty_eps, &mut self.dirty_ep);
-    }
-
-    /// Load of one net in the exact summation order of
-    /// [`MappedDesign::net_loads`]: sink pin caps by ascending (gate,
-    /// position), then the wire cap — so incremental loads are
-    /// bit-identical to a fresh full computation.
-    fn compute_load(&self, ni: usize) -> f64 {
-        if let Some(ov) = self.load_override[ni] {
-            return ov;
-        }
-        let mut load = 0.0f64;
-        for &(g, k) in self.sinks.row(ni) {
-            load += self.in_cap[self.in_off[g as usize] as usize + k as usize];
-        }
-        let fanout = self.sinks.n_sinks(ni) + self.po_taps[ni] as usize;
-        load + self.wire_model.wire_cap(fanout)
-    }
-
-    /// Clock-to-Q launch of a sequential gate (one [`NetTiming`] and one
-    /// delay per output appended to `out`), identical arithmetic to the
-    /// launch block of the full analysis.
-    fn eval_seq_into(&self, gi: usize, out: &mut StageOut) -> Result<(), StaError> {
-        let launch = self.gate_arcs(gi);
-        let mut clock = Probe::new(self.config.clock_slew);
-        for (j, (&net, &arc)) in self.gate_outputs(gi).iter().zip(launch).enumerate() {
-            let load = self.loads[net as usize];
-            let mut at_load = Probe::new(load);
-            let delay = self.arena.delay(arc, &mut clock, &mut at_load)?;
-            let slew = self.arena.transition(arc, &mut clock, &mut at_load)?;
-            out.delays.push(delay);
-            out.nets.push(NetTiming {
-                arrival: delay,
-                slew,
-                load,
-                driver: Some(gi),
-                out_pin: j,
-                crit_input: None,
-                cell_delay: delay,
-                crit_input_slew: self.config.clock_slew,
-            });
-        }
-        Ok(())
-    }
-
-    /// Worst-arrival evaluation of a combinational gate (one
-    /// [`NetTiming`] per output and its arc row's delays appended to
-    /// `out`), identical arithmetic to the topological loop of the full
-    /// analysis.
-    fn eval_comb_into(&self, gi: usize, out: &mut StageOut) -> Result<(), StaError> {
-        let ins = self.gate_inputs(gi);
-        let n_in = ins.len();
-        let arcs = self.gate_arcs(gi);
-        for (j, &net) in self.gate_outputs(gi).iter().enumerate() {
-            let row = &arcs[j * n_in..(j + 1) * n_in];
-            let load = self.loads[net as usize];
-            let mut at_load = Probe::new(load);
-            let mut best: Option<NetTiming> = None;
-            for (k, &inp) in ins.iter().enumerate() {
-                let in_t = self.nets[inp as usize];
-                if !in_t.arrival.is_finite() {
-                    return Err(StaError::MalformedGate {
-                        gate: gi,
-                        reason: format!(
-                            "input #{k} has non-finite arrival {} during propagation",
-                            in_t.arrival
-                        ),
-                    });
-                }
-                let arc = row[k];
-                let mut at_slew = Probe::new(in_t.slew);
-                let delay = self.arena.delay(arc, &mut at_slew, &mut at_load)?;
-                out.delays.push(delay);
-                let arrival = in_t.arrival + delay;
-                if best.is_none_or(|b| arrival > b.arrival) {
-                    let slew = self.arena.transition(arc, &mut at_slew, &mut at_load)?;
-                    best = Some(NetTiming {
-                        arrival,
-                        slew,
-                        load,
-                        driver: Some(gi),
-                        out_pin: j,
-                        crit_input: Some(k),
-                        cell_delay: delay,
-                        crit_input_slew: in_t.slew,
-                    });
-                }
-            }
-            out.nets.push(best.ok_or_else(|| StaError::MissingArc {
-                gate: gi,
-                cell: self.lib.cells[self.cell_idx[gi] as usize].name.clone(),
-            })?);
-        }
-        Ok(())
-    }
-
-    fn eval_gate_into(&self, gi: usize, out: &mut StageOut) -> Result<(), StaError> {
-        if self.is_seq[gi] {
-            self.eval_seq_into(gi, out)
-        } else {
-            self.eval_comb_into(gi, out)
-        }
-    }
-
-    /// Evaluates `list`'s gates, appending their outputs to `out` in gate
-    /// and pin order and their arc delays in gate and arc-row order.
-    fn eval_gates(&self, list: &[u32], out: &mut StageOut) -> Result<(), StaError> {
-        list.iter()
-            .try_for_each(|&g| self.eval_gate_into(g as usize, out))
-    }
-
-    /// Writes what [`Core::eval_gates`] left in `out` for `list` and
-    /// empties `out`. Each gate's arc delays replace its row of the delay
-    /// column. An output whose arrival or slew changed bits dirties its
-    /// combinational sinks, each into its stage's list, and its
-    /// endpoints; an unchanged one leaves the cone below it clean.
-    fn commit(&mut self, list: &[u32], out: &mut StageOut, stages: &mut [Vec<u32>]) {
-        let (mut vi, mut di) = (0usize, 0usize);
-        for &g in list {
-            let gi = g as usize;
-            let row = self.arc_row(gi);
-            let next = di + row.len();
-            self.delays[row].copy_from_slice(&out.delays[di..next]);
-            di = next;
-            for idx in self.out_off[gi] as usize..self.out_off[gi + 1] as usize {
-                let ni = self.out_net[idx] as usize;
-                let nt = out.nets[vi];
-                vi += 1;
-                let old = std::mem::replace(&mut self.nets[ni], nt);
-                if old.arrival.to_bits() == nt.arrival.to_bits()
-                    && old.slew.to_bits() == nt.slew.to_bits()
-                {
-                    continue;
-                }
-                for s in 0..self.sinks.n_sinks(ni) {
-                    let sg = self.sinks.get(ni, s).0 as usize;
-                    // Sequential sinks capture (endpoint below); their
-                    // launch does not depend on the data input.
-                    if !self.is_seq[sg] && !self.dirty_gate[sg] {
-                        self.dirty_gate[sg] = true;
-                        stages[self.stage_of(sg)].push(sg as u32);
-                    }
-                }
-                for e in 0..self.ep_of_net[ni].len() {
-                    let e = self.ep_of_net[ni][e] as usize;
-                    self.mark_ep_dirty(e);
-                }
-            }
-            self.dirty_gate[gi] = false;
-            self.last_recomputed += 1;
-        }
-        out.nets.clear();
-        out.delays.clear();
-    }
-
-    fn recompute_endpoint(&mut self, e: usize) {
-        let net = self.endpoints[e].net.0 as usize;
-        let arrival = self.nets[net].arrival;
-        let required = if self.ep_gate[e] != NONE_U32 {
-            let gi = self.ep_gate[e] as usize;
-            let (data, clock) = (self.nets[net].slew, self.config.clock_slew);
-            let setup = match self.setup_arc[gi] {
-                NONE_U32 => None,
-                arc => self
-                    .arena
-                    .delay(arc, &mut Probe::new(data), &mut Probe::new(clock))
-                    .ok(),
-            };
-            let setup = setup.unwrap_or(self.config.setup_time);
-            self.config.effective_period() - setup
-        } else {
-            self.config.effective_period()
-        };
-        self.endpoints[e].arrival = arrival;
-        self.endpoints[e].required = required;
-    }
-
-    /// Propagation stage of gate `gi`: 0 for a sequential (launch) gate,
-    /// `v + 1` for a combinational gate at level `v`.
-    fn stage_of(&self, gi: usize) -> usize {
-        if self.is_seq[gi] {
-            0
-        } else {
-            self.level[gi] as usize + 1
-        }
-    }
-
-    /// Counting-sort stage schedule (used by the statistical propagation
-    /// in [`crate::ssta`] and by [`TimingGraph::required_times`]): every
-    /// gate in its [`Core::stage_of`] stage, ascending within each stage.
-    /// Returns `(stage_off, schedule)` with stage `s` occupying
-    /// `schedule[stage_off[s]..stage_off[s + 1]]`.
-    pub(crate) fn stage_schedule(&self) -> (Vec<u32>, Vec<u32>) {
-        let n = self.n_gates();
-        let max_level = self.level.iter().copied().max().unwrap_or(0) as usize;
-        let n_stages = max_level + 2;
-        let mut stage_off = vec![0u32; n_stages + 1];
-        for gi in 0..n {
-            stage_off[self.stage_of(gi) + 1] += 1;
-        }
-        for s in 0..n_stages {
-            stage_off[s + 1] += stage_off[s];
-        }
-        let mut schedule = vec![0u32; n];
-        let mut cursor: Vec<u32> = stage_off[..n_stages].to_vec();
-        for gi in 0..n {
-            let s = self.stage_of(gi);
-            schedule[cursor[s] as usize] = gi as u32;
-            cursor[s] += 1;
-        }
-        (stage_off, schedule)
-    }
-
-    /// Recomputes the dirty net loads, ascending; a load that changed bits
-    /// dirties its driver for the next [`Core::update`]. The summation
-    /// order is fixed per net by [`Core::compute_load`]; the processing
-    /// order only decides which drivers get marked first.
-    fn update_loads(&mut self) {
-        let mut nets = std::mem::take(&mut self.dirty_loads);
-        nets.sort_unstable();
-        for &ni in &nets {
-            let ni = ni as usize;
-            self.dirty_load[ni] = false;
-            let new = self.compute_load(ni);
-            if new.to_bits() != self.loads[ni].to_bits() {
-                self.loads[ni] = new;
-                self.nets[ni].load = new;
-                let d = self.driver[ni];
-                if d != NONE_U32 {
-                    self.mark_gate_dirty(d as usize);
-                }
-            }
-        }
-    }
-
-    /// Re-propagates everything marked dirty — the engine's one
-    /// propagation, for a build's first pass, after
-    /// [`Core::invalidate_all`] and after every edit; a no-op when clean.
-    ///
-    /// Dirty loads are recomputed first ([`Core::update_loads`]). Dirty
-    /// gates then go stage by stage in ascending order within a stage,
-    /// through [`run_stage`]; a gate's inputs come from earlier stages,
-    /// and a change dirties only sinks in later stages, so one ascending
-    /// sweep converges. Dirty endpoints refresh last, ascending. Commits,
-    /// the first error and endpoints go in the same order at every thread
-    /// count.
-    fn update(&mut self) -> Result<(), StaError> {
-        let tracing = varitune_trace::is_recording();
-        let full = std::mem::take(&mut self.all_dirty);
-        self.last_recomputed = 0;
-
-        // 1. Net loads.
-        self.update_loads();
-
-        // 2. Dirty gates, stage by stage (levels are frozen during an
-        //    update: structural edits re-level before marking).
-        let gates = std::mem::take(&mut self.dirty_gates);
-        if !gates.is_empty() {
-            let max_level = self.level.iter().copied().max().unwrap_or(0) as usize;
-            let mut stages: Vec<Vec<u32>> = vec![Vec::new(); max_level + 2];
-            for &g in &gates {
-                stages[self.stage_of(g as usize)].push(g);
-            }
-            let threads = self.threads;
-            let mut scratch = StageOut::default();
-            for s in 0..stages.len() {
-                let mut list = std::mem::take(&mut stages[s]);
-                if list.is_empty() {
-                    continue;
-                }
-                list.sort_unstable();
-                if tracing {
-                    // Level-parallelism occupancy: how many dirty gates
-                    // each combinational stage offers at once. A function
-                    // of the graph and the edit sequence only, never of
-                    // the thread count.
-                    if s > 0 {
-                        varitune_trace::observe("sta.level_width", list.len() as u64);
-                    }
-                    if list.len() >= MIN_PARALLEL_WIDTH {
-                        self.observe_shards(&list);
-                    }
-                }
-                run_stage(
-                    self,
-                    &list,
-                    threads,
-                    &mut scratch,
-                    Core::eval_gates,
-                    |core, shard, out| core.commit(shard, out, &mut stages),
-                )?;
-            }
-        }
-
-        // 3. Endpoints.
-        let mut eps = std::mem::take(&mut self.dirty_eps);
-        eps.sort_unstable();
-        for &e in &eps {
-            self.dirty_ep[e as usize] = false;
-            self.recompute_endpoint(e as usize);
-        }
-
-        if tracing {
-            varitune_trace::add("sta.updates", 1);
-            if full {
-                varitune_trace::add("sta.full_propagations", 1);
-            }
-            varitune_trace::add("sta.gates_recomputed", self.last_recomputed as u64);
-            // Dirty-cone size distribution: how local each edit really was.
-            varitune_trace::observe("sta.dirty_cone", self.last_recomputed as u64);
-        }
-        Ok(())
-    }
-
-    /// Records the structure of a sharded stage: each shard's gate count
-    /// and how many of its output nets other stages read (the
-    /// boundary-arrival exchange). Functions of the schedule and the
-    /// graph, never of the worker count.
-    fn observe_shards(&self, list: &[u32]) {
-        for shard in list.chunks(SHARD_GATES) {
-            varitune_trace::observe("sta.shard_occupancy", shard.len() as u64);
-            let boundary: usize = shard
-                .iter()
-                .map(|&g| {
-                    self.gate_outputs(g as usize)
-                        .iter()
-                        .filter(|&&ni| {
-                            let ni = ni as usize;
-                            self.sinks.n_sinks(ni) > 0
-                                || self.po_taps[ni] > 0
-                                || !self.ep_of_net[ni].is_empty()
-                        })
-                        .count()
-                })
-                .sum();
-            varitune_trace::observe("sta.boundary_exchange", boundary as u64);
-        }
-    }
-
-    /// Appends the CSR row of a freshly added combinational gate of the
-    /// interned `shape` at `level`, which the caller computes exactly from
-    /// the gate's drivers (its sinks are re-levelled by
-    /// [`Core::raise_levels`]).
-    fn push_gate_row(&mut self, shape: Shape, level: u32, ins: &[u32], outs: &[u32]) {
-        let ic = &self.memo[&shape];
-        self.cell_idx.push(ic.ci);
-        self.is_seq.push(false);
-        self.level.push(level);
-        self.in_net.extend_from_slice(ins);
-        self.in_cap.extend_from_slice(&ic.caps);
-        self.in_off.push(self.in_net.len() as u32);
-        self.out_net.extend_from_slice(outs);
-        self.out_off.push(self.out_net.len() as u32);
-        self.arcs.extend_from_slice(&ic.arcs);
-        self.arc_off.push(self.arcs.len() as u32);
-        self.delays.resize(self.arcs.len(), f64::NAN);
-        self.setup_arc.push(ic.setup);
-        self.seq_ep.push(NONE_U32);
-        self.dirty_gate.push(false);
+/// Puts `i` on a dirty list once: `flags[i]` records that it is there.
+fn mark(list: &mut Vec<u32>, flags: &mut [bool], i: usize) {
+    if !flags[i] {
+        flags[i] = true;
+        list.push(i as u32);
     }
 }
 
 /// Evaluates one propagation stage and commits it — the stage evaluator
-/// of both the deterministic sweep ([`Core::update`]) and the statistical
-/// one ([`crate::ssta`]).
+/// of both the deterministic sweep ([`TimingGraph::update`]) and the
+/// statistical one ([`crate::ssta`]).
 ///
 /// `eval` evaluates a run of `list`'s gates against the frozen `state`
 /// into a scratch buffer; `commit` writes that buffer back into `state`,
@@ -1122,102 +385,6 @@ where
     Ok(())
 }
 
-/// Splits the fanout of `net` behind an INV→INV pair — the engine-side
-/// half of [`TimingGraph::split_fanout_id`].
-fn split_fanout_impl(
-    core: &mut Core<'_>,
-    design: &mut MappedDesign,
-    net: NetId,
-    inv_cell: CellId,
-) -> Result<(usize, usize), StaError> {
-    // Intern before touching anything, so a cell that does not fit leaves
-    // the engine unchanged. Both inverters share the cell and the shape.
-    let g1 = design.netlist.gate_count();
-    let shape = Shape {
-        cell: inv_cell,
-        n_in: 1,
-        n_out: 1,
-        seq: false,
-    };
-    intern(&mut core.memo, &mut core.arena, core.lib, g1, shape)?;
-
-    let ni = net.0 as usize;
-    let all: Vec<(u32, u32)> = core.sinks.row(ni).to_vec();
-    let moved: Vec<(u32, u32)> = all[all.len() / 2..].to_vec();
-
-    let nl = &mut design.netlist;
-    let base = nl.net_name(net).to_string();
-    let mid = nl.add_net(format_args!("{base}_bufm"));
-    let out = nl.add_net(format_args!("{base}_bufo"));
-    for &(g, k) in &moved {
-        nl.set_gate_input(g as usize, k as usize, out);
-    }
-    nl.add_gate(GateKind::Inv, &[net], &[mid]);
-    let g2 = nl.add_gate(GateKind::Inv, &[mid], &[out]);
-    design.cells.push(inv_cell);
-    design.cells.push(inv_cell);
-
-    let (mi, oi) = (mid.0 as usize, out.0 as usize);
-    // Per-net rows for `mid` and `out` (in id order).
-    core.sinks.add_row(&[(g2 as u32, 0)]);
-    core.sinks.add_row(&moved);
-    for _ in 0..2 {
-        core.po_taps.push(0);
-        core.driver.push(NONE_U32);
-        core.ep_of_net.push(Vec::new());
-        core.loads.push(0.0);
-        core.load_override.push(None);
-        core.nets.push(NetTiming::unpropagated());
-        core.dirty_load.push(false);
-    }
-    core.driver[mi] = g1 as u32;
-    core.driver[oi] = g2 as u32;
-    core.sinks.truncate(ni, all.len() / 2);
-    core.sinks.push(ni, (g1 as u32, 0));
-    for &(g, k) in &moved {
-        let i0 = core.in_off[g as usize] as usize;
-        core.in_net[i0 + k as usize] = out.0;
-    }
-
-    // Per-gate CSR rows for the two inverters: `g1` one level above the
-    // split net's driver (a primary-input or sequential driver puts it at
-    // level 0), `g2` one above `g1`.
-    let l1 = match core.driver[ni] {
-        d if d == NONE_U32 || core.is_seq[d as usize] => 0,
-        d => core.level[d as usize] + 1,
-    };
-    core.push_gate_row(shape, l1, &[net.0], &[mid.0]);
-    core.push_gate_row(shape, l1 + 1, &[mid.0], &[out.0]);
-
-    // Endpoints attached to moved flip-flop data inputs follow their net.
-    for &(g, _) in &moved {
-        let e = core.seq_ep[g as usize];
-        if e != NONE_U32 {
-            let e = e as usize;
-            core.endpoints[e].net = out;
-            core.ep_of_net[ni].retain(|&x| x as usize != e);
-            core.ep_of_net[oi].push(e as u32);
-            core.mark_ep_dirty(e);
-        }
-    }
-
-    // Structure changed: re-level before marking dirt. Only the moved
-    // sinks lost a driver (the split net's, which sits below `g2`) and
-    // gained one (`g2`), so raising `g2`'s forward cone is exact.
-    core.raise_levels(g2);
-    core.mark_load_dirty(ni);
-    core.mark_load_dirty(mi);
-    core.mark_load_dirty(oi);
-    core.mark_gate_dirty(g1);
-    core.mark_gate_dirty(g2);
-    for &(g, _) in &moved {
-        if !core.is_seq[g as usize] {
-            core.mark_gate_dirty(g as usize);
-        }
-    }
-    Ok((g1, g2))
-}
-
 /// Source of [`GraphId`]s; never reused within a process.
 static NEXT_GRAPH_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -1257,21 +424,96 @@ impl Drop for GraphId {
 /// [`TimingGraph::loads`] alone, for a caller that reads only loads
 /// between edits; structural queries ([`TimingGraph::fanout`],
 /// [`TimingGraph::driver`], gate pins) reflect edits immediately.
+///
+/// The graph reads gate pins, kinds, cells and the wire model from the
+/// [`MappedDesign`] it owns and stores only what it derives from them; its
+/// fields are `pub(crate)` where [`crate::ssta`] propagates canonical forms
+/// over the identical structure and schedule.
 pub struct TimingGraph<'l> {
+    /// The design being timed; every edit writes it in place, once.
     design: MappedDesign,
-    core: Core<'l>,
+    pub(crate) lib: &'l Library,
+    pub(crate) config: StaConfig,
+    pub(crate) threads: usize,
     id: GraphId,
+
+    // ---- derived per gate ----
+    /// Longest-path level per gate; 0 for sequential gates.
+    level: Vec<u32>,
+    /// Capacitance of the cell pin behind each gate input, by the
+    /// netlist's pin numbering (gate `g`'s pin `k` is
+    /// `first_input_pin(g) + k`); 0 when the cell declares fewer pins,
+    /// matching [`MappedDesign::net_loads`].
+    in_cap: Vec<f64>,
+    /// Arc row of gate `g`, as [`ArcArena`] ids: combinational rows hold
+    /// `n_out × n_in` arcs output-major; sequential rows hold one launch
+    /// arc per output.
+    pub(crate) arc_off: Vec<u32>,
+    pub(crate) arcs: Vec<u32>,
+    /// Setup constraint arc of a sequential gate's data pin ([`NONE_U32`]
+    /// for combinational gates or uncharacterized libraries).
+    setup_arc: Vec<u32>,
+    /// Endpoint index of a sequential gate's data input ([`NONE_U32`] for
+    /// combinational gates).
+    seq_ep: Vec<u32>,
+
+    /// Every arc the graph evaluates, packed once.
+    pub(crate) arena: ArcArena<'l>,
+    /// Interned cells by shape, kept for the graph's lifetime.
+    memo: HashMap<Shape, InternedCell>,
+
+    // ---- derived per net ----
+    /// Gate sinks per net as `(gate, input position)`, ascending — the
+    /// exact accumulation order of [`MappedDesign::net_loads`].
+    sinks: SinkArena,
+    /// Primary-output taps per net (fanout contribution without pin cap).
+    po_taps: Vec<u32>,
+    /// Driving gate per net ([`NONE_U32`] for primary inputs).
+    pub(crate) driver: Vec<u32>,
+    /// Endpoint indices attached to each net (sparse: almost all nets have
+    /// none, so per-net `Vec`s beat an arena here).
+    ep_of_net: Vec<Vec<u32>>,
+    /// Capturing flip-flop gate per endpoint ([`NONE_U32`] for primary
+    /// outputs).
+    ep_gate: Vec<u32>,
+
+    // ---- timing state (valid as of the last `update`) ----
+    pub(crate) loads: Vec<f64>,
+    load_override: Vec<Option<f64>>,
+    pub(crate) nets: Vec<NetTiming>,
+    pub(crate) endpoints: Vec<Endpoint>,
+    /// Delay of each arc slot (parallel to `arcs`) as its gate's last
+    /// evaluation computed it: clock-to-Q for a launch arc, the delay at
+    /// the input's slew and the output's load for a combinational one.
+    /// NaN until the gate is first evaluated.
+    delays: Vec<f64>,
+
+    // ---- dirty tracking ----
+    /// Set by [`TimingGraph::invalidate_all`]: the next update counts as a
+    /// full propagation in the trace.
+    all_dirty: bool,
+    dirty_gates: Vec<u32>,
+    dirty_gate: Vec<bool>,
+    dirty_loads: Vec<u32>,
+    dirty_load: Vec<bool>,
+    dirty_eps: Vec<u32>,
+    dirty_ep: Vec<bool>,
+    last_recomputed: usize,
 }
 
 impl<'l> TimingGraph<'l> {
     /// Builds the engine and runs the initial full propagation.
     ///
+    /// The configuration is checked first, then that `design.cells` holds
+    /// one cell id per gate; then the netlist must validate, and the
+    /// topological order its validation returns levels the gates.
+    ///
     /// # Errors
     ///
     /// Returns [`StaError`] under the same conditions as
     /// [`crate::graph::analyze`]: among them
-    /// [`StaError::InvalidParameter`] when `design.cells` does not hold
-    /// exactly one cell id per gate.
+    /// [`StaError::InvalidParameter`] when a [`StaConfig`] field is NaN or
+    /// `design.cells` does not hold exactly one cell id per gate.
     pub fn new(
         design: MappedDesign,
         lib: &'l Library,
@@ -1280,8 +522,168 @@ impl<'l> TimingGraph<'l> {
         // Before the build, so retained statistical state is freed before
         // the build allocates.
         let id = GraphId::new();
-        let core = Core::build_checked(&design, lib, config)?;
-        Ok(Self { design, core, id })
+        config.check()?;
+        let (gates, cells) = (design.netlist.gate_count(), design.cells.len());
+        if gates != cells {
+            return Err(StaError::InvalidParameter {
+                reason: format!(
+                    "design binds {cells} cell ids to {gates} gates; one per gate required"
+                ),
+            });
+        }
+        let order = design.netlist.comb_order()?;
+        let mut graph = Self::build(design, lib, config, id, &order)?;
+        graph.update()?;
+        Ok(graph)
+    }
+
+    fn build(
+        design: MappedDesign,
+        lib: &'l Library,
+        config: &StaConfig,
+        id: GraphId,
+        comb_order: &[usize],
+    ) -> Result<Self, StaError> {
+        let nl = &design.netlist;
+        let n_gates = nl.gate_count();
+        let n_nets = nl.net_count();
+
+        let mut in_cap: Vec<f64> = Vec::new();
+        let mut arc_off: Vec<u32> = Vec::with_capacity(n_gates + 1);
+        arc_off.push(0);
+        let mut arcs: Vec<u32> = Vec::new();
+        let mut setup_arc: Vec<u32> = Vec::with_capacity(n_gates);
+
+        // Interning memoized on (cell, shape); a failing gate's error
+        // carries the first failing gate index.
+        let mut arena = ArcArena::default();
+        let mut memo = HashMap::new();
+        for (gi, &cell) in design.cells.iter().enumerate() {
+            let shape = Shape {
+                cell,
+                n_in: nl.gate_inputs(gi).len(),
+                n_out: nl.gate_outputs(gi).len(),
+                seq: nl.gate_kind(gi).is_sequential(),
+            };
+            let ic = intern(&mut memo, &mut arena, lib, gi, shape)?;
+            in_cap.extend_from_slice(&ic.caps);
+            arcs.extend_from_slice(&ic.arcs);
+            arc_off.push(arcs.len() as u32);
+            setup_arc.push(ic.setup);
+        }
+        assert!(
+            arcs.len() <= u32::MAX as usize,
+            "netlist exceeds u32 arc offsets"
+        );
+
+        // Sinks: exact-capacity arena from a counting pass; filling in
+        // gate order leaves every row ascending by (gate, position).
+        let mut counts = vec![0u32; n_nets];
+        for gi in 0..n_gates {
+            for &inp in nl.gate_inputs(gi) {
+                counts[inp.0 as usize] += 1;
+            }
+        }
+        let mut sinks = SinkArena::from_counts(&counts);
+        let mut driver = vec![NONE_U32; n_nets];
+        for gi in 0..n_gates {
+            for (k, &inp) in nl.gate_inputs(gi).iter().enumerate() {
+                sinks.push(inp.0 as usize, (gi as u32, k as u32));
+            }
+            for &out in nl.gate_outputs(gi) {
+                driver[out.0 as usize] = gi as u32;
+            }
+        }
+        let mut po_taps = vec![0u32; n_nets];
+        for &po in &nl.primary_outputs {
+            po_taps[po.0 as usize] += 1;
+        }
+
+        // Endpoints in `analyze` order: flip-flop data inputs by gate
+        // index, then primary outputs.
+        let mut endpoints = Vec::new();
+        let mut ep_of_net: Vec<Vec<u32>> = vec![Vec::new(); n_nets];
+        let mut ep_gate: Vec<u32> = Vec::new();
+        let mut seq_ep: Vec<u32> = vec![NONE_U32; n_gates];
+        for (gi, slot) in seq_ep.iter_mut().enumerate() {
+            if !nl.gate_kind(gi).is_sequential() {
+                continue;
+            }
+            let Some(&d) = nl.gate_inputs(gi).first() else {
+                return Err(StaError::MalformedGate {
+                    gate: gi,
+                    reason: "sequential gate has no data input".into(),
+                });
+            };
+            let e = endpoints.len() as u32;
+            ep_of_net[d.0 as usize].push(e);
+            ep_gate.push(gi as u32);
+            *slot = e;
+            endpoints.push(Endpoint {
+                net: d,
+                kind: EndpointKind::FlipFlopData { gate: gi },
+                arrival: f64::NEG_INFINITY,
+                required: 0.0,
+            });
+        }
+        for &po in &nl.primary_outputs {
+            let e = endpoints.len() as u32;
+            ep_of_net[po.0 as usize].push(e);
+            ep_gate.push(NONE_U32);
+            endpoints.push(Endpoint {
+                net: po,
+                kind: EndpointKind::PrimaryOutput,
+                arrival: f64::NEG_INFINITY,
+                required: 0.0,
+            });
+        }
+
+        let mut nets = vec![NetTiming::unpropagated(); n_nets];
+        // Launch points: primary inputs have fixed boundary timing.
+        for &pi in &nl.primary_inputs {
+            let t = &mut nets[pi.0 as usize];
+            t.arrival = 0.0;
+            t.slew = config.input_slew;
+        }
+
+        let (n_eps, n_arcs) = (endpoints.len(), arcs.len());
+        let mut graph = Self {
+            design,
+            lib,
+            config: *config,
+            threads: 1,
+            id,
+            level: Vec::new(),
+            in_cap,
+            arc_off,
+            arcs,
+            setup_arc,
+            seq_ep,
+            arena,
+            memo,
+            sinks,
+            po_taps,
+            driver,
+            ep_of_net,
+            ep_gate,
+            loads: vec![0.0; n_nets],
+            load_override: vec![None; n_nets],
+            nets,
+            endpoints,
+            delays: vec![f64::NAN; n_arcs],
+            all_dirty: false,
+            dirty_gates: Vec::new(),
+            dirty_gate: vec![false; n_gates],
+            dirty_loads: Vec::new(),
+            dirty_load: vec![false; n_nets],
+            dirty_eps: Vec::new(),
+            dirty_ep: vec![false; n_eps],
+            last_recomputed: 0,
+        };
+        graph.level = graph.levels(comb_order);
+        graph.invalidate_all();
+        varitune_trace::add("sta.graph_builds", 1);
+        Ok(graph)
     }
 
     /// [`TimingGraph::new`] under its former name; kept only for
@@ -1294,16 +696,19 @@ impl<'l> TimingGraph<'l> {
         Self::new(design, lib, config)
     }
 
+    /// The timing state as a [`TimingReport`], without copying it.
+    pub(crate) fn into_report(self) -> TimingReport {
+        TimingReport {
+            config: self.config,
+            nets: self.nets,
+            endpoints: self.endpoints,
+        }
+    }
+
     /// Worker threads for within-level propagation (`0` = all available
     /// cores, `1` = serial). Results are bit-identical for any value.
     pub fn set_threads(&mut self, threads: usize) {
-        self.core.threads = threads;
-    }
-
-    /// The interned CSR core — shared with [`crate::ssta`] so statistical
-    /// propagation reuses the identical structure and stage schedule.
-    pub(crate) fn core(&self) -> &Core<'l> {
-        &self.core
+        self.threads = threads;
     }
 
     /// The graph's current [`GraphId`] number.
@@ -1312,7 +717,7 @@ impl<'l> TimingGraph<'l> {
     }
 
     fn check_gate(&self, gi: usize) -> Result<(), StaError> {
-        let n = self.core.n_gates();
+        let n = self.gate_count();
         if gi < n {
             return Ok(());
         }
@@ -1322,13 +727,450 @@ impl<'l> TimingGraph<'l> {
     }
 
     fn check_net(&self, net: NetId) -> Result<(), StaError> {
-        let n = self.core.nets.len();
+        let n = self.nets.len();
         if (net.0 as usize) < n {
             return Ok(());
         }
         Err(StaError::InvalidParameter {
             reason: format!("net index {} out of range (graph has {n} nets)", net.0),
         })
+    }
+
+    /// Gate sinks of net `ni` as `(gate, input position)`, ascending.
+    pub(crate) fn sinks(&self, ni: usize) -> &[(u32, u32)] {
+        self.sinks.row(ni)
+    }
+
+    /// Arena ids of gate `gi`'s arc row.
+    pub(crate) fn gate_arcs(&self, gi: usize) -> &[u32] {
+        &self.arcs[self.arc_row(gi)]
+    }
+
+    /// Slots of gate `gi`'s arc row in `arcs` and `delays`.
+    fn arc_row(&self, gi: usize) -> std::ops::Range<usize> {
+        self.arc_off[gi] as usize..self.arc_off[gi + 1] as usize
+    }
+
+    /// Longest-path levels in one pass over `comb_order`, a topological
+    /// order of the combinational gates: a gate sits one above its
+    /// highest combinational driver, at 0 without one; sequential gates
+    /// stay at 0. Longest paths do not depend on which order is walked.
+    /// Runs once per build: edits keep levels exact locally (see
+    /// [`TimingGraph::raise_levels`]).
+    fn levels(&self, comb_order: &[usize]) -> Vec<u32> {
+        let nl = &self.design.netlist;
+        let mut level = vec![0u32; nl.gate_count()];
+        for &gi in comb_order {
+            level[gi] = nl
+                .gate_inputs(gi)
+                .iter()
+                .map(|inp| self.driver[inp.0 as usize])
+                .filter(|&d| d != NONE_U32 && !nl.gate_kind(d as usize).is_sequential())
+                .map(|d| level[d as usize] + 1)
+                .max()
+                .unwrap_or(0);
+        }
+        level
+    }
+
+    /// Raises levels along `gi`'s forward cone until every combinational
+    /// sink sits above each of its drivers again; a sink that is already
+    /// high enough ends the walk. Levels only rise here, which is exact
+    /// after a split: the one driver the moved sinks lose sits below `gi`,
+    /// so no level has to fall (see [`TimingGraph::split_fanout_impl`]).
+    fn raise_levels(&mut self, gi: usize) {
+        let nl = &self.design.netlist;
+        let mut work = vec![gi as u32];
+        while let Some(g) = work.pop() {
+            let g = g as usize;
+            let next = self.level[g] + 1;
+            for &out in nl.gate_outputs(g) {
+                for &(sg, _) in self.sinks.row(out.0 as usize) {
+                    let sg = sg as usize;
+                    if !nl.gate_kind(sg).is_sequential() && self.level[sg] < next {
+                        self.level[sg] = next;
+                        work.push(sg as u32);
+                    }
+                }
+            }
+        }
+    }
+
+    fn mark_gate_dirty(&mut self, gi: usize) {
+        mark(&mut self.dirty_gates, &mut self.dirty_gate, gi);
+    }
+
+    fn mark_load_dirty(&mut self, ni: usize) {
+        mark(&mut self.dirty_loads, &mut self.dirty_load, ni);
+    }
+
+    fn mark_ep_dirty(&mut self, e: usize) {
+        mark(&mut self.dirty_eps, &mut self.dirty_ep, e);
+    }
+
+    /// Marks every load, gate and endpoint dirty, in ascending order, so
+    /// the next [`TimingGraph::update`] re-propagates the whole graph: the
+    /// same sweep as after an edit, with nothing left clean. Every build
+    /// runs it; benches use it to time full re-analysis.
+    pub fn invalidate_all(&mut self) {
+        self.all_dirty = true;
+        let all = |list: &mut Vec<u32>, flags: &mut Vec<bool>| {
+            list.clear();
+            list.extend(0..flags.len() as u32);
+            flags.fill(true);
+        };
+        all(&mut self.dirty_loads, &mut self.dirty_load);
+        all(&mut self.dirty_gates, &mut self.dirty_gate);
+        all(&mut self.dirty_eps, &mut self.dirty_ep);
+    }
+
+    /// Load of one net in the exact summation order of
+    /// [`MappedDesign::net_loads`]: sink pin caps by ascending (gate,
+    /// position), then the wire cap — so incremental loads are
+    /// bit-identical to a fresh full computation.
+    fn compute_load(&self, ni: usize) -> f64 {
+        if let Some(ov) = self.load_override[ni] {
+            return ov;
+        }
+        let nl = &self.design.netlist;
+        let mut load = 0.0f64;
+        for &(g, k) in self.sinks.row(ni) {
+            load += self.in_cap[nl.first_input_pin(g as usize) + k as usize];
+        }
+        let fanout = self.sinks.n_sinks(ni) + self.po_taps[ni] as usize;
+        load + self.design.wire_model.wire_cap(fanout)
+    }
+
+    /// Clock-to-Q launch of a sequential gate (one [`NetTiming`] and one
+    /// delay per output appended to `out`), identical arithmetic to the
+    /// launch block of the full analysis.
+    fn eval_seq_into(&self, gi: usize, out: &mut StageOut) -> Result<(), StaError> {
+        let launch = self.gate_arcs(gi);
+        let mut clock = Probe::new(self.config.clock_slew);
+        let outs = self.design.netlist.gate_outputs(gi);
+        for (j, (&net, &arc)) in outs.iter().zip(launch).enumerate() {
+            let load = self.loads[net.0 as usize];
+            let mut at_load = Probe::new(load);
+            let delay = self.arena.delay(arc, &mut clock, &mut at_load)?;
+            let slew = self.arena.transition(arc, &mut clock, &mut at_load)?;
+            out.delays.push(delay);
+            out.nets.push(NetTiming {
+                arrival: delay,
+                slew,
+                load,
+                driver: Some(gi),
+                out_pin: j,
+                crit_input: None,
+                cell_delay: delay,
+                crit_input_slew: self.config.clock_slew,
+            });
+        }
+        Ok(())
+    }
+
+    /// Worst-arrival evaluation of a combinational gate (one
+    /// [`NetTiming`] per output and its arc row's delays appended to
+    /// `out`), identical arithmetic to the topological loop of the full
+    /// analysis.
+    fn eval_comb_into(&self, gi: usize, out: &mut StageOut) -> Result<(), StaError> {
+        let nl = &self.design.netlist;
+        let ins = nl.gate_inputs(gi);
+        let n_in = ins.len();
+        let arcs = self.gate_arcs(gi);
+        for (j, &net) in nl.gate_outputs(gi).iter().enumerate() {
+            let row = &arcs[j * n_in..(j + 1) * n_in];
+            let load = self.loads[net.0 as usize];
+            let mut at_load = Probe::new(load);
+            let mut best: Option<NetTiming> = None;
+            for (k, &inp) in ins.iter().enumerate() {
+                let in_t = self.nets[inp.0 as usize];
+                if !in_t.arrival.is_finite() {
+                    return Err(StaError::MalformedGate {
+                        gate: gi,
+                        reason: format!(
+                            "input #{k} has non-finite arrival {} during propagation",
+                            in_t.arrival
+                        ),
+                    });
+                }
+                let arc = row[k];
+                let mut at_slew = Probe::new(in_t.slew);
+                let delay = self.arena.delay(arc, &mut at_slew, &mut at_load)?;
+                out.delays.push(delay);
+                let arrival = in_t.arrival + delay;
+                if best.is_none_or(|b| arrival > b.arrival) {
+                    let slew = self.arena.transition(arc, &mut at_slew, &mut at_load)?;
+                    best = Some(NetTiming {
+                        arrival,
+                        slew,
+                        load,
+                        driver: Some(gi),
+                        out_pin: j,
+                        crit_input: Some(k),
+                        cell_delay: delay,
+                        crit_input_slew: in_t.slew,
+                    });
+                }
+            }
+            out.nets.push(best.ok_or_else(|| StaError::MissingArc {
+                gate: gi,
+                cell: self.cell_name(gi).to_string(),
+            })?);
+        }
+        Ok(())
+    }
+
+    fn eval_gate_into(&self, gi: usize, out: &mut StageOut) -> Result<(), StaError> {
+        if self.is_sequential(gi) {
+            self.eval_seq_into(gi, out)
+        } else {
+            self.eval_comb_into(gi, out)
+        }
+    }
+
+    /// Evaluates `list`'s gates, appending their outputs to `out` in gate
+    /// and pin order and their arc delays in gate and arc-row order.
+    fn eval_gates(&self, list: &[u32], out: &mut StageOut) -> Result<(), StaError> {
+        list.iter()
+            .try_for_each(|&g| self.eval_gate_into(g as usize, out))
+    }
+
+    /// Writes what [`TimingGraph::eval_gates`] left in `out` for `list`
+    /// and empties `out`. Each gate's arc delays replace its row of the
+    /// delay column. An output whose arrival or slew changed bits dirties
+    /// its combinational sinks, each into its stage's list, and its
+    /// endpoints; an unchanged one leaves the cone below it clean.
+    fn commit(&mut self, list: &[u32], out: &mut StageOut, stages: &mut [Vec<u32>]) {
+        let (mut vi, mut di) = (0usize, 0usize);
+        for &g in list {
+            let gi = g as usize;
+            let row = self.arc_row(gi);
+            let next = di + row.len();
+            self.delays[row].copy_from_slice(&out.delays[di..next]);
+            di = next;
+            let nl = &self.design.netlist;
+            for &net in nl.gate_outputs(gi) {
+                let ni = net.0 as usize;
+                let nt = out.nets[vi];
+                vi += 1;
+                let old = std::mem::replace(&mut self.nets[ni], nt);
+                if old.arrival.to_bits() == nt.arrival.to_bits()
+                    && old.slew.to_bits() == nt.slew.to_bits()
+                {
+                    continue;
+                }
+                for &(sg, _) in self.sinks.row(ni) {
+                    let sg = sg as usize;
+                    // Sequential sinks capture (endpoint below); their
+                    // launch does not depend on the data input.
+                    if !nl.gate_kind(sg).is_sequential() && !self.dirty_gate[sg] {
+                        self.dirty_gate[sg] = true;
+                        stages[self.stage_of(sg)].push(sg as u32);
+                    }
+                }
+                for &e in &self.ep_of_net[ni] {
+                    mark(&mut self.dirty_eps, &mut self.dirty_ep, e as usize);
+                }
+            }
+            self.dirty_gate[gi] = false;
+            self.last_recomputed += 1;
+        }
+        out.nets.clear();
+        out.delays.clear();
+    }
+
+    fn recompute_endpoint(&mut self, e: usize) {
+        let net = self.endpoints[e].net.0 as usize;
+        let arrival = self.nets[net].arrival;
+        let required = if self.ep_gate[e] != NONE_U32 {
+            let gi = self.ep_gate[e] as usize;
+            let (data, clock) = (self.nets[net].slew, self.config.clock_slew);
+            let setup = match self.setup_arc[gi] {
+                NONE_U32 => None,
+                arc => self
+                    .arena
+                    .delay(arc, &mut Probe::new(data), &mut Probe::new(clock))
+                    .ok(),
+            };
+            let setup = setup.unwrap_or(self.config.setup_time);
+            self.config.effective_period() - setup
+        } else {
+            self.config.effective_period()
+        };
+        self.endpoints[e].arrival = arrival;
+        self.endpoints[e].required = required;
+    }
+
+    /// Propagation stage of gate `gi`: 0 for a sequential (launch) gate,
+    /// `v + 1` for a combinational gate at level `v`.
+    fn stage_of(&self, gi: usize) -> usize {
+        if self.is_sequential(gi) {
+            0
+        } else {
+            self.level[gi] as usize + 1
+        }
+    }
+
+    /// Counting-sort stage schedule (used by the statistical propagation
+    /// in [`crate::ssta`] and by [`TimingGraph::required_times`]): every
+    /// gate in its [`TimingGraph::stage_of`] stage, ascending within each
+    /// stage. Returns `(stage_off, schedule)` with stage `s` occupying
+    /// `schedule[stage_off[s]..stage_off[s + 1]]`.
+    pub(crate) fn stage_schedule(&self) -> (Vec<u32>, Vec<u32>) {
+        let n = self.gate_count();
+        let max_level = self.level.iter().copied().max().unwrap_or(0) as usize;
+        let n_stages = max_level + 2;
+        let mut stage_off = vec![0u32; n_stages + 1];
+        for gi in 0..n {
+            stage_off[self.stage_of(gi) + 1] += 1;
+        }
+        for s in 0..n_stages {
+            stage_off[s + 1] += stage_off[s];
+        }
+        let mut schedule = vec![0u32; n];
+        let mut cursor: Vec<u32> = stage_off[..n_stages].to_vec();
+        for gi in 0..n {
+            let s = self.stage_of(gi);
+            schedule[cursor[s] as usize] = gi as u32;
+            cursor[s] += 1;
+        }
+        (stage_off, schedule)
+    }
+
+    /// Records the structure of a sharded stage: each shard's gate count
+    /// and how many of its output nets other stages read (the
+    /// boundary-arrival exchange). Functions of the schedule and the
+    /// graph, never of the worker count.
+    fn observe_shards(&self, list: &[u32]) {
+        for shard in list.chunks(SHARD_GATES) {
+            varitune_trace::observe("sta.shard_occupancy", shard.len() as u64);
+            let boundary: usize = shard
+                .iter()
+                .map(|&g| {
+                    self.design
+                        .netlist
+                        .gate_outputs(g as usize)
+                        .iter()
+                        .filter(|&&net| {
+                            let ni = net.0 as usize;
+                            self.sinks.n_sinks(ni) > 0
+                                || self.po_taps[ni] > 0
+                                || !self.ep_of_net[ni].is_empty()
+                        })
+                        .count()
+                })
+                .sum();
+            varitune_trace::observe("sta.boundary_exchange", boundary as u64);
+        }
+    }
+
+    /// Appends the derived rows of a freshly added combinational gate of
+    /// the interned `shape` at `level`, which the caller computes exactly
+    /// from the gate's drivers (its sinks are re-levelled by
+    /// [`TimingGraph::raise_levels`]). The gate's pins are the netlist's
+    /// last, so its pin caps go at the end of `in_cap`.
+    fn push_gate_row(&mut self, shape: Shape, level: u32) {
+        let ic = &self.memo[&shape];
+        self.level.push(level);
+        self.in_cap.extend_from_slice(&ic.caps);
+        self.arcs.extend_from_slice(&ic.arcs);
+        self.arc_off.push(self.arcs.len() as u32);
+        self.delays.resize(self.arcs.len(), f64::NAN);
+        self.setup_arc.push(ic.setup);
+        self.seq_ep.push(NONE_U32);
+        self.dirty_gate.push(false);
+    }
+
+    /// Splits the fanout of `net` behind an INV→INV pair — the body of
+    /// [`TimingGraph::split_fanout_id`]: the netlist edit, then the
+    /// derived indexes.
+    fn split_fanout_impl(
+        &mut self,
+        net: NetId,
+        inv_cell: CellId,
+    ) -> Result<(usize, usize), StaError> {
+        // Intern before touching anything, so a cell that does not fit leaves
+        // the engine unchanged. Both inverters share the cell and the shape.
+        let g1 = self.gate_count();
+        let shape = Shape {
+            cell: inv_cell,
+            n_in: 1,
+            n_out: 1,
+            seq: false,
+        };
+        intern(&mut self.memo, &mut self.arena, self.lib, g1, shape)?;
+
+        let ni = net.0 as usize;
+        let all: Vec<(u32, u32)> = self.sinks.row(ni).to_vec();
+        let moved = &all[all.len() / 2..];
+
+        let nl = &mut self.design.netlist;
+        let base = nl.net_name(net).to_string();
+        let mid = nl.add_net(format_args!("{base}_bufm"));
+        let out = nl.add_net(format_args!("{base}_bufo"));
+        for &(g, k) in moved {
+            nl.set_gate_input(g as usize, k as usize, out);
+        }
+        nl.add_gate(GateKind::Inv, &[net], &[mid]);
+        let g2 = nl.add_gate(GateKind::Inv, &[mid], &[out]);
+        self.design.cells.push(inv_cell);
+        self.design.cells.push(inv_cell);
+
+        let (mi, oi) = (mid.0 as usize, out.0 as usize);
+        // Per-net rows for `mid` and `out` (in id order).
+        self.sinks.add_row(&[(g2 as u32, 0)]);
+        self.sinks.add_row(moved);
+        for _ in 0..2 {
+            self.po_taps.push(0);
+            self.driver.push(NONE_U32);
+            self.ep_of_net.push(Vec::new());
+            self.loads.push(0.0);
+            self.load_override.push(None);
+            self.nets.push(NetTiming::unpropagated());
+            self.dirty_load.push(false);
+        }
+        self.driver[mi] = g1 as u32;
+        self.driver[oi] = g2 as u32;
+        self.sinks.truncate(ni, all.len() / 2);
+        self.sinks.push(ni, (g1 as u32, 0));
+
+        // Per-gate rows for the two inverters: `g1` one level above the
+        // split net's driver (a primary-input or sequential driver puts it
+        // at level 0), `g2` one above `g1`.
+        let l1 = match self.driver[ni] {
+            d if d == NONE_U32 || self.is_sequential(d as usize) => 0,
+            d => self.level[d as usize] + 1,
+        };
+        self.push_gate_row(shape, l1);
+        self.push_gate_row(shape, l1 + 1);
+
+        // Endpoints attached to moved flip-flop data inputs follow their net.
+        for &(g, _) in moved {
+            let e = self.seq_ep[g as usize];
+            if e != NONE_U32 {
+                let e = e as usize;
+                self.endpoints[e].net = out;
+                self.ep_of_net[ni].retain(|&x| x as usize != e);
+                self.ep_of_net[oi].push(e as u32);
+                self.mark_ep_dirty(e);
+            }
+        }
+
+        // Structure changed: re-level before marking dirt. Only the moved
+        // sinks lost a driver (the split net's, which sits below `g2`) and
+        // gained one (`g2`), so raising `g2`'s forward cone is exact.
+        self.raise_levels(g2);
+        self.mark_load_dirty(ni);
+        self.mark_load_dirty(mi);
+        self.mark_load_dirty(oi);
+        self.mark_gate_dirty(g1);
+        self.mark_gate_dirty(g2);
+        for &(g, _) in moved {
+            if !self.is_sequential(g as usize) {
+                self.mark_gate_dirty(g as usize);
+            }
+        }
+        Ok((g1, g2))
     }
 
     /// The design in its current (edited) state.
@@ -1349,23 +1191,23 @@ impl<'l> TimingGraph<'l> {
 
     /// The library the engine was built against.
     pub fn lib(&self) -> &'l Library {
-        self.core.lib
+        self.lib
     }
 
     /// The analysis configuration.
     pub fn config(&self) -> &StaConfig {
-        &self.core.config
+        &self.config
     }
 
     /// Number of gates (grows as buffers are inserted).
     pub fn gate_count(&self) -> usize {
-        self.core.n_gates()
+        self.design.netlist.gate_count()
     }
 
     /// Cell name of gate `gi`, resolved through the library (ids always
     /// resolve here: they were validated when the gate was interned).
     pub fn cell_name(&self, gi: usize) -> &str {
-        &self.core.lib.cells[self.core.cell_idx[gi] as usize].name
+        &self.lib.cells[self.design.cells[gi].index()].name
     }
 
     /// Cell id of gate `gi`.
@@ -1376,29 +1218,28 @@ impl<'l> TimingGraph<'l> {
     /// Load on `net` as of the last [`TimingGraph::update`] or
     /// [`TimingGraph::update_loads`].
     pub fn load(&self, net: NetId) -> f64 {
-        self.core.loads[net.0 as usize]
+        self.loads[net.0 as usize]
     }
 
     /// All net loads as of the last [`TimingGraph::update`] or
     /// [`TimingGraph::update_loads`].
     pub fn loads(&self) -> &[f64] {
-        &self.core.loads
+        &self.loads
     }
 
     /// Timing of `net` as of the last [`TimingGraph::update`].
     pub fn net_timing(&self, net: NetId) -> &NetTiming {
-        &self.core.nets[net.0 as usize]
+        &self.nets[net.0 as usize]
     }
 
     /// Endpoints as of the last [`TimingGraph::update`].
     pub fn endpoints(&self) -> &[Endpoint] {
-        &self.core.endpoints
+        &self.endpoints
     }
 
     /// Worst slack as of the last [`TimingGraph::update`].
     pub fn worst_slack(&self) -> f64 {
-        self.core
-            .endpoints
+        self.endpoints
             .iter()
             .map(Endpoint::slack)
             .fold(f64::INFINITY, f64::min)
@@ -1408,34 +1249,34 @@ impl<'l> TimingGraph<'l> {
     /// reflects edits immediately.
     pub fn fanout(&self, net: NetId) -> usize {
         let ni = net.0 as usize;
-        self.core.sinks.n_sinks(ni) + self.core.po_taps[ni] as usize
+        self.sinks.n_sinks(ni) + self.po_taps[ni] as usize
     }
 
     /// Driving gate of `net`; reflects edits immediately.
     pub fn driver(&self, net: NetId) -> Option<usize> {
-        let d = self.core.driver[net.0 as usize];
+        let d = self.driver[net.0 as usize];
         (d != NONE_U32).then_some(d as usize)
     }
 
     /// Input nets of gate `gi` in pin order; reflects edits immediately.
     pub fn gate_inputs(&self, gi: usize) -> impl ExactSizeIterator<Item = NetId> + '_ {
-        self.core.gate_inputs(gi).iter().map(|&n| NetId(n))
+        self.design.netlist.gate_inputs(gi).iter().copied()
     }
 
     /// Output nets of gate `gi` in pin order; reflects edits immediately.
     pub fn gate_outputs(&self, gi: usize) -> impl ExactSizeIterator<Item = NetId> + '_ {
-        self.core.gate_outputs(gi).iter().map(|&n| NetId(n))
+        self.design.netlist.gate_outputs(gi).iter().copied()
     }
 
     /// Whether gate `gi` is sequential (a flip-flop).
     pub fn is_sequential(&self, gi: usize) -> bool {
-        self.core.is_seq[gi]
+        self.design.netlist.gate_kind(gi).is_sequential()
     }
 
     /// Gates re-evaluated by the last [`TimingGraph::update`] — the dirty
     /// cone size, exposed for tests and the bench harness.
     pub fn gates_recomputed_in_last_update(&self) -> usize {
-        self.core.last_recomputed
+        self.last_recomputed
     }
 
     /// Snapshot of the current timing state as a [`TimingReport`],
@@ -1444,23 +1285,95 @@ impl<'l> TimingGraph<'l> {
     /// the last [`TimingGraph::update`]).
     pub fn report(&self) -> TimingReport {
         TimingReport {
-            config: self.core.config,
-            nets: self.core.nets.clone(),
-            endpoints: self.core.endpoints.clone(),
+            config: self.config,
+            nets: self.nets.clone(),
+            endpoints: self.endpoints.clone(),
         }
     }
 
     /// Re-propagates what the edits since the last update (or
-    /// [`TimingGraph::invalidate_all`]) marked dirty, stage by stage,
-    /// following a change only where a net's arrival or slew changed bits;
-    /// cheap no-op when nothing changed.
+    /// [`TimingGraph::invalidate_all`], which every build runs) marked
+    /// dirty, following a change only where a net's arrival or slew
+    /// changed bits; cheap no-op when nothing changed.
+    ///
+    /// Dirty loads are recomputed first ([`TimingGraph::update_loads`]).
+    /// Dirty gates then go stage by stage in ascending order within a
+    /// stage, through the stage evaluator SSTA shares; a gate's inputs
+    /// come from earlier stages, and a change dirties only sinks in later
+    /// stages, so one ascending sweep converges. Dirty endpoints refresh
+    /// last, ascending. Commits, the first error and endpoints go in the
+    /// same order at every thread count.
     ///
     /// # Errors
     ///
     /// Returns [`StaError`] if a LUT evaluation fails. The engine state is
     /// unspecified (but memory-safe) after an error; discard it.
     pub fn update(&mut self) -> Result<(), StaError> {
-        self.core.update()
+        let tracing = varitune_trace::is_recording();
+        let full = std::mem::take(&mut self.all_dirty);
+        self.last_recomputed = 0;
+
+        // 1. Net loads.
+        self.update_loads();
+
+        // 2. Dirty gates, stage by stage (levels are frozen during an
+        //    update: structural edits re-level before marking).
+        let gates = std::mem::take(&mut self.dirty_gates);
+        if !gates.is_empty() {
+            let max_level = self.level.iter().copied().max().unwrap_or(0) as usize;
+            let mut stages: Vec<Vec<u32>> = vec![Vec::new(); max_level + 2];
+            for &g in &gates {
+                stages[self.stage_of(g as usize)].push(g);
+            }
+            let threads = self.threads;
+            let mut scratch = StageOut::default();
+            for s in 0..stages.len() {
+                let mut list = std::mem::take(&mut stages[s]);
+                if list.is_empty() {
+                    continue;
+                }
+                list.sort_unstable();
+                if tracing {
+                    // Level-parallelism occupancy: how many dirty gates
+                    // each combinational stage offers at once. A function
+                    // of the graph and the edit sequence only, never of
+                    // the thread count.
+                    if s > 0 {
+                        varitune_trace::observe("sta.level_width", list.len() as u64);
+                    }
+                    if list.len() >= MIN_PARALLEL_WIDTH {
+                        self.observe_shards(&list);
+                    }
+                }
+                run_stage(
+                    self,
+                    &list,
+                    threads,
+                    &mut scratch,
+                    Self::eval_gates,
+                    |graph, shard, out| graph.commit(shard, out, &mut stages),
+                )?;
+            }
+        }
+
+        // 3. Endpoints.
+        let mut eps = std::mem::take(&mut self.dirty_eps);
+        eps.sort_unstable();
+        for &e in &eps {
+            self.dirty_ep[e as usize] = false;
+            self.recompute_endpoint(e as usize);
+        }
+
+        if tracing {
+            varitune_trace::add("sta.updates", 1);
+            if full {
+                varitune_trace::add("sta.full_propagations", 1);
+            }
+            varitune_trace::add("sta.gates_recomputed", self.last_recomputed as u64);
+            // Dirty-cone size distribution: how local each edit really was.
+            varitune_trace::observe("sta.dirty_cone", self.last_recomputed as u64);
+        }
+        Ok(())
     }
 
     /// Recomputes the net loads the edits since the last refresh changed —
@@ -1471,16 +1384,24 @@ impl<'l> TimingGraph<'l> {
     /// `update`. The driver of a net whose load changed stays marked, so
     /// the next `update` re-times it with every other pending edit. A load
     /// depends only on the structure, the cells and any override, so it
-    /// has the bits `update` would compute.
+    /// has the bits `update` would compute (each net's summation order is
+    /// fixed, whatever order the dirty nets are visited in).
     pub fn update_loads(&mut self) {
-        self.core.update_loads();
-    }
-
-    /// Marks every load, gate and endpoint dirty, so the next
-    /// [`TimingGraph::update`] re-propagates the whole graph — used by
-    /// benches to time full re-analysis.
-    pub fn invalidate_all(&mut self) {
-        self.core.invalidate_all();
+        let mut nets = std::mem::take(&mut self.dirty_loads);
+        nets.sort_unstable();
+        for &ni in &nets {
+            let ni = ni as usize;
+            self.dirty_load[ni] = false;
+            let new = self.compute_load(ni);
+            if new.to_bits() != self.loads[ni].to_bits() {
+                self.loads[ni] = new;
+                self.nets[ni].load = new;
+                let d = self.driver[ni];
+                if d != NONE_U32 {
+                    self.mark_gate_dirty(d as usize);
+                }
+            }
+        }
     }
 
     /// Re-maps gate `gi` onto `cell_name`, dirtying its input-net loads
@@ -1494,7 +1415,6 @@ impl<'l> TimingGraph<'l> {
     pub fn resize_gate(&mut self, gi: usize, cell_name: &str) -> Result<(), StaError> {
         self.check_gate(gi)?;
         let id = self
-            .core
             .lib
             .cell_id(cell_name)
             .ok_or_else(|| StaError::UnknownCell {
@@ -1505,9 +1425,9 @@ impl<'l> TimingGraph<'l> {
     }
 
     /// Id-based [`TimingGraph::resize_gate`] — the sizing-loop entry
-    /// point: no name lookup, no string compare, and (because gate shape
-    /// lives in the CSR) no netlist access at all. A cell the graph has
-    /// already interned at this gate's shape is a memo lookup.
+    /// point: no name lookup and no string compare; the design's cell
+    /// entry is the only copy it rewrites. A cell the graph has already
+    /// interned at this gate's shape is a memo lookup.
     ///
     /// # Errors
     ///
@@ -1518,31 +1438,27 @@ impl<'l> TimingGraph<'l> {
         if self.design.cells[gi] == cell {
             return Ok(());
         }
-        let core = &mut self.core;
-        let n_in = core.gate_inputs(gi).len();
+        let nl = &self.design.netlist;
         let shape = Shape {
             cell,
-            n_in,
-            n_out: core.gate_outputs(gi).len(),
-            seq: core.is_seq[gi],
+            n_in: nl.gate_inputs(gi).len(),
+            n_out: nl.gate_outputs(gi).len(),
+            seq: nl.gate_kind(gi).is_sequential(),
         };
-        let ic = intern(&mut core.memo, &mut core.arena, core.lib, gi, shape)?;
+        let ic = intern(&mut self.memo, &mut self.arena, self.lib, gi, shape)?;
         self.design.cells[gi] = cell;
-        core.cell_idx[gi] = ic.ci;
-        let a0 = core.arc_off[gi] as usize;
-        core.arcs[a0..a0 + ic.arcs.len()].copy_from_slice(&ic.arcs);
-        let i0 = core.in_off[gi] as usize;
-        core.in_cap[i0..i0 + ic.caps.len()].copy_from_slice(&ic.caps);
-        core.setup_arc[gi] = ic.setup;
-        for k in 0..n_in {
-            let inp = core.in_net[i0 + k] as usize;
-            core.mark_load_dirty(inp);
+        let a0 = self.arc_off[gi] as usize;
+        self.arcs[a0..a0 + ic.arcs.len()].copy_from_slice(&ic.arcs);
+        let i0 = self.design.netlist.first_input_pin(gi);
+        self.in_cap[i0..i0 + ic.caps.len()].copy_from_slice(&ic.caps);
+        self.setup_arc[gi] = ic.setup;
+        for &inp in self.design.netlist.gate_inputs(gi) {
+            mark(&mut self.dirty_loads, &mut self.dirty_load, inp.0 as usize);
         }
-        core.mark_gate_dirty(gi);
-        if core.seq_ep[gi] != NONE_U32 {
+        self.mark_gate_dirty(gi);
+        if self.seq_ep[gi] != NONE_U32 {
             // The setup constraint arc changed with the cell.
-            let e = core.seq_ep[gi] as usize;
-            core.mark_ep_dirty(e);
+            self.mark_ep_dirty(self.seq_ep[gi] as usize);
         }
         Ok(())
     }
@@ -1557,8 +1473,8 @@ impl<'l> TimingGraph<'l> {
     /// is unchanged on error.
     pub fn set_load(&mut self, net: NetId, load: Option<f64>) -> Result<(), StaError> {
         self.check_net(net)?;
-        self.core.load_override[net.0 as usize] = load;
-        self.core.mark_load_dirty(net.0 as usize);
+        self.load_override[net.0 as usize] = load;
+        self.mark_load_dirty(net.0 as usize);
         Ok(())
     }
 
@@ -1574,9 +1490,8 @@ impl<'l> TimingGraph<'l> {
     /// cannot be interned. The engine is unchanged on error.
     pub fn split_fanout(&mut self, net: NetId, inv_cell: &str) -> Result<(usize, usize), StaError> {
         self.check_net(net)?;
-        let gate = self.core.n_gates();
+        let gate = self.gate_count();
         let id = self
-            .core
             .lib
             .cell_id(inv_cell)
             .ok_or_else(|| StaError::UnknownCell {
@@ -1599,7 +1514,7 @@ impl<'l> TimingGraph<'l> {
     ) -> Result<(usize, usize), StaError> {
         self.check_net(net)?;
         self.id.renew();
-        split_fanout_impl(&mut self.core, &mut self.design, net, inv_cell)
+        self.split_fanout_impl(net, inv_cell)
     }
 
     /// Test hook: whether the incrementally maintained levels equal the
@@ -1610,7 +1525,7 @@ impl<'l> TimingGraph<'l> {
         self.design
             .netlist
             .comb_order()
-            .is_ok_and(|order| self.core.levels(&order) == self.core.level)
+            .is_ok_and(|order| self.levels(&order) == self.level)
     }
 
     /// Backward required-time propagation as of the last
@@ -1618,9 +1533,9 @@ impl<'l> TimingGraph<'l> {
     /// gate evaluations stored, bit-identical to
     /// [`crate::graph::required_times`] on the same state.
     pub fn required_times(&self) -> Vec<f64> {
-        let core = &self.core;
-        let mut req = vec![f64::INFINITY; core.nets.len()];
-        for ep in &core.endpoints {
+        let nl = &self.design.netlist;
+        let mut req = vec![f64::INFINITY; self.nets.len()];
+        for ep in &self.endpoints {
             let r = &mut req[ep.net.0 as usize];
             *r = r.min(ep.required);
         }
@@ -1628,40 +1543,25 @@ impl<'l> TimingGraph<'l> {
         // per-net fold is a min); the combinational stages of the
         // counting-sort schedule, backwards, are one (descending level,
         // descending gate within a level).
-        let (stage_off, schedule) = core.stage_schedule();
+        let (stage_off, schedule) = self.stage_schedule();
         for &g in schedule[stage_off[1] as usize..].iter().rev() {
             let gi = g as usize;
-            let ins = core.gate_inputs(gi);
+            let ins = nl.gate_inputs(gi);
             let n_in = ins.len();
-            let delays = &core.delays[core.arc_row(gi)];
-            for (j, &out) in core.gate_outputs(gi).iter().enumerate() {
-                let out_req = req[out as usize];
+            let delays = &self.delays[self.arc_row(gi)];
+            for (j, &out) in nl.gate_outputs(gi).iter().enumerate() {
+                let out_req = req[out.0 as usize];
                 if !out_req.is_finite() {
                     continue;
                 }
                 for (&inp, &delay) in ins.iter().zip(&delays[j * n_in..(j + 1) * n_in]) {
-                    let r = &mut req[inp as usize];
+                    let r = &mut req[inp.0 as usize];
                     *r = r.min(out_req - delay);
                 }
             }
         }
         req
     }
-}
-
-/// Full analysis of a borrowed design through the same engine core —
-/// the implementation behind [`crate::graph::analyze`].
-pub(crate) fn analyze_via_engine(
-    design: &MappedDesign,
-    lib: &Library,
-    config: &StaConfig,
-) -> Result<TimingReport, StaError> {
-    let core = Core::build_checked(design, lib, config)?;
-    Ok(TimingReport {
-        config: core.config,
-        nets: core.nets,
-        endpoints: core.endpoints,
-    })
 }
 
 #[cfg(test)]
@@ -2047,10 +1947,10 @@ mod tests {
                 // Split a random multi-sink net, driven or not: primary
                 // inputs, flip-flop outputs and deep combinational nets
                 // all take the same path.
-                let nets = engine.core().nets.len();
+                let nets = engine.nets.len();
                 let Some(net) = (0..nets)
                     .map(|i| NetId(((pick + i) % nets) as u32))
-                    .find(|&n| engine.core().sinks(n.0 as usize).len() >= 2)
+                    .find(|&n| engine.sinks(n.0 as usize).len() >= 2)
                 else {
                     continue;
                 };
@@ -2096,6 +1996,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_nan_config_field_is_an_error_and_an_infinite_period_is_not() {
+        let lib = lib();
+        let d = chain(3, "INV_2", &lib);
+        let fields: [fn(&mut StaConfig); 5] = [
+            |c| c.clock_period = f64::NAN,
+            |c| c.clock_uncertainty = f64::NAN,
+            |c| c.input_slew = f64::NAN,
+            |c| c.clock_slew = f64::NAN,
+            |c| c.setup_time = f64::NAN,
+        ];
+        for set in fields {
+            let mut cfg = StaConfig::with_clock_period(2.0);
+            set(&mut cfg);
+            for err in [
+                analyze(&d, &lib, &cfg).err(),
+                TimingGraph::new(d.clone(), &lib, &cfg).err(),
+            ] {
+                assert!(
+                    matches!(err, Some(StaError::InvalidParameter { .. })),
+                    "{err:?}"
+                );
+            }
+        }
+        let cfg = StaConfig::with_clock_period(f64::INFINITY);
+        assert!(analyze(&d, &lib, &cfg).unwrap().meets_timing());
     }
 
     /// The small library with `edit` applied to every timing arc of
@@ -2227,7 +2155,7 @@ mod tests {
         let lib = lib();
         let cfg = StaConfig::with_clock_period(2.0);
         let mut engine = TimingGraph::new(chain(6, "INV_2", &lib), &lib, &cfg).unwrap();
-        let sizes = |e: &TimingGraph<'_>| (e.core.memo.len(), e.core.arena.len());
+        let sizes = |e: &TimingGraph<'_>| (e.memo.len(), e.arena.len());
         let built = sizes(&engine);
         engine.resize_gate(1, "INV_8").unwrap();
         let grown = sizes(&engine);

@@ -12,6 +12,7 @@ use std::fmt;
 use varitune_liberty::{InterpolateError, Library, TimingType};
 use varitune_netlist::{NetId, ValidateNetlistError};
 
+use crate::engine::TimingGraph;
 use crate::mapped::MappedDesign;
 
 /// Analysis configuration.
@@ -48,6 +49,25 @@ impl StaConfig {
     /// `clock_period - clock_uncertainty`.
     pub fn effective_period(&self) -> f64 {
         self.clock_period - self.clock_uncertainty
+    }
+
+    /// Rejects a NaN in any field: every required time, slew or setup
+    /// derived from it would be NaN, and a NaN slack compares as neither
+    /// met nor violated. Infinite values stay valid.
+    pub(crate) fn check(&self) -> Result<(), StaError> {
+        let fields = [
+            ("clock_period", self.clock_period),
+            ("clock_uncertainty", self.clock_uncertainty),
+            ("input_slew", self.input_slew),
+            ("clock_slew", self.clock_slew),
+            ("setup_time", self.setup_time),
+        ];
+        match fields.iter().find(|(_, v)| v.is_nan()) {
+            Some((name, _)) => Err(StaError::InvalidParameter {
+                reason: format!("StaConfig::{name} is NaN"),
+            }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -255,24 +275,26 @@ impl TimingReport {
 
 /// Runs static timing analysis of `design` against `lib`.
 ///
-/// This is a full propagation through the incremental engine
-/// ([`crate::engine::TimingGraph`]): the interned graph is built, every
-/// gate is marked dirty once, and the dirty-cone machinery degenerates to
-/// a complete levelized sweep. Results are bit-identical to what the
-/// engine reports after any equivalent sequence of incremental edits.
+/// This is one [`TimingGraph`] build over a clone of `design`: the
+/// interned graph is built, every gate is marked dirty once, and the
+/// dirty-cone machinery degenerates to a complete levelized sweep. Results
+/// are bit-identical to what the engine reports after any equivalent
+/// sequence of incremental edits. Like any build, it takes a fresh graph
+/// id, so it releases the statistical state
+/// [`crate::ssta::analyze_ssta`] retains.
 ///
 /// # Errors
 ///
 /// Returns [`StaError`] if the netlist is structurally invalid, a gate maps
 /// to an unknown cell, a required timing arc is missing, or LUT evaluation
-/// fails; [`StaError::InvalidParameter`] if `design.cells` does not hold
-/// exactly one cell id per gate.
+/// fails; [`StaError::InvalidParameter`] if a `config` field is NaN or
+/// `design.cells` does not hold exactly one cell id per gate.
 pub fn analyze(
     design: &MappedDesign,
     lib: &Library,
     config: &StaConfig,
 ) -> Result<TimingReport, StaError> {
-    crate::engine::analyze_via_engine(design, lib, config)
+    TimingGraph::new(design.clone(), lib, config).map(TimingGraph::into_report)
 }
 
 /// Evaluates a flip-flop data pin's constraint arc (setup or hold) at

@@ -8,10 +8,12 @@
 //! * [`mapped`] — [`MappedDesign`]: a generic netlist plus the library cell
 //!   chosen for every gate, and the wire-load model,
 //! * [`engine`] — [`TimingGraph`]: the build-once interned timing engine
-//!   (levelized, dirty-cone incremental re-timing after local edits,
-//!   parallel within levels, bit-identical to a full analysis),
-//! * [`graph`] — the [`analyze`] entry point (a thin wrapper over one
-//!   engine build-and-propagate) and the report types,
+//!   over the design it owns (levelized, dirty-cone incremental re-timing
+//!   after local edits, parallel within levels, bit-identical to a full
+//!   analysis),
+//! * [`graph`] — the configuration and report types, and [`analyze`]: one
+//!   [`TimingGraph`] build over a clone of the design, returning its
+//!   report,
 //! * [`paths`] — per-endpoint worst-path extraction, path depth, and the
 //!   statistical path/design metrics,
 //! * [`mc`] — deterministic (bit-identical for any thread count) parallel

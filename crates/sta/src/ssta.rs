@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use varitune_libchar::StatLibrary;
-use varitune_liberty::{InterpolateError, Library, TimingArc};
+use varitune_liberty::{CellId, InterpolateError, Library, TimingArc};
 use varitune_netlist::NetId;
 use varitune_variation::mc::VariationMode;
 use varitune_variation::parallel::run_trials;
@@ -54,7 +54,7 @@ use varitune_variation::sampler::Normal;
 use varitune_variation::stats::normal_cdf;
 use varitune_variation::ProcessCorner;
 
-use crate::engine::{run_stage, Core, TimingGraph, NONE_U32};
+use crate::engine::{run_stage, TimingGraph, NONE_U32};
 use crate::graph::StaError;
 
 /// Standard normal density.
@@ -464,11 +464,11 @@ struct FormArena {
 impl FormArena {
     /// Undriven nets start as deterministic forms at the engine's arrival,
     /// driven nets as `−∞` until their gate commits.
-    fn new(core: &Core<'_>, max_local_terms: usize) -> Self {
-        let slots: Vec<Slot> = (0..core.nets.len())
+    fn new(graph: &TimingGraph<'_>, max_local_terms: usize) -> Self {
+        let slots: Vec<Slot> = (0..graph.nets.len())
             .map(|ni| Slot {
-                mean: if core.driver[ni] == NONE_U32 {
-                    core.nets[ni].arrival
+                mean: if graph.driver[ni] == NONE_U32 {
+                    graph.nets[ni].arrival
                 } else {
                     f64::NEG_INFINITY
                 },
@@ -485,8 +485,8 @@ impl FormArena {
         // a doubling growth (`write` compacts instead), and untouched pages
         // are never resident. If the reservation is refused, the vector
         // grows on demand instead.
-        let driven = core.driver.iter().filter(|&&d| d != NONE_U32).count();
-        let per_form = max_local_terms.min(2 * core.arcs.len()).max(1) + 1;
+        let driven = graph.driver.iter().filter(|&&d| d != NONE_U32).count();
+        let per_form = max_local_terms.min(2 * graph.arcs.len()).max(1) + 1;
         let mut terms = Vec::new();
         let _ = terms.try_reserve_exact(driven.saturating_mul(per_form));
         FormArena {
@@ -605,12 +605,12 @@ struct ForwardState {
 }
 
 impl ForwardState {
-    fn new(core: &Core<'_>, max_local_terms: usize) -> Self {
+    fn new(graph: &TimingGraph<'_>, max_local_terms: usize) -> Self {
         ForwardState {
-            arena: FormArena::new(core, max_local_terms),
-            weights: vec![0.0; core.arcs.len()],
-            dirty: vec![true; core.n_gates()],
-            changed: vec![false; core.nets.len()],
+            arena: FormArena::new(graph, max_local_terms),
+            weights: vec![0.0; graph.arcs.len()],
+            dirty: vec![true; graph.gate_count()],
+            changed: vec![false; graph.nets.len()],
         }
     }
 }
@@ -620,42 +620,42 @@ impl ForwardState {
 struct ModelInputs {
     slew: Vec<u64>,
     load: Vec<u64>,
-    cell: Vec<u32>,
+    cell: Vec<CellId>,
 }
 
 impl ModelInputs {
-    fn of(core: &Core<'_>) -> Self {
+    fn of(graph: &TimingGraph<'_>) -> Self {
         ModelInputs {
-            slew: core.nets.iter().map(|n| n.slew.to_bits()).collect(),
-            load: core.loads.iter().map(|l| l.to_bits()).collect(),
-            cell: core.cell_idx.clone(),
+            slew: graph.nets.iter().map(|n| n.slew.to_bits()).collect(),
+            load: graph.loads.iter().map(|l| l.to_bits()).collect(),
+            cell: graph.design().cells.clone(),
         }
     }
 
-    /// Catch up with `core`, returning, ascending, the gates whose model
+    /// Catch up with `graph`, returning, ascending, the gates whose model
     /// inputs changed bits: the combinational sinks of a net whose slew
     /// changed, the driver of a net whose load changed, and every gate
     /// whose cell changed.
-    fn refresh(&mut self, core: &Core<'_>) -> Vec<u32> {
+    fn refresh(&mut self, graph: &TimingGraph<'_>) -> Vec<u32> {
         let mut stale = Vec::new();
         for ni in 0..self.slew.len() {
-            let slew = core.nets[ni].slew.to_bits();
+            let slew = graph.nets[ni].slew.to_bits();
             if slew != self.slew[ni] {
                 self.slew[ni] = slew;
-                let sinks = core.sinks(ni).iter().map(|&(g, _)| g);
-                stale.extend(sinks.filter(|&g| !core.is_seq[g as usize]));
+                let sinks = graph.sinks(ni).iter().map(|&(g, _)| g);
+                stale.extend(sinks.filter(|&g| !graph.is_sequential(g as usize)));
             }
-            let load = core.loads[ni].to_bits();
+            let load = graph.loads[ni].to_bits();
             if load != self.load[ni] {
                 self.load[ni] = load;
-                if core.driver[ni] != NONE_U32 {
-                    stale.push(core.driver[ni]);
+                if graph.driver[ni] != NONE_U32 {
+                    stale.push(graph.driver[ni]);
                 }
             }
         }
         for (gi, cell) in self.cell.iter_mut().enumerate() {
-            if *cell != core.cell_idx[gi] {
-                *cell = core.cell_idx[gi];
+            if *cell != graph.design().cells[gi] {
+                *cell = graph.design().cells[gi];
                 stale.push(gi as u32);
             }
         }
@@ -1000,7 +1000,7 @@ const MC_CHUNK: usize = 64;
 /// chosen corner, relative local sigma, shared global sensitivity) plus
 /// the levelized stage schedule shared with the deterministic engine.
 pub struct SstaModel<'g, 'l> {
-    core: &'g Core<'l>,
+    graph: &'g TimingGraph<'l>,
     opts: SstaOptions,
     /// Corner-scaled mean delay per arc (engine arc order).
     arc_mean: Vec<f64>,
@@ -1049,11 +1049,10 @@ impl<'g, 'l> SstaModel<'g, 'l> {
                 ),
             });
         }
-        let core = graph.core();
-        let n_arcs = core.arcs.len();
-        let (stage_off, schedule) = core.stage_schedule();
+        let n_arcs = graph.arcs.len();
+        let (stage_off, schedule) = graph.stage_schedule();
         let mut model = SstaModel {
-            core,
+            graph,
             opts,
             arc_mean: vec![0.0; n_arcs],
             arc_rel: vec![0.0; n_arcs],
@@ -1062,7 +1061,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             schedule,
         };
         let mut resolved = HashMap::new();
-        for gi in 0..core.n_gates() {
+        for gi in 0..graph.gate_count() {
             model.model_gate(gi, stat, &mut resolved)?;
         }
         varitune_trace::add("sta.ssta.arcs_modeled", n_arcs as u64);
@@ -1076,18 +1075,19 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         &mut self,
         gi: usize,
         stat: &'s StatLibrary,
-        resolved: &mut HashMap<(u32, usize, usize, bool), Vec<&'s TimingArc>>,
+        resolved: &mut HashMap<(CellId, usize, usize, bool), Vec<&'s TimingArc>>,
     ) -> Result<bool, StaError> {
-        let core = self.core;
-        let inputs = core.gate_inputs(gi);
+        let graph = self.graph;
+        let nl = &graph.design().netlist;
+        let inputs = nl.gate_inputs(gi);
         let n_in = inputs.len();
-        let n_out = core.gate_outputs(gi).len();
-        let seq = core.is_seq[gi];
-        let cell_idx = core.cell_idx[gi];
-        let sigma_arcs: &Vec<&TimingArc> = match resolved.entry((cell_idx, n_in, n_out, seq)) {
+        let n_out = nl.gate_outputs(gi).len();
+        let seq = graph.is_sequential(gi);
+        let cell = graph.design().cells[gi];
+        let sigma_arcs: &Vec<&TimingArc> = match resolved.entry((cell, n_in, n_out, seq)) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
-                let cell_name = &core.lib.cells[cell_idx as usize].name;
+                let cell_name = graph.cell_name(gi);
                 v.insert(resolve_sigma_arcs(
                     &stat.sigma,
                     gi,
@@ -1098,8 +1098,8 @@ impl<'g, 'l> SstaModel<'g, 'l> {
                 )?)
             }
         };
-        let arc_base = core.arc_off[gi] as usize;
-        let mean_arcs = core.gate_arcs(gi);
+        let arc_base = graph.arc_off[gi] as usize;
+        let mean_arcs = graph.gate_arcs(gi);
         if mean_arcs.len() != sigma_arcs.len() {
             return Err(StaError::MismatchedInput {
                 reason: format!(
@@ -1125,16 +1125,16 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             self.arc_rel[ai] = rel;
         };
         for j in 0..n_out {
-            let load = core.loads[core.gate_outputs(gi)[j] as usize];
+            let load = graph.loads[nl.gate_outputs(gi)[j].0 as usize];
             if seq {
-                let slew = core.config.clock_slew;
-                let mean_arc = core.arena.source(mean_arcs[j]);
+                let slew = graph.config.clock_slew;
+                let mean_arc = graph.arena.source(mean_arcs[j]);
                 set(j, stat_delay(mean_arc, sigma_arcs[j], slew, load)?);
             } else {
                 for (k, &inp) in inputs.iter().enumerate() {
-                    let slew = core.nets[inp as usize].slew;
+                    let slew = graph.nets[inp.0 as usize].slew;
                     let row = j * n_in + k;
-                    let mean_arc = core.arena.source(mean_arcs[row]);
+                    let mean_arc = graph.arena.source(mean_arcs[row]);
                     set(row, stat_delay(mean_arc, sigma_arcs[row], slew, load)?);
                 }
             }
@@ -1153,7 +1153,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
     ) -> Result<(), StaError> {
         let mut resolved = HashMap::new();
         let mut arcs = 0usize;
-        for g in inputs.refresh(self.core) {
+        for g in inputs.refresh(self.graph) {
             let gi = g as usize;
             if self.model_gate(gi, stat, &mut resolved)? {
                 dirty[gi] = true;
@@ -1204,11 +1204,12 @@ impl<'g, 'l> SstaModel<'g, 'l> {
     /// Number of tightness-weight slots a gate contributes (its full arc
     /// row count).
     fn gate_weight_len(&self, gi: usize) -> usize {
-        let n_out = self.core.gate_outputs(gi).len();
-        if self.core.is_seq[gi] {
+        let nl = &self.graph.design().netlist;
+        let n_out = nl.gate_outputs(gi).len();
+        if self.graph.is_sequential(gi) {
             n_out
         } else {
-            n_out * self.core.gate_inputs(gi).len()
+            n_out * nl.gate_inputs(gi).len()
         }
     }
 
@@ -1222,9 +1223,10 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         arena: &FormArena,
         sc: &mut GateScratch,
     ) -> Result<(), StaError> {
-        let outs = self.core.gate_outputs(gi);
-        let arc_base = self.core.arc_off[gi] as usize;
-        if self.core.is_seq[gi] {
+        let nl = &self.graph.design().netlist;
+        let outs = nl.gate_outputs(gi);
+        let arc_base = self.graph.arc_off[gi] as usize;
+        if self.graph.is_sequential(gi) {
             for j in 0..outs.len() {
                 let arc = self.arc_form(arc_base + j);
                 sc.out_terms.extend_from_slice(arc.view().terms);
@@ -1233,19 +1235,17 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             }
             return Ok(());
         }
-        let inputs = self.core.gate_inputs(gi);
+        let inputs = nl.gate_inputs(gi);
         let n_in = inputs.len();
         // Max-site residual keys live above the per-arc local key space:
         // the Clark residual born at the fold step of arc `ai` gets key
         // `n_arcs + 1 + ai`, unique and stable across thread counts.
-        let resid_key_base = self.core.arcs.len() as u32 + 1;
+        let resid_key_base = self.graph.arcs.len() as u32 + 1;
         for j in 0..outs.len() {
             if n_in == 0 {
                 return Err(StaError::MissingArc {
                     gate: gi,
-                    cell: self.core.lib.cells[self.core.cell_idx[gi] as usize]
-                        .name
-                        .clone(),
+                    cell: self.graph.cell_name(gi).to_string(),
                 });
             }
             let row = arc_base + j * n_in;
@@ -1253,7 +1253,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             // The fold accumulator: `mean`, `resid` and the terms in `sc.acc`.
             let (mut mean, mut resid) = (0.0, 0.0);
             for (k, &inp) in inputs.iter().enumerate() {
-                let in_form = arena.view(inp as usize);
+                let in_form = arena.view(inp.0 as usize);
                 if !in_form.mean.is_finite() {
                     return Err(StaError::MalformedGate {
                         gate: gi,
@@ -1311,20 +1311,21 @@ impl<'g, 'l> SstaModel<'g, 'l> {
     /// batch. Marks the nets whose form changed bits; a bit-identical form
     /// leaves the cone below it clean.
     fn commit(&self, list: &[u32], sc: &mut GateScratch, fwd: &mut ForwardState) {
-        let core = self.core;
+        let graph = self.graph;
+        let nl = &graph.design().netlist;
         let (mut fi, mut ti, mut wi) = (0usize, 0usize, 0usize);
         for &g in list {
             let gi = g as usize;
-            for &out in core.gate_outputs(gi) {
+            for &out in nl.gate_outputs(gi) {
                 let (mean, resid, len) = sc.out_forms[fi];
                 fi += 1;
                 let terms = &sc.out_terms[ti..ti + len];
                 ti += len;
-                if fwd.arena.write(out as usize, mean, resid, terms) {
-                    fwd.changed[out as usize] = true;
+                if fwd.arena.write(out.0 as usize, mean, resid, terms) {
+                    fwd.changed[out.0 as usize] = true;
                 }
             }
-            let arc_base = core.arc_off[gi] as usize;
+            let arc_base = graph.arc_off[gi] as usize;
             let n_w = self.gate_weight_len(gi);
             fwd.weights[arc_base..arc_base + n_w].copy_from_slice(&sc.out_w[wi..wi + n_w]);
             wi += n_w;
@@ -1339,7 +1340,8 @@ impl<'g, 'l> SstaModel<'g, 'l> {
     /// data input), has an input whose form changed in this pass. A gate's
     /// inputs come from earlier stages, so one ascending sweep converges.
     fn propagate(&self, fwd: &mut ForwardState, sc: &mut GateScratch) -> Result<(), StaError> {
-        let core = self.core;
+        let graph = self.graph;
+        let nl = &graph.design().netlist;
         let mut list: Vec<u32> = Vec::new();
         let mut evaluated = 0usize;
         fwd.changed.fill(false);
@@ -1349,11 +1351,11 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             for &g in stage {
                 let gi = g as usize;
                 if std::mem::take(&mut fwd.dirty[gi])
-                    || !core.is_seq[gi]
-                        && core
+                    || !graph.is_sequential(gi)
+                        && nl
                             .gate_inputs(gi)
                             .iter()
-                            .any(|&n| fwd.changed[n as usize])
+                            .any(|&n| fwd.changed[n.0 as usize])
                 {
                     list.push(g);
                 }
@@ -1364,7 +1366,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             run_stage(
                 fwd,
                 &list,
-                core.threads,
+                graph.threads,
                 sc,
                 |fwd, gates, sc| self.eval_gates(gates, &fwd.arena, sc),
                 |fwd, gates, sc| self.commit(gates, sc, fwd),
@@ -1397,9 +1399,10 @@ impl<'g, 'l> SstaModel<'g, 'l> {
     ) -> Result<(SstaReport, ForwardState), StaError> {
         let _span = varitune_trace::span!("sta.ssta.analyze");
         varitune_trace::add("sta.ssta.analyses", 1);
-        let core = self.core;
-        let n_nets = core.nets.len();
-        let mut fwd = fwd.unwrap_or_else(|| ForwardState::new(core, self.opts.max_local_terms));
+        let graph = self.graph;
+        let nl = &graph.design().netlist;
+        let n_nets = graph.nets.len();
+        let mut fwd = fwd.unwrap_or_else(|| ForwardState::new(graph, self.opts.max_local_terms));
         let mut sc = GateScratch::default();
         self.propagate(&mut fwd, &mut sc)?;
         let n_stages = self.stage_off.len() - 1;
@@ -1408,8 +1411,8 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         // period), the minimum feasible clock period. The tightness
         // weights of the fold are each endpoint's criticality. The design
         // form's terms live in `sc.acc`.
-        let t_clk = core.config.effective_period();
-        let n_ep = core.endpoints.len();
+        let t_clk = graph.config.effective_period();
+        let n_ep = graph.endpoints.len();
         let mut ep_w = vec![0.0f64; n_ep];
         // The weights that are not exactly 0.0, as `(endpoint, weight)`
         // columns: only these are rescaled, and they land in `ep_w` after
@@ -1419,7 +1422,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         let (mut live_e, mut live_w): (Vec<usize>, Vec<f64>) = (Vec::new(), Vec::new());
         let (mut d_mean, mut d_resid) = (f64::NEG_INFINITY, 0.0);
         sc.acc.clear();
-        for (e, ep) in core.endpoints.iter().enumerate() {
+        for (e, ep) in graph.endpoints.iter().enumerate() {
             let form = fwd.arena.view(ep.net.0 as usize);
             let shifted = FormView {
                 mean: form.mean + (t_clk - ep.required),
@@ -1472,7 +1475,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
                 (form.mean, form.variance().sqrt())
             })
             .unzip();
-        let endpoints: Vec<SstaEndpoint> = core
+        let endpoints: Vec<SstaEndpoint> = graph
             .endpoints
             .iter()
             .enumerate()
@@ -1491,35 +1494,35 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         // Backward criticality: seed endpoint nets with the fold weights,
         // then walk stages in reverse multiplying by arc tightness.
         let mut net_crit = vec![0.0f64; n_nets];
-        for (e, ep) in core.endpoints.iter().enumerate() {
+        for (e, ep) in graph.endpoints.iter().enumerate() {
             net_crit[ep.net.0 as usize] += ep_w[e];
         }
-        let mut gate_crit = vec![0.0f64; core.n_gates()];
+        let mut gate_crit = vec![0.0f64; graph.gate_count()];
         for s in (0..n_stages).rev() {
             let list = &self.schedule[self.stage_off[s] as usize..self.stage_off[s + 1] as usize];
             for &g in list {
                 let gi = g as usize;
-                let outs = core.gate_outputs(gi);
+                let outs = nl.gate_outputs(gi);
                 let mut c = 0.0;
                 for &out in outs {
-                    c += net_crit[out as usize];
+                    c += net_crit[out.0 as usize];
                 }
                 gate_crit[gi] = c;
-                if core.is_seq[gi] || c == 0.0 {
+                if graph.is_sequential(gi) || c == 0.0 {
                     continue;
                 }
-                let inputs = core.gate_inputs(gi);
+                let inputs = nl.gate_inputs(gi);
                 let n_in = inputs.len();
-                let arc_base = core.arc_off[gi] as usize;
+                let arc_base = graph.arc_off[gi] as usize;
                 for (j, &out) in outs.iter().enumerate() {
-                    let co = net_crit[out as usize];
+                    let co = net_crit[out.0 as usize];
                     if co == 0.0 {
                         continue;
                     }
                     for (k, &inp) in inputs.iter().enumerate() {
                         let w = fwd.weights[arc_base + j * n_in + k];
                         if w != 0.0 {
-                            net_crit[inp as usize] += co * w;
+                            net_crit[inp.0 as usize] += co * w;
                         }
                     }
                 }
@@ -1564,7 +1567,8 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         }
         let _span = varitune_trace::span!("sta.ssta.mc");
         varitune_trace::add("sta.ssta.mc_trials", trials as u64);
-        let core = self.core;
+        let graph = self.graph;
+        let nl = &graph.design().netlist;
         let f = self.opts.corner.delay_factor();
         let die_dist = match self.opts.mode {
             VariationMode::GlobalAndLocal => Some(
@@ -1587,18 +1591,18 @@ impl<'g, 'l> SstaModel<'g, 'l> {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let n_nets = core.nets.len();
+        let n_nets = graph.nets.len();
         let base: Vec<f64> = (0..n_nets)
             .map(|ni| {
-                if core.driver[ni] == NONE_U32 {
-                    core.nets[ni].arrival
+                if graph.driver[ni] == NONE_U32 {
+                    graph.nets[ni].arrival
                 } else {
                     f64::NEG_INFINITY
                 }
             })
             .collect();
-        let t_clk = core.config.effective_period();
-        let n_ep = core.endpoints.len();
+        let t_clk = graph.config.effective_period();
+        let n_ep = graph.endpoints.len();
         let stream = derive_seed(
             seed,
             "ssta-graph-mc",
@@ -1624,15 +1628,15 @@ impl<'g, 'l> SstaModel<'g, 'l> {
                         &self.schedule[self.stage_off[s] as usize..self.stage_off[s + 1] as usize];
                     for &g in list {
                         let gi = g as usize;
-                        let inputs = core.gate_inputs(gi);
-                        let outs = core.gate_outputs(gi);
+                        let inputs = nl.gate_inputs(gi);
+                        let outs = nl.gate_outputs(gi);
                         let n_in = inputs.len();
-                        let arc_base = core.arc_off[gi] as usize;
-                        if core.is_seq[gi] {
+                        let arc_base = graph.arc_off[gi] as usize;
+                        if graph.is_sequential(gi) {
                             for (j, &out) in outs.iter().enumerate() {
                                 let ai = arc_base + j;
                                 let lf = local[ai].sample(&mut rng).max(0.05);
-                                arrivals[out as usize] = self.arc_mean[ai] * die * lf;
+                                arrivals[out.0 as usize] = self.arc_mean[ai] * die * lf;
                             }
                         } else {
                             for (j, &out) in outs.iter().enumerate() {
@@ -1642,18 +1646,18 @@ impl<'g, 'l> SstaModel<'g, 'l> {
                                     let ai = row + k;
                                     let lf = local[ai].sample(&mut rng).max(0.05);
                                     let cand =
-                                        arrivals[inp as usize] + self.arc_mean[ai] * die * lf;
+                                        arrivals[inp.0 as usize] + self.arc_mean[ai] * die * lf;
                                     if cand > best {
                                         best = cand;
                                     }
                                 }
-                                arrivals[out as usize] = best;
+                                arrivals[out.0 as usize] = best;
                             }
                         }
                     }
                 }
                 let mut w_trial = f64::NEG_INFINITY;
-                for (e, ep) in core.endpoints.iter().enumerate() {
+                for (e, ep) in graph.endpoints.iter().enumerate() {
                     let v = arrivals[ep.net.0 as usize];
                     ep_acc[e].push(v);
                     let slackless = v + (t_clk - ep.required);
@@ -1782,7 +1786,7 @@ pub fn analyze_ssta(
         match held {
             Some(r) => {
                 let mut model = SstaModel {
-                    core: graph.core(),
+                    graph,
                     opts: r.opts,
                     arc_mean: r.arc_mean,
                     arc_rel: r.arc_rel,
@@ -1796,7 +1800,7 @@ pub fn analyze_ssta(
             }
             None => {
                 let model = SstaModel::model_all(graph, stat, opts)?;
-                let inputs = key.is_some().then(|| ModelInputs::of(model.core));
+                let inputs = key.is_some().then(|| ModelInputs::of(model.graph));
                 (model, None, inputs)
             }
         }
@@ -2039,12 +2043,11 @@ mod tests {
     fn arena_rewrites_in_place_and_compacts_without_reallocating() {
         let stat = stat_fixture();
         let graph = graph_fixture(&stat, 1);
-        let core = graph.core();
         // M = 2: a form holds at most 3 terms, and the arena reserves 3
         // per driven net.
-        let mut arena = FormArena::new(core, 2);
-        let driven: Vec<usize> = (0..core.nets.len())
-            .filter(|&n| core.driver[n] != NONE_U32)
+        let mut arena = FormArena::new(&graph, 2);
+        let driven: Vec<usize> = (0..graph.nets.len())
+            .filter(|&n| graph.driver[n] != NONE_U32)
             .collect();
         let (cap, base) = (arena.terms.capacity(), arena.terms.as_ptr());
         let form = |net: usize, len: usize, round: u32| -> (f64, Vec<Term>) {
@@ -2056,7 +2059,7 @@ mod tests {
                 .collect();
             (f64::from(round), terms)
         };
-        let mut want: Vec<Option<(f64, Vec<Term>)>> = vec![None; core.nets.len()];
+        let mut want: Vec<Option<(f64, Vec<Term>)>> = vec![None; graph.nets.len()];
         let bits = |t: &[Term]| {
             t.iter()
                 .map(|t| (t.key, t.sens.to_bits()))

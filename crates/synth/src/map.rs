@@ -183,12 +183,6 @@ impl<'a> TargetLibrary<'a> {
         &self.variants[family.index()]
     }
 
-    /// All variants of a family by name prefix, smallest drive first.
-    pub fn variants(&self, family: &str) -> Option<&[Variant]> {
-        self.family_id(family)
-            .map(|fid| self.variants[fid.index()].as_slice())
-    }
-
     /// Drive strength of a cell (`1.0` for cells without a numeric
     /// suffix; `1.0` for out-of-range ids).
     pub fn drive(&self, cell: CellId) -> f64 {
@@ -202,35 +196,14 @@ impl<'a> TargetLibrary<'a> {
         self.eff_max_load.get(cell.index()).copied().unwrap_or(0.0)
     }
 
-    /// [`TargetLibrary::effective_max_load_id`] by name — report/test
-    /// boundary.
-    pub fn effective_max_load(&self, cell_name: &str) -> f64 {
-        self.lib
-            .cell_id(cell_name)
-            .map_or(0.0, |id| self.effective_max_load_id(id))
-    }
-
     /// The maximum *input* slew a cell may see once tuning windows are
     /// applied (min over output pins' window `max_slew`).
     pub fn effective_max_slew_id(&self, cell: CellId) -> f64 {
         self.eff_max_slew.get(cell.index()).copied().unwrap_or(0.0)
     }
 
-    /// [`TargetLibrary::effective_max_slew_id`] by name — report/test
-    /// boundary.
-    pub fn effective_max_slew(&self, cell_name: &str) -> f64 {
-        self.lib
-            .cell_id(cell_name)
-            .map_or(0.0, |id| self.effective_max_slew_id(id))
-    }
-
     /// Smallest variant of `family` whose effective max load covers `load`;
     /// falls back to the largest variant when none qualifies.
-    pub fn pick_for_load(&self, family: &str, load: f64) -> Option<&Variant> {
-        self.pick_for_load_id(self.family_id(family)?, load)
-    }
-
-    /// Id-based [`TargetLibrary::pick_for_load`].
     pub fn pick_for_load_id(&self, family: FamilyId, load: f64) -> Option<&Variant> {
         let vs = self.family_variants(family);
         vs.iter()
@@ -253,21 +226,11 @@ impl<'a> TargetLibrary<'a> {
         self.variants[fid.index()].get(pos as usize + 1)
     }
 
-    /// The next-larger variant in the same family, by name.
-    pub fn upsize(&self, cell_name: &str) -> Option<&Variant> {
-        self.upsize_id(self.lib.cell_id(cell_name)?)
-    }
-
     /// The next-smaller variant on a cell's drive ladder, if any.
     pub fn downsize_id(&self, cell: CellId) -> Option<&Variant> {
         let (fid, pos) = self.ladder_pos.get(cell.index()).copied().flatten()?;
         let prev = pos.checked_sub(1)?;
         self.variants[fid.index()].get(prev as usize)
-    }
-
-    /// The next-smaller variant in the same family, by name.
-    pub fn downsize(&self, cell_name: &str) -> Option<&Variant> {
-        self.downsize_id(self.lib.cell_id(cell_name)?)
     }
 
     /// The smallest variant with drive ≥ 1 (the initial-mapping choice),
@@ -352,16 +315,21 @@ mod tests {
         generate_nominal(&GenerateConfig::full())
     }
 
+    /// The id of a cell the full library is known to hold.
+    fn id(lib: &Library, name: &str) -> CellId {
+        lib.cell_id(name).unwrap()
+    }
+
     #[test]
     fn families_are_indexed_and_sorted() {
         let lib = full_lib();
         let c = LibraryConstraints::unconstrained();
         let t = TargetLibrary::new(&lib, &c);
-        let invs = t.variants("INV").unwrap();
+        let invs = t.family_variants(t.family_id("INV").unwrap());
         assert_eq!(invs.len(), 19);
         assert!(invs.windows(2).all(|w| w[0].drive < w[1].drive));
-        assert!(t.variants("ND3").is_some());
-        assert!(t.variants("NOPE").is_none());
+        assert!(t.family_id("ND3").is_some());
+        assert!(t.family_id("NOPE").is_none());
     }
 
     #[test]
@@ -369,7 +337,7 @@ mod tests {
         let lib = full_lib();
         let c = LibraryConstraints::unconstrained();
         let t = TargetLibrary::new(&lib, &c);
-        for v in t.variants("INV").unwrap() {
+        for v in t.family_variants(t.family_id("INV").unwrap()) {
             assert_eq!(lib.cells[v.id.index()].name, v.name);
         }
     }
@@ -388,11 +356,12 @@ mod tests {
         let lib = full_lib();
         let c = LibraryConstraints::unconstrained();
         let t = TargetLibrary::new(&lib, &c);
-        let small = t.pick_for_load("INV", 0.001).unwrap();
-        let big = t.pick_for_load("INV", 0.2).unwrap();
+        let inv = t.family_id("INV").unwrap();
+        let small = t.pick_for_load_id(inv, 0.001).unwrap();
+        let big = t.pick_for_load_id(inv, 0.2).unwrap();
         assert!(small.drive < big.drive);
         // An absurd load falls back to the largest inverter.
-        let largest = t.pick_for_load("INV", 1e9).unwrap();
+        let largest = t.pick_for_load_id(inv, 1e9).unwrap();
         assert_eq!(largest.drive, 32.0);
     }
 
@@ -400,10 +369,8 @@ mod tests {
     fn windows_shrink_effective_max_load() {
         let lib = full_lib();
         let mut c = LibraryConstraints::unconstrained();
-        let base = {
-            let t = TargetLibrary::new(&lib, &c);
-            t.effective_max_load("INV_4")
-        };
+        let (inv4, inv8) = (id(&lib, "INV_4"), id(&lib, "INV_8"));
+        let base = TargetLibrary::new(&lib, &c).effective_max_load_id(inv4);
         c.set(
             "INV_4",
             "Z",
@@ -415,10 +382,10 @@ mod tests {
             },
         );
         let t = TargetLibrary::new(&lib, &c);
-        assert!((t.effective_max_load("INV_4") - base / 2.0).abs() < 1e-12);
-        assert!((t.effective_max_slew("INV_4") - 0.1).abs() < 1e-12);
+        assert!((t.effective_max_load_id(inv4) - base / 2.0).abs() < 1e-12);
+        assert!((t.effective_max_slew_id(inv4) - 0.1).abs() < 1e-12);
         // Other cells remain unrestricted.
-        assert!(t.effective_max_slew("INV_8").is_infinite());
+        assert!(t.effective_max_slew_id(inv8).is_infinite());
     }
 
     #[test]
@@ -426,15 +393,12 @@ mod tests {
         let lib = full_lib();
         let c = LibraryConstraints::unconstrained();
         let t = TargetLibrary::new(&lib, &c);
-        let up = t.upsize("INV_1").unwrap();
+        let up = t.upsize_id(id(&lib, "INV_1")).unwrap();
         assert_eq!(up.name, "INV_1P5");
-        let down = t.downsize("INV_1P5").unwrap();
+        let down = t.downsize_id(up.id).unwrap();
         assert_eq!(down.name, "INV_1");
-        assert!(t.downsize("INV_0P5").is_none());
-        assert!(t.upsize("INV_32").is_none());
-        // The id-based ladder agrees with the name-based one.
-        let id = lib.cell_id("INV_1").unwrap();
-        assert_eq!(t.upsize_id(id).unwrap().name, "INV_1P5");
+        assert!(t.downsize_id(id(&lib, "INV_0P5")).is_none());
+        assert!(t.upsize_id(id(&lib, "INV_32")).is_none());
     }
 
     #[test]

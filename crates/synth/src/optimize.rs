@@ -350,7 +350,8 @@ fn legalize_loads(
 /// reports as an unknown cell on use.
 fn buffering_inverter(target: &TargetLibrary<'_>) -> CellId {
     target
-        .variants("INV")
+        .family_id("INV")
+        .map(|fid| target.family_variants(fid))
         .and_then(|vs| vs.iter().find(|v| v.drive >= 2.0).or_else(|| vs.last()))
         .map(|v| v.id)
         .unwrap_or(CellId(u32::MAX))
@@ -534,6 +535,23 @@ mod tests {
         assert!(r.met_timing, "worst slack {}", r.report.worst_slack());
         assert!(r.area > 0.0);
         r.design.netlist.validate().unwrap();
+    }
+
+    #[test]
+    fn a_nan_clock_period_is_an_error_not_met_timing() {
+        // A NaN period would make every required time NaN, and a NaN slack
+        // folds away in the worst-slack minimum: the run must fail instead.
+        let r = synthesize(
+            &small_mcu(),
+            &full_lib(),
+            &LibraryConstraints::unconstrained(),
+            &SynthConfig::with_clock_period(f64::NAN),
+        );
+        assert!(
+            matches!(r, Err(SynthError::Sta(StaError::InvalidParameter { .. }))),
+            "{:?}",
+            r.map(|r| r.met_timing)
+        );
     }
 
     #[test]

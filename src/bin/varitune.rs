@@ -5,7 +5,7 @@
 //! varitune stat-lib  [--small] [--n 50] [--seed 42] --out-mean M.lib --out-sigma S.lib
 //! varitune tune      --mean M.lib --sigma S.lib --method METHOD --value V --out W.windows
 //! varitune synth     --lib M.lib --period NS [--windows W.windows]
-//!                    [--design small|paper] [--verilog OUT.v]
+//!                    [--design small|paper] [--verilog OUT.v] [--sdf OUT.sdf]
 //! ```
 //!
 //! Methods: `strength-load-slope`, `strength-slew-slope`, `load-slope`,
@@ -13,7 +13,7 @@
 //!
 //! Files use open formats: Liberty for libraries, the line-oriented
 //! `.windows` sidecar for operating windows, structural Verilog for the
-//! synthesized netlist.
+//! synthesized netlist and SDF for its delays.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
