@@ -358,6 +358,7 @@ fn run(args: &Args) -> Result<(), String> {
     args.write_out(
         &Obj::new()
             .with("schema", "varitune-serve-harness/1")
+            .with("host_hardware_threads", harness::hardware_threads())
             .with("jobs", jobs)
             .with("seed", seed)
             .with("clients", CLIENTS)

@@ -18,6 +18,8 @@
 
 use std::borrow::Cow;
 
+use varitune_trace::json::find_quote_or_backslash;
+
 use crate::fastfloat::parse_f64_compat;
 
 /// A lexical problem: byte offset + message.
@@ -312,33 +314,6 @@ fn lex_string<'a>(
             }
         }
     }
-}
-
-/// First index `>= from` of `"` or `\` in `b` (or `b.len()` when absent),
-/// scanning a 64-bit word at a time: string bodies are the bulk of a
-/// `.lib` file's bytes, so this scan is the lexer's hottest loop.
-fn find_quote_or_backslash(b: &[u8], from: usize) -> usize {
-    const LO: u64 = 0x0101_0101_0101_0101;
-    const HI: u64 = 0x8080_8080_8080_8080;
-    let n = b.len();
-    let mut i = from;
-    while i + 8 <= n {
-        let mut chunk = [0u8; 8];
-        chunk.copy_from_slice(&b[i..i + 8]);
-        let w = u64::from_le_bytes(chunk);
-        // Zero byte in `x` ⇔ matching byte in `w` (classic SWAR test).
-        let q = w ^ (LO * u64::from(b'"'));
-        let s = w ^ (LO * u64::from(b'\\'));
-        let hit = (q.wrapping_sub(LO) & !q & HI) | (s.wrapping_sub(LO) & !s & HI);
-        if hit != 0 {
-            return i + (hit.trailing_zeros() / 8) as usize;
-        }
-        i += 8;
-    }
-    while i < n && !matches!(b[i], b'"' | b'\\') {
-        i += 1;
-    }
-    i
 }
 
 /// First occurrence of `needle` in `hay[from..]`, as an absolute index.

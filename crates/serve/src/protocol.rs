@@ -13,6 +13,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::ops::RangeInclusive;
 
 use varitune_core::quarantine::Strictness;
 use varitune_core::TuningMethod;
@@ -224,25 +225,57 @@ fn parse_method(s: &str) -> Option<TuningMethod> {
         .find(|m| m.to_string() == s)
 }
 
+/// A numeric field, or `default` when it is absent (or not a number).
+///
+/// # Errors
+///
+/// The field's name and allowed range when its value lies outside `range`.
+fn bounded(
+    root: &Json,
+    key: &str,
+    default: u64,
+    range: RangeInclusive<u64>,
+) -> Result<u64, String> {
+    let value = root.get(key).and_then(Json::as_u64).unwrap_or(default);
+    if range.contains(&value) {
+        return Ok(value);
+    }
+    let allowed = match (*range.start(), *range.end()) {
+        (lo, u64::MAX) => format!("at least {lo}"),
+        (0, hi) => format!("at most {hi}"),
+        (lo, hi) => format!("between {lo} and {hi}"),
+    };
+    Err(format!("\"{key}\" must be {allowed}, got {value}"))
+}
+
 impl Request {
     /// Parses a request payload. Missing optional fields take documented
-    /// defaults; a missing `kind`, unknown enum string, or non-object
-    /// payload is an error (answered as `bad_request`).
+    /// defaults; a missing `kind`, unknown enum string, non-object payload
+    /// or numeric field outside its range is an error (answered as
+    /// `bad_request`). The library text is moved out of the parsed tree,
+    /// not copied.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first problem.
     pub fn parse(payload: &str) -> Result<Self, String> {
-        let root = json::parse(payload).map_err(|e| e.to_string())?;
-        if root.members().is_none() {
+        let mut root = json::parse(payload).map_err(|e| e.to_string())?;
+        let Json::Object(members) = &mut root else {
             return Err("request must be a JSON object".to_string());
-        }
+        };
+        let library = members
+            .iter_mut()
+            .find(|(key, _)| key == "library")
+            .and_then(|(_, value)| match value {
+                Json::String(text) => Some(std::mem::take(text)),
+                _ => None,
+            })
+            .unwrap_or_default();
         let str_field = |key: &str| root.get(key).and_then(Json::as_str);
         let num_field = |key: &str| root.get(key).and_then(Json::as_u64);
         let kind = str_field("kind").ok_or("missing \"kind\"")?;
         let kind = JobKind::parse(kind).ok_or_else(|| format!("unknown kind {kind:?}"))?;
         let id = str_field("id").unwrap_or("").to_string();
-        let library = str_field("library").unwrap_or("").to_string();
         if kind.is_work() && kind != JobKind::Poison && library.is_empty() {
             return Err(format!("kind {kind:?} requires a \"library\""));
         }
@@ -257,18 +290,18 @@ impl Request {
         Ok(Self {
             kind,
             id,
-            library_hash: fnv1a64(library.as_bytes()),
-            library,
             seed: num_field("seed").unwrap_or(7),
-            mc_libraries: num_field("mc_libraries").unwrap_or(6).clamp(1, 1024) as usize,
-            threads: num_field("threads").unwrap_or(1).min(64) as usize,
+            mc_libraries: bounded(&root, "mc_libraries", 6, 1..=1024)? as usize,
+            threads: bounded(&root, "threads", 1, 0..=64)? as usize,
             strictness,
-            clock_period_ps: num_field("clock_period_ps").unwrap_or(8000).max(1),
+            clock_period_ps: bounded(&root, "clock_period_ps", 8000, 1..=u64::MAX)?,
             method,
             param_micro: num_field("param_micro").unwrap_or(20_000),
             deadline_ms: num_field("deadline_ms"),
-            generations: num_field("generations").unwrap_or(2).min(64) as usize,
-            population: num_field("population").unwrap_or(4).min(256) as usize,
+            generations: bounded(&root, "generations", 2, 0..=64)? as usize,
+            population: bounded(&root, "population", 4, 0..=256)? as usize,
+            library_hash: fnv1a64(library.as_bytes()),
+            library,
         })
     }
 
@@ -526,6 +559,32 @@ mod tests {
         assert_eq!(req.strictness, Strictness::Strict);
         assert_eq!(req.clock_period_ps, 8000);
         assert!(req.deadline_ms.is_none());
+        assert_eq!(req.library, "library (x) {}");
+        assert_eq!(req.library_hash, fnv1a64(b"library (x) {}"));
+        let twice = Request::parse(r#"{"kind":"sta","library":"a","library":"b"}"#).unwrap();
+        assert_eq!(twice.library, "a", "the first member wins");
+        // Every limit's boundary is accepted as sent.
+        let bounds = [
+            ("mc_libraries", 1),
+            ("mc_libraries", 1024),
+            ("generations", 64),
+            ("population", 256),
+            ("threads", 64),
+            ("threads", 0),
+            ("clock_period_ps", 1),
+        ];
+        for (field, value) in bounds {
+            let payload = format!(r#"{{"kind":"optimize","library":"l","{field}":{value}}}"#);
+            let req = Request::parse(&payload).unwrap();
+            let got = match field {
+                "mc_libraries" => req.mc_libraries as u64,
+                "generations" => req.generations as u64,
+                "population" => req.population as u64,
+                "threads" => req.threads as u64,
+                _ => req.clock_period_ps,
+            };
+            assert_eq!(got, value, "{field}");
+        }
     }
 
     #[test]
@@ -539,6 +598,22 @@ mod tests {
         );
         assert!(Request::parse(r#"{"kind":"sta","library":"l","strictness":"??"}"#).is_err());
         assert!(Request::parse(r#"{"kind":"tune","library":"l","method":"??"}"#).is_err());
+        // A field outside its range is named with the range, not clamped.
+        let out_of_range = [
+            ("mc_libraries", 0, "between 1 and 1024"),
+            ("mc_libraries", 1025, "between 1 and 1024"),
+            ("generations", 65, "at most 64"),
+            ("population", 257, "at most 256"),
+            ("threads", 65, "at most 64"),
+            ("clock_period_ps", 0, "at least 1"),
+        ];
+        for (field, value, allowed) in out_of_range {
+            let payload = format!(r#"{{"kind":"optimize","library":"l","{field}":{value}}}"#);
+            assert_eq!(
+                Request::parse(&payload).unwrap_err(),
+                format!("\"{field}\" must be {allowed}, got {value}")
+            );
+        }
     }
 
     #[test]

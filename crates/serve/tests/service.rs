@@ -4,7 +4,7 @@
 use std::sync::atomic::Ordering;
 
 use varitune_libchar::{generate_nominal, GenerateConfig};
-use varitune_serve::{fnv1a64, Client, LibEntry, RetryPolicy, ServeConfig, Server};
+use varitune_serve::{fnv1a64, Client, LibEntry, Request, RetryPolicy, ServeConfig, Server};
 use varitune_trace::json::{self, Json};
 
 /// Silences expected poison-job panic output while forwarding everything
@@ -68,6 +68,20 @@ fn ok_body(response: &str) -> Json {
 fn error_code(response: &str) -> String {
     varitune_serve::protocol::response_error_code(response)
         .unwrap_or_else(|| panic!("expected error response, got {response}"))
+}
+
+#[test]
+fn a_full_library_decodes_byte_for_byte() {
+    let text = liberty_text();
+    let mut escaped = String::new();
+    json::write_escaped(&mut escaped, &text);
+    assert!(
+        escaped.len() > text.len() + 2,
+        "the library carries escapes"
+    );
+    let req = Request::parse(&request("sta", "full", &text, "")).unwrap();
+    assert!(req.library == text, "decoded library differs from the text");
+    assert_eq!(req.library_hash, fnv1a64(text.as_bytes()));
 }
 
 #[test]

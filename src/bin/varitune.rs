@@ -159,6 +159,17 @@ fn tune_cmd(opts: &BTreeMap<String, String>) -> Result<(), CliError> {
     let sigma = parse_library(&std::fs::read_to_string(required(opts, "sigma")?)?)?;
     let method = parse_method(required(opts, "method")?)?;
     let value: f64 = required(opts, "value")?.parse()?;
+    // `inf` is no bound from this parameter; NaN, a negative value and a
+    // zero sigma ceiling would silently tune nothing.
+    let sigma_ceiling = method == TuningMethod::SigmaCeiling;
+    if value.is_nan() || value < 0.0 || (sigma_ceiling && value == 0.0) {
+        let allowed = if sigma_ceiling {
+            "above 0"
+        } else {
+            "0 or more"
+        };
+        return Err(format!("--value must be {allowed} (inf for no bound), got {value}").into());
+    }
     let out = required(opts, "out")?;
     let stat = StatLibrary::from_parts(mean, sigma, 0);
     let params = match method {

@@ -69,3 +69,59 @@ fn a_nan_clock_period_exits_1_instead_of_signing_off() {
     ]);
     assert_typed_failure(&out, "synth --period nan");
 }
+
+#[test]
+fn tune_rejects_a_meaningless_value_and_keeps_inf() {
+    let dir = Scratch::new("tune_value");
+    let out = dir.varitune(&[
+        "stat-lib",
+        "--small",
+        "--n",
+        "2",
+        "--out-mean",
+        "m.lib",
+        "--out-sigma",
+        "s.lib",
+    ]);
+    assert!(out.status.success(), "stat-lib: {}", out.status);
+    let tune = |method: &str, value: &str| {
+        dir.varitune(&[
+            "tune",
+            "--mean",
+            "m.lib",
+            "--sigma",
+            "s.lib",
+            "--method",
+            method,
+            "--value",
+            value,
+            "--out",
+            "w.windows",
+        ])
+    };
+    for method in ["sigma-ceiling", "load-slope", "slew-slope"] {
+        for value in ["nan", "-1"] {
+            let out = tune(method, value);
+            let what = format!("tune --method {method} --value {value}");
+            assert_typed_failure(&out, &what);
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains("--value"),
+                "{what}: the error names the option"
+            );
+            assert!(!dir.0.join("w.windows").exists(), "{what}: wrote windows");
+        }
+        for value in ["0.02", "inf"] {
+            let out = tune(method, value);
+            assert!(
+                out.status.success(),
+                "tune --method {method} --value {value}"
+            );
+            assert!(
+                dir.0.join("w.windows").exists(),
+                "{method} {value}: no windows"
+            );
+            std::fs::remove_file(dir.0.join("w.windows")).expect("remove the windows file");
+        }
+    }
+    assert_typed_failure(&tune("sigma-ceiling", "0"), "tune sigma-ceiling --value 0");
+}
