@@ -458,7 +458,7 @@ fn reanalyze(
         graph.update().map_err(|e| fail("update", &e))?;
         // A private capture counts this call's evaluated gates; its
         // counters then join the run's trace.
-        let ((report, ms), trace) = varitune_trace::capture_job(|| {
+        let ((report, ms), trace) = varitune_trace::capture(|| {
             let t0 = Instant::now();
             let r = analyze_ssta(graph, stat, opts);
             (r, ms_since(t0))

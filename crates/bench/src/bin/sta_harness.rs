@@ -435,7 +435,7 @@ fn scaling_sweep(
                 }
             }
         }
-        let ((), trace) = varitune_trace::capture_job(|| {
+        let ((), trace) = varitune_trace::capture(|| {
             engine.invalidate_all();
             engine.update().expect("full re-propagation");
         });

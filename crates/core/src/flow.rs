@@ -741,7 +741,7 @@ mod tests {
         };
         let nominal = generate_nominal(&cfg.generate);
         let report = FlowReport::pristine(cfg.strictness, nominal.cells.len());
-        let (results, trace) = varitune_trace::capture_job(|| {
+        let (results, trace) = varitune_trace::capture(|| {
             [
                 Flow::prepare(cfg.clone()).err(),
                 Flow::prepare_from_library(cfg.clone(), &nominal).err(),

@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn a_job_capture_records_the_tuning_counters() {
         let stat = stat_fixture();
-        let (tuned, job) = varitune_trace::capture_job(|| {
+        let (tuned, job) = varitune_trace::capture(|| {
             tune(
                 &stat,
                 TuningMethod::SigmaCeiling,

@@ -18,7 +18,7 @@
 //!   seeded-deterministic exponential jitter.
 //! * **Job** — every worker runs each job under
 //!   [`std::panic::catch_unwind`] with a scoped per-job trace recorder
-//!   ([`varitune_trace::capture_job`]) and a cooperative
+//!   ([`varitune_trace::capture`]) and a cooperative
 //!   [`varitune_variation::CancelToken`] deadline. A panicking job yields a
 //!   structured `panic` error; the worker survives. A deadline fires at
 //!   flow checkpoints and yields a `deadline` error.

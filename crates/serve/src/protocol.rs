@@ -225,18 +225,47 @@ fn parse_method(s: &str) -> Option<TuningMethod> {
         .find(|m| m.to_string() == s)
 }
 
-/// A numeric field, or `default` when it is absent (or not a number).
+/// A string member, or `None` when it is absent.
 ///
 /// # Errors
 ///
-/// The field's name and allowed range when its value lies outside `range`.
+/// The member's name when it is present but not a string (`null`
+/// included).
+fn str_member<'a>(root: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
+    match root.get(key) {
+        None => Ok(None),
+        Some(Json::String(s)) => Ok(Some(s)),
+        Some(_) => Err(format!("\"{key}\" must be a string")),
+    }
+}
+
+/// An unsigned integer member, or `None` when it is absent.
+///
+/// # Errors
+///
+/// The member's name when it is present but not an unsigned integer
+/// (`null` included).
+fn num_member(root: &Json, key: &str) -> Result<Option<u64>, String> {
+    match root.get(key) {
+        None => Ok(None),
+        Some(Json::Number(n)) => Ok(Some(*n)),
+        Some(_) => Err(format!("\"{key}\" must be an unsigned integer")),
+    }
+}
+
+/// A numeric member, or `default` when it is absent.
+///
+/// # Errors
+///
+/// The member's name when it is not an unsigned integer, and its allowed
+/// range when its value lies outside `range`.
 fn bounded(
     root: &Json,
     key: &str,
     default: u64,
     range: RangeInclusive<u64>,
 ) -> Result<u64, String> {
-    let value = root.get(key).and_then(Json::as_u64).unwrap_or(default);
+    let value = num_member(root, key)?.unwrap_or(default);
     if range.contains(&value) {
         return Ok(value);
     }
@@ -249,11 +278,12 @@ fn bounded(
 }
 
 impl Request {
-    /// Parses a request payload. Missing optional fields take documented
-    /// defaults; a missing `kind`, unknown enum string, non-object payload
-    /// or numeric field outside its range is an error (answered as
-    /// `bad_request`). The library text is moved out of the parsed tree,
-    /// not copied.
+    /// Parses a request payload. Absent optional members take documented
+    /// defaults; a missing `kind`, a member of the wrong JSON type (`null`
+    /// included), an unknown enum string, a non-object payload, a numeric
+    /// member outside its range or a zero sigma ceiling is an error
+    /// (answered as `bad_request`). The library text is moved out of the
+    /// parsed tree, not copied.
     ///
     /// # Errors
     ///
@@ -263,41 +293,46 @@ impl Request {
         let Json::Object(members) = &mut root else {
             return Err("request must be a JSON object".to_string());
         };
-        let library = members
-            .iter_mut()
-            .find(|(key, _)| key == "library")
-            .and_then(|(_, value)| match value {
-                Json::String(text) => Some(std::mem::take(text)),
-                _ => None,
-            })
-            .unwrap_or_default();
-        let str_field = |key: &str| root.get(key).and_then(Json::as_str);
-        let num_field = |key: &str| root.get(key).and_then(Json::as_u64);
-        let kind = str_field("kind").ok_or("missing \"kind\"")?;
+        let library = match members.iter_mut().find(|(key, _)| key == "library") {
+            None => String::new(),
+            Some((_, Json::String(text))) => std::mem::take(text),
+            Some(_) => return Err("\"library\" must be a string".to_string()),
+        };
+        let kind = str_member(&root, "kind")?.ok_or("missing \"kind\"")?;
         let kind = JobKind::parse(kind).ok_or_else(|| format!("unknown kind {kind:?}"))?;
-        let id = str_field("id").unwrap_or("").to_string();
+        let id = str_member(&root, "id")?.unwrap_or("").to_string();
         if kind.is_work() && kind != JobKind::Poison && library.is_empty() {
             return Err(format!("kind {kind:?} requires a \"library\""));
         }
-        let strictness = match str_field("strictness") {
+        let strictness = match str_member(&root, "strictness")? {
             None => Strictness::Strict,
             Some(s) => parse_strictness(s).ok_or_else(|| format!("unknown strictness {s:?}"))?,
         };
-        let method = match str_field("method") {
+        let method = match str_member(&root, "method")? {
             None => TuningMethod::SigmaCeiling,
             Some(s) => parse_method(s).ok_or_else(|| format!("unknown method {s:?}"))?,
         };
+        let param_micro = num_member(&root, "param_micro")?.unwrap_or(20_000);
+        // Sigma is positive everywhere, so a zero ceiling accepts no table
+        // point: the tuner leaves every pin unrestricted and the job would
+        // answer the untuned baseline. A slope threshold of 0 is a real
+        // bound and stays accepted.
+        if kind == JobKind::Tune && method == TuningMethod::SigmaCeiling && param_micro == 0 {
+            return Err(format!(
+                "\"param_micro\" must be at least 1 for method \"{method}\", got 0"
+            ));
+        }
         Ok(Self {
             kind,
             id,
-            seed: num_field("seed").unwrap_or(7),
+            seed: num_member(&root, "seed")?.unwrap_or(7),
             mc_libraries: bounded(&root, "mc_libraries", 6, 1..=1024)? as usize,
             threads: bounded(&root, "threads", 1, 0..=64)? as usize,
             strictness,
             clock_period_ps: bounded(&root, "clock_period_ps", 8000, 1..=u64::MAX)?,
             method,
-            param_micro: num_field("param_micro").unwrap_or(20_000),
-            deadline_ms: num_field("deadline_ms"),
+            param_micro,
+            deadline_ms: num_member(&root, "deadline_ms")?,
             generations: bounded(&root, "generations", 2, 0..=64)? as usize,
             population: bounded(&root, "population", 4, 0..=256)? as usize,
             library_hash: fnv1a64(library.as_bytes()),
@@ -614,6 +649,65 @@ mod tests {
                 format!("\"{field}\" must be {allowed}, got {value}")
             );
         }
+        // A member of the wrong JSON type, or null, is named with the type
+        // it needs instead of silently taking its default.
+        let numeric = [
+            "seed",
+            "mc_libraries",
+            "threads",
+            "clock_period_ps",
+            "param_micro",
+            "deadline_ms",
+            "generations",
+            "population",
+        ];
+        for field in numeric {
+            for wrong in [r#""2000""#, "null", "[1]"] {
+                let payload = format!(r#"{{"kind":"tune","library":"l","{field}":{wrong}}}"#);
+                assert_eq!(
+                    Request::parse(&payload).unwrap_err(),
+                    format!("\"{field}\" must be an unsigned integer"),
+                    "{field}: {wrong}"
+                );
+            }
+        }
+        for field in ["kind", "id", "strictness", "method", "library"] {
+            for wrong in ["3", "null", "{}"] {
+                let payload = match field {
+                    "kind" => format!(r#"{{"library":"l","kind":{wrong}}}"#),
+                    "library" => format!(r#"{{"kind":"sta","library":{wrong}}}"#),
+                    _ => format!(r#"{{"kind":"tune","library":"l","{field}":{wrong}}}"#),
+                };
+                assert_eq!(
+                    Request::parse(&payload).unwrap_err(),
+                    format!("\"{field}\" must be a string"),
+                    "{field}: {wrong}"
+                );
+            }
+        }
+        // A zero sigma ceiling would tune nothing and answer the baseline.
+        assert_eq!(
+            Request::parse(r#"{"kind":"tune","library":"l","param_micro":0}"#).unwrap_err(),
+            "\"param_micro\" must be at least 1 for method \"sigma ceiling\", got 0"
+        );
+    }
+
+    #[test]
+    fn tune_parameter_boundaries_are_accepted() {
+        let req = Request::parse(r#"{"kind":"tune","library":"l","param_micro":1}"#).unwrap();
+        assert_eq!(
+            (req.method, req.param_micro),
+            (TuningMethod::SigmaCeiling, 1)
+        );
+        // A slope threshold of 0 is a real bound.
+        let req = Request::parse(
+            r#"{"kind":"tune","library":"l","method":"cell load slope","param_micro":0}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            (req.method, req.param_micro),
+            (TuningMethod::CellLoadSlope, 0)
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   truncated or oversized length prefixes, invalid UTF-8, mid-frame
 //!   disconnects — terminates (or answers on) *that* connection only.
 //! * A **worker** runs each job under a scoped per-job trace recorder
-//!   ([`varitune_trace::capture_job`]), a [`CancelToken`] deadline scope,
+//!   ([`varitune_trace::capture`]), a [`CancelToken`] deadline scope,
 //!   and [`std::panic::catch_unwind`]. A panicking job becomes a
 //!   structured `panic` error; the worker thread never dies.
 //!
@@ -583,7 +583,7 @@ fn run_job(request: &Request, shared: &Arc<Shared>) -> String {
         Some(at) => CancelToken::with_deadline(at),
         None => CancelToken::new(),
     };
-    let (outcome, trace) = varitune_trace::capture_job(|| {
+    let (outcome, trace) = varitune_trace::capture(|| {
         catch_unwind(AssertUnwindSafe(|| {
             cancel::with_token(&token, || handle_job(request, shared))
         }))

@@ -1870,7 +1870,7 @@ mod tests {
                 let out = engine.design().netlist.gate_outputs(gi)[0];
                 engine.set_load(out, Some(0.031)).unwrap();
             }
-            let ((), trace) = varitune_trace::capture_job(|| engine.update().unwrap());
+            let ((), trace) = varitune_trace::capture(|| engine.update().unwrap());
             assert_eq!(engine.gates_recomputed_in_last_update(), 3000);
             (engine.report(), trace)
         };
@@ -2170,13 +2170,13 @@ mod tests {
 
     #[test]
     fn a_job_capture_records_the_engine_counters() {
-        // Served jobs trace under `capture_job`; the engine's counters must
-        // land there as they do under the global `capture`.
+        // Served jobs trace under their own `capture`; the engine's
+        // counters must land there.
         let lib = generate_nominal(&GenerateConfig::full());
         let cfg = StaConfig::with_clock_period(6.0);
         let d = small_mcu(&lib);
         let gates = d.netlist.gate_count() as u64;
-        let (_, job) = varitune_trace::capture_job(|| TimingGraph::new(d, &lib, &cfg).unwrap());
+        let (_, job) = varitune_trace::capture(|| TimingGraph::new(d, &lib, &cfg).unwrap());
         for (name, want) in [
             ("sta.graph_builds", 1),
             ("sta.updates", 1),

@@ -744,7 +744,7 @@ mod tests {
         let nl = small_mcu();
         for period in [10.0, 1.2] {
             let cfg = SynthConfig::with_clock_period(period);
-            let (r, trace) = varitune_trace::capture_job(|| {
+            let (r, trace) = varitune_trace::capture(|| {
                 synthesize(&nl, &lib, &LibraryConstraints::unconstrained(), &cfg).unwrap()
             });
             let updates = trace.counter("sta.updates");

@@ -16,22 +16,26 @@
 //!
 //! # Determinism contract
 //!
-//! With tracing enabled and the `wall-clock` feature **off** (the
-//! default), a [`FlowTrace`] captured from a deterministic workload is
-//! byte-identical across reruns and across `threads = 1/2/8…`: counters
-//! and histograms are integer-valued and merge commutatively, spans come
-//! only from the single orchestration thread, and the JSON writer sorts
-//! every map. Enabling `wall-clock` stamps spans with durations and
-//! deliberately gives up byte-identity — never enable it in a build whose
-//! trace output is diffed.
+//! With the `wall-clock` feature **off** (the default), a [`FlowTrace`]
+//! captured from a deterministic workload is byte-identical across reruns
+//! and across `threads = 1/2/8…`: counters and histograms are
+//! integer-valued and merge commutatively, spans come only from the single
+//! orchestration thread, and the JSON writer sorts every map. Enabling
+//! `wall-clock` stamps spans with durations and deliberately gives up
+//! byte-identity — never enable it in a build whose trace output is
+//! diffed.
 //!
 //! # Recording model
 //!
-//! Instrumented library code reports into a process-global recorder that
-//! is **off by default**: every hook is a cheap atomic check until a
-//! harness opts in. Harnesses use [`capture`], which serializes capturing
-//! callers, resets the recorder, runs the workload with tracing enabled,
-//! and returns the [`FlowTrace`]:
+//! Every recorder belongs to one [`capture`]: the call installs a fresh
+//! recorder for the calling thread, runs the workload, and returns the
+//! [`FlowTrace`]. Worker threads the workload starts through
+//! `varitune-variation::parallel` inherit the recorder
+//! ([`current_job`]/[`with_job_scope`]); any other thread records nothing.
+//! Outside a capture every hook is one thread-local read. Captures on
+//! different threads run concurrently without sharing anything, a capture
+//! nested inside another records only into the inner one, and
+//! [`pause_spans`] pauses the spans of its own capture only:
 //!
 //! ```
 //! use varitune_trace as trace;
@@ -63,27 +67,23 @@ pub use metrics::{bucket_index, Histogram, Metrics, HISTOGRAM_BUCKETS};
 pub use report::{FlowTrace, SCHEMA};
 pub use span::{SpanGuard, SpanNode};
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use span::SpanArena;
 
-/// Global recorder state. `Mutex::new` is const, so no lazy init is
-/// needed; the fast path (tracing disabled) never touches the lock.
-#[derive(Debug)]
+/// What one capture has recorded so far.
+#[derive(Debug, Default)]
 struct Recorder {
     metrics: Metrics,
     spans: SpanArena,
+    /// Depth of nested [`pause_spans`] guards. While positive,
+    /// [`open_span`] records nothing; counters and histograms are
+    /// unaffected.
+    span_pause_depth: usize,
 }
 
 impl Recorder {
-    const fn empty() -> Self {
-        Self {
-            metrics: Metrics::new(),
-            spans: SpanArena::new(),
-        }
-    }
-
     fn to_trace(&self) -> FlowTrace {
         FlowTrace {
             spans: self.spans.to_tree(),
@@ -92,41 +92,38 @@ impl Recorder {
     }
 }
 
-/// A private flight recorder for one job: the scoped alternative to the
-/// process-global recorder, so concurrent jobs (e.g. a serving worker
-/// pool) each capture their own spans and metrics without interleaving or
-/// serializing on [`capture`]'s process-wide lock.
+/// The recorder of one [`capture`], shared by the capturing thread and
+/// the worker threads that inherit its scope.
 ///
-/// Install it for a lexical scope with [`capture_job`]; worker threads a
-/// job spawns through `varitune-variation::parallel` inherit the handle,
-/// so metrics recorded inside parallel trials land in the owning job's
-/// capture. Spans stay subject to the single-orchestration-thread
-/// discipline (and [`pause_spans`]) exactly as with the global recorder.
+/// Parallel drivers hand it on: [`current_job`] on the spawning thread,
+/// [`with_job_scope`] on each worker, as `varitune-variation::parallel`
+/// does, so metrics recorded inside parallel trials land in the capture
+/// that started them. Spans stay subject to the single-orchestration-thread
+/// discipline and to [`pause_spans`].
 #[derive(Debug, Clone)]
 pub struct JobRecorder {
-    inner: std::sync::Arc<Mutex<Recorder>>,
+    inner: Arc<Mutex<Recorder>>,
 }
 
 impl JobRecorder {
-    fn new() -> Self {
-        Self {
-            inner: std::sync::Arc::new(Mutex::new(Recorder::empty())),
-        }
-    }
-
     fn lock(&self) -> MutexGuard<'_, Recorder> {
-        // Same poisoning argument as the global recorder: a panic
-        // mid-record leaves structurally valid state.
+        // A poisoned lock only means a panic mid-record; the state is
+        // still structurally valid (worst case a span is left open, which
+        // the arena tolerates).
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 std::thread_local! {
-    static CURRENT_JOB: std::cell::RefCell<Option<JobRecorder>> =
-        const { std::cell::RefCell::new(None) };
+    static CURRENT_JOB: RefCell<Option<JobRecorder>> = const { RefCell::new(None) };
 }
 
-/// The job recorder installed on this thread, if any. Used by parallel
+/// Runs `f` on this thread's recorder in place; `None` outside a capture.
+fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
+    CURRENT_JOB.with(|c| c.borrow().as_ref().map(|job| f(&mut job.lock())))
+}
+
+/// The recorder installed on this thread, if any. Used by parallel
 /// drivers to hand the scope to worker threads via [`with_job_scope`].
 #[must_use]
 pub fn current_job() -> Option<JobRecorder> {
@@ -134,7 +131,7 @@ pub fn current_job() -> Option<JobRecorder> {
 }
 
 /// Runs `f` with `job` installed as this thread's recorder (or with no
-/// job recorder when `None`), restoring the previous scope afterwards —
+/// recorder when `None`), restoring the previous scope afterwards —
 /// including on unwind, so a caught panic cannot leak one job's recorder
 /// into the next job on the same worker thread.
 pub fn with_job_scope<R>(job: Option<JobRecorder>, f: impl FnOnce() -> R) -> R {
@@ -150,113 +147,67 @@ pub fn with_job_scope<R>(job: Option<JobRecorder>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Runs `f` under a fresh private recorder and returns its result along
-/// with the captured [`FlowTrace`].
+/// Runs `f` under a fresh recorder installed for this thread and returns
+/// its result along with the captured [`FlowTrace`].
 ///
-/// Unlike [`capture`], job captures do not serialize against each other
-/// and never touch the process-global recorder: any number may run
-/// concurrently on different threads, each seeing exactly its own spans
-/// and metrics. The global recorder's enabled/disabled state is
-/// irrelevant inside the scope.
-pub fn capture_job<R>(f: impl FnOnce() -> R) -> (R, FlowTrace) {
-    let job = JobRecorder::new();
+/// Any number of captures may run at once on different threads, each
+/// seeing exactly its own spans and metrics. A capture nested inside `f`
+/// gets its own recorder too: what it records stays out of this one.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, FlowTrace) {
+    let job = JobRecorder {
+        inner: Arc::default(),
+    };
     let result = with_job_scope(Some(job.clone()), f);
     let trace = job.lock().to_trace();
     (result, trace)
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Depth of nested [`pause_spans`] guards. While positive, [`open_span`]
-/// records nothing; counters and histograms are unaffected.
-static SPAN_PAUSE_DEPTH: AtomicUsize = AtomicUsize::new(0);
-static RECORDER: Mutex<Recorder> = Mutex::new(Recorder {
-    metrics: Metrics::new(),
-    spans: SpanArena::new(),
-});
-/// Serializes [`capture`] callers so concurrent captures (e.g. parallel
-/// tests in one binary) cannot interleave their metrics.
-static CAPTURE: Mutex<()> = Mutex::new(());
-
-fn recorder() -> MutexGuard<'static, Recorder> {
-    // A poisoned lock only means a panic mid-record; the state is still
-    // structurally valid (worst case a span is left open, which the arena
-    // tolerates).
-    RECORDER.lock().unwrap_or_else(PoisonError::into_inner)
+/// Another name for [`capture`], kept for callers that use it.
+pub fn capture_job<R>(f: impl FnOnce() -> R) -> (R, FlowTrace) {
+    capture(f)
 }
 
-/// Whether the flight recorder is currently accepting events.
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Whether *anything* is recording on this thread: a scoped job recorder
-/// if installed, otherwise the process-global recorder. Instrumented code
-/// that snapshots state conditionally (e.g. `FlowReport::counters`)
-/// should gate on this, not on [`enabled`], so it works under both
-/// capture modes.
+/// Whether this thread records: true inside a [`capture`] or a worker
+/// that inherited one. Instrumented code that snapshots state
+/// conditionally (e.g. `FlowReport::counters`) gates on this.
 #[must_use]
 pub fn is_recording() -> bool {
-    enabled() || CURRENT_JOB.with(|c| c.borrow().is_some())
+    CURRENT_JOB.with(|c| c.borrow().is_some())
 }
 
-/// Turns the flight recorder on or off. Prefer [`capture`] in harnesses.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Clears all recorded spans and metrics.
-pub fn reset() {
-    let mut rec = recorder();
-    rec.metrics = Metrics::new();
-    rec.spans.clear();
-}
-
-/// Adds `delta` to the counter `name` in this thread's job recorder if
-/// one is installed, else in the global recorder. No-op while nothing
-/// records.
+/// Adds `delta` to the counter `name` in this thread's capture. No-op
+/// outside a capture.
 pub fn add(name: &str, delta: u64) {
-    if let Some(job) = current_job() {
-        job.lock().metrics.add(name, delta);
-    } else if enabled() {
-        recorder().metrics.add(name, delta);
-    }
+    with_recorder(|rec| rec.metrics.add(name, delta));
 }
 
-/// Records `value` in the histogram `name` (job recorder first, like
-/// [`add`]). No-op while nothing records.
+/// Records `value` in the histogram `name` in this thread's capture.
+/// No-op outside a capture.
 pub fn observe(name: &str, value: u64) {
-    if let Some(job) = current_job() {
-        job.lock().metrics.observe(name, value);
-    } else if enabled() {
-        recorder().metrics.observe(name, value);
-    }
+    with_recorder(|rec| rec.metrics.observe(name, value));
 }
 
-/// Folds a locally accumulated [`Metrics`] set into this thread's job
-/// recorder if one is installed, else into the global recorder. No-op
-/// while nothing records. This is the hook for parallel workers: build a
-/// private set per shard, merge once — order does not matter.
+/// Folds a locally accumulated [`Metrics`] set into this thread's
+/// capture. No-op outside a capture. This is the hook for parallel
+/// workers: build a private set per shard, merge once — order does not
+/// matter.
 pub fn merge_metrics(local: &Metrics) {
-    if local.is_empty() {
-        return;
-    }
-    if let Some(job) = current_job() {
-        job.lock().metrics.merge(local);
-    } else if enabled() {
-        recorder().metrics.merge(local);
+    if !local.is_empty() {
+        with_recorder(|rec| rec.metrics.merge(local));
     }
 }
 
-/// Whether span recording is currently suspended by a [`pause_spans`]
-/// guard. Counters and histograms keep recording regardless.
+/// Whether span recording in this thread's capture is suspended by a
+/// [`pause_spans`] guard. Counters and histograms keep recording
+/// regardless.
 #[must_use]
 pub fn spans_paused() -> bool {
-    SPAN_PAUSE_DEPTH.load(Ordering::Relaxed) > 0
+    with_recorder(|rec| rec.span_pause_depth > 0) == Some(true)
 }
 
-/// Suspends span recording until the returned guard drops. Nests; the
-/// innermost guard keeps spans paused until every guard is gone.
+/// Suspends span recording in this thread's capture until the returned
+/// guard drops. Nests; the innermost guard keeps spans paused until every
+/// guard is gone. Other captures keep recording their spans.
 ///
 /// Spans belong to the single orchestration thread ([`mod@span`] docs);
 /// a stage that hands whole flow invocations to worker threads — the
@@ -267,44 +218,37 @@ pub fn spans_paused() -> bool {
 /// commutative and may be recorded from any thread.
 #[must_use = "spans resume when the guard drops; binding it to _ resumes immediately"]
 pub fn pause_spans() -> SpanPauseGuard {
-    SPAN_PAUSE_DEPTH.fetch_add(1, Ordering::Relaxed);
-    SpanPauseGuard(())
+    let job = current_job();
+    if let Some(job) = &job {
+        job.lock().span_pause_depth += 1;
+    }
+    SpanPauseGuard(job)
 }
 
-/// RAII guard returned by [`pause_spans`]; resumes span recording on drop.
+/// RAII guard returned by [`pause_spans`]; resumes span recording in the
+/// capture it paused when dropped.
 #[derive(Debug)]
-pub struct SpanPauseGuard(());
+pub struct SpanPauseGuard(Option<JobRecorder>);
 
 impl Drop for SpanPauseGuard {
     fn drop(&mut self) {
-        SPAN_PAUSE_DEPTH.fetch_sub(1, Ordering::Relaxed);
+        if let Some(job) = &self.0 {
+            job.lock().span_pause_depth -= 1;
+        }
     }
 }
 
-/// Where a live span was recorded, so its guard closes it in the same
-/// arena it was opened in even if the thread's job scope changes in
-/// between.
-#[derive(Debug)]
-pub(crate) enum SpanTarget {
-    Global,
-    Job(JobRecorder),
-}
-
-/// Opens a stage span (prefer the [`span!`] macro) in this thread's job
-/// recorder if one is installed, else in the global recorder. The guard
-/// closes it on drop; inert while nothing records or while spans are
-/// paused.
+/// Opens a stage span (prefer the [`span!`] macro) in this thread's
+/// capture. The guard closes it on drop; inert outside a capture or while
+/// its spans are paused.
 pub fn open_span(name: &'static str) -> SpanGuard {
-    let slot = if spans_paused() {
-        None
-    } else if let Some(job) = current_job() {
-        let index = job.lock().spans.open(name);
-        Some((SpanTarget::Job(job), index))
-    } else if enabled() {
-        Some((SpanTarget::Global, recorder().spans.open(name)))
-    } else {
-        None
-    };
+    let slot = current_job().and_then(|job| {
+        let index = {
+            let mut rec = job.lock();
+            (rec.span_pause_depth == 0).then(|| rec.spans.open(name))
+        }?;
+        Some((job, index))
+    });
     SpanGuard {
         slot,
         #[cfg(feature = "wall-clock")]
@@ -312,38 +256,11 @@ pub fn open_span(name: &'static str) -> SpanGuard {
     }
 }
 
-pub(crate) fn close_span(target: &SpanTarget, index: usize, nanos: Option<u64>) {
-    match target {
-        SpanTarget::Global => recorder().spans.close(index, nanos),
-        SpanTarget::Job(job) => job.lock().spans.close(index, nanos),
-    }
-}
-
-/// Copies the current recorder contents into a [`FlowTrace`] — the job
-/// recorder when this thread is inside a [`capture_job`] scope, the
-/// global recorder otherwise.
+/// Copies what this thread's capture has recorded so far into a
+/// [`FlowTrace`]; empty outside a capture.
 #[must_use]
 pub fn snapshot() -> FlowTrace {
-    match current_job() {
-        Some(job) => job.lock().to_trace(),
-        None => recorder().to_trace(),
-    }
-}
-
-/// Runs `f` with a fresh, enabled recorder and returns its result along
-/// with the captured [`FlowTrace`].
-///
-/// Captures are serialized process-wide; nesting `capture` inside `f`
-/// deadlocks, so don't. The recorder is disabled again before returning.
-pub fn capture<R>(f: impl FnOnce() -> R) -> (R, FlowTrace) {
-    let _serialize = CAPTURE.lock().unwrap_or_else(PoisonError::into_inner);
-    reset();
-    set_enabled(true);
-    let result = f();
-    set_enabled(false);
-    let trace = snapshot();
-    reset();
-    (result, trace)
+    with_recorder(|rec| rec.to_trace()).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -354,8 +271,8 @@ mod tests {
     fn disabled_recorder_ignores_events() {
         let (_, trace) = capture(|| ());
         assert!(trace.metrics.is_empty());
-        // Outside capture the recorder is off: these must not leak into
-        // the next capture.
+        // Outside a capture nothing records: these must not leak into the
+        // next capture.
         add("ghost", 1);
         observe("ghost.h", 1);
         let _ghost = span!("ghost.span");
@@ -417,16 +334,14 @@ mod tests {
     }
 
     #[test]
-    fn job_captures_are_isolated_and_concurrent() {
-        // The original flight recorder was process-global behind one
-        // AtomicBool: two simultaneous traced jobs either serialized on
-        // the capture lock or interleaved their spans. Job captures must
-        // do neither — each sees exactly its own events.
+    fn concurrent_captures_are_isolated() {
+        // Two captures running at once must neither serialize nor
+        // interleave their spans: each sees exactly its own events.
         let traces: Vec<FlowTrace> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|j| {
                     scope.spawn(move || {
-                        let ((), trace) = capture_job(|| {
+                        let ((), trace) = capture(|| {
                             let _outer = span!("job.outer");
                             for _ in 0..100 {
                                 add("job.count", j + 1);
@@ -448,26 +363,77 @@ mod tests {
     }
 
     #[test]
-    fn job_capture_does_not_touch_global_recorder() {
-        let ((), global) = capture(|| {
-            add("global.before", 1);
-            let ((), job) = capture_job(|| {
-                let _s = span!("job.span");
-                add("job.only", 7);
+    fn a_nested_capture_stays_out_of_the_outer_one() {
+        let ((), outer) = capture(|| {
+            add("outer.before", 1);
+            let _outer_span = span!("outer.span");
+            let ((), inner) = capture(|| {
+                let _s = span!("inner.span");
+                add("inner.only", 7);
             });
-            assert_eq!(job.counter("job.only"), 7);
-            assert_eq!(job.span_names(), ["job.span"]);
-            add("global.after", 1);
+            assert_eq!(inner.counter("inner.only"), 7);
+            assert_eq!(inner.span_names(), ["inner.span"]);
+            add("outer.after", 1);
         });
-        assert_eq!(global.counter("job.only"), 0);
-        assert_eq!(global.counter("global.before"), 1);
-        assert_eq!(global.counter("global.after"), 1);
-        assert!(global.span_names().is_empty());
+        assert_eq!(outer.counter("inner.only"), 0);
+        assert_eq!(outer.counter("outer.before"), 1);
+        assert_eq!(outer.counter("outer.after"), 1);
+        assert_eq!(outer.span_names(), ["outer.span"]);
+    }
+
+    #[test]
+    fn a_pause_in_one_capture_leaves_another_recording_spans() {
+        // The optimizer pauses spans around its parallel evaluations; a
+        // concurrent capture (another served job) must keep its spans.
+        let barrier = std::sync::Barrier::new(2);
+        let (paused, open) = std::thread::scope(|scope| {
+            let paused = scope.spawn(|| {
+                capture(|| {
+                    let _pause = pause_spans();
+                    barrier.wait(); // paused before the other span opens
+                    barrier.wait(); // ... and until it has closed
+                    let _hidden = span!("paused.span");
+                })
+                .1
+            });
+            let open = scope.spawn(|| {
+                capture(|| {
+                    barrier.wait();
+                    drop(span!("open.span"));
+                    barrier.wait();
+                })
+                .1
+            });
+            (paused.join().unwrap(), open.join().unwrap())
+        });
+        assert_eq!(open.span_names(), ["open.span"]);
+        assert!(paused.span_names().is_empty());
+    }
+
+    #[test]
+    fn a_thread_outside_any_capture_records_nothing_into_one() {
+        let barrier = std::sync::Barrier::new(2);
+        let trace = std::thread::scope(|scope| {
+            let capturing = scope.spawn(|| {
+                capture(|| {
+                    barrier.wait(); // capturing before the stray add
+                    barrier.wait(); // ... and until it is done
+                })
+                .1
+            });
+            scope.spawn(|| {
+                barrier.wait();
+                add("stray", 1);
+                barrier.wait();
+            });
+            capturing.join().unwrap()
+        });
+        assert_eq!(trace.counter("stray"), 0);
     }
 
     #[test]
     fn job_scope_propagates_to_threads_and_restores_on_panic() {
-        let ((), trace) = capture_job(|| {
+        let ((), trace) = capture(|| {
             let job = current_job();
             assert!(job.is_some());
             std::thread::scope(|scope| {
@@ -489,9 +455,8 @@ mod tests {
     }
 
     #[test]
-    fn is_recording_reflects_both_modes() {
+    fn is_recording_holds_only_inside_a_capture() {
         assert!(!is_recording());
-        let ((), _t) = capture_job(|| assert!(is_recording()));
         let ((), _t) = capture(|| assert!(is_recording()));
         assert!(!is_recording());
     }
@@ -499,13 +464,17 @@ mod tests {
     #[test]
     fn concurrent_counting_is_exact() {
         let ((), trace) = capture(|| {
+            let job = current_job();
             std::thread::scope(|scope| {
                 for _ in 0..8 {
-                    scope.spawn(|| {
-                        for _ in 0..1000 {
-                            add("hits", 1);
-                            observe("values", 3);
-                        }
+                    let job = job.clone();
+                    scope.spawn(move || {
+                        with_job_scope(job, || {
+                            for _ in 0..1000 {
+                                add("hits", 1);
+                                observe("values", 3);
+                            }
+                        });
                     });
                 }
             });

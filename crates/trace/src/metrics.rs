@@ -130,7 +130,7 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// An empty set. `const` so the global recorder needs no lazy init.
+    /// An empty set.
     #[must_use]
     pub const fn new() -> Self {
         Self {

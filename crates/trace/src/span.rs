@@ -43,16 +43,6 @@ pub(crate) struct SpanArena {
     stack: Vec<usize>,
 }
 
-impl SpanArena {
-    /// An empty arena. `const` so the global recorder needs no lazy init.
-    pub(crate) const fn new() -> Self {
-        Self {
-            nodes: Vec::new(),
-            stack: Vec::new(),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct RawSpan {
     name: &'static str,
@@ -87,11 +77,6 @@ impl SpanArena {
                 break;
             }
         }
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.nodes.clear();
-        self.stack.clear();
     }
 
     /// Builds the reported tree: every root span with its children, in
@@ -131,25 +116,25 @@ impl SpanArena {
 
 /// RAII guard returned by [`crate::span!`]; closes the span on drop.
 ///
-/// Inert (records nothing) when tracing is disabled at open time. The
-/// guard remembers which recorder (global or per-job) opened the span, so
-/// it closes in the right arena even across scope changes.
+/// Inert (records nothing) when opened outside a capture or while its
+/// spans are paused. The guard holds the recorder that opened the span,
+/// so it closes in the right arena even across scope changes.
 #[derive(Debug)]
 #[must_use = "a span guard closes its span when dropped; binding it to _ closes immediately"]
 pub struct SpanGuard {
-    pub(crate) slot: Option<(crate::SpanTarget, usize)>,
+    pub(crate) slot: Option<(crate::JobRecorder, usize)>,
     #[cfg(feature = "wall-clock")]
     pub(crate) start: std::time::Instant,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some((target, index)) = self.slot.take() {
+        if let Some((job, index)) = self.slot.take() {
             #[cfg(feature = "wall-clock")]
             let nanos = Some(u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX));
             #[cfg(not(feature = "wall-clock"))]
             let nanos = None;
-            crate::close_span(&target, index, nanos);
+            job.lock().spans.close(index, nanos);
         }
     }
 }

@@ -169,8 +169,7 @@ fn ssta_sharded_propagation_digests_are_frozen() {
         for threads in [1usize, 2, 8, 1] {
             graph.set_threads(threads);
             let model = SstaModel::build(&graph, &stat, opts).expect("model");
-            let (report, trace) =
-                varitune::trace::capture_job(|| model.analyze().expect("analyze"));
+            let (report, trace) = varitune::trace::capture(|| model.analyze().expect("analyze"));
             assert!(
                 trace.counter("variation.shard_calls") > 0,
                 "M={max_local_terms} at {threads} thread(s): the analysis never sharded a stage"

@@ -22,7 +22,7 @@ use varitune_core::{best_tuning_by_yield, TuningMethod, TuningParams};
 use varitune_liberty::CellId;
 use varitune_sta::{SstaOptions, SstaReport};
 use varitune_synth::{LibraryConstraints, SynthConfig, TargetLibrary};
-use varitune_trace::{capture_job, FlowTrace};
+use varitune_trace::{capture, FlowTrace};
 
 const PERIOD_NS: f64 = 8.0;
 
@@ -200,7 +200,7 @@ fn sweep_area_caps(baseline: &FlowRun, seed: Option<&[u64]>) -> (u64, usize) {
             let candidates: Vec<TuningParams> = order.iter().map(|n| n.params).collect();
             for cap in [10.0, 0.0, -1.0] {
                 let what = format!("{method} {candidates:?} under {cap} %");
-                let (pick, trace) = capture_job(|| {
+                let (pick, trace) = capture(|| {
                     best_tuning_under_area_cap(flow(), baseline, method, &candidates, &synth(), cap)
                         .expect("sweep")
                 });
@@ -259,7 +259,7 @@ fn yield_picks_equal_a_full_sweep_and_each_key_synthesizes_once() {
             // candidates yield less the less they restrict.
             for period in [PERIOD_NS, 7.0] {
                 let what = format!("{method} {candidates:?} at {period} ns");
-                let (pick, trace) = capture_job(|| {
+                let (pick, trace) = capture(|| {
                     let opts = SstaOptions::default();
                     best_tuning_by_yield(flow(), method, &candidates, &synth(), period, opts)
                         .expect("sweep")

@@ -2,35 +2,21 @@
 //! full flow: counters and histograms are functions of the workload alone,
 //! so a captured [`FlowTrace`] is **bit-identical** across worker-thread
 //! counts and **byte-identical** across reruns (default build, no
-//! `wall-clock`). Every test that runs a flow does so inside
-//! [`varitune::trace::capture`], which serializes captures process-wide —
-//! so the traces compared here cannot be polluted by a sibling test.
-//! Untraced runs are not serialized by `capture`, so every flow-running
-//! test here also holds [`FLOWS`].
+//! `wall-clock`). Each capture records only its own thread and the
+//! parallel workers that thread starts, so sibling tests running at the
+//! same time cannot pollute the traces compared here, and an untraced run
+//! records nothing.
 //!
 //! [`FlowTrace`]: varitune::trace::FlowTrace
-
-use std::sync::{Mutex, MutexGuard};
 
 use varitune::core::flow::{Flow, FlowConfig, FLOW_STAGE_SPANS};
 use varitune::core::{TuningMethod, TuningParams};
 use varitune::synth::SynthConfig;
 use varitune::trace::{FlowTrace, Histogram, Metrics, SpanNode};
 
-/// Serializes this binary's flow runs: a sibling's `capture` turns the
-/// process-global recorder on, which an untraced run must not observe.
-static FLOWS: Mutex<()> = Mutex::new(());
-
-fn flows_lock() -> MutexGuard<'static, ()> {
-    FLOWS
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Captures one full flow — prepare, baseline, tuned — at `threads`
 /// workers and returns the trace.
 fn traced_flow(threads: usize) -> FlowTrace {
-    let _flows = flows_lock();
     let mut cfg = FlowConfig::small_for_tests();
     cfg.threads = threads;
     let (_, trace) = varitune::trace::capture(|| {
@@ -108,7 +94,6 @@ fn flow_trace_covers_every_documented_stage() {
 
 #[test]
 fn flow_report_embeds_counter_snapshot_only_when_tracing() {
-    let _flows = flows_lock();
     let untraced = Flow::prepare(FlowConfig::small_for_tests()).expect("flow");
     assert!(untraced.report.counters.is_empty());
     let (flow, _) =
