@@ -13,8 +13,9 @@
 #![allow(clippy::expect_used)]
 
 use std::fmt::Write as _;
+use std::rc::Rc;
 
-use varitune_core::{TuningMethod, TuningParams};
+use varitune_core::{FlowRun, TuningMethod, TuningParams};
 use varitune_libchar::interp;
 use varitune_libchar::TableKind;
 use varitune_liberty::{CellKind, Lut};
@@ -371,14 +372,10 @@ pub fn fig9(ctx: &Ctx) -> String {
         ("(b) low performance", ctx.periods.low),
     ] {
         let baseline = ctx.baseline(period);
-        let params = ctx
-            .best_under_cap(TuningMethod::SigmaCeiling, period, 10.0)
-            .map(|(p, _, _)| p)
-            .unwrap_or_else(|| TuningParams::with_sigma_ceiling(0.02));
-        let tuned = ctx.tuned_run(TuningMethod::SigmaCeiling, params, period);
+        let (params, tuned) = best_ceiling_run(ctx, period);
         let rows: Vec<Vec<String>> = varitune_synth::usage_comparison(
             &baseline.synthesis.design.cell_usage(&ctx.flow.nominal),
-            &tuned.1.synthesis.design.cell_usage(&ctx.flow.nominal),
+            &tuned.synthesis.design.cell_usage(&ctx.flow.nominal),
             ctx.scale.usage_threshold,
         )
         .into_iter()
@@ -415,16 +412,15 @@ pub fn fig10(ctx: &Ctx) -> String {
     for (label, period) in ctx.periods.all() {
         let baseline = ctx.baseline(period);
         for method in TuningMethod::ALL {
-            let best = ctx.best_under_cap(method, period, 10.0);
-            match best {
+            match ctx.best_under_cap(method, period) {
                 Some((params, run, cmp)) => rows.push(vec![
                     format!("{label} {period:.2}"),
                     method.to_string(),
                     format!("{}", params.varied_value(method)),
                     pct(-cmp.sigma_reduction_pct()),
                     pct(cmp.area_increase_pct()),
-                    f3(run.1.design.sigma),
-                    format!("{:.0}", run.1.area()),
+                    f3(run.design.sigma),
+                    format!("{:.0}", run.area()),
                 ]),
                 None => rows.push(vec![
                     format!("{label} {period:.2}"),
@@ -475,7 +471,7 @@ pub fn tab3(ctx: &Ctx) -> String {
     for method in TuningMethod::ALL {
         let mut row = vec![method.to_string()];
         for (_, period) in ctx.periods.all() {
-            match ctx.best_under_cap(method, period, 10.0) {
+            match ctx.best_under_cap(method, period) {
                 Some((params, _, _)) => row.push(format!("{}", params.varied_value(method))),
                 None => row.push("-".into()),
             }
@@ -502,14 +498,14 @@ pub fn fig11(ctx: &Ctx) -> String {
     let baseline = ctx.baseline(period);
     let mut rows = Vec::new();
     for params in TuningParams::table2_sweep(TuningMethod::SigmaCeiling) {
-        let run = ctx.tuned_run(TuningMethod::SigmaCeiling, params, period);
-        let cmp = varitune_core::Comparison::between(&baseline, &run.1);
+        let run = ceiling_run(ctx, params.sigma_ceiling, period);
+        let cmp = varitune_core::Comparison::between(&baseline, &run);
         rows.push(vec![
             format!("{}", params.sigma_ceiling),
             pct(-cmp.sigma_reduction_pct()),
             pct(cmp.area_increase_pct()),
-            f3(run.1.design.sigma),
-            format!("{:.0}", run.1.area()),
+            f3(run.design.sigma),
+            format!("{:.0}", run.area()),
         ]);
     }
     let mut s = format!(
@@ -534,7 +530,7 @@ pub fn fig11(ctx: &Ctx) -> String {
 pub fn fig12(ctx: &Ctx) -> String {
     let period = ctx.periods.high;
     let baseline = ctx.baseline(period);
-    let tuned = best_ceiling_run(ctx, period);
+    let (_, tuned) = best_ceiling_run(ctx, period);
     let hb = depth_histogram(&baseline.paths);
     let ht = depth_histogram(&tuned.paths);
     let maxd = hb.len().max(ht.len());
@@ -576,7 +572,7 @@ pub fn fig12(ctx: &Ctx) -> String {
 pub fn fig13(ctx: &Ctx) -> String {
     let period = ctx.periods.high;
     let baseline = ctx.baseline(period);
-    let tuned = best_ceiling_run(ctx, period);
+    let (_, tuned) = best_ceiling_run(ctx, period);
     let bucket = |paths: &[PathTiming]| {
         let mut rows = Vec::new();
         let maxd = paths.iter().map(PathTiming::depth).max().unwrap_or(0);
@@ -637,7 +633,7 @@ pub fn fig14(ctx: &Ctx) -> String {
     let ceiling = format!("(b) {}", TuningMethod::SigmaCeiling);
     for (label, run) in [
         ("(a) baseline", ctx.baseline(period)),
-        (ceiling.as_str(), best_ceiling_run(ctx, period)),
+        (ceiling.as_str(), best_ceiling_run(ctx, period).1),
     ] {
         let mut paths: Vec<&PathTiming> = run.paths.iter().collect();
         paths.sort_by_key(|p| p.depth());
@@ -926,7 +922,7 @@ pub fn abl_yield(ctx: &Ctx) -> String {
     use varitune_sta::paths::{deadline_at_yield, timing_yield};
     let period = ctx.periods.high;
     let baseline = ctx.baseline(period);
-    let tuned = best_ceiling_run(ctx, period);
+    let (_, tuned) = best_ceiling_run(ctx, period);
     let mut s = format!("Ablation D — parametric timing yield @ {period:.2} ns synthesis\n");
     let d99_base = deadline_at_yield(&baseline.paths, 0.99, 1e-4).expect("valid yield query");
     let d99_tuned = deadline_at_yield(&tuned.paths, 0.99, 1e-4).expect("valid yield query");
@@ -984,22 +980,27 @@ pub fn abl_exclusion(ctx: &Ctx) -> String {
     let mut rows = Vec::new();
     for ceiling in [0.04, 0.03, 0.02, 0.01] {
         // Windowed (the paper's method).
-        let windowed = ctx.tuned_run(
-            TuningMethod::SigmaCeiling,
-            TuningParams::with_sigma_ceiling(ceiling),
-            period,
-        );
-        let wc = varitune_core::Comparison::between(&baseline, &windowed.1);
+        let windowed = ceiling_run(ctx, ceiling, period);
+        let wc = varitune_core::Comparison::between(&baseline, &windowed);
         // Exclusion (related-work baseline) with the same budget.
         let ex = tune_by_exclusion(&ctx.flow.stat, ceiling);
         let filtered = apply_exclusion(&ctx.flow.stat.mean, &ex);
-        let synth = synthesize(
+        let mut synth = synthesize(
             &ctx.flow.netlist,
             &filtered,
             &LibraryConstraints::unconstrained(),
             &ctx.synth_config(period),
         )
         .expect("exclusion synthesis");
+        // The design's ids index `filtered`; sign-off reads the full
+        // library, so name each cell there.
+        let full = &ctx.flow.stat.mean;
+        for id in &mut synth.design.cells {
+            let name = &filtered.cells[id.index()].name;
+            *id = full
+                .cell_id(name)
+                .expect("a kept cell is in the full library");
+        }
         let (_, design_t) = worst_paths(
             &synth.design,
             &ctx.flow.stat.mean,
@@ -1036,9 +1037,11 @@ pub fn abl_exclusion(ctx: &Ctx) -> String {
         &rows,
     ));
     s.push_str(
-        "\nExpected shape: at matched budgets the windowed method reaches a\n\
-         deeper sigma cut, because exclusion cannot say `use this cell, but\n\
-         only in its quiet region'.\n",
+        "\nReading: exclusion cuts sigma deeper at the looser budgets, but at\n\
+         many times the windows' area cost; at the tightest budget the windows\n\
+         cut deeper. Exclusion cannot say `use this cell, but only in its quiet\n\
+         region', so it gives a cell up at every operating point. A verdict\n\
+         needs the two methods at matched area, not matched budgets.\n",
     );
     s
 }
@@ -1051,7 +1054,7 @@ pub fn abl_power(ctx: &Ctx) -> String {
     use varitune_sta::{estimate_power_with_activity, PowerConfig};
     let period = ctx.periods.high;
     let baseline = ctx.baseline(period);
-    let tuned = best_ceiling_run(ctx, period);
+    let (_, tuned) = best_ceiling_run(ctx, period);
     let cfg = PowerConfig::with_clock_period(period);
     let mut rows = Vec::new();
     let ceiling = TuningMethod::SigmaCeiling.to_string();
@@ -1241,15 +1244,32 @@ fn mean_gradient(lut: &Lut) -> f64 {
     sum / n as f64
 }
 
-/// The tuned run used in Figs. 12–14: the best sigma-ceiling candidate at
-/// `period` (falling back to ceiling 0.02 when nothing beats the area cap).
-fn best_ceiling_run(ctx: &Ctx, period: f64) -> std::rc::Rc<varitune_core::FlowRun> {
-    let params = ctx
-        .best_under_cap(TuningMethod::SigmaCeiling, period, 10.0)
-        .map(|(p, _, _)| p)
-        .unwrap_or_else(|| TuningParams::with_sigma_ceiling(0.02));
-    let run = ctx.tuned_run(TuningMethod::SigmaCeiling, params, period);
-    std::rc::Rc::new(run.1.clone())
+/// The tuned run of Figs. 9 and 12–14 and the yield and power ablations:
+/// the sigma-ceiling pick at `period` ([`Ctx::best_under_cap`]), or ceiling
+/// 0.02 when no candidate stays under the area cap.
+fn best_ceiling_run(ctx: &Ctx, period: f64) -> (TuningParams, Rc<FlowRun>) {
+    match ctx.best_under_cap(TuningMethod::SigmaCeiling, period) {
+        Some((params, run, _)) => (params, run),
+        None => (
+            TuningParams::with_sigma_ceiling(0.02),
+            Rc::new(ceiling_run(ctx, 0.02, period)),
+        ),
+    }
+}
+
+/// The sigma-ceiling run at `ceiling` and `period`, from
+/// `Flow::run_tuned` (not memoized).
+fn ceiling_run(ctx: &Ctx, ceiling: f64, period: f64) -> FlowRun {
+    let params = TuningParams::with_sigma_ceiling(ceiling);
+    let (_, run) = ctx
+        .flow
+        .run_tuned(
+            TuningMethod::SigmaCeiling,
+            params,
+            &ctx.synth_config(period),
+        )
+        .expect("tuned synthesis");
+    run
 }
 
 /// Extracts a short, a medium and a long worst path from the baseline at
@@ -1362,31 +1382,37 @@ mod tests {
     use super::*;
     use crate::Scale;
 
-    /// One shared small context for every experiment smoke test (building
-    /// it is the expensive part).
+    /// The small context of the calling test thread, built on first use
+    /// (building it is the expensive part). `Ctx` memoizes through
+    /// `RefCell`s, so it is not `Sync`: each test thread builds its own.
     fn ctx() -> &'static Ctx {
-        use std::sync::OnceLock;
-        // Ctx contains RefCell, so it is not Sync; tests in this module run
-        // on one thread per test but share via a leak-once pattern guarded
-        // by a mutex-free OnceLock of a raw pointer is unsound. Instead,
-        // build a fresh context lazily per process via thread_local.
         thread_local! {
             static CTX: &'static Ctx = Box::leak(Box::new(Ctx::new(Scale::small())));
         }
-        static INIT: OnceLock<()> = OnceLock::new();
-        let _ = INIT.get_or_init(|| ());
         CTX.with(|c| *c)
     }
 
     #[test]
-    fn cheap_experiments_render() {
+    fn every_experiment_renders() {
         let c = ctx();
-        for id in [
-            "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "tab1", "tab2",
-        ] {
+        for id in ALL_IDS {
             let out = run_experiment(c, id);
             assert!(out.len() > 80, "{id} output too short:\n{out}");
         }
+    }
+
+    #[test]
+    fn ablation_exclusion_drops_cells_at_every_budget() {
+        let out = abl_exclusion(ctx());
+        let dropped: Vec<usize> = out
+            .lines()
+            .skip_while(|l| !l.starts_with("---"))
+            .skip(1)
+            .take_while(|l| !l.trim().is_empty())
+            .map(|l| l.split_whitespace().nth(3).unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(dropped.len(), 4, "{out}");
+        assert!(dropped.iter().all(|&n| n > 0), "{out}");
     }
 
     #[test]

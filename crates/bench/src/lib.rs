@@ -19,8 +19,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use varitune_core::flow::{Comparison, Flow, FlowConfig, FlowRun};
-use varitune_core::{TunedLibrary, TuningMethod, TuningParams};
+use varitune_core::flow::{best_tuning_under_area_cap, Comparison, Flow, FlowConfig, FlowRun};
+use varitune_core::{TuningMethod, TuningParams};
 use varitune_synth::{find_min_period, LibraryConstraints, SynthConfig};
 
 /// Experiment scale: the paper-faithful sizes or a fast reduced setup.
@@ -87,8 +87,16 @@ impl Periods {
     }
 }
 
-/// Shared experiment context: prepared flow, derived periods, and a
-/// memoized baseline run per period.
+/// A Fig. 10 pick: the winning Table 2 parameters, their run and its
+/// comparison against the baseline at the same period.
+pub type Pick = (TuningParams, Rc<FlowRun>, Comparison);
+
+/// Fig. 10's area cap: a pick may cost at most +10 % area.
+const AREA_CAP_PCT: f64 = 10.0;
+
+/// Shared experiment context: prepared flow, derived periods, and two
+/// memos: the baseline run per period and the Fig. 10 pick per method and
+/// period.
 pub struct Ctx {
     /// Scale the context was built at.
     pub scale: Scale,
@@ -100,12 +108,8 @@ pub struct Ctx {
     /// scaled to this design's speed).
     pub uncertainty: f64,
     baselines: RefCell<HashMap<u64, Rc<FlowRun>>>,
-    tuned: RefCell<HashMap<TunedKey, Rc<(TunedLibrary, FlowRun)>>>,
+    picks: RefCell<HashMap<(TuningMethod, u64), Option<Pick>>>,
 }
-
-/// Memo key for tuned runs: (method discriminant, varied-value bits, period
-/// bits).
-type TunedKey = (u8, u64, u64);
 
 impl Ctx {
     /// Prepares libraries, design and the Table 1 periods.
@@ -149,7 +153,7 @@ impl Ctx {
             periods,
             uncertainty,
             baselines: RefCell::new(HashMap::new()),
-            tuned: RefCell::new(HashMap::new()),
+            picks: RefCell::new(HashMap::new()),
         }
     }
 
@@ -183,63 +187,33 @@ impl Ctx {
         run
     }
 
-    /// A tuned run at `period`, memoized on `(method, varied value,
-    /// period)`.
+    /// The Fig. 10 / Table 3 pick of `method` at `period`, memoized:
+    /// [`best_tuning_under_area_cap`] over the Table 2 sweep of `method`
+    /// against [`Ctx::baseline`], under the +10 % area cap. `None` when no
+    /// candidate stays under the cap.
     ///
     /// # Panics
     ///
     /// Panics if tuning or synthesis fails (harness bug).
-    pub fn tuned_run(
-        &self,
-        method: TuningMethod,
-        params: TuningParams,
-        period: f64,
-    ) -> Rc<(TunedLibrary, FlowRun)> {
-        let key = (
-            method as u8,
-            params.varied_value(method).to_bits(),
-            period.to_bits(),
-        );
-        if let Some(r) = self.tuned.borrow().get(&key) {
-            return Rc::clone(r);
+    pub fn best_under_cap(&self, method: TuningMethod, period: f64) -> Option<Pick> {
+        let key = (method, period.to_bits());
+        if let Some(pick) = self.picks.borrow().get(&key) {
+            return pick.clone();
         }
         // Invariant (`# Panics`): as for `baseline`.
         #[allow(clippy::expect_used)]
-        let run = Rc::new(
-            self.flow
-                .run_tuned(method, params, &self.synth_config(period))
-                .expect("tuned synthesis"),
-        );
-        self.tuned.borrow_mut().insert(key, Rc::clone(&run));
-        run
-    }
-
-    /// The Fig. 10 / Table 3 selection: sweep the Table 2 parameters of
-    /// `method` at `period`, return the candidate with the highest sigma
-    /// reduction whose area increase stays below `area_cap_pct`.
-    #[allow(clippy::type_complexity)]
-    pub fn best_under_cap(
-        &self,
-        method: TuningMethod,
-        period: f64,
-        area_cap_pct: f64,
-    ) -> Option<(TuningParams, Rc<(TunedLibrary, FlowRun)>, Comparison)> {
-        let baseline = self.baseline(period);
-        let mut best: Option<(TuningParams, Rc<(TunedLibrary, FlowRun)>, Comparison)> = None;
-        for params in TuningParams::table2_sweep(method) {
-            let run = self.tuned_run(method, params, period);
-            let cmp = Comparison::between(&baseline, &run.1);
-            if cmp.area_increase_pct() > area_cap_pct {
-                continue;
-            }
-            let better = best
-                .as_ref()
-                .is_none_or(|(_, _, b)| cmp.sigma_reduction_pct() > b.sigma_reduction_pct());
-            if better {
-                best = Some((params, run, cmp));
-            }
-        }
-        best
+        let pick = best_tuning_under_area_cap(
+            &self.flow,
+            &self.baseline(period),
+            method,
+            &TuningParams::table2_sweep(method),
+            &self.synth_config(period),
+            AREA_CAP_PCT,
+        )
+        .expect("tuned synthesis")
+        .map(|(params, run, cmp)| (params, Rc::new(run), cmp));
+        self.picks.borrow_mut().insert(key, pick.clone());
+        pick
     }
 }
 
@@ -291,10 +265,15 @@ mod tests {
     }
 
     #[test]
-    fn baselines_are_memoized() {
+    fn baselines_and_picks_are_memoized() {
         let ctx = Ctx::new(Scale::small());
         let a = ctx.baseline(ctx.periods.low);
         let b = ctx.baseline(ctx.periods.low);
+        assert!(Rc::ptr_eq(&a, &b));
+        let method = TuningMethod::SigmaCeiling;
+        let (pa, a, _) = ctx.best_under_cap(method, ctx.periods.high).unwrap();
+        let (pb, b, _) = ctx.best_under_cap(method, ctx.periods.high).unwrap();
+        assert_eq!(pa, pb);
         assert!(Rc::ptr_eq(&a, &b));
     }
 }

@@ -12,8 +12,8 @@
 //! * [`optimize`] — the iterative optimizer: load/slew legalization against
 //!   the windows, critical-path up-sizing, inverter-pair fanout buffering,
 //!   and slack-driven area recovery,
-//! * [`report`] — Fig. 8 period/area sweeps, Table 1 minimum-period search,
-//!   and Fig. 9 cell-usage comparisons.
+//! * [`report`] — Table 1 minimum-period search and Fig. 9 cell-usage
+//!   comparisons.
 //!
 //! # Example
 //!
@@ -50,5 +50,5 @@ pub mod verilog;
 pub use constraint::{LibraryConstraints, OperatingWindow};
 pub use map::{map_netlist, map_soa, MapError, TargetLibrary};
 pub use optimize::{synthesize, SynthConfig, SynthError, SynthKey, SynthesisResult};
-pub use report::{find_min_period, period_area_sweep, usage_comparison, SweepPoint, UsageRow};
+pub use report::{find_min_period, usage_comparison, UsageRow};
 pub use verilog::write_verilog;

@@ -1,52 +1,11 @@
-//! Synthesis reporting helpers: cell-usage histograms (Fig. 9), the clock
-//! period / area sweep (Fig. 8) and minimum-period search (Table 1).
+//! Synthesis reporting helpers: cell-usage histograms (Fig. 9) and the
+//! minimum-period search (Table 1).
 
 use varitune_liberty::Library;
 use varitune_netlist::Netlist;
 
 use crate::constraint::LibraryConstraints;
 use crate::optimize::{synthesize, SynthConfig, SynthError, SynthesisResult};
-
-/// One point of the clock-period / area curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct SweepPoint {
-    /// Clock period (ns).
-    pub period: f64,
-    /// Resulting total cell area (µm²).
-    pub area: f64,
-    /// Whether synthesis met timing at this period.
-    pub met_timing: bool,
-}
-
-/// Synthesizes the design at each period in `periods` (the Fig. 8 sweep).
-///
-/// # Errors
-///
-/// Propagates the first [`SynthError`].
-pub fn period_area_sweep(
-    netlist: &Netlist,
-    lib: &Library,
-    constraints: &LibraryConstraints,
-    periods: &[f64],
-) -> Result<Vec<SweepPoint>, SynthError> {
-    periods
-        .iter()
-        .map(|&p| {
-            let r = synthesize(
-                netlist,
-                lib,
-                constraints,
-                &SynthConfig::with_clock_period(p),
-            )?;
-            Ok(SweepPoint {
-                period: p,
-                area: r.area,
-                met_timing: r.met_timing,
-            })
-        })
-        .collect()
-}
 
 /// Finds the minimum achievable clock period by bisection: the smallest
 /// period (within `tolerance`) at which synthesis still closes timing.
@@ -142,22 +101,6 @@ mod tests {
     use super::*;
     use varitune_libchar::{generate_nominal, GenerateConfig};
     use varitune_netlist::{generate_mcu, McuConfig};
-
-    #[test]
-    fn sweep_area_decreases_with_relaxation() {
-        let lib = generate_nominal(&GenerateConfig::full());
-        let nl = generate_mcu(&McuConfig::small_for_tests());
-        let points = period_area_sweep(
-            &nl,
-            &lib,
-            &LibraryConstraints::unconstrained(),
-            &[1.5, 4.0, 12.0],
-        )
-        .unwrap();
-        assert_eq!(points.len(), 3);
-        assert!(points[0].area >= points[2].area);
-        assert!(points[2].met_timing);
-    }
 
     #[test]
     fn min_period_search_brackets() {
