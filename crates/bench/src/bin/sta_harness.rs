@@ -29,7 +29,7 @@ use varitune_bench::harness::{
     self, best_of, hardware_threads, ms_since, Args, Kind, Obj, Spec, Value,
 };
 use varitune_libchar::{generate_nominal, GenerateConfig};
-use varitune_liberty::Library;
+use varitune_liberty::{CellId, Library};
 use varitune_netlist::{generate_mcu, generate_soc, McuConfig, SocConfig};
 use varitune_sta::{analyze, StaConfig, TimingGraph, TimingReport, WireModel};
 use varitune_synth::{map_netlist, LibraryConstraints, TargetLibrary};
@@ -451,11 +451,11 @@ fn scaling_sweep(
 
 /// Applies `plan` as single-gate resizes, each re-propagating only its
 /// dirty cone; returns the mean ms per edit and the mean gates recomputed.
-fn retime(engine: &mut TimingGraph<'_>, plan: &[(usize, String)]) -> (f64, f64) {
+fn retime(engine: &mut TimingGraph<'_>, plan: &[(usize, CellId)]) -> (f64, f64) {
     let t0 = Instant::now();
     let mut recomputed = 0usize;
-    for (gi, cell) in plan {
-        engine.resize_gate(*gi, cell).expect("same-family resize");
+    for &(gi, cell) in plan {
+        engine.resize_gate_id(gi, cell).expect("same-family resize");
         engine.update().expect("incremental update");
         recomputed += engine.gates_recomputed_in_last_update();
     }
@@ -469,7 +469,7 @@ fn resize_plan(
     lib: &varitune_liberty::Library,
     engine: &TimingGraph<'_>,
     edits: usize,
-) -> Vec<(usize, String)> {
+) -> Vec<(usize, CellId)> {
     let gates = engine.gate_count();
     let mut plan = Vec::with_capacity(edits);
     let mut probe = 0usize;
@@ -483,18 +483,16 @@ fn resize_plan(
         let prefix = format!("{family}_");
         // Alternate between the two outermost drives of the family so
         // successive visits to the same gate still change the cell.
-        let mut variants = lib
-            .cells
-            .iter()
-            .filter(|c| c.name.starts_with(&prefix))
-            .map(|c| c.name.as_str());
+        let mut variants = (lib.cells.iter().enumerate())
+            .filter(|(_, c)| c.name.starts_with(&prefix))
+            .map(|(i, c)| (CellId(i as u32), c.name.as_str()));
         let (first, last) = (variants.next(), variants.next_back());
         let target = match (first, last) {
-            (Some(f), Some(_)) if f != name => f,
-            (_, Some(l)) if l != name => l,
+            (Some((f, f_name)), Some(_)) if f_name != name => f,
+            (_, Some((l, l_name))) if l_name != name => l,
             _ => continue,
         };
-        plan.push((gi, target.to_string()));
+        plan.push((gi, target));
     }
     plan
 }

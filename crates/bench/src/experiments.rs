@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use varitune_core::{FlowRun, TuningMethod, TuningParams};
+use varitune_core::{Comparison, FlowRun, TuningMethod, TuningParams};
 use varitune_libchar::interp;
 use varitune_libchar::TableKind;
 use varitune_liberty::{CellKind, Lut};
@@ -396,8 +396,14 @@ pub fn fig9(ctx: &Ctx) -> String {
         s.push_str(&table(&["cell", "baseline", "tuned", ""], &rows));
     }
     s.push_str(
-        "\nExpected shape: tuned designs shift to higher drive strengths and\n\
-         more inverters (buffering), as in the paper's Fig. 9.\n",
+        "\nReading: at both periods the tuned design moves cells to other drives\n\
+         of their family, mostly upward: variants of drive 1.5 and more that the\n\
+         baseline hardly uses become common, and at the low-performance period\n\
+         the 0P5 variants thin out. The move is not one-way: at the\n\
+         high-performance period some families move down as well. The listed\n\
+         inverters (INV_*) add up to about the same count in both designs, so\n\
+         of the paper's Fig. 9 shape (higher drives, more inverters) only the\n\
+         upward moves show.\n",
     );
     s
 }
@@ -499,7 +505,7 @@ pub fn fig11(ctx: &Ctx) -> String {
     let mut rows = Vec::new();
     for params in TuningParams::table2_sweep(TuningMethod::SigmaCeiling) {
         let run = ceiling_run(ctx, params.sigma_ceiling, period);
-        let cmp = varitune_core::Comparison::between(&baseline, &run);
+        let cmp = Comparison::between(&baseline, &run);
         rows.push(vec![
             format!("{}", params.sigma_ceiling),
             pct(-cmp.sigma_reduction_pct()),
@@ -678,8 +684,8 @@ pub fn fig14(ctx: &Ctx) -> String {
     s
 }
 
-/// Fig. 15 — path Monte Carlo across corners: mean and sigma scale by the
-/// same factor.
+/// Fig. 15 — path Monte Carlo across corners: how path mean and sigma
+/// scale with the corner.
 pub fn fig15(ctx: &Ctx) -> String {
     let (labels, mc_paths) = extracted_paths(ctx);
     let n = ctx.scale.mc_samples;
@@ -713,8 +719,12 @@ pub fn fig15(ctx: &Ctx) -> String {
         ));
     }
     s.push_str(
-        "\nExpected shape: mean rel ~= sigma rel at every corner, so the\n\
-         tuning transfers across PVT corners (paper Fig. 15).\n",
+        "\nReading: the mean scales by the corner's delay factor on every path.\n\
+         Sigma follows it within 2 % at both corners on the short path only; on\n\
+         the medium and long paths it falls less at the fast corner and grows\n\
+         more at the slow one (sigma rel above mean rel at both). The paper's\n\
+         Fig. 15 reads mean rel ~= sigma rel at every corner; here that holds\n\
+         for the short path.\n",
     );
     s
 }
@@ -809,36 +819,58 @@ pub fn abl_samples(ctx: &Ctx) -> String {
 }
 
 /// Ablation B — sensitivity of the design sigma to the inter-cell
-/// correlation ρ the paper assumes to be zero (eq. 9 vs eq. 10).
+/// correlation ρ the paper assumes to be zero (eq. 9 vs eq. 10), for the
+/// baseline and the sigma-ceiling pick at the same period.
 pub fn abl_rho(ctx: &Ctx) -> String {
     use varitune_sta::paths::worst_paths;
     let period = ctx.periods.medium;
     let baseline = ctx.baseline(period);
-    let mut rows = Vec::new();
-    for rho in [0.0, 0.1, 0.3, 0.6, 1.0] {
+    let (params, tuned) = best_ceiling_run(ctx, period);
+    let sigma_at = |run: &FlowRun, rho: f64| {
+        let s = &run.synthesis;
         let (_, design) = worst_paths(
-            &baseline.synthesis.design,
+            &s.design,
             &ctx.flow.stat.mean,
             &ctx.flow.stat,
-            &baseline.synthesis.report,
+            &s.report,
             rho,
         )
         .expect("paths extract");
+        design.sigma
+    };
+    let mut rows = Vec::new();
+    for rho in [0.0, 0.1, 0.3, 0.6, 1.0] {
+        let (base, tuned) = (sigma_at(&baseline, rho), sigma_at(&tuned, rho));
         rows.push(vec![
             format!("{rho:.1}"),
-            f3(design.sigma),
-            format!("{:.2}x", design.sigma / baseline.design.sigma),
+            f3(base),
+            format!("{:.2}x", base / baseline.design.sigma),
+            f3(tuned),
+            pct(100.0 * (tuned / base - 1.0)),
         ]);
     }
     let mut s = format!(
         "Ablation B — design sigma vs assumed inter-cell correlation rho\n\
-         (baseline design @ {period:.2} ns; the paper argues rho = 0)\n"
+         (baseline and tuned ({}, ceiling {}) designs @ {period:.2} ns;\n\
+         the paper argues rho = 0)\n",
+        TuningMethod::SigmaCeiling,
+        params.sigma_ceiling
     );
-    s.push_str(&table(&["rho", "design sigma (ns)", "vs rho=0"], &rows));
+    s.push_str(&table(
+        &[
+            "rho",
+            "baseline sigma (ns)",
+            "vs rho=0",
+            "tuned sigma (ns)",
+            "tuned vs baseline",
+        ],
+        &rows,
+    ));
     s.push_str(
-        "\nCorrelation only scales the absolute sigma; the tuning comparison\n\
-         (tuned vs baseline at the same rho) is unaffected, supporting the\n\
-         paper's rho = 0 simplification.\n",
+        "\nReading: correlation raises both designs' sigma, and the tuned design\n\
+         stays below the baseline at every rho. The cut is largest at rho = 0\n\
+         and shrinks as rho grows, so the paper's rho = 0 simplification shows\n\
+         the tuning at its most favourable.\n",
     );
     s
 }
@@ -969,55 +1001,28 @@ pub fn abl_yield(ctx: &Ctx) -> String {
 ///
 /// The paper's premise is that confining a cell's LUT "becomes finer
 /// grained" than removing the cell. This experiment quantifies that: at the
-/// same sigma budget, the windowed method and the exclusion method are both
-/// synthesized and compared on sigma reduction and area cost.
+/// same sigma budget, the windowed method and the exclusion method (a
+/// don't-use set) both run through the flow and are compared on sigma
+/// reduction and area cost.
 pub fn abl_exclusion(ctx: &Ctx) -> String {
-    use varitune_core::exclusion::{apply_exclusion, tune_by_exclusion};
-    use varitune_sta::paths::worst_paths;
-    use varitune_synth::{synthesize, LibraryConstraints};
+    use varitune_core::exclusion::tune_by_exclusion;
     let period = ctx.periods.medium;
     let baseline = ctx.baseline(period);
     let mut rows = Vec::new();
     for ceiling in [0.04, 0.03, 0.02, 0.01] {
         // Windowed (the paper's method).
-        let windowed = ceiling_run(ctx, ceiling, period);
-        let wc = varitune_core::Comparison::between(&baseline, &windowed);
+        let wc = Comparison::between(&baseline, &ceiling_run(ctx, ceiling, period));
         // Exclusion (related-work baseline) with the same budget.
         let ex = tune_by_exclusion(&ctx.flow.stat, ceiling);
-        let filtered = apply_exclusion(&ctx.flow.stat.mean, &ex);
-        let mut synth = synthesize(
-            &ctx.flow.netlist,
-            &filtered,
-            &LibraryConstraints::unconstrained(),
-            &ctx.synth_config(period),
-        )
-        .expect("exclusion synthesis");
-        // The design's ids index `filtered`; sign-off reads the full
-        // library, so name each cell there.
-        let full = &ctx.flow.stat.mean;
-        for id in &mut synth.design.cells {
-            let name = &filtered.cells[id.index()].name;
-            *id = full
-                .cell_id(name)
-                .expect("a kept cell is in the full library");
-        }
-        let (_, design_t) = worst_paths(
-            &synth.design,
-            &ctx.flow.stat.mean,
-            &ctx.flow.stat,
-            &synth.report,
-            ctx.flow.config.rho,
-        )
-        .expect("exclusion paths");
-        let ex_sigma_red = 100.0 * (1.0 - design_t.sigma / baseline.design.sigma);
-        let ex_area_inc = 100.0 * (synth.area / baseline.area() - 1.0);
+        let excluded = ctx.flow.run(&ex.constraints(), &ctx.synth_config(period));
+        let ec = Comparison::between(&baseline, &excluded.expect("exclusion run"));
         rows.push(vec![
             format!("{ceiling}"),
             pct(-wc.sigma_reduction_pct()),
             pct(wc.area_increase_pct()),
             format!("{}", ex.excluded.len()),
-            pct(-ex_sigma_red),
-            pct(ex_area_inc),
+            pct(-ec.sigma_reduction_pct()),
+            pct(ec.area_increase_pct()),
         ]);
     }
     let mut s = format!(
@@ -1111,7 +1116,7 @@ pub fn abl_power(ctx: &Ctx) -> String {
 /// different design (a transposed FIR filter, arithmetic-dominated with
 /// uniform path depths, versus the control-heavy microcontroller).
 pub fn abl_fir(ctx: &Ctx) -> String {
-    use varitune_core::{tune, Comparison};
+    use varitune_core::tune;
     use varitune_netlist::{generate_fir, FirConfig};
     use varitune_sta::paths::worst_paths;
     use varitune_synth::{find_min_period, synthesize, LibraryConstraints};

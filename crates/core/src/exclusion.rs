@@ -5,13 +5,14 @@
 //! paper's contribution is precisely *not* doing that: it restricts LUT
 //! regions instead, which is finer grained. This module implements the
 //! coarse baseline so the two can be compared head-to-head: a cell is
-//! dropped when its worst-case sigma exceeds the budget, with a guard that keeps at least one variant per family so
-//! synthesis stays feasible.
-
-use std::collections::BTreeSet;
+//! dropped when its worst-case sigma exceeds the budget, with a guard that
+//! keeps at least one variant per family so synthesis stays feasible. The
+//! result applies as a don't-use set ([`ExclusionTuning::constraints`]), so
+//! an exclusion run goes through [`crate::Flow::run`] like a windowed one.
 
 use varitune_libchar::StatLibrary;
-use varitune_liberty::{CellId, Library};
+use varitune_liberty::CellId;
+use varitune_synth::LibraryConstraints;
 
 /// Result of exclusion-based tuning.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,6 +27,13 @@ pub struct ExclusionTuning {
     /// Cells that violated the budget but were kept as the last usable
     /// variant of their family.
     pub kept_for_feasibility: Vec<String>,
+}
+
+impl ExclusionTuning {
+    /// The exclusion as synthesis constraints: the excluded cells don't-use.
+    pub fn constraints(&self) -> LibraryConstraints {
+        LibraryConstraints::dont_use(&self.excluded)
+    }
 }
 
 /// Excludes every cell whose **worst-entry** delay sigma exceeds `ceiling`
@@ -92,12 +100,6 @@ pub fn tune_by_exclusion(stat: &StatLibrary, ceiling: f64) -> ExclusionTuning {
         }
     }
 
-    // At most one survivor per family can be pushed, but guard against
-    // duplicates anyway and preserve the interner (family-name) order the
-    // loop produced.
-    let mut seen: BTreeSet<CellId> = BTreeSet::new();
-    feasibility_ids.retain(|id| seen.insert(*id));
-
     // Report boundary: materialize names only now.
     let name_of = |id: &CellId| stat.sigma.cells[id.index()].name.clone();
     let mut excluded: Vec<String> = excluded_ids.iter().map(name_of).collect();
@@ -108,15 +110,6 @@ pub fn tune_by_exclusion(stat: &StatLibrary, ceiling: f64) -> ExclusionTuning {
         kept,
         kept_for_feasibility: feasibility_ids.iter().map(name_of).collect(),
     }
-}
-
-/// Applies the exclusion: a copy of `lib` without the excluded cells.
-pub fn apply_exclusion(lib: &Library, tuning: &ExclusionTuning) -> Library {
-    let banned: std::collections::BTreeSet<&str> =
-        tuning.excluded.iter().map(String::as_str).collect();
-    let mut out = lib.clone();
-    out.cells.retain(|c| !banned.contains(c.name.as_str()));
-    out
 }
 
 #[cfg(test)]
@@ -170,22 +163,23 @@ mod tests {
     }
 
     #[test]
-    fn apply_exclusion_removes_exactly_the_banned_cells() {
+    fn constraints_exclude_exactly_the_excluded_cells() {
         let stat = stat_fixture();
         let t = tune_by_exclusion(&stat, 1e-9);
-        let filtered = apply_exclusion(&stat.mean, &t);
-        assert_eq!(filtered.cells.len(), t.kept);
-        for name in &t.excluded {
-            assert!(filtered.cell(name).is_none());
-        }
+        let text = t.constraints().to_text();
+        let dont_use: Vec<&str> = (text.lines())
+            .filter_map(|line| line.strip_prefix("dont_use "))
+            .collect();
+        assert_eq!(dont_use, t.excluded);
+        assert_eq!(stat.mean.cells.len() - dont_use.len(), t.kept);
     }
 
     #[test]
     fn feasibility_fallback_keeps_one_variant_per_family_and_synthesis_works() {
         // A ceiling below every cell's sigma would exclude the entire
         // library; the fallback must keep exactly one variant per family —
-        // deduplicated, in interner (family-name) order — and the filtered
-        // library must still synthesize.
+        // deduplicated, in interner (family-name) order — and the library
+        // must still synthesize under the exclusion.
         let stat = stat_fixture();
         let t = tune_by_exclusion(&stat, f64::MIN_POSITIVE);
 
@@ -210,8 +204,7 @@ mod tests {
         unique.dedup();
         assert_eq!(unique, t.kept_for_feasibility, "no duplicate survivors");
 
-        let filtered = apply_exclusion(&stat.mean, &t);
-        assert_eq!(filtered.cells.len(), families.len());
+        assert_eq!(t.kept, families.len());
         let mut nl = varitune_netlist::Netlist::new("feas");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
@@ -222,11 +215,11 @@ mod tests {
         nl.mark_output(y);
         let r = varitune_synth::synthesize(
             &nl,
-            &filtered,
-            &varitune_synth::LibraryConstraints::unconstrained(),
+            &stat.mean,
+            &t.constraints(),
             &varitune_synth::SynthConfig::with_clock_period(10.0),
         );
-        assert!(r.is_ok(), "filtered library must stay mappable: {r:?}");
+        assert!(r.is_ok(), "the survivors must stay mappable: {r:?}");
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod rectangle;
 pub mod slope;
 pub mod tuning;
 
-pub use exclusion::{apply_exclusion, tune_by_exclusion, ExclusionTuning};
+pub use exclusion::{tune_by_exclusion, ExclusionTuning};
 pub use flow::{
     best_tuning_by_yield, Comparison, Flow, FlowConfig, FlowError, FlowRun, FLOW_STAGE_SPANS,
 };

@@ -14,6 +14,10 @@
 //! * [`FamilyId`] — a drive-strength family: all cells sharing the name
 //!   prefix before the last `_` (e.g. `INV_1` … `INV_32`), members sorted
 //!   by drive strength.
+//! * [`LibraryFingerprint`] — a hash of the cell names and pin layout in
+//!   order: two libraries with equal fingerprints give every id the same
+//!   meaning, so a design's ids can be checked against the library it is
+//!   handed.
 //!
 //! Strings appear only at the boundaries: parsing mints the names, reports
 //! materialize them back via the library. Everything in between moves
@@ -61,6 +65,37 @@ impl FamilyId {
     }
 }
 
+/// Structural fingerprint of a cell list: FNV-1a over every cell's name
+/// and its pins' names, directions and clock flags, in order. Table values
+/// do not enter it, so a nominal library, its Monte-Carlo perturbations and
+/// the statistical mean/sigma pair share one fingerprint, while a copy with
+/// a cell removed, added or moved gets another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct LibraryFingerprint(pub u64);
+
+impl LibraryFingerprint {
+    fn of(cells: &[Cell]) -> Self {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for c in cells {
+            eat(&(c.name.len() as u64).to_le_bytes());
+            eat(c.name.as_bytes());
+            eat(&(c.pins.len() as u64).to_le_bytes());
+            for p in &c.pins {
+                eat(&(p.name.len() as u64).to_le_bytes());
+                eat(p.name.as_bytes());
+                eat(&[p.direction as u8, u8::from(p.is_clock)]);
+            }
+        }
+        Self(h)
+    }
+}
+
 /// One drive-strength family: name prefix plus members in ascending drive
 /// order.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,13 +115,14 @@ pub struct Family {
 /// mutation (verified hit + linear fallback); the family and pin tables
 /// are snapshots and should
 /// only be consumed once a library is finalized.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Interner {
     by_name: HashMap<String, CellId>,
     families: Vec<Family>,
     family_by_name: HashMap<String, FamilyId>,
     family_of: Vec<Option<FamilyId>>,
     pin_offsets: Vec<u32>,
+    fingerprint: LibraryFingerprint,
 }
 
 impl Interner {
@@ -140,7 +176,15 @@ impl Interner {
             family_by_name,
             family_of,
             pin_offsets,
+            fingerprint: LibraryFingerprint::of(cells),
         }
+    }
+
+    /// The structural fingerprint of the interned cell list: a design
+    /// mapped on one library indexes another the same way exactly when
+    /// their fingerprints are equal.
+    pub fn fingerprint(&self) -> LibraryFingerprint {
+        self.fingerprint
     }
 
     /// Number of interned cells.
@@ -247,6 +291,35 @@ mod tests {
         // `TIE0` has no `_`: no family.
         assert_eq!(it.family_of(CellId(4)), None);
         assert_eq!(it.families().len(), 2);
+    }
+
+    #[test]
+    fn fingerprint_covers_names_and_pin_layout_not_values() {
+        let base = lib();
+        let fp = Interner::build(&base.cells).fingerprint();
+        assert_eq!(Interner::build(&base.cells).fingerprint(), fp);
+
+        // Values (area, capacitance) do not enter it.
+        let mut values = base.clone();
+        values.cells[0].area = 7.0;
+        values.cells[0].pins[0].capacitance = 0.5;
+        assert_eq!(Interner::build(&values.cells).fingerprint(), fp);
+
+        // A dropped cell, a renamed pin, a flipped direction or clock flag
+        // and a reordered cell list each change it.
+        let mut dropped = base.clone();
+        dropped.cells.remove(0);
+        let mut pin_name = base.clone();
+        pin_name.cells[1].pins[0].name = "Q".into();
+        let mut direction = base.clone();
+        direction.cells[1].pins[1].direction = crate::model::PinDirection::Output;
+        let mut clock = base.clone();
+        clock.cells[3].pins[2].is_clock = true;
+        let mut order = base.clone();
+        order.cells.swap(0, 1);
+        for changed in [dropped, pin_name, direction, clock, order] {
+            assert_ne!(Interner::build(&changed.cells).fingerprint(), fp);
+        }
     }
 
     #[test]

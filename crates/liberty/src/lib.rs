@@ -92,7 +92,7 @@ mod fastparse;
 
 pub use diagnostic::{Diagnostic, Severity};
 pub use error::{InterpolateError, ParseLibertyError, WriteLibertyError};
-pub use ids::{CellId, Family, FamilyId, Interner, PinId};
+pub use ids::{CellId, Family, FamilyId, Interner, LibraryFingerprint, PinId};
 pub use model::{
     Bracket, Cell, CellKind, InternalPower, Library, Lut, LutTemplate, Pin, PinDirection,
     TimingArc, TimingSense, TimingType,

@@ -33,8 +33,8 @@
 //!   [`varitune_netlist::Netlist::comb_order`] returns while validating
 //!   the design. Gates within one level are independent, which gives both
 //!   an evaluation order and a safe unit of parallelism.
-//! * **One dirty-stage sweep** — [`TimingGraph::resize_gate`],
-//!   [`TimingGraph::split_fanout`] and [`TimingGraph::set_load`] mark only
+//! * **One dirty-stage sweep** — [`TimingGraph::resize_gate_id`],
+//!   [`TimingGraph::split_fanout_id`] and [`TimingGraph::set_load`] mark only
 //!   the directly affected nets and gates, and
 //!   [`TimingGraph::invalidate_all`] (run by every build) marks all of
 //!   them. [`TimingGraph::update`] then recomputes dirty net loads,
@@ -123,7 +123,7 @@ const MIN_PARALLEL_WIDTH: usize = 2048;
 /// abandoned slots leak until the next full build — the usual slotted-arena
 /// trade for O(1) amortized growth without a million row `Vec`s). Rows are
 /// kept ascending by `(gate, position)`: the build fills them in gate
-/// order, and the only edit that appends ([`TimingGraph::split_fanout`])
+/// order, and the only edit that appends ([`TimingGraph::split_fanout_id`])
 /// appends a gate with the highest index — so iteration order always
 /// matches the load-accumulation order of [`MappedDesign::net_loads`].
 struct SinkArena {
@@ -505,7 +505,8 @@ impl<'l> TimingGraph<'l> {
     /// Builds the engine and runs the initial full propagation.
     ///
     /// The configuration is checked first, then that `design.cells` holds
-    /// one cell id per gate; then the netlist must validate, and the
+    /// one cell id per gate and that `design` was mapped on a library with
+    /// `lib`'s cell list; then the netlist must validate, and the
     /// topological order its validation returns levels the gates.
     ///
     /// # Errors
@@ -513,7 +514,9 @@ impl<'l> TimingGraph<'l> {
     /// Returns [`StaError`] under the same conditions as
     /// [`crate::graph::analyze`]: among them
     /// [`StaError::InvalidParameter`] when a [`StaConfig`] field is NaN or
-    /// `design.cells` does not hold exactly one cell id per gate.
+    /// `design.cells` does not hold exactly one cell id per gate, and
+    /// [`StaError::MismatchedInput`] when `design` was mapped on a library
+    /// with another cell list.
     pub fn new(
         design: MappedDesign,
         lib: &'l Library,
@@ -531,6 +534,7 @@ impl<'l> TimingGraph<'l> {
                 ),
             });
         }
+        design.check_library(lib)?;
         let order = design.netlist.comb_order()?;
         let mut graph = Self::build(design, lib, config, id, &order)?;
         graph.update()?;
@@ -1404,35 +1408,17 @@ impl<'l> TimingGraph<'l> {
         }
     }
 
-    /// Re-maps gate `gi` onto `cell_name`, dirtying its input-net loads
-    /// (pin capacitances changed) and the downstream cone.
+    /// Re-maps gate `gi` onto library cell `cell`, dirtying its input-net
+    /// loads (pin capacitances changed) and the downstream cone. The
+    /// design's cell entry is the only copy it rewrites; a cell the graph
+    /// has already interned at this gate's shape is a memo lookup.
     ///
     /// # Errors
     ///
     /// [`StaError::InvalidParameter`] if `gi` is out of range;
-    /// [`StaError::UnknownCell`]/[`StaError::MissingArc`] if the cell does
+    /// [`StaError::UnknownCell`] (with a `cell#<id>` label) for an id out
+    /// of range for the library, [`StaError::MissingArc`] if the cell does
     /// not fit. The engine is unchanged on error.
-    pub fn resize_gate(&mut self, gi: usize, cell_name: &str) -> Result<(), StaError> {
-        self.check_gate(gi)?;
-        let id = self
-            .lib
-            .cell_id(cell_name)
-            .ok_or_else(|| StaError::UnknownCell {
-                gate: gi,
-                name: cell_name.to_string(),
-            })?;
-        self.resize_gate_id(gi, id)
-    }
-
-    /// Id-based [`TimingGraph::resize_gate`] — the sizing-loop entry
-    /// point: no name lookup and no string compare; the design's cell
-    /// entry is the only copy it rewrites. A cell the graph has already
-    /// interned at this gate's shape is a memo lookup.
-    ///
-    /// # Errors
-    ///
-    /// As [`TimingGraph::resize_gate`]; an out-of-range id reports
-    /// [`StaError::UnknownCell`] with a `cell#<id>` label.
     pub fn resize_gate_id(&mut self, gi: usize, cell: CellId) -> Result<(), StaError> {
         self.check_gate(gi)?;
         if self.design.cells[gi] == cell {
@@ -1478,35 +1464,16 @@ impl<'l> TimingGraph<'l> {
         Ok(())
     }
 
-    /// Splits the fanout of `net` behind an INV→INV pair mapped to
-    /// `inv_cell`, moving the second half of the gate sinks (by ascending
-    /// gate index) onto the buffered copy — the synthesis buffering move.
-    /// Returns the two new gate indices.
+    /// Splits the fanout of `net` behind an INV→INV pair mapped to library
+    /// cell `inv_cell`, moving the second half of the gate sinks (by
+    /// ascending gate index) onto the buffered copy — the synthesis
+    /// buffering move. Returns the two new gate indices.
     ///
     /// # Errors
     ///
     /// [`StaError::InvalidParameter`] if `net` is out of range;
     /// [`StaError::UnknownCell`]/[`StaError::MissingArc`] if `inv_cell`
     /// cannot be interned. The engine is unchanged on error.
-    pub fn split_fanout(&mut self, net: NetId, inv_cell: &str) -> Result<(usize, usize), StaError> {
-        self.check_net(net)?;
-        let gate = self.gate_count();
-        let id = self
-            .lib
-            .cell_id(inv_cell)
-            .ok_or_else(|| StaError::UnknownCell {
-                gate,
-                name: inv_cell.to_string(),
-            })?;
-        self.split_fanout_id(net, id)
-    }
-
-    /// Id-based [`TimingGraph::split_fanout`] — no name lookup in the
-    /// buffering loop.
-    ///
-    /// # Errors
-    ///
-    /// As [`TimingGraph::split_fanout`].
     pub fn split_fanout_id(
         &mut self,
         net: NetId,
@@ -1635,7 +1602,9 @@ mod tests {
         let lib = lib();
         let cfg = StaConfig::with_clock_period(2.0);
         let mut engine = TimingGraph::new(chain(10, "INV_2", &lib), &lib, &cfg).unwrap();
-        engine.resize_gate(4, "INV_8").unwrap();
+        engine
+            .resize_gate_id(4, lib.cell_id("INV_8").unwrap())
+            .unwrap();
         engine.update().unwrap();
         let full = analyze(engine.design(), &lib, &cfg).unwrap();
         assert_reports_bit_identical(&engine.report(), &full);
@@ -1649,7 +1618,9 @@ mod tests {
         assert_eq!(engine.gates_recomputed_in_last_update(), 50);
         // Resizing gate 40 dirties its driver (input load changed) and
         // its downstream cone — a handful of gates, not the chain.
-        engine.resize_gate(40, "INV_4").unwrap();
+        engine
+            .resize_gate_id(40, lib.cell_id("INV_4").unwrap())
+            .unwrap();
         engine.update().unwrap();
         let cone = engine.gates_recomputed_in_last_update();
         assert!(cone >= 2, "driver + resized gate at minimum: {cone}");
@@ -1664,7 +1635,9 @@ mod tests {
         engine.update().unwrap();
         assert_eq!(engine.gates_recomputed_in_last_update(), 0);
         // Resizing to the current cell is a no-op, too.
-        engine.resize_gate(3, "INV_2").unwrap();
+        engine
+            .resize_gate_id(3, lib.cell_id("INV_2").unwrap())
+            .unwrap();
         engine.update().unwrap();
         assert_eq!(engine.gates_recomputed_in_last_update(), 0);
     }
@@ -1687,7 +1660,9 @@ mod tests {
         }
         let d = MappedDesign::from_names(nl, &names, &lib, WireModel::default()).unwrap();
         let mut engine = TimingGraph::new(d, &lib, &cfg).unwrap();
-        let (g1, g2) = engine.split_fanout(x, "INV_2").unwrap();
+        let (g1, g2) = engine
+            .split_fanout_id(x, lib.cell_id("INV_2").unwrap())
+            .unwrap();
         assert_eq!((g1, g2), (9, 10));
         engine.update().unwrap();
         engine.design().netlist.validate().unwrap();
@@ -1714,7 +1689,9 @@ mod tests {
         }
         let d = MappedDesign::from_names(nl, &names, &lib, WireModel::default()).unwrap();
         let mut engine = TimingGraph::new(d, &lib, &cfg).unwrap();
-        engine.split_fanout(x, "INV_2").unwrap();
+        engine
+            .split_fanout_id(x, lib.cell_id("INV_2").unwrap())
+            .unwrap();
         engine.update().unwrap();
         engine.design().netlist.validate().unwrap();
         let full = analyze(engine.design(), &lib, &cfg).unwrap();
@@ -1761,7 +1738,7 @@ mod tests {
         let mut engine = TimingGraph::new(chain(4, "INV_2", &lib), &lib, &cfg).unwrap();
         let before = engine.report();
         assert!(matches!(
-            engine.resize_gate(2, "NOPE_9"),
+            engine.resize_gate_id(2, CellId(u32::MAX)),
             Err(StaError::UnknownCell { gate: 2, .. })
         ));
         engine.update().unwrap();
@@ -1788,11 +1765,6 @@ mod tests {
     }
 
     #[test]
-    fn resize_gate_rejects_out_of_range_gate() {
-        assert_rejects_out_of_range(|g| g.resize_gate(4, "INV_8"));
-    }
-
-    #[test]
     fn resize_gate_id_rejects_out_of_range_gate() {
         assert_rejects_out_of_range(|g| {
             let id = g.lib().cell_id("INV_8").unwrap();
@@ -1803,11 +1775,6 @@ mod tests {
     #[test]
     fn set_load_rejects_out_of_range_net() {
         assert_rejects_out_of_range(|g| g.set_load(NetId(5), Some(0.01)));
-    }
-
-    #[test]
-    fn split_fanout_rejects_out_of_range_net() {
-        assert_rejects_out_of_range(|g| g.split_fanout(NetId(5), "INV_2").map(drop));
     }
 
     #[test]
@@ -2143,8 +2110,16 @@ mod tests {
         // An edit onto the cell fails the same way and changes nothing.
         let mut engine = TimingGraph::new(chain(3, "INV_2", &bad), &bad, &cfg).unwrap();
         let (design, report) = (engine.design().clone(), engine.report());
-        assert_eq!(engine.resize_gate(1, "INV_1"), Err(want.clone()));
-        assert_eq!(engine.split_fanout(NetId(0), "INV_1").err(), Some(want));
+        assert_eq!(
+            engine.resize_gate_id(1, bad.cell_id("INV_1").unwrap()),
+            Err(want.clone())
+        );
+        assert_eq!(
+            engine
+                .split_fanout_id(NetId(0), bad.cell_id("INV_1").unwrap())
+                .err(),
+            Some(want)
+        );
         engine.update().unwrap();
         assert_eq!(engine.design(), &design);
         assert_eq!(engine.report(), report);
@@ -2157,11 +2132,17 @@ mod tests {
         let mut engine = TimingGraph::new(chain(6, "INV_2", &lib), &lib, &cfg).unwrap();
         let sizes = |e: &TimingGraph<'_>| (e.memo.len(), e.arena.len());
         let built = sizes(&engine);
-        engine.resize_gate(1, "INV_8").unwrap();
+        engine
+            .resize_gate_id(1, lib.cell_id("INV_8").unwrap())
+            .unwrap();
         let grown = sizes(&engine);
         assert_eq!(grown, (built.0 + 1, built.1 + 1));
-        engine.resize_gate(3, "INV_8").unwrap();
-        engine.resize_gate(1, "INV_2").unwrap();
+        engine
+            .resize_gate_id(3, lib.cell_id("INV_8").unwrap())
+            .unwrap();
+        engine
+            .resize_gate_id(1, lib.cell_id("INV_2").unwrap())
+            .unwrap();
         assert_eq!(sizes(&engine), grown);
         engine.update().unwrap();
         let full = analyze(engine.design(), &lib, &cfg).unwrap();

@@ -328,6 +328,7 @@ pub fn required_times(
     lib: &Library,
     report: &TimingReport,
 ) -> Result<Vec<f64>, StaError> {
+    design.check_library(lib)?;
     let nl = &design.netlist;
     let mut req = vec![f64::INFINITY; nl.net_count()];
     for ep in &report.endpoints {

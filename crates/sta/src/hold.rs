@@ -102,12 +102,13 @@ impl HoldReport {
 /// # Errors
 ///
 /// Returns [`StaError`] under the same conditions as
-/// [`crate::graph::analyze`].
+/// [`crate::graph::analyze`], [`StaError::MismatchedInput`] among them.
 pub fn analyze_hold(
     design: &MappedDesign,
     lib: &Library,
     config: &HoldConfig,
 ) -> Result<HoldReport, StaError> {
+    design.check_library(lib)?;
     let order = design.netlist.comb_order()?;
     let (nl, cells) = (&design.netlist, &design.cells);
     let loads = design.net_loads(lib);

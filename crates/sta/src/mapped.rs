@@ -2,8 +2,10 @@
 
 use std::fmt;
 
-use varitune_liberty::{Cell, CellId, Library};
+use varitune_liberty::{Cell, CellId, Library, LibraryFingerprint};
 use varitune_netlist::{NetId, Netlist};
+
+use crate::StaError;
 
 /// Lumped wire-load model: every net contributes a base capacitance plus a
 /// per-fanout increment (pF). This stands in for the pre-layout wire-load
@@ -43,10 +45,16 @@ impl WireModel {
 /// input pin (in library declaration order, data pins before the clock pin),
 /// and gate output `j` to the cell's `j`-th output pin. Cells are stored as
 /// typed [`CellId`]s — indices into `Library::cells` — so every analysis
-/// loop resolves cells by direct indexing, not name lookup. Ids are
-/// positional and therefore portable across structurally identical
-/// libraries (nominal, Monte-Carlo perturbations, the statistical
-/// mean/sigma pair).
+/// loop resolves cells by direct indexing, not name lookup.
+///
+/// Ids are positional, so they mean the same cells in every library with
+/// the same cell names and pin layout: nominal, Monte-Carlo perturbations,
+/// the statistical mean/sigma pair. The design records the
+/// [`LibraryFingerprint`] of the library it was mapped on, and every
+/// analysis that takes a design and a library (timing graph, paths, hold,
+/// power, SDF, reports, SSTA) compares it with the library's before it
+/// reads a cell, so a design handed a library with another cell list is a
+/// [`StaError::MismatchedInput`], not an analysis of the wrong cells.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MappedDesign {
@@ -57,6 +65,8 @@ pub struct MappedDesign {
     pub cells: Vec<CellId>,
     /// Wire-load model used for net capacitances.
     pub wire_model: WireModel,
+    /// Fingerprint of the library the ids index.
+    library: LibraryFingerprint,
 }
 
 /// A cell name that does not exist in the library, reported by
@@ -82,12 +92,12 @@ impl fmt::Display for UnknownCellName {
 impl std::error::Error for UnknownCellName {}
 
 impl MappedDesign {
-    /// Creates a mapped design.
+    /// Creates a mapped design whose `cells` index `lib`.
     ///
     /// # Panics
     ///
     /// Panics if `cells` does not have one entry per gate.
-    pub fn new(netlist: Netlist, cells: Vec<CellId>, wire_model: WireModel) -> Self {
+    pub fn new(netlist: Netlist, cells: Vec<CellId>, lib: &Library, wire_model: WireModel) -> Self {
         assert_eq!(
             netlist.gate_count(),
             cells.len(),
@@ -97,7 +107,28 @@ impl MappedDesign {
             netlist,
             cells,
             wire_model,
+            library: lib.interner().fingerprint(),
         }
+    }
+
+    /// Checks that the design's ids index `lib`: its fingerprint must equal
+    /// the one the design was mapped on.
+    ///
+    /// # Errors
+    ///
+    /// [`StaError::MismatchedInput`] naming both fingerprints otherwise.
+    pub(crate) fn check_library(&self, lib: &Library) -> Result<(), StaError> {
+        let found = lib.interner().fingerprint();
+        if found == self.library {
+            return Ok(());
+        }
+        Err(StaError::MismatchedInput {
+            reason: format!(
+                "design was mapped on library {:016x} but `{}` has fingerprint {:016x}: \
+                 its cell ids would index other cells",
+                self.library.0, lib.name, found.0
+            ),
+        })
     }
 
     /// Creates a mapped design from cell *names*, interning each against
@@ -126,7 +157,7 @@ impl MappedDesign {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::new(netlist, cells, wire_model))
+        Ok(Self::new(netlist, cells, lib, wire_model))
     }
 
     /// Resolves the library cell of gate `gi` (`None` when the id is out of
@@ -290,7 +321,8 @@ mod tests {
         let a = nl.add_input("a");
         let x = nl.add_net("x");
         nl.add_gate(GateKind::Inv, &[a], &[x]);
-        let _ = MappedDesign::new(nl, vec![], WireModel::default());
+        let lib = generate_nominal(&GenerateConfig::small_for_tests());
+        let _ = MappedDesign::new(nl, vec![], &lib, WireModel::default());
     }
 
     #[test]
@@ -318,6 +350,24 @@ mod tests {
         d.cells[0] = CellId(u32::MAX);
         assert_eq!(d.cell_label(0, &lib), format!("cell#{}", u32::MAX));
         assert!(d.cell_of(0, &lib).is_none());
+    }
+
+    #[test]
+    fn check_library_accepts_equal_structure_and_rejects_another_cell_list() {
+        let (d, lib) = demo();
+        assert_eq!(d.check_library(&lib), Ok(()));
+        // Other values under the same names and pins: the ids still fit.
+        let mut scaled = lib.clone();
+        scaled.cells[0].area *= 2.0;
+        assert_eq!(d.check_library(&scaled), Ok(()));
+        // Without its first cell every id would shift by one.
+        let mut filtered = lib.clone();
+        filtered.cells.remove(0);
+        let err = d.check_library(&filtered).unwrap_err();
+        assert!(
+            matches!(&err, StaError::MismatchedInput { reason } if reason.contains("fingerprint")),
+            "{err}"
+        );
     }
 
     #[test]

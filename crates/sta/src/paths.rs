@@ -139,11 +139,21 @@ fn invalid(reason: String) -> StaError {
 /// (it must not reach [`convolve::path_sigma`]'s assert), and the report's
 /// nets, drivers and critical inputs all fit the design, so the walks
 /// below index nothing out of range.
-fn check_inputs(design: &MappedDesign, report: &TimingReport, rho: f64) -> Result<(), StaError> {
+fn check_inputs(
+    design: &MappedDesign,
+    lib: &Library,
+    stat: &StatLibrary,
+    report: &TimingReport,
+    rho: f64,
+) -> Result<(), StaError> {
     if !(-1.0..=1.0).contains(&rho) {
         return Err(invalid(format!(
             "path correlation rho must be in [-1, 1], got {rho}"
         )));
+    }
+    // Path statistics read both statistical libraries by id.
+    for l in [lib, &stat.mean, &stat.sigma] {
+        design.check_library(l)?;
     }
     let nl = &design.netlist;
     if design.cells.len() != nl.gate_count() {
@@ -245,8 +255,9 @@ fn path_cell(
 /// `endpoint` is not a net of `report`, or `report` does not fit `design`
 /// (net count, driver gates, critical inputs); `rho` is caller-supplied
 /// configuration, so it must not reach [`convolve::path_sigma`]'s assert.
-/// Any other [`StaError`] if a cell or pin cannot be resolved or a table
-/// cannot be evaluated.
+/// [`StaError::MismatchedInput`] if `design` was mapped on a library with
+/// another cell list than `lib` or `stat`. Any other [`StaError`] if a
+/// cell or pin cannot be resolved or a table cannot be evaluated.
 pub fn extract_path(
     design: &MappedDesign,
     lib: &Library,
@@ -255,7 +266,7 @@ pub fn extract_path(
     endpoint: NetId,
     rho: f64,
 ) -> Result<PathTiming, StaError> {
-    check_inputs(design, report, rho)?;
+    check_inputs(design, lib, stat, report, rho)?;
     check_endpoint(report, endpoint)?;
     let mut cells: Vec<PathCellSample> = Vec::new();
     let mut net = endpoint;
@@ -356,7 +367,7 @@ pub fn worst_paths(
     report: &TimingReport,
     rho: f64,
 ) -> Result<(Vec<PathTiming>, DesignTiming), StaError> {
-    check_inputs(design, report, rho)?;
+    check_inputs(design, lib, stat, report, rho)?;
     for ep in &report.endpoints {
         check_endpoint(report, ep.net)?;
     }

@@ -64,7 +64,9 @@ impl PowerReport {
 ///
 /// # Errors
 ///
-/// Returns [`StaError`] for unmapped cells or failing table lookups. Gates
+/// Returns [`StaError`] for unmapped cells or failing table lookups, and
+/// [`StaError::MismatchedInput`] when `design` was mapped on a library with
+/// another cell list or `report` covers fewer nets than the design. Gates
 /// whose cells carry no power tables contribute only switching and leakage.
 pub fn estimate_power(
     design: &MappedDesign,
@@ -92,6 +94,7 @@ pub fn estimate_power_with_activity(
     config: &PowerConfig,
     activity: &[f64],
 ) -> Result<PowerReport, StaError> {
+    design.check_library(lib)?;
     if activity.len() < design.netlist.net_count() {
         return Err(StaError::MismatchedInput {
             reason: format!(
@@ -111,6 +114,7 @@ fn estimate(
     config: &PowerConfig,
     activity: Option<&[f64]>,
 ) -> Result<PowerReport, StaError> {
+    design.check_library(lib)?;
     if report.nets.len() < design.netlist.net_count() {
         return Err(StaError::MismatchedInput {
             reason: format!(

@@ -16,7 +16,9 @@ use crate::paths::extract_path;
 ///
 /// # Errors
 ///
-/// Propagates [`StaError`] from path extraction.
+/// Propagates [`StaError`] from path extraction;
+/// [`StaError::MismatchedInput`] when `design` was mapped on a library
+/// with another cell list than `lib` or `stat`, even if no path is printed.
 pub fn report_timing(
     design: &MappedDesign,
     lib: &Library,
@@ -24,6 +26,9 @@ pub fn report_timing(
     report: &TimingReport,
     k: usize,
 ) -> Result<String, StaError> {
+    for l in [lib, &stat.mean, &stat.sigma] {
+        design.check_library(l)?;
+    }
     let mut out = String::new();
     let _ = writeln!(
         out,

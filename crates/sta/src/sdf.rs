@@ -23,13 +23,15 @@ use crate::mapped::MappedDesign;
 /// # Errors
 ///
 /// Returns [`StaError`] for unmapped cells, missing arcs, or failing table
-/// evaluations, and [`StaError::MismatchedInput`] when `report` was built
-/// for a different (smaller) design than the one being annotated.
+/// evaluations, and [`StaError::MismatchedInput`] when `design` was mapped
+/// on a library with another cell list or `report` was built for a
+/// different (smaller) design than the one being annotated.
 pub fn write_sdf(
     design: &MappedDesign,
     lib: &Library,
     report: &TimingReport,
 ) -> Result<String, StaError> {
+    design.check_library(lib)?;
     let nl = &design.netlist;
     if report.nets.len() < nl.net_count() {
         return Err(StaError::MismatchedInput {

@@ -1024,8 +1024,10 @@ impl<'g, 'l> SstaModel<'g, 'l> {
     /// # Errors
     ///
     /// [`StaError::InvalidParameter`] for a non-finite or negative
-    /// `sigma_scale`; cell/arc resolution errors if `stat.sigma` does not
-    /// cover the cells the graph uses.
+    /// `sigma_scale`; [`StaError::MismatchedInput`] if the graph's design
+    /// was mapped on a library with another cell list than `stat.mean`;
+    /// cell/arc resolution errors if `stat.sigma` (read by cell name) does
+    /// not cover the cells the graph uses.
     pub fn build(
         graph: &'g TimingGraph<'l>,
         stat: &StatLibrary,
@@ -1041,6 +1043,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         stat: &StatLibrary,
         opts: SstaOptions,
     ) -> Result<Self, StaError> {
+        graph.design().check_library(&stat.mean)?;
         if !opts.sigma_scale.is_finite() || opts.sigma_scale < 0.0 {
             return Err(StaError::InvalidParameter {
                 reason: format!(

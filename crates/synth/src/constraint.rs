@@ -6,8 +6,9 @@
 //! synthesis tool is then only allowed to operate the cell inside that
 //! rectangle. [`LibraryConstraints`] carries those rectangles; the optimizer
 //! legalizes the design against them (up-sizing, buffering, restructuring).
+//! Its don't-use set is the related-work way: a cell in it is not used at all.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Allowed (slew, load) operating rectangle of one output pin.
 ///
@@ -118,13 +119,15 @@ impl Default for OperatingWindow {
     }
 }
 
-/// Per-(cell, output pin) operating windows for a whole library.
+/// Per-(cell, output pin) operating windows and a don't-use set for a
+/// whole library.
 ///
 /// Pins without an entry are unrestricted.
 #[derive(Debug, Clone, PartialEq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LibraryConstraints {
     windows: BTreeMap<(String, String), OperatingWindow>,
+    dont_use: BTreeSet<String>,
 }
 
 impl LibraryConstraints {
@@ -162,9 +165,9 @@ impl LibraryConstraints {
         self.windows.len()
     }
 
-    /// Whether any restriction is present.
+    /// Whether no restriction is present: no window and no don't-use cell.
     pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
+        self.windows.is_empty() && self.dont_use.is_empty()
     }
 
     /// Iterates over `((cell, pin), window)` entries.
@@ -172,9 +175,24 @@ impl LibraryConstraints {
         self.windows.iter()
     }
 
+    /// No window, and `cells` don't-use: synthesis never picks them.
+    pub fn dont_use<S: Into<String>>(cells: impl IntoIterator<Item = S>) -> Self {
+        let dont_use = cells.into_iter().map(Into::into).collect();
+        Self {
+            dont_use,
+            ..Self::default()
+        }
+    }
+
+    /// Whether `cell` is don't-use.
+    pub(crate) fn is_excluded(&self, cell: &str) -> bool {
+        self.dont_use.contains(cell)
+    }
+
     /// Serializes the constraints as a line-oriented text sidecar:
     /// `cell pin min_slew max_slew min_load max_load`, one pin per line,
-    /// with `inf` for unbounded maxima. Round-trips through
+    /// with `inf` for unbounded maxima, then one `dont_use cell` line per
+    /// don't-use cell. Round-trips through
     /// [`LibraryConstraints::from_text`].
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
@@ -191,19 +209,23 @@ impl LibraryConstraints {
                 fmt_bound(w.max_load)
             );
         }
+        for cell in &self.dont_use {
+            let _ = writeln!(s, "dont_use {cell}");
+        }
         s
     }
 
     /// Parses the text format produced by [`LibraryConstraints::to_text`].
-    /// Blank lines and `#` comments are ignored.
+    /// Blank lines and `#` comments are ignored; a line whose first field
+    /// is `dont_use` names one don't-use cell.
     ///
     /// # Errors
     ///
     /// Returns [`ParseConstraintsError`] naming the first malformed line:
-    /// one without six fields, with a bound that is not a number or is NaN
-    /// (synthesis would read a NaN bound as no bound while
-    /// [`OperatingWindow::contains`] rejects every point), or with an empty
-    /// window.
+    /// one without six fields (two for `dont_use`), with a bound that is
+    /// not a number or is NaN (synthesis would read a NaN bound as no bound
+    /// while [`OperatingWindow::contains`] rejects every point), or with an
+    /// empty window.
     pub fn from_text(text: &str) -> Result<Self, ParseConstraintsError> {
         let mut out = Self::unconstrained();
         for (lineno, line) in text.lines().enumerate() {
@@ -212,11 +234,22 @@ impl LibraryConstraints {
                 continue;
             }
             let fields: Vec<&str> = line.split_whitespace().collect();
+            let err = |message: String| ParseConstraintsError {
+                line: lineno + 1,
+                message,
+            };
+            if fields[0] == "dont_use" {
+                let [_, cell] = fields[..] else {
+                    let found = fields.len() - 1;
+                    return Err(err(format!(
+                        "`dont_use` takes one cell name, found {found}"
+                    )));
+                };
+                out.dont_use.insert(cell.to_string());
+                continue;
+            }
             if fields.len() != 6 {
-                return Err(ParseConstraintsError {
-                    line: lineno + 1,
-                    message: format!("expected 6 fields, found {}", fields.len()),
-                });
+                return Err(err(format!("expected 6 fields, found {}", fields.len())));
             }
             // `inf` parses as infinity; every spelling of NaN parses too.
             let parse = |s: &str| -> Result<f64, ParseConstraintsError> {
@@ -225,10 +258,7 @@ impl LibraryConstraints {
                     Ok(_) => format!("bound `{s}` is NaN"),
                     Err(_) => format!("cannot parse `{s}` as a number"),
                 };
-                Err(ParseConstraintsError {
-                    line: lineno + 1,
-                    message,
-                })
+                Err(err(message))
             };
             let window = OperatingWindow {
                 min_slew: parse(fields[2])?,
@@ -237,10 +267,7 @@ impl LibraryConstraints {
                 max_load: parse(fields[5])?,
             };
             if window.is_empty() {
-                return Err(ParseConstraintsError {
-                    line: lineno + 1,
-                    message: "window is empty (min exceeds max)".to_string(),
-                });
+                return Err(err("window is empty (min exceeds max)".to_string()));
             }
             out.set(fields[0], fields[1], window);
         }
@@ -423,6 +450,45 @@ mod tests {
             let err = LibraryConstraints::from_text(text).unwrap_err();
             assert_eq!(err.line, text.lines().count(), "{text:?}");
             assert!(err.message.contains("NaN"), "{}", err.message);
+        }
+    }
+
+    #[test]
+    fn dont_use_round_trips_and_counts_as_a_restriction() {
+        let one = LibraryConstraints::dont_use(["INV_0P5"]);
+        assert!(!one.is_empty());
+        assert_eq!(one.len(), 0, "len counts restricted pins");
+        assert_ne!(one, LibraryConstraints::unconstrained());
+        let mut c = LibraryConstraints::dont_use(["ND2_0P5", "INV_0P5"]);
+        c.set("INV_1", "Z", OperatingWindow::unbounded());
+        let text = c.to_text();
+        assert!(
+            text.ends_with("dont_use INV_0P5\ndont_use ND2_0P5\n"),
+            "{text}"
+        );
+        let parsed = LibraryConstraints::from_text(&text).unwrap();
+        assert_eq!(parsed, c);
+        assert!(parsed.is_excluded("ND2_0P5") && !parsed.is_excluded("INV_1"));
+        // Windows alone write no don't-use line.
+        let mut w = LibraryConstraints::unconstrained();
+        w.set("INV_1", "Z", OperatingWindow::unbounded());
+        assert!(!w.to_text().contains("dont_use"));
+    }
+
+    #[test]
+    fn from_text_rejects_a_malformed_dont_use_line() {
+        for (text, found) in [
+            ("INV_1 Z 0 0.1 0 0.01\ndont_use\n", 0),
+            ("# header\n\ndont_use INV_1 INV_2\n", 2),
+        ] {
+            let err = LibraryConstraints::from_text(text).unwrap_err();
+            assert_eq!(err.line, text.lines().count(), "{text:?}");
+            assert!(
+                err.message
+                    .contains(&format!("one cell name, found {found}")),
+                "{}",
+                err.message
+            );
         }
     }
 

@@ -6,7 +6,8 @@
 //! (drive, effective max load / max slew under the tuning windows, position
 //! on the family's drive ladder) is precomputed into dense arrays indexed
 //! by [`CellId`]. Cell *names* only appear at the boundaries — building the
-//! [`TargetLibrary`] and reporting.
+//! [`TargetLibrary`] and reporting. A don't-use cell is on no drive ladder,
+//! so nothing picks it, and the design still indexes the whole library.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -59,15 +60,15 @@ impl fmt::Display for MapError {
 impl Error for MapError {}
 
 /// The mapper's view of a library: drive-variant families resolved to
-/// [`FamilyId`]s, with the tuning constraints folded into dense per-cell
-/// limits at construction time (the windows themselves are not kept).
+/// [`FamilyId`]s, with the tuning constraints folded into the ladders and
+/// dense per-cell limits at construction time (they are not kept).
 #[derive(Debug, Clone)]
 pub struct TargetLibrary<'a> {
     /// The underlying Liberty library.
     pub lib: &'a Library,
     /// Sizable variants per family, smallest drive first (indexed by
     /// `FamilyId`; empty for families whose members carry no numeric drive
-    /// suffix).
+    /// suffix or are all don't-use).
     variants: Vec<Vec<Variant>>,
     /// Per cell: `(family, position on that family's drive ladder)`.
     ladder_pos: Vec<Option<(FamilyId, u32)>>,
@@ -76,23 +77,22 @@ pub struct TargetLibrary<'a> {
     /// Per cell: `min(library max_capacitance, window max_load)` over
     /// output pins — the windows are consulted once, in
     /// [`effective_limits`].
-    pub(crate) eff_max_load: Vec<f64>,
+    eff_max_load: Vec<f64>,
     /// Per cell: min over output pins of the window `max_slew`.
-    pub(crate) eff_max_slew: Vec<f64>,
+    eff_max_slew: Vec<f64>,
 }
 
-/// Folds the tuning windows into per-cell effective limits, indexed by
-/// [`CellId`]: `min(library max_capacitance, window max_load)` and the
-/// window `max_slew`, each the minimum over the cell's output pins. This
-/// is all synthesis reads of `constraints` (a [`TargetLibrary`] keeps only
-/// these limits), so two constraint sets with bit-equal limits synthesize
-/// bit-identical designs.
+/// Folds the constraints into per-cell limits, indexed by [`CellId`]:
+/// `min(library max_capacitance, window max_load)` and the window
+/// `max_slew`, each the minimum over the cell's output pins, and whether
+/// the cell is don't-use. This is all synthesis reads of `constraints`, so
+/// two constraint sets with bit-equal limits synthesize bit-identical
+/// designs.
 pub(crate) fn effective_limits(
     lib: &Library,
     constraints: &LibraryConstraints,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut max_load = Vec::with_capacity(lib.cells.len());
-    let mut max_slew = Vec::with_capacity(lib.cells.len());
+) -> (Vec<f64>, Vec<f64>, Vec<bool>) {
+    let mut limits = (Vec::new(), Vec::new(), Vec::new());
     for cell in &lib.cells {
         let mut load = f64::INFINITY;
         let mut slew = f64::INFINITY;
@@ -101,29 +101,30 @@ pub(crate) fn effective_limits(
             load = load.min(p.max_capacitance.unwrap_or(f64::INFINITY).min(win.max_load));
             slew = slew.min(win.max_slew);
         }
-        max_load.push(load);
-        max_slew.push(slew);
+        limits.0.push(load);
+        limits.1.push(slew);
+        limits.2.push(constraints.is_excluded(&cell.name));
     }
-    (max_load, max_slew)
+    limits
 }
 
 impl<'a> TargetLibrary<'a> {
-    /// Indexes `lib` by cell family via the library interner and folds the
-    /// tuning windows into per-cell effective limits.
+    /// Indexes `lib` by cell family via the library interner, without the
+    /// don't-use cells, and folds the windows into per-cell limits.
     pub fn new(lib: &'a Library, constraints: &LibraryConstraints) -> Self {
         let interner = lib.interner();
         let n = lib.cells.len();
         let drive: Vec<f64> = (lib.cells.iter())
             .map(|cell| cell.drive_strength().unwrap_or(1.0))
             .collect();
-        let (eff_max_load, eff_max_slew) = effective_limits(lib, constraints);
+        let (eff_max_load, eff_max_slew, dont_use) = effective_limits(lib, constraints);
 
         let mut variants: Vec<Vec<Variant>> = vec![Vec::new(); interner.families().len()];
         let mut ladder_pos: Vec<Option<(FamilyId, u32)>> = vec![None; n];
         for (fi, fam) in interner.families().iter().enumerate() {
             let fid = FamilyId(fi as u32);
             let out = &mut variants[fi];
-            for &id in &fam.members {
+            for &id in fam.members.iter().filter(|id| !dont_use[id.index()]) {
                 let cell = &lib.cells[id.index()];
                 let Some(d) = cell.drive_strength() else {
                     continue;
@@ -293,7 +294,7 @@ pub fn map_netlist(
         };
         cells.push(id);
     }
-    Ok(MappedDesign::new(netlist, cells, wire_model))
+    Ok(MappedDesign::new(netlist, cells, target.lib, wire_model))
 }
 
 /// [`map_netlist`] under its former name; kept only for `benchmark/`.
@@ -418,12 +419,32 @@ mod tests {
         assert_eq!(d.cell_label(1, &lib), "DF_1");
     }
 
+    /// Constraints that make every cell `keep` rejects don't-use.
+    fn dont_use_unless(lib: &Library, keep: impl Fn(&str) -> bool) -> LibraryConstraints {
+        let names = lib.cells.iter().map(|cell| cell.name.as_str());
+        LibraryConstraints::dont_use(names.filter(|name| !keep(name)))
+    }
+
+    #[test]
+    fn dont_use_cells_leave_the_ladders() {
+        let lib = full_lib();
+        let c = LibraryConstraints::dont_use(["INV_1P5"]);
+        let t = TargetLibrary::new(&lib, &c);
+        let invs = t.family_variants(t.family_id("INV").unwrap());
+        assert_eq!(invs.len(), 18);
+        assert!(invs.iter().all(|v| v.name != "INV_1P5"));
+        // The ladder steps over the excluded drive, both ways.
+        assert_eq!(t.upsize_id(id(&lib, "INV_1")).unwrap().name, "INV_2");
+        assert_eq!(t.downsize_id(id(&lib, "INV_2")).unwrap().name, "INV_1");
+        assert_eq!(t.family_of(id(&lib, "INV_1P5")), None);
+    }
+
     #[test]
     fn missing_family_is_an_error() {
-        // A library with only inverters cannot map a NAND.
-        let mut lib = full_lib();
-        lib.cells.retain(|c| c.name.starts_with("INV"));
-        let c = LibraryConstraints::unconstrained();
+        // A library whose only usable cells are inverters cannot map a
+        // NAND.
+        let lib = full_lib();
+        let c = dont_use_unless(&lib, |name| name.starts_with("INV"));
         let t = TargetLibrary::new(&lib, &c);
         let mut nl = Netlist::new("m");
         let a = nl.add_input("a");
@@ -438,9 +459,8 @@ mod tests {
 
     #[test]
     fn buf_falls_back_to_inv_without_gckb() {
-        let mut lib = full_lib();
-        lib.cells.retain(|c| !c.name.starts_with("GCKB"));
-        let c = LibraryConstraints::unconstrained();
+        let lib = full_lib();
+        let c = dont_use_unless(&lib, |name| !name.starts_with("GCKB"));
         let t = TargetLibrary::new(&lib, &c);
         let mut nl = Netlist::new("m");
         let a = nl.add_input("a");

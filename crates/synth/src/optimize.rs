@@ -100,18 +100,21 @@ impl From<StaError> for SynthError {
 }
 
 /// What a [`synthesize`] run was computed from besides the netlist and the
-/// library's tables: each cell's effective load and slew limits (all that
-/// synthesis reads of the [`LibraryConstraints`]) and the configuration.
+/// library's tables: each cell's effective load and slew limits and
+/// don't-use flag (all that synthesis reads of the [`LibraryConstraints`])
+/// and the configuration.
 ///
-/// Equality is bit for bit over every limit and configuration field, so
-/// two runs of one netlist and library with equal keys are bit-identical,
-/// whatever windows produced the limits. `threads` counts as given: a
-/// caller comparing keys normalizes it the way it synthesizes.
+/// Equality is bit for bit over every limit, flag and configuration field,
+/// so two runs of one netlist and library with equal keys are
+/// bit-identical, whatever constraints produced the limits. `threads`
+/// counts as given: a caller comparing keys normalizes it the way it
+/// synthesizes.
 #[derive(Debug, Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SynthKey {
     max_load: Vec<f64>,
     max_slew: Vec<f64>,
+    dont_use: Vec<bool>,
     config: SynthConfig,
 }
 
@@ -119,10 +122,11 @@ impl SynthKey {
     /// The key [`synthesize`] records for `lib`, `constraints` and `cfg`,
     /// computed without synthesizing.
     pub fn new(lib: &Library, constraints: &LibraryConstraints, cfg: &SynthConfig) -> Self {
-        let (max_load, max_slew) = effective_limits(lib, constraints);
+        let (max_load, max_slew, dont_use) = effective_limits(lib, constraints);
         Self {
             max_load,
             max_slew,
+            dont_use,
             config: *cfg,
         }
     }
@@ -135,6 +139,7 @@ impl PartialEq for SynthKey {
         };
         same(&self.max_load, &other.max_load)
             && same(&self.max_slew, &other.max_slew)
+            && self.dont_use == other.dont_use
             && config_bits(&self.config) == config_bits(&other.config)
     }
 }
@@ -256,11 +261,7 @@ pub fn synthesize(
     let design = engine.into_design();
     let area = design.total_area(lib);
     let met_timing = report.meets_timing();
-    let key = SynthKey {
-        max_load: target.eff_max_load,
-        max_slew: target.eff_max_slew,
-        config: *cfg,
-    };
+    let key = SynthKey::new(lib, constraints, cfg);
     Ok(SynthesisResult {
         design,
         report,
@@ -796,6 +797,30 @@ mod tests {
         ] {
             assert_ne!(SynthKey::new(&lib, &none, &other), run.key, "{other:?}");
         }
+    }
+
+    #[test]
+    fn one_dont_use_cell_changes_the_key_and_leaves_the_design() {
+        let lib = full_lib();
+        let nl = small_mcu();
+        let cfg = SynthConfig::with_clock_period(10.0);
+        let mut windows = LibraryConstraints::unconstrained();
+        let window = OperatingWindow {
+            max_load: 0.01,
+            ..OperatingWindow::unbounded()
+        };
+        windows.set("INV_1", "Z", window);
+        let mut excluding = LibraryConstraints::dont_use(["ND2_1"]);
+        excluding.set("INV_1", "Z", window);
+        let key = SynthKey::new(&lib, &excluding, &cfg);
+        assert_ne!(key, SynthKey::new(&lib, &windows, &cfg));
+
+        let nd2_1 = lib.cell_id("ND2_1").unwrap();
+        let before = synthesize(&nl, &lib, &windows, &cfg).unwrap();
+        assert!(before.design.cells.contains(&nd2_1));
+        let after = synthesize(&nl, &lib, &excluding, &cfg).unwrap();
+        assert_eq!(after.key, key);
+        assert!(!after.design.cells.contains(&nd2_1));
     }
 
     #[test]

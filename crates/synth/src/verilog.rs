@@ -197,6 +197,7 @@ mod tests {
         let d = MappedDesign::new(
             nl,
             vec![varitune_liberty::CellId(u32::MAX)],
+            &lib,
             WireModel::default(),
         );
         assert!(write_verilog(&d, &lib).is_err());

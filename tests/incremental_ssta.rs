@@ -355,7 +355,8 @@ fn each_invalidating_event_forces_a_full_analysis() {
 
     // A structural edit.
     let net = splittable_net(&graph, &mut rng).expect("a splittable net");
-    graph.split_fanout(net, "INV_2").unwrap();
+    let inv = stat.mean.cell_id("INV_2").unwrap();
+    graph.split_fanout_id(net, inv).unwrap();
     graph.update().unwrap();
     assert_eq!(evaluated(&graph, stat, opts), full(&graph), "split_fanout");
 

@@ -4,6 +4,7 @@
 //! propagation must be bit-identical at every thread count.
 
 use varitune_libchar::{generate_nominal, GenerateConfig};
+use varitune_liberty::CellId;
 use varitune_netlist::{generate_mcu, McuConfig, NetId};
 use varitune_sta::{
     analyze, required_times, MappedDesign, StaConfig, TimingGraph, TimingReport, WireModel,
@@ -84,6 +85,11 @@ fn family_variants<'l>(lib: &'l varitune_liberty::Library, cell_name: &str) -> V
         .collect()
 }
 
+/// The id of the library cell named `name`.
+fn id(lib: &varitune_liberty::Library, name: &str) -> CellId {
+    lib.cell_id(name).expect("a library cell")
+}
+
 /// Applies 40 random resize/split-fanout edits, refreshing loads with
 /// `update_loads` and re-timing with `update` at seeded random points in
 /// between. After every `update_loads` the loads must match a fresh load
@@ -118,8 +124,8 @@ fn randomized_edit_sequence_is_bit_identical_to_full_analyze() {
             if variants.is_empty() {
                 continue;
             }
-            let pick = variants[(rng.next_u64() as usize) % variants.len()].to_string();
-            engine.resize_gate(gi, &pick).expect("same-family resize");
+            let pick = id(&lib, variants[(rng.next_u64() as usize) % variants.len()]);
+            engine.resize_gate_id(gi, pick).expect("same-family resize");
             resizes += 1;
         } else {
             // Split the fanout of a random multi-sink net.
@@ -128,7 +134,9 @@ fn randomized_edit_sequence_is_bit_identical_to_full_analyze() {
                 .map(|i| NetId(((i + step * 131) % nets) as u32))
                 .find(|&n| engine.fanout(n) >= 2 && engine.driver(n).is_some());
             if let Some(net) = candidate {
-                engine.split_fanout(net, "INV_2").expect("fanout split");
+                engine
+                    .split_fanout_id(net, id(&lib, "INV_2"))
+                    .expect("fanout split");
                 splits += 1;
             }
         }
@@ -253,8 +261,7 @@ fn parallel_propagation_is_bit_identical_across_thread_counts() {
             let gi = (rng.next_u64() as usize) % engine.gate_count();
             let variants = family_variants(&lib, engine.cell_name(gi));
             if let Some(pick) = variants.first() {
-                let pick = pick.to_string();
-                engine.resize_gate(gi, &pick).unwrap();
+                engine.resize_gate_id(gi, id(&lib, pick)).unwrap();
             }
         }
         engine.update().unwrap();

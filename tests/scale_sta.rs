@@ -51,6 +51,7 @@ fn x10_smoke_design(lib: &varitune_liberty::Library) -> MappedDesign {
 /// the whole design plus a handful of fanout splits.
 fn apply_edit_sequence(engine: &mut TimingGraph<'_>, lib: &varitune_liberty::Library) {
     let gates = engine.gate_count();
+    let inv = lib.cell_id("INV_2").expect("the library has INV_2");
     for step in 0..24 {
         let gi = (step * 131071) % gates;
         let name = engine.cell_name(gi);
@@ -63,10 +64,10 @@ fn apply_edit_sequence(engine: &mut TimingGraph<'_>, lib: &varitune_liberty::Lib
             .iter()
             .filter(|c| c.name.starts_with(&prefix))
             .map(|c| c.name.as_str())
-            .find(|n| *n != name);
+            .find(|n| *n != name)
+            .and_then(|n| lib.cell_id(n));
         if let Some(cell) = target {
-            let cell = cell.to_string();
-            engine.resize_gate(gi, &cell).expect("same-family resize");
+            engine.resize_gate_id(gi, cell).expect("same-family resize");
         }
         if step % 8 == 0 {
             // Split a multi-sink net scanned from a moving offset.
@@ -75,7 +76,7 @@ fn apply_edit_sequence(engine: &mut TimingGraph<'_>, lib: &varitune_liberty::Lib
                 .map(|i| NetId(((i + step * 977) % nets) as u32))
                 .find(|&n| engine.fanout(n) >= 2 && engine.driver(n).is_some());
             if let Some(net) = candidate {
-                engine.split_fanout(net, "INV_2").expect("fanout split");
+                engine.split_fanout_id(net, inv).expect("fanout split");
             }
         }
         engine.update().expect("incremental update");

@@ -5,13 +5,15 @@
 
 use varitune::core::flow::{Flow, FlowConfig};
 use varitune::core::{tune, tune_by_exclusion, TuningMethod, TuningParams};
+use varitune::liberty::Library;
 use varitune::netlist::random_activity;
 use varitune::sta::paths::{deadline_at_yield, timing_yield};
+use varitune::sta::MappedDesign;
 use varitune::sta::{
     analyze_hold, estimate_power, estimate_power_with_activity, report_timing, write_sdf,
     HoldConfig, PowerConfig,
 };
-use varitune::synth::{write_verilog, LibraryConstraints, SynthConfig};
+use varitune::synth::{synthesize, write_verilog, LibraryConstraints, SynthConfig};
 
 fn fixture() -> (Flow, varitune::core::FlowRun) {
     let flow = Flow::prepare(FlowConfig::small_for_tests()).expect("flow");
@@ -145,7 +147,7 @@ fn timing_report_text_covers_the_most_critical_path() {
 
 #[test]
 fn exclusion_baseline_is_coarser_than_windows_at_the_same_budget() {
-    let (flow, baseline) = fixture();
+    let (flow, _) = fixture();
     let budget = 0.02;
     // Windowed tuning restricts pins but keeps every cell usable.
     let windowed = tune(
@@ -156,22 +158,72 @@ fn exclusion_baseline_is_coarser_than_windows_at_the_same_budget() {
     assert!(windowed.restricted_pins > 0);
     // Exclusion removes whole cells.
     let excluded = tune_by_exclusion(&flow.stat, budget);
-    let filtered = varitune::core::apply_exclusion(&flow.stat.mean, &excluded);
-    assert!(filtered.cells.len() < flow.stat.mean.cells.len());
+    assert!(!excluded.excluded.is_empty());
     // Both still let synthesis close timing on the fixture design.
     let w_run = flow
         .run(&windowed.constraints, &SynthConfig::with_clock_period(6.0))
         .expect("windowed synthesis");
     assert!(w_run.synthesis.met_timing);
-    let e_run = varitune::synth::synthesize(
-        &flow.netlist,
-        &filtered,
-        &LibraryConstraints::unconstrained(),
-        &SynthConfig::with_clock_period(6.0),
-    )
-    .expect("exclusion synthesis");
-    assert!(e_run.met_timing);
-    let _ = baseline;
+    let e_run = flow
+        .run(
+            &excluded.constraints(),
+            &SynthConfig::with_clock_period(6.0),
+        )
+        .expect("exclusion synthesis");
+    assert!(e_run.synthesis.met_timing);
+    // The design indexes the full library and uses no excluded cell.
+    let design = &e_run.synthesis.design;
+    for gi in 0..design.netlist.gate_count() {
+        let name = design.cell_label(gi, &flow.stat.mean);
+        assert!(!excluded.excluded.contains(&name), "gate {gi} uses {name}");
+    }
+}
+
+/// Synthesis on a copy of `lib` without the `excluded` cells: the oracle
+/// for a run under the same cells as a don't-use set.
+fn filtered_copy(lib: &Library, excluded: &[String]) -> Library {
+    let mut copy = lib.clone();
+    copy.cells.retain(|c| !excluded.contains(&c.name));
+    copy
+}
+
+#[test]
+fn exclusion_through_the_flow_matches_synthesis_on_a_filtered_copy() {
+    let (flow, _) = fixture();
+    let cfg = SynthConfig::with_clock_period(6.0);
+    let names = |d: &MappedDesign, lib: &Library| -> Vec<String> {
+        (0..d.netlist.gate_count())
+            .map(|gi| d.cell_label(gi, lib))
+            .collect()
+    };
+    for budget in [0.04, 0.03, 0.02, 0.01] {
+        let excluded = tune_by_exclusion(&flow.stat, budget);
+        assert!(!excluded.excluded.is_empty(), "budget {budget}");
+        let run = flow
+            .run(&excluded.constraints(), &cfg)
+            .expect("exclusion run");
+        let copy = filtered_copy(&flow.stat.mean, &excluded.excluded);
+        let oracle = synthesize(
+            &flow.netlist,
+            &copy,
+            &LibraryConstraints::unconstrained(),
+            &cfg,
+        )
+        .expect("synthesis on the copy");
+        let got = &run.synthesis;
+        assert_eq!(
+            names(&got.design, &flow.stat.mean),
+            names(&oracle.design, &copy),
+            "budget {budget}"
+        );
+        assert_eq!(got.design.netlist, oracle.design.netlist, "budget {budget}");
+        assert_eq!(got.area.to_bits(), oracle.area.to_bits(), "budget {budget}");
+        assert_eq!(
+            got.report.worst_slack().to_bits(),
+            oracle.report.worst_slack().to_bits(),
+            "budget {budget}"
+        );
+    }
 }
 
 #[test]
