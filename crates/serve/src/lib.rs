@@ -48,7 +48,7 @@ pub mod server;
 
 pub use cache::{CacheStats, Outcome, SfCache};
 pub use client::{Client, RetryPolicy};
-pub use hash::fnv1a64;
+pub use hash::{fnv1a64, xxh64};
 pub use protocol::{
     read_frame, write_frame, ErrorCode, FrameError, JobError, JobKind, Request, MAX_FRAME,
 };

@@ -19,7 +19,7 @@ use varitune_core::quarantine::Strictness;
 use varitune_core::TuningMethod;
 use varitune_trace::json::{self, Json};
 
-use crate::hash::fnv1a64;
+use crate::hash::xxh64;
 
 /// Hard ceiling on a frame's payload size. A length prefix above this is a
 /// protocol error (the connection is told so and closed), not an
@@ -181,8 +181,8 @@ pub struct Request {
     pub id: String,
     /// Liberty text of the library to serve. Required for work kinds.
     pub library: String,
-    /// FNV-1a of `library`, computed once at decode: it keys every cache
-    /// layer and is echoed as `lib_hash`.
+    /// Content hash of `library` ([`xxh64`] of its bytes), computed once
+    /// at decode: it keys every cache layer and is echoed as `lib_hash`.
     pub library_hash: u64,
     /// Master seed for characterization / search.
     pub seed: u64,
@@ -335,7 +335,7 @@ impl Request {
             deadline_ms: num_member(&root, "deadline_ms")?,
             generations: bounded(&root, "generations", 2, 0..=64)? as usize,
             population: bounded(&root, "population", 4, 0..=256)? as usize,
-            library_hash: fnv1a64(library.as_bytes()),
+            library_hash: xxh64(library.as_bytes()),
             library,
         })
     }
@@ -595,7 +595,7 @@ mod tests {
         assert_eq!(req.clock_period_ps, 8000);
         assert!(req.deadline_ms.is_none());
         assert_eq!(req.library, "library (x) {}");
-        assert_eq!(req.library_hash, fnv1a64(b"library (x) {}"));
+        assert_eq!(req.library_hash, xxh64(b"library (x) {}"));
         let twice = Request::parse(r#"{"kind":"sta","library":"a","library":"b"}"#).unwrap();
         assert_eq!(twice.library, "a", "the first member wins");
         // Every limit's boundary is accepted as sent.

@@ -1,7 +1,8 @@
 //! Content-hash-keyed cache layers for served artifacts.
 //!
-//! Three single-flight layers, each keyed by the FNV-1a hash of the
-//! Liberty text plus whatever request parameters shape the result:
+//! Three single-flight layers, each keyed by the library's content hash
+//! ([`crate::hash::xxh64`] of the Liberty text, which responses echo as
+//! `lib_hash`) plus whatever request parameters shape the result:
 //!
 //! 1. **Libraries** — parsed + screened [`Library`] per (text hash,
 //!    strictness). A strict-screening rejection is cached too, as a
@@ -44,7 +45,7 @@ fn strictness_tag(s: Strictness) -> u8 {
 /// Key of the library layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LibKey {
-    /// FNV-1a of the Liberty text.
+    /// Content hash of the Liberty text ([`crate::hash::xxh64`]).
     pub text_hash: u64,
     strictness: u8,
 }
@@ -145,7 +146,8 @@ pub struct Registry {
 /// Per-request knobs that key the flow layer.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowSpec {
-    /// FNV-1a of the Liberty text, computed once per request.
+    /// Content hash of the Liberty text ([`crate::hash::xxh64`]),
+    /// computed once per request: [`crate::Request::library_hash`].
     pub text_hash: u64,
     /// Ingestion policy.
     pub strictness: Strictness,
@@ -304,7 +306,7 @@ mod tests {
 
     fn spec(text: &str) -> FlowSpec {
         FlowSpec {
-            text_hash: crate::hash::fnv1a64(text.as_bytes()),
+            text_hash: crate::hash::xxh64(text.as_bytes()),
             strictness: Strictness::Strict,
             seed: 7,
             mc_libraries: 3,

@@ -4,7 +4,7 @@
 use std::sync::atomic::Ordering;
 
 use varitune_libchar::{generate_nominal, GenerateConfig};
-use varitune_serve::{fnv1a64, Client, LibEntry, Request, RetryPolicy, ServeConfig, Server};
+use varitune_serve::{xxh64, Client, LibEntry, Request, RetryPolicy, ServeConfig, Server};
 use varitune_trace::json::{self, Json};
 
 /// Silences expected poison-job panic output while forwarding everything
@@ -81,7 +81,7 @@ fn a_full_library_decodes_byte_for_byte() {
     );
     let req = Request::parse(&request("sta", "full", &text, "")).unwrap();
     assert!(req.library == text, "decoded library differs from the text");
-    assert_eq!(req.library_hash, fnv1a64(text.as_bytes()));
+    assert_eq!(req.library_hash, xxh64(text.as_bytes()));
 }
 
 #[test]
@@ -160,7 +160,7 @@ fn quarantined_library_never_enters_the_positive_cache() {
     assert!(hits_after >= 1, "served from the negative cache");
     // ...and the hash can never come back as a positive entry: no flow was
     // built, no characterization ran.
-    let hash = fnv1a64(sick.as_bytes());
+    let hash = xxh64(sick.as_bytes());
     let entry = server
         .registry()
         .libs

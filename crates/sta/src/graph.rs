@@ -355,10 +355,9 @@ pub fn required_times(
             })?;
             let load = report.nets[out.0 as usize].load;
             for (k, &inp) in nl.gate_inputs(gi).iter().enumerate() {
-                let arc = pin
-                    .timing
-                    .iter()
-                    .find(|a| a.related_pin == input_pin_names[k])
+                let arc = input_pin_names
+                    .get(k)
+                    .and_then(|name| pin.timing.iter().find(|a| a.related_pin == *name))
                     .ok_or(StaError::MissingArc {
                         gate: gi,
                         cell: cell.name.clone(),

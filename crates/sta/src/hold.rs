@@ -156,10 +156,9 @@ pub fn analyze_hold(
             let mut best_arr = f64::INFINITY;
             let mut best_slew = f64::INFINITY;
             for (k, &inp) in nl.gate_inputs(gi).iter().enumerate() {
-                let arc = pin
-                    .timing
-                    .iter()
-                    .find(|a| a.related_pin == input_pin_names[k])
+                let arc = input_pin_names
+                    .get(k)
+                    .and_then(|name| pin.timing.iter().find(|a| a.related_pin == *name))
                     .ok_or(StaError::MissingArc {
                         gate: gi,
                         cell: cell.name.clone(),

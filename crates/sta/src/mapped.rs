@@ -117,7 +117,7 @@ impl MappedDesign {
     /// # Errors
     ///
     /// [`StaError::MismatchedInput`] naming both fingerprints otherwise.
-    pub(crate) fn check_library(&self, lib: &Library) -> Result<(), StaError> {
+    pub fn check_library(&self, lib: &Library) -> Result<(), StaError> {
         let found = lib.interner().fingerprint();
         if found == self.library {
             return Ok(());

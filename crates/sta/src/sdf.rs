@@ -82,10 +82,9 @@ pub fn write_sdf(
                 continue;
             }
             for (k, &inp) in nl.gate_inputs(gi).iter().enumerate() {
-                let arc = pin
-                    .timing
-                    .iter()
-                    .find(|a| a.related_pin == input_pin_names[k])
+                let arc = input_pin_names
+                    .get(k)
+                    .and_then(|name| pin.timing.iter().find(|a| a.related_pin == *name))
                     .ok_or(StaError::MissingArc {
                         gate: gi,
                         cell: cell.name.clone(),
@@ -95,7 +94,7 @@ pub fn write_sdf(
                 let fall = table_delay(arc.cell_fall.as_ref(), slew, load)?;
                 iopaths.push(format!(
                     "      (IOPATH {} {} {} {})",
-                    input_pin_names[k],
+                    arc.related_pin,
                     pin.name,
                     triple(rise.unwrap_or(0.0)),
                     triple(fall.unwrap_or(rise.unwrap_or(0.0)))

@@ -45,6 +45,12 @@ pub enum MapError {
         /// The gate kind that needed it.
         kind: String,
     },
+    /// The design was mapped on a library with another cell list, so its
+    /// cell ids would name other cells ([`MappedDesign::check_library`]).
+    MismatchedLibrary {
+        /// The fingerprint check's account, naming both fingerprints.
+        reason: String,
+    },
 }
 
 impl fmt::Display for MapError {
@@ -52,6 +58,9 @@ impl fmt::Display for MapError {
         match self {
             MapError::MissingFamily { family, kind } => {
                 write!(f, "library has no `{family}` family for {kind} gates")
+            }
+            MapError::MismatchedLibrary { reason } => {
+                write!(f, "design does not match the library: {reason}")
             }
         }
     }

@@ -26,9 +26,15 @@ use varitune_sta::MappedDesign;
 ///
 /// # Errors
 ///
-/// Returns [`MapError::MissingFamily`] if a gate references a cell missing
-/// from `lib` (the design and library must match).
+/// Returns [`MapError::MismatchedLibrary`] when `design` was mapped on a
+/// library with another cell list, and [`MapError::MissingFamily`] if a
+/// gate references a cell missing from `lib`.
 pub fn write_verilog(design: &MappedDesign, lib: &Library) -> Result<String, MapError> {
+    design
+        .check_library(lib)
+        .map_err(|e| MapError::MismatchedLibrary {
+            reason: e.to_string(),
+        })?;
     let nl = &design.netlist;
     let mut out = String::new();
     let has_seq = (0..nl.gate_count()).any(|gi| nl.gate_kind(gi).is_sequential());
