@@ -28,8 +28,9 @@
 //! whose cell, input slew or output load changed bits and re-evaluates only
 //! the cone below them, stopping wherever a recomputed form is
 //! bit-identical — the deterministic engine's dirty-cone rule carried over
-//! to canonical forms. A first analysis runs the same propagation with
-//! every gate dirty.
+//! to canonical forms — and resumes the endpoint fold from a checkpoint. A
+//! first analysis runs the same propagation with every gate dirty and the
+//! same fold with no checkpoint.
 //!
 //! On top of the propagated forms the module computes per-endpoint
 //! mean/sigma, per-gate criticality (probability a gate lies on the
@@ -193,7 +194,7 @@ impl CanonicalForm {
         let mut out = Vec::with_capacity(terms.len());
         let resid = FormView::new(self.mean, &terms, self.resid).truncate_into(
             max_local,
-            &mut Vec::new(),
+            &mut TruncateScratch::default(),
             &mut out,
         );
         CanonicalForm::from_terms(self.mean, &out, resid)
@@ -241,9 +242,12 @@ fn truncation_rank(t: &Term) -> u128 {
     (u128::from(!sens.abs().to_bits()) << 32) | u128::from(key)
 }
 
-/// The `|sensitivity|` a [`truncation_rank`] was made from.
-fn rank_magnitude(rank: u128) -> f64 {
-    f64::from_bits(!((rank >> 32) as u64))
+/// Truncation's selection scratch: every local's [`truncation_rank`], and
+/// the rank's magnitude bits of each dropped term.
+#[derive(Default)]
+struct TruncateScratch {
+    ranks: Vec<u128>,
+    magnitudes: Vec<u64>,
 }
 
 impl<'a> FormView<'a> {
@@ -257,32 +261,31 @@ impl<'a> FormView<'a> {
 
     /// Statistical sum; appends the merged terms to `out` and returns
     /// `(mean, resid)`.
+    ///
+    /// Walks `other`'s terms and copies `self`'s in runs between them, so
+    /// adding an arc's two terms to a long arrival form is three slice
+    /// copies. The output is the key-order merge's, term for term. A run
+    /// ends where a forward scan finds it: an arrival form is usually cold,
+    /// and a scan streams it where a binary search would chain its misses.
     fn add_into(self, other: FormView<'_>, out: &mut Vec<Term>) -> (f64, f64) {
-        let (a, b) = (self.terms, other.terms);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            let (ka, kb) = (a[i].key, b[j].key);
-            match ka.cmp(&kb) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    let s = a[i].sens + b[j].sens;
+        let mut a = self.terms;
+        for &y in other.terms {
+            let key = y.key;
+            let run = a.iter().position(|x| x.key >= key).unwrap_or(a.len());
+            out.extend_from_slice(&a[..run]);
+            a = &a[run..];
+            match a.first() {
+                Some(&x) if x.key == key => {
+                    let s = x.sens + y.sens;
                     if s != 0.0 {
-                        out.push(Term { key: ka, sens: s });
+                        out.push(Term { key, sens: s });
                     }
-                    i += 1;
-                    j += 1;
+                    a = &a[1..];
                 }
+                _ => out.push(y),
             }
         }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
+        out.extend_from_slice(a);
         (
             self.mean + other.mean,
             (self.resid * self.resid + other.resid * other.resid).sqrt(),
@@ -294,21 +297,38 @@ impl<'a> FormView<'a> {
     /// max copies the winning form, residual included.
     fn max_into(self, other: FormView<'_>, out: &mut Vec<Term>) -> (f64, f64, f64) {
         let (a, b) = (self.terms, other.terms);
-        let var_a = self.variance();
-        let var_b = other.variance();
-        let mut cov = 0.0;
+        // One merge pass: each operand's sum of squares, in its own term
+        // order (as `variance` sums it), and the covariance over shared keys.
+        let (mut sq_a, mut sq_b, mut cov) = (0.0, 0.0, 0.0);
         let (mut i, mut j) = (0usize, 0usize);
         while i < a.len() && j < b.len() {
-            match a[i].key.cmp(&b[j].key) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
+            let (x, y) = (a[i], b[j]);
+            match x.key.cmp(&y.key) {
+                std::cmp::Ordering::Less => {
+                    sq_a += x.sens * x.sens;
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    sq_b += y.sens * y.sens;
+                    j += 1;
+                }
                 std::cmp::Ordering::Equal => {
-                    cov += a[i].sens * b[j].sens;
+                    sq_a += x.sens * x.sens;
+                    sq_b += y.sens * y.sens;
+                    cov += x.sens * y.sens;
                     i += 1;
                     j += 1;
                 }
             }
         }
+        for x in &a[i..] {
+            sq_a += x.sens * x.sens;
+        }
+        for y in &b[j..] {
+            sq_b += y.sens * y.sens;
+        }
+        let var_a = sq_a + self.resid * self.resid;
+        let var_b = sq_b + other.resid * other.resid;
         let theta2 = var_a + var_b - 2.0 * cov;
         if theta2 <= 0.0 {
             // Perfectly correlated (or both deterministic): the max is just
@@ -331,74 +351,96 @@ impl<'a> FormView<'a> {
             + (var_b + other.mean * other.mean) * (1.0 - t)
             + (self.mean + other.mean) * theta * phi;
         let var = (raw2 - mean * mean).max(0.0);
-        // Union of keys, tightness-weighted: sₖ = T·aₖ + (1−T)·bₖ.
-        let mut sens_sq = 0.0;
-        let mut push = |key: u32, s: f64| {
-            if s != 0.0 {
-                sens_sq += s * s;
-                out.push(Term { key, sens: s });
-            }
+        // A saturated tightness needs a finite theta, hence finite
+        // sensitivities on both sides: the winner's `s·1.0` is `s`, and the
+        // loser's `s·0.0` is ±0.0, which the union drops (also where it is
+        // added to a winner's term). So the union is the winner's non-zero
+        // terms, and their sum of squares is the winner's, whose zero terms
+        // add only +0.0.
+        let saturated = if t == 1.0 {
+            Some((a, sq_a))
+        } else if t == 0.0 {
+            Some((b, sq_b))
+        } else {
+            None
         };
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            let (ka, kb) = (a[i].key, b[j].key);
-            match ka.cmp(&kb) {
-                std::cmp::Ordering::Less => {
-                    push(ka, a[i].sens * t);
-                    i += 1;
+        let sens_sq = if let Some((win, sq)) = saturated {
+            out.extend(win.iter().filter(|x| x.sens != 0.0));
+            sq
+        } else {
+            // Union of keys, tightness-weighted: sₖ = T·aₖ + (1−T)·bₖ.
+            let mut sens_sq = 0.0;
+            let mut push = |key: u32, s: f64| {
+                if s != 0.0 {
+                    sens_sq += s * s;
+                    out.push(Term { key, sens: s });
                 }
-                std::cmp::Ordering::Greater => {
-                    push(kb, b[j].sens * (1.0 - t));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    push(ka, a[i].sens * t + b[j].sens * (1.0 - t));
-                    i += 1;
-                    j += 1;
+            };
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < a.len() && j < b.len() {
+                let (ka, kb) = (a[i].key, b[j].key);
+                match ka.cmp(&kb) {
+                    std::cmp::Ordering::Less => {
+                        push(ka, a[i].sens * t);
+                        i += 1;
+                    }
+                    std::cmp::Ordering::Greater => {
+                        push(kb, b[j].sens * (1.0 - t));
+                        j += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        push(ka, a[i].sens * t + b[j].sens * (1.0 - t));
+                        i += 1;
+                        j += 1;
+                    }
                 }
             }
-        }
-        for x in &a[i..] {
-            push(x.key, x.sens * t);
-        }
-        for x in &b[j..] {
-            push(x.key, x.sens * (1.0 - t));
-        }
+            for x in &a[i..] {
+                push(x.key, x.sens * t);
+            }
+            for x in &b[j..] {
+                push(x.key, x.sens * (1.0 - t));
+            }
+            sens_sq
+        };
         let resid = (var - sens_sq).max(0.0).sqrt();
         (mean, resid, t)
     }
 
     /// Truncation (see [`CanonicalForm::truncated`]); appends the
     /// surviving terms to `out` in key order and returns the new residual.
-    /// `ranks` is selection scratch.
     ///
     /// The survivors are only *selected* (a partial selection by
-    /// [`truncation_rank`]); only the dropped tail is sorted, so `folded`
-    /// sums the same squares in the same order as a full sort would.
-    fn truncate_into(self, max_local: usize, ranks: &mut Vec<u128>, out: &mut Vec<Term>) -> f64 {
-        let is_local = |t: &&Term| t.key != GLOBAL_SOURCE;
-        if self.terms.iter().filter(is_local).count() <= max_local {
+    /// [`truncation_rank`]); only the dropped tail's magnitudes are sorted,
+    /// so `folded` sums the same squares in the same order as a full sort
+    /// would: magnitude ties have equal squares, so their keys' order does
+    /// not change the sum.
+    fn truncate_into(self, max_local: usize, sc: &mut TruncateScratch, out: &mut Vec<Term>) -> f64 {
+        // Keys are sorted and unique: the global key can only come first.
+        let n_global = usize::from(self.terms.first().is_some_and(|t| t.key == GLOBAL_SOURCE));
+        let (global, locals) = self.terms.split_at(n_global);
+        if locals.len() <= max_local {
             out.extend_from_slice(self.terms);
             return self.resid;
         }
+        let TruncateScratch { ranks, magnitudes } = sc;
         ranks.clear();
-        ranks.extend(self.terms.iter().filter(is_local).map(truncation_rank));
+        ranks.extend(locals.iter().map(truncation_rank));
         ranks.select_nth_unstable(max_local);
-        let dropped = &mut ranks[max_local..];
-        dropped.sort_unstable();
+        magnitudes.clear();
+        magnitudes.extend(ranks[max_local..].iter().map(|&r| (r >> 32) as u64));
+        magnitudes.sort_unstable();
         let mut folded = 0.0;
-        for &r in dropped.iter() {
-            // `|s| * |s|` equals `s * s` bit for bit unless `s` is NaN.
-            let v = rank_magnitude(r);
+        for &m in magnitudes.iter() {
+            // `!m` is `|s|`'s bits; `|s| * |s|` equals `s * s` bit for bit
+            // unless `s` is NaN.
+            let v = f64::from_bits(!m);
             folded += v * v;
         }
         // Everything ranked before the first dropped term survives.
-        let first_dropped = dropped[0];
-        out.extend(
-            self.terms
-                .iter()
-                .filter(|t| t.key == GLOBAL_SOURCE || truncation_rank(t) < first_dropped),
-        );
+        let first_dropped = ranks[max_local];
+        out.extend_from_slice(global);
+        out.extend(locals.iter().filter(|t| truncation_rank(t) < first_dropped));
         (self.resid * self.resid + folded).sqrt()
     }
 }
@@ -575,14 +617,14 @@ impl FormArena {
 /// workers each shard of a wide stage has its own.
 #[derive(Default)]
 struct GateScratch {
-    /// Fold accumulator terms (the design form in the endpoint fold).
+    /// A gate's fold accumulator terms.
     acc: Vec<Term>,
     /// Input-plus-arc candidate terms.
     cand: Vec<Term>,
     /// Clark max result terms.
     max: Vec<Term>,
     /// Truncation selection scratch.
-    ranks: Vec<u128>,
+    ranks: TruncateScratch,
     /// `(mean, resid, term count)` per output form.
     out_forms: Vec<(f64, f64, usize)>,
     /// The output forms' terms, back to back.
@@ -591,26 +633,100 @@ struct GateScratch {
     out_w: Vec<f64>,
 }
 
-/// What the forward pass leaves behind and starts from: every net's
-/// arrival form, every arc's tightness weight, and the gates to evaluate
-/// whatever their inputs do. A first analysis starts from an empty arena
-/// with every gate dirty; a re-analysis starts from the last one's with
-/// only the gates whose arc model changed dirty.
+/// Fold checkpoints a forward state keeps: one every
+/// `ceil(endpoints / FOLD_CHECKPOINTS)` endpoints, plus the fold's end.
+const FOLD_CHECKPOINTS: usize = 32;
+
+/// The endpoint fold after its first `at` steps: the design form so far
+/// and, as `(endpoint, weight)` columns, the endpoints whose weight is not
+/// 0.0. A weight that reaches 0.0 leaves the columns: it stays 0.0, because
+/// weights are never negative and a tightness lies in [0, 1], until a NaN
+/// tightness, which first puts every endpoint back on them.
+#[derive(Clone)]
+struct FoldState {
+    at: usize,
+    mean: f64,
+    resid: f64,
+    terms: Vec<Term>,
+    live_e: Vec<u32>,
+    live_w: Vec<f64>,
+}
+
+impl FoldState {
+    fn empty() -> Self {
+        FoldState {
+            at: 0,
+            mean: f64::NEG_INFINITY,
+            resid: 0.0,
+            terms: Vec::new(),
+            live_e: Vec::new(),
+            live_w: Vec::new(),
+        }
+    }
+
+    /// Multiply every live weight by tightness `t` (not 1.0), then drop the
+    /// ones that became 0.0.
+    fn rescale(&mut self, t: f64) {
+        let mut zero = false;
+        for w in &mut self.live_w {
+            *w *= t;
+            zero |= *w == 0.0;
+        }
+        if zero {
+            let mut kept = 0;
+            for i in 0..self.live_w.len() {
+                let (e, w) = (self.live_e[i], self.live_w[i]);
+                self.live_e[kept] = e;
+                self.live_w[kept] = w;
+                kept += usize::from(w != 0.0);
+            }
+            self.live_e.truncate(kept);
+            self.live_w.truncate(kept);
+        }
+    }
+}
+
+/// What an analysis leaves behind and starts from: every net's arrival
+/// form and moments, every arc's tightness weight, the gates to evaluate
+/// whatever their inputs do, and the endpoint fold's checkpoints with the
+/// endpoint shifts they were folded at. A first analysis starts from an
+/// empty arena with every gate dirty and no checkpoint; a re-analysis
+/// starts from the last one's with only the gates whose arc model changed
+/// dirty.
 struct ForwardState {
     arena: FormArena,
     weights: Vec<f64>,
     dirty: Vec<bool>,
     /// Per net: its form changed bits during the current pass.
     changed: Vec<bool>,
+    /// Per net: the mean and sigma of its form.
+    arrival_mean: Vec<f64>,
+    arrival_sigma: Vec<f64>,
+    /// Per endpoint: the bits of `t_clk − required` the fold last used.
+    shift: Vec<u64>,
+    /// Fold states by ascending step, each valid for the endpoint forms
+    /// and shifts before its step.
+    checkpoints: Vec<FoldState>,
 }
 
 impl ForwardState {
     fn new(graph: &TimingGraph<'_>, max_local_terms: usize) -> Self {
+        let arena = FormArena::new(graph, max_local_terms);
+        let (arrival_mean, arrival_sigma) = (0..graph.nets.len())
+            .map(|ni| {
+                let form = arena.view(ni);
+                (form.mean, form.variance().sqrt())
+            })
+            .unzip();
         ForwardState {
-            arena: FormArena::new(graph, max_local_terms),
+            arena,
             weights: vec![0.0; graph.arcs.len()],
             dirty: vec![true; graph.gate_count()],
             changed: vec![false; graph.nets.len()],
+            arrival_mean,
+            arrival_sigma,
+            shift: Vec::new(),
+            checkpoints: Vec::new(),
         }
     }
 }
@@ -1380,6 +1496,110 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         Ok(())
     }
 
+    /// The endpoint fold. Returns the design form W = max over endpoints
+    /// of (arrival − required + period), the minimum feasible clock period,
+    /// and the fold's tightness weights, each endpoint's criticality.
+    ///
+    /// Each step depends only on the steps before it, so the fold resumes
+    /// from the last checkpoint at or before the first endpoint whose form
+    /// changed in this pass or whose `t_clk − required` changed bits, and
+    /// replaces the checkpoints after it as it goes.
+    fn fold(&self, fwd: &mut ForwardState, sc: &mut GateScratch) -> (CanonicalForm, Vec<f64>) {
+        let graph = self.graph;
+        let t_clk = graph.config.effective_period();
+        let n_ep = graph.endpoints.len();
+        fwd.shift.resize(n_ep, 0);
+        let mut first = n_ep;
+        for (e, ep) in graph.endpoints.iter().enumerate() {
+            let shift = (t_clk - ep.required).to_bits();
+            if first == n_ep && (shift != fwd.shift[e] || fwd.changed[ep.net.0 as usize]) {
+                first = e;
+            }
+            fwd.shift[e] = shift;
+        }
+        let keep = fwd.checkpoints.partition_point(|c| c.at <= first);
+        fwd.checkpoints.truncate(keep);
+        let empty = FoldState::empty();
+        let start = fwd.checkpoints.last().unwrap_or(&empty).at;
+        varitune_trace::add("sta.ssta.fold_steps", (n_ep - start) as u64);
+        if start < n_ep {
+            let resume = fwd.checkpoints.last().unwrap_or(&empty).clone();
+            let end = self.fold_from(resume, fwd, sc);
+            fwd.checkpoints.push(end);
+        }
+        let end = fwd.checkpoints.last().unwrap_or(&empty);
+        let mut ep_w = vec![0.0f64; n_ep];
+        for (&i, &w) in end.live_e.iter().zip(&end.live_w) {
+            ep_w[i as usize] = w;
+        }
+        (
+            CanonicalForm::from_terms(end.mean, &end.terms, end.resid),
+            ep_w,
+        )
+    }
+
+    /// Fold the endpoints from `cur`'s step to the last, pushing a
+    /// checkpoint at every multiple of the stride on the way, and return
+    /// the final state.
+    fn fold_from(
+        &self,
+        mut cur: FoldState,
+        fwd: &mut ForwardState,
+        sc: &mut GateScratch,
+    ) -> FoldState {
+        let graph = self.graph;
+        let t_clk = graph.config.effective_period();
+        let start = cur.at;
+        let stride = graph.endpoints.len().div_ceil(FOLD_CHECKPOINTS).max(1);
+        for (e, ep) in graph.endpoints.iter().enumerate().skip(start) {
+            if e > start && e % stride == 0 {
+                fwd.checkpoints.push(cur.clone());
+            }
+            let form = fwd.arena.view(ep.net.0 as usize);
+            let shifted = FormView {
+                mean: form.mean + (t_clk - ep.required),
+                ..form
+            };
+            cur.at = e + 1;
+            if e == 0 {
+                cur.terms.extend_from_slice(shifted.terms);
+                (cur.mean, cur.resid) = (shifted.mean, shifted.resid);
+                cur.live_e.push(0);
+                cur.live_w.push(1.0);
+                continue;
+            }
+            sc.max.clear();
+            let (mean, resid, t) =
+                FormView::new(cur.mean, &cur.terms, cur.resid).max_into(shifted, &mut sc.max);
+            // `x * 1.0 == x` for every f64: a step the design wins outright
+            // leaves every earlier weight as it is.
+            if t != 1.0 {
+                if t.is_nan() {
+                    // `0.0 * NaN` is NaN: every earlier weight turns live.
+                    let mut all = vec![0.0; e];
+                    for (&i, &w) in cur.live_e.iter().zip(&cur.live_w) {
+                        all[i as usize] = w;
+                    }
+                    cur.live_e = (0..e as u32).collect();
+                    cur.live_w = all;
+                }
+                cur.rescale(t);
+            }
+            if 1.0 - t != 0.0 {
+                cur.live_e.push(e as u32);
+                cur.live_w.push(1.0 - t);
+            }
+            cur.terms.clear();
+            cur.resid = FormView::new(mean, &sc.max, resid).truncate_into(
+                self.opts.max_local_terms,
+                &mut sc.ranks,
+                &mut cur.terms,
+            );
+            cur.mean = mean;
+        }
+        cur
+    }
+
     /// Run the full statistical analysis: forward propagation, endpoint
     /// fold, and backward criticality. Every gate is evaluated, from an
     /// empty arena: the same propagation [`analyze_ssta`] runs on a first
@@ -1394,8 +1614,9 @@ impl<'g, 'l> SstaModel<'g, 'l> {
     }
 
     /// [`SstaModel::analyze`] from a retained forward state (a fresh one
-    /// when `None`): propagate its dirty gates, then fold every endpoint
-    /// and walk every gate back. Returns the forward state for reuse.
+    /// when `None`): propagate its dirty gates, fold the endpoints from the
+    /// last valid checkpoint, and walk every gate back. Returns the forward
+    /// state for reuse.
     fn analyze_from(
         &self,
         fwd: Option<ForwardState>,
@@ -1410,74 +1631,15 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         self.propagate(&mut fwd, &mut sc)?;
         let n_stages = self.stage_off.len() - 1;
 
-        // Endpoint fold: W = max over endpoints of (arrival − required +
-        // period), the minimum feasible clock period. The tightness
-        // weights of the fold are each endpoint's criticality. The design
-        // form's terms live in `sc.acc`.
-        let t_clk = graph.config.effective_period();
-        let n_ep = graph.endpoints.len();
-        let mut ep_w = vec![0.0f64; n_ep];
-        // The weights that are not exactly 0.0, as `(endpoint, weight)`
-        // columns: only these are rescaled, and they land in `ep_w` after
-        // the fold. The rest stay 0.0, which is exact, because weights are
-        // never negative and a tightness `t` is in [0, 1]: `0.0 * t == 0.0`
-        // unless `t` is NaN.
-        let (mut live_e, mut live_w): (Vec<usize>, Vec<f64>) = (Vec::new(), Vec::new());
-        let (mut d_mean, mut d_resid) = (f64::NEG_INFINITY, 0.0);
-        sc.acc.clear();
-        for (e, ep) in graph.endpoints.iter().enumerate() {
-            let form = fwd.arena.view(ep.net.0 as usize);
-            let shifted = FormView {
-                mean: form.mean + (t_clk - ep.required),
-                ..form
-            };
-            if e == 0 {
-                sc.acc.extend_from_slice(shifted.terms);
-                (d_mean, d_resid) = (shifted.mean, shifted.resid);
-                live_e.push(0);
-                live_w.push(1.0);
-                continue;
-            }
-            let design = FormView::new(d_mean, &sc.acc, d_resid);
-            sc.max.clear();
-            let (mean, resid, t) = design.max_into(shifted, &mut sc.max);
-            // `x * 1.0 == x` for every f64: a step the design wins outright
-            // leaves every earlier weight as it is.
-            if t != 1.0 {
-                if t.is_nan() {
-                    // `0.0 * NaN` is NaN: every earlier weight turns live.
-                    for (&i, &w) in live_e.iter().zip(&live_w) {
-                        ep_w[i] = w;
-                    }
-                    live_e.clear();
-                    live_e.extend(0..e);
-                    live_w.clear();
-                    live_w.extend_from_slice(&ep_w[..e]);
-                }
-                for w in &mut live_w {
-                    *w *= t;
-                }
-            }
-            if 1.0 - t != 0.0 {
-                live_e.push(e);
-                live_w.push(1.0 - t);
-            }
-            let folded = FormView::new(mean, &sc.max, resid);
-            sc.acc.clear();
-            d_resid = folded.truncate_into(self.opts.max_local_terms, &mut sc.ranks, &mut sc.acc);
-            d_mean = mean;
-        }
-        for (&i, &w) in live_e.iter().zip(&live_w) {
-            ep_w[i] = w;
-        }
-        let design = CanonicalForm::from_terms(d_mean, &sc.acc, d_resid);
-
-        let (arrival_mean, arrival_sigma): (Vec<f64>, Vec<f64>) = (0..n_nets)
-            .map(|ni| {
+        let (design, ep_w) = self.fold(&mut fwd, &mut sc);
+        for (ni, &changed) in fwd.changed.iter().enumerate() {
+            if changed {
                 let form = fwd.arena.view(ni);
-                (form.mean, form.variance().sqrt())
-            })
-            .unzip();
+                fwd.arrival_mean[ni] = form.mean;
+                fwd.arrival_sigma[ni] = form.variance().sqrt();
+            }
+        }
+        let (arrival_mean, arrival_sigma) = (fwd.arrival_mean.clone(), fwd.arrival_sigma.clone());
         let endpoints: Vec<SstaEndpoint> = graph
             .endpoints
             .iter()
@@ -1536,7 +1698,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             corner: self.opts.corner,
             mode: self.opts.mode,
             sigma_scale: self.opts.sigma_scale,
-            clock_period: t_clk,
+            clock_period: graph.config.effective_period(),
             endpoints,
             design,
             gate_criticality: gate_crit,
@@ -1761,8 +1923,11 @@ pub(crate) fn release_retained(graph: Option<u64>) {
 /// only the gates whose cell, input slew or output load changed bits,
 /// re-evaluates only the gates whose arc model or an input form changed,
 /// and stops wherever a recomputed form is bit-identical to the last one.
-/// The endpoint fold and the criticality back-pass stay full. The report
-/// is bit-identical to a fresh [`SstaModel::analyze`].
+/// It recomputes arrival moments only for the nets whose form changed, and
+/// resumes the endpoint fold from its last checkpoint before the first
+/// endpoint whose form or `t_clk − required` changed bits. The criticality
+/// back-pass stays full. The report is bit-identical to a fresh
+/// [`SstaModel::analyze`].
 ///
 /// The state this needs is kept for one graph per process, and only when
 /// the graph was built over `&stat.mean` itself (see [`SstaModel::build`]);
@@ -2040,6 +2205,249 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The statistical sum as a full key-order merge.
+    fn merge_add_into(a: FormView<'_>, b: FormView<'_>, out: &mut Vec<Term>) -> (f64, f64) {
+        let (x, y) = (a.terms, b.terms);
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < x.len() && j < y.len() {
+            let (kx, ky) = (x[i].key, y[j].key);
+            match kx.cmp(&ky) {
+                std::cmp::Ordering::Less => {
+                    out.push(x[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push(y[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    let s = x[i].sens + y[j].sens;
+                    if s != 0.0 {
+                        out.push(Term { key: kx, sens: s });
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&x[i..]);
+        out.extend_from_slice(&y[j..]);
+        (
+            a.mean + b.mean,
+            (a.resid * a.resid + b.resid * b.resid).sqrt(),
+        )
+    }
+
+    /// Clark's max with separate variance passes, a covariance merge and
+    /// the tightness-weighted union of every key, whatever the tightness.
+    fn merge_max_into(a: FormView<'_>, b: FormView<'_>, out: &mut Vec<Term>) -> (f64, f64, f64) {
+        let (x, y) = (a.terms, b.terms);
+        let (var_a, var_b) = (a.variance(), b.variance());
+        let mut cov = 0.0;
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < x.len() && j < y.len() {
+            match x[i].key.cmp(&y[j].key) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    cov += x[i].sens * y[j].sens;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        let theta2 = var_a + var_b - 2.0 * cov;
+        if theta2 <= 0.0 {
+            let (win, t) = if b.mean > a.mean { (b, 0.0) } else { (a, 1.0) };
+            out.extend_from_slice(win.terms);
+            return (win.mean, win.resid, t);
+        }
+        let theta = theta2.sqrt();
+        let alpha = (a.mean - b.mean) / theta;
+        let t = normal_cdf(alpha);
+        let phi = normal_pdf(alpha);
+        let mean = a.mean * t + b.mean * (1.0 - t) + theta * phi;
+        let raw2 = (var_a + a.mean * a.mean) * t
+            + (var_b + b.mean * b.mean) * (1.0 - t)
+            + (a.mean + b.mean) * theta * phi;
+        let var = (raw2 - mean * mean).max(0.0);
+        let mut sens_sq = 0.0;
+        let mut push = |key: u32, s: f64| {
+            if s != 0.0 {
+                sens_sq += s * s;
+                out.push(Term { key, sens: s });
+            }
+        };
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < x.len() && j < y.len() {
+            let (kx, ky) = (x[i].key, y[j].key);
+            match kx.cmp(&ky) {
+                std::cmp::Ordering::Less => {
+                    push(kx, x[i].sens * t);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    push(ky, y[j].sens * (1.0 - t));
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    push(kx, x[i].sens * t + y[j].sens * (1.0 - t));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        for v in &x[i..] {
+            push(v.key, v.sens * t);
+        }
+        for v in &y[j..] {
+            push(v.key, v.sens * (1.0 - t));
+        }
+        (mean, (var - sens_sq).max(0.0).sqrt(), t)
+    }
+
+    /// A value's bits, every NaN as one: Rust leaves a NaN result's sign
+    /// and payload unspecified (the compiler may swap an addition's
+    /// operands), so only NaN-ness is comparable.
+    fn bits(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
+    fn term_bits(terms: &[Term]) -> Vec<(u32, u64)> {
+        terms.iter().map(|t| (t.key, bits(t.sens))).collect()
+    }
+
+    #[test]
+    fn kernels_match_the_merge_oracle_bit_for_bit() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Keys drawn from 0..12, so pairs share some and not others; in a
+        // form with specials, a twentieth of the sensitivities are ±0.0,
+        // ±inf or NaN.
+        type Form = (f64, Vec<Term>, f64);
+        fn random_form(next: &mut dyn FnMut() -> f64, specials: bool) -> Form {
+            let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            let mut terms = Vec::new();
+            for key in 0..12u32 {
+                if next() < 0.5 {
+                    let mut sens = (next() - 0.3) * 0.4;
+                    if specials && next() < 0.05 {
+                        sens = special[(next() * 5.0) as usize % 5];
+                    }
+                    terms.push(Term { key, sens });
+                }
+            }
+            let resid = if next() < 0.3 { 0.0 } else { next() * 0.2 };
+            (next() * 4.0, terms, resid)
+        }
+        let mut pairs: Vec<(Form, Form)> = Vec::new();
+        for i in 0..400 {
+            let a = random_form(&mut next, i % 4 == 0);
+            let b = random_form(&mut next, i % 4 == 0);
+            // Cancelling keys: `b` negates every shared sensitivity of `a`.
+            let mut cancel = b.clone();
+            for t in &mut cancel.1 {
+                if let Some(s) = a.1.iter().find(|s| s.key == t.key) {
+                    t.sens = -s.sens;
+                }
+            }
+            // Far apart, so the tightness saturates at exactly 0.0 or 1.0.
+            let far = (a.0 + 1e3, b.1.clone(), b.2);
+            pairs.extend([
+                (a.clone(), b.clone()),
+                (a.clone(), cancel),
+                (a.clone(), far.clone()),
+                (far, a.clone()),
+                // Identical forms: theta2 is 0 when the residual is.
+                (a.clone(), a.clone()),
+                ((a.0, a.1.clone(), 0.0), (a.0 + 0.5, a.1.clone(), 0.0)),
+                (a.clone(), (next(), Vec::new(), 0.0)),
+                ((next(), Vec::new(), next()), a.clone()),
+            ]);
+            // Arc forms: no term, the global key, a local key, both; the
+            // local key sometimes lands on one of `a`'s and cancels it.
+            let key = 1 + (next() * 12.0) as u32;
+            let sens = match a.1.iter().find(|t| t.key == key) {
+                Some(t) if next() < 0.5 => -t.sens,
+                _ => next() * 0.1,
+            };
+            let (g, l) = (
+                Term {
+                    key: 0,
+                    sens: next() * 0.05,
+                },
+                Term { key, sens },
+            );
+            for arc in [vec![], vec![g], vec![l], vec![g, l]] {
+                pairs.push((a.clone(), (next(), arc, 0.0)));
+            }
+        }
+        pairs.push(((1.0, Vec::new(), 0.0), (2.0, Vec::new(), 0.0)));
+        pairs.push(((2.0, Vec::new(), 0.0), (2.0, Vec::new(), 0.0)));
+
+        let (mut seen_one, mut seen_zero, mut seen_degenerate, mut seen_nan) = (0, 0, 0, 0);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (a, b) in &pairs {
+            let (a, b) = (FormView::new(a.0, &a.1, a.2), FormView::new(b.0, &b.1, b.2));
+            let ctx = format!(
+                "a = {:?}, b = {:?}",
+                (a.mean, term_bits(a.terms), a.resid),
+                (b.mean, term_bits(b.terms), b.resid)
+            );
+
+            got.clear();
+            want.clear();
+            let (m, r) = a.add_into(b, &mut got);
+            let (wm, wr) = merge_add_into(a, b, &mut want);
+            assert_eq!(term_bits(&got), term_bits(&want), "add terms, {ctx}");
+            assert_eq!((bits(m), bits(r)), (bits(wm), bits(wr)), "add, {ctx}");
+
+            got.clear();
+            want.clear();
+            let (m, r, t) = a.max_into(b, &mut got);
+            let (wm, wr, wt) = merge_max_into(a, b, &mut want);
+            assert_eq!(term_bits(&got), term_bits(&want), "max terms, {ctx}");
+            assert_eq!(
+                (bits(m), bits(r), bits(t)),
+                (bits(wm), bits(wr), bits(wt)),
+                "max, {ctx}"
+            );
+            let theta2 = a.variance() + b.variance()
+                - 2.0 * {
+                    let mut cov = 0.0;
+                    for x in a.terms {
+                        if let Some(y) = b.terms.iter().find(|y| y.key == x.key) {
+                            cov += x.sens * y.sens;
+                        }
+                    }
+                    cov
+                };
+            if theta2 <= 0.0 {
+                seen_degenerate += 1;
+            } else if t == 1.0 {
+                seen_one += 1;
+            } else if t == 0.0 {
+                seen_zero += 1;
+            } else if t.is_nan() {
+                seen_nan += 1;
+            }
+        }
+        let seen = (seen_one, seen_zero, seen_degenerate, seen_nan);
+        assert!(
+            seen_one > 50 && seen_zero > 50 && seen_degenerate > 50 && seen_nan > 10,
+            "saturated at 1.0 / 0.0, degenerate, NaN: {seen:?}"
+        );
     }
 
     #[test]

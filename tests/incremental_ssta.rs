@@ -12,8 +12,9 @@
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use varitune_libchar::{generate_mc_libraries, generate_nominal, GenerateConfig, StatLibrary};
-use varitune_liberty::CellId;
+use varitune_liberty::{CellId, TimingType};
 use varitune_netlist::{generate_mcu, McuConfig, NetId};
+use varitune_sta::graph::EndpointKind;
 use varitune_sta::{
     analyze_ssta, SstaModel, SstaOptions, SstaReport, StaConfig, StaError, TimingGraph, WireModel,
 };
@@ -243,7 +244,7 @@ fn paper_scale_sequence_matches_full_analysis_at_1_2_8_threads() {
     let _serial = serial();
     let stat = stat();
     let opts = opts(32);
-    let mut finals = Vec::new();
+    let (mut finals, mut fold_steps) = (Vec::new(), Vec::new());
     for threads in [1usize, 2, 8] {
         let ctx = format!("{threads} thread(s)");
         let mut graph = graph_over(stat, &McuConfig::paper_scale());
@@ -268,6 +269,7 @@ fn paper_scale_sequence_matches_full_analysis_at_1_2_8_threads() {
             modeled > 0 && modeled < all_arcs,
             "{ctx}: bulk step re-modelled {modeled} of {all_arcs} arcs"
         );
+        fold_steps.push(trace.counter("sta.ssta.fold_steps"));
         assert!(
             trace.counter("variation.shard_calls") > 0,
             "{ctx}: the bulk re-analysis never sharded a stage"
@@ -283,6 +285,8 @@ fn paper_scale_sequence_matches_full_analysis_at_1_2_8_threads() {
     }
     assert_eq!(finals[0], finals[1], "2 threads diverged");
     assert_eq!(finals[0], finals[2], "8 threads diverged");
+    assert_eq!(fold_steps[0], fold_steps[1], "2 threads folded other steps");
+    assert_eq!(fold_steps[0], fold_steps[2], "8 threads folded other steps");
 }
 
 #[test]
@@ -292,17 +296,26 @@ fn a_resize_re_evaluates_only_its_cone() {
     let opts = opts(32);
     let mut graph = graph_over(stat, &McuConfig::small_for_tests());
     let gates = graph.gate_count() as u64;
+    let endpoints = graph.endpoints().len() as u64;
     let (_, first) = traced(&graph, stat, opts);
     assert_eq!(first.counter("sta.ssta.gates_evaluated"), gates);
+    assert_eq!(first.counter("sta.ssta.fold_steps"), endpoints);
     let all_arcs = first.counter("sta.ssta.arcs_modeled");
 
-    // Nothing changed: nothing re-models, nothing re-evaluates.
+    // Nothing changed: nothing re-models, re-evaluates or re-folds.
     let (report, again) = traced(&graph, stat, opts);
     assert_eq!(again.counter("sta.ssta.gates_evaluated"), 0);
     assert_eq!(again.counter("sta.ssta.arcs_modeled"), 0);
+    assert_eq!(again.counter("sta.ssta.fold_steps"), 0);
     assert_matches_full(&report, &graph, stat, opts, "no edit");
 
-    let gi = (0..graph.gate_count())
+    // A resizable gate driving a late endpoint: its cone starts past the
+    // fold's first checkpoint.
+    let gi = graph
+        .endpoints()
+        .iter()
+        .rev()
+        .filter_map(|ep| graph.driver(ep.net))
         .find(|&g| variants(&graph, g).len() > 1)
         .expect("a resizable gate");
     let to = *variants(&graph, gi)
@@ -322,6 +335,13 @@ fn a_resize_re_evaluates_only_its_cone() {
         modeled > 0 && modeled < all_arcs,
         "a resize re-modelled {modeled} of {all_arcs} arcs"
     );
+    // The fold resumes from a checkpoint before the first endpoint in the
+    // cone; a resume from step 0 would fold every endpoint.
+    let steps = trace.counter("sta.ssta.fold_steps");
+    assert!(
+        steps > 0 && steps < endpoints,
+        "a resize folded {steps} of {endpoints} endpoints"
+    );
     assert_matches_full(&report, &graph, stat, opts, "one resize");
 
     // A full STA sweep moves no bits, so SSTA has nothing to redo.
@@ -329,7 +349,97 @@ fn a_resize_re_evaluates_only_its_cone() {
     graph.update().unwrap();
     let (report, trace) = traced(&graph, stat, opts);
     assert_eq!(trace.counter("sta.ssta.gates_evaluated"), 0);
+    assert_eq!(trace.counter("sta.ssta.fold_steps"), 0);
     assert_matches_full(&report, &graph, stat, opts, "invalidate_all");
+}
+
+/// Moves only one endpoint's required time: two flip-flop cells that are
+/// one cell but for their setup tables, so swapping them leaves every arc
+/// model and the data net's form bit-identical. The fold must still
+/// restart at or before that endpoint.
+#[test]
+fn a_required_time_change_restarts_the_fold_at_its_endpoint() {
+    let _serial = serial();
+    let opts = opts(32);
+    // The last flip-flop endpoint, and two cells of its gate's family.
+    let probe = graph_over(stat(), &McuConfig::small_for_tests());
+    let (e, gi) = probe
+        .endpoints()
+        .iter()
+        .enumerate()
+        .rev()
+        .find_map(|(e, ep)| match ep.kind {
+            EndpointKind::FlipFlopData { gate } => Some((e, gate)),
+            EndpointKind::PrimaryOutput => None,
+        })
+        .expect("a flip-flop endpoint");
+    let family = variants(&probe, gi);
+    assert!(family.len() >= 2, "flip-flop family {family:?}");
+    let (a, b) = (family[0], family[1]);
+    drop(probe);
+
+    // `b` becomes a copy of `a` under its own name, pin caps and launch
+    // arcs included, with 50 ns more setup time: enough to make its
+    // endpoint the critical one.
+    let mut pair = stat().clone();
+    for lib in [&mut pair.mean, &mut pair.sigma] {
+        let name = lib.cells[b.index()].name.clone();
+        lib.cells[b.index()] = lib.cells[a.index()].clone();
+        lib.cells[b.index()].name = name;
+    }
+    let setup_arcs = pair.mean.cells[b.index()]
+        .pins
+        .iter_mut()
+        .flat_map(|p| &mut p.timing)
+        .filter(|arc| arc.timing_type == TimingType::SetupRising);
+    for arc in setup_arcs {
+        for lut in [&mut arc.cell_rise, &mut arc.cell_fall]
+            .into_iter()
+            .flatten()
+        {
+            lut.values.iter_mut().flatten().for_each(|v| *v += 50.0);
+        }
+    }
+
+    // Every flip-flop mapped to `b` moves to `a`, the swapped one too.
+    let mut graph = graph_over(&pair, &McuConfig::small_for_tests());
+    let n_ep = graph.endpoints().len();
+    for g in 0..graph.gate_count() {
+        if g == gi || graph.cell_id(g) == b {
+            graph.resize_gate_id(g, a).unwrap();
+        }
+    }
+    graph.update().unwrap();
+    let before = analyze_ssta(&graph, &pair, opts).unwrap();
+    graph.resize_gate_id(gi, b).unwrap();
+    graph.update().unwrap();
+    let (after, trace) = traced(&graph, &pair, opts);
+
+    assert_eq!(trace.counter("sta.ssta.gates_evaluated"), 0);
+    let d = graph.endpoints()[e].net.0 as usize;
+    assert_eq!(
+        (
+            before.arrival_mean[d].to_bits(),
+            before.arrival_sigma[d].to_bits()
+        ),
+        (
+            after.arrival_mean[d].to_bits(),
+            after.arrival_sigma[d].to_bits()
+        ),
+        "the data net's form moved"
+    );
+    assert_ne!(
+        before.endpoints[e].required.to_bits(),
+        after.endpoints[e].required.to_bits(),
+        "the required time did not move"
+    );
+    let steps = trace.counter("sta.ssta.fold_steps") as usize;
+    assert!(
+        steps >= n_ep - e && steps < n_ep,
+        "endpoint {e} of {n_ep} changed and the fold took {steps} steps"
+    );
+    assert_ne!(after.digest(), before.digest(), "the report did not move");
+    assert_matches_full(&after, &graph, &pair, opts, "setup-only swap");
 }
 
 /// Gates the forward pass evaluated in one `analyze_ssta` call.
