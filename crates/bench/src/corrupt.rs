@@ -1,11 +1,10 @@
 //! Seeded corruption operators over Liberty text and netlists.
 //!
-//! Shared by the fault-injection harness (`fault_harness`), the parser
-//! bench (`parse_harness`) and the parser reference suite: all three need
-//! the *same* damaged corpora, and the reference suite's frozen records
-//! name their inputs by `(seed, index)` into [`liberty_corpus`]: changing
-//! what an operator produces fails that suite with "corpus generator
-//! changed".
+//! Shared by the fault-injection harness (`fault_harness`) and the parser
+//! reference suite: both need the *same* damaged corpora, and the
+//! reference suite's frozen records name their inputs by `(seed, index)`
+//! into [`liberty_corpus`]: changing what an operator produces fails that
+//! suite with "corpus generator changed".
 //!
 //! All randomness comes from the caller-provided
 //! [`Xoshiro256PlusPlus`] state — no wall clock, no OS entropy — so any

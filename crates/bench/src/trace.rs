@@ -68,12 +68,7 @@ pub mod stages {
         "optimize.evaluate",
         "optimize.front",
     ];
-    /// `parse_harness` generates its libraries, benches zero-copy
-    /// ingestion, and checks thread identity over the fault corpora and
-    /// the clean giant (the `differential` span).
-    pub const PARSE_HARNESS: &[&str] = &[
-        "parse_harness.generate",
-        "parse_harness.bench",
-        "parse_harness.differential",
-    ];
+    /// `parse_harness` generates its libraries, then benches zero-copy
+    /// ingestion.
+    pub const PARSE_HARNESS: &[&str] = &["parse_harness.generate", "parse_harness.bench"];
 }

@@ -9,8 +9,7 @@
 //! regenerated here, and every input is checked against its frozen digest
 //! before anything is parsed, so a changed corpus generator fails
 //! differently from a changed parser. Token streams are rendered as
-//! `line:col kind` lines (offsets resolved through [`LineMap`]) and parser
-//! outputs must match at 1, 2 and 8 threads.
+//! `line:col kind` lines (offsets resolved through [`LineMap`]).
 
 use std::sync::OnceLock;
 
@@ -18,11 +17,9 @@ use varitune_bench::corrupt::liberty_corpus;
 use varitune_libchar::{generate_nominal, GenerateConfig};
 use varitune_liberty::linemap::LineMap;
 use varitune_liberty::{
-    fastlex, parse_library, parse_library_recovering_threads, write_library, Diagnostic, Library,
+    fastlex, parse_library, parse_library_recovering, write_library, Diagnostic, Library,
 };
 use varitune_serve::fnv1a64;
-
-const THREADS: &[usize] = &[1, 2, 8];
 
 /// The only records whose strict verdict flips from the frozen `ok` to
 /// `err`: each input defines a cell twice, which the old strict parse
@@ -230,21 +227,19 @@ fn lexer_matches_reference() {
 #[test]
 fn recovering_parser_matches_reference() {
     for r in records() {
-        for &threads in THREADS {
-            let (lib, diags) = parse_library_recovering_threads(&r.input, threads);
-            assert_eq!(
-                rendered(&diags),
-                r.diagnostics,
-                "diagnostics diverge on `{}` at {threads} thread(s)",
-                r.label
-            );
-            assert_eq!(
-                library_digest(&lib),
-                r.library,
-                "library diverges on `{}` at {threads} thread(s)",
-                r.label
-            );
-        }
+        let (lib, diags) = parse_library_recovering(&r.input);
+        assert_eq!(
+            rendered(&diags),
+            r.diagnostics,
+            "diagnostics diverge on `{}`",
+            r.label
+        );
+        assert_eq!(
+            library_digest(&lib),
+            r.library,
+            "library diverges on `{}`",
+            r.label
+        );
     }
 }
 
@@ -255,7 +250,7 @@ fn strict_parser_contract() {
         let got = parse_library(&r.input);
         // Strict is the recovering parse's verdict: its error-free
         // library, or its first error.
-        let (lib, diags) = parse_library_recovering_threads(&r.input, 0);
+        let (lib, diags) = parse_library_recovering(&r.input);
         match (&got, diags.into_iter().find(Diagnostic::is_error)) {
             (Ok(strict), None) => {
                 assert!(*strict == lib, "strict library diverges on `{}`", r.label)

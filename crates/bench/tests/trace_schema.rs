@@ -234,8 +234,7 @@ fn parse_harness_trace_matches_schema() {
     );
     let _ = std::fs::remove_file(&out);
     assert_stages("parse_harness", &trace, stages::PARSE_HARNESS);
-    // Benching plus the differential gate parse repeatedly through the
-    // recovering entry points.
+    // Benching parses repeatedly through the recovering entry point.
     assert!(trace.counter("liberty.recovering_parses") > 0);
 }
 
@@ -299,7 +298,7 @@ fn every_binary_documents_its_flags_and_rejects_unknown_ones() {
             env!("CARGO_BIN_EXE_optimize_harness"),
             "--smoke --threads --seed --out",
         ),
-        (env!("CARGO_BIN_EXE_parse_harness"), "--smoke --seed --out"),
+        (env!("CARGO_BIN_EXE_parse_harness"), "--smoke --out"),
         (
             env!("CARGO_BIN_EXE_serve_harness"),
             "--jobs --seed --smoke --out",

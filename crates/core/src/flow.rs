@@ -13,7 +13,7 @@ use std::error::Error;
 use std::fmt;
 
 use varitune_libchar::{generate_nominal, GenerateConfig, StatLibrary};
-use varitune_liberty::{parse_library_recovering_threads, Library};
+use varitune_liberty::{parse_library_recovering, Library};
 use varitune_netlist::{generate_mcu, McuConfig, Netlist};
 use varitune_sta::paths::worst_paths;
 use varitune_sta::{
@@ -205,9 +205,7 @@ impl Flow {
     ///
     /// See [`Flow::prepare_from_library`].
     pub fn prepare_from_liberty_text(config: FlowConfig, text: &str) -> Result<Self, FlowError> {
-        // Ingestion shares the flow's thread knob: large well-formed files
-        // chunk into per-cell parallel parses, bit-identical at any count.
-        let (parsed, diagnostics) = parse_library_recovering_threads(text, config.threads);
+        let (parsed, diagnostics) = parse_library_recovering(text);
         let (screened, report) = screen_library(&parsed, &diagnostics, config.strictness)?;
         Self::finish_prepare(config, screened, report)
     }

@@ -78,7 +78,7 @@ impl TokenKind<'_> {
     }
 }
 
-pub(crate) fn is_word_start_byte(b: u8) -> bool {
+fn is_word_start_byte(b: u8) -> bool {
     b.is_ascii_alphabetic() || matches!(b, b'_' | b'!' | b'*')
 }
 
@@ -90,20 +90,17 @@ fn is_number_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || matches!(b, b'.' | b'-' | b'+' | b'_')
 }
 
-/// Streaming tokenizer over `src`, with every token offset shifted by
-/// `base` (used when lexing a chunk of a larger file so offsets stay
-/// absolute). The parser pulls tokens one at a time, so no token vector
-/// is ever materialized on the hot path.
+/// Streaming tokenizer over `src`. The parser pulls tokens one at a time,
+/// so no token vector is ever materialized on the hot path.
 pub struct Lexer<'a> {
     src: &'a str,
-    base: usize,
     i: usize,
 }
 
 impl<'a> Lexer<'a> {
-    /// A lexer over `src` whose token offsets are shifted by `base`.
-    pub fn new(src: &'a str, base: usize) -> Self {
-        Self { src, base, i: 0 }
+    /// A lexer over `src`.
+    pub fn new(src: &'a str) -> Self {
+        Self { src, i: 0 }
     }
 
     /// The next token, pushing any lexical problems encountered on the way
@@ -113,7 +110,6 @@ impl<'a> Lexer<'a> {
         let src = self.src;
         let b = src.as_bytes();
         let n = b.len();
-        let base = self.base;
         while self.i < n {
             let start = self.i;
             match b[self.i] {
@@ -136,10 +132,7 @@ impl<'a> Lexer<'a> {
                             self.i += 1;
                         }
                     } else {
-                        problems.push((
-                            base + start,
-                            "stray `\\` is not a line continuation".to_string(),
-                        ));
+                        problems.push((start, "stray `\\` is not a line continuation".to_string()));
                     }
                 }
                 b'/' => {
@@ -152,8 +145,7 @@ impl<'a> Lexer<'a> {
                                 Some(j) => self.i = j + 2,
                                 None => {
                                     self.i = n;
-                                    problems
-                                        .push((base + n, "unterminated block comment".to_string()));
+                                    problems.push((n, "unterminated block comment".to_string()));
                                 }
                             }
                         }
@@ -164,7 +156,7 @@ impl<'a> Lexer<'a> {
                         }
                         // The problem is recorded *after* the slash, at
                         // the byte that failed to start a comment.
-                        _ => problems.push((base + self.i, "unexpected `/`".to_string())),
+                        _ => problems.push((self.i, "unexpected `/`".to_string())),
                     }
                 }
                 b'(' => return self.simple(TokenKind::LParen, start),
@@ -176,10 +168,10 @@ impl<'a> Lexer<'a> {
                 b',' => return self.simple(TokenKind::Comma, start),
                 b'"' => {
                     self.i += 1;
-                    let s = lex_string(src, base, &mut self.i, problems);
+                    let s = lex_string(src, &mut self.i, problems);
                     return Some(Token {
                         kind: TokenKind::Str(s),
-                        offset: base + start,
+                        offset: start,
                     });
                 }
                 c if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.') => {
@@ -193,7 +185,7 @@ impl<'a> Lexer<'a> {
                     };
                     return Some(Token {
                         kind,
-                        offset: base + start,
+                        offset: start,
                     });
                 }
                 c if is_word_start_byte(c) => {
@@ -203,14 +195,14 @@ impl<'a> Lexer<'a> {
                     }
                     return Some(Token {
                         kind: TokenKind::Ident(&src[start..self.i]),
-                        offset: base + start,
+                        offset: start,
                     });
                 }
                 _ => {
                     // Junk byte: decode the full char for the message, then
                     // skip it whole.
                     let c = src[start..].chars().next().unwrap_or('\u{fffd}');
-                    problems.push((base + start, format!("unexpected character `{c}`")));
+                    problems.push((start, format!("unexpected character `{c}`")));
                     self.i += c.len_utf8();
                 }
             }
@@ -222,15 +214,14 @@ impl<'a> Lexer<'a> {
         self.i += 1;
         Some(Token {
             kind,
-            offset: self.base + start,
+            offset: start,
         })
     }
 }
 
-/// Tokenizes `src` eagerly, recovering from lexical problems, with every
-/// token offset shifted by `base`.
-pub fn lex_recovering_at(src: &str, base: usize) -> (Vec<Token<'_>>, Vec<Problem>) {
-    let mut lx = Lexer::new(src, base);
+/// Tokenizes `src` eagerly, recovering from lexical problems.
+pub fn lex_recovering(src: &str) -> (Vec<Token<'_>>, Vec<Problem>) {
+    let mut lx = Lexer::new(src);
     let mut problems = Vec::new();
     let mut out = Vec::new();
     while let Some(t) = lx.next_token(&mut problems) {
@@ -239,20 +230,10 @@ pub fn lex_recovering_at(src: &str, base: usize) -> (Vec<Token<'_>>, Vec<Problem
     (out, problems)
 }
 
-/// Tokenizes `src` with offsets relative to its own start.
-pub fn lex_recovering(src: &str) -> (Vec<Token<'_>>, Vec<Problem>) {
-    lex_recovering_at(src, 0)
-}
-
 /// Lexes the body of a string whose opening quote has been consumed.
 /// Borrows the contents when no escape appears; otherwise splices runs into
 /// an owned buffer, taking each escaped char literally.
-fn lex_string<'a>(
-    src: &'a str,
-    base: usize,
-    i: &mut usize,
-    problems: &mut Vec<Problem>,
-) -> Cow<'a, str> {
+fn lex_string<'a>(src: &'a str, i: &mut usize, problems: &mut Vec<Problem>) -> Cow<'a, str> {
     let b = src.as_bytes();
     let n = b.len();
     let content_start = *i;
@@ -264,7 +245,7 @@ fn lex_string<'a>(
         return Cow::Borrowed(s);
     }
     if j >= n {
-        problems.push((base + n, "unterminated string".to_string()));
+        problems.push((n, "unterminated string".to_string()));
         *i = n;
         return Cow::Borrowed(&src[content_start..]);
     }
@@ -274,7 +255,7 @@ fn lex_string<'a>(
     let mut k = j;
     loop {
         if k >= n {
-            problems.push((base + n, "unterminated string".to_string()));
+            problems.push((n, "unterminated string".to_string()));
             *i = n;
             return Cow::Owned(buf);
         }
@@ -300,7 +281,7 @@ fn lex_string<'a>(
                         k += c.len_utf8();
                     }
                     None => {
-                        problems.push((base + n, "unterminated string".to_string()));
+                        problems.push((n, "unterminated string".to_string()));
                         *i = n;
                         return Cow::Owned(buf);
                     }
@@ -376,13 +357,6 @@ mod tests {
         let (toks, _) = lex_recovering("a\n  b");
         assert_eq!(toks[0].offset, 0);
         assert_eq!(toks[1].offset, 4);
-    }
-
-    #[test]
-    fn base_offset_shifts_positions() {
-        let (toks, problems) = lex_recovering_at("x @", 100);
-        assert_eq!(toks[0].offset, 100);
-        assert_eq!(problems[0].0, 102);
     }
 
     #[test]

@@ -1,43 +1,28 @@
-//! Zero-copy, optionally parallel Liberty parsing pipeline.
+//! Zero-copy Liberty parsing pipeline.
 //!
 //! The one parser behind every public entry point in [`crate::parser`]:
-//! a recovering parse that yields a [`Library`] plus span-carrying
-//! diagnostics, **identical at every thread count**. Its observable
-//! behaviour — library contents and rendered diagnostics — is pinned by a
-//! frozen reference fixture (`crates/bench/tests/fixtures/parse_reference.txt`,
-//! the outputs of the char-walking parser this pipeline replaced), checked
-//! by unit tests here and by the reference suite in `varitune-bench`. The
-//! machinery:
+//! a single sequential recovering parse that yields a [`Library`] plus
+//! span-carrying diagnostics. Its observable behaviour — library contents
+//! and rendered diagnostics — is pinned by a frozen reference fixture
+//! (`crates/bench/tests/fixtures/parse_reference.txt`, the outputs of the
+//! char-walking parser this pipeline replaced), checked by unit tests here
+//! and by the reference suite in `varitune-bench`. The machinery:
 //!
 //! * tokens borrow the source ([`crate::fastlex`]) and carry byte offsets;
 //!   line/column pairs are computed by a [`LineMap`] only when at least one
 //!   diagnostic actually exists (clean libraries never pay for positions),
-//! * a top-level structure scan ([`crate::chunk`]) splits eligible files
-//!   into brace-balanced member chunks that lex + parse independently, in
-//!   parallel, via [`varitune_variation::parallel::run_trials`]; per-cell
-//!   lowering is parallelized the same way,
+//! * the lexer is pulled one token at a time by a resync-based recovering
+//!   parser, so no token vector is ever materialized,
 //! * number runs go through the Clinger fast path
 //!   ([`crate::fastfloat::parse_f64_compat`]).
 //!
-//! Determinism: diagnostics are emitted in three phases — every lexical
-//! problem in document order, then every parse diagnostic in document
-//! order, then lowering diagnostics in tree order. Chunks are reassembled
-//! in document order and cells in declaration order, so the parallel
-//! pipeline produces the exact same global sequence regardless of how
-//! chunks were scheduled; `run_trials` itself returns results in index
-//! order for any thread count.
-//!
-//! Files the scan deems ineligible (unbalanced braces, junk between
-//! members, unterminated strings/comments, ...) take the sequential path:
-//! the same borrowed-token parser over the whole file, with resync-based
-//! recovery making the same decisions a chunk would.
+//! Diagnostics are emitted in three phases — every lexical problem in
+//! document order, then every parse diagnostic in document order, then
+//! lowering diagnostics in tree order (cells in declaration order).
 
 use std::borrow::Cow;
 use std::collections::HashSet;
 
-use varitune_variation::parallel::run_trials;
-
-use crate::chunk::{scan_top_level, TopLevelScan};
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::fastfloat::{parse_f64_compat, parse_f64_prefix};
 use crate::fastlex::{Lexer, Problem, Token, TokenKind};
@@ -46,11 +31,6 @@ use crate::model::{
     Cell, InternalPower, Library, Lut, LutTemplate, Pin, PinDirection, TimingArc, TimingSense,
     TimingType,
 };
-
-/// Inputs smaller than this always parse single-threaded: thread spawn and
-/// chunk bookkeeping would cost more than they save. Output is identical
-/// either way, so this is purely a scheduling knob.
-const PARALLEL_MIN_BYTES: usize = 64 * 1024;
 
 /// Sentinel offset for "no source span" (line/column `0:0`); lowering
 /// errors carry it until they are reported at their group's keyword.
@@ -235,9 +215,9 @@ struct FastParser<'a> {
 }
 
 impl<'a> FastParser<'a> {
-    fn new(src: &'a str, base: usize) -> Self {
+    fn new(src: &'a str) -> Self {
         Self {
-            lx: Lexer::new(src, base),
+            lx: Lexer::new(src),
             problems: Vec::new(),
             peeked: None,
             last_offset: None,
@@ -594,161 +574,6 @@ impl<'a> Recovering<'a, '_> {
                 .p
                 .error_here(format!("expected `:` or `(` after `{name}`"))),
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chunked parallel front end
-// ---------------------------------------------------------------------------
-
-/// Per-member parse output, reassembled in document order.
-struct MemberParse<'a> {
-    attributes: Vec<FastAttr<'a>>,
-    groups: Vec<FastGroup<'a>>,
-    lex: Vec<Problem>,
-    parse: Vec<PDiag>,
-}
-
-/// Validated header of an eligible file: `name ( args ) {`.
-struct Header<'a> {
-    name: &'a str,
-    offset: usize,
-    args: Vec<FastValue<'a>>,
-}
-
-/// Lexes and validates the header chunk. The scan only checked bytes; this
-/// confirms the token shape is exactly `ident ( v (, v)* ) {` with no
-/// lexical problems, so the parallel path never has to recover inside the
-/// header.
-fn validate_header<'a>(src: &'a str, range: (usize, usize)) -> Option<Header<'a>> {
-    let mut p = FastParser::new(&src[range.0..range.1], range.0);
-    let (name, offset) = match p.bump() {
-        Some(Token {
-            kind: TokenKind::Ident(s),
-            offset,
-        }) => (s, offset),
-        _ => return None,
-    };
-    let args = p.parse_arg_list().ok()?;
-    p.expect(&TokenKind::LBrace).ok()?;
-    if p.peek().is_some() {
-        return None;
-    }
-    if !p.drain_problems().is_empty() {
-        return None;
-    }
-    Some(Header { name, offset, args })
-}
-
-/// Parses one member chunk: lexes its bytes and runs the recovering member
-/// loop until the tokens are exhausted. The chunk is brace-balanced by
-/// construction, so recovery never needs to look past its end.
-fn parse_member_chunk<'a>(
-    src: &'a str,
-    range: (usize, usize),
-    root_segment: &'a str,
-) -> MemberParse<'a> {
-    let mut parse = Vec::new();
-    let mut parent = FastGroup::synthetic();
-    let lex = {
-        let mut rp = Recovering {
-            p: FastParser::new(&src[range.0..range.1], range.0),
-            diags: &mut parse,
-            path: vec![Seg {
-                name: root_segment,
-                arg: None,
-            }],
-        };
-        loop {
-            match rp.p.peek().map(|t| &t.kind) {
-                None => break,
-                Some(TokenKind::Ident(_)) => {
-                    if let Err(e) = rp.parse_member_recovering(&mut parent) {
-                        rp.report(e);
-                        rp.resync();
-                    }
-                }
-                Some(TokenKind::RBrace) => {
-                    // Unreachable for a balanced chunk; consume defensively
-                    // so the loop always terminates.
-                    debug_assert!(false, "depth-0 `}}` inside a balanced chunk");
-                    rp.p.bump();
-                }
-                Some(_) => {
-                    let e = rp.p.error_here("expected attribute, group or `}`");
-                    rp.report(e);
-                    rp.resync();
-                }
-            }
-        }
-        rp.p.drain_problems()
-    };
-    MemberParse {
-        attributes: parent.attributes,
-        groups: parent.groups,
-        lex,
-        parse,
-    }
-}
-
-/// Front end: produce the root [`FastGroup`] plus phase-ordered pending
-/// diagnostics, in parallel when the file is eligible.
-fn parse_front<'a>(
-    input: &'a str,
-    scan: Option<&TopLevelScan>,
-    threads: usize,
-) -> (FastGroup<'a>, Vec<Problem>, Vec<PDiag>) {
-    if let Some(scan) = scan {
-        if let Some(header) = validate_header(input, scan.header) {
-            let members = &scan.members;
-            let root_segment = header.name;
-            let parsed = map_indexed(members.len(), threads, |k| {
-                parse_member_chunk(input, members[k], root_segment)
-            });
-            let mut root = FastGroup {
-                name: header.name,
-                args: header.args,
-                attributes: Vec::new(),
-                groups: Vec::new(),
-                offset: header.offset,
-            };
-            let mut lex = Vec::new();
-            let mut parse = Vec::new();
-            for m in parsed {
-                root.attributes.extend(m.attributes);
-                root.groups.extend(m.groups);
-                lex.extend(m.lex);
-                parse.extend(m.parse);
-            }
-            return (root, lex, parse);
-        }
-    }
-    // Sequential path: full recovering parse streaming over the whole file.
-    let mut parse = Vec::new();
-    let (root, lex) = {
-        let mut rp = Recovering {
-            p: FastParser::new(input, 0),
-            diags: &mut parse,
-            path: Vec::new(),
-        };
-        let root = rp.parse_root();
-        let lex = rp.p.drain_problems();
-        (root, lex)
-    };
-    (root, lex, parse)
-}
-
-/// Index-ordered map that only engages the thread pool when it can pay off;
-/// results are identical either way (`run_trials` contract).
-fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads == 1 || n <= 1 {
-        (0..n).map(f).collect()
-    } else {
-        run_trials(n, threads, f)
     }
 }
 
@@ -1135,15 +960,9 @@ fn lower_cell_recovering(g: &FastGroup<'_>, lib: &Library, diags: &mut Vec<PDiag
     Some(cell)
 }
 
-/// Lowers the root group into a [`Library`], with per-cell lowering
-/// parallelized. Cells are independent given the resolved template
-/// table, and their diagnostics are reassembled in declaration order, so
-/// the output is identical at any thread count.
-fn lower_library_recovering(
-    root: &FastGroup<'_>,
-    diags: &mut Vec<PDiag>,
-    threads: usize,
-) -> Library {
+/// Lowers the root group into a [`Library`], cells in declaration order;
+/// a repeated cell name keeps the first definition.
+fn lower_library_recovering(root: &FastGroup<'_>, diags: &mut Vec<PDiag>) -> Library {
     if root.name != "library" {
         diags.push(PDiag {
             offset: root.offset,
@@ -1187,33 +1006,24 @@ fn lower_library_recovering(
             Err(e) => report_lower(diags, e, g, &context),
         }
     }
-    let cell_groups: Vec<&FastGroup<'_>> = root.groups_named("cell").collect();
-    let lib_ref = &lib;
-    let lowered = map_indexed(cell_groups.len(), threads, |k| {
-        let mut local = Vec::new();
-        let cell = lower_cell_recovering(cell_groups[k], lib_ref, &mut local);
-        (cell, local)
-    });
     let mut seen = HashSet::new();
-    for (k, (cell, local)) in lowered.into_iter().enumerate() {
-        diags.extend(local);
-        if let Some(cell) = cell {
-            let g = cell_groups[k];
-            if seen.contains(cell.name.as_str()) {
-                diags.push(PDiag {
-                    offset: g.offset,
-                    severity: Severity::Error,
-                    context: format!("library/{}", path_segment(g.name, &g.args)),
-                    message: format!(
-                        "duplicate cell `{}` dropped (first definition kept)",
-                        cell.name
-                    ),
-                });
-                continue;
-            }
-            seen.insert(cell.name.clone());
-            lib.cells.push(cell);
+    for g in root.groups_named("cell") {
+        let Some(cell) = lower_cell_recovering(g, &lib, diags) else {
+            continue;
+        };
+        if !seen.insert(cell.name.clone()) {
+            diags.push(PDiag {
+                offset: g.offset,
+                severity: Severity::Error,
+                context: format!("library/{}", path_segment(g.name, &g.args)),
+                message: format!(
+                    "duplicate cell `{}` dropped (first definition kept)",
+                    cell.name
+                ),
+            });
+            continue;
         }
+        lib.cells.push(cell);
     }
     lib
 }
@@ -1222,33 +1032,19 @@ fn lower_library_recovering(
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Full zero-copy recovering parse: front end (chunked-parallel or
-/// sequential) + lowering + lazy diagnostic materialization.
-///
-/// `threads` follows the [`run_trials`] convention (`0` = all cores) but
-/// only engages above [`PARALLEL_MIN_BYTES`]; the result is identical at
-/// every thread count.
-pub(crate) fn parse_library_recovering_core(
-    input: &str,
-    threads: usize,
-) -> (Library, Vec<Diagnostic>) {
-    // An explicit thread count is honored literally (benches and the
-    // differential gate exercise the chunked path on small inputs); auto
-    // (`0`) only engages the machine above the size floor, where chunk
-    // bookkeeping pays for itself.
-    let threads = if threads == 0 && input.len() < PARALLEL_MIN_BYTES {
-        1
-    } else {
-        threads
+/// Full zero-copy recovering parse: front end + lowering + lazy
+/// diagnostic materialization.
+pub(crate) fn parse_library_recovering_core(input: &str) -> (Library, Vec<Diagnostic>) {
+    let mut parse = Vec::new();
+    let mut rp = Recovering {
+        p: FastParser::new(input),
+        diags: &mut parse,
+        path: Vec::new(),
     };
-    let scan = if threads == 1 {
-        None
-    } else {
-        scan_top_level(input)
-    };
-    let (root, lex, parse) = parse_front(input, scan.as_ref(), threads);
+    let root = rp.parse_root();
+    let lex = rp.p.drain_problems();
     let mut lower = Vec::new();
-    let lib = lower_library_recovering(&root, &mut lower, threads);
+    let lib = lower_library_recovering(&root, &mut lower);
     if lex.is_empty() && parse.is_empty() && lower.is_empty() {
         return (lib, Vec::new());
     }
@@ -1333,20 +1129,17 @@ mod tests {
     }
 
     /// The whole contract in one helper: the reference library digest and
-    /// identical rendered diagnostics (so spans and severities count), at
-    /// several thread counts.
+    /// identical rendered diagnostics (so spans and severities count).
     fn check(input: &str) {
         let (want_lib, want_diags) = reference(input);
-        for threads in [1, 2, 8] {
-            let (lib, diags) = parse_library_recovering_core(input, threads);
-            let got: Vec<String> = diags.iter().map(ToString::to_string).collect();
-            assert_eq!(got, want_diags, "diagnostics diverge at threads={threads}");
-            assert_eq!(
-                fnv(&format!("{lib:?}")),
-                want_lib,
-                "library diverges at threads={threads}"
-            );
-        }
+        let (lib, diags) = parse_library_recovering_core(input);
+        let got: Vec<String> = diags.iter().map(ToString::to_string).collect();
+        assert_eq!(got, want_diags, "diagnostics diverge on {input:?}");
+        assert_eq!(
+            fnv(&format!("{lib:?}")),
+            want_lib,
+            "library diverges on {input:?}"
+        );
     }
 
     #[test]
@@ -1367,6 +1160,7 @@ mod tests {
             "library (L) { cell (A_1) { area : 1.0; } }\n}",
             "library (L) {\n  cell (A_1) {\n    area 5;\n    pin (X) { direction : input; }\n  }\n}\n",
             "library (L) {\n  cell (X_1) { area : 1.0; }\n  cell (X_1) { area : 9.0; }\n}\n",
+            "library (L) {\n  time_unit : \"1ns\";\n  cell (A_1) { area : 1.0; }\n  cell (B_1) { area : bogus; }\n  cell (A_1) { area : 3.0; }\n}\n",
             "library (L) {\n  lu_table_template (t) { index_1 (\"1, 2\"); }\n  lu_table_template (t) { index_1 (\"3, 4\"); }\n}\n",
             "library (L) {\n  cell (A_1) { area : 1.0 @ ; }\n}\n",
             "cell (X) { }",
@@ -1376,26 +1170,5 @@ mod tests {
         ] {
             check(text);
         }
-    }
-
-    #[test]
-    fn forced_parallel_small_input_matches() {
-        // Bypass the size heuristic by calling the front end directly on an
-        // eligible small file with several members.
-        let input = "library (L) {\n  time_unit : \"1ns\";\n  cell (A_1) { area : 1.0; }\n  cell (B_1) { area : bogus; }\n  cell (A_1) { area : 3.0; }\n}\n";
-        let scan = scan_top_level(input);
-        assert!(scan.is_some(), "input should be chunk-eligible");
-        let (root, lex, parse) = parse_front(input, scan.as_ref(), 4);
-        let mut lower = Vec::new();
-        let lib = lower_library_recovering(&root, &mut lower, 4);
-        assert!(lex.is_empty());
-        assert!(parse.is_empty());
-        // `bogus` lowers to area 0.0 silently (attr_number yields None);
-        // only the duplicate-cell diagnostic fires.
-        assert_eq!(lower.len(), 1);
-        assert_eq!(lib.cells.len(), 2);
-        let (want_lib, want_diags) = reference(input);
-        assert_eq!(fnv(&format!("{lib:?}")), want_lib);
-        assert_eq!(want_diags.len(), 1);
     }
 }

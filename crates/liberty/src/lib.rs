@@ -14,10 +14,9 @@
 //! * a parser ([`parser`]) with a strict mode ([`parse_library`]) that
 //!   fails on the first error and a recovering mode
 //!   ([`parse_library_recovering`]) that records span-carrying
-//!   [`Diagnostic`]s and keeps whatever survives; both run one zero-copy
-//!   pipeline (borrowed-slice lexer [`fastlex`], lazy line/column via
-//!   [`linemap`], Clinger fast-path floats [`fastfloat`], chunked parallel
-//!   per-cell parsing) whose output is identical at any thread count,
+//!   [`Diagnostic`]s and keeps whatever survives; both run one sequential
+//!   zero-copy pipeline (borrowed-slice lexer [`fastlex`], lazy line/column
+//!   via [`linemap`], Clinger fast-path floats [`fastfloat`]),
 //! * library lints producing per-cell [`CellHealth`] verdicts
 //!   ([`validate`]),
 //! * a writer that emits well-formed Liberty text ([`writer`]); it refuses
@@ -87,7 +86,6 @@ pub mod parser;
 pub mod validate;
 pub mod writer;
 
-mod chunk;
 mod fastparse;
 
 pub use diagnostic::{Diagnostic, Severity};

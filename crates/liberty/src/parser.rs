@@ -1,11 +1,12 @@
 //! Liberty text entry points.
 //!
-//! All three parse through the zero-copy recovering pipeline (`fastparse`):
-//! borrowed-slice tokens, resync-based recovery, per-cell lowering into
-//! the typed [`Library`] model, and diagnostics materialized with line,
-//! column and a context path only when at least one exists. Unknown groups
-//! and attributes are skipped, which keeps the parser robust against the
-//! many vendor-specific extensions found in real `.lib` files.
+//! Strict and recovering parses run the one sequential zero-copy
+//! recovering pipeline (`fastparse`): borrowed-slice tokens, resync-based
+//! recovery, per-cell lowering into the typed [`Library`] model, and
+//! diagnostics materialized with line, column and a context path only when
+//! at least one exists. Unknown groups and attributes are skipped, which
+//! keeps the parser robust against the many vendor-specific extensions
+//! found in real `.lib` files.
 
 use crate::diagnostic::Diagnostic;
 use crate::error::ParseLibertyError;
@@ -26,7 +27,7 @@ use crate::model::Library;
 /// problems (e.g. a table referencing an undeclared template, a `values`
 /// body whose shape does not match its axes, or a duplicated cell).
 pub fn parse_library(input: &str) -> Result<Library, ParseLibertyError> {
-    let (lib, diags) = crate::fastparse::parse_library_recovering_core(input, 0);
+    let (lib, diags) = crate::fastparse::parse_library_recovering_core(input);
     match diags.into_iter().find(Diagnostic::is_error) {
         None => Ok(lib),
         Some(first) => Err(first.into_parse_error()),
@@ -45,21 +46,23 @@ pub fn parse_library(input: &str) -> Result<Library, ParseLibertyError> {
 /// The returned [`Library`] holds everything that survived; the diagnostics
 /// account for everything that did not.
 ///
-/// Large well-formed files are chunked and their members parsed in
-/// parallel; the output is identical at any thread count.
+/// Records the `liberty.recovering_parses`, `liberty.cells_parsed` and
+/// `liberty.parse_diagnostics` trace counters.
 pub fn parse_library_recovering(input: &str) -> (Library, Vec<Diagnostic>) {
-    parse_library_recovering_threads(input, 0)
-}
-
-/// [`parse_library_recovering`] with an explicit worker-thread count
-/// (`0` = all cores). The result is bit-identical for every thread count;
-/// the knob only trades wall-clock for cores.
-pub fn parse_library_recovering_threads(input: &str, threads: usize) -> (Library, Vec<Diagnostic>) {
-    let (lib, diags) = crate::fastparse::parse_library_recovering_core(input, threads);
+    let (lib, diags) = crate::fastparse::parse_library_recovering_core(input);
     varitune_trace::add("liberty.recovering_parses", 1);
     varitune_trace::add("liberty.cells_parsed", lib.cells.len() as u64);
     varitune_trace::add("liberty.parse_diagnostics", diags.len() as u64);
     (lib, diags)
+}
+
+/// [`parse_library_recovering`] under its former signature; the thread
+/// count is ignored. Kept only for `benchmark/`.
+pub fn parse_library_recovering_threads(
+    input: &str,
+    _threads: usize,
+) -> (Library, Vec<Diagnostic>) {
+    parse_library_recovering(input)
 }
 
 #[cfg(test)]

@@ -204,8 +204,7 @@ impl Registry {
     pub fn screened(&self, text: &str, spec: FlowSpec) -> Result<LibEntry, FlowError> {
         let key = LibKey::new(spec.text_hash, spec.strictness);
         let outcome = self.libs.get_or_compute(&key, || {
-            let (parsed, diagnostics) =
-                varitune_liberty::parse_library_recovering_threads(text, spec.threads);
+            let (parsed, diagnostics) = varitune_liberty::parse_library_recovering(text);
             match varitune_core::screen_library(&parsed, &diagnostics, spec.strictness) {
                 Ok((lib, report)) => Ok(LibEntry::Screened {
                     lib: Arc::new(lib),

@@ -9,7 +9,7 @@
 use std::error::Error;
 use std::fmt;
 
-use varitune_liberty::{InterpolateError, Library, TimingType};
+use varitune_liberty::{Cell, InterpolateError, Library, Pin, TimingArc, TimingType};
 use varitune_netlist::{NetId, ValidateNetlistError};
 
 use crate::engine::TimingGraph;
@@ -313,6 +313,50 @@ pub(crate) fn constraint_of(
     arc.worst_delay(data_slew, clock_slew).ok()
 }
 
+/// A gate's arcs in its cell, looked up the one way the sign-off entries
+/// read them: the gate's output `j` is the cell's `j`-th output pin, its
+/// input `k` is the cell's `k`-th input pin, and the arc from input `k` is
+/// the output pin's first arc related to that pin. A pin or arc that is not
+/// there is [`StaError::MissingArc`].
+#[derive(Clone, Copy)]
+pub(crate) struct GateArcs<'l> {
+    gate: usize,
+    cell: &'l Cell,
+}
+
+impl<'l> GateArcs<'l> {
+    pub(crate) fn new(gate: usize, cell: &'l Cell) -> Self {
+        Self { gate, cell }
+    }
+
+    fn missing(self) -> StaError {
+        StaError::MissingArc {
+            gate: self.gate,
+            cell: self.cell.name.clone(),
+        }
+    }
+
+    /// The pin behind the gate's output `j`.
+    pub(crate) fn output(self, j: usize) -> Result<&'l Pin, StaError> {
+        self.cell.output_pins().nth(j).ok_or_else(|| self.missing())
+    }
+
+    /// The launch (clock-to-output) arc of a sequential cell's output pin:
+    /// its first arc.
+    pub(crate) fn launch(self, pin: &'l Pin) -> Result<&'l TimingArc, StaError> {
+        pin.timing.first().ok_or_else(|| self.missing())
+    }
+
+    /// The arc on output pin `pin` from the gate's input `k`.
+    pub(crate) fn input_arc(self, pin: &'l Pin, k: usize) -> Result<&'l TimingArc, StaError> {
+        self.cell
+            .input_pins()
+            .nth(k)
+            .and_then(|input| pin.timing.iter().find(|a| a.related_pin == input.name))
+            .ok_or_else(|| self.missing())
+    }
+}
+
 /// Backward required-time propagation: the latest time each net may switch
 /// and still meet every downstream endpoint. Per-gate slack is then
 /// `required[out] - arrival[out]`, which the synthesis optimizer uses for
@@ -343,25 +387,16 @@ pub fn required_times(
                 gate: gi,
                 name: design.cell_label(gi, lib),
             })?;
-        let input_pin_names: Vec<&str> = cell.input_pins().map(|p| p.name.as_str()).collect();
+        let arcs = GateArcs::new(gi, cell);
         for (j, &out) in nl.gate_outputs(gi).iter().enumerate() {
             let out_req = req[out.0 as usize];
             if !out_req.is_finite() {
                 continue;
             }
-            let pin = cell.output_pins().nth(j).ok_or(StaError::MissingArc {
-                gate: gi,
-                cell: cell.name.clone(),
-            })?;
+            let pin = arcs.output(j)?;
             let load = report.nets[out.0 as usize].load;
             for (k, &inp) in nl.gate_inputs(gi).iter().enumerate() {
-                let arc = input_pin_names
-                    .get(k)
-                    .and_then(|name| pin.timing.iter().find(|a| a.related_pin == *name))
-                    .ok_or(StaError::MissingArc {
-                        gate: gi,
-                        cell: cell.name.clone(),
-                    })?;
+                let arc = arcs.input_arc(pin, k)?;
                 let delay = arc.worst_delay(report.nets[inp.0 as usize].slew, load)?;
                 let r = &mut req[inp.0 as usize];
                 *r = r.min(out_req - delay);

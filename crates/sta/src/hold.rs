@@ -16,7 +16,7 @@
 use varitune_liberty::{Cell, Library};
 use varitune_netlist::NetId;
 
-use crate::graph::{StaConfig, StaError};
+use crate::graph::{GateArcs, StaConfig, StaError};
 use crate::mapped::MappedDesign;
 
 /// Hold-check configuration.
@@ -128,16 +128,9 @@ pub fn analyze_hold(
         if !nl.gate_kind(gi).is_sequential() {
             continue;
         }
-        let cell = cell_of(gi).ok_or_else(|| unknown(gi))?;
+        let arcs = GateArcs::new(gi, cell_of(gi).ok_or_else(|| unknown(gi))?);
         for (j, &out) in nl.gate_outputs(gi).iter().enumerate() {
-            let pin = cell.output_pins().nth(j).ok_or(StaError::MissingArc {
-                gate: gi,
-                cell: cell.name.clone(),
-            })?;
-            let arc = pin.timing.first().ok_or(StaError::MissingArc {
-                gate: gi,
-                cell: cell.name.clone(),
-            })?;
+            let arc = arcs.launch(arcs.output(j)?)?;
             let load = loads[out.0 as usize];
             arrival[out.0 as usize] = arc.best_delay(config.clock_slew, load)?;
             slew[out.0 as usize] = arc.best_transition(config.clock_slew, load)?;
@@ -145,24 +138,14 @@ pub fn analyze_hold(
     }
 
     for gi in order {
-        let cell = cell_of(gi).ok_or_else(|| unknown(gi))?;
-        let input_pin_names: Vec<&str> = cell.input_pins().map(|p| p.name.as_str()).collect();
+        let arcs = GateArcs::new(gi, cell_of(gi).ok_or_else(|| unknown(gi))?);
         for (j, &out) in nl.gate_outputs(gi).iter().enumerate() {
-            let pin = cell.output_pins().nth(j).ok_or(StaError::MissingArc {
-                gate: gi,
-                cell: cell.name.clone(),
-            })?;
+            let pin = arcs.output(j)?;
             let load = loads[out.0 as usize];
             let mut best_arr = f64::INFINITY;
             let mut best_slew = f64::INFINITY;
             for (k, &inp) in nl.gate_inputs(gi).iter().enumerate() {
-                let arc = input_pin_names
-                    .get(k)
-                    .and_then(|name| pin.timing.iter().find(|a| a.related_pin == *name))
-                    .ok_or(StaError::MissingArc {
-                        gate: gi,
-                        cell: cell.name.clone(),
-                    })?;
+                let arc = arcs.input_arc(pin, k)?;
                 let d = arc.best_delay(slew[inp.0 as usize], load)?;
                 let a = arrival[inp.0 as usize] + d;
                 if a < best_arr {

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 use varitune_liberty::Library;
 
-use crate::graph::{StaError, TimingReport};
+use crate::graph::{GateArcs, StaError, TimingReport};
 use crate::mapped::MappedDesign;
 
 /// Renders the design's delays as SDF 3.0 text.
@@ -55,20 +55,14 @@ pub fn write_sdf(
                 gate: gi,
                 name: design.cell_label(gi, lib),
             })?;
-        let input_pin_names: Vec<&str> = cell.input_pins().map(|p| p.name.as_str()).collect();
+        let arcs = GateArcs::new(gi, cell);
         let mut iopaths = Vec::new();
         for (j, &outnet) in nl.gate_outputs(gi).iter().enumerate() {
-            let pin = cell.output_pins().nth(j).ok_or(StaError::MissingArc {
-                gate: gi,
-                cell: cell.name.clone(),
-            })?;
+            let pin = arcs.output(j)?;
             let load = report.nets[outnet.0 as usize].load;
             if nl.gate_kind(gi).is_sequential() {
                 // Clock-to-output arc; SDF conventionally names the edge.
-                let arc = pin.timing.first().ok_or(StaError::MissingArc {
-                    gate: gi,
-                    cell: cell.name.clone(),
-                })?;
+                let arc = arcs.launch(pin)?;
                 let slew = report.nets[outnet.0 as usize].crit_input_slew;
                 let rise = table_delay(arc.cell_rise.as_ref(), slew, load)?;
                 let fall = table_delay(arc.cell_fall.as_ref(), slew, load)?;
@@ -82,13 +76,7 @@ pub fn write_sdf(
                 continue;
             }
             for (k, &inp) in nl.gate_inputs(gi).iter().enumerate() {
-                let arc = input_pin_names
-                    .get(k)
-                    .and_then(|name| pin.timing.iter().find(|a| a.related_pin == *name))
-                    .ok_or(StaError::MissingArc {
-                        gate: gi,
-                        cell: cell.name.clone(),
-                    })?;
+                let arc = arcs.input_arc(pin, k)?;
                 let slew = report.nets[inp.0 as usize].slew;
                 let rise = table_delay(arc.cell_rise.as_ref(), slew, load)?;
                 let fall = table_delay(arc.cell_fall.as_ref(), slew, load)?;

@@ -1022,26 +1022,34 @@ impl SstaReport {
 
     /// Digest over every endpoint moment, the design form, and every gate
     /// criticality — bit-exact, so equal digests mean bit-identical
-    /// results.
+    /// results. Every NaN hashes as one bit pattern: Rust leaves a NaN
+    /// result's sign and payload unspecified, so they carry no meaning.
     pub fn digest(&self) -> u64 {
         fn mix(h: u64, bits: u64) -> u64 {
             (h ^ bits).wrapping_mul(0x0100_0000_01b3).rotate_left(17)
         }
+        fn bits(x: f64) -> u64 {
+            if x.is_nan() {
+                0x7ff8_0000_0000_0000
+            } else {
+                x.to_bits()
+            }
+        }
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for ep in &self.endpoints {
             h = mix(h, u64::from(ep.net.0));
-            h = mix(h, ep.mean.to_bits());
-            h = mix(h, ep.sigma.to_bits());
-            h = mix(h, ep.criticality.to_bits());
+            h = mix(h, bits(ep.mean));
+            h = mix(h, bits(ep.sigma));
+            h = mix(h, bits(ep.criticality));
         }
-        h = mix(h, self.design.mean.to_bits());
-        h = mix(h, self.design.resid.to_bits());
+        h = mix(h, bits(self.design.mean));
+        h = mix(h, bits(self.design.resid));
         for &(k, s) in &self.design.sens {
             h = mix(h, u64::from(k));
-            h = mix(h, s.to_bits());
+            h = mix(h, bits(s));
         }
-        for c in &self.gate_criticality {
-            h = mix(h, c.to_bits());
+        for &c in &self.gate_criticality {
+            h = mix(h, bits(c));
         }
         h
     }
@@ -2625,6 +2633,41 @@ mod tests {
         }
         assert_eq!(digests[0], digests[1]);
         assert_eq!(digests[0], digests[2]);
+    }
+
+    #[test]
+    fn digest_hashes_every_nan_alike() {
+        let stat = stat_fixture();
+        let graph = graph_fixture(&stat, 1);
+        let model = SstaModel::build(&graph, &stat, SstaOptions::default()).unwrap();
+        let report = model.analyze().unwrap();
+        assert!(!report.design.sens.is_empty() && !report.gate_criticality.is_empty());
+        let with = |nan: f64| {
+            let mut r = report.clone();
+            r.endpoints[0].sigma = nan;
+            r.design.mean = nan;
+            r.design.sens[0].1 = nan;
+            r.gate_criticality[0] = nan;
+            r
+        };
+        let quiet = f64::from_bits(0x7ff8_0000_0000_0000);
+        let negative = f64::from_bits(0xfff8_0000_0000_0000);
+        let payload = f64::from_bits(0x7ff0_0000_0000_0001);
+        let signed_payload = f64::from_bits(0xfff4_0000_dead_beef);
+        let canonical = with(quiet).digest();
+        for nan in [negative, payload, signed_payload] {
+            assert!(nan.is_nan());
+            assert_eq!(with(nan).digest(), canonical, "{:#x}", nan.to_bits());
+        }
+        assert_ne!(
+            canonical,
+            report.digest(),
+            "a NaN and a number digest alike"
+        );
+        let mut one = report.clone();
+        one.endpoints[0].sigma = quiet;
+        assert_ne!(one.digest(), report.digest());
+        assert_ne!(one.digest(), canonical);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 
 use varitune::core::flow::{Flow, FlowConfig, FLOW_STAGE_SPANS};
 use varitune::core::{TuningMethod, TuningParams};
+use varitune::libchar::generate_nominal;
+use varitune::liberty::write_library;
 use varitune::synth::SynthConfig;
 use varitune::trace::{FlowTrace, Histogram, Metrics, SpanNode};
 
@@ -37,6 +39,30 @@ fn flow_trace_is_bit_identical_across_thread_counts() {
     let one = traced_flow(1).to_json();
     let two = traced_flow(2).to_json();
     let eight = traced_flow(8).to_json();
+    assert_eq!(one, two, "1-thread and 2-thread traces differ");
+    assert_eq!(one, eight, "1-thread and 8-thread traces differ");
+}
+
+/// Captures a flow prepared from Liberty `text` at `threads` workers and
+/// returns the trace.
+fn traced_text_prepare(text: &str, threads: usize) -> FlowTrace {
+    let mut cfg = FlowConfig::small_for_tests();
+    cfg.threads = threads;
+    let (_, trace) = varitune::trace::capture(|| {
+        Flow::prepare_from_liberty_text(cfg, text).expect("flow prepared from text")
+    });
+    trace
+}
+
+#[test]
+fn text_ingestion_trace_is_byte_identical_across_thread_counts() {
+    // `Flow::prepare` never parses; this one ingests the generated
+    // library's text, so the parse's counters are in the trace too.
+    let text = write_library(&generate_nominal(&FlowConfig::small_for_tests().generate))
+        .expect("generated library serializes");
+    let one = traced_text_prepare(&text, 1).to_json();
+    let two = traced_text_prepare(&text, 2).to_json();
+    let eight = traced_text_prepare(&text, 8).to_json();
     assert_eq!(one, two, "1-thread and 2-thread traces differ");
     assert_eq!(one, eight, "1-thread and 8-thread traces differ");
 }
