@@ -91,12 +91,14 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use varitune_liberty::{CellId, Library, TimingArc, TimingType};
+use varitune_liberty::{CellId, Library, TimingType};
 use varitune_netlist::{GateKind, NetId};
 use varitune_variation::parallel::{resolve_threads, run_shards};
 
 use crate::arcs::{ArcArena, Probe};
-use crate::graph::{Endpoint, EndpointKind, NetTiming, StaConfig, StaError, TimingReport};
+use crate::graph::{
+    Endpoint, EndpointKind, GateArcs, NetTiming, StaConfig, StaError, TimingReport,
+};
 use crate::mapped::MappedDesign;
 
 /// Sentinel for "no entry" in the `u32`-typed graph indices (`driver`,
@@ -242,10 +244,6 @@ fn intern_cell<'l>(
         });
     }
     let cell = &lib.cells[ci];
-    let missing = || StaError::MissingArc {
-        gate: gi,
-        cell: cell.name.clone(),
-    };
 
     // Input-pin capacitances, positionally; a missing pin contributes 0,
     // exactly like `MappedDesign::net_loads`.
@@ -254,15 +252,9 @@ fn intern_cell<'l>(
         .map(|k| pins.get(k).map_or(0.0, |p| p.capacitance))
         .collect();
 
-    let mut arcs: Vec<&'l TimingArc> = Vec::with_capacity(if seq { n_out } else { n_out * n_in });
-    let mut setup = None;
-    if seq {
-        for j in 0..n_out {
-            let pin = cell.output_pins().nth(j).ok_or_else(missing)?;
-            arcs.push(pin.timing.first().ok_or_else(missing)?);
-        }
-        setup = cell
-            .input_pins()
+    let arcs = GateArcs::new(gi, cell).all(n_in, n_out, seq)?;
+    let setup = if seq {
+        cell.input_pins()
             .find(|p| {
                 p.timing
                     .iter()
@@ -272,23 +264,10 @@ fn intern_cell<'l>(
                 p.timing
                     .iter()
                     .find(|a| a.timing_type == TimingType::SetupRising)
-            });
+            })
     } else {
-        if pins.len() < n_in {
-            return Err(missing());
-        }
-        for j in 0..n_out {
-            let pin = cell.output_pins().nth(j).ok_or_else(missing)?;
-            for input_pin in pins.iter().take(n_in) {
-                let arc = pin
-                    .timing
-                    .iter()
-                    .find(|a| a.related_pin == input_pin.name)
-                    .ok_or_else(missing)?;
-                arcs.push(arc);
-            }
-        }
-    }
+        None
+    };
     Ok(InternedCell {
         caps,
         arcs: arcs
@@ -1537,7 +1516,7 @@ mod tests {
     use crate::graph::analyze;
     use crate::mapped::WireModel;
     use varitune_libchar::{generate_nominal, GenerateConfig};
-    use varitune_liberty::InterpolateError;
+    use varitune_liberty::{InterpolateError, TimingArc};
     use varitune_netlist::{GateKind, Netlist};
 
     fn lib() -> Library {

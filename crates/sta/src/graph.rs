@@ -313,11 +313,12 @@ pub(crate) fn constraint_of(
     arc.worst_delay(data_slew, clock_slew).ok()
 }
 
-/// A gate's arcs in its cell, looked up the one way the sign-off entries
-/// read them: the gate's output `j` is the cell's `j`-th output pin, its
-/// input `k` is the cell's `k`-th input pin, and the arc from input `k` is
-/// the output pin's first arc related to that pin. A pin or arc that is not
-/// there is [`StaError::MissingArc`].
+/// A gate's arcs in its cell, looked up the one way the timing engine, the
+/// SSTA model, hold, SDF and required times all read them: the gate's
+/// output `j` is the cell's `j`-th output pin, its input `k` is the cell's
+/// `k`-th input pin, and the arc from input `k` is the output pin's first
+/// arc related to that pin. A pin or arc that is not there is
+/// [`StaError::MissingArc`].
 #[derive(Clone, Copy)]
 pub(crate) struct GateArcs<'l> {
     gate: usize,
@@ -354,6 +355,33 @@ impl<'l> GateArcs<'l> {
             .nth(k)
             .and_then(|input| pin.timing.iter().find(|a| a.related_pin == input.name))
             .ok_or_else(|| self.missing())
+    }
+
+    /// Every arc a gate with `n_in` inputs and `n_out` outputs reads, in
+    /// the timing engine's order: a sequential cell's launch arc per
+    /// output, else output-major the arc from each input. A combinational
+    /// cell with fewer input pins than the gate has inputs is
+    /// [`StaError::MissingArc`] even when the gate drives nothing.
+    pub(crate) fn all(
+        self,
+        n_in: usize,
+        n_out: usize,
+        seq: bool,
+    ) -> Result<Vec<&'l TimingArc>, StaError> {
+        if seq {
+            return (0..n_out).map(|j| self.launch(self.output(j)?)).collect();
+        }
+        if self.cell.input_pins().count() < n_in {
+            return Err(self.missing());
+        }
+        let mut arcs = Vec::with_capacity(n_out * n_in);
+        for j in 0..n_out {
+            let pin = self.output(j)?;
+            for k in 0..n_in {
+                arcs.push(self.input_arc(pin, k)?);
+            }
+        }
+        Ok(arcs)
     }
 }
 

@@ -56,7 +56,7 @@ use varitune_variation::stats::normal_cdf;
 use varitune_variation::ProcessCorner;
 
 use crate::engine::{run_stage, TimingGraph, NONE_U32};
-use crate::graph::StaError;
+use crate::graph::{GateArcs, StaError};
 
 /// Standard normal density.
 fn normal_pdf(x: f64) -> f64 {
@@ -811,11 +811,8 @@ fn stat_delay(
     best.ok_or(InterpolateError::EmptyTable)
 }
 
-/// Resolve one gate's sigma-column arcs in `lib`, mirroring the engine's
-/// `intern_cell` order exactly: sequential cells take the first timing arc
-/// of each output pin (one arc per output); combinational cells take,
-/// output-major, the arc on each output pin whose `related_pin` names each
-/// input pin in order.
+/// Resolve one gate's sigma-column arcs in `lib`, in the engine's arc
+/// order ([`GateArcs::all`]).
 fn resolve_sigma_arcs<'s>(
     lib: &'s Library,
     gi: usize,
@@ -830,35 +827,7 @@ fn resolve_sigma_arcs<'s>(
             gate: gi,
             name: cell_name.to_string(),
         })?;
-    let cell = &lib.cells[cid.index()];
-    let missing = || StaError::MissingArc {
-        gate: gi,
-        cell: cell_name.to_string(),
-    };
-    let mut arcs = Vec::with_capacity(if seq { n_out } else { n_out * n_in });
-    if seq {
-        for j in 0..n_out {
-            let pin = cell.output_pins().nth(j).ok_or_else(missing)?;
-            arcs.push(pin.timing.first().ok_or_else(missing)?);
-        }
-    } else {
-        let pins: Vec<_> = cell.input_pins().collect();
-        if pins.len() < n_in {
-            return Err(missing());
-        }
-        for j in 0..n_out {
-            let pin = cell.output_pins().nth(j).ok_or_else(missing)?;
-            for input_pin in pins.iter().take(n_in) {
-                let arc = pin
-                    .timing
-                    .iter()
-                    .find(|a| a.related_pin == input_pin.name)
-                    .ok_or_else(missing)?;
-                arcs.push(arc);
-            }
-        }
-    }
-    Ok(arcs)
+    GateArcs::new(gi, &lib.cells[cid.index()]).all(n_in, n_out, seq)
 }
 
 /// Options controlling the statistical model.
