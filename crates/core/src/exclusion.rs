@@ -11,12 +11,11 @@
 //! an exclusion run goes through [`crate::Flow::run`] like a windowed one.
 
 use varitune_libchar::StatLibrary;
-use varitune_liberty::CellId;
+use varitune_liberty::{CellId, Library};
 use varitune_synth::LibraryConstraints;
 
 /// Result of exclusion-based tuning.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExclusionTuning {
     /// Sigma budget used (ns).
     pub ceiling: f64,
@@ -46,7 +45,6 @@ impl ExclusionTuning {
 /// One variant per family is always kept (the one with the lowest worst
 /// sigma) so technology mapping remains possible.
 pub fn tune_by_exclusion(stat: &StatLibrary, ceiling: f64) -> ExclusionTuning {
-    let interner = stat.sigma.interner();
     let cell_count = stat.sigma.cells.len();
 
     // Worst-case (maximum-entry) delay sigma per cell: one contiguous scan
@@ -55,25 +53,10 @@ pub fn tune_by_exclusion(stat: &StatLibrary, ceiling: f64) -> ExclusionTuning {
         .map(|i| stat.worst_delay_sigma_id(CellId(i as u32)))
         .collect();
 
-    // Family partition in deterministic interner order (families sorted by
-    // name, members by ascending drive); cells without a family — no `_`
-    // suffix — form trailing singletons in id order.
-    let mut groups: Vec<Vec<CellId>> = interner
-        .families()
-        .iter()
-        .map(|f| f.members.clone())
-        .collect();
-    for i in 0..cell_count {
-        let id = CellId(i as u32);
-        if interner.family_of(id).is_none() {
-            groups.push(vec![id]);
-        }
-    }
-
     let mut excluded_ids: Vec<CellId> = Vec::new();
     let mut feasibility_ids: Vec<CellId> = Vec::new();
     let mut kept = 0usize;
-    for members in &groups {
+    for (_, members) in &drive_families(&stat.sigma) {
         let scored: Vec<(CellId, f64)> = members
             .iter()
             .filter_map(|&id| sigma_of[id.index()].map(|s| (id, s)))
@@ -110,6 +93,28 @@ pub fn tune_by_exclusion(stat: &StatLibrary, ceiling: f64) -> ExclusionTuning {
         kept,
         kept_for_feasibility: feasibility_ids.iter().map(name_of).collect(),
     }
+}
+
+/// The drive-family partition both cell-removal screens (this baseline
+/// and [`crate::quarantine`]) judge feasibility by, in deterministic
+/// interner order: each family by name with its members by ascending
+/// drive, then every cell without a family (no `_` suffix) as a trailing
+/// singleton in id order. A group carries its family's name, `None` for a
+/// singleton.
+pub(crate) fn drive_families(lib: &Library) -> Vec<(Option<&str>, Vec<CellId>)> {
+    let interner = lib.interner();
+    let mut groups: Vec<(Option<&str>, Vec<CellId>)> = interner
+        .families()
+        .iter()
+        .map(|f| (Some(f.name.as_str()), f.members.clone()))
+        .collect();
+    for i in 0..lib.cells.len() {
+        let id = CellId(i as u32);
+        if interner.family_of(id).is_none() {
+            groups.push((None, vec![id]));
+        }
+    }
+    groups
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use varitune_synth::{
 };
 
 use crate::methods::{TuningMethod, TuningParams};
-use crate::optimize::{Candidate, Objective, Optimizer, PaperMethodOptimizer};
+use crate::optimize::{Candidate, Optimizer, PaperMethodOptimizer};
 use crate::quarantine::{screen_library, FlowReport, Strictness};
 use crate::tuning::TunedLibrary;
 
@@ -388,13 +388,12 @@ impl Flow {
         optimizer: &dyn Optimizer,
         synth_cfg: &SynthConfig,
     ) -> Result<Vec<Candidate>, FlowError> {
-        optimizer.optimize(&Objective::new(self, *synth_cfg))
+        optimizer.optimize(self, synth_cfg)
     }
 }
 
 /// One synthesized-and-measured design.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowRun {
     /// Synthesis outcome (mapped design, timing report, area).
     pub synthesis: SynthesisResult,
@@ -419,7 +418,6 @@ impl FlowRun {
 /// Sigma/area comparison of a tuned run against the baseline (the axes of
 /// Figs. 10–11).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Comparison {
     /// Baseline design sigma (ns).
     pub baseline_sigma: f64,

@@ -70,8 +70,8 @@ pub use flow::{
 };
 pub use methods::{TuningMethod, TuningParams};
 pub use optimize::{
-    dominates, pareto_front_indices, Candidate, EvolutionConfig, EvolutionaryOptimizer, Objective,
-    Optimizer, PaperMethodOptimizer, OPTIMIZER_SPANS,
+    dominates, pareto_front_indices, Candidate, EvolutionConfig, EvolutionaryOptimizer, Optimizer,
+    PaperMethodOptimizer, OPTIMIZER_SPANS,
 };
 pub use quarantine::{screen_library, Degradation, FlowReport, Strictness};
 pub use rectangle::{largest_rectangle, largest_rectangle_bruteforce, Rect};

@@ -6,7 +6,6 @@ use std::fmt;
 /// {per-drive-strength, per-cell} clustering × {load-slope, slew-slope}
 /// thresholds, plus the per-cell sigma ceiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TuningMethod {
     /// Cluster cells by drive strength, threshold on the load-direction
     /// slope.
@@ -66,7 +65,6 @@ impl fmt::Display for TuningMethod {
 /// while the other two stay at their defaults (load slope 1, slew slope
 /// 0.06, sigma ceiling 100 — i.e. inactive).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TuningParams {
     /// Load-direction slope bound (per index step).
     pub load_slope: f64,

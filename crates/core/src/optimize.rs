@@ -3,9 +3,10 @@
 //! The paper fixes five window-selection recipes (§VI.A, Table 2) and
 //! reports a single operating point per recipe. This module turns "pick
 //! windows, synthesize, measure" into an abstraction: every strategy
-//! implements [`Optimizer`] — input a prepared [`Flow`] wrapped in an
-//! [`Objective`], output one or more [`Candidate`]s carrying the tuned
-//! library and its measured design sigma/area.
+//! implements [`Optimizer`] — input a prepared [`Flow`] and the
+//! [`SynthConfig`] every candidate is evaluated under, output one or more
+//! [`Candidate`]s carrying the tuned library and its measured design
+//! sigma/area.
 //!
 //! Two backends ship:
 //!
@@ -63,50 +64,6 @@ pub const OPTIMIZER_SPANS: &[&str] = &[
     "optimize.front",
 ];
 
-/// What an optimizer optimizes against: a prepared [`Flow`] plus the
-/// synthesis configuration every candidate is evaluated under.
-#[derive(Debug, Clone)]
-pub struct Objective<'a> {
-    flow: &'a Flow,
-    synth: SynthConfig,
-}
-
-impl<'a> Objective<'a> {
-    /// Wraps a prepared flow and a synthesis configuration.
-    pub fn new(flow: &'a Flow, synth: SynthConfig) -> Self {
-        Self { flow, synth }
-    }
-
-    /// The statistical library candidates are derived from.
-    pub fn stat(&self) -> &StatLibrary {
-        &self.flow.stat
-    }
-
-    /// The prepared flow.
-    pub fn flow(&self) -> &Flow {
-        self.flow
-    }
-
-    /// The synthesis configuration candidates are evaluated under.
-    pub fn synth(&self) -> &SynthConfig {
-        &self.synth
-    }
-
-    /// Synthesizes the design under `constraints` and measures it — the
-    /// fitness function every backend shares. Pure: the result depends
-    /// only on the prepared flow, the synthesis configuration and the
-    /// constraints' effective per-cell limits, so two constraint sets with
-    /// equal [`SynthKey`](varitune_synth::SynthKey)s evaluate to
-    /// bit-identical runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FlowError`] from synthesis or timing.
-    pub fn evaluate(&self, constraints: &LibraryConstraints) -> Result<FlowRun, FlowError> {
-        self.flow.run(constraints, &self.synth)
-    }
-}
-
 /// One tuned library together with its measured run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
@@ -133,20 +90,23 @@ impl Candidate {
     }
 }
 
-/// One tuning strategy: given an objective, produce candidate tunings with
-/// their measured sigma/area.
+/// One tuning strategy: given a prepared flow, produce candidate tunings
+/// with their measured sigma/area.
 pub trait Optimizer {
     /// Human-readable backend name for reports.
     fn name(&self) -> String;
 
-    /// Runs the strategy. Single-point backends return one candidate;
-    /// multi-objective backends return a Pareto front sorted by ascending
-    /// sigma.
+    /// Runs the strategy on `flow`'s statistical library, evaluating each
+    /// candidate's constraints with [`Flow::run`] under `synth` — a pure
+    /// fitness function: two constraint sets with equal
+    /// [`SynthKey`](varitune_synth::SynthKey)s evaluate to bit-identical
+    /// runs. Single-point backends return one candidate; multi-objective
+    /// backends return a Pareto front sorted by ascending sigma.
     ///
     /// # Errors
     ///
     /// Propagates [`FlowError`] from candidate evaluation.
-    fn optimize(&self, objective: &Objective<'_>) -> Result<Vec<Candidate>, FlowError>;
+    fn optimize(&self, flow: &Flow, synth: &SynthConfig) -> Result<Vec<Candidate>, FlowError>;
 }
 
 /// Pareto dominance on two minimized objectives: `a` dominates `b` when it
@@ -205,9 +165,9 @@ impl Optimizer for PaperMethodOptimizer {
         format!("paper:{}", self.method)
     }
 
-    fn optimize(&self, objective: &Objective<'_>) -> Result<Vec<Candidate>, FlowError> {
-        let tuned = self.tune(objective.stat());
-        let run = objective.evaluate(&tuned.constraints)?;
+    fn optimize(&self, flow: &Flow, synth: &SynthConfig) -> Result<Vec<Candidate>, FlowError> {
+        let tuned = self.tune(&flow.stat);
+        let run = flow.run(&tuned.constraints, synth)?;
         Ok(vec![Candidate { tuned, run }])
     }
 }
@@ -537,7 +497,7 @@ fn archive_front(mut entries: Vec<(Genome, (f64, f64))>) -> Vec<(Genome, (f64, f
 }
 
 impl EvolutionaryOptimizer {
-    /// Evaluates `genomes` against `objective`, filling `cache`. Fresh
+    /// Evaluates `genomes` on `flow` under `synth`, filling `cache`. Fresh
     /// genomes fan out over [`run_trials`] with span recording paused;
     /// everything recorded is workload-derived, so traces and results are
     /// bit-identical at any thread count.
@@ -547,7 +507,8 @@ impl EvolutionaryOptimizer {
     /// region); any other flow error is a bug and propagates.
     fn evaluate_batch(
         &self,
-        objective: &Objective<'_>,
+        flow: &Flow,
+        synth: &SynthConfig,
         space: &SearchSpace,
         genomes: &[Genome],
         cache: &mut BTreeMap<Genome, Fitness>,
@@ -566,7 +527,7 @@ impl EvolutionaryOptimizer {
         let results: Vec<Result<Fitness, FlowError>> = {
             let _pause = varitune_trace::pause_spans();
             run_trials(fresh.len(), self.config.threads, |k| {
-                match objective.evaluate(&space.decode(&fresh[k])) {
+                match flow.run(&space.decode(&fresh[k]), synth) {
                     Ok(run) => Ok(Some((run.sigma(), run.area()))),
                     Err(FlowError::Synth(_)) => Ok(None),
                     Err(e) => Err(e),
@@ -590,10 +551,10 @@ impl Optimizer for EvolutionaryOptimizer {
         format!("evolutionary (seed {})", self.config.seed)
     }
 
-    fn optimize(&self, objective: &Objective<'_>) -> Result<Vec<Candidate>, FlowError> {
+    fn optimize(&self, flow: &Flow, synth: &SynthConfig) -> Result<Vec<Candidate>, FlowError> {
         let cfg = self.config;
         let search_span = varitune_trace::span!("optimize.search");
-        let space = SearchSpace::build(objective.stat());
+        let space = SearchSpace::build(&flow.stat);
 
         // Initial population: the unrestricted genome (the baseline point
         // is always reachable), the Table-2 grid re-encoded as genomes
@@ -603,7 +564,7 @@ impl Optimizer for EvolutionaryOptimizer {
         if cfg.seed_paper_methods {
             for method in TuningMethod::ALL {
                 for params in TuningParams::table2_sweep(method) {
-                    let tuned = tune(objective.stat(), method, params);
+                    let tuned = tune(&flow.stat, method, params);
                     if let Some(genome) = space.encode(&tuned.constraints) {
                         population.push(genome);
                     }
@@ -616,7 +577,7 @@ impl Optimizer for EvolutionaryOptimizer {
         }
 
         let mut cache: BTreeMap<Genome, Fitness> = BTreeMap::new();
-        self.evaluate_batch(objective, &space, &population, &mut cache)?;
+        self.evaluate_batch(flow, synth, &space, &population, &mut cache)?;
         let mut archive: Vec<(Genome, (f64, f64))> = archive_front(
             population
                 .iter()
@@ -646,7 +607,7 @@ impl Optimizer for EvolutionaryOptimizer {
                 space.mutate(&mut child, &mut rng);
                 offspring.push(child);
             }
-            self.evaluate_batch(objective, &space, &offspring, &mut cache)?;
+            self.evaluate_batch(flow, synth, &space, &offspring, &mut cache)?;
             let mut entries = archive;
             entries.extend(
                 offspring
@@ -668,7 +629,7 @@ impl Optimizer for EvolutionaryOptimizer {
             let _pause = varitune_trace::pause_spans();
             for (front_index, (genome, fitness)) in archive.iter().enumerate() {
                 let constraints = space.decode(genome);
-                let run = objective.evaluate(&constraints)?;
+                let run = flow.run(&constraints, synth)?;
                 debug_assert_eq!(run.sigma().to_bits(), fitness.0.to_bits());
                 debug_assert_eq!(run.area().to_bits(), fitness.1.to_bits());
                 let restricted_pins = space.restricted_pins(genome);
@@ -720,6 +681,55 @@ mod tests {
         assert_eq!(keys, vec![(0.5, 3.0), (1.0, 1.0), (3.0, 0.5)]);
     }
 
+    /// 256 seeded point clouds of 1–63 points in `[0.01, 10)²`. Every
+    /// other cloud snaps its coordinates to a 0.5 grid, so ties and exact
+    /// duplicates occur.
+    fn seeded_clouds() -> impl Iterator<Item = (Vec<(f64, f64)>, Xoshiro256PlusPlus)> {
+        (0..256).map(|case| {
+            let mut rng = rng_from(0xC10D, "cloud", case);
+            let coarse = case % 2 == 1;
+            let coord = |rng: &mut Xoshiro256PlusPlus| {
+                if coarse {
+                    0.5 * (1 + rng.next_u64() % 20) as f64
+                } else {
+                    0.01 + 9.99 * rng.next_f64()
+                }
+            };
+            let n = 1 + rng.next_u64() % 63;
+            let points = (0..n).map(|_| (coord(&mut rng), coord(&mut rng))).collect();
+            (points, rng)
+        })
+    }
+
+    #[test]
+    fn front_is_non_dominated_and_covers_every_point() {
+        for (points, _) in seeded_clouds() {
+            let front = pareto_front_indices(&points);
+            assert!(!front.is_empty());
+            for &i in &front {
+                for &j in &front {
+                    assert!(
+                        i == j || !dominates(points[i], points[j]),
+                        "front member {i} dominates member {j} in {points:?}"
+                    );
+                }
+            }
+            // Every excluded point is dominated by or duplicates a survivor.
+            for (k, &p) in points.iter().enumerate() {
+                assert!(
+                    front.contains(&k)
+                        || front.iter().any(|&i| {
+                            let q = points[i];
+                            dominates(q, p)
+                                || (q.0.to_bits() == p.0.to_bits()
+                                    && q.1.to_bits() == p.1.to_bits())
+                        }),
+                    "point {k} is neither on nor covered by the front of {points:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn front_is_insertion_order_independent() {
         let a = [(1.0, 5.0), (2.0, 4.0), (3.0, 3.0), (2.5, 4.5), (1.0, 5.0)];
@@ -732,6 +742,16 @@ mod tests {
                 .collect()
         };
         assert_eq!(keys(&a), keys(&b));
+        for (points, mut rng) in seeded_clouds() {
+            let mut shuffled = points.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+            }
+            let mut reversed = points.clone();
+            reversed.reverse();
+            assert_eq!(keys(&points), keys(&reversed), "{points:?}");
+            assert_eq!(keys(&points), keys(&shuffled), "{points:?}");
+        }
     }
 
     #[test]

@@ -22,13 +22,13 @@
 
 use std::fmt;
 
-use varitune_liberty::{validate_library, CellHealth, CellId, Diagnostic, Library};
+use varitune_liberty::{validate_library, CellHealth, Diagnostic, Library};
 
+use crate::exclusion::drive_families;
 use crate::flow::FlowError;
 
 /// How much damage ingestion tolerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Strictness {
     /// Reject the library on any diagnostic or any non-healthy cell.
     #[default]
@@ -53,7 +53,6 @@ impl fmt::Display for Strictness {
 
 /// One accepted loss of fidelity during ingestion.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Degradation {
     /// The recovering parser reported problems but produced a library.
     ParseDiagnostics {
@@ -126,7 +125,6 @@ impl fmt::Display for Degradation {
 
 /// What ingestion did to the library before the flow ran.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowReport {
     /// Policy the library was screened under.
     pub strictness: Strictness,
@@ -241,26 +239,11 @@ pub fn screen_library(
         drop[i] = condemned(r.health);
     }
 
-    // Family feasibility fallback, exactly as in the exclusion baseline:
-    // partition cells into drive families (cells without a `_` suffix are
-    // trailing singletons), and where a whole group would vanish, reprieve
-    // its least-bad member — unless that member is unusable, which no
-    // policy may keep.
-    let interner = lib.interner();
-    let mut groups: Vec<(Option<&str>, Vec<CellId>)> = interner
-        .families()
-        .iter()
-        .map(|f| (Some(f.name.as_str()), f.members.clone()))
-        .collect();
-    for i in 0..lib.cells.len() {
-        let id = CellId(i as u32);
-        if interner.family_of(id).is_none() {
-            groups.push((None, vec![id]));
-        }
-    }
-
+    // Family feasibility fallback over the exclusion baseline's drive
+    // families: where a whole group would vanish, reprieve its least-bad
+    // member — unless that member is unusable, which no policy may keep.
     let mut feasibility: Vec<Degradation> = Vec::new();
-    for (family, members) in &groups {
+    for (family, members) in &drive_families(lib) {
         if !members.iter().all(|id| drop[id.index()]) {
             continue; // a healthy-enough variant survives on its own
         }

@@ -20,7 +20,6 @@
 /// An inclusive rectangle of LUT indices: rows are slew indices, columns are
 /// load indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// First included row (slew index).
     pub row_lo: usize,

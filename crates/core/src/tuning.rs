@@ -25,7 +25,6 @@ use crate::slope::{and_tables, binarize, load_slope_table, max_equivalent, slew_
 
 /// Threshold extracted for one cluster.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClusterThreshold {
     /// Cluster label (`"drive 4"` or the cell name).
     pub label: String,
@@ -39,7 +38,6 @@ pub struct ClusterThreshold {
 /// Where a [`TunedLibrary`] came from. Every optimizer backend stamps its
 /// candidates so reports can label them without guessing from shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TuningProvenance {
     /// One of the paper's five Table-2 methods (§VI.A) run through the
     /// two-stage [`tune`] pipeline.
@@ -73,7 +71,6 @@ impl std::fmt::Display for TuningProvenance {
 
 /// Result of tuning a statistical library.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TunedLibrary {
     /// Backend and parameters that produced this tuning.
     pub provenance: TuningProvenance,

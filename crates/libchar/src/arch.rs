@@ -9,7 +9,6 @@
 
 /// One output of an archetype: the pin name and its logic function.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArchOutput {
     /// Output pin name (`Z`, `S`, `CO`, `Q`).
     pub pin: String,
@@ -22,7 +21,6 @@ pub struct ArchOutput {
 
 /// Sequential behaviour of an archetype.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SequentialKind {
     /// Purely combinational.
     None,
@@ -34,7 +32,6 @@ pub enum SequentialKind {
 
 /// A cell archetype (logic family at all drive strengths).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Archetype {
     /// Name prefix, e.g. `ND2`; full cell names are `ND2_<drive>`.
     pub prefix: String,

@@ -17,7 +17,6 @@ use crate::arch::{ArchOutput, Archetype};
 
 /// Technology constants of the synthetic process.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Technology {
     /// Effort time constant: ns of delay per unit of electrical fan-out for
     /// a unit-effort gate.

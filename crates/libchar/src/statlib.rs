@@ -24,7 +24,6 @@ use varitune_variation::rng::rng_from;
 
 /// Which of an arc's four tables a query refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TableKind {
     /// Rise propagation delay.
     CellRise,
@@ -70,7 +69,6 @@ impl TableKind {
 
 /// A mean/sigma pair of same-shaped tables for one arc table kind.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StatTable {
     /// Entry-wise means.
     pub mean: Lut,
@@ -403,7 +401,6 @@ fn slot_table_mut<'a>(lib: &'a mut Library, slot: &Slot) -> Option<&'a mut Lut> 
 /// (worst delay sigma) becomes a flat slice scan instead of a walk over the
 /// Liberty tree.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SigmaColumns {
     values: Vec<f64>,
     /// `offsets[i]..offsets[i + 1]` is cell `i`'s block; length is
@@ -484,7 +481,6 @@ impl fmt::Debug for ColumnsCache {
 /// libraries, stored as two structurally identical Liberty libraries plus a
 /// columnar per-cell delay-sigma summary.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StatLibrary {
     /// Library whose LUT values are entry-wise means.
     pub mean: Library,

@@ -29,7 +29,6 @@ use crate::model::Cell;
 
 /// Dense id of a cell: its index in `Library::cells`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellId(pub u32);
 
 impl CellId {
@@ -42,7 +41,6 @@ impl CellId {
 /// Dense library-wide pin id (cells' pins concatenated in declaration
 /// order). Resolve with [`Interner::pin_of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PinId(pub u32);
 
 impl PinId {
@@ -55,7 +53,6 @@ impl PinId {
 /// Dense id of a drive-strength family (cells sharing the prefix before the
 /// last `_`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FamilyId(pub u32);
 
 impl FamilyId {
@@ -71,7 +68,6 @@ impl FamilyId {
 /// the statistical mean/sigma pair share one fingerprint, while a copy with
 /// a cell removed, added or moved gets another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LibraryFingerprint(pub u64);
 
 impl LibraryFingerprint {

@@ -8,7 +8,6 @@ use crate::error::InterpolateError;
 
 /// Direction of a [`Pin`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PinDirection {
     /// Signal enters the cell through this pin.
     Input,
@@ -35,7 +34,6 @@ impl fmt::Display for PinDirection {
 /// Unateness of a timing arc: how an input transition direction relates to
 /// the output transition direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TimingSense {
     /// Rising input causes rising output (e.g. buffer, AND).
     PositiveUnate,
@@ -58,7 +56,6 @@ impl fmt::Display for TimingSense {
 
 /// Kind of a timing arc.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TimingType {
     /// Ordinary combinational propagation arc.
     Combinational,
@@ -99,7 +96,6 @@ impl fmt::Display for TimingType {
 /// A LUT axis template declared once at library scope and referenced by name
 /// from every table that uses it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LutTemplate {
     /// Template name, e.g. `delay_7x7`.
     pub name: String,
@@ -128,7 +124,6 @@ impl LutTemplate {
 /// `input_net_transition` and `variable_2` is
 /// `total_output_net_capacitance`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Lut {
     /// Slew (input transition) axis; strictly increasing.
     pub index_slew: Vec<f64>,
@@ -406,7 +401,6 @@ fn lerp(a: f64, b: f64, t: f64) -> f64 {
 
 /// A timing arc from an input pin to the output pin that owns it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingArc {
     /// The input pin this arc is measured from.
     pub related_pin: String,
@@ -536,7 +530,6 @@ impl TimingArc {
 /// tabulated over the same (input slew, output load) grid as the timing
 /// arcs.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InternalPower {
     /// The input pin whose transition this energy is attributed to.
     pub related_pin: String,
@@ -589,7 +582,6 @@ impl InternalPower {
 
 /// A cell pin.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pin {
     /// Pin name, e.g. `A`, `Z`, `CK`, `D`, `Q`.
     pub name: String,
@@ -647,7 +639,6 @@ impl Pin {
 /// Broad functional class of a cell, derived from its name by the synthetic
 /// library generator and by [`Cell::kind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CellKind {
     /// Inverter.
     Inverter,
@@ -694,7 +685,6 @@ impl fmt::Display for CellKind {
 
 /// A standard cell.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cell {
     /// Cell name following the paper's convention
     /// `Function[Inputs]_[Special_]Drive`, with `P` as decimal separator in
@@ -825,7 +815,6 @@ fn parse_drive_field(field: &str) -> Option<f64> {
 
 /// A complete timing library.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Library {
     /// Library name, e.g. `TT1P1V25C`.
     pub name: String,
@@ -927,11 +916,6 @@ impl Library {
     /// [`Library::cell_index`]).
     pub fn cell(&self, name: &str) -> Option<&Cell> {
         self.cell_index(name).map(|i| &self.cells[i])
-    }
-
-    /// Alias of [`Library::cell`], paired with [`Library::cell_index`].
-    pub fn cell_by_name(&self, name: &str) -> Option<&Cell> {
-        self.cell(name)
     }
 
     /// Mutable cell lookup by name.
@@ -1167,7 +1151,7 @@ mod tests {
         }
         // First lookup builds the cache.
         assert_eq!(lib.cell_index("ND2_1"), Some(2));
-        assert_eq!(lib.cell_by_name("INV_2").unwrap().name, "INV_2");
+        assert_eq!(lib.cell("INV_2").unwrap().name, "INV_2");
         // Mutation through the public field shifts indices; the stale
         // cache must fall back to a verified scan, not return INV_2.
         lib.cells.retain(|c| c.name != "INV_2");

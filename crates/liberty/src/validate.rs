@@ -24,7 +24,6 @@ use crate::model::{Cell, Library, Lut, Pin, PinDirection};
 
 /// Typed verdict for one cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CellHealth {
     /// No lint fired; safe for every policy.
     Healthy,

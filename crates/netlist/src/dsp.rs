@@ -17,7 +17,6 @@ use crate::ir::{GateKind, NetId, Netlist};
 
 /// FIR generator parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FirConfig {
     /// Number of filter taps (pipeline stages).
     pub taps: usize,

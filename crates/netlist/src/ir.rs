@@ -26,7 +26,6 @@ use std::fmt::{self, Write as _};
 
 /// Identifier of a net within its netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetId(pub u32);
 
 impl fmt::Display for NetId {
@@ -37,7 +36,6 @@ impl fmt::Display for NetId {
 
 /// Generic logic functions the design generator emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GateKind {
     /// Inverter: 1 input.
     Inv,
@@ -185,7 +183,6 @@ impl Error for ValidateNetlistError {}
 
 /// A gate-level design; see the module docs for the layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Netlist {
     /// Design name.
     pub name: String,

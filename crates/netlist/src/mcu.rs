@@ -17,7 +17,6 @@ use crate::ir::{GateKind, NetId, Netlist};
 
 /// Parameters of the generated microcontroller.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct McuConfig {
     /// Datapath width in bits.
     pub width: usize,

@@ -174,7 +174,6 @@ impl<'a> Simulator<'a> {
 
 /// Measured switching activity of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ActivityReport {
     /// Toggles per cycle for each net (indexed by [`NetId`]).
     pub per_net: Vec<f64>,

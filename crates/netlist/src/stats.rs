@@ -6,7 +6,6 @@ use crate::ir::{GateKind, Netlist};
 
 /// Census of a netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetlistStats {
     /// Total gate instances.
     pub total_gates: usize,

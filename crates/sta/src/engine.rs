@@ -97,7 +97,7 @@ use varitune_variation::parallel::{resolve_threads, run_shards};
 
 use crate::arcs::{ArcArena, Probe};
 use crate::graph::{
-    Endpoint, EndpointKind, GateArcs, NetTiming, StaConfig, StaError, TimingReport,
+    constraint_arc, Endpoint, EndpointKind, GateArcs, NetTiming, StaConfig, StaError, TimingReport,
 };
 use crate::mapped::MappedDesign;
 
@@ -254,17 +254,7 @@ fn intern_cell<'l>(
 
     let arcs = GateArcs::new(gi, cell).all(n_in, n_out, seq)?;
     let setup = if seq {
-        cell.input_pins()
-            .find(|p| {
-                p.timing
-                    .iter()
-                    .any(|a| a.timing_type == TimingType::SetupRising)
-            })
-            .and_then(|p| {
-                p.timing
-                    .iter()
-                    .find(|a| a.timing_type == TimingType::SetupRising)
-            })
+        constraint_arc(cell, TimingType::SetupRising)
     } else {
         None
     };

@@ -17,7 +17,6 @@ use crate::mapped::MappedDesign;
 
 /// Analysis configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StaConfig {
     /// Target clock period (ns).
     pub clock_period: f64,
@@ -168,7 +167,6 @@ impl From<InterpolateError> for StaError {
 
 /// Timing state of one net after propagation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetTiming {
     /// Worst arrival time at the net (ns); 0 for primary inputs.
     pub arrival: f64,
@@ -205,7 +203,6 @@ impl NetTiming {
 
 /// Kind of timing endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EndpointKind {
     /// Data input of a flip-flop (setup check).
     FlipFlopData {
@@ -218,7 +215,6 @@ pub enum EndpointKind {
 
 /// One timing endpoint with its slack.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Endpoint {
     /// Captured net.
     pub net: NetId,
@@ -239,7 +235,6 @@ impl Endpoint {
 
 /// Result of [`analyze`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingReport {
     /// Configuration the analysis ran with.
     pub config: StaConfig,
@@ -297,20 +292,28 @@ pub fn analyze(
     TimingGraph::new(design.clone(), lib, config).map(TimingGraph::into_report)
 }
 
+/// A flip-flop's constraint arc of type `kind` (setup or hold): the first
+/// such arc on the first input pin that carries one, `None` when no pin
+/// does. The timing engine interns the setup arc; hold evaluates the hold
+/// arc through [`constraint_of`].
+pub(crate) fn constraint_arc(cell: &Cell, kind: TimingType) -> Option<&TimingArc> {
+    cell.input_pins()
+        .flat_map(|p| &p.timing)
+        .find(|a| a.timing_type == kind)
+}
+
 /// Evaluates a flip-flop data pin's constraint arc (setup or hold) at
 /// `(data_slew, clock_slew)`. Constraint tables index the clock slew on
 /// the LUT's load axis. Returns `None` when the cell has no such arc.
 pub(crate) fn constraint_of(
-    cell: &varitune_liberty::Cell,
+    cell: &Cell,
     kind: TimingType,
     data_slew: f64,
     clock_slew: f64,
 ) -> Option<f64> {
-    let d_pin = cell
-        .input_pins()
-        .find(|p| p.timing.iter().any(|a| a.timing_type == kind))?;
-    let arc = d_pin.timing.iter().find(|a| a.timing_type == kind)?;
-    arc.worst_delay(data_slew, clock_slew).ok()
+    constraint_arc(cell, kind)?
+        .worst_delay(data_slew, clock_slew)
+        .ok()
 }
 
 /// A gate's arcs in its cell, looked up the one way the timing engine, the

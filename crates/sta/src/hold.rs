@@ -21,7 +21,6 @@ use crate::mapped::MappedDesign;
 
 /// Hold-check configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HoldConfig {
     /// Hold requirement of capturing flip-flops (ns).
     pub hold_time: f64,
@@ -53,7 +52,6 @@ impl From<&StaConfig> for HoldConfig {
 
 /// One hold endpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HoldEndpoint {
     /// The flip-flop data net checked.
     pub net: NetId,
@@ -74,7 +72,6 @@ impl HoldEndpoint {
 
 /// Result of [`analyze_hold`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HoldReport {
     /// Earliest arrival per net (ns); `+inf` for unreached nets.
     pub min_arrivals: Vec<f64>,

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use varitune_liberty::{Cell, CellId, Library, LibraryFingerprint};
-use varitune_netlist::{NetId, Netlist};
+use varitune_netlist::Netlist;
 
 use crate::StaError;
 
@@ -11,7 +11,6 @@ use crate::StaError;
 /// per-fanout increment (pF). This stands in for the pre-layout wire-load
 /// tables a synthesis tool would use.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WireModel {
     /// Capacitance of any driven net (pF).
     pub base: f64,
@@ -56,7 +55,6 @@ impl WireModel {
 /// reads a cell, so a design handed a library with another cell list is a
 /// [`StaError::MismatchedInput`], not an analysis of the wrong cells.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MappedDesign {
     /// The underlying generic netlist (buffering during optimization adds
     /// gates here and to `cells` in lockstep).
@@ -210,12 +208,6 @@ impl MappedDesign {
             *l += self.wire_model.wire_cap(fanouts[i]);
         }
         loads
-    }
-
-    /// Load on one net (recomputes all loads; use [`MappedDesign::net_loads`]
-    /// in loops).
-    pub fn net_load(&self, net: NetId, lib: &Library) -> f64 {
-        self.net_loads(lib)[net.0 as usize]
     }
 
     /// Histogram of cell usage: `(cell name, instance count)` sorted by

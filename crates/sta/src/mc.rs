@@ -42,7 +42,6 @@ pub fn mc_cells(path: &PathTiming, stat: &StatLibrary) -> Result<Vec<PathCell>, 
 /// One simulated path: the MC run plus the analytic parameters it
 /// validates.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PathMcResult {
     /// Index of the path in the input slice.
     pub path_index: usize,

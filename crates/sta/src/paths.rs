@@ -19,7 +19,6 @@ use crate::mapped::MappedDesign;
 /// against; [`PathCellSample::cell_name`] and friends render names for
 /// reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PathCellSample {
     /// Gate index in the netlist.
     pub gate: usize,
@@ -81,7 +80,6 @@ impl PathCellSample {
 
 /// A worst path to one endpoint with its statistical parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PathTiming {
     /// Endpoint net the path captures at.
     pub endpoint: NetId,
@@ -110,7 +108,6 @@ impl PathTiming {
 
 /// Design-level distribution — eq. (11) over per-endpoint worst paths.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DesignTiming {
     /// Sum of worst-path means (ns).
     pub mean: f64,
@@ -457,6 +454,44 @@ pub fn timing_yield(paths: &[PathTiming], deadline: f64) -> f64 {
 /// caller-supplied statistical quantities — data, not invariants — so
 /// they must never panic.
 pub fn deadline_at_yield(paths: &[PathTiming], target: f64, tol: f64) -> Result<f64, StaError> {
+    bisect_at_yield(
+        target,
+        tol,
+        || {
+            if paths.is_empty() {
+                return Err(StaError::InvalidParameter {
+                    reason: "need at least one path to bisect a deadline".to_string(),
+                });
+            }
+            let hi = paths
+                .iter()
+                .map(|p| p.mean + 10.0 * p.sigma)
+                .fold(0.0, f64::max)
+                .max(tol);
+            Ok((0.0, hi))
+        },
+        |deadline| timing_yield(paths, deadline),
+    )
+}
+
+/// The smallest deadline at which the non-decreasing `yield_at` reaches
+/// `target`, bisected to `tol` inside the `(lo, hi)` bracket that
+/// `bracket` returns: the search behind [`deadline_at_yield`] and
+/// [`SstaReport::period_at_yield`](crate::ssta::SstaReport::period_at_yield).
+/// `target` and `tol` are checked before the bracket is built. The search
+/// also stops when the midpoint rounds onto an end, so a `tol` below the
+/// float spacing of the bracket ends it.
+///
+/// # Errors
+///
+/// [`StaError::InvalidParameter`] if `target` is not in `(0, 1)` or `tol`
+/// is not finite and positive; otherwise the bracket's error.
+pub(crate) fn bisect_at_yield(
+    target: f64,
+    tol: f64,
+    bracket: impl FnOnce() -> Result<(f64, f64), StaError>,
+    yield_at: impl Fn(f64) -> f64,
+) -> Result<f64, StaError> {
     if !(target > 0.0 && target < 1.0) {
         return Err(StaError::InvalidParameter {
             reason: format!("yield target must be in (0, 1), got {target}"),
@@ -469,24 +504,14 @@ pub fn deadline_at_yield(paths: &[PathTiming], target: f64, tol: f64) -> Result<
             reason: format!("bisection tolerance must be finite and > 0, got {tol}"),
         });
     }
-    if paths.is_empty() {
-        return Err(StaError::InvalidParameter {
-            reason: "need at least one path to bisect a deadline".to_string(),
-        });
-    }
-    let mut lo = 0.0f64;
-    let mut hi = paths
-        .iter()
-        .map(|p| p.mean + 10.0 * p.sigma)
-        .fold(0.0, f64::max)
-        .max(tol);
+    let (mut lo, mut hi) = bracket()?;
     while hi - lo > tol {
         let mid = 0.5 * (lo + hi);
         // `tol` below the float spacing: the bracket cannot shrink.
         if mid == lo || mid == hi {
             break;
         }
-        if timing_yield(paths, mid) >= target {
+        if yield_at(mid) >= target {
             hi = mid;
         } else {
             lo = mid;

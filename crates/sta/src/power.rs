@@ -19,7 +19,6 @@ use crate::mapped::MappedDesign;
 
 /// Power-analysis knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerConfig {
     /// Average switching activity: output events per clock cycle per net.
     pub activity: f64,
@@ -42,7 +41,6 @@ impl PowerConfig {
 
 /// Power breakdown in mW.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerReport {
     /// Internal (cell) switching power.
     pub internal: f64,

@@ -57,6 +57,7 @@ use varitune_variation::ProcessCorner;
 
 use crate::engine::{run_stage, TimingGraph, NONE_U32};
 use crate::graph::{GateArcs, StaError};
+use crate::paths::bisect_at_yield;
 
 /// Standard normal density.
 fn normal_pdf(x: f64) -> f64 {
@@ -934,37 +935,20 @@ impl SstaReport {
     /// target or tolerance is reported as [`StaError::InvalidParameter`],
     /// never a panic.
     pub fn period_at_yield(&self, target: f64, tol: f64) -> Result<f64, StaError> {
-        if !(target > 0.0 && target < 1.0) {
-            return Err(StaError::InvalidParameter {
-                reason: format!("yield target must be in (0, 1), got {target}"),
-            });
-        }
-        // `tol <= 0.0` is false for NaN, but the finiteness check rejects
-        // NaN on its own.
-        if tol <= 0.0 || !tol.is_finite() {
-            return Err(StaError::InvalidParameter {
-                reason: format!("bisection tolerance must be finite and > 0, got {tol}"),
-            });
-        }
-        let sigma = self.design.sigma();
-        if sigma <= 0.0 {
-            return Ok(self.design.mean);
-        }
-        let mut lo = self.design.mean - 10.0 * sigma;
-        let mut hi = self.design.mean + 10.0 * sigma;
-        while hi - lo > tol {
-            let mid = 0.5 * (lo + hi);
-            // `tol` below the float spacing: the bracket cannot shrink.
-            if mid == lo || mid == hi {
-                break;
-            }
-            if self.yield_at(mid) >= target {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Ok(hi)
+        bisect_at_yield(
+            target,
+            tol,
+            || {
+                let (mean, sigma) = (self.design.mean, self.design.sigma());
+                // A zero-sigma design meets every target at its mean.
+                Ok(if sigma <= 0.0 {
+                    (mean, mean)
+                } else {
+                    (mean - 10.0 * sigma, mean + 10.0 * sigma)
+                })
+            },
+            |period| self.yield_at(period),
+        )
     }
 
     /// The `n` most critical gates as `(gate index, criticality)`, sorted

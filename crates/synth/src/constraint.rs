@@ -22,7 +22,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// assert!(!w.contains(0.1, 0.02)); // load outside the quiet region
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OperatingWindow {
     /// Minimum input slew (ns).
     pub min_slew: f64,
@@ -124,7 +123,6 @@ impl Default for OperatingWindow {
 ///
 /// Pins without an entry are unrestricted.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LibraryConstraints {
     windows: BTreeMap<(String, String), OperatingWindow>,
     dont_use: BTreeSet<String>,

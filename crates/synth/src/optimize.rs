@@ -29,7 +29,6 @@ use crate::map::{effective_limits, map_netlist, MapError, TargetLibrary};
 
 /// Synthesis configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SynthConfig {
     /// Timing configuration (clock period, uncertainty, boundary slews).
     pub sta: StaConfig,
@@ -110,7 +109,6 @@ impl From<StaError> for SynthError {
 /// counts as given: a caller comparing keys normalizes it the way it
 /// synthesizes.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SynthKey {
     max_load: Vec<f64>,
     max_slew: Vec<f64>,
@@ -178,7 +176,6 @@ fn config_bits(cfg: &SynthConfig) -> [u64; 10] {
 
 /// Result of [`synthesize`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SynthesisResult {
     /// The optimized mapped design (including any inserted buffers).
     pub design: MappedDesign,

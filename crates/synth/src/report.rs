@@ -3,6 +3,7 @@
 
 use varitune_liberty::Library;
 use varitune_netlist::Netlist;
+use varitune_sta::StaError;
 
 use crate::constraint::LibraryConstraints;
 use crate::optimize::{synthesize, SynthConfig, SynthError, SynthesisResult};
@@ -12,13 +13,15 @@ use crate::optimize::{synthesize, SynthConfig, SynthError, SynthesisResult};
 /// This is how the paper picks its "high performance" constraint.
 ///
 /// `hi` must be achievable; `lo` is assumed unachievable (0 is always a safe
-/// choice).
+/// choice). The search also stops when the bracket can no longer shrink,
+/// so a `tolerance` below the float spacing of the bracket ends it.
 ///
 /// # Errors
 ///
-/// Propagates [`SynthError`]; also returns the error of the initial `hi`
-/// synthesis if even `hi` fails timing (as `Ok` with `met_timing = false`
-/// surfaced via the returned period being `hi`).
+/// [`SynthError::Sta`] with [`StaError::InvalidParameter`] if `tolerance`
+/// is not finite and positive; otherwise propagates [`SynthError`] from
+/// synthesis. If even `hi` fails timing, the search returns `hi` with
+/// that run's result (`met_timing` is `false`).
 pub fn find_min_period(
     netlist: &Netlist,
     lib: &Library,
@@ -27,6 +30,13 @@ pub fn find_min_period(
     mut hi: f64,
     tolerance: f64,
 ) -> Result<(f64, SynthesisResult), SynthError> {
+    // `tolerance <= 0.0` is false for NaN, but the finiteness check
+    // rejects NaN on its own.
+    if tolerance <= 0.0 || !tolerance.is_finite() {
+        return Err(SynthError::Sta(StaError::InvalidParameter {
+            reason: format!("bisection tolerance must be finite and > 0, got {tolerance}"),
+        }));
+    }
     let mut best = synthesize(
         netlist,
         lib,
@@ -35,6 +45,10 @@ pub fn find_min_period(
     )?;
     while hi - lo > tolerance {
         let mid = 0.5 * (lo + hi);
+        // `tolerance` below the float spacing: the bracket cannot shrink.
+        if mid == lo || mid == hi {
+            break;
+        }
         let r = synthesize(
             netlist,
             lib,
@@ -53,7 +67,6 @@ pub fn find_min_period(
 
 /// Cell-usage row for the Fig. 9 histograms.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UsageRow {
     /// Cell name.
     pub cell: String,
@@ -100,7 +113,7 @@ pub fn usage_comparison(
 mod tests {
     use super::*;
     use varitune_libchar::{generate_nominal, GenerateConfig};
-    use varitune_netlist::{generate_mcu, McuConfig};
+    use varitune_netlist::{generate_mcu, GateKind, McuConfig};
 
     #[test]
     fn min_period_search_brackets() {
@@ -126,6 +139,51 @@ mod tests {
         )
         .unwrap();
         assert!(!below.met_timing, "period {} unexpectedly met", p - 0.5);
+    }
+
+    /// Two flip-flops around a three-inverter chain: one register-to-
+    /// register path, so the clock period decides whether timing closes.
+    fn register_chain() -> Netlist {
+        let mut nl = Netlist::new("chain");
+        let d = nl.add_input("d");
+        let mut x = nl.add_net("q0");
+        nl.add_gate(GateKind::Dff, &[d], &[x]);
+        for i in 0..3 {
+            let y = nl.add_net(format!("x{i}"));
+            nl.add_gate(GateKind::Inv, &[x], &[y]);
+            x = y;
+        }
+        let q = nl.add_net("q1");
+        nl.add_gate(GateKind::Dff, &[x], &[q]);
+        nl.mark_output(q);
+        nl
+    }
+
+    #[test]
+    fn min_period_search_terminates_below_float_spacing() {
+        let lib = generate_nominal(&GenerateConfig::full());
+        let nl = register_chain();
+        let free = LibraryConstraints::unconstrained();
+        let (coarse, _) = find_min_period(&nl, &lib, &free, 0.0, 10.0, 1e-3).unwrap();
+        // Near the answer the f64 spacing is ~1e-16, so this tolerance can
+        // never be met by halving the bracket.
+        let (p, r) = find_min_period(&nl, &lib, &free, 0.0, 10.0, 1e-300).unwrap();
+        assert!(r.met_timing, "period {p}");
+        assert!(p > 0.0 && (p - coarse).abs() <= 1e-3, "{p} vs {coarse}");
+    }
+
+    #[test]
+    fn min_period_search_rejects_a_bad_tolerance() {
+        let lib = generate_nominal(&GenerateConfig::full());
+        let nl = register_chain();
+        let free = LibraryConstraints::unconstrained();
+        for bad in [f64::NAN, 0.0, -1.0] {
+            let err = find_min_period(&nl, &lib, &free, 0.0, 10.0, bad).unwrap_err();
+            assert!(
+                matches!(err, SynthError::Sta(StaError::InvalidParameter { .. })),
+                "tolerance {bad}: {err}"
+            );
+        }
     }
 
     #[test]

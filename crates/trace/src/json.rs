@@ -1,12 +1,11 @@
 //! Minimal JSON support for the trace report.
 //!
-//! The workspace's `serde` dependency is an in-tree stub (marker traits
-//! and no-op derives, so the non-default `serde` features compile
-//! offline); actual serialization is hand-rolled, as everywhere else in
-//! this repo. Writing is deterministic by construction — `BTreeMap`
-//! ordering, integers only, no floats — and the parser accepts exactly
-//! the subset the writer emits (objects, arrays, strings, unsigned
-//! integers), which is what lets `FlowTrace` round-trip in tests.
+//! Serialization is hand-rolled, as everywhere else in this repo (the
+//! workspace has no registry dependencies). Writing is deterministic by
+//! construction — `BTreeMap` ordering, integers only, no floats — and
+//! the parser accepts exactly the subset the writer emits (objects,
+//! arrays, strings, unsigned integers), which is what lets `FlowTrace`
+//! round-trip in tests.
 
 use std::fmt;
 

@@ -10,9 +10,8 @@
 //!   workers aggregate bit-identically at any thread count,
 //! * [`report`] — the [`FlowTrace`] flight-recorder report with a
 //!   deterministic JSON form (`to_json`/`from_json` round-trip),
-//! * [`json`] — the minimal JSON subset the report uses (the workspace
-//!   `serde` is an in-tree stub; serialization is hand-rolled, as
-//!   everywhere else in this repo).
+//! * [`json`] — the minimal JSON subset the report uses (serialization
+//!   is hand-rolled, as everywhere else in this repo).
 //!
 //! # Determinism contract
 //!

@@ -28,7 +28,6 @@ pub fn bucket_index(value: u64) -> usize {
 /// be combined by bucket-wise addition, and the result does not depend on
 /// the order or grouping of merges.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     /// Total number of observations.
     pub count: u64,
@@ -121,7 +120,6 @@ impl Histogram {
 /// same associativity/commutativity guarantees as the parts, so the final
 /// set is bit-identical regardless of how work was sharded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Metrics {
     /// Monotonic event counters by name.
     pub counters: BTreeMap<String, u64>,

@@ -12,7 +12,6 @@ pub const SCHEMA: &str = "varitune-trace/1";
 
 /// A captured trace: the span tree plus the merged metric set.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowTrace {
     /// Root spans in open order.
     pub spans: Vec<SpanNode>,

@@ -14,7 +14,6 @@
 
 /// One node of the reported span tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpanNode {
     /// Stage name, e.g. `"flow.prepare"`.
     pub name: String,

@@ -11,7 +11,6 @@ use crate::sampler::{Normal, Xoshiro256PlusPlus};
 
 /// A named process corner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ProcessCorner {
     /// Fast silicon: lower delays.
     Fast,

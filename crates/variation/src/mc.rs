@@ -31,7 +31,6 @@ use crate::stats::Summary;
 
 /// One cell of an extracted path, as seen by the MC engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PathCell {
     /// Typical-corner delay mean of the cell at its operating point (ns).
     pub mean_delay: f64,
@@ -57,7 +56,6 @@ impl PathCell {
 
 /// Which variation sources a simulation includes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VariationMode {
     /// Local mismatch only: each cell gets an independent perturbation, the
     /// die factor is pinned to the corner nominal.
@@ -69,7 +67,6 @@ pub enum VariationMode {
 
 /// Result of a path MC run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct McResult {
     /// Corner the run was performed at.
     pub corner: ProcessCorner,

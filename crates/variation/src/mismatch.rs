@@ -28,7 +28,6 @@ use crate::sampler::{Normal, Xoshiro256PlusPlus};
 /// assert!((s1 / s4 - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PelgromModel {
     /// Relative delay sigma of a unit-drive cell at the nominal operating
     /// point (e.g. 0.06 = 6 % of the nominal delay).

@@ -8,7 +8,6 @@
 
 /// Summary statistics of a sample set.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     /// Number of samples.
     pub n: usize,

@@ -21,6 +21,7 @@ use varitune_core::{
     TuningParams, TuningProvenance,
 };
 use varitune_synth::SynthConfig;
+use varitune_variation::rng::rng_from;
 
 /// Clock period of the golden small-scale grid (`tests/golden_experiments.rs`).
 const PERIOD_NS: f64 = 6.0;
@@ -76,24 +77,37 @@ fn paper_methods_through_trait_match_run_tuned() {
 fn evolutionary_front_is_bit_identical_across_threads_and_reruns() {
     let flow = flow();
     let synth = synth();
-    let key = |threads: usize| -> Vec<(u64, u64, usize)> {
-        flow.optimize(&EvolutionaryOptimizer::new(search_config(threads)), &synth)
-            .expect("search succeeds")
-            .iter()
-            .map(|c| {
-                (
-                    c.sigma().to_bits(),
-                    c.area().to_bits(),
-                    c.tuned.restricted_pins,
-                )
-            })
-            .collect()
-    };
-    let one = key(1);
-    assert!(!one.is_empty(), "search found a front");
-    assert_eq!(one, key(2), "threads = 2 diverged");
-    assert_eq!(one, key(8), "threads = 8 diverged");
-    assert_eq!(one, key(1), "rerun diverged");
+    // The suite's paper-seeded search, then three unseeded one-generation
+    // searches from generated seeds.
+    let mut seeds = rng_from(0x0E7A, "evolution-seed", 0);
+    let generated = (0..3).map(|_| EvolutionConfig {
+        seed: seeds.next_u64() % 1_000,
+        population: 3,
+        generations: 1,
+        threads: 1,
+        seed_paper_methods: false,
+    });
+    for config in std::iter::once(search_config(1)).chain(generated) {
+        let key = |threads: usize| -> Vec<(u64, u64, usize)> {
+            let config = EvolutionConfig { threads, ..config };
+            flow.optimize(&EvolutionaryOptimizer::new(config), &synth)
+                .expect("search succeeds")
+                .iter()
+                .map(|c| {
+                    (
+                        c.sigma().to_bits(),
+                        c.area().to_bits(),
+                        c.tuned.restricted_pins,
+                    )
+                })
+                .collect()
+        };
+        let one = key(1);
+        assert!(!one.is_empty(), "search found a front");
+        assert_eq!(one, key(2), "threads = 2 diverged at {config:?}");
+        assert_eq!(one, key(8), "threads = 8 diverged at {config:?}");
+        assert_eq!(one, key(1), "rerun diverged at {config:?}");
+    }
 }
 
 #[test]

@@ -15,6 +15,8 @@ use varitune::libchar::generate_nominal;
 use varitune::liberty::write_library;
 use varitune::synth::SynthConfig;
 use varitune::trace::{FlowTrace, Histogram, Metrics, SpanNode};
+use varitune::variation::rng::rng_from;
+use varitune::variation::Xoshiro256PlusPlus;
 
 /// Captures one full flow — prepare, baseline, tuned — at `threads`
 /// workers and returns the trace.
@@ -131,69 +133,89 @@ fn flow_report_embeds_counter_snapshot_only_when_tracing() {
 // ---------------------------------------------------------------------
 // Metrics algebra: merge is associative and commutative, and sharded
 // accumulation equals sequential accumulation — the property that makes
-// traces thread-count-invariant. Fixed pseudo-random inputs keep this
-// offline (the same laws are checked on arbitrary inputs by the
-// `proptest`-gated suite in `property_based.rs`).
+// traces thread-count-invariant — and a trace's JSON round-trips. Each
+// law runs on `CASES` generated inputs, one in-tree xoshiro256++ stream
+// per case, so every run draws the same inputs.
 // ---------------------------------------------------------------------
 
-/// Small deterministic value stream (splitmix-style) for metric inputs.
-fn values(seed: u64, n: usize) -> Vec<u64> {
-    let mut x = seed;
-    (0..n)
-        .map(|_| {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) % 100_000
-        })
-        .collect()
+const CASES: u64 = 256;
+
+/// One generator per generated case of `property`.
+fn cases(property: &'static str) -> impl Iterator<Item = Xoshiro256PlusPlus> {
+    (0..CASES).map(move |case| rng_from(0x7ACE, property, case))
 }
 
-fn metrics_from(seed: u64) -> Metrics {
+/// Up to 63 events, each an increment of one of four counters and an
+/// observation of one histogram, with values below 1,000,000.
+fn seeded_metrics(rng: &mut Xoshiro256PlusPlus) -> Metrics {
     let mut m = Metrics::new();
-    for v in values(seed, 64) {
-        m.add(["alpha", "beta", "gamma"][(v % 3) as usize], v);
-        m.observe("sizes", v);
+    for _ in 0..rng.next_u64() % 64 {
+        let v = rng.next_u64() % 1_000_000;
+        m.add(["a", "b", "c", "d"][(rng.next_u64() % 4) as usize], v);
+        m.observe("h", v);
     }
     m
 }
 
 #[test]
 fn metrics_merge_is_associative_and_commutative() {
-    let (a, b, c) = (metrics_from(1), metrics_from(2), metrics_from(3));
+    for mut rng in cases("metrics-merge") {
+        let [a, b, c] = std::array::from_fn(|_| seeded_metrics(&mut rng));
 
-    let mut ab_c = a.clone();
-    ab_c.merge(&b);
-    ab_c.merge(&c);
-    let mut bc = b.clone();
-    bc.merge(&c);
-    let mut a_bc = a.clone();
-    a_bc.merge(&bc);
-    assert_eq!(ab_c, a_bc, "merge must be associative");
+        let mut ab_c = a.clone();
+        ab_c.merge(&b);
+        ab_c.merge(&c);
+        let mut bc = b.clone();
+        bc.merge(&c);
+        let mut a_bc = a.clone();
+        a_bc.merge(&bc);
+        assert_eq!(ab_c, a_bc, "merge must be associative");
 
-    let mut ab = a.clone();
-    ab.merge(&b);
-    let mut ba = b.clone();
-    ba.merge(&a);
-    assert_eq!(ab, ba, "merge must be commutative");
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab, ba, "merge must be commutative");
+    }
 }
 
 #[test]
 fn sharded_histograms_equal_sequential() {
-    let data = values(9, 1024);
-    let mut sequential = Histogram::new();
-    for &v in &data {
-        sequential.observe(v);
-    }
-    for shards in [2usize, 3, 8] {
-        let mut merged = Histogram::new();
-        for chunk in data.chunks(data.len().div_ceil(shards)) {
-            let mut shard = Histogram::new();
-            for &v in chunk {
-                shard.observe(v);
-            }
-            merged.merge(&shard);
+    for mut rng in cases("histogram-shards") {
+        // Up to 1,024 values below 2^63 with a uniform bit length, so the
+        // values reach every bucket and long sums saturate.
+        let n = 1 + (rng.next_u64() % 1024) as usize;
+        let data: Vec<u64> = (0..n)
+            .map(|_| (rng.next_u64() >> 1) >> (rng.next_u64() % 64))
+            .collect();
+        let mut sequential = Histogram::new();
+        for &v in &data {
+            sequential.observe(v);
         }
-        assert_eq!(merged, sequential, "{shards} shards diverged");
+        for shards in 1..=8 {
+            let mut merged = Histogram::new();
+            for chunk in data.chunks(data.len().div_ceil(shards)) {
+                let mut shard = Histogram::new();
+                for &v in chunk {
+                    shard.observe(v);
+                }
+                merged.merge(&shard);
+            }
+            assert_eq!(merged, sequential, "{shards} shards diverged");
+        }
+    }
+}
+
+#[test]
+fn flow_trace_json_round_trips_on_seeded_metrics() {
+    for mut rng in cases("trace-json") {
+        let trace = FlowTrace {
+            spans: Vec::new(),
+            metrics: seeded_metrics(&mut rng),
+        };
+        let text = trace.to_json();
+        let back = FlowTrace::from_json(&text).expect("parses");
+        assert_eq!(back, trace);
+        assert_eq!(back.to_json(), text);
     }
 }
